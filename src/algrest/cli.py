@@ -58,6 +58,8 @@ def _coords_payload(a) -> dict[str, str]:
 
 def cmd_basis(args: argparse.Namespace) -> int:
     curve = _curve(args)
+    if args.max_qdeg is not None and args.max_qdeg < 1:
+        raise InputError(f"--max-qdeg must be positive, got {args.max_qdeg}")
     basis = cached_basis(curve, args.max_qdeg)
     payload = {
         "semigroup": list(curve.lams),

@@ -15,7 +15,7 @@ degree.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError, NotClosedError, ScanBoundError
 from .forms import DifferentialForm, IndexTuple, Weights, ext_der
-from .linalg import kernel_basis, rref, solve_linear
+from .linalg import RrefResult, kernel_basis, reduce_by, rref, solve_linear, sparse_rref
 from .poly import Exponent, Polynomial, Scalar, UniPoly
 
 
@@ -151,26 +151,43 @@ def monomials_of_qdeg(wvec: tuple[int, ...], d: int) -> tuple[Exponent, ...]:
 @lru_cache(maxsize=None)
 def ideal_graded_basis(curve: MonomialCurve, qdeg: int) -> tuple[Polynomial, ...]:
     """Basis of quasi-homogeneous polynomials of the given quasi-degree
-    vanishing on the curve."""
-    mons = monomials_of_qdeg(curve.weights.wvec, qdeg)
-    if not mons:
-        return ()
-    images = curve.images()
-    values = [Polynomial.monomial(m).substitute(images) for m in mons]
-    powers = sorted({e for v in values for e in range(len(v.coeffs)) if v.coefficient(e)})
-    rows = [[v.coefficient(e) for v in values] for e in powers]
-    kern = kernel_basis(rows, len(mons))
-    nvars = curve.ambient
-    return tuple(
-        Polynomial(nvars, {mons[j]: vec[j] for j in range(len(mons)) if vec[j]})
-        for vec in kern
-    )
+    vanishing on the curve.
+
+    A monomial with an off-curve variable restricts to 0, and every
+    curve-only monomial of quasi-degree e restricts to exactly t^e.  So the
+    degree-e part of the ideal is spanned by the off-curve monomials and
+    by x^m - x^m0 for the curve-only monomials m after the first one, m0:
+    the binomial ideal of a monomial curve (Sturmfels, "Groebner Bases and
+    Convex Polytopes", 1996, ch. 4).
+    """
+    branch = curve.branch_dim
+    basis: list[Polynomial] = []
+    first: Polynomial | None = None
+    for m in monomials_of_qdeg(curve.weights.wvec, qdeg):
+        mono = Polynomial.monomial(m)
+        if any(m[branch:]):
+            basis.append(mono)
+        elif first is None:
+            first = mono
+        else:
+            basis.append(mono - first)
+    return tuple(basis)
 
 
-def vanishes_on_curve(curve: MonomialCurve, poly: Polynomial) -> bool:
-    if poly.nvars != curve.ambient:
-        raise InputError("polynomial variable count does not match the curve")
-    return poly.substitute(curve.images()).is_zero()
+def _coordinates(
+    index: Mapping[tuple[IndexTuple, Exponent], int], form: DifferentialForm, d: int
+) -> dict[int, Fraction]:
+    """Nonzero coordinates of a form in the columns of a graded piece."""
+    vec: dict[int, Fraction] = {}
+    for idx, poly in form.coeffs.items():
+        for exps, coeff in poly.terms.items():
+            pos = index.get((idx, exps))
+            if pos is None:
+                raise InputError(
+                    f"term x^{exps} dx{idx} is not quasi-homogeneous of degree {d}"
+                )
+            vec[pos] = coeff
+    return vec
 
 
 @dataclass(frozen=True)
@@ -185,6 +202,7 @@ class GradedPiece:
     zrows: tuple[tuple[Fraction, ...], ...]
     zpivots: tuple[int, ...]
     rep_cols: tuple[int, ...]
+    index: Mapping[tuple[IndexTuple, Exponent], int] = field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -206,26 +224,15 @@ class GradedPiece:
             raise InputError("form variable count does not match the curve")
         if form.degree != self.k:
             raise InputError(f"expected a {self.k}-form")
-        index = {key: i for i, key in enumerate(self.columns)}
         vec = [Fraction(0)] * len(self.columns)
-        for idx, poly in form.coeffs.items():
-            for exps, coeff in poly.terms.items():
-                pos = index.get((idx, exps))
-                if pos is None:
-                    raise InputError(
-                        f"term x^{exps} dx{idx} is not quasi-homogeneous of degree {self.d}"
-                    )
-                vec[pos] = coeff
+        for pos, coeff in _coordinates(self.index, form, self.d).items():
+            vec[pos] = coeff
         return vec
 
     def quotient_coords(self, vec: Sequence[Fraction]) -> list[Fraction]:
         """Reduce modulo the zero-restriction subspace; coordinates on the
         representative columns."""
-        work = list(vec)
-        for row, pivot in zip(self.zrows, self.zpivots):
-            factor = work[pivot]
-            if factor:
-                work = [a - factor * b for a, b in zip(work, row)]
+        work = reduce_by(RrefResult(self.zrows, self.zpivots), vec)
         return [work[c] for c in self.rep_cols]
 
     def rep_form(self, j: int) -> DifferentialForm:
@@ -241,7 +248,11 @@ class GradedPiece:
 
 @lru_cache(maxsize=None)
 def restriction_quotient(curve: MonomialCurve, k: int, d: int) -> GradedPiece:
-    """Build the graded piece of k-form restrictions in quasi-degree d."""
+    """Build the graded piece of k-form restrictions in quasi-degree d.
+
+    The zero-restriction space is spanned by q dx_I and d(q dx_J) for q in
+    the ideal of the curve; its generators are assembled as sparse rows.
+    """
     if k < 0:
         raise InputError("form degree must be nonnegative")
     if d < 0:
@@ -256,24 +267,18 @@ def restriction_quotient(curve: MonomialCurve, k: int, d: int) -> GradedPiece:
     index = {key: i for i, key in enumerate(columns)}
     width = len(columns)
 
-    def vectorize(form: DifferentialForm) -> list[Fraction]:
-        vec = [Fraction(0)] * width
-        for idx, poly in form.coeffs.items():
-            for exps, coeff in poly.terms.items():
-                vec[index[(idx, exps)]] = coeff
-        return vec
-
-    gens: list[list[Fraction]] = []
+    gens: list[dict[int, Fraction]] = []
     for idx in itertools.combinations(range(m), k):
         e = d - sum(weights.weight(i) for i in idx)
         for q in ideal_graded_basis(curve, e):
-            gens.append(vectorize(DifferentialForm.from_term(m, idx, q)))
+            gens.append(_coordinates(index, DifferentialForm.from_term(m, idx, q), d))
     if k >= 1:
         for jdx in itertools.combinations(range(m), k - 1):
             e = d - sum(weights.weight(i) for i in jdx)
             for q in ideal_graded_basis(curve, e):
-                gens.append(vectorize(ext_der(DifferentialForm.from_term(m, jdx, q))))
-    red = rref(gens, width)
+                dq = ext_der(DifferentialForm.from_term(m, jdx, q))
+                gens.append(_coordinates(index, dq, d))
+    red = sparse_rref(gens, width)
     pivot_set = set(red.pivots)
     rep_cols = tuple(c for c in range(width) if c not in pivot_set)
     return GradedPiece(
@@ -284,6 +289,7 @@ def restriction_quotient(curve: MonomialCurve, k: int, d: int) -> GradedPiece:
         zrows=tuple(tuple(row) for row in red.rows),
         zpivots=tuple(red.pivots),
         rep_cols=rep_cols,
+        index=index,
     )
 
 
@@ -326,6 +332,8 @@ class RestrictionBasis:
     def __init__(self, curve: MonomialCurve, max_qdeg: int | None = None):
         self.curve = curve
         bound = default_scan_bound(curve) if max_qdeg is None else int(max_qdeg)
+        if bound < 1:
+            raise InputError(f"the scan bound max_qdeg must be positive, got {bound}")
         self.max_qdeg = bound
         elements: list[BasisElement] = []
         by_degree: dict[int, list[tuple[int, tuple[Fraction, ...]]]] = {}
@@ -362,9 +370,14 @@ class RestrictionBasis:
         window = 2 * curve.lams[-1]
         top_closed = elements[-1].qdeg if elements else 0
         if top_closed > bound - window:
+            found = (
+                f"found a closed class at {top_closed}, inside"
+                if elements
+                else "found no closed class and is shorter than"
+            )
             raise ScanBoundError(
-                f"graded scan up to quasi-degree {bound} found a closed class at "
-                f"{top_closed}, inside the trailing stabilization window of {window}; "
+                f"graded scan up to quasi-degree {bound} {found} the trailing "
+                f"stabilization window of {window}; "
                 f"rerun with max_qdeg >= {top_closed + window}"
             )
         self.elements = tuple(elements)
@@ -421,6 +434,14 @@ class RestrictionBasis:
 
 @lru_cache(maxsize=None)
 def cached_basis(curve: MonomialCurve, max_qdeg: int | None = None) -> RestrictionBasis:
+    """The basis of a curve, built once per scan bound.
+
+    The default bound is resolved into the key, so ``cached_basis(curve)``
+    and ``cached_basis(curve, default_scan_bound(curve))`` return the same
+    object.
+    """
+    if max_qdeg is None:
+        return cached_basis(curve, default_scan_bound(curve))
     return RestrictionBasis(curve, max_qdeg)
 
 

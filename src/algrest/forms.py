@@ -259,7 +259,7 @@ def wedge(left: DifferentialForm, right: DifferentialForm) -> DifferentialForm:
     degree = left.degree + right.degree
     nvars = left.nvars
     if degree > nvars:
-        return DifferentialForm.zero(min(degree, nvars), nvars)
+        return DifferentialForm.zero(degree, nvars)
     coeffs: dict[IndexTuple, Polynomial] = {}
     for idx_l, poly_l in left.coeffs.items():
         for idx_r, poly_r in right.coeffs.items():
@@ -284,7 +284,7 @@ def ext_der(form: DifferentialForm) -> DifferentialForm:
     nvars = form.nvars
     degree = form.degree + 1
     if degree > nvars:
-        return DifferentialForm.zero(min(degree, nvars), nvars)
+        return DifferentialForm.zero(degree, nvars)
     coeffs: dict[IndexTuple, Polynomial] = {}
     for idx, poly in form.coeffs.items():
         for i in range(nvars):

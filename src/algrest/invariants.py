@@ -59,7 +59,6 @@ def _vanishing_order_bound(piece: GradedPiece, part_coords: Sequence[Fraction]) 
         for rho, value in enumerate(reduced):
             quotient_rows[rho][j] = value
     piece3 = restriction_quotient(piece.curve, 3, piece.d)
-    col_index = {key: i for i, key in enumerate(piece3.columns)}
     der_rows: list[list[Fraction]] = [
         [Fraction(0)] * ncols for _ in piece3.columns
     ]
@@ -71,7 +70,7 @@ def _vanishing_order_bound(piece: GradedPiece, part_coords: Sequence[Fraction]) 
         )
         for didx, poly in dcol.coeffs.items():
             for dexps, coeff in poly:
-                der_rows[col_index[(didx, dexps)]][j] = coeff
+                der_rows[piece3.index[(didx, dexps)]][j] = coeff
     degrees = [sum(exps) for _, exps in piece.columns]
     max_degree = max(degrees, default=0)
 
@@ -289,14 +288,13 @@ def representable_by_symplectic(
                 continue
             seen_degrees.add(d)
             piece = restriction_quotient(curve, 2, d)
-            col_pos = {key: pos for pos, key in enumerate(piece.columns)}
             for zrow in piece.zrows:
                 adj = [[Fraction(0)] * s for _ in range(s)]
                 nonzero = False
                 for p in range(s):
                     for q in range(p + 1, s):
                         key = ((p, q), zero_exps)
-                        pos = col_pos.get(key)
+                        pos = piece.index.get(key)
                         if pos is not None and zrow[pos]:
                             adj[p][q] = zrow[pos]
                             adj[q][p] = -zrow[pos]

@@ -1,17 +1,20 @@
 """Exact linear algebra over Q and over the rational function field Q(t).
 
-The row-reduction code only needs its scalars to support +, -, *, /, and
-truthiness for "nonzero", so the same routine serves Fraction matrices and
-RationalFunctionT matrices.  ``solve_param_linear`` solves systems whose
-entries are univariate polynomials in a parameter t and reports whether the
-solution stays pole-free on the closed interval [0, 1], using Sturm chains.
+The dense row-reduction code only needs its scalars to support +, -, *, /,
+and truthiness for "nonzero", so the same routine serves Fraction matrices
+and RationalFunctionT matrices.  ``sparse_rref`` is the kernel for the large,
+mostly-zero generator matrices of the graded quotient pieces; it returns
+the same ``RrefResult`` as ``rref``.  ``solve_param_linear`` solves systems
+whose entries are univariate polynomials in a parameter t and reports
+whether the solution stays pole-free on the closed interval [0, 1], using
+Sturm chains.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence, TypeVar
+from typing import Iterable, Mapping, Sequence, TypeVar
 
 from .poly import RationalFunctionT, UniPoly
 
@@ -21,8 +24,8 @@ Row = list
 
 @dataclass
 class RrefResult:
-    rows: list[list]
-    pivots: list[int]
+    rows: Sequence[Sequence]
+    pivots: Sequence[int]
 
     @property
     def rank(self) -> int:
@@ -59,6 +62,66 @@ def rref(rows: Sequence[Sequence[S]], width: int | None = None) -> RrefResult:
         if row_at == len(mat):
             break
     return RrefResult(rows=mat[:row_at], pivots=pivots)
+
+
+def sparse_rref(rows: Iterable[Mapping[int, Fraction]], width: int) -> RrefResult:
+    """Reduced row echelon form of sparse rows ``{column: value}``.
+
+    Pivot rows are kept fully reduced as rows arrive: an incoming row is
+    cleared at every existing pivot column, its first remaining column
+    becomes a new pivot, and that column is cleared from the earlier pivot
+    rows.  Each pivot row therefore starts at its pivot and is zero at every
+    other pivot column, so the result is the reduced row echelon form of the
+    row space.  That form is unique for a given row space and column order,
+    so the dense rows returned equal ``rref`` of the same rows.
+    """
+    pivot_rows: dict[int, dict[int, Fraction]] = {}
+    for row in rows:
+        vec = {c: v for c, v in row.items() if v}
+        for p in [c for c in vec if c in pivot_rows]:
+            _subtract_scaled(vec, vec[p], pivot_rows[p])
+        if not vec:
+            continue
+        col = min(vec)
+        inv = vec[col]
+        vec = {c: v / inv for c, v in vec.items()}
+        for prow in pivot_rows.values():
+            if col in prow:
+                _subtract_scaled(prow, prow[col], vec)
+        pivot_rows[col] = vec
+    pivots = sorted(pivot_rows)
+    zero = Fraction(0)
+    dense = [[pivot_rows[p].get(c, zero) for c in range(width)] for p in pivots]
+    return RrefResult(rows=dense, pivots=pivots)
+
+
+def _subtract_scaled(
+    target: dict[int, Fraction], factor: Fraction, source: Mapping[int, Fraction]
+) -> None:
+    """target -= factor * source on sparse rows, dropping cancelled entries."""
+    for c, b in source.items():
+        value = target.get(c, 0) - factor * b
+        if value:
+            target[c] = value
+        else:
+            del target[c]
+
+
+def reduce_by(red: RrefResult, vec: Sequence[S]) -> list[S]:
+    """Remainder of ``vec`` modulo the row space of a reduced echelon form.
+
+    The remainder is zero on every pivot column.  Each row is zero at the
+    other rows' pivots, so its coefficient is the entry of ``vec`` at its
+    own pivot.
+    """
+    work = list(vec)
+    for row, pivot in zip(red.rows, red.pivots):
+        factor = vec[pivot]
+        if factor:
+            for c, b in enumerate(row):
+                if b:
+                    work[c] -= factor * b
+    return work
 
 
 def rank(rows: Sequence[Sequence[S]], width: int | None = None) -> int:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 from .curves import (
@@ -29,7 +29,7 @@ from .curves import (
 )
 from .errors import InputError, LiftError, NotSymmetryError
 from .forms import DifferentialForm, PolyMap, VectorField, lie_derivative, pullback
-from .linalg import ParamSolution, rref, solve_param_linear
+from .linalg import ParamSolution, RrefResult, reduce_by, rref, solve_param_linear
 from .poly import Exponent, Polynomial, RationalFunctionT, Scalar, UniPoly
 
 
@@ -274,20 +274,17 @@ class TangentSpace:
     shifts: tuple[int, ...]
     vectors: tuple[AlgRestriction, ...]
 
+    @cached_property
+    def _echelon(self) -> RrefResult:
+        rows = [list(v.coords) for v in self.vectors if not v.is_zero()]
+        return rref(rows, len(self.base.coords))
+
     @property
     def dim(self) -> int:
-        rows = [list(v.coords) for v in self.vectors if not v.is_zero()]
-        if not rows:
-            return 0
-        return rref(rows, len(self.base.coords)).rank
+        return self._echelon.rank
 
     def contains(self, direction: AlgRestriction) -> bool:
-        if direction.is_zero():
-            return True
-        rows = [list(v.coords) for v in self.vectors if not v.is_zero()]
-        width = len(direction.coords)
-        base_rank = rref(rows, width).rank if rows else 0
-        return rref(rows + [list(direction.coords)], width).rank == base_rank
+        return not any(reduce_by(self._echelon, direction.coords))
 
 
 def orbit_tangent_space(

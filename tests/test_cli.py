@@ -42,6 +42,31 @@ def test_basis_scan_bound_error(capsys):
     assert err.startswith("error:")
 
 
+def test_basis_rejects_a_nonpositive_scan_bound(capsys):
+    for bound in ("0", "-5"):
+        rc, out, err = run(capsys, "basis", "4", "5", "6", "7", "--max-qdeg", bound)
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: --max-qdeg must be positive, got {bound}\n"
+
+
+def test_basis_scan_without_a_closed_class(capsys):
+    rc, _, err = run(capsys, "basis", "4", "5", "6", "7", "--max-qdeg", "3")
+    assert rc == 2
+    assert "found no closed class" in err
+    assert "closed class at 0" not in err
+
+
+def test_basis_plane_curve(capsys):
+    rc, out, _ = run(capsys, "basis", "2", "3")
+    assert rc == 0
+    assert out.splitlines() == [
+        "semigroup (2, 3)  dim 2  scanned through qdeg 7",
+        "  a5    qdeg  5  [dx1^dx2]",
+        "  a7    qdeg  7  [(x1)*dx1^dx2]",
+    ]
+
+
 def test_action_table_json_both_policies(capsys):
     for policy in ("grlex", "pinned"):
         rc, out, _ = run(

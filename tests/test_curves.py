@@ -9,14 +9,17 @@ from algrest.curves import (
     cached_basis,
     default_scan_bound,
     drop_off_curve,
+    ideal_graded_basis,
     monomials_of_qdeg,
     project,
     restriction_quotient,
 )
 from algrest.errors import InputError, NotClosedError, ScanBoundError
 from algrest.forms import DifferentialForm, ext_der, wedge
+from algrest.linalg import kernel_basis, rank, sparse_rref
 from algrest.parser import parse_form, parse_restriction
 from algrest.poly import Polynomial
+from algrest.symmetry import orbit_tangent_space
 
 from tables import (
     BASIS_LABELS,
@@ -91,6 +94,72 @@ def test_graded_piece_dims_spot(curve4567):
 def test_scan_bound_too_small_raises(curve4567):
     with pytest.raises(ScanBoundError):
         RestrictionBasis(curve4567, max_qdeg=16)
+
+
+def test_scan_bound_must_be_positive(curve4567):
+    for bound in (0, -5):
+        with pytest.raises(InputError, match="must be positive"):
+            RestrictionBasis(curve4567, max_qdeg=bound)
+    with pytest.raises(ScanBoundError, match="found no closed class"):
+        RestrictionBasis(curve4567, max_qdeg=3)
+
+
+def test_default_bound_is_part_of_the_cache_key():
+    for lams in ALL:
+        curve = MonomialCurve(lams)
+        basis = cached_basis(curve)
+        assert cached_basis(curve, default_scan_bound(curve)) is basis
+        assert cached_basis(curve, None) is basis
+
+
+def _ideal_by_kernel(curve, qdeg):
+    """The ideal's graded piece as the kernel of substitution into the curve."""
+    mons = monomials_of_qdeg(curve.weights.wvec, qdeg)
+    values = [Polynomial.monomial(m).substitute(curve.images()) for m in mons]
+    powers = sorted({e for v in values for e in range(len(v.coeffs)) if v.coefficient(e)})
+    rows = [[v.coefficient(e) for v in values] for e in powers]
+    return kernel_basis(rows, len(mons))
+
+
+def test_closed_form_ideal_basis_spans_the_substitution_kernel():
+    curves = [MonomialCurve(lams, ambient) for lams in ALL for ambient in (5, 6)]
+    curves.append(MonomialCurve((3, 7, 8), 5))
+    for curve in curves:
+        for qdeg in range(default_scan_bound(curve) + 1):
+            mons = monomials_of_qdeg(curve.weights.wvec, qdeg)
+            column = {m: j for j, m in enumerate(mons)}
+            closed = [
+                {column[m]: c for m, c in q.terms.items()}
+                for q in ideal_graded_basis(curve, qdeg)
+            ]
+            kernel = [
+                {j: v for j, v in enumerate(vec) if v}
+                for vec in _ideal_by_kernel(curve, qdeg)
+            ]
+            assert len(closed) == len(kernel), (curve, qdeg)
+            assert sparse_rref(closed, len(mons)) == sparse_rref(kernel, len(mons))
+
+
+def test_tangent_contains_matches_the_rank_definition():
+    for lams in ALL:
+        curve = MonomialCurve(lams)
+        basis = cached_basis(curve)
+        labels = basis.labels
+        classes = [
+            {labels[0]: 1},
+            {labels[1]: 1, labels[3]: -2},
+            {labels[2]: 3, labels[-1]: 1},
+        ]
+        for coeffs in classes:
+            a = AlgRestriction.from_coeffs(basis, coeffs)
+            tangent = orbit_tangent_space(curve, a)
+            rows = [list(v.coords) for v in tangent.vectors if not v.is_zero()]
+            base_rank = rank(rows, basis.dim)
+            assert tangent.dim == base_rank
+            for label in labels:
+                direction = AlgRestriction.from_coeffs(basis, {label: 1})
+                spanned = rank(rows + [list(direction.coords)], basis.dim) == base_rank
+                assert tangent.contains(direction) == spanned, (lams, coeffs, label)
 
 
 def test_basis_representatives_are_closed(curve4567, curve456, curve457):

@@ -1,14 +1,18 @@
 from fractions import Fraction
 
+from hypothesis import example, given, strategies as st
+
 from algrest.linalg import (
     in_span,
     kernel_basis,
     poles_in_closed_unit_interval,
     rank,
+    reduce_by,
     rref,
     sign_variations,
     solve_linear,
     solve_param_linear,
+    sparse_rref,
     sturm_count,
 )
 from algrest.poly import RationalFunctionT, UniPoly
@@ -59,6 +63,44 @@ def test_in_span():
     assert in_span(vecs, [F(1), F(1), F(2)])
     assert not in_span(vecs, [F(0), F(0), F(1)])
     assert in_span([], [F(0), F(0)])
+
+
+# about half the entries are zero
+entry_st = st.sampled_from([F(0)] * 9 + [F(n, q) for n in (-3, -1, 1, 2, 5) for q in (1, 3)])
+
+
+@st.composite
+def dense_matrices(draw):
+    width = draw(st.integers(min_value=0, max_value=7))
+    row_st = st.lists(entry_st, min_size=width, max_size=width)
+    return width, draw(st.lists(row_st, max_size=7))
+
+
+def sparse_rows(rows):
+    return [{c: v for c, v in enumerate(row) if v} for row in rows]
+
+
+@given(matrix=dense_matrices())
+@example(matrix=(0, []))
+@example(matrix=(3, []))
+@example(matrix=(3, frows([[0, 0, 0], [0, 0, 0]])))
+@example(matrix=(3, frows([[2, 1, 0], [0, 3, 1], [1, 0, 5]])))
+@example(matrix=(1, frows([[0], [3], [-2]])))
+@example(matrix=(1, frows([[0]])))
+def test_sparse_rref_equals_dense_rref(matrix):
+    width, rows = matrix
+    sparse = sparse_rref(sparse_rows(rows), width)
+    dense = rref(rows, width)
+    assert sparse.pivots == dense.pivots
+    assert sparse.rows == dense.rows
+    for row in rows:
+        assert not any(reduce_by(sparse, row))
+
+
+def test_reduce_by_leaves_the_remainder_off_the_pivots():
+    red = rref(frows([[1, 2, 0, 1], [0, 0, 1, 3]]))
+    assert reduce_by(red, frows([[2, 5, 1, 0]])[0]) == frows([[0, 1, 0, -5]])[0]
+    assert reduce_by(rref([], 2), [F(1), F(2)]) == [F(1), F(2)]
 
 
 def test_sign_variations():
