@@ -452,7 +452,7 @@ class AlgRestriction:
 
     def __init__(self, basis: RestrictionBasis, coords: Iterable[Scalar]):
         self.basis = basis
-        cs = tuple(Fraction(c) for c in coords)
+        cs = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
         if len(cs) != basis.dim:
             raise InputError("coordinate count does not match the basis")
         self.coords = cs

@@ -1,17 +1,18 @@
 """Exact linear algebra over Q and over the rational function field Q(t).
 
-The dense row-reduction code only needs its scalars to support +, -, *, /,
-and truthiness for "nonzero", so the same routine serves Fraction matrices
-and RationalFunctionT matrices.  ``sparse_rref`` is the kernel for the large,
-mostly-zero generator matrices of the graded quotient pieces; it returns
-the same ``RrefResult`` as ``rref``.  ``solve_param_linear`` solves systems
-whose entries are univariate polynomials in a parameter t and reports
-whether the solution stays pole-free on the closed interval [0, 1], using
-Sturm chains.
+The dense ``rref`` serves the small Fraction matrices; it only needs its
+scalars to support +, -, *, / and truthiness for "nonzero".
+``sparse_rref`` is the kernel for the large, mostly-zero generator
+matrices of the graded quotient pieces; it returns the same ``RrefResult``
+as ``rref``.  ``solve_param_linear`` solves systems whose entries are
+univariate polynomials in a parameter t by fraction-free elimination over
+Z[t], and reports whether the solution stays pole-free on the closed
+interval [0, 1], using Sturm chains.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, TypeVar
@@ -239,19 +240,118 @@ def solve_param_linear(
 
     Reports, per component of the solution, how many poles land in the
     closed interval [0, 1].
+
+    The elimination is fraction-free (Bareiss) over Z[t].  Each augmented
+    row is scaled by the lcm of its coefficient denominators, which leaves
+    the solution unchanged.  Forward elimination with row swaps updates
+    M[i][j] = (piv * M[i][j] - M[i][col] * M[r][j]) / prev, where prev is
+    the previous pivot; by Sylvester's identity every entry is a minor of
+    the cleared matrix, so each division is exact in Z[t].  The system is
+    consistent unless a row below the rank has a nonzero right-hand side.
+    Back substitution computes y_k = D * x_k in Z[t], again by exact
+    divisions, where the last pivot D is the determinant of the pivot
+    block (Cramer's rule).  Each component is then one reduced
+    ``RationalFunctionT(y_k, D)``.
+
+    The result equals that of ``rref`` over ``RationalFunctionT``: a column
+    is a pivot exactly when it is not in the Q(t)-span of the columns
+    before it, so both find the same pivot columns; with the free
+    variables at zero the solution is unique; and ``RationalFunctionT``
+    stores the canonical reduced form with monic denominator.
     """
     if len(rows) != len(rhs):
         raise ValueError("rhs length does not match row count")
     width = len(rows[0]) if rows else 0
-    aug = [
-        [RationalFunctionT(entry) for entry in row] + [RationalFunctionT(b)]
-        for row, b in zip(rows, rhs)
-    ]
-    red = rref(aug, width + 1)
-    if width in red.pivots:
+    mat = []
+    for row, b in zip(rows, rhs):
+        if len(row) != width:
+            raise ValueError("ragged matrix")
+        entries = [*row, b]
+        scale = math.lcm(*(c.denominator for entry in entries for c in entry.coeffs))
+        mat.append(
+            [[c.numerator * (scale // c.denominator) for c in entry.coeffs] for entry in entries]
+        )
+    pivots: list[int] = []
+    prev = [1]
+    r = 0
+    for col in range(width):
+        found = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if found is None:
+            continue
+        mat[r], mat[found] = mat[found], mat[r]
+        pivot_row = mat[r]
+        piv = pivot_row[col]
+        for i in range(r + 1, len(mat)):
+            row = mat[i]
+            factor = row[col]
+            for j in range(col + 1, width + 1):
+                row[j] = _zdiv_exact(_zsub(_zmul(piv, row[j]), _zmul(factor, pivot_row[j])), prev)
+            row[col] = []
+        pivots.append(col)
+        prev = piv
+        r += 1
+    if any(row[width] for row in mat[r:]):
         return ParamSolution(consistent=False)
-    solution = [RationalFunctionT.zero()] * width
-    for r, pc in enumerate(red.pivots):
-        solution[pc] = red.rows[r][width]
+    scaled: dict[int, list[int]] = {}
+    for i in range(r - 1, -1, -1):
+        row = mat[i]
+        acc = _zmul(prev, row[width])
+        for k in pivots[i + 1:]:
+            acc = _zsub(acc, _zmul(row[k], scaled[k]))
+        scaled[pivots[i]] = _zdiv_exact(acc, row[pivots[i]])
+    den = UniPoly(prev)
+    solution = [
+        RationalFunctionT(UniPoly(scaled[c]), den) if c in scaled else RationalFunctionT.zero()
+        for c in range(width)
+    ]
     poles = [poles_in_closed_unit_interval(f) for f in solution]
     return ParamSolution(consistent=True, solution=solution, pole_counts=poles)
+
+
+# Polynomials in Z[t] for the fraction-free solve: coefficient lists of
+# Python ints, constant term first, no trailing zeros ([] is zero).
+
+
+def _zmul(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _zsub(a: list[int], b: list[int]) -> list[int]:
+    out = a + [0] * (len(b) - len(a))
+    for j, y in enumerate(b):
+        out[j] -= y
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _zdiv_exact(a: list[int], b: list[int]) -> list[int]:
+    """The quotient a / b in Z[t] for nonzero b; raises ArithmeticError
+    unless it is exact."""
+    if not a:
+        return []
+    shift = len(a) - len(b)
+    if shift < 0:
+        raise ArithmeticError("inexact polynomial division in Z[t]")
+    rem = a[:]
+    lead = b[-1]
+    quot = [0] * (shift + 1)
+    for k in range(shift, -1, -1):
+        c = rem[k + len(b) - 1]
+        if c:
+            q, r = divmod(c, lead)
+            if r:
+                raise ArithmeticError("inexact polynomial division in Z[t]")
+            quot[k] = q
+            for j, y in enumerate(b):
+                rem[k + j] -= q * y
+    if any(rem):
+        raise ArithmeticError("inexact polynomial division in Z[t]")
+    return quot

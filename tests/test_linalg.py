@@ -1,8 +1,11 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, strategies as st
 
 from algrest.linalg import (
+    ParamSolution,
+    _zdiv_exact,
     in_span,
     kernel_basis,
     poles_in_closed_unit_interval,
@@ -160,3 +163,84 @@ def test_solve_param_linear_inconsistent():
     res = solve_param_linear([[UniPoly.zero()]], [ONE])
     assert not res.consistent
     assert not res.feasible_on_unit_interval
+
+
+def test_exact_division_in_zt_raises_on_a_remainder():
+    # (t^2 + 3t + 2) / (t + 1) = t + 2
+    assert _zdiv_exact([2, 3, 1], [1, 1]) == [2, 1]
+    assert _zdiv_exact([], [1, 1]) == []
+    with pytest.raises(ArithmeticError):
+        _zdiv_exact([1, 0, 1], [1, 1])  # t^2 + 1 leaves remainder 2
+    with pytest.raises(ArithmeticError):
+        _zdiv_exact([0, 1], [0, 2])  # t / 2t = 1/2 is not in Z[t]
+    with pytest.raises(ArithmeticError):
+        _zdiv_exact([3], [1, 1])  # lower degree than the divisor
+
+
+def reference_solve_param_linear(rows, rhs):
+    """The solver before the fraction-free rewrite: dense ``rref`` over
+    ``RationalFunctionT``, kept as the reference."""
+    width = len(rows[0]) if rows else 0
+    aug = [
+        [RationalFunctionT(entry) for entry in row] + [RationalFunctionT(b)]
+        for row, b in zip(rows, rhs)
+    ]
+    red = rref(aug, width + 1)
+    if width in red.pivots:
+        return ParamSolution(consistent=False)
+    solution = [RationalFunctionT.zero()] * width
+    for r, pc in enumerate(red.pivots):
+        solution[pc] = red.rows[r][width]
+    poles = [poles_in_closed_unit_interval(f) for f in solution]
+    return ParamSolution(consistent=True, solution=solution, pole_counts=poles)
+
+
+# t-degree at most 2 and denominators at most 6
+coeff_st = st.sampled_from([F(0)] + [F(n, q) for n in (-5, -2, -1, 1, 3) for q in (1, 2, 3, 6)])
+tpoly_st = st.one_of(st.just(UniPoly.zero()), st.lists(coeff_st, max_size=3).map(UniPoly))
+
+
+@st.composite
+def param_systems(draw):
+    """Up to 5 x 4 systems over Q[t]; with zero columns, and with a last row
+    that combines two earlier ones, its right-hand side matching or not."""
+    width = draw(st.integers(min_value=0, max_value=4))
+    height = draw(st.integers(min_value=0, max_value=5))
+    rows = [[draw(tpoly_st) for _ in range(width)] for _ in range(height)]
+    rhs = [draw(tpoly_st) for _ in range(height)]
+    for c in draw(st.sets(st.integers(min_value=0, max_value=3), max_size=2)):
+        if c < width:
+            for row in rows:
+                row[c] = UniPoly.zero()
+    if height >= 3 and draw(st.booleans()):
+        p, q = draw(coeff_st), draw(coeff_st)
+        rows[-1] = [x * p + y * q for x, y in zip(rows[0], rows[1])]
+        rhs[-1] = rhs[0] * p + rhs[1] * q
+        if draw(st.booleans()):
+            rhs[-1] = rhs[-1] + draw(tpoly_st)
+    return rows, rhs
+
+
+def poly_rows(data):
+    return [[UniPoly(entry) for entry in row] for row in data]
+
+
+@given(system=param_systems())
+@example(system=([], []))
+@example(system=(poly_rows([[[], []], [[], []]]), [UniPoly.zero(), ONE]))
+@example(system=(poly_rows([[[], [1, 1]], [[], [2, 2]]]), [ONE, 2 * ONE]))
+@example(system=(poly_rows([[[], [1, 1]], [[], [2, 2]]]), [ONE, 3 * ONE]))
+@example(
+    system=(
+        poly_rows([[[1, 2], [0, 1], [3]], [[2, 4], [0, 2], [6]]]),
+        [UniPoly([0, 1]), UniPoly([0, 2])],
+    )
+)
+@example(system=(poly_rows([[[F(-1, 2), 1]], [[0, 0, F(1, 6)]]]), [ONE, UniPoly([0, 0, F(1, 6)])]))
+def test_solve_param_linear_equals_the_rref_reference(system):
+    rows, rhs = system
+    got = solve_param_linear(rows, rhs)
+    want = reference_solve_param_linear(rows, rhs)
+    assert got.consistent == want.consistent
+    assert got.solution == want.solution
+    assert got.pole_counts == want.pole_counts

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -163,6 +164,28 @@ def test_moser_reduce_rejects_bad_kill(curve4567, basis4567):
         moser_reduce(curve4567, a, a.part(12) + a.part(13))
     with pytest.raises(InputError):
         moser_reduce(curve4567, a, a.part(13) * 2)
+
+
+def test_moser_reduce_solutions_satisfy_the_homotopy_equation(curve456, basis456):
+    """Checks every consistent reduction of a two-label class of (4,5,6)
+    through shift_action, without trusting the solver: at t = 1/3,
+    sum_s b_s(t) * L_{X_s}(a - t*kill) = kill."""
+    t = Fraction(1, 3)
+    consistent = 0
+    for first, second in itertools.combinations(basis456.labels, 2):
+        a = AlgRestriction.from_coeffs(basis456, {first: 1, second: 1})
+        for label in (first, second):
+            kill = a.part(basis456.element(label).qdeg)
+            result = moser_reduce(curve456, a, kill)
+            if not result.consistent:
+                continue
+            consistent += 1
+            at = a - kill * t
+            total = AlgRestriction.zero(basis456)
+            for s in result.shifts:
+                total = total + shift_action(at, s) * result.coefficients[s].evaluate(t)
+            assert total == kill, f"{a}, kill {kill}"
+    assert consistent == 30
 
 
 def test_moser_reduce_zero_kill_is_trivial(curve4567, basis4567):
