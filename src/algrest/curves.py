@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError, NotClosedError, ScanBoundError
 from .forms import DifferentialForm, IndexTuple, Weights, ext_der
-from .linalg import RrefResult, kernel_basis, reduce_by, rref, solve_linear, sparse_rref
+from .linalg import RrefResult, kernel_basis, reduce_by, rref, sparse_rref
 from .poly import Exponent, Polynomial, Scalar, UniPoly
 
 
@@ -409,7 +409,10 @@ class RestrictionBasis:
 
         Returns a map from global element index to coefficient; raises if the
         class does not lie in the closed subspace (the caller is expected to
-        have verified closedness already).
+        have verified closedness already).  The closed vectors of a degree
+        are the rows of a reduced echelon form, so each coefficient is the
+        entry of ``coords2`` at its vector's pivot, and the class is closed
+        iff nothing remains after subtracting them.
         """
         entries = self.by_degree.get(d, [])
         if not entries:
@@ -418,18 +421,13 @@ class RestrictionBasis:
                     f"nonzero restriction class of quasi-degree {d} is not closed"
                 )
             return {}
-        rows = [
-            [vec[i] for _, vec in entries]
-            for i in range(len(coords2))
-        ]
-        solution = solve_linear(rows, list(coords2))
-        if solution is None:
+        vectors = [vec for _, vec in entries]
+        pivots = [next(c for c, v in enumerate(vec) if v) for vec in vectors]
+        if any(reduce_by(RrefResult(vectors, pivots), coords2)):
             raise NotClosedError(
                 f"restriction class of quasi-degree {d} lies outside the closed subspace"
             )
-        return {
-            entries[j][0]: solution[j] for j in range(len(entries)) if solution[j]
-        }
+        return {k: coords2[p] for (k, _), p in zip(entries, pivots) if coords2[p]}
 
 
 @lru_cache(maxsize=None)

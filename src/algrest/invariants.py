@@ -25,7 +25,7 @@ from .curves import (
 )
 from .errors import InputError
 from .forms import DifferentialForm, ext_der
-from .linalg import in_span, solve_linear
+from .linalg import solve_linear
 from .poly import Polynomial, UniPoly
 
 Extended = int | float
@@ -40,62 +40,52 @@ def symplectic_multiplicity(
     return a.basis.dim - orbit_tangent_space(curve, a, policy).dim
 
 
+def _quotient_matrix(piece: GradedPiece) -> list[list[Fraction]]:
+    """The quotient map, one row per representative column, read off the
+    reduced zero-restriction rows: a representative column c maps to the
+    unit vector at c, and the pivot p of a zero row maps to minus that
+    row's entries at the representative columns."""
+    rows = [[Fraction(0)] * len(piece.columns) for _ in piece.rep_cols]
+    for rho, c in enumerate(piece.rep_cols):
+        rows[rho][c] = Fraction(1)
+        for zrow, p in zip(piece.zrows, piece.zpivots):
+            rows[rho][p] = -zrow[c]
+    return rows
+
+
 def _vanishing_order_bound(piece: GradedPiece, part_coords: Sequence[Fraction]) -> int:
     """Largest q such that some closed form in the class vanishes to order q.
 
-    Solves for theta in the full graded component: theta must project onto
-    the given quotient coordinates, be closed as a form, and have all
-    coefficient monomials of total degree at least q; returns the largest
-    feasible q (0 when already infeasible at q = 1).
+    The unknowns theta are the coefficients on the columns of the graded
+    component, ordered by decreasing total degree.  theta must project onto
+    the given quotient coordinates and be closed as a form:
+    [quotient rows; d-rows] theta = (part, 0).
+
+    The class has a representative of order q exactly when the right-hand
+    side lies in the span of the columns of degree >= q, a prefix of the
+    order.  The pivot columns of one solve are chosen greedily, so those in
+    any prefix are a basis of that prefix's span, and the solution with
+    free unknowns at zero is the unique combination of pivots.  Hence q is
+    feasible iff every pivot the solution uses has degree >= q, and the
+    answer is the least degree of a used pivot (max degree + 1 when none
+    is used).
     """
     ncols = len(piece.columns)
-    quotient_rows: list[list[Fraction]] = []
-    for rho in range(len(piece.rep_cols)):
-        quotient_rows.append([Fraction(0)] * ncols)
-    for j in range(ncols):
-        unit = [Fraction(0)] * ncols
-        unit[j] = Fraction(1)
-        reduced = piece.quotient_coords(unit)
-        for rho, value in enumerate(reduced):
-            quotient_rows[rho][j] = value
+    degrees = [sum(exps) for _, exps in piece.columns]
+    order = sorted(range(ncols), key=lambda j: -degrees[j])
     piece3 = restriction_quotient(piece.curve, 3, piece.d)
-    der_rows: list[list[Fraction]] = [
-        [Fraction(0)] * ncols for _ in piece3.columns
-    ]
-    for j, (idx, exps) in enumerate(piece.columns):
-        dcol = ext_der(
-            DifferentialForm.from_term(
-                piece.curve.ambient, idx, Polynomial.monomial(exps)
-            )
-        )
-        for didx, poly in dcol.coeffs.items():
+    der_rows = [[Fraction(0)] * ncols for _ in piece3.columns]
+    for j in range(ncols):
+        for didx, poly in ext_der(piece.column_form(j)).coeffs.items():
             for dexps, coeff in poly:
                 der_rows[piece3.index[(didx, dexps)]][j] = coeff
-    degrees = [sum(exps) for _, exps in piece.columns]
-    max_degree = max(degrees, default=0)
-
-    def feasible(q: int) -> bool:
-        rows = [row[:] for row in quotient_rows]
-        rhs = [Fraction(v) for v in part_coords]
-        for row in der_rows:
-            rows.append(row[:])
-            rhs.append(Fraction(0))
-        for j, deg in enumerate(degrees):
-            if deg < q:
-                unit = [Fraction(0)] * ncols
-                unit[j] = Fraction(1)
-                rows.append(unit)
-                rhs.append(Fraction(0))
-        return solve_linear(rows, rhs) is not None
-
-    if not feasible(0):
+    rows = [[row[j] for j in order] for row in _quotient_matrix(piece) + der_rows]
+    rhs = [Fraction(v) for v in part_coords] + [Fraction(0)] * len(der_rows)
+    solution = solve_linear(rows, rhs)
+    if solution is None:
         raise InputError("quotient coordinates do not come from this graded component")
-    best = 0
-    for q in range(1, max_degree + 2):
-        if not feasible(q):
-            break
-        best = q
-    return best
+    used = [degrees[j] for j, x in zip(order, solution) if x]
+    return min(used, default=max(degrees, default=0) + 1)
 
 
 def _part_quotient_coords(a: AlgRestriction, d: int) -> list[Fraction]:
@@ -120,21 +110,18 @@ def index_of_isotropy(curve: MonomialCurve, a: AlgRestriction) -> Extended:
 
 
 def _lagrangian_span_vectors(
-    curve: MonomialCurve, d: int, j: int
+    curve: MonomialCurve, d: int, i: int
 ) -> list[list[Fraction]]:
-    """Quotient coordinates of [d(m dx_i)] for i <= j and qdeg(m) = d - lam_i."""
+    """Quotient coordinates of [d(m dx_i)] for qdeg(m) = d - lam_i."""
     piece = restriction_quotient(curve, 2, d)
     pad = (0,) * (curve.ambient - len(curve.lams))
     vectors: list[list[Fraction]] = []
-    for i in range(j):
-        lam = curve.lams[i]
-        for exps in monomials_of_qdeg(curve.lams, d - lam):
-            one_form = DifferentialForm.from_term(
-                curve.ambient, (i,), Polynomial.monomial(exps + pad)
-            )
-            two_form = ext_der(one_form)
-            vec = piece.vectorize(two_form)
-            vectors.append(list(piece.quotient_coords(vec)))
+    for exps in monomials_of_qdeg(curve.lams, d - curve.lams[i]):
+        one_form = DifferentialForm.from_term(
+            curve.ambient, (i,), Polynomial.monomial(exps + pad)
+        )
+        vec = piece.vectorize(ext_der(one_form))
+        vectors.append(list(piece.quotient_coords(vec)))
     return vectors
 
 
@@ -151,6 +138,12 @@ def lagrangian_tangency_order(
     d - lam_j otherwise, where j is the smallest coordinate whose span of
     exact classes d(m dx_i), i <= j, captures the part.  Pass a
     precomputed index of isotropy as ``iota`` to skip recomputing it.
+
+    Each part is solved once against the exact classes of all coordinates,
+    ordered by i.  The classes with i <= j are a prefix, and the greedy
+    pivots in a prefix are a basis of its span, so the part lies in that
+    span iff every pivot its solution uses has i <= j: the smallest j is
+    the largest i among the used pivots.
     """
     if a.is_zero():
         return math.inf
@@ -161,14 +154,17 @@ def lagrangian_tangency_order(
     best: Extended = math.inf
     for d in a.nonzero_qdegs():
         coords = _part_quotient_coords(a, d)
-        order: Extended | None = None
-        for j in range(1, len(curve.lams) + 1):
-            vectors = _lagrangian_span_vectors(curve, d, j)
-            if in_span(vectors, coords):
-                order = d - curve.lams[j - 1]
-                break
-        assert order is not None, "a nonzero part must lie in the full exact span"
-        best = min(best, order)
+        owners: list[int] = []
+        vectors: list[list[Fraction]] = []
+        for i in range(len(curve.lams)):
+            span = _lagrangian_span_vectors(curve, d, i)
+            owners += [i] * len(span)
+            vectors += span
+        rows = [[vec[r] for vec in vectors] for r in range(len(coords))]
+        solution = solve_linear(rows, coords)
+        assert solution is not None, "a nonzero part must lie in the full exact span"
+        j = max((i for i, x in zip(owners, solution) if x), default=0)
+        best = min(best, d - curve.lams[j])
     return best
 
 

@@ -1,13 +1,13 @@
 """Exact linear algebra over Q and over the rational function field Q(t).
 
-The dense ``rref`` serves the small Fraction matrices; it only needs its
-scalars to support +, -, *, / and truthiness for "nonzero".
-``sparse_rref`` is the kernel for the large, mostly-zero generator
-matrices of the graded quotient pieces; it returns the same ``RrefResult``
-as ``rref``.  ``solve_param_linear`` solves systems whose entries are
-univariate polynomials in a parameter t by fraction-free elimination over
-Z[t], and reports whether the solution stays pole-free on the closed
-interval [0, 1], using Sturm chains.
+``sparse_rref`` is the one Gaussian elimination over ``Fraction``: it
+reduces sparse rows ``{column: value}``, and ``rref`` is its spelling for
+dense Fraction matrices.  Kernels, solutions, span tests and remainders
+(``reduce_by``) are read off its reduced echelon form.
+``solve_param_linear`` solves systems whose entries are univariate
+polynomials in a parameter t by fraction-free elimination over Z[t], and
+reports whether the solution stays pole-free on the closed interval
+[0, 1], using Sturm chains.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from typing import Iterable, Mapping, Sequence, TypeVar
 from .poly import RationalFunctionT, UniPoly
 
 S = TypeVar("S")
-Row = list
 
 
 @dataclass
@@ -33,36 +32,19 @@ class RrefResult:
         return len(self.pivots)
 
 
-def rref(rows: Sequence[Sequence[S]], width: int | None = None) -> RrefResult:
-    """Reduced row echelon form; scalars need field ops plus truthiness."""
-    mat = [list(r) for r in rows]
+def rref(rows: Sequence[Sequence[Fraction]], width: int | None = None) -> RrefResult:
+    """Reduced row echelon form of a dense Fraction matrix.
+
+    The dense spelling of ``sparse_rref``: rows must all have ``width``
+    entries (the first row's length by default), and their nonzero entries
+    are handed on as sparse rows.
+    """
     if width is None:
-        width = len(mat[0]) if mat else 0
-    for r in mat:
+        width = len(rows[0]) if rows else 0
+    for r in rows:
         if len(r) != width:
             raise ValueError("ragged matrix")
-    pivots: list[int] = []
-    row_at = 0
-    for col in range(width):
-        pivot_row = None
-        for r in range(row_at, len(mat)):
-            if mat[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        mat[row_at], mat[pivot_row] = mat[pivot_row], mat[row_at]
-        inv = mat[row_at][col]
-        mat[row_at] = [entry / inv for entry in mat[row_at]]
-        for r in range(len(mat)):
-            if r != row_at and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row_at])]
-        pivots.append(col)
-        row_at += 1
-        if row_at == len(mat):
-            break
-    return RrefResult(rows=mat[:row_at], pivots=pivots)
+    return sparse_rref(({c: v for c, v in enumerate(row) if v} for row in rows), width)
 
 
 def sparse_rref(rows: Iterable[Mapping[int, Fraction]], width: int) -> RrefResult:
@@ -74,7 +56,8 @@ def sparse_rref(rows: Iterable[Mapping[int, Fraction]], width: int) -> RrefResul
     rows.  Each pivot row therefore starts at its pivot and is zero at every
     other pivot column, so the result is the reduced row echelon form of the
     row space.  That form is unique for a given row space and column order,
-    so the dense rows returned equal ``rref`` of the same rows.
+    so the dense rows returned equal those of the textbook dense elimination
+    (kept in ``tests/test_linalg.py`` as the reference).
     """
     pivot_rows: dict[int, dict[int, Fraction]] = {}
     for row in rows:
@@ -125,7 +108,7 @@ def reduce_by(red: RrefResult, vec: Sequence[S]) -> list[S]:
     return work
 
 
-def rank(rows: Sequence[Sequence[S]], width: int | None = None) -> int:
+def rank(rows: Sequence[Sequence[Fraction]], width: int | None = None) -> int:
     return rref(rows, width).rank
 
 
@@ -168,14 +151,7 @@ def solve_linear(
 
 def in_span(vectors: Sequence[Sequence[Fraction]], target: Sequence[Fraction]) -> bool:
     """Whether ``target`` lies in the span of ``vectors``."""
-    if not any(target):
-        return True
-    if not vectors:
-        return False
-    width = len(target)
-    cols = [list(v) for v in vectors]
-    rows = [[cols[j][i] for j in range(len(cols))] for i in range(width)]
-    return solve_linear(rows, list(target)) is not None
+    return not any(reduce_by(rref(vectors, len(target)), target))
 
 
 def sign_variations(values: Sequence[Fraction]) -> int:

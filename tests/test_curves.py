@@ -193,6 +193,22 @@ def test_project_rejects_non_closed_class(curve4567, basis4567):
         project(curve4567, form, basis4567)
 
 
+def test_solve_in_closed_reads_coefficients_and_rejects_non_closed(basis4567):
+    F = Fraction
+    # qdeg 11 has two closed classes: a11+ = (0, 1) and a11- = (1, 0)
+    i_plus, i_minus = basis4567.label_index["a11+"], basis4567.label_index["a11-"]
+    assert basis4567.solve_in_closed(11, [F(-3), F(2, 5)]) == {i_plus: F(2, 5), i_minus: F(-3)}
+    assert basis4567.solve_in_closed(15, [F(7), F(0)]) == {basis4567.label_index["a15"]: F(7)}
+    assert basis4567.solve_in_closed(15, [F(0), F(0)]) == {}
+    # qdeg 15: a two-dimensional piece with one closed class
+    with pytest.raises(NotClosedError, match="lies outside the closed subspace"):
+        basis4567.solve_in_closed(15, [F(1), F(1)])
+    # qdeg 16: a one-dimensional piece with no closed class
+    with pytest.raises(NotClosedError, match="is not closed"):
+        basis4567.solve_in_closed(16, [F(1)])
+    assert basis4567.solve_in_closed(16, [F(0)]) == {}
+
+
 def test_project_known_relations(curve4567, basis4567):
     # x2 dx1^dx2 = 1/2 x1 dx1^dx3 and x3 dx1^dx2 + x2 dx1^dx3 = x1 dx1^dx4
     half_a14 = project(curve4567, parse_form("x2*dx1^dx2", 4), basis4567)

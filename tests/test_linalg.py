@@ -5,6 +5,7 @@ from hypothesis import example, given, strategies as st
 
 from algrest.linalg import (
     ParamSolution,
+    RrefResult,
     _zdiv_exact,
     in_span,
     kernel_basis,
@@ -66,6 +67,14 @@ def test_in_span():
     assert in_span(vecs, [F(1), F(1), F(2)])
     assert not in_span(vecs, [F(0), F(0), F(1)])
     assert in_span([], [F(0), F(0)])
+    assert not in_span([], [F(0), F(3)])
+
+
+def test_rref_rejects_a_ragged_matrix():
+    with pytest.raises(ValueError, match="ragged"):
+        rref(frows([[1, 2], [3]]))
+    with pytest.raises(ValueError, match="ragged"):
+        rref(frows([[1, 2]]), 3)
 
 
 # about half the entries are zero
@@ -83,6 +92,33 @@ def sparse_rows(rows):
     return [{c: v for c, v in enumerate(row) if v} for row in rows]
 
 
+def dense_rref(rows, width=None):
+    """Textbook dense Gauss-Jordan elimination: the reference for
+    ``sparse_rref`` and ``rref``.  Its scalars only need field operations
+    and truthiness, so it also runs over ``RationalFunctionT``."""
+    mat = [list(r) for r in rows]
+    if width is None:
+        width = len(mat[0]) if mat else 0
+    pivots = []
+    row_at = 0
+    for col in range(width):
+        pivot_row = next((r for r in range(row_at, len(mat)) if mat[r][col]), None)
+        if pivot_row is None:
+            continue
+        mat[row_at], mat[pivot_row] = mat[pivot_row], mat[row_at]
+        inv = mat[row_at][col]
+        mat[row_at] = [entry / inv for entry in mat[row_at]]
+        for r in range(len(mat)):
+            if r != row_at and mat[r][col]:
+                factor = mat[r][col]
+                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row_at])]
+        pivots.append(col)
+        row_at += 1
+        if row_at == len(mat):
+            break
+    return RrefResult(rows=mat[:row_at], pivots=pivots)
+
+
 @given(matrix=dense_matrices())
 @example(matrix=(0, []))
 @example(matrix=(3, []))
@@ -93,9 +129,11 @@ def sparse_rows(rows):
 def test_sparse_rref_equals_dense_rref(matrix):
     width, rows = matrix
     sparse = sparse_rref(sparse_rows(rows), width)
-    dense = rref(rows, width)
+    dense = dense_rref(rows, width)
     assert sparse.pivots == dense.pivots
     assert sparse.rows == dense.rows
+    spelled = rref(rows, width)
+    assert (spelled.pivots, spelled.rows) == (dense.pivots, dense.rows)
     for row in rows:
         assert not any(reduce_by(sparse, row))
 
@@ -178,14 +216,13 @@ def test_exact_division_in_zt_raises_on_a_remainder():
 
 
 def reference_solve_param_linear(rows, rhs):
-    """The solver before the fraction-free rewrite: dense ``rref`` over
-    ``RationalFunctionT``, kept as the reference."""
+    """Reference solver: dense elimination over ``RationalFunctionT``."""
     width = len(rows[0]) if rows else 0
     aug = [
         [RationalFunctionT(entry) for entry in row] + [RationalFunctionT(b)]
         for row, b in zip(rows, rhs)
     ]
-    red = rref(aug, width + 1)
+    red = dense_rref(aug, width + 1)
     if width in red.pivots:
         return ParamSolution(consistent=False)
     solution = [RationalFunctionT.zero()] * width
