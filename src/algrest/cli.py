@@ -11,7 +11,7 @@ from typing import Sequence
 
 from .atlas import BUNDLED, load_atlas, load_samples_file, verify_atlas
 from .curves import AlgRestriction, MonomialCurve, cached_basis, project
-from .errors import InputError, ScanBoundError
+from .errors import InputError
 from .invariants import invariant_report, representable_by_symplectic
 from .parser import (
     extended_str,
@@ -58,9 +58,7 @@ def _coords_payload(a) -> dict[str, str]:
 
 def cmd_basis(args: argparse.Namespace) -> int:
     curve = _curve(args)
-    if args.max_qdeg is not None and args.max_qdeg < 1:
-        raise InputError(f"--max-qdeg must be positive, got {args.max_qdeg}")
-    basis = cached_basis(curve, args.max_qdeg)
+    basis = cached_basis(curve)
     payload = {
         "semigroup": list(curve.lams),
         "ambient": curve.ambient,
@@ -361,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("basis", help="graded basis of closed-2-form classes")
     _add_generators(p)
     p.add_argument("--ambient", type=int, default=None, help="ambient dimension")
-    p.add_argument("--max-qdeg", type=int, default=None, help="scan bound override")
     _add_common(p)
     p.set_defaults(func=cmd_basis)
 
@@ -420,7 +417,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ScanBoundError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

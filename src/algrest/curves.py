@@ -4,9 +4,9 @@ A curve ``g(t) = (t^l1, ..., t^ls, 0, ..., 0)`` induces, in each quasi-degree
 d, a finite quotient of the quasi-homogeneous k-forms by the subspace of
 forms with zero restriction (forms vanishing on the curve plus exact
 differentials of vanishing forms).  ``restriction_quotient`` builds one such
-quotient piece exactly, ``build_basis`` scans degrees and returns the labeled
-basis of classes of closed 2-forms, and ``project`` expresses any closed
-polynomial 2-form in that basis.
+quotient piece exactly, ``RestrictionBasis`` scans the degrees below the
+certified stop ``stop_qdeg`` and labels the classes of closed 2-forms, and
+``project`` expresses any closed polynomial 2-form in that basis.
 
 Everything is exact over Q; pieces are cached per curve, degree, and form
 degree.
@@ -21,9 +21,9 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InputError, NotClosedError, ScanBoundError
+from .errors import InputError, NotClosedError
 from .forms import DifferentialForm, IndexTuple, Weights, ext_der
-from .linalg import RrefResult, kernel_basis, reduce_by, rref, sparse_rref
+from .linalg import RrefResult, kernel_basis, rank, reduce_by, rref, sparse_rref
 from .poly import Exponent, Polynomial, Scalar, UniPoly
 
 
@@ -311,10 +311,32 @@ def _degree_labels(d: int, count: int) -> list[str]:
     return [f"a{d}.{i + 1}" for i in range(count)]
 
 
-def default_scan_bound(curve: MonomialCurve) -> int:
+def stop_qdeg(curve: MonomialCurve) -> int:
+    """A quasi-degree D from which every 2-form piece is provably zero.
+
+    Let M_e be the curve-only exponents of quasi-degree e and V_e the span
+    of the differences m - m0 in M_e; V_e lies in ker(lam), of dimension
+    s - 1.  Off-curve variables and differentials restrict to zero, and
+    modulo the ideal x^m dx_i ^ dx_k of degree d depends only on (i, k), so
+    the degree-d piece is spanned by symbols e_i ^ e_k of wedge^2 Q^s.  The
+    binomial x^m - x^m0 of degree d - lam_j lies in the ideal, so its
+    differential wedged with dx_j gives the relation v ^ e_j, v = m - m0.
+    If V_(d - lam_j) = ker(lam) for every branch j, the relations span
+    ker(lam) ^ Q^s, which is all of wedge^2 Q^s because ker(lam) has
+    codimension 1: the piece is zero.  Multiplying by x_1 maps M_e into
+    M_(e + lam_1) and keeps differences, so full rank on lam_1 consecutive
+    degrees [E, E + lam_1) gives full rank for every e >= E, and every
+    piece of degree d >= D = E + lam_s vanishes.  With s = 1, ker(lam) = 0
+    and D = lam_1.
+    """
     lams = curve.lams
-    second = lams[-2] if len(lams) >= 2 else lams[-1]
-    return curve.conductor + 3 * lams[-1] + second
+    e = run = 0
+    while run < lams[0]:
+        mons = monomials_of_qdeg(lams, e)
+        diffs = [[Fraction(a - b) for a, b in zip(m, mons[0])] for m in mons[1:]]
+        run = run + 1 if rank(diffs, len(lams)) == len(lams) - 1 else 0
+        e += 1
+    return e - lams[0] + lams[-1]
 
 
 class RestrictionBasis:
@@ -322,23 +344,20 @@ class RestrictionBasis:
 
     __slots__ = (
         "curve",
-        "max_qdeg",
+        "stop_qdeg",
         "elements",
         "label_index",
         "by_degree",
         "last_nonzero_qdeg",
     )
 
-    def __init__(self, curve: MonomialCurve, max_qdeg: int | None = None):
+    def __init__(self, curve: MonomialCurve):
         self.curve = curve
-        bound = default_scan_bound(curve) if max_qdeg is None else int(max_qdeg)
-        if bound < 1:
-            raise InputError(f"the scan bound max_qdeg must be positive, got {bound}")
-        self.max_qdeg = bound
+        self.stop_qdeg = stop = stop_qdeg(curve)
         elements: list[BasisElement] = []
         by_degree: dict[int, list[tuple[int, tuple[Fraction, ...]]]] = {}
         last_nonzero = 0
-        for d in range(1, bound + 1):
+        for d in range(1, stop):
             piece2 = restriction_quotient(curve, 2, d)
             if piece2.dim == 0:
                 continue
@@ -367,19 +386,6 @@ class RestrictionBasis:
                 entries.append((len(elements), vector))
                 elements.append(BasisElement(label, d, vector, rep))
             by_degree[d] = entries
-        window = 2 * curve.lams[-1]
-        top_closed = elements[-1].qdeg if elements else 0
-        if top_closed > bound - window:
-            found = (
-                f"found a closed class at {top_closed}, inside"
-                if elements
-                else "found no closed class and is shorter than"
-            )
-            raise ScanBoundError(
-                f"graded scan up to quasi-degree {bound} {found} the trailing "
-                f"stabilization window of {window}; "
-                f"rerun with max_qdeg >= {top_closed + window}"
-            )
         self.elements = tuple(elements)
         self.label_index = {el.label: i for i, el in enumerate(elements)}
         self.by_degree = by_degree
@@ -431,16 +437,9 @@ class RestrictionBasis:
 
 
 @lru_cache(maxsize=None)
-def cached_basis(curve: MonomialCurve, max_qdeg: int | None = None) -> RestrictionBasis:
-    """The basis of a curve, built once per scan bound.
-
-    The default bound is resolved into the key, so ``cached_basis(curve)``
-    and ``cached_basis(curve, default_scan_bound(curve))`` return the same
-    object.
-    """
-    if max_qdeg is None:
-        return cached_basis(curve, default_scan_bound(curve))
-    return RestrictionBasis(curve, max_qdeg)
+def cached_basis(curve: MonomialCurve) -> RestrictionBasis:
+    """The basis of a curve, built once."""
+    return RestrictionBasis(curve)
 
 
 class AlgRestriction:
@@ -620,15 +619,12 @@ def project(
             )
     coords = [Fraction(0)] * basis.dim
     for d, part in form.graded_parts(weights).items():
+        if d >= basis.stop_qdeg:
+            continue
         piece2 = restriction_quotient(curve, 2, d)
         coords2 = piece2.quotient_coords(piece2.vectorize(part))
         if not any(coords2):
             continue
-        if d > basis.max_qdeg:
-            raise ScanBoundError(
-                f"the class has a nonzero part in quasi-degree {d}, beyond the scanned "
-                f"bound {basis.max_qdeg}; rebuild the basis with max_qdeg >= {d}"
-            )
         for i, c in basis.solve_in_closed(d, coords2).items():
             coords[i] += c
     return AlgRestriction(basis, coords)

@@ -3,8 +3,6 @@
 ``InputError`` covers everything a caller handed us that cannot be
 processed (bad dimensions, non-closed forms, maps that are not curve
 symmetries, inadmissible lift shifts).  The CLI maps it to exit code 2.
-``ScanBoundError`` signals that a graded degree scan could not certify
-stabilization within its bound and must be rerun with a larger one.
 """
 
 from __future__ import annotations
@@ -24,10 +22,3 @@ class NotSymmetryError(InputError):
 
 class LiftError(InputError):
     """No liftable vector field exists for the requested shift."""
-
-
-class ScanBoundError(RuntimeError):
-    """A degree scan ended before its stabilization window was clean.
-
-    Rerun with a larger ``max_qdeg``; the message says how far the scan got.
-    """

@@ -190,10 +190,10 @@ def lie_action(
 
 @lru_cache(maxsize=None)
 def _action_matrix(
-    curve: MonomialCurve, max_qdeg: int, s: int, policy: str
+    curve: MonomialCurve, s: int, policy: str
 ) -> tuple[tuple[Fraction, ...], ...]:
     """Column j holds the basis coordinates of the action on element j."""
-    basis = cached_basis(curve, max_qdeg)
+    basis = cached_basis(curve)
     lifted = liftable_field(curve, s, policy)
     return tuple(
         project(curve, lie_derivative(lifted.field, el.rep), basis).coords
@@ -204,7 +204,7 @@ def _action_matrix(
 def shift_action(a: AlgRestriction, s: int, policy: str = "grlex") -> AlgRestriction:
     """Action of X_s on a class, via the cached per-shift matrix."""
     basis = a.basis
-    matrix = _action_matrix(basis.curve, basis.max_qdeg, s, policy)
+    matrix = _action_matrix(basis.curve, s, policy)
     out = [Fraction(0)] * basis.dim
     for j, cj in enumerate(a.coords):
         if cj:

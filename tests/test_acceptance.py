@@ -29,6 +29,7 @@ from algrest.curves import (
     cached_basis,
     project,
     restriction_quotient,
+    stop_qdeg,
 )
 from algrest.invariants import (
     index_of_isotropy,
@@ -46,6 +47,7 @@ from tables import (
     BASIS_QDEGS,
     NONSEMIGROUP_SHIFTS,
     SHIFTS,
+    STOP_QDEGS,
 )
 
 SEMIGROUPS = ((4, 5, 6, 7), (4, 5, 6), (4, 5, 7))
@@ -394,3 +396,41 @@ def test_criterion_9_graded_dimension_oracle():
             assert restriction_quotient(curve, 2, d).dim == _oracle_dim(lams, d), (
                 f"{lams} at quasi-degree {d}"
             )
+
+
+def test_criterion_9_plane_curve_milnor_numbers():
+    """Plane curves: the quotient is the Tjurina algebra of x^b - y^a, so its
+    dimension is tau = mu = (a - 1)(b - 1) (Milnor-Orlik 1970)."""
+    for b in range(3, 10):
+        for a in range(2, b):
+            if math.gcd(a, b) == 1:
+                basis = cached_basis(MonomialCurve((a, b)))
+                assert basis.dim == (a - 1) * (b - 1), (a, b)
+
+
+def test_criterion_9_closed_one_form_identity():
+    """d maps the 1-form piece of degree d onto the closed 2-form classes
+    there, with kernel Q d(t^d) exactly when d is a positive semigroup
+    element (DJZ 2008).  The count on the right uses no 3-form piece, so it
+    is independent of the kernel the basis is built from."""
+    curves = [
+        MonomialCurve(lams)
+        for lams in SEMIGROUPS + ((3, 7, 8), (3, 5, 7), (2, 3), (2, 5), (5, 6, 7, 8, 9))
+    ]
+    curves.append(MonomialCurve((4, 5, 6), 5))
+    for curve in curves:
+        basis = cached_basis(curve)
+        for d in range(1, basis.stop_qdeg + curve.lams[-1]):
+            exact = restriction_quotient(curve, 1, d).dim - curve.in_semigroup(d)
+            assert len(basis.by_degree.get(d, [])) == exact, (curve.lams, d)
+
+
+def test_criterion_9_certified_tail():
+    """Every 2-form piece from the certified stop on is zero."""
+    assert stop_qdeg(MonomialCurve((1,), 3)) == 1
+    for lams, stop in STOP_QDEGS.items():
+        curve = MonomialCurve(lams)
+        assert stop_qdeg(curve) == stop
+        assert cached_basis(curve).stop_qdeg == stop
+        for d in range(stop, stop + 21):
+            assert restriction_quotient(curve, 2, d).dim == 0, (lams, d)

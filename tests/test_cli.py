@@ -36,27 +36,6 @@ def test_basis_latex(capsys):
     assert "\\wedge" in out
 
 
-def test_basis_scan_bound_error(capsys):
-    rc, _, err = run(capsys, "basis", "4", "5", "6", "7", "--max-qdeg", "16")
-    assert rc == 2
-    assert err.startswith("error:")
-
-
-def test_basis_rejects_a_nonpositive_scan_bound(capsys):
-    for bound in ("0", "-5"):
-        rc, out, err = run(capsys, "basis", "4", "5", "6", "7", "--max-qdeg", bound)
-        assert rc == 2
-        assert out == ""
-        assert err == f"error: --max-qdeg must be positive, got {bound}\n"
-
-
-def test_basis_scan_without_a_closed_class(capsys):
-    rc, _, err = run(capsys, "basis", "4", "5", "6", "7", "--max-qdeg", "3")
-    assert rc == 2
-    assert "found no closed class" in err
-    assert "closed class at 0" not in err
-
-
 def test_basis_plane_curve(capsys):
     rc, out, _ = run(capsys, "basis", "2", "3")
     assert rc == 0
@@ -65,6 +44,19 @@ def test_basis_plane_curve(capsys):
         "  a5    qdeg  5  [dx1^dx2]",
         "  a7    qdeg  7  [(x1)*dx1^dx2]",
     ]
+
+
+def test_plane_curves_past_the_old_scan_bound(capsys):
+    for gens, dim in ((("2", "5"), 4), (("3", "4"), 6)):
+        rc, out, err = run(capsys, "basis", *gens)
+        assert rc == 0 and err == ""
+        assert f"dim {dim}  scanned" in out.splitlines()[0]
+    rc, out, _ = run(capsys, "invariants", "3", "4", "--restriction", "a7")
+    assert rc == 0
+    assert "class: a7" in out
+    rc, out, _ = run(capsys, "action-table", "2", "5")
+    assert rc == 0
+    assert "L[X_2] a7 = 9*a9" in out
 
 
 def test_action_table_json_both_policies(capsys):

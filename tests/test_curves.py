@@ -5,16 +5,14 @@ import pytest
 from algrest.curves import (
     AlgRestriction,
     MonomialCurve,
-    RestrictionBasis,
     cached_basis,
-    default_scan_bound,
     drop_off_curve,
     ideal_graded_basis,
     monomials_of_qdeg,
     project,
     restriction_quotient,
 )
-from algrest.errors import InputError, NotClosedError, ScanBoundError
+from algrest.errors import InputError, NotClosedError
 from algrest.forms import DifferentialForm, ext_der, wedge
 from algrest.linalg import kernel_basis, rank, sparse_rref
 from algrest.parser import parse_form, parse_restriction
@@ -27,7 +25,6 @@ from tables import (
     CONDUCTORS,
     GAPS,
     LAST_NONZERO_QDEG,
-    SCAN_BOUNDS,
 )
 
 ALL = ((4, 5, 6, 7), (4, 5, 6), (4, 5, 7))
@@ -66,11 +63,6 @@ def test_monomials_of_qdeg():
     assert monomials_of_qdeg((4, 5, 6, 7), 0) == ((0, 0, 0, 0),)
 
 
-def test_default_scan_bounds():
-    for lams in ALL:
-        assert default_scan_bound(MonomialCurve(lams)) == SCAN_BOUNDS[lams]
-
-
 def test_basis_labels_and_degrees():
     for lams in ALL:
         basis = cached_basis(MonomialCurve(lams))
@@ -91,25 +83,10 @@ def test_graded_piece_dims_spot(curve4567):
     assert restriction_quotient(curve4567, 2, 8).dim == 0
 
 
-def test_scan_bound_too_small_raises(curve4567):
-    with pytest.raises(ScanBoundError):
-        RestrictionBasis(curve4567, max_qdeg=16)
-
-
-def test_scan_bound_must_be_positive(curve4567):
-    for bound in (0, -5):
-        with pytest.raises(InputError, match="must be positive"):
-            RestrictionBasis(curve4567, max_qdeg=bound)
-    with pytest.raises(ScanBoundError, match="found no closed class"):
-        RestrictionBasis(curve4567, max_qdeg=3)
-
-
-def test_default_bound_is_part_of_the_cache_key():
+def test_cached_basis_is_one_object_per_curve():
     for lams in ALL:
-        curve = MonomialCurve(lams)
-        basis = cached_basis(curve)
-        assert cached_basis(curve, default_scan_bound(curve)) is basis
-        assert cached_basis(curve, None) is basis
+        basis = cached_basis(MonomialCurve(lams))
+        assert cached_basis(MonomialCurve(lams)) is basis
 
 
 def _ideal_by_kernel(curve, qdeg):
@@ -121,11 +98,16 @@ def _ideal_by_kernel(curve, qdeg):
     return kernel_basis(rows, len(mons))
 
 
+def _old_scan_bound(curve):
+    # the retired heuristic scan end, kept so this check's degree range stays
+    return curve.conductor + 3 * curve.lams[-1] + curve.lams[-2]
+
+
 def test_closed_form_ideal_basis_spans_the_substitution_kernel():
     curves = [MonomialCurve(lams, ambient) for lams in ALL for ambient in (5, 6)]
     curves.append(MonomialCurve((3, 7, 8), 5))
     for curve in curves:
-        for qdeg in range(default_scan_bound(curve) + 1):
+        for qdeg in range(_old_scan_bound(curve) + 1):
             mons = monomials_of_qdeg(curve.weights.wvec, qdeg)
             column = {m: j for j, m in enumerate(mons)}
             closed = [
