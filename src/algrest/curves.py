@@ -6,7 +6,9 @@ forms with zero restriction (forms vanishing on the curve plus exact
 differentials of vanishing forms).  ``restriction_quotient`` builds one such
 quotient piece exactly, ``RestrictionBasis`` scans the degrees below the
 certified stop ``stop_qdeg`` and labels the classes of closed 2-forms, and
-``project`` expresses any closed polynomial 2-form in that basis.
+``project`` expresses any closed polynomial 2-form in that basis.  Closed
+classes are exact: each degree's closed classes are spanned by the classes
+of d(x^m dx_i), so no 3-form piece is ever built.
 
 Everything is exact over Q; pieces are cached per curve, degree, and form
 degree.
@@ -23,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError, NotClosedError
 from .forms import DifferentialForm, IndexTuple, Weights, ext_der
-from .linalg import RrefResult, kernel_basis, rank, reduce_by, rref, sparse_rref
+from .linalg import RrefResult, rank, reduce_by, rref, sparse_rref
 from .poly import Exponent, Polynomial, Scalar, UniPoly
 
 
@@ -208,10 +210,6 @@ class GradedPiece:
     def dim(self) -> int:
         return len(self.rep_cols)
 
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.columns)
-
     def column_form(self, col: int) -> DifferentialForm:
         idx, exps = self.columns[col]
         return DifferentialForm.from_term(
@@ -340,7 +338,25 @@ def stop_qdeg(curve: MonomialCurve) -> int:
 
 
 class RestrictionBasis:
-    """Labeled basis of the space of closed 2-form restriction classes."""
+    """Labeled basis of the space of closed 2-form restriction classes.
+
+    The closed classes of degree d are the exact ones, spanned by the rows
+    [d(x^m dx_i)] for branch coordinates i and curve-only x^m of quasi-degree
+    d - lam_i.  ``exact[d] = (owners, rows)`` keeps these rows with their
+    owners i for every d with a nonzero 2-form piece, and the canonical
+    reduced echelon form of their span gives the labelled vectors.
+
+    Proof that the span is the kernel of d into the 3-form piece: exact
+    classes are closed, since d^2 = 0 and d maps zero-restriction forms to
+    zero-restriction forms.  Conversely, the Euler field E = sum w_i x_i
+    d/dx_i is tangent to the curve, so i_E keeps the zero-restriction space.
+    For [omega] of quasi-degree d > 0 with [d omega] = 0, Cartan's formula
+    and L_E omega = d * omega give d * [omega] = [d(i_E omega)].  A term
+    x^m dx_i of i_E omega with m or i off the curve has d(x^m dx_i) in
+    dI ^ Omega^1, which restricts to zero.  The reduced echelon form of a
+    subspace is unique, so labels, vectors and representatives are those of
+    the kernel.
+    """
 
     __slots__ = (
         "curve",
@@ -348,33 +364,39 @@ class RestrictionBasis:
         "elements",
         "label_index",
         "by_degree",
+        "exact",
         "last_nonzero_qdeg",
     )
 
     def __init__(self, curve: MonomialCurve):
         self.curve = curve
         self.stop_qdeg = stop = stop_qdeg(curve)
+        pad = (0,) * (curve.ambient - len(curve.lams))
         elements: list[BasisElement] = []
         by_degree: dict[int, list[tuple[int, tuple[Fraction, ...]]]] = {}
+        exact: dict[int, tuple[tuple[int, ...], tuple[tuple[Fraction, ...], ...]]] = {}
         last_nonzero = 0
         for d in range(1, stop):
             piece2 = restriction_quotient(curve, 2, d)
             if piece2.dim == 0:
                 continue
             last_nonzero = d
-            piece3 = restriction_quotient(curve, 3, d)
-            image_cols = [
-                piece3.quotient_coords(piece3.vectorize(ext_der(piece2.rep_form(j))))
-                for j in range(piece2.dim)
-            ]
-            map_rows = [
-                [image_cols[j][i] for j in range(piece2.dim)]
-                for i in range(piece3.dim)
-            ]
-            kern = kernel_basis(map_rows, piece2.dim)
-            if not kern:
+            owners: list[int] = []
+            rows: list[tuple[Fraction, ...]] = []
+            for i, lam in enumerate(curve.lams):
+                for m in monomials_of_qdeg(curve.lams, d - lam):
+                    # d(x^m dx_i) = sum_j m_j x^(m - e_j) dx_j ^ dx_i
+                    vec = [Fraction(0)] * len(piece2.columns)
+                    for j, e in enumerate(m):
+                        if e and j != i:
+                            key = ((min(i, j), max(i, j)), m[:j] + (e - 1,) + m[j + 1:] + pad)
+                            vec[piece2.index[key]] = Fraction(e if j < i else -e)
+                    owners.append(i)
+                    rows.append(tuple(piece2.quotient_coords(vec)))
+            exact[d] = (tuple(owners), tuple(rows))
+            canon = rref(rows, piece2.dim)
+            if not canon.rows:
                 continue
-            canon = rref(kern, piece2.dim)
             ordered = sorted(
                 zip(canon.pivots, canon.rows), key=lambda item: item[0], reverse=True
             )
@@ -389,6 +411,7 @@ class RestrictionBasis:
         self.elements = tuple(elements)
         self.label_index = {el.label: i for i, el in enumerate(elements)}
         self.by_degree = by_degree
+        self.exact = exact
         self.last_nonzero_qdeg = last_nonzero
 
     @property
@@ -413,9 +436,9 @@ class RestrictionBasis:
     def solve_in_closed(self, d: int, coords2: Sequence[Fraction]) -> dict[int, Fraction]:
         """Express quotient coordinates at degree d in the closed basis there.
 
-        Returns a map from global element index to coefficient; raises if the
-        class does not lie in the closed subspace (the caller is expected to
-        have verified closedness already).  The closed vectors of a degree
+        Returns a map from global element index to coefficient; raises
+        ``NotClosedError`` if the class does not lie in the closed subspace,
+        that is, if it is not closed.  The closed vectors of a degree
         are the rows of a reduced echelon form, so each coefficient is the
         entry of ``coords2`` at its vector's pivot, and the class is closed
         iff nothing remains after subtracting them.
@@ -599,7 +622,11 @@ def project(
     form: DifferentialForm,
     basis: RestrictionBasis,
 ) -> AlgRestriction:
-    """Express the restriction class of a closed polynomial 2-form in the basis."""
+    """Express the restriction class of a closed polynomial 2-form in the basis.
+
+    The closed classes are the kernel of d (see ``RestrictionBasis``), so a
+    part outside their span is not closed and raises ``NotClosedError``.
+    """
     if basis.curve != curve:
         raise InputError("basis was built for a different curve")
     if form.nvars != curve.ambient:
@@ -608,23 +635,20 @@ def project(
         )
     if form.degree != 2:
         raise InputError("only 2-forms can be projected to this basis")
-    weights = curve.weights
-    dform = ext_der(form)
-    for d, part in dform.graded_parts(weights).items():
-        piece3 = restriction_quotient(curve, 3, d)
-        coords3 = piece3.quotient_coords(piece3.vectorize(part))
-        if any(coords3):
-            raise NotClosedError(
-                f"exterior derivative has a nonzero restriction in quasi-degree {d}"
-            )
     coords = [Fraction(0)] * basis.dim
-    for d, part in form.graded_parts(weights).items():
+    for d, part in form.graded_parts(curve.weights).items():
         if d >= basis.stop_qdeg:
             continue
         piece2 = restriction_quotient(curve, 2, d)
         coords2 = piece2.quotient_coords(piece2.vectorize(part))
         if not any(coords2):
             continue
-        for i, c in basis.solve_in_closed(d, coords2).items():
+        try:
+            closed = basis.solve_in_closed(d, coords2)
+        except NotClosedError:
+            raise NotClosedError(
+                f"exterior derivative has a nonzero restriction in quasi-degree {d}"
+            ) from None
+        for i, c in closed.items():
             coords[i] += c
     return AlgRestriction(basis, coords)

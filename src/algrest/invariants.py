@@ -16,15 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .curves import (
-    AlgRestriction,
-    GradedPiece,
-    MonomialCurve,
-    monomials_of_qdeg,
-    restriction_quotient,
-)
+from .curves import AlgRestriction, GradedPiece, MonomialCurve, restriction_quotient
 from .errors import InputError
-from .forms import DifferentialForm, ext_der
+from .forms import ext_der
 from .linalg import solve_linear
 from .poly import Polynomial, UniPoly
 
@@ -59,7 +53,8 @@ def _vanishing_order_bound(piece: GradedPiece, part_coords: Sequence[Fraction]) 
     The unknowns theta are the coefficients on the columns of the graded
     component, ordered by decreasing total degree.  theta must project onto
     the given quotient coordinates and be closed as a form:
-    [quotient rows; d-rows] theta = (part, 0).
+    [quotient rows; d-rows] theta = (part, 0), with one d-row per 3-form
+    term that occurs in the derivative of a column.
 
     The class has a representative of order q exactly when the right-hand
     side lies in the span of the columns of degree >= q, a prefix of the
@@ -73,12 +68,12 @@ def _vanishing_order_bound(piece: GradedPiece, part_coords: Sequence[Fraction]) 
     ncols = len(piece.columns)
     degrees = [sum(exps) for _, exps in piece.columns]
     order = sorted(range(ncols), key=lambda j: -degrees[j])
-    piece3 = restriction_quotient(piece.curve, 3, piece.d)
-    der_rows = [[Fraction(0)] * ncols for _ in piece3.columns]
+    der: dict[tuple, list[Fraction]] = {}
     for j in range(ncols):
         for didx, poly in ext_der(piece.column_form(j)).coeffs.items():
             for dexps, coeff in poly:
-                der_rows[piece3.index[(didx, dexps)]][j] = coeff
+                der.setdefault((didx, dexps), [Fraction(0)] * ncols)[j] = coeff
+    der_rows = list(der.values())
     rows = [[row[j] for j in order] for row in _quotient_matrix(piece) + der_rows]
     rhs = [Fraction(v) for v in part_coords] + [Fraction(0)] * len(der_rows)
     solution = solve_linear(rows, rhs)
@@ -109,22 +104,6 @@ def index_of_isotropy(curve: MonomialCurve, a: AlgRestriction) -> Extended:
     return best
 
 
-def _lagrangian_span_vectors(
-    curve: MonomialCurve, d: int, i: int
-) -> list[list[Fraction]]:
-    """Quotient coordinates of [d(m dx_i)] for qdeg(m) = d - lam_i."""
-    piece = restriction_quotient(curve, 2, d)
-    pad = (0,) * (curve.ambient - len(curve.lams))
-    vectors: list[list[Fraction]] = []
-    for exps in monomials_of_qdeg(curve.lams, d - curve.lams[i]):
-        one_form = DifferentialForm.from_term(
-            curve.ambient, (i,), Polynomial.monomial(exps + pad)
-        )
-        vec = piece.vectorize(ext_der(one_form))
-        vectors.append(list(piece.quotient_coords(vec)))
-    return vectors
-
-
 def lagrangian_tangency_order(
     curve: MonomialCurve,
     a: AlgRestriction,
@@ -140,10 +119,10 @@ def lagrangian_tangency_order(
     precomputed index of isotropy as ``iota`` to skip recomputing it.
 
     Each part is solved once against the exact classes of all coordinates,
-    ordered by i.  The classes with i <= j are a prefix, and the greedy
-    pivots in a prefix are a basis of its span, so the part lies in that
-    span iff every pivot its solution uses has i <= j: the smallest j is
-    the largest i among the used pivots.
+    ordered by i as the basis keeps them in ``exact[d]``.  The classes with
+    i <= j are a prefix, and the greedy pivots in a prefix are a basis of
+    its span, so the part lies in that span iff every pivot its solution
+    uses has i <= j: the smallest j is the largest i among the used pivots.
     """
     if a.is_zero():
         return math.inf
@@ -154,12 +133,7 @@ def lagrangian_tangency_order(
     best: Extended = math.inf
     for d in a.nonzero_qdegs():
         coords = _part_quotient_coords(a, d)
-        owners: list[int] = []
-        vectors: list[list[Fraction]] = []
-        for i in range(len(curve.lams)):
-            span = _lagrangian_span_vectors(curve, d, i)
-            owners += [i] * len(span)
-            vectors += span
+        owners, vectors = a.basis.exact[d]
         rows = [[vec[r] for vec in vectors] for r in range(len(coords))]
         solution = solve_linear(rows, coords)
         assert solution is not None, "a nonzero part must lie in the full exact span"
@@ -255,8 +229,8 @@ def representable_by_symplectic(
     part of the 2-form on the first s coordinates: the class is realizable
     iff that rank is at least 2s - 2n.
     """
-    if n < 2:
-        raise InputError("the ambient symplectic space needs n >= 2")
+    if n < 1:
+        raise InputError("the ambient symplectic space needs n >= 1")
     s = len(curve.lams)
     threshold = 2 * s - 2 * n
     if threshold <= 0:

@@ -411,8 +411,11 @@ def test_criterion_9_plane_curve_milnor_numbers():
 def test_criterion_9_closed_one_form_identity():
     """d maps the 1-form piece of degree d onto the closed 2-form classes
     there, with kernel Q d(t^d) exactly when d is a positive semigroup
-    element (DJZ 2008).  The count on the right uses no 3-form piece, so it
-    is independent of the kernel the basis is built from."""
+    element (DJZ 2008).  The count on the right uses only 1-form pieces, so
+    it checks the basis's dimensions without the exact classes the basis is
+    built from; tests/test_curves.py
+    ``test_exact_classes_equal_the_kernel_into_three_forms`` checks its
+    vectors against the kernel of d into the 3-form pieces."""
     curves = [
         MonomialCurve(lams)
         for lams in SEMIGROUPS + ((3, 7, 8), (3, 5, 7), (2, 3), (2, 5), (5, 6, 7, 8, 9))

@@ -90,6 +90,10 @@ def test_project_text_and_errors(capsys):
     rc, _, err = run(capsys, "project", "4", "5", "6", "7", "--form", "dx1")
     assert rc == 2
     assert "2-form" in err
+    rc, out, err = run(capsys, "project", "4", "5", "6", "7", "--form", "x4*dx1^dx2")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: exterior derivative has a nonzero restriction in quasi-degree 16\n"
 
 
 def test_invariants_text(capsys):
@@ -117,6 +121,18 @@ def test_invariants_representability_flag(capsys):
         capsys, "invariants", "4", "5", "6", "7", "--restriction", "a13-", "--n", "3"
     )
     assert "representable on R^6: no" in out
+    # a plane curve on R^2
+    rc, out, _ = run(capsys, "invariants", "3", "4", "--restriction", "a7", "--n", "1")
+    assert rc == 0
+    assert "representable on R^2: yes" in out
+    rc, out, _ = run(capsys, "invariants", "3", "4", "--restriction", "a10", "--n", "1")
+    assert rc == 0
+    assert "representable on R^2: no" in out
+    rc, _, err = run(
+        capsys, "invariants", "4", "5", "6", "7", "--restriction", "a13-", "--n", "1"
+    )
+    assert rc == 2
+    assert "thresholds up to 4" in err
 
 
 def test_invariants_json_zero_class(capsys):

@@ -14,7 +14,7 @@ from algrest.curves import (
 )
 from algrest.errors import InputError, NotClosedError
 from algrest.forms import DifferentialForm, ext_der, wedge
-from algrest.linalg import kernel_basis, rank, sparse_rref
+from algrest.linalg import kernel_basis, rank, rref, sparse_rref
 from algrest.parser import parse_form, parse_restriction
 from algrest.poly import Polynomial
 from algrest.symmetry import orbit_tangent_space
@@ -142,6 +142,51 @@ def test_tangent_contains_matches_the_rank_definition():
                 direction = AlgRestriction.from_coeffs(basis, {label: 1})
                 spanned = rank(rows + [list(direction.coords)], basis.dim) == base_rank
                 assert tangent.contains(direction) == spanned, (lams, coeffs, label)
+
+
+def closed_vectors_by_kernel(curve, d):
+    """Reference: the closed classes of degree d as the kernel of d from the
+    2-form piece into the 3-form piece, in the basis's label order."""
+    piece2 = restriction_quotient(curve, 2, d)
+    if piece2.dim == 0:
+        return []
+    piece3 = restriction_quotient(curve, 3, d)
+    image_cols = [
+        piece3.quotient_coords(piece3.vectorize(ext_der(piece2.rep_form(j))))
+        for j in range(piece2.dim)
+    ]
+    map_rows = [[col[i] for col in image_cols] for i in range(piece3.dim)]
+    canon = rref(kernel_basis(map_rows, piece2.dim), piece2.dim)
+    ordered = sorted(zip(canon.pivots, canon.rows), key=lambda item: item[0], reverse=True)
+    return [tuple(row) for _, row in ordered]
+
+
+KERNEL_REFERENCE_CURVES = tuple(MonomialCurve(lams) for lams in ALL) + (
+    MonomialCurve((2, 3)),
+    MonomialCurve((2, 5)),
+    MonomialCurve((3, 4)),
+    MonomialCurve((5, 7)),
+    MonomialCurve((3, 5, 7)),
+    MonomialCurve((3, 7, 8)),
+    MonomialCurve((4, 6, 7, 9)),
+    MonomialCurve((5, 6, 7, 8, 9)),
+    MonomialCurve((6, 7, 8, 9, 10, 11)),
+    MonomialCurve((4, 5, 6), ambient=5),
+    MonomialCurve((4, 5, 6, 7), ambient=6),
+    MonomialCurve((3, 7, 8), ambient=5),
+)
+
+
+def test_exact_classes_equal_the_kernel_into_three_forms():
+    # Any one owner's exact rows lie in the span of the others', since
+    # (1 + m_i) d(x^m dx_i) = -sum_{j != i} m_j d(x_i x^(m - e_j) dx_j), so
+    # this test checks the span; the owners themselves matter to Lt, which
+    # test_invariants.py checks against the per-coordinate span vectors.
+    for curve in KERNEL_REFERENCE_CURVES:
+        basis = cached_basis(curve)
+        for d in range(1, basis.stop_qdeg):
+            vectors = [vec for _, vec in basis.by_degree.get(d, [])]
+            assert vectors == closed_vectors_by_kernel(curve, d), (curve, d)
 
 
 def test_basis_representatives_are_closed(curve4567, curve456, curve457):

@@ -5,11 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from algrest.curves import AlgRestriction, MonomialCurve, cached_basis, restriction_quotient
+from algrest.curves import (
+    AlgRestriction,
+    MonomialCurve,
+    cached_basis,
+    monomials_of_qdeg,
+    restriction_quotient,
+)
 from algrest.errors import InputError
 from algrest.forms import DifferentialForm, ext_der
 from algrest.invariants import (
-    _lagrangian_span_vectors,
     _part_quotient_coords,
     _quotient_matrix,
     index_of_isotropy,
@@ -118,12 +123,19 @@ def test_pmqd_compare_degree_mismatch(basis4567):
 
 def test_representability_thresholds(curve4567, basis4567):
     a = parse_restriction("a13-", basis4567)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="thresholds up to 4"):
         representable_by_symplectic(curve4567, a, 1)
+    with pytest.raises(InputError, match="needs n >= 1"):
+        representable_by_symplectic(curve4567, a, 0)
     assert not representable_by_symplectic(curve4567, a, 3)
     assert representable_by_symplectic(curve4567, a, 4)
     # n >= s makes the threshold nonpositive for any class
     assert representable_by_symplectic(curve4567, AlgRestriction.zero(basis4567), 4)
+    # a plane curve on R^2: the threshold 2s - 2n = 2 asks for a nonzero
+    # constant part, which a7 = [dx1^dx2] has and a10 does not
+    plane = cached_basis(MonomialCurve((3, 4)))
+    assert representable_by_symplectic(plane.curve, parse_restriction("a7", plane), 1)
+    assert not representable_by_symplectic(plane.curve, parse_restriction("a10", plane), 1)
 
 
 def test_representability_threshold_guard(basis4567):
@@ -188,6 +200,19 @@ def reference_iota(curve, a):
     )
 
 
+def _lagrangian_span_vectors(curve, d, i):
+    """Quotient coordinates of [d(m dx_i)] for qdeg(m) = d - lam_i."""
+    piece = restriction_quotient(curve, 2, d)
+    pad = (0,) * (curve.ambient - len(curve.lams))
+    vectors = []
+    for exps in monomials_of_qdeg(curve.lams, d - curve.lams[i]):
+        one_form = DifferentialForm.from_term(
+            curve.ambient, (i,), Polynomial.monomial(exps + pad)
+        )
+        vectors.append(list(piece.quotient_coords(piece.vectorize(ext_der(one_form)))))
+    return vectors
+
+
 def reference_graded_lt(curve, a):
     """min over parts of d - lam_j, by one span test per coordinate j."""
     lt = math.inf
@@ -250,3 +275,4 @@ def test_quotient_matrix_equals_the_reduced_unit_vectors():
         for d in {el.qdeg for el in cached_basis(curve).elements}:
             piece = restriction_quotient(curve, 2, d)
             assert _quotient_matrix(piece) == reduced_unit_vectors(piece), (curve, d)
+
