@@ -7,7 +7,7 @@ R^{2n} together with the parameterization it produces).  Verification
 recomputes everything from scratch at sample parameter values: F maps the
 standard symplectic structure onto the stored class, the row invariants
 match, declared moduli are transverse to the orbit, the realizability
-thresholds agree with the generic-rank test, and distinct rows stay
+thresholds agree with the exact rank test, and distinct rows stay
 distinguishable.  Known discrepancies recorded in the data are reported
 as such rather than silently accepted or asserted away.
 """
@@ -543,13 +543,16 @@ def verify_atlas(
 
 def load_samples_file(text: str) -> dict[int, list[dict[str, Fraction]]]:
     """Parse a samples file: {"<row id>": [{"param": "p/q", ...}, ...]}."""
-    data = json.loads(text)
-    out: dict[int, list[dict[str, Fraction]]] = {}
-    for key, entries in data.items():
-        out[int(key)] = [
-            {p: Fraction(v) for p, v in entry.items()} for entry in entries
-        ]
-    return out
+    try:
+        data = json.loads(text)
+        if not isinstance(data, dict):
+            raise TypeError("the top level must be a JSON object")
+        return {
+            int(key): [{p: Fraction(v) for p, v in entry.items()} for entry in entries]
+            for key, entries in data.items()
+        }
+    except (ValueError, TypeError, AttributeError, ZeroDivisionError) as exc:
+        raise InputError(f"malformed samples file: {exc}") from None
 
 
 BUNDLED = ((4, 5, 6, 7), (4, 5, 6), (4, 5, 7))

@@ -264,7 +264,11 @@ def cmd_verify_atlas(args: argparse.Namespace) -> int:
     targets = [tuple(args.generators)] if args.generators else list(BUNDLED)
     samples = None
     if args.samples:
-        samples = load_samples_file(pathlib.Path(args.samples).read_text())
+        try:
+            text = pathlib.Path(args.samples).read_text()
+        except OSError as exc:
+            raise InputError(f"cannot read samples file: {exc}") from None
+        samples = load_samples_file(text)
     reports = []
     lines: list[str] = []
     for lams in targets:

@@ -4,7 +4,8 @@ A curve ``g(t) = (t^l1, ..., t^ls, 0, ..., 0)`` induces, in each quasi-degree
 d, a finite quotient of the quasi-homogeneous k-forms by the subspace of
 forms with zero restriction (forms vanishing on the curve plus exact
 differentials of vanishing forms).  ``restriction_quotient`` builds one such
-quotient piece exactly, ``RestrictionBasis`` scans the degrees below the
+piece exactly from the Kaehler presentation of the semigroup ring, with one
+column per branch k-subset; ``RestrictionBasis`` scans the degrees below the
 certified stop ``stop_qdeg`` and labels the classes of closed 2-forms, and
 ``project`` expresses any closed polynomial 2-form in that basis.  Closed
 classes are exact: each degree's closed classes are spanned by the classes
@@ -24,8 +25,8 @@ from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError, NotClosedError
-from .forms import DifferentialForm, IndexTuple, Weights, ext_der
-from .linalg import RrefResult, rank, reduce_by, rref, sparse_rref
+from .forms import DifferentialForm, IndexTuple, Weights
+from .linalg import RrefResult, reduce_by, rref, sparse_rref
 from .poly import Exponent, Polynomial, Scalar, UniPoly
 
 
@@ -176,65 +177,68 @@ def ideal_graded_basis(curve: MonomialCurve, qdeg: int) -> tuple[Polynomial, ...
     return tuple(basis)
 
 
-def _coordinates(
-    index: Mapping[tuple[IndexTuple, Exponent], int], form: DifferentialForm, d: int
-) -> dict[int, Fraction]:
-    """Nonzero coordinates of a form in the columns of a graded piece."""
-    vec: dict[int, Fraction] = {}
-    for idx, poly in form.coeffs.items():
-        for exps, coeff in poly.terms.items():
-            pos = index.get((idx, exps))
-            if pos is None:
-                raise InputError(
-                    f"term x^{exps} dx{idx} is not quasi-homogeneous of degree {d}"
-                )
-            vec[pos] = coeff
-    return vec
+@lru_cache(maxsize=None)
+def binomial_span(lams: tuple[int, ...], e: int) -> RrefResult:
+    """Reduced echelon form of V_e, the span of m - m0 over the curve-only
+    exponents m of quasi-degree e, m0 the first: the exponents of the
+    binomials that span the curve-only part of the ideal in degree e."""
+    mons = monomials_of_qdeg(lams, e)
+    diffs = [[Fraction(a - b) for a, b in zip(m, mons[0])] for m in mons[1:]]
+    return rref(diffs, len(lams))
 
 
 @dataclass(frozen=True)
 class GradedPiece:
     """One graded quotient piece: k-forms of quasi-degree d modulo the
-    forms with zero restriction."""
+    forms with zero restriction.  Column J is the class of the curve-only
+    terms x^m dx_J; ``relations`` is the echelon form of their relations."""
 
     curve: MonomialCurve
     k: int
     d: int
-    columns: tuple[tuple[IndexTuple, Exponent], ...]
-    zrows: tuple[tuple[Fraction, ...], ...]
-    zpivots: tuple[int, ...]
+    columns: tuple[IndexTuple, ...]
     rep_cols: tuple[int, ...]
-    index: Mapping[tuple[IndexTuple, Exponent], int] = field(compare=False, repr=False)
+    relations: RrefResult = field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
         return len(self.rep_cols)
 
-    def column_form(self, col: int) -> DifferentialForm:
-        idx, exps = self.columns[col]
-        return DifferentialForm.from_term(
-            self.curve.ambient, idx, Polynomial.monomial(exps)
-        )
-
     def vectorize(self, form: DifferentialForm) -> list[Fraction]:
-        """Coordinates of a quasi-homogeneous degree-d k-form."""
+        """Coordinates of a quasi-homogeneous degree-d k-form; terms with an
+        off-curve variable or differential restrict to zero."""
         if form.nvars != self.curve.ambient:
             raise InputError("form variable count does not match the curve")
         if form.degree != self.k:
             raise InputError(f"expected a {self.k}-form")
+        weights = self.curve.weights
+        branch = self.curve.branch_dim
+        position = {J: c for c, J in enumerate(self.columns)}
         vec = [Fraction(0)] * len(self.columns)
-        for pos, coeff in _coordinates(self.index, form, self.d).items():
-            vec[pos] = coeff
+        for idx, poly in form.coeffs.items():
+            for exps, coeff in poly.terms.items():
+                if weights.qdeg_term(exps, idx) != self.d:
+                    raise InputError(
+                        f"term x^{exps} dx{idx} is not quasi-homogeneous of degree {self.d}"
+                    )
+                if all(i < branch for i in idx) and not any(exps[branch:]):
+                    vec[position[idx]] += coeff
         return vec
 
     def quotient_coords(self, vec: Sequence[Fraction]) -> list[Fraction]:
-        """Reduce modulo the zero-restriction subspace; coordinates on the
-        representative columns."""
-        work = reduce_by(RrefResult(self.zrows, self.zpivots), vec)
+        """Reduce modulo the relations; coordinates on the representative
+        columns."""
+        work = reduce_by(self.relations, vec)
         return [work[c] for c in self.rep_cols]
 
     def rep_form(self, j: int) -> DifferentialForm:
-        return self.column_form(self.rep_cols[j])
+        """The lift x^m dx_J of the j-th representative column, with m the
+        last curve-only exponent of quasi-degree d - lam_J."""
+        J = self.columns[self.rep_cols[j]]
+        lams = self.curve.lams
+        m = monomials_of_qdeg(lams, self.d - sum(lams[i] for i in J))[-1]
+        pad = (0,) * (self.curve.ambient - len(lams))
+        return DifferentialForm.from_term(self.curve.ambient, J, Polynomial.monomial(m + pad))
 
     def coords_to_form(self, coords: Sequence[Fraction]) -> DifferentialForm:
         form = DifferentialForm.zero(self.k, self.curve.ambient)
@@ -248,46 +252,56 @@ class GradedPiece:
 def restriction_quotient(curve: MonomialCurve, k: int, d: int) -> GradedPiece:
     """Build the graded piece of k-form restrictions in quasi-degree d.
 
-    The zero-restriction space is spanned by q dx_I and d(q dx_J) for q in
-    the ideal of the curve; its generators are assembled as sparse rows.
+    The zero-restriction space is I Omega^k + dI ^ Omega^(k-1), since
+    d(f beta) = df ^ beta + f d(beta), so the piece is the degree-d part of
+    the Kaehler k-forms of the semigroup ring (Kunz, "Kaehler
+    Differentials", 1986).  Modulo I, terms with an off-curve variable or
+    differential vanish and the curve-only terms x^m dx_J of degree d are
+    all equal: one column e_J per branch k-subset J with d - lam_J in the
+    semigroup.  As d(x^m - x^m0) ^ dx_K = sum_i v_i e_i ^ e_K mod I with
+    v = m - m0, each branch (k-1)-subset K and row v of V_(d - lam_K) give
+    the relation sum_(i not in K) +-v_i e_(K+i), with sign
+    (-1)^#{j in K : j < i}; off-curve generators of I give none.
+
+    The non-pivot columns of a reduced echelon form are the right-greedy
+    quotient basis: a column is one iff its class is independent of the
+    classes of the later columns.  Over all monomial columns (J
+    lexicographic, then ``monomials_of_qdeg`` order) each curve-only column
+    of J has class e_J and every other column class 0, so that choice is
+    the last curve-only monomial of the non-pivot J here, which
+    ``GradedPiece.rep_form`` lifts: the representatives and quotient
+    coordinates are those of eliminating every monomial column.
     """
     if k < 0:
         raise InputError("form degree must be nonnegative")
     if d < 0:
         raise InputError("quasi-degree must be nonnegative")
-    m = curve.ambient
-    weights = curve.weights
-    columns: list[tuple[IndexTuple, Exponent]] = []
-    for idx in itertools.combinations(range(m), k):
-        e = d - sum(weights.weight(i) for i in idx)
-        for exps in monomials_of_qdeg(weights.wvec, e):
-            columns.append((idx, exps))
-    index = {key: i for i, key in enumerate(columns)}
-    width = len(columns)
-
-    gens: list[dict[int, Fraction]] = []
-    for idx in itertools.combinations(range(m), k):
-        e = d - sum(weights.weight(i) for i in idx)
-        for q in ideal_graded_basis(curve, e):
-            gens.append(_coordinates(index, DifferentialForm.from_term(m, idx, q), d))
+    lams = curve.lams
+    columns = tuple(
+        J
+        for J in itertools.combinations(range(len(lams)), k)
+        if monomials_of_qdeg(lams, d - sum(lams[i] for i in J))
+    )
+    position = {J: c for c, J in enumerate(columns)}
+    relations: list[dict[int, Fraction]] = []
     if k >= 1:
-        for jdx in itertools.combinations(range(m), k - 1):
-            e = d - sum(weights.weight(i) for i in jdx)
-            for q in ideal_graded_basis(curve, e):
-                dq = ext_der(DifferentialForm.from_term(m, jdx, q))
-                gens.append(_coordinates(index, dq, d))
-    red = sparse_rref(gens, width)
+        for K in itertools.combinations(range(len(lams)), k - 1):
+            for v in binomial_span(lams, d - sum(lams[i] for i in K)).rows:
+                row: dict[int, Fraction] = {}
+                for i, vi in enumerate(v):
+                    if vi and i not in K:
+                        sign = -1 if sum(j < i for j in K) % 2 else 1
+                        row[position[tuple(sorted(K + (i,)))]] = sign * vi
+                relations.append(row)
+    red = sparse_rref(relations, len(columns))
     pivot_set = set(red.pivots)
-    rep_cols = tuple(c for c in range(width) if c not in pivot_set)
     return GradedPiece(
         curve=curve,
         k=k,
         d=d,
-        columns=tuple(columns),
-        zrows=tuple(tuple(row) for row in red.rows),
-        zpivots=tuple(red.pivots),
-        rep_cols=rep_cols,
-        index=index,
+        columns=columns,
+        rep_cols=tuple(c for c in range(len(columns)) if c not in pivot_set),
+        relations=red,
     )
 
 
@@ -312,27 +326,21 @@ def _degree_labels(d: int, count: int) -> list[str]:
 def stop_qdeg(curve: MonomialCurve) -> int:
     """A quasi-degree D from which every 2-form piece is provably zero.
 
-    Let M_e be the curve-only exponents of quasi-degree e and V_e the span
-    of the differences m - m0 in M_e; V_e lies in ker(lam), of dimension
-    s - 1.  Off-curve variables and differentials restrict to zero, and
-    modulo the ideal x^m dx_i ^ dx_k of degree d depends only on (i, k), so
-    the degree-d piece is spanned by symbols e_i ^ e_k of wedge^2 Q^s.  The
-    binomial x^m - x^m0 of degree d - lam_j lies in the ideal, so its
-    differential wedged with dx_j gives the relation v ^ e_j, v = m - m0.
-    If V_(d - lam_j) = ker(lam) for every branch j, the relations span
-    ker(lam) ^ Q^s, which is all of wedge^2 Q^s because ker(lam) has
-    codimension 1: the piece is zero.  Multiplying by x_1 maps M_e into
-    M_(e + lam_1) and keeps differences, so full rank on lam_1 consecutive
-    degrees [E, E + lam_1) gives full rank for every e >= E, and every
-    piece of degree d >= D = E + lam_s vanishes.  With s = 1, ker(lam) = 0
-    and D = lam_1.
+    V_e (``binomial_span``) lies in ker(lam), of dimension s - 1.  In the
+    presentation of ``restriction_quotient`` the degree-d piece is spanned
+    by symbols e_i ^ e_k of wedge^2 Q^s, with the relations v ^ e_j for v
+    in V_(d - lam_j).  If V_(d - lam_j) = ker(lam) for every branch j, they
+    span ker(lam) ^ Q^s, all of wedge^2 Q^s as ker(lam) has codimension 1:
+    the piece is zero.  Multiplying by x_1 maps the curve-only exponents of
+    degree e into those of degree e + lam_1 and keeps differences, so full
+    rank on lam_1 consecutive degrees [E, E + lam_1) gives full rank for
+    every e >= E, and every piece of degree d >= D = E + lam_s vanishes.
+    With s = 1, ker(lam) = 0 and D = lam_1.
     """
     lams = curve.lams
     e = run = 0
     while run < lams[0]:
-        mons = monomials_of_qdeg(lams, e)
-        diffs = [[Fraction(a - b) for a, b in zip(m, mons[0])] for m in mons[1:]]
-        run = run + 1 if rank(diffs, len(lams)) == len(lams) - 1 else 0
+        run = run + 1 if binomial_span(lams, e).rank == len(lams) - 1 else 0
         e += 1
     return e - lams[0] + lams[-1]
 
@@ -371,7 +379,6 @@ class RestrictionBasis:
     def __init__(self, curve: MonomialCurve):
         self.curve = curve
         self.stop_qdeg = stop = stop_qdeg(curve)
-        pad = (0,) * (curve.ambient - len(curve.lams))
         elements: list[BasisElement] = []
         by_degree: dict[int, list[tuple[int, tuple[Fraction, ...]]]] = {}
         exact: dict[int, tuple[tuple[int, ...], tuple[tuple[Fraction, ...], ...]]] = {}
@@ -381,6 +388,7 @@ class RestrictionBasis:
             if piece2.dim == 0:
                 continue
             last_nonzero = d
+            position = {J: c for c, J in enumerate(piece2.columns)}
             owners: list[int] = []
             rows: list[tuple[Fraction, ...]] = []
             for i, lam in enumerate(curve.lams):
@@ -389,8 +397,7 @@ class RestrictionBasis:
                     vec = [Fraction(0)] * len(piece2.columns)
                     for j, e in enumerate(m):
                         if e and j != i:
-                            key = ((min(i, j), max(i, j)), m[:j] + (e - 1,) + m[j + 1:] + pad)
-                            vec[piece2.index[key]] = Fraction(e if j < i else -e)
+                            vec[position[(min(i, j), max(i, j))]] = Fraction(e if j < i else -e)
                     owners.append(i)
                     rows.append(tuple(piece2.quotient_coords(vec)))
             exact[d] = (tuple(owners), tuple(rows))

@@ -5,7 +5,9 @@ symplectic multiplicity (orbit codimension), the index of isotropy
 (maximal vanishing order of a closed representative), the Lagrangian
 tangency order (maximal tangency to nearby Lagrangian submanifolds), and
 proportionality of minimal-degree parts, which separates classes that no
-quasi-degree-preserving scaling can identify.
+quasi-degree-preserving scaling can identify.  Realizability on R^{2n} is
+one exact rank: that of the class's constant part on the branch
+coordinates, which every representative shares.
 """
 
 from __future__ import annotations
@@ -14,13 +16,20 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
-from .curves import AlgRestriction, GradedPiece, MonomialCurve, restriction_quotient
+from .curves import (
+    AlgRestriction,
+    GradedPiece,
+    MonomialCurve,
+    monomials_of_qdeg,
+    restriction_quotient,
+)
 from .errors import InputError
-from .forms import ext_der
-from .linalg import solve_linear
-from .poly import Polynomial, UniPoly
+from .forms import DifferentialForm, ext_der
+from .linalg import rank, solve_linear
+from .poly import Exponent, Polynomial, UniPoly
 
 Extended = int | float
 
@@ -34,25 +43,67 @@ def symplectic_multiplicity(
     return a.basis.dim - orbit_tangent_space(curve, a, policy).dim
 
 
-def _quotient_matrix(piece: GradedPiece) -> list[list[Fraction]]:
-    """The quotient map, one row per representative column, read off the
-    reduced zero-restriction rows: a representative column c maps to the
-    unit vector at c, and the pivot p of a zero row maps to minus that
-    row's entries at the representative columns."""
-    rows = [[Fraction(0)] * len(piece.columns) for _ in piece.rep_cols]
-    for rho, c in enumerate(piece.rep_cols):
-        rows[rho][c] = Fraction(1)
-        for zrow, p in zip(piece.zrows, piece.zpivots):
-            rows[rho][p] = -zrow[c]
+def _monomial_columns(curve: MonomialCurve, d: int) -> list[tuple[tuple[int, ...], Exponent]]:
+    """Every 2-form term x^m dx_I of quasi-degree d, I lexicographic over the
+    ambient coordinates, then m in ``monomials_of_qdeg`` order."""
+    w = curve.weights.wvec
+    return [
+        ((i, j), exps)
+        for i, j in itertools.combinations(range(curve.ambient), 2)
+        for exps in monomials_of_qdeg(w, d - w[i] - w[j])
+    ]
+
+
+def _quotient_matrix(
+    piece: GradedPiece, columns: Sequence[tuple[tuple[int, ...], Exponent]]
+) -> list[list[Fraction]]:
+    """The quotient map on monomial columns, one row per representative
+    column: a curve-only term x^m dx_J maps to the class of the piece's
+    column J, and a term with an off-curve variable or differential to 0."""
+    branch, width = piece.curve.branch_dim, len(piece.columns)
+    images = {
+        J: piece.quotient_coords([Fraction(int(c == j)) for c in range(width)])
+        for j, J in enumerate(piece.columns)
+    }
+    rows = [[Fraction(0)] * len(columns) for _ in piece.rep_cols]
+    for j, (idx, exps) in enumerate(columns):
+        image = images.get(idx)
+        if image is not None and not any(exps[branch:]):
+            for rho, value in enumerate(image):
+                rows[rho][j] = value
     return rows
 
 
-def _vanishing_order_bound(piece: GradedPiece, part_coords: Sequence[Fraction]) -> int:
+@lru_cache(maxsize=None)
+def _isotropy_system(
+    curve: MonomialCurve, d: int
+) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...], int]:
+    """The matrix [quotient rows; d-rows] of ``_vanishing_order_bound`` with
+    its columns ordered by decreasing total degree, the total degree of each
+    ordered column, and the number of d-rows; built once per (curve, d)."""
+    columns = _monomial_columns(curve, d)
+    degrees = [sum(exps) for _, exps in columns]
+    order = sorted(range(len(columns)), key=lambda j: -degrees[j])
+    der: dict[tuple, list[Fraction]] = {}
+    for j, (idx, exps) in enumerate(columns):
+        column = DifferentialForm.from_term(curve.ambient, idx, Polynomial.monomial(exps))
+        for didx, poly in ext_der(column).coeffs.items():
+            for dexps, coeff in poly:
+                der.setdefault((didx, dexps), [Fraction(0)] * len(columns))[j] = coeff
+    piece = restriction_quotient(curve, 2, d)
+    rows = tuple(
+        tuple(row[j] for j in order)
+        for row in _quotient_matrix(piece, columns) + list(der.values())
+    )
+    return rows, tuple(degrees[j] for j in order), len(der)
+
+
+def _vanishing_order_bound(curve: MonomialCurve, d: int, part_coords: Sequence[Fraction]) -> int:
     """Largest q such that some closed form in the class vanishes to order q.
 
-    The unknowns theta are the coefficients on the columns of the graded
-    component, ordered by decreasing total degree.  theta must project onto
-    the given quotient coordinates and be closed as a form:
+    The unknowns theta are the coefficients on the monomial 2-form columns
+    of quasi-degree d, ordered by decreasing total degree.  theta must
+    project onto the given quotient coordinates and be closed as a form:
     [quotient rows; d-rows] theta = (part, 0), with one d-row per 3-form
     term that occurs in the derivative of a column.
 
@@ -65,21 +116,12 @@ def _vanishing_order_bound(piece: GradedPiece, part_coords: Sequence[Fraction]) 
     answer is the least degree of a used pivot (max degree + 1 when none
     is used).
     """
-    ncols = len(piece.columns)
-    degrees = [sum(exps) for _, exps in piece.columns]
-    order = sorted(range(ncols), key=lambda j: -degrees[j])
-    der: dict[tuple, list[Fraction]] = {}
-    for j in range(ncols):
-        for didx, poly in ext_der(piece.column_form(j)).coeffs.items():
-            for dexps, coeff in poly:
-                der.setdefault((didx, dexps), [Fraction(0)] * ncols)[j] = coeff
-    der_rows = list(der.values())
-    rows = [[row[j] for j in order] for row in _quotient_matrix(piece) + der_rows]
-    rhs = [Fraction(v) for v in part_coords] + [Fraction(0)] * len(der_rows)
+    rows, degrees, nder = _isotropy_system(curve, d)
+    rhs = [Fraction(v) for v in part_coords] + [Fraction(0)] * nder
     solution = solve_linear(rows, rhs)
     if solution is None:
         raise InputError("quotient coordinates do not come from this graded component")
-    used = [degrees[j] for j, x in zip(order, solution) if x]
+    used = [deg for deg, x in zip(degrees, solution) if x]
     return min(used, default=max(degrees, default=0) + 1)
 
 
@@ -99,8 +141,7 @@ def index_of_isotropy(curve: MonomialCurve, a: AlgRestriction) -> Extended:
         return math.inf
     best: Extended = math.inf
     for d in a.nonzero_qdegs():
-        piece = restriction_quotient(curve, 2, d)
-        best = min(best, _vanishing_order_bound(piece, _part_quotient_coords(a, d)))
+        best = min(best, _vanishing_order_bound(curve, d, _part_quotient_coords(a, d)))
     return best
 
 
@@ -207,96 +248,34 @@ def pmqd_compare(a1: AlgRestriction, a2: AlgRestriction) -> PmqdVerdict:
     return PmqdVerdict(kind="proportional", qdegs=(d1, d2), constant=ratio)
 
 
-def _pfaffian_principal(block: list[list[Polynomial]], rows: Sequence[int]) -> Polynomial:
-    """Pfaffian of a principal 2x2 or 4x4 antisymmetric polynomial block."""
-    if len(rows) == 2:
-        i, j = rows
-        return block[i][j]
-    i, j, k, l = rows
-    return (
-        block[i][j] * block[k][l]
-        - block[i][k] * block[j][l]
-        + block[i][l] * block[j][k]
-    )
-
-
-def representable_by_symplectic(
-    curve: MonomialCurve, a: AlgRestriction, n: int
-) -> bool:
+def representable_by_symplectic(curve: MonomialCurve, a: AlgRestriction, n: int) -> bool:
     """Whether some symplectic form on R^{2n} restricts to the class a.
 
-    Decided by the generic rank, over all representatives, of the constant
-    part of the 2-form on the first s coordinates: the class is realizable
-    iff that rank is at least 2s - 2n.
+    The class is realizable iff the value omega(0) of a representative on
+    the first s (branch) coordinates has rank at least 2s - 2n, and every
+    representative has the same block.  A zero-restriction form
+    f alpha + df ^ beta, f vanishing on the curve, has the value
+    df(0) ^ beta(0) at 0.  A linear term x_i of f, i on the branch,
+    restricts to t^lam_i, which only a monomial of weighted degree lam_i in
+    the other branch variables could cancel; none exists, as no lam_i is a
+    sum of the others (the curve's constructor enforces it).  So every term
+    of df(0) ^ beta(0) has an off-curve differential.  The block is read
+    off the constant terms of the basis representatives.
     """
     if n < 1:
         raise InputError("the ambient symplectic space needs n >= 1")
-    s = len(curve.lams)
+    s = curve.branch_dim
     threshold = 2 * s - 2 * n
     if threshold <= 0:
         return True
-    if threshold > 4:
-        raise InputError(
-            "generic-rank computation is implemented for thresholds up to 4 "
-            "(curves with at most four branch coordinates beyond n)"
-        )
-    nparams = 0
-    adjustments: list[list[list[Fraction]]] = []
-    rep = a.rep_form()
-    constant: list[list[Fraction]] = [[Fraction(0)] * s for _ in range(s)]
-    for i in range(s):
-        for j in range(i + 1, s):
-            c = rep.coefficient((i, j)).constant_term()
-            constant[i][j] = c
-            constant[j][i] = -c
-    zero_exps = (0,) * curve.ambient
-    seen_degrees = set()
-    for i in range(s):
-        for j in range(i + 1, s):
-            d = curve.lams[i] + curve.lams[j]
-            if d in seen_degrees:
-                continue
-            seen_degrees.add(d)
-            piece = restriction_quotient(curve, 2, d)
-            for zrow in piece.zrows:
-                adj = [[Fraction(0)] * s for _ in range(s)]
-                nonzero = False
-                for p in range(s):
-                    for q in range(p + 1, s):
-                        key = ((p, q), zero_exps)
-                        pos = piece.index.get(key)
-                        if pos is not None and zrow[pos]:
-                            adj[p][q] = zrow[pos]
-                            adj[q][p] = -zrow[pos]
-                            nonzero = True
-                if nonzero:
-                    adjustments.append(adj)
-                    nparams += 1
-    block: list[list[Polynomial]] = [
-        [Polynomial.constant(nparams, constant[i][j]) for j in range(s)]
-        for i in range(s)
-    ]
-    for k, adj in enumerate(adjustments):
-        for i in range(s):
-            for j in range(s):
-                if adj[i][j]:
-                    block[i][j] = block[i][j] + Polynomial.monomial(
-                        tuple(1 if v == k else 0 for v in range(nparams)), adj[i][j]
-                    )
-    generic_rank = 0
-    for size in (2, 4):
-        if size > s:
-            break
-        found = False
-        for rows in itertools.combinations(range(s), size):
-            if not _pfaffian_principal(block, rows).is_zero():
-                found = True
-                break
-        if found:
-            generic_rank = size
-        else:
-            break
-    return generic_rank >= threshold
+    block = [[Fraction(0)] * s for _ in range(s)]
+    for el, coeff in zip(a.basis.elements, a.coords):
+        if coeff:
+            for (i, j), poly in el.rep.coeffs.items():
+                value = coeff * poly.constant_term()
+                block[i][j] += value
+                block[j][i] -= value
+    return rank(block, s) >= threshold
 
 
 @dataclass(frozen=True)

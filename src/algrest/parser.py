@@ -245,7 +245,7 @@ def parse_curve_exponents(text: str) -> tuple[int, ...]:
         raise InputError(f"exponent list {text!r} must contain integers") from exc
 
 
-_LABEL_RE = re.compile(r"a\d+[+-]?")
+_LABEL_RE = re.compile(r"a\d+(?:\.\d+|[+-])?")
 _RATIONAL_RE = re.compile(r"(\d+)\s*(?:/\s*(\d+))?")
 
 

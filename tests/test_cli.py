@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from algrest.atlas import AtlasReport, RowCheck
 from algrest.cli import main
 
@@ -128,11 +130,19 @@ def test_invariants_representability_flag(capsys):
     rc, out, _ = run(capsys, "invariants", "3", "4", "--restriction", "a10", "--n", "1")
     assert rc == 0
     assert "representable on R^2: no" in out
-    rc, _, err = run(
+    rc, out, _ = run(
         capsys, "invariants", "4", "5", "6", "7", "--restriction", "a13-", "--n", "1"
     )
-    assert rc == 2
-    assert "thresholds up to 4" in err
+    assert rc == 0
+    assert "representable on R^2: no" in out
+    # threshold 6 on (6..11), with a dotted label
+    rc, out, _ = run(
+        capsys,
+        "invariants", "6", "7", "8", "9", "10", "11",
+        "--restriction", "a13 + a17.1 + a21+", "--n", "3",
+    )
+    assert rc == 0
+    assert "representable on R^6: yes" in out
 
 
 def test_invariants_json_zero_class(capsys):
@@ -276,3 +286,20 @@ def test_verify_atlas_unknown_semigroup(capsys):
     rc, _, err = run(capsys, "verify-atlas", "3", "5", "7")
     assert rc == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, "{bad", "[1, 2]", '{"x": [{"c1": "1"}]}', '{"1": [{"c1": "abc"}]}'],
+    ids=["missing", "bad-json", "top-level-list", "non-integer-row", "bad-value"],
+)
+def test_verify_atlas_malformed_samples_exit_2(capsys, tmp_path, content):
+    samples = tmp_path / "samples.json"
+    if content is not None:
+        samples.write_text(content)
+    rc, out, err = run(
+        capsys, "verify-atlas", "4", "5", "6", "7", "--samples", str(samples)
+    )
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -1,4 +1,7 @@
+import itertools
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -11,10 +14,11 @@ from algrest.curves import (
     monomials_of_qdeg,
     project,
     restriction_quotient,
+    stop_qdeg,
 )
 from algrest.errors import InputError, NotClosedError
 from algrest.forms import DifferentialForm, ext_der, wedge
-from algrest.linalg import kernel_basis, rank, rref, sparse_rref
+from algrest.linalg import RrefResult, kernel_basis, rank, reduce_by, rref, sparse_rref
 from algrest.parser import parse_form, parse_restriction
 from algrest.poly import Polynomial
 from algrest.symmetry import orbit_tangent_space
@@ -298,3 +302,133 @@ def test_bigger_ambient_same_quotient(curve456):
     ]
     # off-curve coordinates project to zero
     assert project(big, parse_form("dx1^dx5", 5), cached_basis(big)).is_zero()
+
+
+@dataclass(frozen=True)
+class ReferencePiece:
+    """A graded piece over every monomial column x^m dx_I of the ambient
+    space, with the reduced zero-restriction rows at full width."""
+
+    curve: MonomialCurve
+    columns: tuple
+    zrows: tuple
+    zpivots: tuple
+    rep_cols: tuple
+    index: dict
+
+    @property
+    def dim(self):
+        return len(self.rep_cols)
+
+    def quotient_coords(self, vec):
+        work = reduce_by(RrefResult(self.zrows, self.zpivots), vec)
+        return [work[c] for c in self.rep_cols]
+
+    def rep_form(self, j):
+        idx, exps = self.columns[self.rep_cols[j]]
+        return DifferentialForm.from_term(self.curve.ambient, idx, Polynomial.monomial(exps))
+
+
+def _reference_coordinates(index, form):
+    vec = {}
+    for idx, poly in form.coeffs.items():
+        for exps, coeff in poly.terms.items():
+            vec[index[(idx, exps)]] = coeff
+    return vec
+
+
+@lru_cache(maxsize=None)
+def reference_quotient(curve, k, d):
+    """Reference: eliminate the generators q dx_I and d(q dx_J), q in the
+    ideal, over all monomial columns of the ambient space."""
+    m = curve.ambient
+    weights = curve.weights
+    columns = [
+        (idx, exps)
+        for idx in itertools.combinations(range(m), k)
+        for exps in monomials_of_qdeg(weights.wvec, d - sum(weights.weight(i) for i in idx))
+    ]
+    index = {key: i for i, key in enumerate(columns)}
+    gens = []
+    for idx in itertools.combinations(range(m), k):
+        e = d - sum(weights.weight(i) for i in idx)
+        for q in ideal_graded_basis(curve, e):
+            gens.append(_reference_coordinates(index, DifferentialForm.from_term(m, idx, q)))
+    if k >= 1:
+        for jdx in itertools.combinations(range(m), k - 1):
+            e = d - sum(weights.weight(i) for i in jdx)
+            for q in ideal_graded_basis(curve, e):
+                dq = ext_der(DifferentialForm.from_term(m, jdx, q))
+                gens.append(_reference_coordinates(index, dq))
+    red = sparse_rref(gens, len(columns))
+    pivots = set(red.pivots)
+    return ReferencePiece(
+        curve=curve,
+        columns=tuple(columns),
+        zrows=tuple(tuple(row) for row in red.rows),
+        zpivots=tuple(red.pivots),
+        rep_cols=tuple(c for c in range(len(columns)) if c not in pivots),
+        index=index,
+    )
+
+
+PIECE_REFERENCE_CURVES = (
+    MonomialCurve((2, 3)),
+    MonomialCurve((2, 5)),
+    MonomialCurve((3, 4)),
+    MonomialCurve((5, 7)),
+    *(MonomialCurve(lams) for lams in ALL),
+    MonomialCurve((3, 7, 8)),
+    MonomialCurve((5, 6, 7, 8, 9)),
+    MonomialCurve((4, 5, 6, 7), ambient=6),
+    MonomialCurve((4, 5, 6), ambient=5),
+    MonomialCurve((3, 7, 8), ambient=5),
+)
+
+
+def test_kahler_pieces_equal_the_full_column_reference():
+    for curve in PIECE_REFERENCE_CURVES:
+        for k in range(4):
+            for d in range(stop_qdeg(curve) + curve.lams[-1]):
+                piece = restriction_quotient(curve, k, d)
+                ref = reference_quotient(curve, k, d)
+                where = (curve, k, d)
+                assert piece.dim == ref.dim, where
+                assert [piece.rep_form(j) for j in range(piece.dim)] == [
+                    ref.rep_form(j) for j in range(ref.dim)
+                ], where
+                for c, (idx, exps) in enumerate(ref.columns):
+                    unit = [Fraction(int(j == c)) for j in range(len(ref.columns))]
+                    term = DifferentialForm.from_term(
+                        curve.ambient, idx, Polynomial.monomial(exps)
+                    )
+                    assert piece.quotient_coords(piece.vectorize(term)) == ref.quotient_coords(
+                        unit
+                    ), (where, idx, exps)
+
+
+def test_zero_rows_have_no_constant_branch_entry():
+    # the lemma behind representable_by_symplectic: a zero-restriction form
+    # has no constant dx_i ^ dx_j term with i, j on the branch
+    for curve in PIECE_REFERENCE_CURVES:
+        zero = (0,) * curve.ambient
+        pairs = list(itertools.combinations(range(len(curve.lams)), 2))
+        for d in {curve.lams[i] + curve.lams[j] for i, j in pairs}:
+            ref = reference_quotient(curve, 2, d)
+            positions = [ref.index[(pair, zero)] for pair in pairs if (pair, zero) in ref.index]
+            assert positions, (curve, d)
+            assert all(not row[p] for row in ref.zrows for p in positions), (curve, d)
+
+
+def test_vectorize_rejects_wrong_degree_and_drops_off_curve_terms():
+    # x4 and x5 are off the curve, with weight 7
+    curve = MonomialCurve((4, 5, 6), ambient=5)
+    piece = restriction_quotient(curve, 2, 11)
+    with pytest.raises(InputError, match="not quasi-homogeneous of degree 11"):
+        piece.vectorize(parse_form("x1*dx1^dx2", 5))
+    assert piece.vectorize(parse_form("dx2^dx3 + dx1^dx4", 5)) == piece.vectorize(
+        parse_form("dx2^dx3", 5)
+    )
+    piece = restriction_quotient(curve, 2, 16)
+    assert not any(piece.vectorize(parse_form("x4*dx1^dx2 + x5*dx1^dx2", 5)))
+    assert any(piece.vectorize(parse_form("x3*dx1^dx3 + x4*dx1^dx2", 5)))

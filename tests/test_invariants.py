@@ -15,6 +15,7 @@ from algrest.curves import (
 from algrest.errors import InputError
 from algrest.forms import DifferentialForm, ext_der
 from algrest.invariants import (
+    _monomial_columns,
     _part_quotient_coords,
     _quotient_matrix,
     index_of_isotropy,
@@ -28,6 +29,8 @@ from algrest.invariants import (
 from algrest.linalg import in_span, solve_linear
 from algrest.parser import parse_polynomial, parse_restriction
 from algrest.poly import Polynomial, UniPoly
+
+from test_curves import reference_quotient
 
 
 def test_multiplicity_is_orbit_codimension(curve4567, basis4567):
@@ -123,8 +126,8 @@ def test_pmqd_compare_degree_mismatch(basis4567):
 
 def test_representability_thresholds(curve4567, basis4567):
     a = parse_restriction("a13-", basis4567)
-    with pytest.raises(InputError, match="thresholds up to 4"):
-        representable_by_symplectic(curve4567, a, 1)
+    # threshold 6: a13- has no constant part, so its rank is 0
+    assert not representable_by_symplectic(curve4567, a, 1)
     with pytest.raises(InputError, match="needs n >= 1"):
         representable_by_symplectic(curve4567, a, 0)
     assert not representable_by_symplectic(curve4567, a, 3)
@@ -138,17 +141,21 @@ def test_representability_thresholds(curve4567, basis4567):
     assert not representable_by_symplectic(plane.curve, parse_restriction("a10", plane), 1)
 
 
-def test_representability_threshold_guard(basis4567):
-    # threshold 2*5 - 2*2 = 6 exceeds the implemented range; the guard fires
-    # before the class is inspected, so a class over another curve suffices
-    wide = MonomialCurve((6, 7, 8, 9, 10))
-    with pytest.raises(InputError, match="thresholds up to 4"):
-        representable_by_symplectic(wide, parse_restriction("a9", basis4567), 2)
+def test_representability_answers_thresholds_above_four():
+    # threshold 2*5 - 2*2 = 6: a11 = [dx1^dx2] has constant rank 2
+    basis = cached_basis(MonomialCurve((5, 6, 7, 8, 9)))
+    assert not representable_by_symplectic(basis.curve, parse_restriction("a11", basis), 2)
+    # threshold 2*6 - 2*3 = 6: the projection of dx1^dx2 + dx3^dx4 + dx5^dx6
+    # is realized by that form itself
+    basis = cached_basis(MonomialCurve((6, 7, 8, 9, 10, 11)))
+    a = parse_restriction("a13 + a17.1 + a21+", basis)
+    assert representable_by_symplectic(basis.curve, a, 3)
+    assert not representable_by_symplectic(basis.curve, a, 2)
 
 
 def reduced_unit_vectors(piece):
-    """The quotient map, one row per representative column, from the
-    quotient coordinates of each column's unit vector."""
+    """The quotient map of a reference piece, one row per representative
+    column, from the quotient coordinates of each column's unit vector."""
     ncols = len(piece.columns)
     columns = [
         piece.quotient_coords([Fraction(int(k == j)) for k in range(ncols)])
@@ -157,12 +164,13 @@ def reduced_unit_vectors(piece):
     return [[col[rho] for col in columns] for rho in range(piece.dim)]
 
 
-def reference_vanishing_order_bound(piece, part_coords):
-    """Reference q-scan: quotient rows from reduced unit vectors, and one
-    augmented solve per candidate order q."""
+def reference_vanishing_order_bound(curve, d, part_coords):
+    """Reference q-scan over the reference piece: quotient rows from reduced
+    unit vectors, and one augmented solve per candidate order q."""
+    piece = reference_quotient(curve, 2, d)
     ncols = len(piece.columns)
     quotient_rows = reduced_unit_vectors(piece)
-    piece3 = restriction_quotient(piece.curve, 3, piece.d)
+    piece3 = reference_quotient(curve, 3, d)
     der_rows = [[Fraction(0)] * ncols for _ in piece3.columns]
     for j, (idx, exps) in enumerate(piece.columns):
         dcol = ext_der(
@@ -193,9 +201,7 @@ def reference_vanishing_order_bound(piece, part_coords):
 
 def reference_iota(curve, a):
     return min(
-        reference_vanishing_order_bound(
-            restriction_quotient(curve, 2, d), _part_quotient_coords(a, d)
-        )
+        reference_vanishing_order_bound(curve, d, _part_quotient_coords(a, d))
         for d in a.nonzero_qdegs()
     )
 
@@ -273,6 +279,82 @@ def test_single_solve_invariants_match_the_reference_scans():
 def test_quotient_matrix_equals_the_reduced_unit_vectors():
     for curve in EQUIVALENCE_CURVES:
         for d in {el.qdeg for el in cached_basis(curve).elements}:
+            reference = reference_quotient(curve, 2, d)
+            columns = _monomial_columns(curve, d)
+            assert columns == list(reference.columns), (curve, d)
             piece = restriction_quotient(curve, 2, d)
-            assert _quotient_matrix(piece) == reduced_unit_vectors(piece), (curve, d)
+            assert _quotient_matrix(piece, columns) == reduced_unit_vectors(reference), (
+                curve,
+                d,
+            )
+
+
+def _pfaffian_principal(block, rows):
+    """Pfaffian of a principal 2x2 or 4x4 antisymmetric polynomial block."""
+    if len(rows) == 2:
+        i, j = rows
+        return block[i][j]
+    i, j, k, l = rows
+    return block[i][j] * block[k][l] - block[i][k] * block[j][l] + block[i][l] * block[j][k]
+
+
+def reference_representable(curve, a, n):
+    """Reference generic-rank test for thresholds up to 4: the constant block
+    of a.rep_form(), plus one parameter per reference zero row with a
+    constant branch entry, ranked by principal Pfaffians of sizes 2 and 4."""
+    s = len(curve.lams)
+    threshold = 2 * s - 2 * n
+    assert threshold <= 4
+    if threshold <= 0:
+        return True
+    rep = a.rep_form()
+    pairs = list(itertools.combinations(range(s), 2))
+    constant = [[Fraction(0)] * s for _ in range(s)]
+    for i, j in pairs:
+        c = rep.coefficient((i, j)).constant_term()
+        constant[i][j], constant[j][i] = c, -c
+    zero_exps = (0,) * curve.ambient
+    adjustments = []
+    for d in sorted({curve.lams[i] + curve.lams[j] for i, j in pairs}):
+        piece = reference_quotient(curve, 2, d)
+        for zrow in piece.zrows:
+            adj = [[Fraction(0)] * s for _ in range(s)]
+            for p, q in pairs:
+                pos = piece.index.get(((p, q), zero_exps))
+                if pos is not None and zrow[pos]:
+                    adj[p][q], adj[q][p] = zrow[pos], -zrow[pos]
+            if any(any(row) for row in adj):
+                adjustments.append(adj)
+    nparams = len(adjustments)
+    block = [[Polynomial.constant(nparams, constant[i][j]) for j in range(s)] for i in range(s)]
+    for k, adj in enumerate(adjustments):
+        unit = tuple(int(v == k) for v in range(nparams))
+        for i in range(s):
+            for j in range(s):
+                if adj[i][j]:
+                    block[i][j] = block[i][j] + Polynomial.monomial(unit, adj[i][j])
+    generic_rank = 0
+    for size in (2, 4):
+        if size > s or not any(
+            not _pfaffian_principal(block, rows).is_zero()
+            for rows in itertools.combinations(range(s), size)
+        ):
+            break
+        generic_rank = size
+    return generic_rank >= threshold
+
+
+def test_representability_matches_the_pfaffian_reference():
+    rng = random.Random(20161)
+    checked = 0
+    for curve in EQUIVALENCE_CURVES:
+        basis = cached_basis(curve)
+        s = len(curve.lams)
+        for a in equivalence_classes(basis, rng):
+            for n in range(1, s + 1):
+                if 2 * s - 2 * n <= 4:
+                    want = reference_representable(curve, a, n)
+                    assert representable_by_symplectic(curve, a, n) == want, (curve, str(a), n)
+            checked += 1
+    assert checked > 900
 

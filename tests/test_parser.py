@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from algrest.curves import AlgRestriction
+from algrest.curves import AlgRestriction, MonomialCurve, cached_basis
 from algrest.errors import InputError
 from algrest.forms import DifferentialForm
 from algrest.parser import (
@@ -134,3 +134,16 @@ def test_latex_form_and_restriction(basis4567):
     a = parse_restriction("a9 - 1/2*a13+", basis4567)
     out = latex_restriction(a)
     assert "a_{9}" in out and "\\tfrac{1}{2}" in out and "a_{13}^{+}" in out
+
+
+def test_parse_restriction_dotted_labels():
+    basis = cached_basis(MonomialCurve((6, 7, 8, 9, 10, 11)))
+    assert "a17.1" in basis.labels
+    for label in basis.labels:
+        assert parse_restriction(label, basis) == AlgRestriction.from_coeffs(basis, {label: 1})
+    assert parse_restriction("a17.1+a13", basis) == AlgRestriction.from_coeffs(
+        basis, {"a17.1": 1, "a13": 1}
+    )
+    assert parse_restriction("a17.1-2*a17.3", basis) == AlgRestriction.from_coeffs(
+        basis, {"a17.1": 1, "a17.3": -2}
+    )
