@@ -19,10 +19,9 @@ import json
 import math
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .curves import (
     AlgRestriction,
@@ -77,8 +76,7 @@ def _parse_excluded(data: Mapping[str, Sequence[str]] | None) -> dict[str, tuple
     return {p: tuple(Fraction(v) for v in vals) for p, vals in data.items()}
 
 
-@dataclass(frozen=True)
-class Realization:
+class Realization(NamedTuple):
     """An explicit map realizing a row's class on R^{2n}."""
 
     n: int
@@ -88,8 +86,7 @@ class Realization:
     excluded: Mapping[str, tuple[Fraction, ...]]
 
 
-@dataclass(frozen=True)
-class AtlasRow:
+class AtlasRow(NamedTuple):
     """One normal-form row of a classification table."""
 
     id: int
@@ -111,8 +108,7 @@ class AtlasRow:
     realizations: tuple[Realization, ...]
 
 
-@dataclass(frozen=True)
-class Atlas:
+class Atlas(NamedTuple):
     """A classification table for one semigroup."""
 
     curve: MonomialCurve
@@ -315,8 +311,7 @@ def standard_symplectic(n: int) -> DifferentialForm:
     return total
 
 
-@dataclass(frozen=True)
-class RowCheck:
+class RowCheck(NamedTuple):
     """Outcome of verifying one row at one parameter sample."""
 
     row_id: int
@@ -499,8 +494,7 @@ def verify_distinctness(
     return failures
 
 
-@dataclass(frozen=True)
-class AtlasReport:
+class AtlasReport(NamedTuple):
     """Full verification outcome for one bundled semigroup."""
 
     semigroup: tuple[int, ...]

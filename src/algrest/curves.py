@@ -18,28 +18,25 @@ degree.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InputError, NotClosedError
 from .forms import DifferentialForm, IndexTuple, Weights
 from .linalg import RrefResult, reduce_by, rref, sparse_rref
-from .poly import Exponent, Polynomial, Scalar, UniPoly
+from .poly import Exponent, Frozen, Polynomial, Scalar, UniPoly
 
 
-@dataclass(frozen=True)
-class MonomialCurve:
-    """The germ t -> (t^l1, ..., t^ls, 0, ..., 0) in ``ambient`` variables."""
+class MonomialCurve(Frozen):
+    """The germ t -> (t^l1, ..., t^ls, 0, ..., 0) in ``ambient`` variables;
+    ``ambient`` 0 means ``len(lams)``."""
 
-    lams: tuple[int, ...]
-    ambient: int = 0
+    __slots__ = ("lams", "ambient")
 
-    def __post_init__(self) -> None:
-        lams = tuple(int(v) for v in self.lams)
-        object.__setattr__(self, "lams", lams)
+    def __init__(self, lams: Iterable[int], ambient: int = 0):
+        lams = tuple(int(v) for v in lams)
         if not lams:
             raise InputError("need at least one exponent")
         if any(v <= 0 for v in lams):
@@ -55,10 +52,22 @@ class MonomialCurve:
             others = lams[:i] + lams[i + 1:]
             if others and _in_semigroup_of(others, v):
                 raise InputError(f"exponent {v} is generated by the others; drop it")
-        ambient = self.ambient or len(lams)
+        ambient = ambient or len(lams)
         if ambient < len(lams):
             raise InputError("ambient dimension smaller than the exponent list")
+        object.__setattr__(self, "lams", lams)
         object.__setattr__(self, "ambient", int(ambient))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lams, self.ambient) == (other.lams, other.ambient)
+
+    def __hash__(self) -> int:
+        return hash((self.lams, self.ambient))
+
+    def __repr__(self) -> str:
+        return f"MonomialCurve(lams={self.lams!r}, ambient={self.ambient!r})"
 
     @property
     def branch_dim(self) -> int:
@@ -187,18 +196,47 @@ def binomial_span(lams: tuple[int, ...], e: int) -> RrefResult:
     return rref(diffs, len(lams))
 
 
-@dataclass(frozen=True)
-class GradedPiece:
+class GradedPiece(Frozen):
     """One graded quotient piece: k-forms of quasi-degree d modulo the
     forms with zero restriction.  Column J is the class of the curve-only
-    terms x^m dx_J; ``relations`` is the echelon form of their relations."""
+    terms x^m dx_J; ``relations`` is the echelon form of their relations,
+    which follows from the other fields and is left out of equality, hash
+    and repr."""
 
-    curve: MonomialCurve
-    k: int
-    d: int
-    columns: tuple[IndexTuple, ...]
-    rep_cols: tuple[int, ...]
-    relations: RrefResult = field(compare=False, repr=False)
+    __slots__ = ("curve", "k", "d", "columns", "rep_cols", "relations")
+
+    def __init__(
+        self,
+        curve: MonomialCurve,
+        k: int,
+        d: int,
+        columns: tuple[IndexTuple, ...],
+        rep_cols: tuple[int, ...],
+        relations: RrefResult,
+    ):
+        object.__setattr__(self, "curve", curve)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "rep_cols", rep_cols)
+        object.__setattr__(self, "relations", relations)
+
+    def _key(self) -> tuple:
+        return (self.curve, self.k, self.d, self.columns, self.rep_cols)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"GradedPiece(curve={self.curve!r}, k={self.k!r}, d={self.d!r}, "
+            f"columns={self.columns!r}, rep_cols={self.rep_cols!r})"
+        )
 
     @property
     def dim(self) -> int:
@@ -305,8 +343,7 @@ def restriction_quotient(curve: MonomialCurve, k: int, d: int) -> GradedPiece:
     )
 
 
-@dataclass(frozen=True)
-class BasisElement:
+class BasisElement(NamedTuple):
     """One labeled basis class of closed 2-form restrictions."""
 
     label: str
@@ -352,7 +389,13 @@ class RestrictionBasis:
     [d(x^m dx_i)] for branch coordinates i and curve-only x^m of quasi-degree
     d - lam_i.  ``exact[d] = (owners, rows)`` keeps these rows with their
     owners i for every d with a nonzero 2-form piece, and the canonical
-    reduced echelon form of their span gives the labelled vectors.
+    reduced echelon form of their span gives the labelled vectors.  That
+    span needs no row of owner 0: d^2(x^(m + e_i)) = 0 reads
+    (1 + m_i) d(x^m dx_i) = -sum_(j != i) m_j d(x^(m + e_i - e_j) dx_j),
+    and each x^(m + e_i - e_j) with m_j > 0 is curve-only of degree
+    d - lam_j, so any one owner's rows lie in the span of the other
+    owners' rows.  Owner 0, the smallest weight, has the most rows, so
+    they are left out of the elimination; ``exact`` keeps them for Lt.
 
     Proof that the span is the kernel of d into the 3-form piece: exact
     classes are closed, since d^2 = 0 and d maps zero-restriction forms to
@@ -401,7 +444,7 @@ class RestrictionBasis:
                     owners.append(i)
                     rows.append(tuple(piece2.quotient_coords(vec)))
             exact[d] = (tuple(owners), tuple(rows))
-            canon = rref(rows, piece2.dim)
+            canon = rref([row for i, row in zip(owners, rows) if i], piece2.dim)
             if not canon.rows:
                 continue
             ordered = sorted(

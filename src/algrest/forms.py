@@ -14,32 +14,42 @@ finite-dimensional.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
-from .poly import Exponent, Polynomial, Scalar, UniPoly
+from .poly import Exponent, Frozen, Polynomial, Scalar, UniPoly
 
 IndexTuple = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Weights:
+class Weights(Frozen):
     """Quasi-homogeneous weights for ``ambient`` variables.
 
     The first ``len(lams)`` variables carry the given weights; any further
     variable carries ``max(lams) + 1``.
     """
 
-    lams: tuple[int, ...]
-    ambient: int
+    __slots__ = ("lams", "ambient")
 
-    def __post_init__(self) -> None:
-        if self.ambient < len(self.lams):
+    def __init__(self, lams: tuple[int, ...], ambient: int):
+        if ambient < len(lams):
             raise InputError("ambient dimension smaller than the weight list")
-        if any(w <= 0 for w in self.lams):
+        if any(w <= 0 for w in lams):
             raise InputError("weights must be positive")
+        object.__setattr__(self, "lams", lams)
+        object.__setattr__(self, "ambient", ambient)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lams, self.ambient) == (other.lams, other.ambient)
+
+    def __hash__(self) -> int:
+        return hash((self.lams, self.ambient))
+
+    def __repr__(self) -> str:
+        return f"Weights(lams={self.lams!r}, ambient={self.ambient!r})"
 
     def weight(self, index: int) -> int:
         if not 0 <= index < self.ambient:

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .curves import (
     AlgRestriction,
@@ -206,8 +205,7 @@ def tangency_order(
     return best
 
 
-@dataclass(frozen=True)
-class PmqdVerdict:
+class PmqdVerdict(NamedTuple):
     """Comparison of the minimal nonzero quasi-degree parts of two classes."""
 
     kind: str
@@ -278,8 +276,7 @@ def representable_by_symplectic(curve: MonomialCurve, a: AlgRestriction, n: int)
     return rank(block, s) >= threshold
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     """All discrete invariants of one restriction class."""
 
     mu: int

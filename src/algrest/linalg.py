@@ -13,17 +13,15 @@ reports whether the solution stays pole-free on the closed interval
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, TypeVar
+from typing import Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 from .poly import RationalFunctionT, UniPoly
 
 S = TypeVar("S")
 
 
-@dataclass
-class RrefResult:
+class RrefResult(NamedTuple):
     rows: Sequence[Sequence]
     pivots: Sequence[int]
 
@@ -195,13 +193,12 @@ def poles_in_closed_unit_interval(f: RationalFunctionT) -> int:
     return count
 
 
-@dataclass
-class ParamSolution:
+class ParamSolution(NamedTuple):
     """Outcome of solving a linear system over Q(t)."""
 
     consistent: bool
-    solution: list[RationalFunctionT] = field(default_factory=list)
-    pole_counts: list[int] = field(default_factory=list)
+    solution: Sequence[RationalFunctionT] = ()
+    pole_counts: Sequence[int] = ()
 
     @property
     def feasible_on_unit_interval(self) -> bool:

@@ -130,7 +130,12 @@ class _Parser:
                 den_token = self.next()
                 if den_token[0] != "num":
                     raise InputError(f"expected integer denominator at position {den_token[2]}")
-                return Polynomial.constant(self.nvars, Fraction(numer, int(den_token[1])))  # type: ignore[arg-type]
+                den = int(den_token[1])  # type: ignore[arg-type]
+                if not den:
+                    raise InputError(
+                        f"zero denominator at position {den_token[2]} in {self.text!r}"
+                    )
+                return Polynomial.constant(self.nvars, Fraction(numer, den))
             return Polynomial.constant(self.nvars, numer)
         if kind == "var":
             return Polynomial.variable(self.nvars, self.check_var(int(value), position))  # type: ignore[arg-type]
@@ -282,7 +287,10 @@ def parse_restriction(text: str, basis: RestrictionBasis) -> AlgRestriction:
         match = _RATIONAL_RE.match(text, pos)
         value = Fraction(1)
         if match is not None:
-            value = Fraction(int(match.group(1)), int(match.group(2) or 1))
+            den = int(match.group(2) or 1)
+            if not den:
+                raise InputError(f"zero denominator at position {match.start(2)} in {text!r}")
+            value = Fraction(int(match.group(1)), den)
             pos = match.end()
             while pos < len(text) and text[pos].isspace():
                 pos += 1

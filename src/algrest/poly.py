@@ -4,17 +4,31 @@ All coefficients are ``fractions.Fraction``; nothing in the package ever
 touches floating point.  ``Polynomial`` is a sparse dict from exponent
 tuples to coefficients, ``UniPoly`` is a dense coefficient list in one
 variable t, and ``RationalFunctionT`` is a reduced quotient of two
-``UniPoly`` with monic denominator.
+``UniPoly`` with monic denominator.  ``Frozen`` is the base of the
+package's immutable value classes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Exponent = tuple[int, ...]
 Scalar = Union[Fraction, int]
+
+
+class Frozen:
+    """Base of an immutable value class with ``__slots__``: assigning or
+    deleting an attribute raises ``AttributeError``, so ``__init__`` sets
+    the slots through ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def grlex_key(exps: Exponent) -> tuple[int, Exponent]:
@@ -455,12 +469,10 @@ class UniPoly:
         return f"UniPoly({self})"
 
 
-@dataclass(frozen=True)
-class RationalFunctionT:
+class RationalFunctionT(Frozen):
     """Reduced rational function in t with monic denominator."""
 
-    num: UniPoly
-    den: UniPoly
+    __slots__ = ("num", "den")
 
     def __init__(self, num: UniPoly | Scalar, den: UniPoly | Scalar = 1):
         n = num if isinstance(num, UniPoly) else UniPoly.constant(num)
@@ -480,6 +492,17 @@ class RationalFunctionT:
                 d = d.monic()
         object.__setattr__(self, "num", n)
         object.__setattr__(self, "den", d)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
+
+    def __repr__(self) -> str:
+        return f"RationalFunctionT(num={self.num!r}, den={self.den!r})"
 
     @classmethod
     def zero(cls) -> RationalFunctionT:

@@ -14,10 +14,9 @@ choice; the policies exist for byte-stable table output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import Mapping, Sequence
+from functools import lru_cache
+from typing import Mapping, NamedTuple, Sequence
 
 from .curves import (
     AlgRestriction,
@@ -30,7 +29,7 @@ from .curves import (
 from .errors import InputError, LiftError, NotSymmetryError
 from .forms import DifferentialForm, PolyMap, VectorField, lie_derivative, pullback
 from .linalg import ParamSolution, RrefResult, reduce_by, rref, solve_param_linear
-from .poly import Exponent, Polynomial, RationalFunctionT, Scalar, UniPoly
+from .poly import Exponent, Frozen, Polynomial, RationalFunctionT, Scalar, UniPoly
 
 
 def admissible_shifts(curve: MonomialCurve, bound: int) -> list[int]:
@@ -87,8 +86,7 @@ _PINNED: dict[tuple[tuple[int, ...], int], tuple[Exponent, ...]] = {
 LIFT_POLICIES = ("grlex", "pinned")
 
 
-@dataclass(frozen=True)
-class LiftableField:
+class LiftableField(NamedTuple):
     """A validated liftable field: X(g(t)) = t^{s+1} g'(t)."""
 
     shift: int
@@ -215,8 +213,7 @@ def shift_action(a: AlgRestriction, s: int, policy: str = "grlex") -> AlgRestric
     return AlgRestriction(basis, out)
 
 
-@dataclass(frozen=True)
-class ActionTable:
+class ActionTable(NamedTuple):
     """Lie actions of every admissible X_s on every basis element."""
 
     curve: MonomialCurve
@@ -266,18 +263,43 @@ def action_table(
     )
 
 
-@dataclass(frozen=True)
-class TangentSpace:
-    """Orbit tangent space at a restriction class."""
+class TangentSpace(Frozen):
+    """Orbit tangent space at a restriction class; the echelon form of the
+    vectors is built on first use."""
 
-    base: AlgRestriction
-    shifts: tuple[int, ...]
-    vectors: tuple[AlgRestriction, ...]
+    __slots__ = ("base", "shifts", "vectors", "_rref")
 
-    @cached_property
+    def __init__(
+        self,
+        base: AlgRestriction,
+        shifts: tuple[int, ...],
+        vectors: tuple[AlgRestriction, ...],
+    ):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "shifts", shifts)
+        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "_rref", None)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.base, self.shifts, self.vectors) == (other.base, other.shifts, other.vectors)
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.shifts, self.vectors))
+
+    def __repr__(self) -> str:
+        return (
+            f"TangentSpace(base={self.base!r}, shifts={self.shifts!r}, "
+            f"vectors={self.vectors!r})"
+        )
+
+    @property
     def _echelon(self) -> RrefResult:
-        rows = [list(v.coords) for v in self.vectors if not v.is_zero()]
-        return rref(rows, len(self.base.coords))
+        if self._rref is None:
+            rows = [list(v.coords) for v in self.vectors if not v.is_zero()]
+            object.__setattr__(self, "_rref", rref(rows, len(self.base.coords)))
+        return self._rref
 
     @property
     def dim(self) -> int:
@@ -313,8 +335,7 @@ def is_modulus(
     return not orbit_tangent_space(curve, a, policy).contains(direction)
 
 
-@dataclass(frozen=True)
-class HomotopyResult:
+class HomotopyResult(NamedTuple):
     """Outcome of a Moser-homotopy reduction attempt."""
 
     feasible: bool
@@ -495,8 +516,7 @@ def _rational_root(value: Fraction, r: int) -> Fraction | None:
     return Fraction(p, q)
 
 
-@dataclass(frozen=True)
-class ScalingResult:
+class ScalingResult(NamedTuple):
     """Diagonal scaling symmetry normalizing one basis coefficient."""
 
     verdict: str

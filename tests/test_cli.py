@@ -303,3 +303,22 @@ def test_verify_atlas_malformed_samples_exit_2(capsys, tmp_path, content):
     assert rc == 2
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("project", "4", "5", "6", "7", "--form", "1/0*dx1^dx2"),
+        ("project", "4", "5", "6", "7", "--form", "(1/0)*dx1^dx2"),
+        ("pullback", "4", "5", "6", "7", "--map", "(1/0*x1,x2,x3,x4)", "--restriction", "a9"),
+        ("invariants", "4", "5", "6", "7", "--restriction", "1/0*a9"),
+        ("tangent", "4", "5", "6", "7", "--restriction", "2/0*a9"),
+        ("moser", "4", "5", "6", "7", "--restriction", "a9 + 0/0*a10", "--kill", "a9"),
+    ],
+    ids=["form", "form-parenthesized", "map", "invariants", "tangent", "moser"],
+)
+def test_zero_denominators_exit_2(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: zero denominator at position ") and "Traceback" not in err

@@ -193,6 +193,20 @@ def test_exact_classes_equal_the_kernel_into_three_forms():
             assert vectors == closed_vectors_by_kernel(curve, d), (curve, d)
 
 
+def test_each_owners_exact_rows_lie_in_the_span_of_the_others():
+    # RestrictionBasis leaves owner 0's rows out of its elimination; the
+    # identity in its docstring lets any one owner go without changing the
+    # span, which the reduced echelon form pins down.
+    for curve in KERNEL_REFERENCE_CURVES:
+        basis = cached_basis(curve)
+        for d, (owners, rows) in basis.exact.items():
+            width = restriction_quotient(curve, 2, d).dim
+            full = rref(rows, width)
+            for owner in set(owners):
+                kept = [row for i, row in zip(owners, rows) if i != owner]
+                assert rref(kept, width) == full, (curve, d, owner)
+
+
 def test_basis_representatives_are_closed(curve4567, curve456, curve457):
     for curve in (curve4567, curve456, curve457):
         basis = cached_basis(curve)

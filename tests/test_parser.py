@@ -44,6 +44,23 @@ def test_parse_polynomial_errors():
         parse_polynomial("", 3)
 
 
+def test_zero_denominators_are_input_errors(basis456):
+    with pytest.raises(InputError, match="zero denominator at position 2 in '1/0\\*dx1"):
+        parse_form("1/0*dx1^dx2", 3)
+    with pytest.raises(InputError, match="zero denominator at position 3"):
+        parse_form("(1/0)*dx1^dx2", 3)
+    with pytest.raises(InputError, match="zero denominator at position 3"):
+        parse_map("(1/0*x1, x2, x3)", 3)
+    with pytest.raises(InputError, match="zero denominator at position 7"):
+        parse_polynomial("x1 + 2/0", 3)
+    with pytest.raises(InputError, match="zero denominator at position 2 in '1/0\\*a13'"):
+        parse_restriction("1/0*a13", basis456)
+    with pytest.raises(InputError, match="zero denominator at position 10"):
+        parse_restriction("a13 + 0 / 0 a17", basis456)
+    assert parse_polynomial("0/3", 3) == Polynomial.zero(3)
+    assert parse_restriction("0/3 a13", basis456) == AlgRestriction.zero(basis456)
+
+
 def test_parse_form_terms():
     form = parse_form("x1*dx1^dx2 - 2*dx2^dx3", 3)
     assert form.degree == 2

@@ -1,0 +1,185 @@
+"""The package's record types, and what a cold ``import algrest.cli`` loads.
+
+Plain records are ``typing.NamedTuple``s; classes with behaviour are
+``__slots__`` classes on ``poly.Frozen``.  Neither needs ``dataclasses``,
+whose import pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``.
+"""
+
+import os
+import pathlib
+import re
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+
+import algrest
+from algrest.atlas import Atlas, AtlasReport, AtlasRow, Realization, RowCheck
+from algrest.curves import (
+    AlgRestriction,
+    BasisElement,
+    GradedPiece,
+    MonomialCurve,
+    restriction_quotient,
+)
+from algrest.errors import InputError
+from algrest.forms import Weights
+from algrest.invariants import InvariantReport, PmqdVerdict
+from algrest.linalg import ParamSolution, RrefResult
+from algrest.poly import RationalFunctionT, UniPoly
+from algrest.symmetry import (
+    ActionTable,
+    HomotopyResult,
+    LiftableField,
+    ScalingResult,
+    TangentSpace,
+    orbit_tangent_space,
+)
+
+SRC = pathlib.Path(algrest.__file__).resolve().parents[1]
+
+NAMED_TUPLES = (
+    Realization,
+    AtlasRow,
+    Atlas,
+    RowCheck,
+    AtlasReport,
+    PmqdVerdict,
+    InvariantReport,
+    LiftableField,
+    ActionTable,
+    HomotopyResult,
+    ScalingResult,
+    BasisElement,
+    RrefResult,
+    ParamSolution,
+)
+
+
+def test_cold_cli_import_loads_neither_dataclasses_nor_inspect():
+    code = (
+        "import sys, algrest.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
+
+
+def test_no_module_imports_dataclasses():
+    pattern = re.compile(r"^\s*(?:import|from)\s+dataclasses\b", re.MULTILINE)
+    for module in (SRC / "algrest").glob("*.py"):
+        assert not pattern.search(module.read_text()), module.name
+
+
+def test_plain_records_are_named_tuples_without_mutable_defaults():
+    for cls in NAMED_TUPLES:
+        assert issubclass(cls, tuple) and cls._fields, cls.__name__
+        for default in cls._field_defaults.values():
+            assert isinstance(default, (tuple, type(None))), cls.__name__
+    assert ParamSolution(False).solution == ()
+    assert RrefResult([[Fraction(1)]], [0]).rank == 1
+
+
+def test_monomial_curve_defaults_ambient_and_keys_caches():
+    curve = MonomialCurve((4, 5, 6, 7))
+    padded_default = MonomialCurve([4, 5, 6, 7], 4)
+    assert curve == padded_default and hash(curve) == hash(padded_default)
+    assert curve.ambient == 4 and curve.lams == (4, 5, 6, 7)
+    assert curve != MonomialCurve((4, 5, 6, 7), 5)
+    assert curve != (4, 5, 6, 7)
+    assert repr(curve) == "MonomialCurve(lams=(4, 5, 6, 7), ambient=4)"
+    assert restriction_quotient(curve, 2, 9) is restriction_quotient(padded_default, 2, 9)
+
+
+@pytest.mark.parametrize(
+    "lams, ambient, message",
+    [
+        ((), 0, "need at least one exponent"),
+        ((0, 5), 0, "exponents must be positive"),
+        ((5, 4), 0, "strictly increasing"),
+        ((4, 6), 0, "gcd 1"),
+        ((3, 4, 7), 0, "exponent 7 is generated by the others"),
+        ((4, 5, 6), 2, "ambient dimension smaller than the exponent list"),
+    ],
+)
+def test_monomial_curve_validation_messages(lams, ambient, message):
+    with pytest.raises(InputError, match=message):
+        MonomialCurve(lams, ambient)
+
+
+def test_weights_validation_and_equality():
+    with pytest.raises(InputError, match="ambient dimension smaller than the weight list"):
+        Weights((4, 5, 6), 2)
+    with pytest.raises(InputError, match="weights must be positive"):
+        Weights((0, 5), 2)
+    weights = Weights((4, 5, 6), 4)
+    assert weights == MonomialCurve((4, 5, 6), 4).weights
+    assert hash(weights) == hash(Weights((4, 5, 6), 4))
+    assert weights != Weights((4, 5, 6), 5)
+    assert repr(weights) == "Weights(lams=(4, 5, 6), ambient=4)"
+
+
+def test_rational_function_compares_by_reduced_form():
+    t_minus_1 = UniPoly([-1, 1])
+    unreduced = RationalFunctionT(t_minus_1 * UniPoly([2]), t_minus_1 * t_minus_1 * UniPoly([4]))
+    reduced = RationalFunctionT(UniPoly([Fraction(1, 2)]), t_minus_1)
+    assert unreduced == reduced and hash(unreduced) == hash(reduced)
+    assert unreduced.num == UniPoly([Fraction(1, 2)]) and unreduced.den == t_minus_1
+    assert RationalFunctionT(0, 5) == RationalFunctionT.zero()
+    assert reduced != RationalFunctionT(UniPoly([1]), t_minus_1)
+    assert repr(reduced) == "RationalFunctionT(num=UniPoly(1/2), den=UniPoly(t - 1))"
+    with pytest.raises(ZeroDivisionError):
+        RationalFunctionT(1, 0)
+
+
+def test_graded_piece_equality_leaves_out_relations(curve4567):
+    piece = restriction_quotient(curve4567, 2, 11)
+    twin = GradedPiece(
+        piece.curve, piece.k, piece.d, piece.columns, piece.rep_cols, RrefResult([], [])
+    )
+    assert twin == piece and hash(twin) == hash(piece)
+    assert "relations" not in repr(twin) and repr(twin) == repr(piece)
+    other = GradedPiece(piece.curve, piece.k, piece.d + 1, piece.columns, piece.rep_cols, None)
+    assert other != piece
+
+
+def test_tangent_space_contains_is_a_class_attribute(curve4567, basis4567):
+    # the benchmark's tracer wraps TangentSpace.contains through vars(cls)
+    assert "contains" in vars(TangentSpace)
+    a = AlgRestriction.from_coeffs(basis4567, {"a9": 1})
+    tangent = orbit_tangent_space(curve4567, a)
+    assert tangent == orbit_tangent_space(curve4567, a)
+    assert tangent.dim == 7 and tangent._echelon is tangent._echelon
+    assert tangent.contains(tangent.vectors[0])
+
+
+def _instances(curve, basis):
+    a = AlgRestriction.from_coeffs(basis, {"a9": 1})
+    yield curve
+    yield curve.weights
+    yield RationalFunctionT(1, 2)
+    yield restriction_quotient(curve, 2, 9)
+    yield orbit_tangent_space(curve, a)
+    for cls in NAMED_TUPLES:
+        yield cls(*[None] * len(cls._fields))
+
+
+def test_assigning_a_field_raises(curve4567, basis4567):
+    for record in _instances(curve4567, basis4567):
+        name = type(record).__name__
+        field = getattr(record, "_fields", None) or type(record).__slots__
+        with pytest.raises(AttributeError):
+            setattr(record, field[0], None)
+        with pytest.raises(AttributeError):
+            record.not_a_field = None
+        with pytest.raises(AttributeError):
+            delattr(record, field[0])
+        assert not hasattr(record, "__dict__"), name
