@@ -477,11 +477,15 @@ class RestrictionBasis:
     def labels(self) -> tuple[str, ...]:
         return tuple(el.label for el in self.elements)
 
-    def element(self, label: str) -> BasisElement:
+    def index_of(self, label: str) -> int:
+        """Position of a label in ``elements``."""
         i = self.label_index.get(label)
         if i is None:
             raise InputError(f"unknown basis label {label!r}; have {', '.join(self.labels)}")
-        return self.elements[i]
+        return i
+
+    def element(self, label: str) -> BasisElement:
+        return self.elements[self.index_of(label)]
 
     def solve_in_closed(self, d: int, coords2: Sequence[Fraction]) -> dict[int, Fraction]:
         """Express quotient coordinates at degree d in the closed basis there.
@@ -537,12 +541,7 @@ class AlgRestriction:
     ) -> AlgRestriction:
         vec = [Fraction(0)] * basis.dim
         for label, value in coeffs.items():
-            i = basis.label_index.get(label)
-            if i is None:
-                raise InputError(
-                    f"unknown basis label {label!r}; have {', '.join(basis.labels)}"
-                )
-            vec[i] += Fraction(value)
+            vec[basis.index_of(label)] += Fraction(value)
         return cls(basis, vec)
 
     def _check_same_basis(self, other: AlgRestriction) -> None:
@@ -585,10 +584,7 @@ class AlgRestriction:
         return not any(self.coords)
 
     def coefficient(self, label: str) -> Fraction:
-        i = self.basis.label_index.get(label)
-        if i is None:
-            raise InputError(f"unknown basis label {label!r}")
-        return self.coords[i]
+        return self.coords[self.basis.index_of(label)]
 
     def nonzero_qdegs(self) -> list[int]:
         return sorted(

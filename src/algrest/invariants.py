@@ -12,23 +12,14 @@ coordinates, which every representative shares.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .curves import (
-    AlgRestriction,
-    GradedPiece,
-    MonomialCurve,
-    monomials_of_qdeg,
-    restriction_quotient,
-)
+from .curves import AlgRestriction, MonomialCurve, monomials_of_qdeg, restriction_quotient
 from .errors import InputError
-from .forms import DifferentialForm, ext_der
 from .linalg import rank, solve_linear
-from .poly import Exponent, Polynomial, UniPoly
+from .poly import Polynomial, UniPoly
 
 Extended = int | float
 
@@ -42,88 +33,6 @@ def symplectic_multiplicity(
     return a.basis.dim - orbit_tangent_space(curve, a, policy).dim
 
 
-def _monomial_columns(curve: MonomialCurve, d: int) -> list[tuple[tuple[int, ...], Exponent]]:
-    """Every 2-form term x^m dx_I of quasi-degree d, I lexicographic over the
-    ambient coordinates, then m in ``monomials_of_qdeg`` order."""
-    w = curve.weights.wvec
-    return [
-        ((i, j), exps)
-        for i, j in itertools.combinations(range(curve.ambient), 2)
-        for exps in monomials_of_qdeg(w, d - w[i] - w[j])
-    ]
-
-
-def _quotient_matrix(
-    piece: GradedPiece, columns: Sequence[tuple[tuple[int, ...], Exponent]]
-) -> list[list[Fraction]]:
-    """The quotient map on monomial columns, one row per representative
-    column: a curve-only term x^m dx_J maps to the class of the piece's
-    column J, and a term with an off-curve variable or differential to 0."""
-    branch, width = piece.curve.branch_dim, len(piece.columns)
-    images = {
-        J: piece.quotient_coords([Fraction(int(c == j)) for c in range(width)])
-        for j, J in enumerate(piece.columns)
-    }
-    rows = [[Fraction(0)] * len(columns) for _ in piece.rep_cols]
-    for j, (idx, exps) in enumerate(columns):
-        image = images.get(idx)
-        if image is not None and not any(exps[branch:]):
-            for rho, value in enumerate(image):
-                rows[rho][j] = value
-    return rows
-
-
-@lru_cache(maxsize=None)
-def _isotropy_system(
-    curve: MonomialCurve, d: int
-) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...], int]:
-    """The matrix [quotient rows; d-rows] of ``_vanishing_order_bound`` with
-    its columns ordered by decreasing total degree, the total degree of each
-    ordered column, and the number of d-rows; built once per (curve, d)."""
-    columns = _monomial_columns(curve, d)
-    degrees = [sum(exps) for _, exps in columns]
-    order = sorted(range(len(columns)), key=lambda j: -degrees[j])
-    der: dict[tuple, list[Fraction]] = {}
-    for j, (idx, exps) in enumerate(columns):
-        column = DifferentialForm.from_term(curve.ambient, idx, Polynomial.monomial(exps))
-        for didx, poly in ext_der(column).coeffs.items():
-            for dexps, coeff in poly:
-                der.setdefault((didx, dexps), [Fraction(0)] * len(columns))[j] = coeff
-    piece = restriction_quotient(curve, 2, d)
-    rows = tuple(
-        tuple(row[j] for j in order)
-        for row in _quotient_matrix(piece, columns) + list(der.values())
-    )
-    return rows, tuple(degrees[j] for j in order), len(der)
-
-
-def _vanishing_order_bound(curve: MonomialCurve, d: int, part_coords: Sequence[Fraction]) -> int:
-    """Largest q such that some closed form in the class vanishes to order q.
-
-    The unknowns theta are the coefficients on the monomial 2-form columns
-    of quasi-degree d, ordered by decreasing total degree.  theta must
-    project onto the given quotient coordinates and be closed as a form:
-    [quotient rows; d-rows] theta = (part, 0), with one d-row per 3-form
-    term that occurs in the derivative of a column.
-
-    The class has a representative of order q exactly when the right-hand
-    side lies in the span of the columns of degree >= q, a prefix of the
-    order.  The pivot columns of one solve are chosen greedily, so those in
-    any prefix are a basis of that prefix's span, and the solution with
-    free unknowns at zero is the unique combination of pivots.  Hence q is
-    feasible iff every pivot the solution uses has degree >= q, and the
-    answer is the least degree of a used pivot (max degree + 1 when none
-    is used).
-    """
-    rows, degrees, nder = _isotropy_system(curve, d)
-    rhs = [Fraction(v) for v in part_coords] + [Fraction(0)] * nder
-    solution = solve_linear(rows, rhs)
-    if solution is None:
-        raise InputError("quotient coordinates do not come from this graded component")
-    used = [deg for deg, x in zip(degrees, solution) if x]
-    return min(used, default=max(degrees, default=0) + 1)
-
-
 def _part_quotient_coords(a: AlgRestriction, d: int) -> list[Fraction]:
     piece = restriction_quotient(a.basis.curve, 2, d)
     coords = [Fraction(0)] * len(piece.rep_cols)
@@ -134,13 +43,70 @@ def _part_quotient_coords(a: AlgRestriction, d: int) -> list[Fraction]:
     return coords
 
 
+def _last_used_column(
+    columns: Sequence[Sequence[Fraction]], coords: Sequence[Fraction]
+) -> int:
+    """Index of the last column that the greedy solution for ``coords`` uses
+    (0 when ``coords`` is zero).
+
+    The pivots of one solve are chosen greedily from the left, so those
+    among the first k columns are a basis of their span, and the solution
+    with free unknowns at zero is the unique combination of pivots.  Hence
+    ``coords`` lies in the span of a prefix of the columns iff every column
+    the solution uses is in it: the shortest such prefix ends at the last
+    used column.
+    """
+    rows = [[col[r] for col in columns] for r in range(len(coords))]
+    solution = solve_linear(rows, coords)
+    if solution is None:
+        raise InputError("quotient coordinates do not come from this graded component")
+    return max((c for c, x in enumerate(solution) if x), default=0)
+
+
 def index_of_isotropy(curve: MonomialCurve, a: AlgRestriction) -> Extended:
-    """Maximal order of vanishing over closed representatives; inf for zero."""
+    """Maximal order of vanishing over closed representatives; inf for zero.
+
+    The order of a form is the least total degree of its coefficient
+    monomials.  Each nonzero part of quasi-degree d is handled in two steps.
+
+    Closedness costs nothing.  Let omega be any quasi-homogeneous
+    representative of a closed class of degree d > 0, of order q.  With the
+    Euler field E = sum w_i x_i d/dx_i, omega' = (1/d) d(i_E omega) is
+    closed and of order >= q, as i_E raises the coefficient degree by 1 and
+    d lowers it by 1.  And [omega'] = [omega]: by Cartan's formula
+    d * omega = L_E omega = d(i_E omega) + i_E d omega, so
+    omega - omega' = (1/d) i_E d omega.  Write omega = omega0 + z with
+    d omega0 = 0 and z of zero restriction; then d omega = dz has zero
+    restriction, and so has i_E dz, since E is tangent to the curve (the
+    proof in ``RestrictionBasis``).  So the best order over closed
+    representatives is the best order over all representatives.
+
+    Over all representatives the answer is closed form.  Modulo the
+    zero-restriction space every curve-only term x^m dx_J is the piece's
+    column e_J, whatever m is, and every other term is 0
+    (``restriction_quotient``).  So a column only offers its top total
+    degree h(J), that of the first curve-only monomial of quasi-degree
+    d - lam_J, and the part has a representative of order q iff it lies in
+    the span of the classes [e_J] with h(J) >= q.  With the columns ordered
+    by decreasing h these are prefixes, and the answer is h of the last
+    column the part's solution uses.
+    """
     if a.is_zero():
         return math.inf
+    lams = curve.lams
     best: Extended = math.inf
     for d in a.nonzero_qdegs():
-        best = min(best, _vanishing_order_bound(curve, d, _part_quotient_coords(a, d)))
+        piece = restriction_quotient(curve, 2, d)
+        width = len(piece.columns)
+        heights = [
+            sum(monomials_of_qdeg(lams, d - lams[i] - lams[j])[0]) for i, j in piece.columns
+        ]
+        order = sorted(range(width), key=lambda c: -heights[c])
+        images = [
+            piece.quotient_coords([Fraction(int(k == c)) for k in range(width)]) for c in order
+        ]
+        last = _last_used_column(images, _part_quotient_coords(a, d))
+        best = min(best, heights[order[last]])
     return best
 
 
@@ -158,11 +124,9 @@ def lagrangian_tangency_order(
     exact classes d(m dx_i), i <= j, captures the part.  Pass a
     precomputed index of isotropy as ``iota`` to skip recomputing it.
 
-    Each part is solved once against the exact classes of all coordinates,
-    ordered by i as the basis keeps them in ``exact[d]``.  The classes with
-    i <= j are a prefix, and the greedy pivots in a prefix are a basis of
-    its span, so the part lies in that span iff every pivot its solution
-    uses has i <= j: the smallest j is the largest i among the used pivots.
+    The basis keeps the exact classes of all coordinates ordered by i in
+    ``exact[d]``, so the classes with i <= j are a prefix and j is the
+    coordinate of the last class the part's solution uses.
     """
     if a.is_zero():
         return math.inf
@@ -172,12 +136,8 @@ def lagrangian_tangency_order(
         return None
     best: Extended = math.inf
     for d in a.nonzero_qdegs():
-        coords = _part_quotient_coords(a, d)
         owners, vectors = a.basis.exact[d]
-        rows = [[vec[r] for vec in vectors] for r in range(len(coords))]
-        solution = solve_linear(rows, coords)
-        assert solution is not None, "a nonzero part must lie in the full exact span"
-        j = max((i for i, x in zip(owners, solution) if x), default=0)
+        j = owners[_last_used_column(vectors, _part_quotient_coords(a, d))]
         best = min(best, d - curve.lams[j])
     return best
 

@@ -275,6 +275,19 @@ def test_restriction_arithmetic(basis4567):
     assert hash(a) == hash(parse_restriction("a9 + 2*a12", basis4567))
 
 
+def test_unknown_labels_list_the_basis_labels(basis4567):
+    a = parse_restriction("a9", basis4567)
+    message = "unknown basis label 'a16'; have a9, a10, a11+, a11-, a12, a13+, a13-, a14, a15"
+    for lookup in (
+        a.coefficient,
+        basis4567.element,
+        lambda label: AlgRestriction.from_coeffs(basis4567, {label: 1}),
+    ):
+        with pytest.raises(InputError) as err:
+            lookup("a16")
+        assert str(err.value) == message
+
+
 def test_restriction_parts(basis4567):
     a = parse_restriction("a11+ - 2*a11- + 5*a13+", basis4567)
     assert list(a.nonzero_qdegs()) == [11, 13]
