@@ -27,7 +27,6 @@ from .curves import (
     AlgRestriction,
     MonomialCurve,
     cached_basis,
-    drop_off_curve,
     project,
 )
 from .errors import InputError
@@ -35,13 +34,12 @@ from .forms import DifferentialForm, PolyMap, pullback
 from .linalg import rref
 from .invariants import (
     Extended,
+    branch_rank,
     index_of_isotropy,
     lagrangian_tangency_order,
     pmqd_compare,
-    representable_by_symplectic,
     symplectic_multiplicity,
 )
-from .parser import parse_form
 from .poly import Polynomial, UniPoly
 from .symmetry import orbit_tangent_space
 
@@ -189,12 +187,6 @@ def load_atlas(lams: Sequence[int]) -> Atlas:
     return Atlas(curve=curve, aliases=dict(data["aliases"]), rows=tuple(rows))
 
 
-def alias_forms(atlas: Atlas) -> dict[str, DifferentialForm]:
-    """The published representative 2-forms, parsed, keyed by basis label."""
-    m = atlas.curve.ambient
-    return {label: parse_form(text, m) for label, text in atlas.aliases.items()}
-
-
 def row_class(
     atlas: Atlas, row: AtlasRow, env: Mapping[str, Fraction]
 ) -> AlgRestriction:
@@ -216,18 +208,7 @@ def default_samples(
     appends one extra random sample.  Sign parameters are not included here;
     verification expands each sample over both signs for sign rows.
     """
-    pool = [
-        Fraction(2),
-        Fraction(-1, 3),
-        Fraction(5),
-        Fraction(7, 2),
-        Fraction(-4),
-        Fraction(1, 5),
-        Fraction(3),
-        Fraction(-5, 2),
-        Fraction(11),
-        Fraction(-7),
-    ]
+    pool = [Fraction(v) for v in "2 -1/3 5 7/2 -4 1/5 3 -5/2 11 -7".split()]
     combined: dict[str, tuple[Fraction, ...]] = dict(row.excluded)
     for real in row.realizations:
         for p, vals in real.excluded.items():
@@ -278,12 +259,11 @@ def build_map(real: Realization, env: Mapping[str, Fraction], n: int) -> PolyMap
     nvars = 2 * n
     components = []
     for comp in real.map_data:
-        poly = Polynomial.zero(nvars)
+        terms: dict[tuple[int, ...], Fraction] = {}
         for expr, exps in comp:
-            value = eval_coeff(expr, env)
             padded = tuple(exps) + (0,) * (nvars - len(exps))
-            poly = poly + Polynomial.monomial(padded, value)
-        components.append(poly)
+            terms[padded] = terms.get(padded, 0) + eval_coeff(expr, env)
+        components.append(Polynomial(nvars, terms))
     for extra in range(2 * real.n, nvars):
         components.append(Polynomial.variable(nvars, extra))
     return PolyMap(components)
@@ -295,10 +275,10 @@ def build_template(
     """The stored parameterization on R^{2n}, zero-padded beyond 2*real.n."""
     out = []
     for comp in real.template:
-        poly = UniPoly.zero()
+        terms: dict[int, Fraction] = {}
         for expr, power in comp:
-            poly = poly + UniPoly.t_power(power, eval_coeff(expr, env))
-        out.append(poly)
+            terms[power] = terms.get(power, 0) + eval_coeff(expr, env)
+        out.append(UniPoly.from_terms(terms))
     out.extend(UniPoly.zero() for _ in range(2 * real.n, 2 * n))
     return out
 
@@ -373,14 +353,14 @@ def verify_row(
             failures.append("map does not reproduce the stored parameterization")
         if rref(phi.linear_matrix(), 2 * n).rank != 2 * n:
             failures.append("linear part of the realization map is singular")
-        pulled = pullback(phi, omega0)
-        projected = project(curve, drop_off_curve(pulled, s), basis)
+        projected = project(curve, pullback(phi.restrict(s), omega0), basis)
         if projected != realized:
             failures.append(
                 f"pullback of the standard symplectic form projects to "
                 f"{projected}, stored restriction is {realized}"
             )
-        mu = symplectic_multiplicity(curve, target, policy)
+        tangent = orbit_tangent_space(curve, target, policy)
+        mu = tangent.codim
         if mu != row.mu:
             failures.append(f"mu = {mu}, table says {row.mu}")
         iota = index_of_isotropy(curve, target)
@@ -394,19 +374,19 @@ def verify_row(
             lt = lagrangian_tangency_order(curve, target, iota=iota)
             if lt != row.lt_printed:
                 failures.append(f"lt = {lt}, table says {row.lt_printed}")
-        tangent = orbit_tangent_space(curve, target, policy)
         for param in row.moduli:
             bumped = dict(env)
             bumped[param] = env[param] + 1
             direction = row_class(atlas, row, bumped) - target
             if tangent.contains(direction):
                 failures.append(f"declared modulus {param} is tangent to the orbit")
+        block_rank = branch_rank(curve, target)
         for nn in range(2, s + 1):
             if nn == 2:
                 expected = row.n2_generic and not _violates(env, row.n2_excluded)
             else:
                 expected = nn >= row.min_n
-            got = representable_by_symplectic(curve, target, nn)
+            got = block_rank >= 2 * s - 2 * nn
             if got != expected:
                 failures.append(
                     f"representability on R^{2 * nn}: rank test says {got}, expected {expected}"

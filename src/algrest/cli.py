@@ -350,6 +350,9 @@ def _add_generators(sub: argparse.ArgumentParser, optional: bool = False) -> Non
     )
 
 
+_RESTRICTION_HELP = "e.g. 'a9 + 2*a13+'; a class starting with '-' is written --restriction=-a18"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="algrest",
@@ -380,20 +383,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("invariants", help="discrete invariants of a class")
     _add_generators(p)
-    p.add_argument("--restriction", required=True, help="e.g. 'a9 + 2*a13+'")
+    p.add_argument("--restriction", required=True, help=_RESTRICTION_HELP)
     p.add_argument("--n", type=int, default=None, help="also test realizability on R^2n")
     _add_common(p, policy=True)
     p.set_defaults(func=cmd_invariants)
 
     p = subs.add_parser("tangent", help="orbit tangent space at a class")
     _add_generators(p)
-    p.add_argument("--restriction", required=True)
+    p.add_argument("--restriction", required=True, help=_RESTRICTION_HELP)
     _add_common(p, policy=True)
     p.set_defaults(func=cmd_tangent)
 
     p = subs.add_parser("moser", help="homotopy reduction removing one component")
     _add_generators(p)
-    p.add_argument("--restriction", required=True)
+    p.add_argument("--restriction", required=True, help=_RESTRICTION_HELP)
     p.add_argument("--kill", required=True, metavar="LABEL", help="basis label marking the qdeg to remove")
     _add_common(p, policy=True)
     p.set_defaults(func=cmd_moser)
@@ -401,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("pullback", help="act on a class by a curve symmetry")
     _add_generators(p)
     p.add_argument("--map", required=True, help="e.g. '(-x1, -x2, x3, x4)'")
-    p.add_argument("--restriction", required=True)
+    p.add_argument("--restriction", required=True, help=_RESTRICTION_HELP)
     _add_common(p)
     p.set_defaults(func=cmd_pullback)
 

@@ -91,11 +91,6 @@ class MonomialCurve(Frozen):
     def conductor(self) -> int:
         return _conductor(self.lams)
 
-    @property
-    def gaps(self) -> tuple[int, ...]:
-        c = self.conductor
-        return tuple(v for v in range(1, c) if not self.in_semigroup(v))
-
     def with_ambient(self, ambient: int) -> MonomialCurve:
         return MonomialCurve(self.lams, ambient)
 

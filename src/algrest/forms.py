@@ -423,23 +423,17 @@ class PolyMap:
 
     def linear_matrix(self) -> list[list[Fraction]]:
         """Matrix of the linear part, rows indexed by target components."""
-        rows = []
-        for comp in self.components:
-            row = []
-            for j in range(self.source_dim):
-                unit = tuple(1 if k == j else 0 for k in range(self.source_dim))
-                row.append(comp.terms.get(unit, Fraction(0)))
-            rows.append(row)
-        return rows
+        n, zero = self.source_dim, Fraction(0)
+        units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+        return [[comp.terms.get(unit, zero) for unit in units] for comp in self.components]
 
-    def compose(self, inner: PolyMap) -> PolyMap:
-        """self after inner: (self . inner)(x) = self(inner(x))."""
-        if inner.target_dim != self.source_dim:
-            raise InputError("composition dimension mismatch")
-        return PolyMap(
-            [comp.subst_poly(inner.components) for comp in self.components],
-            inner.source_dim,
-        )
+    def restrict(self, dim: int) -> PolyMap:
+        """self after the inclusion of R^dim as the first ``dim`` coordinates;
+        its pullback is the pullback along self then ``curves.drop_off_curve``."""
+        if not 0 < dim <= self.source_dim:
+            raise InputError(f"cannot restrict a map on R^{self.source_dim} to R^{dim}")
+        kept = [{e[:dim]: c for e, c in p.terms.items() if not any(e[dim:])} for p in self.components]
+        return PolyMap([Polynomial(dim, terms) for terms in kept], dim)
 
     def apply_series(self, images: Sequence[UniPoly]) -> list[UniPoly]:
         """Compose with a curve t -> images, one UniPoly per source variable."""

@@ -24,13 +24,19 @@ from .poly import Polynomial, UniPoly
 Extended = int | float
 
 
+def _check_curve(curve: MonomialCurve, a: AlgRestriction) -> None:
+    if a.basis.curve != curve:
+        raise InputError("basis was built for a different curve")
+
+
 def symplectic_multiplicity(
     curve: MonomialCurve, a: AlgRestriction, policy: str = "grlex"
 ) -> int:
     """Codimension of the orbit of a in the closed-restriction space."""
     from .symmetry import orbit_tangent_space
 
-    return a.basis.dim - orbit_tangent_space(curve, a, policy).dim
+    _check_curve(curve, a)
+    return orbit_tangent_space(curve, a, policy).codim
 
 
 def _part_quotient_coords(a: AlgRestriction, d: int) -> list[Fraction]:
@@ -91,6 +97,7 @@ def index_of_isotropy(curve: MonomialCurve, a: AlgRestriction) -> Extended:
     by decreasing h these are prefixes, and the answer is h of the last
     column the part's solution uses.
     """
+    _check_curve(curve, a)
     if a.is_zero():
         return math.inf
     lams = curve.lams
@@ -128,6 +135,7 @@ def lagrangian_tangency_order(
     ``exact[d]``, so the classes with i <= j are a prefix and j is the
     coordinate of the last class the part's solution uses.
     """
+    _check_curve(curve, a)
     if a.is_zero():
         return math.inf
     if iota is None:
@@ -206,26 +214,20 @@ def pmqd_compare(a1: AlgRestriction, a2: AlgRestriction) -> PmqdVerdict:
     return PmqdVerdict(kind="proportional", qdegs=(d1, d2), constant=ratio)
 
 
-def representable_by_symplectic(curve: MonomialCurve, a: AlgRestriction, n: int) -> bool:
-    """Whether some symplectic form on R^{2n} restricts to the class a.
+def branch_rank(curve: MonomialCurve, a: AlgRestriction) -> int:
+    """Rank of the value omega(0) of a representative of a on the first s
+    (branch) coordinates; every representative has the same block.
 
-    The class is realizable iff the value omega(0) of a representative on
-    the first s (branch) coordinates has rank at least 2s - 2n, and every
-    representative has the same block.  A zero-restriction form
-    f alpha + df ^ beta, f vanishing on the curve, has the value
-    df(0) ^ beta(0) at 0.  A linear term x_i of f, i on the branch,
-    restricts to t^lam_i, which only a monomial of weighted degree lam_i in
-    the other branch variables could cancel; none exists, as no lam_i is a
-    sum of the others (the curve's constructor enforces it).  So every term
-    of df(0) ^ beta(0) has an off-curve differential.  The block is read
-    off the constant terms of the basis representatives.
+    A zero-restriction form f alpha + df ^ beta, f vanishing on the curve,
+    has the value df(0) ^ beta(0) at 0.  A linear term x_i of f, i on the
+    branch, restricts to t^lam_i, which only a monomial of weighted degree
+    lam_i in the other branch variables could cancel; none exists, as no
+    lam_i is a sum of the others (the curve's constructor enforces it).  So
+    every term of df(0) ^ beta(0) has an off-curve differential.  The block
+    is read off the constant terms of the basis representatives.
     """
-    if n < 1:
-        raise InputError("the ambient symplectic space needs n >= 1")
+    _check_curve(curve, a)
     s = curve.branch_dim
-    threshold = 2 * s - 2 * n
-    if threshold <= 0:
-        return True
     block = [[Fraction(0)] * s for _ in range(s)]
     for el, coeff in zip(a.basis.elements, a.coords):
         if coeff:
@@ -233,7 +235,17 @@ def representable_by_symplectic(curve: MonomialCurve, a: AlgRestriction, n: int)
                 value = coeff * poly.constant_term()
                 block[i][j] += value
                 block[j][i] -= value
-    return rank(block, s) >= threshold
+    return rank(block, s)
+
+
+def representable_by_symplectic(curve: MonomialCurve, a: AlgRestriction, n: int) -> bool:
+    """Whether some symplectic form on R^{2n} restricts to the class a: iff
+    its ``branch_rank`` is at least 2s - 2n."""
+    _check_curve(curve, a)
+    if n < 1:
+        raise InputError("the ambient symplectic space needs n >= 1")
+    threshold = 2 * curve.branch_dim - 2 * n
+    return threshold <= 0 or branch_rank(curve, a) >= threshold
 
 
 class InvariantReport(NamedTuple):

@@ -98,12 +98,6 @@ class Polynomial:
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * self.nvars, Fraction(0))
 
-    def total_degree(self) -> int:
-        """Maximal total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def quasi_degrees(self, weights: Sequence[int]) -> set[int]:
         """Set of weighted degrees occurring among the terms."""
         if len(weights) != self.nvars:
@@ -210,17 +204,28 @@ class Polynomial:
         return Polynomial(self.nvars, terms)
 
     def substitute(self, images: Sequence[UniPoly]) -> UniPoly:
-        """Evaluate with each variable replaced by a univariate polynomial in t."""
+        """Evaluate with each variable replaced by a univariate polynomial in t.
+
+        Sparse: products run on dicts from t-exponent to coefficient, built from
+        the images' nonzero coefficients; each image power is built once per call."""
         if len(images) != self.nvars:
             raise ValueError("need one image per variable")
-        result = UniPoly.zero()
+        powers: dict[tuple[int, int], dict[int, Fraction]] = {}
+        total: dict[int, Fraction] = {}
         for exps, coeff in self.terms.items():
-            term = UniPoly.constant(coeff)
-            for img, e in zip(images, exps):
-                if e:
-                    term = term * img**e
-            result = result + term
-        return result
+            term = {0: coeff}
+            for i, e in enumerate(exps):
+                if not e:
+                    continue
+                if (i, e) not in powers:
+                    base = power = {k: c for k, c in enumerate(images[i].coeffs) if c}
+                    for _ in range(e - 1):
+                        power = _sparse_mul(power, base)
+                    powers[i, e] = power
+                term = _sparse_mul(term, powers[i, e])
+            for k, c in term.items():
+                total[k] = total.get(k, 0) + c
+        return UniPoly.from_terms(total)
 
     def subst_poly(self, images: Sequence[Polynomial]) -> Polynomial:
         """Evaluate with each variable replaced by a polynomial."""
@@ -237,19 +242,6 @@ class Polynomial:
                     term = term * img**e
             result = result + term
         return result
-
-    def evaluate(self, point: Sequence[Scalar]) -> Fraction:
-        if len(point) != self.nvars:
-            raise ValueError("need one value per variable")
-        values = [_as_fraction(v) for v in point]
-        total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            prod = coeff
-            for v, e in zip(values, exps):
-                if e:
-                    prod *= v**e
-            total += prod
-        return total
 
     # -- printing ---------------------------------------------------------
 
@@ -280,6 +272,15 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
+def _sparse_mul(a: Mapping[int, Fraction], b: Mapping[int, Fraction]) -> dict[int, Fraction]:
+    """Product of two univariate polynomials given as {exponent: coefficient}."""
+    out: dict[int, Fraction] = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = out.get(i + j, 0) + x * y
+    return out
+
+
 class UniPoly:
     """Dense univariate polynomial in t with Fraction coefficients."""
 
@@ -301,9 +302,17 @@ class UniPoly:
 
     @classmethod
     def t_power(cls, e: int, coeff: Scalar = 1) -> UniPoly:
-        if e < 0:
+        return cls.from_terms({e: coeff})
+
+    @classmethod
+    def from_terms(cls, terms: Mapping[int, Scalar]) -> UniPoly:
+        """The sum of c * t^e over the items e -> c of ``terms``."""
+        if any(e < 0 for e in terms):
             raise ValueError("negative exponent")
-        return cls([0] * e + [coeff])
+        coeffs: list[Scalar] = [Fraction(0)] * (max(terms, default=-1) + 1)
+        for e, c in terms.items():
+            coeffs[e] = c
+        return cls(coeffs)
 
     def is_zero(self) -> bool:
         return not self.coeffs

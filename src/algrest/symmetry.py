@@ -305,6 +305,11 @@ class TangentSpace(Frozen):
     def dim(self) -> int:
         return self._echelon.rank
 
+    @property
+    def codim(self) -> int:
+        """Codimension in the closed-restriction space: the symplectic multiplicity."""
+        return self.base.basis.dim - self.dim
+
     def contains(self, direction: AlgRestriction) -> bool:
         return not any(reduce_by(self._echelon, direction.coords))
 

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import settings
 
 from algrest.atlas import (
-    alias_forms,
     build_map,
     default_samples,
     load_atlas,
@@ -41,6 +40,7 @@ from algrest.parser import parse_map, parse_restriction
 from algrest.poly import RationalFunctionT, UniPoly
 from algrest.symmetry import action_table, moser_reduce, shift_action
 
+from test_atlas import alias_forms
 from tables import (
     ACTIONS,
     BASIS_LABELS,
@@ -296,6 +296,8 @@ def test_criterion_8_property_suites():
         "test_lift_policy_does_not_change_the_action",
         "test_ideal_component_fields_act_trivially",
         "test_pmqd_is_stable_under_scalings",
+        "test_substitution_equals_the_dense_reference",
+        "test_pullback_along_the_restricted_map_drops_off_curve",
     ]
     for name in names:
         fn = getattr(test_properties, name)

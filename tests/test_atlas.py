@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from algrest import atlas as atlas_module
 from algrest.atlas import (
     BUNDLED,
-    alias_forms,
     build_map,
     default_samples,
     eval_coeff,
@@ -17,9 +17,11 @@ from algrest.atlas import (
 )
 from algrest.curves import project
 from algrest.errors import InputError
+from algrest.invariants import symplectic_multiplicity
 from algrest.linalg import rref
 from algrest.parser import parse_form
 from algrest.poly import Polynomial
+from algrest.symmetry import orbit_tangent_space
 
 
 def test_bundled_row_counts(atlas4567, atlas456, atlas457):
@@ -40,6 +42,11 @@ def test_atlas_row_lookup(atlas4567):
     assert atlas4567.row(4).klass == "a11+ + c1*a11- + c2*a13+"
     with pytest.raises(InputError):
         atlas4567.row(99)
+
+
+def alias_forms(atlas):
+    """The published representative 2-forms, parsed, keyed by basis label."""
+    return {label: parse_form(text, atlas.curve.ambient) for label, text in atlas.aliases.items()}
 
 
 def test_alias_forms_span_the_basis(atlas4567, basis4567):
@@ -145,6 +152,27 @@ def test_verify_row_skips_excluded_samples(atlas4567):
     # the first sample hits the exclusion c1 = 0 and is skipped; the sign
     # expansion doubles the surviving one
     assert len(checks) == 2
+
+
+def test_verify_row_reads_mu_off_one_tangent_space_per_sample(
+    monkeypatch, atlas4567, atlas456, atlas457
+):
+    built = []
+
+    def recording(curve, a, policy="grlex"):
+        tangent = orbit_tangent_space(curve, a, policy)
+        built.append((curve, a, tangent))
+        return tangent
+
+    monkeypatch.setattr(atlas_module, "orbit_tangent_space", recording)
+    for atlas in (atlas4567, atlas456, atlas457):
+        for row in atlas.rows:
+            built.clear()
+            checks = verify_row(atlas, row, seed=1)
+            assert checks and all(check.passed for check in checks)
+            assert len(built) == len(checks)
+            for curve, a, tangent in built:
+                assert tangent.codim == symplectic_multiplicity(curve, a) == row.mu
 
 
 def test_verify_row_rejects_small_n(atlas4567):

@@ -145,6 +145,20 @@ def test_invariants_representability_flag(capsys):
     assert "representable on R^6: yes" in out
 
 
+def test_invariants_restriction_starting_with_a_minus_sign(capsys):
+    # argparse reads "-a18" as an option, so the class is joined with "="
+    rc, out, _ = run(capsys, "invariants", "4", "5", "7", "--restriction=-a18")
+    assert rc == 0
+    assert out.splitlines()[:3] == ["class: -a18", "mu = 8", "iota = 2"]
+    with pytest.raises(SystemExit) as excinfo:
+        main(["invariants", "4", "5", "7", "--restriction", "-a18"])
+    assert excinfo.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["invariants", "--help"])
+    assert "--restriction=-a18" in capsys.readouterr().out
+
+
 def test_invariants_json_zero_class(capsys):
     rc, out, _ = run(
         capsys, "invariants", "4", "5", "6", "--restriction", "0", "--format", "json"

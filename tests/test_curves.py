@@ -34,6 +34,11 @@ from tables import (
 ALL = ((4, 5, 6, 7), (4, 5, 6), (4, 5, 7))
 
 
+def gaps(curve):
+    """The positive integers outside the curve's semigroup."""
+    return tuple(v for v in range(1, curve.conductor) if not curve.in_semigroup(v))
+
+
 def test_curve_validation():
     with pytest.raises(InputError):
         MonomialCurve((4, 6))  # gcd 2
@@ -47,8 +52,8 @@ def test_semigroup_membership_conductor_gaps():
     for lams in ALL:
         curve = MonomialCurve(lams)
         assert curve.conductor == CONDUCTORS[lams]
-        assert curve.gaps == GAPS[lams]
-        for g in curve.gaps:
+        assert gaps(curve) == GAPS[lams]
+        for g in gaps(curve):
             assert not curve.in_semigroup(g)
         assert all(curve.in_semigroup(v) for v in range(curve.conductor, 40))
         assert curve.in_semigroup(0)

@@ -29,6 +29,13 @@ def dxx(i, j, n=4):
     return DifferentialForm.from_term(n, (i, j), 1)
 
 
+def compose(outer, inner):
+    """outer after inner: x -> outer(inner(x))."""
+    return PolyMap(
+        [comp.subst_poly(inner.components) for comp in outer.components], inner.source_dim
+    )
+
+
 def test_wedge_antisymmetry_and_zero_square():
     assert wedge(dx(0), dx(1)) == -wedge(dx(1), dx(0))
     assert wedge(dx(0), dx(0)).is_zero()
@@ -118,8 +125,8 @@ def test_polymap_identity_diagonal_compose():
         [Fraction(0), Fraction(3), Fraction(0)],
         [Fraction(0), Fraction(0), Fraction(1, 2)],
     ]
-    assert diag.compose(ident).components == diag.components
-    twice = diag.compose(diag)
+    assert compose(diag, ident).components == diag.components
+    twice = compose(diag, diag)
     assert twice.linear_matrix()[0][0] == 4
 
 
@@ -128,6 +135,18 @@ def test_polymap_apply_series():
     images = phi.apply_series([UniPoly.t_power(4), UniPoly.t_power(5)])
     assert images[0] == UniPoly.t_power(9)
     assert images[1] == UniPoly.t_power(5)
+
+
+def test_polymap_restrict_sets_the_other_coordinates_to_zero():
+    phi = PolyMap([var(0) + var(2) * var(3), var(1) * var(2), var(2), var(0) * var(1) + var(3)])
+    inclusion = PolyMap([var(0, 2), var(1, 2), Polynomial.zero(2), Polynomial.zero(2)], 2)
+    restricted = phi.restrict(2)
+    assert restricted.source_dim == 2 and restricted.target_dim == 4
+    assert restricted == compose(phi, inclusion)
+    assert phi.restrict(4) == phi
+    for dim in (0, 5):
+        with pytest.raises(InputError):
+            phi.restrict(dim)
 
 
 def test_pullback_linear_map_gives_determinant_factor():
@@ -141,7 +160,7 @@ def test_pullback_functorial_spot():
     psi = PolyMap([var(0, 3) * var(2, 3), var(1, 3), var(2, 3)])
     form = DifferentialForm.from_term(3, (0, 2), var(1, 3))
     lhs = pullback(psi, pullback(phi, form))
-    rhs = pullback(phi.compose(psi), form)
+    rhs = pullback(compose(phi, psi), form)
     assert lhs == rhs
 
 

@@ -16,6 +16,7 @@ from algrest.errors import InputError
 from algrest.forms import DifferentialForm, ext_der
 from algrest.invariants import (
     _part_quotient_coords,
+    branch_rank,
     index_of_isotropy,
     invariant_report,
     lagrangian_tangency_order,
@@ -125,6 +126,8 @@ def test_pmqd_compare_degree_mismatch(basis4567):
 def test_representability_thresholds(curve4567, basis4567):
     a = parse_restriction("a13-", basis4567)
     # threshold 6: a13- has no constant part, so its rank is 0
+    assert branch_rank(curve4567, a) == 0
+    assert branch_rank(curve4567, parse_restriction("a9", basis4567)) == 2
     assert not representable_by_symplectic(curve4567, a, 1)
     with pytest.raises(InputError, match="needs n >= 1"):
         representable_by_symplectic(curve4567, a, 0)
@@ -137,6 +140,23 @@ def test_representability_thresholds(curve4567, basis4567):
     plane = cached_basis(MonomialCurve((3, 4)))
     assert representable_by_symplectic(plane.curve, parse_restriction("a7", plane), 1)
     assert not representable_by_symplectic(plane.curve, parse_restriction("a10", plane), 1)
+
+
+def test_invariants_reject_a_class_of_another_curve(basis4567, curve457):
+    a = parse_restriction("a13-", basis4567)
+    calls = [
+        lambda b: symplectic_multiplicity(curve457, b),
+        lambda b: index_of_isotropy(curve457, b),
+        lambda b: lagrangian_tangency_order(curve457, b),
+        lambda b: representable_by_symplectic(curve457, b, 2),
+        lambda b: representable_by_symplectic(curve457, b, 3),
+        lambda b: branch_rank(curve457, b),
+        lambda b: invariant_report(curve457, b),
+    ]
+    for call in calls:
+        for b in (a, AlgRestriction.zero(basis4567)):
+            with pytest.raises(InputError, match="basis was built for a different curve"):
+                call(b)
 
 
 def test_representability_answers_thresholds_above_four():

@@ -7,6 +7,11 @@ from algrest.poly import Polynomial, RationalFunctionT, UniPoly, grlex_key
 ONE = UniPoly.constant(1)
 
 
+def total_degree(p):
+    """Maximal total degree; -1 for the zero polynomial."""
+    return max((sum(e) for e in p.terms), default=-1)
+
+
 def test_polynomial_construction_and_terms():
     x = Polynomial.variable(3, 0)
     y = Polynomial.variable(3, 1)
@@ -18,9 +23,19 @@ def test_polynomial_construction_and_terms():
         (0, 0, 0): Fraction(-3),
     }
     assert p.constant_term() == Fraction(-3)
-    assert p.total_degree() == 2
+    assert total_degree(p) == 2
+    assert total_degree(Polynomial.zero(3)) == -1
     assert not p.is_zero()
     assert Polynomial.zero(3).is_zero()
+
+
+def test_unipoly_from_terms():
+    assert UniPoly.from_terms({3: 2, 0: Fraction(1, 2)}) == UniPoly([Fraction(1, 2), 0, 0, 2])
+    assert UniPoly.from_terms({4: 0, 1: 1}) == UniPoly.t_power(1)
+    assert UniPoly.from_terms({}).is_zero()
+    assert all(type(c) is Fraction for c in UniPoly.from_terms({2: 3}).coeffs)
+    with pytest.raises(ValueError):
+        UniPoly.from_terms({-1: 1})
 
 
 def test_grlex_order_is_total_degree_then_lexicographic():
@@ -84,8 +99,11 @@ def test_subst_poly_composition():
 
 
 def test_polynomial_evaluate():
+    # evaluation at a point is substitution of constants
     p = Polynomial.monomial((2, 1), Fraction(3, 2))
-    assert p.evaluate((2, 5)) == Fraction(30)
+    point = [Polynomial.constant(0, 2), Polynomial.constant(0, 5)]
+    assert p.subst_poly(point) == Polynomial.constant(0, 30)
+    assert p.substitute([UniPoly.constant(2), UniPoly.constant(5)]) == UniPoly.constant(30)
 
 
 def test_polynomial_str_readable():

@@ -4,22 +4,25 @@ Each suite runs under the "bulk" hypothesis profile registered in
 conftest.py: one thousand derandomized examples per property.
 """
 
+import itertools
 from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from algrest.curves import AlgRestriction, cached_basis, project
+from algrest.curves import AlgRestriction, cached_basis, drop_off_curve, project
 from algrest.forms import (
     DifferentialForm,
+    PolyMap,
     VectorField,
     ext_der,
     interior,
     lie_derivative,
+    pullback,
     wedge,
 )
 from algrest.invariants import pmqd_compare
 from algrest.parser import parse_polynomial
-from algrest.poly import Polynomial
+from algrest.poly import Polynomial, UniPoly
 from algrest.symmetry import shift_action
 
 from tables import SHIFTS
@@ -172,3 +175,77 @@ def test_pmqd_is_stable_under_scalings(data, r1, r2):
         verdict = pmqd_compare(a * r1, a)
         assert verdict.kind == "proportional"
         assert verdict.constant == 1 / r1
+
+
+def dense_substitute(poly, images):
+    """Reference: the dense substitution, one ``UniPoly`` power per factor
+    and one dense sum per term."""
+    result = UniPoly.zero()
+    for exps, coeff in poly.terms.items():
+        term = UniPoly.constant(coeff)
+        for img, e in zip(images, exps):
+            if e:
+                term = term * img**e
+        result = result + term
+    return result
+
+
+image_st = st.one_of(
+    st.builds(UniPoly.t_power, st.integers(min_value=1, max_value=7), nonzero_coeff_st),
+    st.lists(nonzero_coeff_st, min_size=2, max_size=4).map(UniPoly),
+    nonzero_coeff_st.map(UniPoly.constant),
+    st.just(UniPoly.zero()),
+)
+
+
+@given(
+    terms=st.dictionaries(
+        st.tuples(*[st.integers(min_value=0, max_value=3)] * NVARS), coeff_st, max_size=4
+    ),
+    images=st.tuples(*[image_st] * NVARS),
+)
+def test_substitution_equals_the_dense_reference(terms, images):
+    poly = Polynomial(NVARS, terms)
+    value = poly.substitute(images)
+    assert value == dense_substitute(poly, images)
+    assert all(type(c) is Fraction for c in value.coeffs)
+
+
+MAP_DIM = 4
+map_exps_st = st.tuples(*[st.integers(min_value=0, max_value=2)] * MAP_DIM).filter(any)
+form_exps_st = st.tuples(*[st.integers(min_value=0, max_value=1)] * MAP_DIM)
+
+
+@st.composite
+def origin_maps(draw):
+    """Polynomial maps R^4 -> R^4 fixing the origin."""
+    return PolyMap(
+        [
+            Polynomial(MAP_DIM, draw(st.dictionaries(map_exps_st, coeff_st, max_size=2)))
+            for _ in range(MAP_DIM)
+        ]
+    )
+
+
+@st.composite
+def target_forms(draw):
+    degree = draw(st.integers(min_value=1, max_value=2))
+    indices = list(itertools.combinations(range(MAP_DIM), degree))
+    chosen = draw(st.lists(st.sampled_from(indices), max_size=2, unique=True))
+    return DifferentialForm(
+        degree,
+        MAP_DIM,
+        {
+            idx: Polynomial(MAP_DIM, draw(st.dictionaries(form_exps_st, coeff_st, max_size=2)))
+            for idx in chosen
+        },
+    )
+
+
+@given(
+    phi=origin_maps(),
+    form=target_forms(),
+    dim=st.integers(min_value=1, max_value=MAP_DIM),
+)
+def test_pullback_along_the_restricted_map_drops_off_curve(phi, form, dim):
+    assert pullback(phi.restrict(dim), form) == drop_off_curve(pullback(phi, form), dim)
