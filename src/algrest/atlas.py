@@ -10,6 +10,10 @@ match, declared moduli are transverse to the orbit, the realizability
 thresholds agree with the exact rank test, and distinct rows stay
 distinguishable.  Known discrepancies recorded in the data are reported
 as such rather than silently accepted or asserted away.
+
+Coefficient expressions are parsed once, when a table is loaded; a sample
+only multiplies.  Each sample's invariants are measured once, by
+``verify_row``, and the distinctness check reads them off its checks.
 """
 
 from __future__ import annotations
@@ -34,11 +38,10 @@ from .forms import DifferentialForm, PolyMap, pullback
 from .linalg import rref
 from .invariants import (
     Extended,
+    InvariantReport,
     branch_rank,
-    index_of_isotropy,
-    lagrangian_tangency_order,
+    invariant_report,
     pmqd_compare,
-    symplectic_multiplicity,
 )
 from .poly import Polynomial, UniPoly
 from .symmetry import orbit_tangent_space
@@ -49,23 +52,36 @@ _COEFF_RE = re.compile(
 )
 
 
-def eval_coeff(expr: str, env: Mapping[str, Fraction]) -> Fraction:
-    """Evaluate a coefficient expression: [-] rational [* name] or [-] name."""
+Coeff = tuple[Fraction, str | None]
+
+
+def parse_coeff(expr: str) -> Coeff:
+    """Parse a coefficient expression, [-] rational [* name] or [-] name,
+    into its rational factor and its parameter name (None for a constant)."""
     match = _COEFF_RE.match(expr)
     if match is None:
         raise InputError(f"bad coefficient expression {expr!r}")
     neg, number, named_factor, bare = match.groups()
-    value = Fraction(1)
-    if number is not None:
-        value = Fraction(number)
-        name = named_factor
-    else:
-        name = bare
-    if name is not None:
-        if name not in env:
-            raise InputError(f"unbound parameter {name!r} in {expr!r}")
-        value *= env[name]
-    return -value if neg else value
+    factor = Fraction(1) if number is None else Fraction(number)
+    return (-factor if neg else factor), (bare if number is None else named_factor)
+
+
+def coeff_value(coeff: Coeff, env: Mapping[str, Fraction]) -> Fraction:
+    """The value of a parsed coefficient at a parameter assignment."""
+    factor, name = coeff
+    if name is None:
+        return factor
+    if name not in env:
+        raise InputError(f"unbound parameter {name!r}")
+    return factor * env[name]
+
+
+def _parse_coeffs(data: Mapping[str, str]) -> dict[str, Coeff]:
+    return {label: parse_coeff(expr) for label, expr in data.items()}
+
+
+def _values(coeffs: Mapping[str, Coeff], env: Mapping[str, Fraction]) -> dict[str, Fraction]:
+    return {label: coeff_value(coeff, env) for label, coeff in coeffs.items()}
 
 
 def _parse_excluded(data: Mapping[str, Sequence[str]] | None) -> dict[str, tuple[Fraction, ...]]:
@@ -78,9 +94,9 @@ class Realization(NamedTuple):
     """An explicit map realizing a row's class on R^{2n}."""
 
     n: int
-    map_data: tuple[tuple[tuple[str, tuple[int, ...]], ...], ...]
-    template: tuple[tuple[tuple[str, int], ...], ...]
-    restriction: Mapping[str, str]
+    map_data: tuple[tuple[tuple[Coeff, tuple[int, ...]], ...], ...]
+    template: tuple[tuple[tuple[Coeff, int], ...], ...]
+    restriction: Mapping[str, Coeff]
     excluded: Mapping[str, tuple[Fraction, ...]]
 
 
@@ -91,7 +107,7 @@ class AtlasRow(NamedTuple):
     klass: str
     params: tuple[str, ...]
     sign: bool
-    restriction: Mapping[str, str]
+    restriction: Mapping[str, Coeff]
     excluded: Mapping[str, tuple[Fraction, ...]]
     mu: int
     iota_printed: Extended
@@ -146,14 +162,14 @@ def load_atlas(lams: Sequence[int]) -> Atlas:
                 Realization(
                     n=real["n"],
                     map_data=tuple(
-                        tuple((str(e), tuple(x)) for e, x in comp)
+                        tuple((parse_coeff(str(e)), tuple(x)) for e, x in comp)
                         for comp in real["map"]
                     ),
                     template=tuple(
-                        tuple((str(e), int(p)) for e, p in comp)
+                        tuple((parse_coeff(str(e)), int(p)) for e, p in comp)
                         for comp in real["template"]
                     ),
-                    restriction=dict(real["restriction"]),
+                    restriction=_parse_coeffs(real["restriction"]),
                     excluded=_parse_excluded(real.get("excluded")),
                 )
             )
@@ -169,7 +185,7 @@ def load_atlas(lams: Sequence[int]) -> Atlas:
                 klass=rd["class"],
                 params=tuple(rd["params"]),
                 sign=bool(rd["sign"]),
-                restriction=dict(rd["restriction"]),
+                restriction=_parse_coeffs(rd["restriction"]),
                 excluded=_parse_excluded(rd.get("excluded")),
                 mu=rd["expected"]["mu"],
                 iota_printed=iota_printed,
@@ -190,9 +206,7 @@ def load_atlas(lams: Sequence[int]) -> Atlas:
 def row_class(
     atlas: Atlas, row: AtlasRow, env: Mapping[str, Fraction]
 ) -> AlgRestriction:
-    basis = cached_basis(atlas.curve)
-    coeffs = {label: eval_coeff(expr, env) for label, expr in row.restriction.items()}
-    return AlgRestriction.from_coeffs(basis, coeffs)
+    return AlgRestriction.from_coeffs(cached_basis(atlas.curve), _values(row.restriction, env))
 
 
 def _violates(env: Mapping[str, Fraction], excluded: Mapping[str, tuple[Fraction, ...]]) -> bool:
@@ -260,9 +274,9 @@ def build_map(real: Realization, env: Mapping[str, Fraction], n: int) -> PolyMap
     components = []
     for comp in real.map_data:
         terms: dict[tuple[int, ...], Fraction] = {}
-        for expr, exps in comp:
+        for coeff, exps in comp:
             padded = tuple(exps) + (0,) * (nvars - len(exps))
-            terms[padded] = terms.get(padded, 0) + eval_coeff(expr, env)
+            terms[padded] = terms.get(padded, 0) + coeff_value(coeff, env)
         components.append(Polynomial(nvars, terms))
     for extra in range(2 * real.n, nvars):
         components.append(Polynomial.variable(nvars, extra))
@@ -276,8 +290,8 @@ def build_template(
     out = []
     for comp in real.template:
         terms: dict[int, Fraction] = {}
-        for expr, power in comp:
-            terms[power] = terms.get(power, 0) + eval_coeff(expr, env)
+        for coeff, power in comp:
+            terms[power] = terms.get(power, 0) + coeff_value(coeff, env)
         out.append(UniPoly.from_terms(terms))
     out.extend(UniPoly.zero() for _ in range(2 * real.n, 2 * n))
     return out
@@ -292,13 +306,15 @@ def standard_symplectic(n: int) -> DifferentialForm:
 
 
 class RowCheck(NamedTuple):
-    """Outcome of verifying one row at one parameter sample."""
+    """Outcome of verifying one row at one parameter sample, with the
+    invariants measured there."""
 
     row_id: int
     n: int
     env: Mapping[str, Fraction]
     failures: tuple[str, ...]
     known: tuple[str, ...]
+    report: InvariantReport | None = None
 
     @property
     def passed(self) -> bool:
@@ -342,10 +358,7 @@ def verify_row(
         if _violates(env, row.excluded) or _violates(env, real.excluded):
             continue
         target = row_class(atlas, row, env)
-        realized = AlgRestriction.from_coeffs(
-            basis,
-            {label: eval_coeff(expr, env) for label, expr in real.restriction.items()},
-        )
+        realized = AlgRestriction.from_coeffs(basis, _values(real.restriction, env))
         phi = build_map(real, env, n)
         template = build_template(real, env, n)
         big = curve.with_ambient(2 * n)
@@ -360,20 +373,17 @@ def verify_row(
                 f"{projected}, stored restriction is {realized}"
             )
         tangent = orbit_tangent_space(curve, target, policy)
-        mu = tangent.codim
-        if mu != row.mu:
-            failures.append(f"mu = {mu}, table says {row.mu}")
-        iota = index_of_isotropy(curve, target)
-        if iota != row.iota:
-            failures.append(f"iota = {iota}, expected {row.iota}")
+        report = invariant_report(curve, target, policy, mu=tangent.codim)
+        if report.mu != row.mu:
+            failures.append(f"mu = {report.mu}, table says {row.mu}")
+        if report.iota != row.iota:
+            failures.append(f"iota = {report.iota}, expected {row.iota}")
         elif "iota" in row.discrepancies:
             known.append(
-                f"iota computes to {iota}; the published table prints {row.iota_printed}"
+                f"iota computes to {report.iota}; the published table prints {row.iota_printed}"
             )
-        if row.lt_mode in ("computed", "infinite"):
-            lt = lagrangian_tangency_order(curve, target, iota=iota)
-            if lt != row.lt_printed:
-                failures.append(f"lt = {lt}, table says {row.lt_printed}")
+        if row.lt_mode in ("computed", "infinite") and report.lt != row.lt_printed:
+            failures.append(f"lt = {report.lt}, table says {row.lt_printed}")
         for param in row.moduli:
             bumped = dict(env)
             bumped[param] = env[param] + 1
@@ -400,67 +410,50 @@ def verify_row(
                 env=env,
                 failures=tuple(failures),
                 known=tuple(dict.fromkeys(known)),
+                report=report,
             )
         )
+    if not checks:
+        raise InputError(f"row {row.id} has no sample outside its excluded parameter values")
     return checks
 
 
-def _distinct(
-    a: AlgRestriction,
-    b: AlgRestriction,
-    inv_a: tuple,
-    inv_b: tuple,
-) -> bool:
-    if inv_a != inv_b:
-        return True
-    return pmqd_compare(a, b).kind == "not-proportional"
-
-
 def verify_distinctness(
-    atlas: Atlas, seed: int = 0, policy: str = "grlex"
+    atlas: Atlas,
+    seed: int = 0,
+    policy: str = "grlex",
+    checks: Sequence[RowCheck] = (),
 ) -> list[str]:
-    """Pairwise distinguishability of all rows, and of sign variants."""
-    curve = atlas.curve
-    failures = []
-    instances: list[tuple[str, AlgRestriction]] = []
+    """Pairwise distinguishability of all rows, and of sign variants, at each
+    row's first default sample.  The invariants there are read off the
+    reports of this atlas's ``checks`` where one matches, else measured."""
+    measured = {(c.row_id, frozenset(c.env.items())): c.report for c in checks}
+    by_row: dict[int, list[tuple[AlgRestriction, InvariantReport]]] = {}
     for row in atlas.rows:
         sample = default_samples(row, count=1, seed=seed)[0]
         for env in _expanded_envs(row, [sample]):
-            tag = f"row {row.id}" + (f" (s = {env['s']})" if row.sign else "")
-            instances.append((tag, row_class(atlas, row, env)))
-    signatures = []
-    for tag, a in instances:
-        located = a.min_qdeg_part()
-        iota = index_of_isotropy(curve, a)
-        signatures.append(
-            (
-                None if located is None else located[0],
-                symplectic_multiplicity(curve, a, policy),
-                iota,
-                lagrangian_tangency_order(curve, a, iota=iota),
-            )
-        )
-    by_row = {}
-    for (tag, a), sig in zip(instances, signatures):
-        by_row.setdefault(tag.split(" (")[0], []).append((tag, a, sig))
-    row_tags = list(by_row)
-    for t1, t2 in itertools.combinations(row_tags, 2):
+            a = row_class(atlas, row, env)
+            report = measured.get((row.id, frozenset(env.items())))
+            if report is None:
+                report = invariant_report(atlas.curve, a, policy)
+            by_row.setdefault(row.id, []).append((a, report))
+    failures = []
+    for r1, r2 in itertools.combinations(by_row, 2):
         separated = all(
-            _distinct(a, b, sa, sb)
-            for _, a, sa in by_row[t1]
-            for _, b, sb in by_row[t2]
+            sa != sb or pmqd_compare(a, b).kind == "not-proportional"
+            for a, sa in by_row[r1]
+            for b, sb in by_row[r2]
         )
         if not separated:
-            failures.append(f"{t1} and {t2} are not distinguished")
-    for tag, variants in by_row.items():
+            failures.append(f"row {r1} and row {r2} are not distinguished")
+    for row_id, variants in by_row.items():
         if len(variants) != 2:
             continue
-        (_, a, sa), (_, b, sb) = variants
+        (a, sa), (b, sb) = variants
         if sa != sb:
             continue
         verdict = pmqd_compare(a, b)
-        located = a.min_qdeg_part()
-        even = located is not None and located[0] % 2 == 0
+        even = sa.min_qdeg is not None and sa.min_qdeg % 2 == 0
         if not (
             verdict.kind == "not-proportional"
             or (
@@ -470,7 +463,7 @@ def verify_distinctness(
                 and even
             )
         ):
-            failures.append(f"sign variants of {tag} are not distinguished")
+            failures.append(f"sign variants of row {row_id} are not distinguished")
     return failures
 
 
@@ -508,10 +501,11 @@ def verify_atlas(
         checks.extend(
             verify_row(atlas, row, n=row_n, samples=row_samples, seed=seed, policy=policy)
         )
+    distinct = verify_distinctness(atlas, seed=seed, policy=policy, checks=checks)
     return AtlasReport(
         semigroup=atlas.curve.lams,
         checks=tuple(checks),
-        distinctness_failures=tuple(verify_distinctness(atlas, seed=seed, policy=policy)),
+        distinctness_failures=tuple(distinct),
     )
 
 

@@ -351,6 +351,8 @@ def _add_generators(sub: argparse.ArgumentParser, optional: bool = False) -> Non
 
 
 _RESTRICTION_HELP = "e.g. 'a9 + 2*a13+'; a class starting with '-' is written --restriction=-a18"
+_SAMPLES_HELP = "JSON file of parameter samples per row; they replace that row's default samples"
+_SEED_HELP = "extra random sample per row when nonzero, except rows listed in --samples"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -411,8 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify-atlas", help="check the bundled classification tables")
     _add_generators(p, optional=True)
     p.add_argument("--n", type=int, default=None, help="symplectic space half-dimension")
-    p.add_argument("--samples", default=None, help="JSON file of parameter samples per row")
-    p.add_argument("--seed", type=int, default=0, help="extra random sample per row when nonzero")
+    p.add_argument("--samples", default=None, help=_SAMPLES_HELP)
+    p.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
     _add_common(p, policy=True)
     p.set_defaults(func=cmd_verify_atlas)
 

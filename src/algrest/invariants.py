@@ -258,12 +258,14 @@ class InvariantReport(NamedTuple):
 
 
 def invariant_report(
-    curve: MonomialCurve, a: AlgRestriction, policy: str = "grlex"
+    curve: MonomialCurve, a: AlgRestriction, policy: str = "grlex", mu: int | None = None
 ) -> InvariantReport:
+    """The four invariants of a.  Pass ``mu`` when the orbit tangent space at
+    a is already built, to skip rebuilding it."""
     located = a.min_qdeg_part()
     iota = index_of_isotropy(curve, a)
     return InvariantReport(
-        mu=symplectic_multiplicity(curve, a, policy),
+        mu=symplectic_multiplicity(curve, a, policy) if mu is None else mu,
         iota=iota,
         lt=lagrangian_tangency_order(curve, a, iota=iota),
         min_qdeg=None if located is None else located[0],

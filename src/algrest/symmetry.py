@@ -242,17 +242,11 @@ def action_table(
     min_qdeg = basis.elements[0].qdeg
     bound = basis.top_qdeg - min_qdeg
     shifts = admissible_shifts(curve, bound)
-    entries: dict[tuple[int, str], AlgRestriction] = {}
-    for s in shifts:
-        for el in basis.elements:
-            unit = AlgRestriction(
-                basis,
-                tuple(
-                    Fraction(1) if other is el else Fraction(0)
-                    for other in basis.elements
-                ),
-            )
-            entries[(s, el.label)] = shift_action(unit, s, policy)
+    entries = {
+        (s, el.label): AlgRestriction(basis, column)
+        for s in shifts
+        for el, column in zip(basis.elements, _action_matrix(basis.curve, s, policy))
+    }
     return ActionTable(
         curve=curve,
         policy=policy,

@@ -3,16 +3,21 @@ from fractions import Fraction
 import pytest
 
 from algrest import atlas as atlas_module
+from algrest import invariants as invariants_module
+from algrest import symmetry as symmetry_module
 from algrest.atlas import (
     BUNDLED,
     build_map,
+    coeff_value,
     default_samples,
-    eval_coeff,
     load_atlas,
     load_samples_file,
+    parse_coeff,
     realization_for,
     row_class,
     standard_symplectic,
+    verify_atlas,
+    verify_distinctness,
     verify_row,
 )
 from algrest.curves import project
@@ -61,6 +66,10 @@ def test_alias_forms_span_the_basis(atlas4567, basis4567):
 
 def test_eval_coeff():
     env = {"c1": Fraction(3), "c2": Fraction(-5), "s": Fraction(-1)}
+
+    def eval_coeff(expr, env):
+        return coeff_value(parse_coeff(expr), env)
+
     assert eval_coeff("1", env) == 1
     assert eval_coeff("-1", env) == -1
     assert eval_coeff("-3/2", env) == Fraction(-3, 2)
@@ -73,6 +82,19 @@ def test_eval_coeff():
         eval_coeff("c9", env)
     with pytest.raises(InputError):
         eval_coeff("c1*c2", env)
+
+
+def test_load_atlas_parses_coefficients_once(atlas4567):
+    row = atlas4567.row(1)
+    assert row.restriction == {
+        "a9": (Fraction(1), None),
+        "a11-": (Fraction(1), "c1"),
+        "a13+": (Fraction(1), "c2"),
+    }
+    for real in row.realizations:
+        for comp in real.map_data:
+            for (factor, name), _ in comp:
+                assert type(factor) is Fraction and name in (None, *row.params)
 
 
 def test_row_class_evaluates_restriction(atlas4567, basis4567):
@@ -173,6 +195,58 @@ def test_verify_row_reads_mu_off_one_tangent_space_per_sample(
             assert len(built) == len(checks)
             for curve, a, tangent in built:
                 assert tangent.codim == symplectic_multiplicity(curve, a) == row.mu
+
+
+def test_verify_row_rejects_a_row_without_surviving_samples(atlas4567):
+    row = atlas4567.row(2)
+    with pytest.raises(InputError, match="row 2 has no sample outside"):
+        verify_row(atlas4567, row, samples=[{"c1": Fraction(0), "c2": Fraction(1)}])
+    with pytest.raises(InputError, match="row 2 has no sample outside"):
+        verify_row(atlas4567, row, samples=[])
+
+
+def test_verify_atlas_measures_each_sample_once(monkeypatch, atlas4567, atlas456, atlas457):
+    built, multiplicities = [], []
+    tangent_space = symmetry_module.orbit_tangent_space
+    multiplicity = invariants_module.symplectic_multiplicity
+
+    def building(curve, a, policy="grlex"):
+        built.append(a)
+        return tangent_space(curve, a, policy)
+
+    def measuring(curve, a, policy="grlex"):
+        multiplicities.append(a)
+        return multiplicity(curve, a, policy)
+
+    monkeypatch.setattr(atlas_module, "orbit_tangent_space", building)
+    monkeypatch.setattr(symmetry_module, "orbit_tangent_space", building)
+    monkeypatch.setattr(invariants_module, "symplectic_multiplicity", measuring)
+    for atlas in (atlas4567, atlas456, atlas457):
+        built.clear()
+        report = verify_atlas(atlas)
+        assert report.passed
+        assert len(built) == len(report.checks)
+        assert all(check.report.mu == atlas.row(check.row_id).mu for check in report.checks)
+    assert multiplicities == []
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_verify_distinctness_alone_matches_verify_atlas(seed, atlas4567, atlas456, atlas457):
+    for atlas in (atlas4567, atlas456, atlas457):
+        alone = verify_distinctness(atlas, seed)
+        assert alone == list(verify_atlas(atlas, seed=seed).distinctness_failures)
+
+
+def test_verify_distinctness_reads_the_reports_of_its_checks(monkeypatch, atlas456):
+    checks = [check for row in atlas456.rows for check in verify_row(atlas456, row)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("invariants measured again")
+
+    monkeypatch.setattr(atlas_module, "invariant_report", refuse)
+    assert verify_distinctness(atlas456, checks=checks) == []
+    with pytest.raises(AssertionError, match="measured again"):
+        verify_distinctness(atlas456, checks=checks[1:])
 
 
 def test_verify_row_rejects_small_n(atlas4567):

@@ -272,6 +272,25 @@ def test_verify_atlas_with_samples_file(capsys, tmp_path):
     assert "row 1: ok (1 samples)" in out
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ('{"1": [{"c1": "1", "c2": "0"}]}', "row 1 has no sample outside"),
+        ('{"1": [{"c2": "3/2"}]}', "unbound parameter 'c1'"),
+    ],
+    ids=["all-excluded", "unbound-parameter"],
+)
+def test_verify_atlas_unusable_samples_exit_2(capsys, tmp_path, content, message):
+    samples = tmp_path / "samples.json"
+    samples.write_text(content)
+    rc, out, err = run(
+        capsys, "verify-atlas", "4", "5", "6", "7", "--samples", str(samples)
+    )
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_verify_atlas_failure_exit_code(capsys, monkeypatch):
     import algrest.cli as cli_module
 
