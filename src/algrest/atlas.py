@@ -357,10 +357,13 @@ def verify_row(
         known: list[str] = []
         if _violates(env, row.excluded) or _violates(env, real.excluded):
             continue
-        target = row_class(atlas, row, env)
-        realized = AlgRestriction.from_coeffs(basis, _values(real.restriction, env))
-        phi = build_map(real, env, n)
-        template = build_template(real, env, n)
+        try:
+            target = row_class(atlas, row, env)
+            realized = AlgRestriction.from_coeffs(basis, _values(real.restriction, env))
+            phi = build_map(real, env, n)
+            template = build_template(real, env, n)
+        except InputError as exc:
+            raise InputError(f"semigroup {curve.lams} row {row.id}: {exc}") from None
         big = curve.with_ambient(2 * n)
         if phi.apply_series(big.images()) != template:
             failures.append("map does not reproduce the stored parameterization")

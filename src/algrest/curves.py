@@ -11,8 +11,9 @@ certified stop ``stop_qdeg`` and labels the classes of closed 2-forms, and
 classes are exact: each degree's closed classes are spanned by the classes
 of d(x^m dx_i), so no 3-form piece is ever built.
 
-Everything is exact over Q; pieces are cached per curve, degree, and form
-degree.
+Everything is exact over Q.  A curve's basis owns its 2-form pieces and
+its Lie action matrices; ``cached_basis`` keeps the bases of a bounded
+number of curves, so evicting a curve frees all of its state.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ class MonomialCurve(Frozen):
             raise InputError("exponents must have gcd 1 (reparameterize the curve)")
         for i, v in enumerate(lams):
             others = lams[:i] + lams[i + 1:]
-            if others and _in_semigroup_of(others, v):
+            if others and monomials_of_qdeg(others, v):
                 raise InputError(f"exponent {v} is generated by the others; drop it")
         ambient = ambient or len(lams)
         if ambient < len(lams):
@@ -85,53 +86,24 @@ class MonomialCurve(Frozen):
         return series
 
     def in_semigroup(self, value: int) -> bool:
-        return value >= 0 and _in_semigroup_of(self.lams, value)
+        """Whether some curve-only monomial has quasi-degree ``value``."""
+        return bool(monomials_of_qdeg(self.lams, value))
 
     @property
     def conductor(self) -> int:
-        return _conductor(self.lams)
+        """Least c with every integer >= c in the semigroup: the start of
+        the first run of lam_1 consecutive elements."""
+        v = run = 0
+        while run < self.lams[0]:
+            run = run + 1 if self.in_semigroup(v) else 0
+            v += 1
+        return v - run
 
     def with_ambient(self, ambient: int) -> MonomialCurve:
         return MonomialCurve(self.lams, ambient)
 
     def __str__(self) -> str:
         return "(" + ", ".join(f"t^{v}" for v in self.lams) + ")"
-
-
-def _in_semigroup_of(gens: tuple[int, ...], value: int) -> bool:
-    if value == 0:
-        return True
-    table = _membership_table(gens, value)
-    return table[value]
-
-
-@lru_cache(maxsize=None)
-def _membership_cached(gens: tuple[int, ...], limit: int) -> tuple[bool, ...]:
-    table = [False] * (limit + 1)
-    table[0] = True
-    for n in range(1, limit + 1):
-        table[n] = any(g <= n and table[n - g] for g in gens)
-    return tuple(table)
-
-
-def _membership_table(gens: tuple[int, ...], limit: int) -> tuple[bool, ...]:
-    # round the limit up so the cache is reused across nearby queries
-    rounded = max(64, 1 << (limit.bit_length() + 1))
-    return _membership_cached(gens, rounded)
-
-
-@lru_cache(maxsize=None)
-def _conductor(gens: tuple[int, ...]) -> int:
-    smallest = min(gens)
-    limit = max(64, (smallest - 1) * (max(gens) - 1) + smallest + 1)
-    while True:
-        table = _membership_table(gens, limit)
-        run = 0
-        for n in range(len(table)):
-            run = run + 1 if table[n] else 0
-            if run == smallest:
-                return n - smallest + 1
-        limit *= 2
 
 
 @lru_cache(maxsize=None)
@@ -155,7 +127,6 @@ def monomials_of_qdeg(wvec: tuple[int, ...], d: int) -> tuple[Exponent, ...]:
     return tuple(mons)
 
 
-@lru_cache(maxsize=None)
 def ideal_graded_basis(curve: MonomialCurve, qdeg: int) -> tuple[Polynomial, ...]:
     """Basis of quasi-homogeneous polynomials of the given quasi-degree
     vanishing on the curve.
@@ -281,7 +252,6 @@ class GradedPiece(Frozen):
         return form
 
 
-@lru_cache(maxsize=None)
 def restriction_quotient(curve: MonomialCurve, k: int, d: int) -> GradedPiece:
     """Build the graded piece of k-form restrictions in quasi-degree d.
 
@@ -402,11 +372,18 @@ class RestrictionBasis:
     dI ^ Omega^1, which restricts to zero.  The reduced echelon form of a
     subspace is unique, so labels, vectors and representatives are those of
     the kernel.
+
+    The basis owns the state its classes are computed in: ``pieces[d]`` is
+    the 2-form piece of every degree d in [1, ``stop_qdeg``), and
+    ``actions`` holds the Lie action matrices of ``symmetry``, keyed by
+    (shift, lift policy) and filled on first use.
     """
 
     __slots__ = (
         "curve",
         "stop_qdeg",
+        "pieces",
+        "actions",
         "elements",
         "label_index",
         "by_degree",
@@ -417,12 +394,13 @@ class RestrictionBasis:
     def __init__(self, curve: MonomialCurve):
         self.curve = curve
         self.stop_qdeg = stop = stop_qdeg(curve)
+        self.pieces = {d: restriction_quotient(curve, 2, d) for d in range(1, stop)}
+        self.actions: dict[tuple[int, str], tuple[tuple[Fraction, ...], ...]] = {}
         elements: list[BasisElement] = []
         by_degree: dict[int, list[tuple[int, tuple[Fraction, ...]]]] = {}
         exact: dict[int, tuple[tuple[int, ...], tuple[tuple[Fraction, ...], ...]]] = {}
         last_nonzero = 0
-        for d in range(1, stop):
-            piece2 = restriction_quotient(curve, 2, d)
+        for d, piece2 in self.pieces.items():
             if piece2.dim == 0:
                 continue
             last_nonzero = d
@@ -508,9 +486,10 @@ class RestrictionBasis:
         return {k: coords2[p] for (k, _), p in zip(entries, pivots) if coords2[p]}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def cached_basis(curve: MonomialCurve) -> RestrictionBasis:
-    """The basis of a curve, built once."""
+    """The basis of a curve, built once while it is among the 16 most
+    recently used curves."""
     return RestrictionBasis(curve)
 
 
@@ -680,7 +659,7 @@ def project(
     for d, part in form.graded_parts(curve.weights).items():
         if d >= basis.stop_qdeg:
             continue
-        piece2 = restriction_quotient(curve, 2, d)
+        piece2 = basis.pieces[d]
         coords2 = piece2.quotient_coords(piece2.vectorize(part))
         if not any(coords2):
             continue

@@ -218,15 +218,6 @@ class DifferentialForm:
 
     # -- grading ------------------------------------------------------------
 
-    def quasi_degrees(self, weights: Weights) -> set[int]:
-        if weights.ambient != self.nvars:
-            raise InputError("weights do not match the form's variable count")
-        degrees: set[int] = set()
-        for idx, poly in self.coeffs.items():
-            for exps in poly.terms:
-                degrees.add(weights.qdeg_term(exps, idx))
-        return degrees
-
     def graded_parts(self, weights: Weights) -> dict[int, DifferentialForm]:
         """Split into quasi-homogeneous parts, keyed by quasi-degree."""
         if weights.ambient != self.nvars:
@@ -337,17 +328,6 @@ class VectorField:
         if not isinstance(other, VectorField):
             return NotImplemented
         return self.components == other.components
-
-    def quasi_degrees(self, weights: Weights) -> set[int]:
-        """Shifts s such that some term of some component has qdeg w_i + s."""
-        if weights.ambient != self.nvars:
-            raise InputError("weights do not match the field's variable count")
-        shifts: set[int] = set()
-        for i, comp in enumerate(self.components):
-            w_i = weights.weight(i)
-            for exps in comp.terms:
-                shifts.add(weights.qdeg_monomial(exps) - w_i)
-        return shifts
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.components) + ")"

@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .curves import AlgRestriction, MonomialCurve, monomials_of_qdeg, restriction_quotient
+from .curves import AlgRestriction, MonomialCurve, monomials_of_qdeg
 from .errors import InputError
 from .linalg import rank, solve_linear
 from .poly import Polynomial, UniPoly
@@ -40,7 +40,7 @@ def symplectic_multiplicity(
 
 
 def _part_quotient_coords(a: AlgRestriction, d: int) -> list[Fraction]:
-    piece = restriction_quotient(a.basis.curve, 2, d)
+    piece = a.basis.pieces[d]
     coords = [Fraction(0)] * len(piece.rep_cols)
     for el, coeff in zip(a.basis.elements, a.coords):
         if coeff and el.qdeg == d:
@@ -103,7 +103,7 @@ def index_of_isotropy(curve: MonomialCurve, a: AlgRestriction) -> Extended:
     lams = curve.lams
     best: Extended = math.inf
     for d in a.nonzero_qdegs():
-        piece = restriction_quotient(curve, 2, d)
+        piece = a.basis.pieces[d]
         width = len(piece.columns)
         heights = [
             sum(monomials_of_qdeg(lams, d - lams[i] - lams[j])[0]) for i, j in piece.columns

@@ -15,7 +15,6 @@ choice; the policies exist for byte-stable table output.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping, NamedTuple, Sequence
 
 from .curves import (
@@ -186,23 +185,26 @@ def lie_action(
     return project(curve, lie_derivative(lifted.field, a.rep_form()), a.basis)
 
 
-@lru_cache(maxsize=None)
 def _action_matrix(
-    curve: MonomialCurve, s: int, policy: str
+    basis: RestrictionBasis, s: int, policy: str
 ) -> tuple[tuple[Fraction, ...], ...]:
-    """Column j holds the basis coordinates of the action on element j."""
-    basis = cached_basis(curve)
-    lifted = liftable_field(curve, s, policy)
-    return tuple(
-        project(curve, lie_derivative(lifted.field, el.rep), basis).coords
-        for el in basis.elements
-    )
+    """Column j holds the basis coordinates of the action on element j;
+    built once per basis, shift and policy, and kept in ``basis.actions``."""
+    matrix = basis.actions.get((s, policy))
+    if matrix is None:
+        curve = basis.curve
+        lifted = liftable_field(curve, s, policy)
+        matrix = basis.actions[s, policy] = tuple(
+            project(curve, lie_derivative(lifted.field, el.rep), basis).coords
+            for el in basis.elements
+        )
+    return matrix
 
 
 def shift_action(a: AlgRestriction, s: int, policy: str = "grlex") -> AlgRestriction:
-    """Action of X_s on a class, via the cached per-shift matrix."""
+    """Action of X_s on a class, via its basis's matrix for the shift."""
     basis = a.basis
-    matrix = _action_matrix(basis.curve, s, policy)
+    matrix = _action_matrix(basis, s, policy)
     out = [Fraction(0)] * basis.dim
     for j, cj in enumerate(a.coords):
         if cj:
@@ -245,7 +247,7 @@ def action_table(
     entries = {
         (s, el.label): AlgRestriction(basis, column)
         for s in shifts
-        for el, column in zip(basis.elements, _action_matrix(basis.curve, s, policy))
+        for el, column in zip(basis.elements, _action_matrix(basis, s, policy))
     }
     return ActionTable(
         curve=curve,

@@ -273,19 +273,23 @@ def test_verify_atlas_with_samples_file(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "content, message",
+    "generators, content, message",
     [
-        ('{"1": [{"c1": "1", "c2": "0"}]}', "row 1 has no sample outside"),
-        ('{"1": [{"c2": "3/2"}]}', "unbound parameter 'c1'"),
+        (("4", "5", "6", "7"), '{"1": [{"c1": "1", "c2": "0"}]}', "row 1 has no sample outside"),
+        (
+            ("4", "5", "6", "7"),
+            '{"1": [{"c2": "3/2"}]}',
+            "semigroup (4, 5, 6, 7) row 1: unbound parameter 'c1'",
+        ),
+        # row 1 of (4, 5, 7) has the single parameter c
+        ((), '{"1": [{"c1": "1", "c2": "3/2"}]}', "semigroup (4, 5, 7) row 1: unbound parameter 'c'"),
     ],
-    ids=["all-excluded", "unbound-parameter"],
+    ids=["all-excluded", "unbound-parameter", "no-semigroup"],
 )
-def test_verify_atlas_unusable_samples_exit_2(capsys, tmp_path, content, message):
+def test_verify_atlas_unusable_samples_exit_2(capsys, tmp_path, generators, content, message):
     samples = tmp_path / "samples.json"
     samples.write_text(content)
-    rc, out, err = run(
-        capsys, "verify-atlas", "4", "5", "6", "7", "--samples", str(samples)
-    )
+    rc, out, err = run(capsys, "verify-atlas", *generators, "--samples", str(samples))
     assert rc == 2
     assert out == ""
     assert err.startswith("error: ") and message in err

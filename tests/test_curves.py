@@ -1,10 +1,15 @@
+import importlib
 import itertools
+import math
+import pkgutil
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
+import algrest
 from algrest.curves import (
     AlgRestriction,
     MonomialCurve,
@@ -57,6 +62,49 @@ def test_semigroup_membership_conductor_gaps():
             assert not curve.in_semigroup(g)
         assert all(curve.in_semigroup(v) for v in range(curve.conductor, 40))
         assert curve.in_semigroup(0)
+
+
+def reference_membership(gens, limit):
+    """Reference: the dynamic-programming membership table of the semigroup
+    generated by ``gens``, for the values 0..limit."""
+    table = [False] * (limit + 1)
+    table[0] = True
+    for n in range(1, limit + 1):
+        table[n] = any(g <= n and table[n - g] for g in gens)
+    return table
+
+
+MEMBERSHIP_CURVES = ALL + ((5, 6, 7, 8, 9), (6, 7, 8, 9, 10, 11)) + tuple(
+    (a, b) for b in range(3, 10) for a in range(2, b) if math.gcd(a, b) == 1
+)
+
+
+@pytest.mark.parametrize("lams", MEMBERSHIP_CURVES)
+def test_semigroup_membership_matches_the_reference_table(lams):
+    curve = MonomialCurve(lams)
+    limit = 3 * curve.conductor
+    table = reference_membership(lams, limit)
+    assert [curve.in_semigroup(v) for v in range(limit + 1)] == table
+    assert not curve.in_semigroup(-1)
+    # a run of lam_1 elements certifies that every later value is one too
+    assert all(table[limit - lams[0] + 1:])
+    gaps_ = [v for v in range(limit + 1) if not table[v]]
+    assert curve.conductor == (gaps_[-1] + 1 if gaps_ else 0)
+
+
+def test_only_the_basis_cache_holds_per_curve_state():
+    for info in pkgutil.iter_modules(algrest.__path__):
+        importlib.import_module(f"algrest.{info.name}")
+    caches = {
+        id(value): value
+        for name, mod in sys.modules.items()
+        if name == "algrest" or name.startswith("algrest.")
+        for value in vars(mod).values()
+        if hasattr(value, "cache_info")
+    }
+    names = sorted(cache.__name__ for cache in caches.values())
+    assert names == ["binomial_span", "cached_basis", "monomials_of_qdeg"]
+    assert cached_basis.cache_parameters()["maxsize"] is not None
 
 
 def test_curve_images_are_t_powers():

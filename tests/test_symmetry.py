@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from algrest.curves import AlgRestriction, MonomialCurve, cached_basis
+from algrest.curves import AlgRestriction, MonomialCurve, RestrictionBasis, cached_basis
 from algrest.errors import InputError, LiftError, NotSymmetryError
 from algrest.forms import PolyMap, VectorField
 from algrest.parser import parse_map, parse_restriction
@@ -52,6 +52,21 @@ def test_action_tables_verbatim(lams, policy):
             assert table.entry(s, label) == parse_restriction(cell, basis), (
                 f"action of X_{s} on {label} under {policy}"
             )
+
+
+def test_actions_live_on_the_class_basis():
+    curve = MonomialCurve((3, 4, 5), ambient=4)
+    misses = cached_basis.cache_info().misses
+    basis = RestrictionBasis(curve)
+    a = AlgRestriction(basis, range(1, basis.dim + 1))
+    shifts = admissible_shifts(curve, basis.top_qdeg - basis.elements[0].qdeg)
+    actions = [shift_action(a, s) for s in shifts]
+    assert cached_basis.cache_info().misses == misses
+    assert sorted(basis.actions) == [(s, "grlex") for s in shifts]
+    cached = AlgRestriction(cached_basis(curve), a.coords)
+    assert cached_basis.cache_info().misses == misses + 1
+    assert actions == [shift_action(cached, s) for s in shifts]
+    assert any(not action.is_zero() for action in actions)
 
 
 def test_euler_field_scales_by_quasi_degree(basis457):
