@@ -22,12 +22,15 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InputError, NotClosedError
 from .forms import DifferentialForm, IndexTuple, Weights
 from .linalg import RrefResult, reduce_by, rref, sparse_rref
 from .poly import Exponent, Frozen, Polynomial, Scalar, UniPoly
+
+if TYPE_CHECKING:
+    from .symmetry import TangentSpace
 
 
 class MonomialCurve(Frozen):
@@ -86,8 +89,16 @@ class MonomialCurve(Frozen):
         return series
 
     def in_semigroup(self, value: int) -> bool:
-        """Whether some curve-only monomial has quasi-degree ``value``."""
-        return bool(monomials_of_qdeg(self.lams, value))
+        """Whether some curve-only monomial has quasi-degree ``value``.
+
+        The exponents have gcd 1, so every value >= (lam_1 - 1)(lam_s - 1)
+        is an element (Schur's bound; Brauer, "On a problem of partitions",
+        1942) and only smaller values are enumerated.
+        """
+        lams = self.lams
+        if value >= (lams[0] - 1) * (lams[-1] - 1):
+            return True
+        return bool(monomials_of_qdeg(lams, value))
 
     @property
     def conductor(self) -> int:
@@ -376,7 +387,9 @@ class RestrictionBasis:
     The basis owns the state its classes are computed in: ``pieces[d]`` is
     the 2-form piece of every degree d in [1, ``stop_qdeg``), and
     ``actions`` holds the Lie action matrices of ``symmetry``, keyed by
-    (shift, lift policy) and filled on first use.
+    (shift, lift policy) and filled on first use.  A matrix is stored once,
+    sparse: for each element j, the (i, value) pairs of the nonzero
+    entries of its column.
     """
 
     __slots__ = (
@@ -395,7 +408,7 @@ class RestrictionBasis:
         self.curve = curve
         self.stop_qdeg = stop = stop_qdeg(curve)
         self.pieces = {d: restriction_quotient(curve, 2, d) for d in range(1, stop)}
-        self.actions: dict[tuple[int, str], tuple[tuple[Fraction, ...], ...]] = {}
+        self.actions: dict[tuple[int, str], tuple[tuple[tuple[int, Fraction], ...], ...]] = {}
         elements: list[BasisElement] = []
         by_degree: dict[int, list[tuple[int, tuple[Fraction, ...]]]] = {}
         exact: dict[int, tuple[tuple[int, ...], tuple[tuple[Fraction, ...], ...]]] = {}
@@ -494,9 +507,17 @@ def cached_basis(curve: MonomialCurve) -> RestrictionBasis:
 
 
 class AlgRestriction:
-    """A class of closed 2-form restrictions, as coordinates in a basis."""
+    """A class of closed 2-form restrictions, as coordinates in a basis.
 
-    __slots__ = ("basis", "coords")
+    The class owns its orbit tangent spaces: ``tangents`` maps a lift
+    policy to the ``symmetry.TangentSpace`` at the class, filled on first
+    use by ``symmetry.orbit_tangent_space``, so the multiplicity, the
+    tangent directions and the Moser system of one class share one set of
+    action vectors.  It is left out of equality and hash, and dies with the
+    class.
+    """
+
+    __slots__ = ("basis", "coords", "tangents")
 
     def __init__(self, basis: RestrictionBasis, coords: Iterable[Scalar]):
         self.basis = basis
@@ -504,6 +525,7 @@ class AlgRestriction:
         if len(cs) != basis.dim:
             raise InputError("coordinate count does not match the basis")
         self.coords = cs
+        self.tangents: dict[str, TangentSpace] | None = None
 
     @classmethod
     def zero(cls, basis: RestrictionBasis) -> AlgRestriction:

@@ -390,10 +390,6 @@ class PolyMap:
         return len(self.components)
 
     @classmethod
-    def identity(cls, nvars: int) -> PolyMap:
-        return cls([Polynomial.variable(nvars, i) for i in range(nvars)], nvars)
-
-    @classmethod
     def diagonal(cls, factors: Sequence[Scalar]) -> PolyMap:
         nvars = len(factors)
         return cls(

@@ -32,10 +32,11 @@ def _check_curve(curve: MonomialCurve, a: AlgRestriction) -> None:
 def symplectic_multiplicity(
     curve: MonomialCurve, a: AlgRestriction, policy: str = "grlex"
 ) -> int:
-    """Codimension of the orbit of a in the closed-restriction space."""
+    """Codimension of the orbit of a in the closed-restriction space, read
+    off the orbit tangent space that the class keeps; that lookup checks
+    the curve."""
     from .symmetry import orbit_tangent_space
 
-    _check_curve(curve, a)
     return orbit_tangent_space(curve, a, policy).codim
 
 
@@ -258,14 +259,14 @@ class InvariantReport(NamedTuple):
 
 
 def invariant_report(
-    curve: MonomialCurve, a: AlgRestriction, policy: str = "grlex", mu: int | None = None
+    curve: MonomialCurve, a: AlgRestriction, policy: str = "grlex"
 ) -> InvariantReport:
-    """The four invariants of a.  Pass ``mu`` when the orbit tangent space at
-    a is already built, to skip rebuilding it."""
+    """The four invariants of a; mu reads the orbit tangent space that the
+    class keeps, so a later tangent query or Moser reduction reuses it."""
     located = a.min_qdeg_part()
     iota = index_of_isotropy(curve, a)
     return InvariantReport(
-        mu=symplectic_multiplicity(curve, a, policy) if mu is None else mu,
+        mu=symplectic_multiplicity(curve, a, policy),
         iota=iota,
         lt=lagrangian_tangency_order(curve, a, iota=iota),
         min_qdeg=None if located is None else located[0],

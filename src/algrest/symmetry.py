@@ -185,33 +185,38 @@ def lie_action(
     return project(curve, lie_derivative(lifted.field, a.rep_form()), a.basis)
 
 
-def _action_matrix(
-    basis: RestrictionBasis, s: int, policy: str
-) -> tuple[tuple[Fraction, ...], ...]:
-    """Column j holds the basis coordinates of the action on element j;
-    built once per basis, shift and policy, and kept in ``basis.actions``."""
-    matrix = basis.actions.get((s, policy))
-    if matrix is None:
+SparseColumn = tuple[tuple[int, Fraction], ...]
+
+
+def _action_matrix(basis: RestrictionBasis, s: int, policy: str) -> tuple[SparseColumn, ...]:
+    """Column j lists the (i, value) pairs of the nonzero basis coordinates
+    of the action on element j; built once per basis, shift and policy, and
+    kept in ``basis.actions``, with no dense copy beside it."""
+    columns = basis.actions.get((s, policy))
+    if columns is None:
         curve = basis.curve
         lifted = liftable_field(curve, s, policy)
-        matrix = basis.actions[s, policy] = tuple(
-            project(curve, lie_derivative(lifted.field, el.rep), basis).coords
+        columns = basis.actions[s, policy] = tuple(
+            tuple(
+                (i, c)
+                for i, c in enumerate(
+                    project(curve, lie_derivative(lifted.field, el.rep), basis).coords
+                )
+                if c
+            )
             for el in basis.elements
         )
-    return matrix
+    return columns
 
 
 def shift_action(a: AlgRestriction, s: int, policy: str = "grlex") -> AlgRestriction:
-    """Action of X_s on a class, via its basis's matrix for the shift."""
+    """Action of X_s on a class, via its basis's sparse columns for the shift."""
     basis = a.basis
-    matrix = _action_matrix(basis, s, policy)
     out = [Fraction(0)] * basis.dim
-    for j, cj in enumerate(a.coords):
+    for cj, column in zip(a.coords, _action_matrix(basis, s, policy)):
         if cj:
-            col = matrix[j]
-            for i in range(basis.dim):
-                if col[i]:
-                    out[i] += cj * col[i]
+            for i, value in column:
+                out[i] += cj * value
     return AlgRestriction(basis, out)
 
 
@@ -244,11 +249,13 @@ def action_table(
     min_qdeg = basis.elements[0].qdeg
     bound = basis.top_qdeg - min_qdeg
     shifts = admissible_shifts(curve, bound)
-    entries = {
-        (s, el.label): AlgRestriction(basis, column)
-        for s in shifts
-        for el, column in zip(basis.elements, _action_matrix(basis, s, policy))
-    }
+    entries = {}
+    for s in shifts:
+        for el, column in zip(basis.elements, _action_matrix(basis, s, policy)):
+            coords = [Fraction(0)] * basis.dim
+            for i, value in column:
+                coords[i] = value
+            entries[s, el.label] = AlgRestriction(basis, coords)
     return ActionTable(
         curve=curve,
         policy=policy,
@@ -315,15 +322,26 @@ def orbit_tangent_space(
     a: AlgRestriction,
     policy: str = "grlex",
 ) -> TangentSpace:
-    """Span of the actions of all admissible X_s at the class a."""
-    located = a.min_qdeg_part()
-    if located is None:
-        return TangentSpace(base=a, shifts=(), vectors=())
-    min_qdeg = located[0]
-    bound = a.basis.top_qdeg - min_qdeg
-    shifts = tuple(admissible_shifts(curve, bound)) if bound >= 0 else ()
-    vectors = tuple(shift_action(a, s, policy) for s in shifts)
-    return TangentSpace(base=a, shifts=shifts, vectors=vectors)
+    """Span of the actions of all admissible X_s at the class a.
+
+    Built once per class and policy and kept in ``a.tangents``.  The
+    shifts are the admissible ones up to top_qdeg - min_qdeg, which is
+    >= 0 for a nonzero class; the zero class has none.
+    """
+    if a.basis.curve != curve:
+        raise InputError("basis was built for a different curve")
+    if a.tangents is None:
+        a.tangents = {}
+    tangent = a.tangents.get(policy)
+    if tangent is None:
+        located = a.min_qdeg_part()
+        if located is None:
+            shifts: tuple[int, ...] = ()
+        else:
+            shifts = tuple(admissible_shifts(curve, a.basis.top_qdeg - located[0]))
+        vectors = tuple(shift_action(a, s, policy) for s in shifts)
+        tangent = a.tangents[policy] = TangentSpace(base=a, shifts=shifts, vectors=vectors)
+    return tangent
 
 
 def is_modulus(
@@ -356,7 +374,20 @@ def moser_reduce(
 
     Solves sum_s b_s(t) * L_{X_s} A_t = kill for rational functions b_s; the
     reduction is feasible when the system is consistent and the solution has
-    no poles in [0, 1].
+    no poles in [0, 1].  The shifts and the vectors L_{X_s} a are those of
+    the orbit tangent space at a, which the class keeps.
+
+    The system keeps only its live rows: the coordinates i where some
+    L_{X_s} a, some L_{X_s} kill or kill itself is nonzero.  A dead row
+    reads 0 = 0; inside ``solve_param_linear`` it stays zero under the
+    Bareiss update and is never a pivot, and dropping it changes neither
+    the kernel of the matrix nor the solution set.  The result depends on
+    those alone: a column is a pivot iff it is outside the span of the
+    columns before it, which the kernel decides; the system is consistent
+    iff it has a solution; the solution with free unknowns at zero is the
+    unique one on the pivot columns; and ``RationalFunctionT`` is
+    canonical.  So the coefficients and pole counts are those of the full
+    system.
     """
     kill._check_same_basis(a)
     kill_degs = kill.nonzero_qdegs()
@@ -370,21 +401,18 @@ def moser_reduce(
         return HomotopyResult(
             feasible=True, consistent=True, shifts=(), coefficients={}, pole_counts={}
         )
-    located = a.min_qdeg_part()
-    assert located is not None
-    bound = a.basis.top_qdeg - located[0]
-    shifts = tuple(admissible_shifts(curve, bound)) if bound >= 0 else (0,)
-    v = {s: shift_action(a, s, policy).coords for s in shifts}
-    w = {s: shift_action(kill, s, policy).coords for s in shifts}
-    dim = a.basis.dim
-    rows = [
-        [
-            UniPoly([v[s][i], -w[s][i]])
-            for s in shifts
-        ]
-        for i in range(dim)
+    tangent = orbit_tangent_space(curve, a, policy)
+    shifts = tangent.shifts
+    v = [vector.coords for vector in tangent.vectors]
+    w = [shift_action(kill, s, policy).coords for s in shifts]
+    target = kill.coords
+    live = [
+        i
+        for i in range(a.basis.dim)
+        if target[i] or any(vs[i] for vs in v) or any(ws[i] for ws in w)
     ]
-    rhs = [UniPoly.constant(kill.coords[i]) for i in range(dim)]
+    rows = [[UniPoly([vs[i], -ws[i]]) for vs, ws in zip(v, w)] for i in live]
+    rhs = [UniPoly.constant(target[i]) for i in live]
     solution: ParamSolution = solve_param_linear(rows, rhs)
     coeffs = {
         s: solution.solution[j] if solution.consistent else RationalFunctionT.zero()

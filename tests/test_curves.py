@@ -79,10 +79,16 @@ MEMBERSHIP_CURVES = ALL + ((5, 6, 7, 8, 9), (6, 7, 8, 9, 10, 11)) + tuple(
 )
 
 
+def schur_bound(lams):
+    """(lam_1 - 1)(lam_s - 1): every larger value is a semigroup element."""
+    return (lams[0] - 1) * (lams[-1] - 1)
+
+
 @pytest.mark.parametrize("lams", MEMBERSHIP_CURVES)
 def test_semigroup_membership_matches_the_reference_table(lams):
     curve = MonomialCurve(lams)
-    limit = 3 * curve.conductor
+    # past Schur's bound, where membership is answered without enumerating
+    limit = max(3 * curve.conductor, schur_bound(lams) + 2 * lams[-1])
     table = reference_membership(lams, limit)
     assert [curve.in_semigroup(v) for v in range(limit + 1)] == table
     assert not curve.in_semigroup(-1)
@@ -90,6 +96,16 @@ def test_semigroup_membership_matches_the_reference_table(lams):
     assert all(table[limit - lams[0] + 1:])
     gaps_ = [v for v in range(limit + 1) if not table[v]]
     assert curve.conductor == (gaps_[-1] + 1 if gaps_ else 0)
+
+
+def test_membership_past_schurs_bound_enumerates_nothing():
+    curve = MonomialCurve((6, 7, 8, 9, 10, 11))
+    assert schur_bound(curve.lams) == 50
+    before = monomials_of_qdeg.cache_info()
+    assert curve.in_semigroup(150)
+    assert curve.in_semigroup(50)
+    # no lookup at all: neither a stored entry nor a hit
+    assert monomials_of_qdeg.cache_info() == before
 
 
 def test_only_the_basis_cache_holds_per_curve_state():

@@ -29,6 +29,11 @@ def dxx(i, j, n=4):
     return DifferentialForm.from_term(n, (i, j), 1)
 
 
+def identity_map(n):
+    """The identity map of R^n: x_i -> x_i."""
+    return PolyMap([var(i, n) for i in range(n)], n)
+
+
 def compose(outer, inner):
     """outer after inner: x -> outer(inner(x))."""
     return PolyMap(
@@ -118,7 +123,7 @@ def test_polymap_requires_vanishing_constant_term():
 
 
 def test_polymap_identity_diagonal_compose():
-    ident = PolyMap.identity(3)
+    ident = identity_map(3)
     diag = PolyMap.diagonal([2, 3, Fraction(1, 2)])
     assert diag.linear_matrix() == [
         [Fraction(2), Fraction(0), Fraction(0)],

@@ -1,14 +1,20 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from algrest.curves import AlgRestriction, MonomialCurve, RestrictionBasis, cached_basis
+import algrest.symmetry as symmetry_module
+from algrest.curves import AlgRestriction, MonomialCurve, RestrictionBasis, cached_basis, project
 from algrest.errors import InputError, LiftError, NotSymmetryError
-from algrest.forms import PolyMap, VectorField
+from algrest.forms import PolyMap, VectorField, lie_derivative
+from algrest.invariants import invariant_report
+from algrest.linalg import solve_param_linear
 from algrest.parser import parse_map, parse_restriction
 from algrest.poly import Polynomial, RationalFunctionT, UniPoly
 from algrest.symmetry import (
+    LIFT_POLICIES,
+    HomotopyResult,
     action_table,
     admissible_shifts,
     curve_scaling,
@@ -52,6 +58,24 @@ def test_action_tables_verbatim(lams, policy):
             assert table.entry(s, label) == parse_restriction(cell, basis), (
                 f"action of X_{s} on {label} under {policy}"
             )
+
+
+@pytest.mark.parametrize("policy", LIFT_POLICIES)
+@pytest.mark.parametrize("lams", sorted(ACTIONS))
+def test_action_table_matches_projected_lie_derivatives(lams, policy):
+    """Each entry equals the dense projection of L_{X_s} on the element's
+    representative, and the basis keeps one sparse column per element:
+    the (i, value) pairs of the entry's nonzero coordinates."""
+    curve = MonomialCurve(lams)
+    basis = cached_basis(curve)
+    table = action_table(curve, policy, basis)
+    for s in table.shifts:
+        field = liftable_field(curve, s, policy).field
+        columns = basis.actions[s, policy]
+        for el, column in zip(basis.elements, columns):
+            expected = project(curve, lie_derivative(field, el.rep), basis)
+            assert table.entry(s, el.label) == expected
+            assert column == tuple((i, c) for i, c in enumerate(expected.coords) if c)
 
 
 def test_actions_live_on_the_class_basis():
@@ -118,6 +142,46 @@ def test_orbit_tangent_space_dim(curve4567, basis4567):
     assert not tangent.contains(parse_restriction("a9", basis4567))
     assert is_modulus(curve4567, a, parse_restriction("a9", basis4567))
     assert not is_modulus(curve4567, a, parse_restriction("a14", basis4567))
+
+
+def test_the_class_keeps_its_tangent_spaces(curve4567, basis4567, curve457):
+    a = parse_restriction("a13-", basis4567)
+    grlex = orbit_tangent_space(curve4567, a)
+    assert orbit_tangent_space(curve4567, a) is grlex
+    assert orbit_tangent_space(curve4567, a, "grlex") is grlex
+    pinned = orbit_tangent_space(curve4567, a, "pinned")
+    assert pinned is not grlex
+    assert pinned.dim == grlex.dim
+    assert orbit_tangent_space(curve4567, a, "pinned") is pinned
+    assert a.tangents == {"grlex": grlex, "pinned": pinned}
+    # an equal class is another object with its own tangent spaces
+    twin = parse_restriction("a13-", basis4567)
+    assert twin == a and twin.tangents is None
+    assert orbit_tangent_space(curve4567, twin) == grlex
+    with pytest.raises(InputError, match="basis was built for a different curve"):
+        orbit_tangent_space(curve457, a)
+
+
+def test_one_class_computes_each_action_once(monkeypatch, curve4567, basis4567):
+    """The multiplicity, the tangent directions and the Moser system of a
+    class share one vector L_{X_s} a per shift."""
+    a = parse_restriction("a11+ - 3/2*a11- + 2*a12 + 7*a13+", basis4567)
+    kill = a.part(13)
+    calls = []
+    original = symmetry_module.shift_action
+
+    def counting(b, s, policy="grlex"):
+        if b is a:
+            calls.append(s)
+        return original(b, s, policy)
+
+    monkeypatch.setattr(symmetry_module, "shift_action", counting)
+    report = invariant_report(curve4567, a)
+    tangent = orbit_tangent_space(curve4567, a)
+    assert report.mu == tangent.codim
+    result = moser_reduce(curve4567, a, kill)
+    assert result.shifts == tangent.shifts
+    assert sorted(calls) == list(tangent.shifts)
 
 
 def test_orbit_tangent_space_of_zero(basis456, curve456):
@@ -201,6 +265,63 @@ def test_moser_reduce_solutions_satisfy_the_homotopy_equation(curve456, basis456
                 total = total + shift_action(at, s) * result.coefficients[s].evaluate(t)
             assert total == kill, f"{a}, kill {kill}"
     assert consistent == 30
+
+
+def reference_moser(curve, a, kill, policy="grlex"):
+    """The all-rows Moser system: one row per basis coordinate, with every
+    action vector computed afresh through ``shift_action``."""
+    bound = a.basis.top_qdeg - a.min_qdeg_part()[0]
+    shifts = tuple(admissible_shifts(curve, bound))
+    v = {s: shift_action(a, s, policy).coords for s in shifts}
+    w = {s: shift_action(kill, s, policy).coords for s in shifts}
+    dim = a.basis.dim
+    rows = [[UniPoly([v[s][i], -w[s][i]]) for s in shifts] for i in range(dim)]
+    rhs = [UniPoly.constant(kill.coords[i]) for i in range(dim)]
+    solution = solve_param_linear(rows, rhs)
+    return HomotopyResult(
+        feasible=solution.feasible_on_unit_interval,
+        consistent=solution.consistent,
+        shifts=shifts,
+        coefficients={
+            s: solution.solution[j] if solution.consistent else RationalFunctionT.zero()
+            for j, s in enumerate(shifts)
+        },
+        pole_counts={
+            s: solution.pole_counts[j] if solution.consistent else 0
+            for j, s in enumerate(shifts)
+        },
+    )
+
+
+# The class pool of the class-queries benchmark workload: 75 classes per
+# curve, each 1 to 4 labels with small nonzero rational coefficients and
+# one of them marking the graded part to remove, drawn from a per-curve seed.
+POOL_SEED = 1_000_003
+POOL_COEFFS = tuple(Fraction(p, q) for p in range(-5, 6) if p for q in (1, 2, 3))
+
+
+def class_pool(lams, labels, size=75):
+    rng = random.Random(POOL_SEED + sum(v * 31**i for i, v in enumerate(lams)))
+    pool = []
+    for _ in range(size):
+        chosen = rng.sample(list(labels), min(rng.randint(1, 4), len(labels)))
+        terms = {label: rng.choice(POOL_COEFFS) for label in chosen}
+        pool.append((terms, rng.choice(chosen)))
+    return pool
+
+
+@pytest.mark.parametrize("lams", [(4, 5, 6, 7), (4, 5, 6), (4, 5, 7)])
+def test_moser_reduce_on_live_rows_matches_the_all_rows_system(lams):
+    curve = MonomialCurve(lams)
+    basis = cached_basis(curve)
+    consistent = 0
+    for terms, kill_label in class_pool(lams, basis.labels):
+        a = AlgRestriction.from_coeffs(basis, terms)
+        kill = a.part(basis.element(kill_label).qdeg)
+        result = moser_reduce(curve, a, kill)
+        assert result == reference_moser(curve, a, kill), f"{a}, kill {kill}"
+        consistent += result.consistent
+    assert 0 < consistent < 75
 
 
 def test_moser_reduce_zero_kill_is_trivial(curve4567, basis4567):
