@@ -336,7 +336,6 @@ def verify_row(
     n: int | None = None,
     samples: Sequence[Mapping[str, Fraction]] | None = None,
     seed: int = 0,
-    policy: str = "grlex",
 ) -> list[RowCheck]:
     curve = atlas.curve
     s = len(curve.lams)
@@ -375,8 +374,8 @@ def verify_row(
                 f"pullback of the standard symplectic form projects to "
                 f"{projected}, stored restriction is {realized}"
             )
-        report = invariant_report(curve, target, policy)
-        tangent = orbit_tangent_space(curve, target, policy)
+        report = invariant_report(curve, target)
+        tangent = orbit_tangent_space(curve, target)
         if report.mu != row.mu:
             failures.append(f"mu = {report.mu}, table says {row.mu}")
         if report.iota != row.iota:
@@ -424,7 +423,6 @@ def verify_row(
 def verify_distinctness(
     atlas: Atlas,
     seed: int = 0,
-    policy: str = "grlex",
     checks: Sequence[RowCheck] = (),
 ) -> list[str]:
     """Pairwise distinguishability of all rows, and of sign variants, at each
@@ -438,7 +436,7 @@ def verify_distinctness(
             a = row_class(atlas, row, env)
             report = measured.get((row.id, frozenset(env.items())))
             if report is None:
-                report = invariant_report(atlas.curve, a, policy)
+                report = invariant_report(atlas.curve, a)
             by_row.setdefault(row.id, []).append((a, report))
     failures = []
     for r1, r2 in itertools.combinations(by_row, 2):
@@ -495,16 +493,13 @@ def verify_atlas(
     n: int | None = None,
     samples: Mapping[int, Sequence[Mapping[str, Fraction]]] | None = None,
     seed: int = 0,
-    policy: str = "grlex",
 ) -> AtlasReport:
     checks: list[RowCheck] = []
     for row in atlas.rows:
         row_n = n if n is not None and n >= row.min_n else row.min_n
         row_samples = None if samples is None else samples.get(row.id)
-        checks.extend(
-            verify_row(atlas, row, n=row_n, samples=row_samples, seed=seed, policy=policy)
-        )
-    distinct = verify_distinctness(atlas, seed=seed, policy=policy, checks=checks)
+        checks.extend(verify_row(atlas, row, n=row_n, samples=row_samples, seed=seed))
+    distinct = verify_distinctness(atlas, seed=seed, checks=checks)
     return AtlasReport(
         semigroup=atlas.curve.lams,
         checks=tuple(checks),

@@ -144,7 +144,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     curve = _curve(args)
     basis = cached_basis(curve)
     a = parse_restriction(args.restriction, basis)
-    report = invariant_report(curve, a, args.lift_policy)
+    report = invariant_report(curve, a)
     payload = {
         "semigroup": list(curve.lams),
         "restriction": str(a),
@@ -178,7 +178,7 @@ def cmd_tangent(args: argparse.Namespace) -> int:
     curve = _curve(args)
     basis = cached_basis(curve)
     a = parse_restriction(args.restriction, basis)
-    tangent = orbit_tangent_space(curve, a, args.lift_policy)
+    tangent = orbit_tangent_space(curve, a)
     moduli = [
         el.label
         for el in basis.elements
@@ -207,7 +207,7 @@ def cmd_moser(args: argparse.Namespace) -> int:
     a = parse_restriction(args.restriction, basis)
     qdeg = basis.element(args.kill).qdeg
     kill = a.part(qdeg)
-    result = moser_reduce(curve, a, kill, args.lift_policy)
+    result = moser_reduce(curve, a, kill)
     payload = {
         "semigroup": list(curve.lams),
         "restriction": str(a),
@@ -273,9 +273,7 @@ def cmd_verify_atlas(args: argparse.Namespace) -> int:
     lines: list[str] = []
     for lams in targets:
         atlas = load_atlas(lams)
-        report = verify_atlas(
-            atlas, n=args.n, samples=samples, seed=args.seed, policy=args.lift_policy
-        )
+        report = verify_atlas(atlas, n=args.n, samples=samples, seed=args.seed)
         reports.append(report)
         lines.append(f"semigroup {report.semigroup}:")
         by_row: dict[int, list] = {}
@@ -328,17 +326,10 @@ def cmd_verify_atlas(args: argparse.Namespace) -> int:
     return 0 if passed else 1
 
 
-def _add_common(sub: argparse.ArgumentParser, policy: bool = False) -> None:
+def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--format", choices=FORMATS, default="text", help="output format"
     )
-    if policy:
-        sub.add_argument(
-            "--lift-policy",
-            choices=LIFT_POLICIES,
-            default="grlex",
-            help="how to pick monomial components of the liftable fields",
-        )
 
 
 def _add_generators(sub: argparse.ArgumentParser, optional: bool = False) -> None:
@@ -373,7 +364,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("action-table", help="Lie actions of the liftable fields")
     _add_generators(p)
-    _add_common(p, policy=True)
+    _add_common(p)
+    p.add_argument(
+        "--lift-policy",
+        choices=LIFT_POLICIES,
+        default="grlex",
+        help="how to pick monomial components of the liftable fields",
+    )
     p.set_defaults(func=cmd_action_table)
 
     p = subs.add_parser("project", help="project a closed 2-form to basis coordinates")
@@ -387,20 +384,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_generators(p)
     p.add_argument("--restriction", required=True, help=_RESTRICTION_HELP)
     p.add_argument("--n", type=int, default=None, help="also test realizability on R^2n")
-    _add_common(p, policy=True)
+    _add_common(p)
     p.set_defaults(func=cmd_invariants)
 
     p = subs.add_parser("tangent", help="orbit tangent space at a class")
     _add_generators(p)
     p.add_argument("--restriction", required=True, help=_RESTRICTION_HELP)
-    _add_common(p, policy=True)
+    _add_common(p)
     p.set_defaults(func=cmd_tangent)
 
     p = subs.add_parser("moser", help="homotopy reduction removing one component")
     _add_generators(p)
     p.add_argument("--restriction", required=True, help=_RESTRICTION_HELP)
     p.add_argument("--kill", required=True, metavar="LABEL", help="basis label marking the qdeg to remove")
-    _add_common(p, policy=True)
+    _add_common(p)
     p.set_defaults(func=cmd_moser)
 
     p = subs.add_parser("pullback", help="act on a class by a curve symmetry")
@@ -415,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None, help="symplectic space half-dimension")
     p.add_argument("--samples", default=None, help=_SAMPLES_HELP)
     p.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
-    _add_common(p, policy=True)
+    _add_common(p)
     p.set_defaults(func=cmd_verify_atlas)
 
     return parser

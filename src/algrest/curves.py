@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 from .errors import InputError, NotClosedError
 from .forms import DifferentialForm, IndexTuple, Weights
 from .linalg import RrefResult, reduce_by, rref, sparse_rref
-from .poly import Exponent, Frozen, Polynomial, Scalar, UniPoly
+from .poly import Exponent, Frozen, Polynomial, Scalar, UniPoly, signed_sum
 
 if TYPE_CHECKING:
     from .symmetry import TangentSpace
@@ -509,15 +509,15 @@ def cached_basis(curve: MonomialCurve) -> RestrictionBasis:
 class AlgRestriction:
     """A class of closed 2-form restrictions, as coordinates in a basis.
 
-    The class owns its orbit tangent spaces: ``tangents`` maps a lift
-    policy to the ``symmetry.TangentSpace`` at the class, filled on first
-    use by ``symmetry.orbit_tangent_space``, so the multiplicity, the
-    tangent directions and the Moser system of one class share one set of
-    action vectors.  It is left out of equality and hash, and dies with the
-    class.
+    The class owns its orbit tangent space: ``tangent`` holds the
+    ``symmetry.TangentSpace`` at the class once
+    ``symmetry.orbit_tangent_space`` has built it, and None before, so the
+    multiplicity, the tangent directions and the Moser system of one class
+    share one set of action vectors.  It is left out of equality and hash,
+    and dies with the class.
     """
 
-    __slots__ = ("basis", "coords", "tangents")
+    __slots__ = ("basis", "coords", "tangent")
 
     def __init__(self, basis: RestrictionBasis, coords: Iterable[Scalar]):
         self.basis = basis
@@ -525,7 +525,7 @@ class AlgRestriction:
         if len(cs) != basis.dim:
             raise InputError("coordinate count does not match the basis")
         self.coords = cs
-        self.tangents: dict[str, TangentSpace] | None = None
+        self.tangent: TangentSpace | None = None
 
     @classmethod
     def zero(cls, basis: RestrictionBasis) -> AlgRestriction:
@@ -611,23 +611,7 @@ class AlgRestriction:
         return form
 
     def __str__(self) -> str:
-        parts: list[str] = []
-        for el, c in zip(self.basis.elements, self.coords):
-            if not c:
-                continue
-            if c == 1:
-                body = el.label
-            elif c == -1:
-                body = f"-{el.label}"
-            else:
-                body = f"{c}*{el.label}"
-            if parts and not body.startswith("-"):
-                parts.append(f"+ {body}")
-            elif parts:
-                parts.append(f"- {body[1:]}")
-            else:
-                parts.append(body)
-        return " ".join(parts) if parts else "0"
+        return signed_sum(zip(self.coords, self.basis.labels))
 
     def __repr__(self) -> str:
         return f"AlgRestriction({self})"

@@ -29,15 +29,13 @@ def _check_curve(curve: MonomialCurve, a: AlgRestriction) -> None:
         raise InputError("basis was built for a different curve")
 
 
-def symplectic_multiplicity(
-    curve: MonomialCurve, a: AlgRestriction, policy: str = "grlex"
-) -> int:
+def symplectic_multiplicity(curve: MonomialCurve, a: AlgRestriction) -> int:
     """Codimension of the orbit of a in the closed-restriction space, read
     off the orbit tangent space that the class keeps; that lookup checks
     the curve."""
     from .symmetry import orbit_tangent_space
 
-    return orbit_tangent_space(curve, a, policy).codim
+    return orbit_tangent_space(curve, a).codim
 
 
 def _part_quotient_coords(a: AlgRestriction, d: int) -> list[Fraction]:
@@ -258,15 +256,13 @@ class InvariantReport(NamedTuple):
     min_qdeg: int | None
 
 
-def invariant_report(
-    curve: MonomialCurve, a: AlgRestriction, policy: str = "grlex"
-) -> InvariantReport:
+def invariant_report(curve: MonomialCurve, a: AlgRestriction) -> InvariantReport:
     """The four invariants of a; mu reads the orbit tangent space that the
     class keeps, so a later tangent query or Moser reduction reuses it."""
     located = a.min_qdeg_part()
     iota = index_of_isotropy(curve, a)
     return InvariantReport(
-        mu=symplectic_multiplicity(curve, a, policy),
+        mu=symplectic_multiplicity(curve, a),
         iota=iota,
         lt=lagrangian_tangency_order(curve, a, iota=iota),
         min_qdeg=None if located is None else located[0],

@@ -20,7 +20,7 @@ from typing import Sequence
 from .curves import AlgRestriction, RestrictionBasis
 from .errors import InputError
 from .forms import DifferentialForm, PolyMap, wedge
-from .poly import Polynomial
+from .poly import Polynomial, signed_sum
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<dx>dx(?P<dxi>\d+))|(?P<var>x(?P<vari>\d+))|(?P<num>\d+)"
@@ -360,44 +360,14 @@ def latex_monomial(exps: Sequence[int]) -> str:
 
 
 def latex_form(form: DifferentialForm) -> str:
-    if form.is_zero():
-        return "0"
-    parts: list[str] = []
-    for idx in sorted(form.coeffs):
-        poly = form.coeffs[idx]
-        dxs = "\\wedge ".join(f"dx_{{{i + 1}}}" for i in idx)
-        for exps, coeff in poly.sorted_terms():
-            mono = latex_monomial(exps)
-            body = mono + dxs if mono else dxs
-            if coeff == 1 and body:
-                piece = body
-            elif coeff == -1 and body:
-                piece = "-" + body
-            else:
-                piece = latex_fraction(coeff) + body
-            parts.append(piece)
-    out = parts[0]
-    for piece in parts[1:]:
-        out += piece if piece.startswith("-") else "+" + piece
-    return out
+    terms = (
+        (coeff, latex_monomial(exps) + "\\wedge ".join(f"dx_{{{i + 1}}}" for i in idx))
+        for idx in sorted(form.coeffs)
+        for exps, coeff in form.coeffs[idx].sorted_terms()
+    )
+    return signed_sum(terms, latex_fraction, "", "+", "-")
 
 
 def latex_restriction(a: AlgRestriction) -> str:
-    if a.is_zero():
-        return "0"
-    parts: list[str] = []
-    for el, coeff in zip(a.basis.elements, a.coords):
-        if not coeff:
-            continue
-        body = latex_label(el.label)
-        if coeff == 1:
-            piece = body
-        elif coeff == -1:
-            piece = "-" + body
-        else:
-            piece = latex_fraction(coeff) + body
-        parts.append(piece)
-    out = parts[0]
-    for piece in parts[1:]:
-        out += piece if piece.startswith("-") else "+" + piece
-    return out
+    terms = ((c, latex_label(label)) for c, label in zip(a.coords, a.basis.labels))
+    return signed_sum(terms, latex_fraction, "", "+", "-")

@@ -11,7 +11,7 @@ package's immutable value classes.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 Exponent = tuple[int, ...]
 Scalar = Union[Fraction, int]
@@ -34,6 +34,38 @@ class Frozen:
 def grlex_key(exps: Exponent) -> tuple[int, Exponent]:
     """Sort key for graded lexicographic order (total degree, then lex)."""
     return (sum(exps), exps)
+
+
+def signed_sum(
+    terms: Iterable[tuple[Fraction, str]],
+    number: Callable[[Fraction], str] = str,
+    times: str = "*",
+    plus: str = " + ",
+    minus: str = " - ",
+) -> str:
+    """Print the sum of the terms c*body with c nonzero, "0" when there are
+    none.  A body stands alone for c = 1 and after a "-" for c = -1, and an
+    empty body prints as the number c.  Each term after the first joins the
+    sum with ``plus``, or with ``minus`` in place of its leading "-"."""
+    out = ""
+    for c, body in terms:
+        if not c:
+            continue
+        if not body:
+            piece = number(c)
+        elif c == 1:
+            piece = body
+        elif c == -1:
+            piece = "-" + body
+        else:
+            piece = number(c) + times + body
+        if not out:
+            out = piece
+        elif piece.startswith("-"):
+            out += minus + piece[1:]
+        else:
+            out += plus + piece
+    return out or "0"
 
 
 def _as_fraction(value: Scalar) -> Fraction:
@@ -97,12 +129,6 @@ class Polynomial:
 
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * self.nvars, Fraction(0))
-
-    def quasi_degrees(self, weights: Sequence[int]) -> set[int]:
-        """Set of weighted degrees occurring among the terms."""
-        if len(weights) != self.nvars:
-            raise ValueError("weight vector has wrong length")
-        return {sum(e * w for e, w in zip(exps, weights)) for exps in self.terms}
 
     def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
         """Terms in descending graded lexicographic order (deterministic)."""
@@ -246,27 +272,10 @@ class Polynomial:
     # -- printing ---------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts: list[str] = []
-        for exps, coeff in self.sorted_terms():
-            factors = [f"x{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(exps) if e]
-            mono = "*".join(factors)
-            if not mono:
-                body = str(coeff)
-            elif coeff == 1:
-                body = mono
-            elif coeff == -1:
-                body = f"-{mono}"
-            else:
-                body = f"{coeff}*{mono}"
-            if parts and not body.startswith("-"):
-                parts.append(f"+ {body}")
-            elif parts:
-                parts.append(f"- {body[1:]}")
-            else:
-                parts.append(body)
-        return " ".join(parts)
+        def mono(exps: Exponent) -> str:
+            return "*".join(f"x{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(exps) if e)
+
+        return signed_sum((coeff, mono(exps)) for exps, coeff in self.sorted_terms())
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
@@ -449,30 +458,10 @@ class UniPoly:
         return self.divmod(g)[0].monic()
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts: list[str] = []
-        for e in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[e]
-            if not c:
-                continue
-            if e == 0:
-                body = str(c)
-            else:
-                var = "t" if e == 1 else f"t^{e}"
-                if c == 1:
-                    body = var
-                elif c == -1:
-                    body = f"-{var}"
-                else:
-                    body = f"{c}*{var}"
-            if parts and not body.startswith("-"):
-                parts.append(f"+ {body}")
-            elif parts:
-                parts.append(f"- {body[1:]}")
-            else:
-                parts.append(body)
-        return " ".join(parts)
+        return signed_sum(
+            (self.coeffs[e], "" if e == 0 else "t" if e == 1 else f"t^{e}")
+            for e in range(len(self.coeffs) - 1, -1, -1)
+        )
 
     def __repr__(self) -> str:
         return f"UniPoly({self})"

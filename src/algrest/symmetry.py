@@ -8,8 +8,12 @@ lam_i + s in the semigroup for all i, so each component can be written as
 lam_i times a monomial of quasi-degree lam_i + s.  Two deterministic
 monomial-choice policies are shipped: ``grlex`` picks the graded-lex
 minimal exponent vector, ``pinned`` replays a fixed table of recorded
-choices for the three bundled semigroups.  Actions do not depend on the
-choice; the policies exist for byte-stable table output.
+choices for the three bundled semigroups.  Two choices differ by a field
+with coefficients in the curve's ideal, which acts as zero on closed
+classes, so the action does not depend on the choice.  The policy is
+therefore an option of the action table, whose output names it; orbit
+tangent spaces and Moser reductions use grlex lifts, which exist on every
+curve.
 """
 
 from __future__ import annotations
@@ -102,16 +106,9 @@ def _curve_monomials(curve: MonomialCurve, qdeg: int) -> list[Exponent]:
     return [m + pad for m in monomials_of_qdeg(curve.lams, qdeg)]
 
 
-def liftable_field(
-    curve: MonomialCurve,
-    s: int,
-    policy: str | Sequence[Exponent] = "grlex",
-) -> LiftableField:
-    """Build the liftable field X_s under a monomial-choice policy.
-
-    ``policy`` is "grlex", "pinned", or an explicit list of exponent tuples
-    (one per curve coordinate, over the curve coordinates).
-    """
+def liftable_field(curve: MonomialCurve, s: int, policy: str = "grlex") -> LiftableField:
+    """Build the liftable field X_s under a monomial-choice policy, "grlex"
+    or "pinned"."""
     if s < 0:
         raise InputError("shift must be nonnegative")
     lams = curve.lams
@@ -120,32 +117,24 @@ def liftable_field(
             f"no monomial lift exists for shift {s}: some lam_i + {s} is outside the semigroup"
         )
     m = curve.ambient
-    pad = (0,) * (m - len(lams))
-    if isinstance(policy, str):
-        if policy == "grlex":
-            exps_list = []
-            for lam in lams:
-                candidates = _curve_monomials(curve, lam + s)
-                if not candidates:
-                    raise LiftError(f"no monomial of quasi-degree {lam + s} exists")
-                exps_list.append(min(candidates, key=lambda e: (sum(e), e)))
-            tag = "grlex"
-        elif policy == "pinned":
-            stored = _PINNED.get((lams, s))
-            if stored is None:
-                raise InputError(
-                    f"no pinned lift stored for curve {lams} and shift {s}; "
-                    "use the grlex policy"
-                )
-            exps_list = [e + pad for e in stored]
-            tag = "pinned"
-        else:
-            raise InputError(f"unknown lift policy {policy!r}; use grlex or pinned")
+    if policy == "grlex":
+        exps_list = []
+        for lam in lams:
+            candidates = _curve_monomials(curve, lam + s)
+            if not candidates:
+                raise LiftError(f"no monomial of quasi-degree {lam + s} exists")
+            exps_list.append(min(candidates, key=lambda e: (sum(e), e)))
+    elif policy == "pinned":
+        stored = _PINNED.get((lams, s))
+        if stored is None:
+            raise InputError(
+                f"no pinned lift stored for curve {lams} and shift {s}; "
+                "use the grlex policy"
+            )
+        pad = (0,) * (m - len(lams))
+        exps_list = [e + pad for e in stored]
     else:
-        exps_list = [tuple(e) + pad if len(e) < m else tuple(e) for e in policy]
-        if len(exps_list) != len(lams):
-            raise InputError("need one exponent tuple per curve coordinate")
-        tag = "explicit"
+        raise InputError(f"unknown lift policy {policy!r}; use grlex or pinned")
     components = [
         Polynomial.monomial(exps_list[i], lams[i]) for i in range(len(lams))
     ]
@@ -155,7 +144,7 @@ def liftable_field(
         raise LiftError(
             f"the chosen monomials do not satisfy X(g(t)) = t^{s + 1} g'(t)"
         )
-    return LiftableField(shift=s, field=field, policy=tag)
+    return LiftableField(shift=s, field=field, policy=policy)
 
 
 def validate_liftable(curve: MonomialCurve, field: VectorField, s: int) -> bool:
@@ -317,41 +306,31 @@ class TangentSpace(Frozen):
         return not any(reduce_by(self._echelon, direction.coords))
 
 
-def orbit_tangent_space(
-    curve: MonomialCurve,
-    a: AlgRestriction,
-    policy: str = "grlex",
-) -> TangentSpace:
-    """Span of the actions of all admissible X_s at the class a.
+def orbit_tangent_space(curve: MonomialCurve, a: AlgRestriction) -> TangentSpace:
+    """Span of the actions of all admissible X_s at the class a, under
+    grlex lifts (the span does not depend on the lift policy).
 
-    Built once per class and policy and kept in ``a.tangents``.  The
-    shifts are the admissible ones up to top_qdeg - min_qdeg, which is
-    >= 0 for a nonzero class; the zero class has none.
+    Built once per class and kept in ``a.tangent``.  The shifts are the
+    admissible ones up to top_qdeg - min_qdeg, which is >= 0 for a nonzero
+    class; the zero class has none.
     """
     if a.basis.curve != curve:
         raise InputError("basis was built for a different curve")
-    if a.tangents is None:
-        a.tangents = {}
-    tangent = a.tangents.get(policy)
+    tangent = a.tangent
     if tangent is None:
         located = a.min_qdeg_part()
         if located is None:
             shifts: tuple[int, ...] = ()
         else:
             shifts = tuple(admissible_shifts(curve, a.basis.top_qdeg - located[0]))
-        vectors = tuple(shift_action(a, s, policy) for s in shifts)
-        tangent = a.tangents[policy] = TangentSpace(base=a, shifts=shifts, vectors=vectors)
+        vectors = tuple(shift_action(a, s) for s in shifts)
+        tangent = a.tangent = TangentSpace(base=a, shifts=shifts, vectors=vectors)
     return tangent
 
 
-def is_modulus(
-    curve: MonomialCurve,
-    a: AlgRestriction,
-    direction: AlgRestriction,
-    policy: str = "grlex",
-) -> bool:
+def is_modulus(curve: MonomialCurve, a: AlgRestriction, direction: AlgRestriction) -> bool:
     """True iff the direction is transverse to the orbit tangent space at a."""
-    return not orbit_tangent_space(curve, a, policy).contains(direction)
+    return not orbit_tangent_space(curve, a).contains(direction)
 
 
 class HomotopyResult(NamedTuple):
@@ -368,7 +347,6 @@ def moser_reduce(
     curve: MonomialCurve,
     a: AlgRestriction,
     kill: AlgRestriction,
-    policy: str = "grlex",
 ) -> HomotopyResult:
     """Try to remove one graded component of a along A_t = a - t*kill.
 
@@ -401,10 +379,10 @@ def moser_reduce(
         return HomotopyResult(
             feasible=True, consistent=True, shifts=(), coefficients={}, pole_counts={}
         )
-    tangent = orbit_tangent_space(curve, a, policy)
+    tangent = orbit_tangent_space(curve, a)
     shifts = tangent.shifts
     v = [vector.coords for vector in tangent.vectors]
-    w = [shift_action(kill, s, policy).coords for s in shifts]
+    w = [shift_action(kill, s).coords for s in shifts]
     target = kill.coords
     live = [
         i

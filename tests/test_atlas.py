@@ -181,8 +181,8 @@ def test_verify_row_reads_mu_off_one_tangent_space_per_sample(
 ):
     built = []
 
-    def recording(curve, a, policy="grlex"):
-        tangent = orbit_tangent_space(curve, a, policy)
+    def recording(curve, a):
+        tangent = orbit_tangent_space(curve, a)
         built.append((curve, a, tangent))
         return tangent
 
@@ -210,16 +210,16 @@ def test_verify_atlas_measures_each_sample_once(monkeypatch, atlas4567, atlas456
     tangent_space = symmetry_module.orbit_tangent_space
     multiplicity = invariants_module.symplectic_multiplicity
 
-    def building(curve, a, policy="grlex"):
+    def building(curve, a):
         # the class keeps its tangent space, so a repeated call returns
         # the same object: distinct objects count the builds
-        tangent = tangent_space(curve, a, policy)
+        tangent = tangent_space(curve, a)
         built.append(tangent)
         return tangent
 
-    def measuring(curve, a, policy="grlex"):
+    def measuring(curve, a):
         multiplicities.append(a)
-        return multiplicity(curve, a, policy)
+        return multiplicity(curve, a)
 
     monkeypatch.setattr(atlas_module, "orbit_tangent_space", building)
     monkeypatch.setattr(symmetry_module, "orbit_tangent_space", building)

@@ -78,6 +78,25 @@ def test_action_table_json_both_policies(capsys):
         assert payload["table"]["6"]["a10"] == "0"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("invariants", "4", "5", "6", "7", "--restriction", "a13-"),
+        ("tangent", "4", "5", "6", "7", "--restriction", "a13-"),
+        ("moser", "4", "5", "6", "7", "--restriction", "a9 + a13-", "--kill", "a13-"),
+        ("verify-atlas", "4", "5", "6"),
+    ],
+)
+def test_only_the_action_table_takes_a_lift_policy(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--lift-policy", "pinned"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --lift-policy pinned" in capsys.readouterr().err
+    rc, out, _ = run(capsys, "action-table", "4", "5", "6", "7", "--lift-policy", "pinned")
+    assert rc == 0
+    assert out.startswith("semigroup (4, 5, 6, 7)  policy pinned\n")
+
+
 def test_action_table_text(capsys):
     rc, out, _ = run(capsys, "action-table", "4", "5", "6")
     assert rc == 0

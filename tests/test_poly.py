@@ -75,13 +75,6 @@ def test_polynomial_power_and_partial():
     assert Polynomial.constant(2, 5).partial(0).is_zero()
 
 
-def test_quasi_degrees():
-    p = Polynomial.monomial((1, 1, 0)) + Polynomial.monomial((0, 0, 1))
-    assert p.quasi_degrees((4, 5, 9)) == {9}
-    q = Polynomial.monomial((2, 0, 0)) + Polynomial.monomial((0, 1, 0))
-    assert q.quasi_degrees((4, 5, 9)) == {8, 5}
-
-
 def test_substitute_into_curve_components():
     # x1*x2 - x3 along (t^4, t^5, t^9) vanishes identically
     p = Polynomial.monomial((1, 1, 0)) - Polynomial.monomial((0, 0, 1))

@@ -146,18 +146,14 @@ def test_orbit_tangent_space_dim(curve4567, basis4567):
 
 def test_the_class_keeps_its_tangent_spaces(curve4567, basis4567, curve457):
     a = parse_restriction("a13-", basis4567)
-    grlex = orbit_tangent_space(curve4567, a)
-    assert orbit_tangent_space(curve4567, a) is grlex
-    assert orbit_tangent_space(curve4567, a, "grlex") is grlex
-    pinned = orbit_tangent_space(curve4567, a, "pinned")
-    assert pinned is not grlex
-    assert pinned.dim == grlex.dim
-    assert orbit_tangent_space(curve4567, a, "pinned") is pinned
-    assert a.tangents == {"grlex": grlex, "pinned": pinned}
-    # an equal class is another object with its own tangent spaces
+    assert a.tangent is None
+    tangent = orbit_tangent_space(curve4567, a)
+    assert orbit_tangent_space(curve4567, a) is tangent
+    assert a.tangent is tangent
+    # an equal class is another object with its own tangent space
     twin = parse_restriction("a13-", basis4567)
-    assert twin == a and twin.tangents is None
-    assert orbit_tangent_space(curve4567, twin) == grlex
+    assert twin == a and twin.tangent is None
+    assert orbit_tangent_space(curve4567, twin) == tangent
     with pytest.raises(InputError, match="basis was built for a different curve"):
         orbit_tangent_space(curve457, a)
 
@@ -322,6 +318,21 @@ def test_moser_reduce_on_live_rows_matches_the_all_rows_system(lams):
         assert result == reference_moser(curve, a, kill), f"{a}, kill {kill}"
         consistent += result.consistent
     assert 0 < consistent < 75
+
+
+@pytest.mark.parametrize("lams", [(4, 5, 6, 7), (4, 5, 6), (4, 5, 7)])
+def test_pinned_lifts_give_the_grlex_tangent_vectors(lams):
+    """The orbit layer uses grlex lifts only; on the bundled curves the
+    pinned lifts give the same vector L_{X_s} a for every shift of the
+    tangent space, hence the same dim, mu, membership and Moser system."""
+    curve = MonomialCurve(lams)
+    basis = cached_basis(curve)
+    for terms, _ in class_pool(lams, basis.labels):
+        a = AlgRestriction.from_coeffs(basis, terms)
+        tangent = orbit_tangent_space(curve, a)
+        assert tangent.shifts
+        for s, vector in zip(tangent.shifts, tangent.vectors):
+            assert shift_action(a, s, "pinned") == vector, f"X_{s} at {a}"
 
 
 def test_moser_reduce_zero_kill_is_trivial(curve4567, basis4567):
