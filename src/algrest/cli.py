@@ -6,7 +6,6 @@ import argparse
 import json
 import pathlib
 import sys
-from fractions import Fraction
 from typing import Sequence
 
 from .atlas import BUNDLED, load_atlas, load_samples_file, verify_atlas

@@ -521,7 +521,9 @@ class AlgRestriction:
 
     def __init__(self, basis: RestrictionBasis, coords: Iterable[Scalar]):
         self.basis = basis
-        cs = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
+        cs = tuple(coords)
+        if not set(map(type, cs)) <= {Fraction}:
+            cs = tuple(c if type(c) is Fraction else Fraction(c) for c in cs)
         if len(cs) != basis.dim:
             raise InputError("coordinate count does not match the basis")
         self.coords = cs

@@ -4,10 +4,10 @@
 reduces sparse rows ``{column: value}``, and ``rref`` is its spelling for
 dense Fraction matrices.  Kernels, solutions, span tests and remainders
 (``reduce_by``) are read off its reduced echelon form.
-``solve_param_linear`` solves systems whose entries are univariate
-polynomials in a parameter t by fraction-free elimination over Z[t], and
-reports whether the solution stays pole-free on the closed interval
-[0, 1], using Sturm chains.
+``solve_param_linear`` solves systems whose entries are polynomials in
+Z[t], for a parameter t, by fraction-free elimination, and reports whether
+the solution stays pole-free on the closed interval [0, 1], using Sturm
+chains.
 """
 
 from __future__ import annotations
@@ -206,31 +206,45 @@ class ParamSolution(NamedTuple):
 
 
 def solve_param_linear(
-    rows: Sequence[Sequence[UniPoly]],
-    rhs: Sequence[UniPoly],
+    rows: Sequence[Sequence[list[int]]],
+    rhs: Sequence[list[int]],
 ) -> ParamSolution:
     """Solve A(t) x = b(t) over Q(t); free variables are set to zero.
 
+    Every entry of ``rows`` and ``rhs`` is a polynomial in Z[t]: a list of
+    Python ints, constant term first, with no trailing zeros ([] is zero).
+    A system over Q[t] takes this form once each row is scaled by the lcm
+    of its coefficient denominators, which leaves the solution unchanged.
     Reports, per component of the solution, how many poles land in the
     closed interval [0, 1].
 
-    The elimination is fraction-free (Bareiss) over Z[t].  Each augmented
-    row is scaled by the lcm of its coefficient denominators, which leaves
-    the solution unchanged.  Forward elimination with row swaps updates
-    M[i][j] = (piv * M[i][j] - M[i][col] * M[r][j]) / prev, where prev is
-    the previous pivot; by Sylvester's identity every entry is a minor of
-    the cleared matrix, so each division is exact in Z[t].  The system is
+    The elimination is fraction-free (Bareiss) over Z[t].  Forward
+    elimination with row swaps updates M[i][j] = (piv * M[i][j] -
+    M[i][col] * M[r][j]) / prev, where prev is the previous pivot; by
+    Sylvester's identity every entry is a minor of the input matrix, so
+    each division is exact in Z[t] (and checked: a remainder raises
+    ``ArithmeticError``).  The same identity makes skipping zeros exact.
+    Where M[r][j] is zero the update is piv * M[i][j] / prev, so a zero
+    entry stays zero.  A row whose factor M[i][col] is zero gets only that
+    rescaling, and over consecutive steps the factors telescope: left
+    alone from step k0 to step k, its entries are M * p_k / p_k0, with p_k
+    the pivot of step k (p_0 = 1).  Such a row is therefore not touched;
+    it keeps the step it was left at and is brought up to date
+    (``_catch_up``) by one exact division per nonzero entry when it is next
+    used, as the pivot row or with a nonzero factor.  A row that is never
+    used again stays behind, which changes no zero test.  The system is
     consistent unless a row below the rank has a nonzero right-hand side.
     Back substitution computes y_k = D * x_k in Z[t], again by exact
     divisions, where the last pivot D is the determinant of the pivot
-    block (Cramer's rule).  Each component is then one reduced
-    ``RationalFunctionT(y_k, D)``.
+    block (Cramer's rule).
 
-    The result equals that of ``rref`` over ``RationalFunctionT``: a column
-    is a pivot exactly when it is not in the Q(t)-span of the columns
-    before it, so both find the same pivot columns; with the free
-    variables at zero the solution is unique; and ``RationalFunctionT``
-    stores the canonical reduced form with monic denominator.
+    Each component y_k / D is reduced once, in Z[t] (``_reduced``), and
+    poles are counted once per distinct reduced denominator.  The result
+    equals that of ``rref`` over ``RationalFunctionT``: a column is a pivot
+    exactly when it is not in the Q(t)-span of the columns before it, so
+    both find the same pivot columns; with the free variables at zero the
+    solution is unique; and both store the canonical reduced form with
+    monic denominator.
     """
     if len(rows) != len(rhs):
         raise ValueError("rhs length does not match row count")
@@ -240,29 +254,45 @@ def solve_param_linear(
         if len(row) != width:
             raise ValueError("ragged matrix")
         entries = [*row, b]
-        scale = math.lcm(*(c.denominator for entry in entries for c in entry.coeffs))
-        mat.append(
-            [[c.numerator * (scale // c.denominator) for c in entry.coeffs] for entry in entries]
-        )
+        if any(e and not e[-1] for e in entries):
+            raise ValueError("a Z[t] entry ends in a zero coefficient")
+        mat.append(entries)
     pivots: list[int] = []
-    prev = [1]
+    dets = [[1]]  # dets[k] = p_k, the pivot of step k
+    level = [0] * len(mat)  # row i holds its Bareiss row times p_level[i] / p_current
     r = 0
     for col in range(width):
         found = next((i for i in range(r, len(mat)) if mat[i][col]), None)
         if found is None:
             continue
         mat[r], mat[found] = mat[found], mat[r]
+        level[r], level[found] = level[found], level[r]
+        current = len(dets) - 1
+        prev = dets[current]
         pivot_row = mat[r]
+        if level[r] != current:
+            _catch_up(pivot_row, col, prev, dets[level[r]])
         piv = pivot_row[col]
         for i in range(r + 1, len(mat)):
             row = mat[i]
+            if not row[col]:
+                continue
+            if level[i] != current:
+                _catch_up(row, col, prev, dets[level[i]])
             factor = row[col]
-            for j in range(col + 1, width + 1):
-                row[j] = _zdiv_exact(_zsub(_zmul(piv, row[j]), _zmul(factor, pivot_row[j])), prev)
             row[col] = []
+            for j in range(col + 1, width + 1):
+                if pivot_row[j]:
+                    row[j] = _zdiv_exact(
+                        _zsub(_zmul(piv, row[j]), _zmul(factor, pivot_row[j])), prev
+                    )
+                elif row[j]:
+                    row[j] = _zdiv_exact(_zmul(piv, row[j]), prev)
+            level[i] = current + 1
+        dets.append(piv)
         pivots.append(col)
-        prev = piv
         r += 1
+    prev = dets[-1]
     if any(row[width] for row in mat[r:]):
         return ParamSolution(consistent=False)
     scaled: dict[int, list[int]] = {}
@@ -270,15 +300,47 @@ def solve_param_linear(
         row = mat[i]
         acc = _zmul(prev, row[width])
         for k in pivots[i + 1:]:
-            acc = _zsub(acc, _zmul(row[k], scaled[k]))
+            if row[k] and scaled[k]:
+                acc = _zsub(acc, _zmul(row[k], scaled[k]))
         scaled[pivots[i]] = _zdiv_exact(acc, row[pivots[i]])
-    den = UniPoly(prev)
-    solution = [
-        RationalFunctionT(UniPoly(scaled[c]), den) if c in scaled else RationalFunctionT.zero()
-        for c in range(width)
-    ]
-    poles = [poles_in_closed_unit_interval(f) for f in solution]
+    solution = [_reduced(scaled.get(c, []), prev) for c in range(width)]
+    counts: dict[UniPoly, int] = {}
+    for f in solution:
+        if f.den not in counts:
+            counts[f.den] = poles_in_closed_unit_interval(f)
+    poles = [counts[f.den] for f in solution]
     return ParamSolution(consistent=True, solution=solution, pole_counts=poles)
+
+
+def _catch_up(row: list[list[int]], start: int, prev: list[int], lag: list[int]) -> None:
+    """Bring a row left behind at pivot ``lag`` to the current pivot ``prev``:
+    row[j] = prev * row[j] / lag for j >= start, on its nonzero entries."""
+    for j in range(start, len(row)):
+        if row[j]:
+            row[j] = _zdiv_exact(_zmul(prev, row[j]), lag)
+
+
+def _reduced(y: list[int], den: list[int]) -> RationalFunctionT:
+    """The reduced rational function y / den for y, den in Z[t], den nonzero.
+
+    With g the primitive gcd of y and den, y / g and den / g lie in Z[t]
+    (Gauss's lemma: a primitive factor over Q[t] is a factor over Z[t]) and
+    are coprime over Q.  Dividing both by the leading coefficient of
+    den / g makes the denominator monic, and a reduced quotient with monic
+    denominator is unique, so this is ``RationalFunctionT(UniPoly(y),
+    UniPoly(den))`` built without a second Euclid over Q[t].
+    """
+    if not y:
+        return RationalFunctionT.zero()
+    if len(y) > 1 and len(den) > 1:
+        g = _zgcd(y, den)
+        if len(g) > 1:
+            y = _zdiv_exact(y, g)
+            den = _zdiv_exact(den, g)
+    lead = den[-1]
+    return RationalFunctionT._trusted(
+        UniPoly([Fraction(c, lead) for c in y]), UniPoly([Fraction(c, lead) for c in den])
+    )
 
 
 # Polynomials in Z[t] for the fraction-free solve: coefficient lists of
@@ -288,6 +350,9 @@ def solve_param_linear(
 def _zmul(a: list[int], b: list[int]) -> list[int]:
     if not a or not b:
         return []
+    if len(a) == 1:
+        x = a[0]
+        return [x * y for y in b]
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -310,6 +375,13 @@ def _zdiv_exact(a: list[int], b: list[int]) -> list[int]:
     unless it is exact."""
     if not a:
         return []
+    if len(b) == 1:
+        lead = b[0]
+        if lead == 1:
+            return a
+        if any(c % lead for c in a):
+            raise ArithmeticError("inexact polynomial division in Z[t]")
+        return [c // lead for c in a]
     shift = len(a) - len(b)
     if shift < 0:
         raise ArithmeticError("inexact polynomial division in Z[t]")
@@ -328,3 +400,36 @@ def _zdiv_exact(a: list[int], b: list[int]) -> list[int]:
     if any(rem):
         raise ArithmeticError("inexact polynomial division in Z[t]")
     return quot
+
+
+def _zprimitive(a: list[int]) -> list[int]:
+    """a divided by the gcd of its coefficients, for nonzero a."""
+    content = math.gcd(*a)
+    return a if content == 1 else [c // content for c in a]
+
+
+def _zgcd(a: list[int], b: list[int]) -> list[int]:
+    """The primitive gcd of nonzero a and b in Z[t], up to sign.
+
+    Euclid on primitive pseudo-remainders: each step replaces a by the
+    remainder of lead(b)^k * a modulo b, which has the same gcd with b up
+    to a constant, and keeps only its primitive part.
+    """
+    a, b = _zprimitive(a), _zprimitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        rem = a[:]
+        lead = b[-1]
+        while len(rem) >= len(b):
+            c = rem[-1]
+            shift = len(rem) - len(b)
+            rem = [x * lead for x in rem]
+            for j, y in enumerate(b):
+                rem[shift + j] -= c * y
+            while rem and not rem[-1]:
+                rem.pop()
+        if not rem:
+            return b
+        a, b = b, _zprimitive(rem)
+    return [1]

@@ -504,7 +504,16 @@ class RationalFunctionT(Frozen):
 
     @classmethod
     def zero(cls) -> RationalFunctionT:
-        return cls(UniPoly())
+        return cls._trusted(UniPoly(), UniPoly.constant(1))
+
+    @classmethod
+    def _trusted(cls, num: UniPoly, den: UniPoly) -> RationalFunctionT:
+        """Wrap a quotient that is already reduced: num and den coprime, den
+        monic.  Runs no gcd, so the caller answers for the reduction."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "num", num)
+        object.__setattr__(f, "den", den)
+        return f
 
     def is_zero(self) -> bool:
         return not self.num

@@ -18,6 +18,7 @@ curve.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
@@ -30,7 +31,7 @@ from .curves import (
     project,
 )
 from .errors import InputError, LiftError, NotSymmetryError
-from .forms import DifferentialForm, PolyMap, VectorField, lie_derivative, pullback
+from .forms import PolyMap, VectorField, lie_derivative, pullback
 from .linalg import ParamSolution, RrefResult, reduce_by, rref, solve_param_linear
 from .poly import Exponent, Frozen, Polynomial, RationalFunctionT, Scalar, UniPoly
 
@@ -366,6 +367,11 @@ def moser_reduce(
     unique one on the pivot columns; and ``RationalFunctionT`` is
     canonical.  So the coefficients and pole counts are those of the full
     system.
+
+    Each live row is handed over in Z[t]: its entries v - t*w and its
+    right-hand side k are multiplied by the lcm of the row's denominators.
+    Scaling a row by a nonzero constant keeps the solution set, so the
+    solution is that of the system over Q[t].
     """
     kill._check_same_basis(a)
     kill_degs = kill.nonzero_qdegs()
@@ -383,14 +389,22 @@ def moser_reduce(
     shifts = tangent.shifts
     v = [vector.coords for vector in tangent.vectors]
     w = [shift_action(kill, s).coords for s in shifts]
-    target = kill.coords
-    live = [
-        i
-        for i in range(a.basis.dim)
-        if target[i] or any(vs[i] for vs in v) or any(ws[i] for ws in w)
-    ]
-    rows = [[UniPoly([vs[i], -ws[i]]) for vs, ws in zip(v, w)] for i in live]
-    rhs = [UniPoly.constant(target[i]) for i in live]
+    m = len(shifts)
+    rows = []
+    rhs = []
+    # column i is (kill_i, (L_{X_s} a)_i for each s, (L_{X_s} kill)_i for each s)
+    for column in zip(kill.coords, *v, *w):
+        nonzero = [(j, x) for j, x in enumerate(column) if x]
+        if not nonzero:
+            continue
+        scale = math.lcm(*[x.denominator for _, x in nonzero])
+        ints = [0] * len(column)
+        for j, x in nonzero:
+            ints[j] = x.numerator * (scale // x.denominator)
+        rows.append(
+            [[p, -q] if q else [p] if p else [] for p, q in zip(ints[1 : m + 1], ints[m + 1 :])]
+        )
+        rhs.append([ints[0]] if ints[0] else [])
     solution: ParamSolution = solve_param_linear(rows, rhs)
     coeffs = {
         s: solution.solution[j] if solution.consistent else RationalFunctionT.zero()

@@ -374,6 +374,18 @@ def test_restriction_str_and_parse_round_trip(basis4567):
     assert str(AlgRestriction.zero(basis4567)) == "0"
 
 
+def test_restriction_coordinates_become_fractions(basis4567):
+    dim = basis4567.dim
+    fractions = tuple(Fraction(i, 2) for i in range(dim))
+    assert AlgRestriction(basis4567, fractions).coords == fractions
+    mixed = AlgRestriction(basis4567, [i for i in range(dim - 1)] + [Fraction(1, 3)])
+    assert set(map(type, mixed.coords)) == {Fraction}
+    assert mixed.coords == tuple(Fraction(i) for i in range(dim - 1)) + (Fraction(1, 3),)
+    assert set(map(type, AlgRestriction(basis4567, iter(range(dim))).coords)) == {Fraction}
+    with pytest.raises(InputError):
+        AlgRestriction(basis4567, fractions[1:])
+
+
 def test_mixed_basis_operations_rejected(basis4567, basis456):
     a = parse_restriction("a9", basis4567)
     b = parse_restriction("a9", basis456)

@@ -6,7 +6,9 @@ from hypothesis import example, given, strategies as st
 from algrest.linalg import (
     ParamSolution,
     RrefResult,
+    _reduced,
     _zdiv_exact,
+    _zmul,
     in_span,
     kernel_basis,
     poles_in_closed_unit_interval,
@@ -20,6 +22,8 @@ from algrest.linalg import (
     sturm_count,
 )
 from algrest.poly import RationalFunctionT, UniPoly
+
+from ztpoly import zt_system
 
 F = Fraction
 ONE = UniPoly.constant(1)
@@ -181,7 +185,7 @@ def test_solve_param_linear_feasible():
     t = UniPoly.t_power(1)
     # x + t*y = t, y = 1  ->  x = 0, y = 1
     rows = [[ONE, t], [UniPoly.zero(), ONE]]
-    res = solve_param_linear(rows, [t, ONE])
+    res = solve_param_linear(*zt_system(rows, [t, ONE]))
     assert res.consistent
     assert res.feasible_on_unit_interval
     assert res.solution[0] == RationalFunctionT.zero()
@@ -191,16 +195,25 @@ def test_solve_param_linear_feasible():
 def test_solve_param_linear_pole_blocks_feasibility():
     t = UniPoly.t_power(1)
     # (t - 1/2) x = 1 has the solution 1/(t - 1/2) with a pole inside [0, 1]
-    res = solve_param_linear([[t - F(1, 2) * ONE]], [ONE])
+    res = solve_param_linear(*zt_system([[t - F(1, 2) * ONE]], [ONE]))
     assert res.consistent
     assert res.pole_counts == [1]
     assert not res.feasible_on_unit_interval
 
 
 def test_solve_param_linear_inconsistent():
-    res = solve_param_linear([[UniPoly.zero()]], [ONE])
+    res = solve_param_linear([[[]]], [[1]])
     assert not res.consistent
     assert not res.feasible_on_unit_interval
+
+
+def test_solve_param_linear_rejects_a_trailing_zero_coefficient():
+    with pytest.raises(ValueError):
+        solve_param_linear([[[1, 0]]], [[1]])
+    with pytest.raises(ValueError):
+        solve_param_linear([[[1]]], [[0]])
+    with pytest.raises(ValueError):
+        solve_param_linear([[[1], [2]]], [[1], [1]])
 
 
 def test_exact_division_in_zt_raises_on_a_remainder():
@@ -258,11 +271,28 @@ def param_systems(draw):
     return rows, rhs
 
 
+@st.composite
+def sparse_pencils(draw):
+    """Up to 8 x 6 pencils V - tW like those of a Moser reduction: entries of
+    t-degree at most 1, most of them zero, and constant right-hand sides."""
+    width = draw(st.integers(min_value=1, max_value=6))
+    height = draw(st.integers(min_value=1, max_value=8))
+    entry_st = st.one_of(
+        st.just(UniPoly.zero()),
+        st.just(UniPoly.zero()),
+        st.just(UniPoly.zero()),
+        st.lists(coeff_st, min_size=1, max_size=2).map(UniPoly),
+    )
+    rows = [[draw(entry_st) for _ in range(width)] for _ in range(height)]
+    rhs = [UniPoly.constant(draw(coeff_st)) for _ in range(height)]
+    return rows, rhs
+
+
 def poly_rows(data):
     return [[UniPoly(entry) for entry in row] for row in data]
 
 
-@given(system=param_systems())
+@given(system=st.one_of(param_systems(), sparse_pencils()))
 @example(system=([], []))
 @example(system=(poly_rows([[[], []], [[], []]]), [UniPoly.zero(), ONE]))
 @example(system=(poly_rows([[[], [1, 1]], [[], [2, 2]]]), [ONE, 2 * ONE]))
@@ -276,8 +306,43 @@ def poly_rows(data):
 @example(system=(poly_rows([[[F(-1, 2), 1]], [[0, 0, F(1, 6)]]]), [ONE, UniPoly([0, 0, F(1, 6)])]))
 def test_solve_param_linear_equals_the_rref_reference(system):
     rows, rhs = system
-    got = solve_param_linear(rows, rhs)
+    got = solve_param_linear(*zt_system(rows, rhs))
     want = reference_solve_param_linear(rows, rhs)
     assert got.consistent == want.consistent
     assert got.solution == want.solution
     assert got.pole_counts == want.pole_counts
+
+
+def times_t_minus_one(coeffs, k):
+    """coeffs * (t - 1)^k as an integer coefficient list."""
+    for _ in range(k if coeffs else 0):
+        coeffs = [b - a for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
+zt_st = st.lists(st.integers(min_value=-9, max_value=9), max_size=4).map(
+    lambda cs: cs[: max((i + 1 for i, c in enumerate(cs) if c), default=0)]
+)
+
+
+@given(
+    y=zt_st,
+    den=zt_st.filter(bool),
+    common=zt_st.filter(bool),
+    ky=st.integers(min_value=0, max_value=3),
+    kd=st.integers(min_value=0, max_value=3),
+    sign=st.sampled_from([1, -1]),
+)
+@example(y=[16], den=[-1], common=[1], ky=0, kd=3, sign=1)
+@example(y=[2, 4], den=[3], common=[1], ky=0, kd=0, sign=-1)
+@example(y=[0, 0, 5], den=[0, 2], common=[-2, 4], ky=2, kd=2, sign=1)
+def test_reduced_component_equals_the_public_constructor(y, den, common, ky, kd, sign):
+    """Reducing y / den once in Z[t] gives what ``RationalFunctionT`` gives
+    by Euclid over Q[t]: negative leading coefficients, shared (t - 1)^k
+    and other common factors, and constant denominators included."""
+    y = _zmul(times_t_minus_one(y, ky), common)
+    den = [sign * c for c in _zmul(times_t_minus_one(den, kd), common)]
+    want = RationalFunctionT(UniPoly(y), UniPoly(den))
+    got = _reduced(y, den)
+    assert got == want
+    assert str(got) == str(want)

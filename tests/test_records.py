@@ -1,10 +1,12 @@
-"""The package's record types, and what a cold ``import algrest.cli`` loads.
+"""The package's record types, what a cold ``import algrest.cli`` loads,
+and the names its modules import.
 
 Plain records are ``typing.NamedTuple``s; classes with behaviour are
 ``__slots__`` classes on ``poly.Frozen``.  Neither needs ``dataclasses``,
 whose import pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``.
 """
 
+import ast
 import os
 import pathlib
 import re
@@ -78,6 +80,24 @@ def test_no_module_imports_dataclasses():
     pattern = re.compile(r"^\s*(?:import|from)\s+dataclasses\b", re.MULTILINE)
     for module in (SRC / "algrest").glob("*.py"):
         assert not pattern.search(module.read_text()), module.name
+
+
+def test_every_imported_name_is_used():
+    """Each module of the package except ``__init__`` uses every name it
+    imports; ``__future__`` imports are directives, not names."""
+    for module in sorted((SRC / "algrest").glob("*.py")):
+        if module.name == "__init__.py":
+            continue
+        tree = ast.parse(module.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, f"{module.name}: unused {sorted(imported - used)}"
 
 
 def test_plain_records_are_named_tuples_without_mutable_defaults():

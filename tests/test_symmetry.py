@@ -7,7 +7,7 @@ import pytest
 import algrest.symmetry as symmetry_module
 from algrest.curves import AlgRestriction, MonomialCurve, RestrictionBasis, cached_basis, project
 from algrest.errors import InputError, LiftError, NotSymmetryError
-from algrest.forms import PolyMap, VectorField, lie_derivative
+from algrest.forms import VectorField, lie_derivative
 from algrest.invariants import invariant_report
 from algrest.linalg import solve_param_linear
 from algrest.parser import parse_map, parse_restriction
@@ -32,6 +32,7 @@ from algrest.symmetry import (
 )
 
 from tables import ACTIONS, NONSEMIGROUP_SHIFTS, SHIFTS
+from ztpoly import zt_system
 
 
 @pytest.mark.parametrize("lams", sorted(SHIFTS))
@@ -273,7 +274,7 @@ def reference_moser(curve, a, kill, policy="grlex"):
     dim = a.basis.dim
     rows = [[UniPoly([v[s][i], -w[s][i]]) for s in shifts] for i in range(dim)]
     rhs = [UniPoly.constant(kill.coords[i]) for i in range(dim)]
-    solution = solve_param_linear(rows, rhs)
+    solution = solve_param_linear(*zt_system(rows, rhs))
     return HomotopyResult(
         feasible=solution.feasible_on_unit_interval,
         consistent=solution.consistent,
