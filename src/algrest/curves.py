@@ -12,7 +12,8 @@ classes are exact: each degree's closed classes are spanned by the classes
 of d(x^m dx_i), so no 3-form piece is ever built.
 
 Everything is exact over Q.  A curve's basis owns its 2-form pieces and
-its Lie action matrices; ``cached_basis`` keeps the bases of a bounded
+all per-curve state built for class queries (Lie action matrices, prefix
+solvers, constant blocks); ``cached_basis`` keeps the bases of a bounded
 number of curves, so evicting a curve frees all of its state.
 """
 
@@ -30,6 +31,7 @@ from .linalg import RrefResult, reduce_by, rref, sparse_rref
 from .poly import Exponent, Frozen, Polynomial, Scalar, UniPoly, signed_sum
 
 if TYPE_CHECKING:
+    from .linalg import PrefixSolver
     from .symmetry import TangentSpace
 
 
@@ -385,11 +387,20 @@ class RestrictionBasis:
     the kernel.
 
     The basis owns the state its classes are computed in: ``pieces[d]`` is
-    the 2-form piece of every degree d in [1, ``stop_qdeg``), and
-    ``actions`` holds the Lie action matrices of ``symmetry``, keyed by
-    (shift, lift policy) and filled on first use.  A matrix is stored once,
-    sparse: for each element j, the (i, value) pairs of the nonzero
-    entries of its column.
+    the 2-form piece of every degree d in [1, ``stop_qdeg``).  The rest
+    depends on the curve alone and is filled on first use by the module
+    that reads it, so a class query does only the work of its class:
+
+    - ``actions``: the Lie action matrices of ``symmetry``, keyed by
+      (shift, lift policy).  A matrix is stored once, sparse: for each
+      element j, the (i, value) pairs of the nonzero entries of its column;
+    - ``isotropy_solvers[d]`` and ``exact_solvers[d]``: the
+      ``linalg.PrefixSolver`` of iota's piece columns (by decreasing
+      height) and of the exact rows ``exact[d]`` (by owner) at degree d,
+      each with the height or owner of every column, for ``invariants``;
+    - ``constant_blocks``: per element, the ((i, j), c) pairs of the
+      nonzero constant terms of its representative, for the rank of a
+      class's branch block (None until first read).
     """
 
     __slots__ = (
@@ -397,6 +408,9 @@ class RestrictionBasis:
         "stop_qdeg",
         "pieces",
         "actions",
+        "isotropy_solvers",
+        "exact_solvers",
+        "constant_blocks",
         "elements",
         "label_index",
         "by_degree",
@@ -409,6 +423,9 @@ class RestrictionBasis:
         self.stop_qdeg = stop = stop_qdeg(curve)
         self.pieces = {d: restriction_quotient(curve, 2, d) for d in range(1, stop)}
         self.actions: dict[tuple[int, str], tuple[tuple[tuple[int, Fraction], ...], ...]] = {}
+        self.isotropy_solvers: dict[int, tuple[tuple[int, ...], PrefixSolver]] = {}
+        self.exact_solvers: dict[int, tuple[tuple[int, ...], PrefixSolver]] = {}
+        self.constant_blocks: tuple[tuple[tuple[IndexTuple, Fraction], ...], ...] | None = None
         elements: list[BasisElement] = []
         by_degree: dict[int, list[tuple[int, tuple[Fraction, ...]]]] = {}
         exact: dict[int, tuple[tuple[int, ...], tuple[tuple[Fraction, ...], ...]]] = {}

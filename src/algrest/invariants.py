@@ -16,9 +16,10 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .curves import AlgRestriction, MonomialCurve, monomials_of_qdeg
+from .curves import AlgRestriction, MonomialCurve, RestrictionBasis, monomials_of_qdeg
 from .errors import InputError
-from .linalg import rank, solve_linear
+from .forms import IndexTuple
+from .linalg import PrefixSolver, rank
 from .poly import Polynomial, UniPoly
 
 Extended = int | float
@@ -39,33 +40,71 @@ def symplectic_multiplicity(curve: MonomialCurve, a: AlgRestriction) -> int:
 
 
 def _part_quotient_coords(a: AlgRestriction, d: int) -> list[Fraction]:
-    piece = a.basis.pieces[d]
-    coords = [Fraction(0)] * len(piece.rep_cols)
-    for el, coeff in zip(a.basis.elements, a.coords):
-        if coeff and el.qdeg == d:
-            for rho, value in enumerate(el.vector):
-                coords[rho] += coeff * value
+    entries = a.basis.by_degree[d]
+    coords = [Fraction(0)] * len(entries[0][1])
+    for k, vector in entries:
+        coeff = a.coords[k]
+        if coeff:
+            for rho, value in enumerate(vector):
+                if value:
+                    coords[rho] += coeff * value
     return coords
 
 
-def _last_used_column(
-    columns: Sequence[Sequence[Fraction]], coords: Sequence[Fraction]
+def _last_used_tag(
+    found: tuple[tuple[int, ...], PrefixSolver], a: AlgRestriction, d: int
 ) -> int:
-    """Index of the last column that the greedy solution for ``coords`` uses
-    (0 when ``coords`` is zero).
+    """The tag (height or owner) of the last column that the greedy
+    solution for the part of a at degree d uses.
 
     The pivots of one solve are chosen greedily from the left, so those
     among the first k columns are a basis of their span, and the solution
     with free unknowns at zero is the unique combination of pivots.  Hence
-    ``coords`` lies in the span of a prefix of the columns iff every column
+    the part lies in the span of a prefix of the columns iff every column
     the solution uses is in it: the shortest such prefix ends at the last
     used column.
     """
-    rows = [[col[r] for col in columns] for r in range(len(coords))]
-    solution = solve_linear(rows, coords)
-    if solution is None:
+    tags, solver = found
+    last = solver.last_used_column(_part_quotient_coords(a, d))
+    if last is None:
         raise InputError("quotient coordinates do not come from this graded component")
-    return max((c for c, x in enumerate(solution) if x), default=0)
+    return tags[last]
+
+
+def _isotropy_solver(
+    basis: RestrictionBasis, d: int
+) -> tuple[tuple[int, ...], PrefixSolver]:
+    """The solver of the piece's column classes [e_J] at degree d, ordered by
+    decreasing top total degree h(J), with those heights; built once per
+    basis and degree, and kept in ``basis.isotropy_solvers``."""
+    found = basis.isotropy_solvers.get(d)
+    if found is None:
+        lams = basis.curve.lams
+        piece = basis.pieces[d]
+        width = len(piece.columns)
+        heights = [
+            sum(monomials_of_qdeg(lams, d - lams[i] - lams[j])[0]) for i, j in piece.columns
+        ]
+        order = sorted(range(width), key=lambda c: -heights[c])
+        images = [
+            piece.quotient_coords([Fraction(int(k == c)) for k in range(width)]) for c in order
+        ]
+        found = basis.isotropy_solvers[d] = (
+            tuple(heights[c] for c in order),
+            PrefixSolver(images, piece.dim),
+        )
+    return found
+
+
+def _exact_solver(basis: RestrictionBasis, d: int) -> tuple[tuple[int, ...], PrefixSolver]:
+    """The solver of the exact rows ``basis.exact[d]``, ordered by owner,
+    with their owners; built once per basis and degree, and kept in
+    ``basis.exact_solvers``."""
+    found = basis.exact_solvers.get(d)
+    if found is None:
+        owners, vectors = basis.exact[d]
+        found = basis.exact_solvers[d] = (owners, PrefixSolver(vectors, basis.pieces[d].dim))
+    return found
 
 
 def index_of_isotropy(curve: MonomialCurve, a: AlgRestriction) -> Extended:
@@ -94,25 +133,15 @@ def index_of_isotropy(curve: MonomialCurve, a: AlgRestriction) -> Extended:
     d - lam_J, and the part has a representative of order q iff it lies in
     the span of the classes [e_J] with h(J) >= q.  With the columns ordered
     by decreasing h these are prefixes, and the answer is h of the last
-    column the part's solution uses.
+    column the part's solution uses.  The columns depend on the curve and d
+    alone, so their solver is built once (``_isotropy_solver``).
     """
     _check_curve(curve, a)
     if a.is_zero():
         return math.inf
-    lams = curve.lams
     best: Extended = math.inf
     for d in a.nonzero_qdegs():
-        piece = a.basis.pieces[d]
-        width = len(piece.columns)
-        heights = [
-            sum(monomials_of_qdeg(lams, d - lams[i] - lams[j])[0]) for i, j in piece.columns
-        ]
-        order = sorted(range(width), key=lambda c: -heights[c])
-        images = [
-            piece.quotient_coords([Fraction(int(k == c)) for k in range(width)]) for c in order
-        ]
-        last = _last_used_column(images, _part_quotient_coords(a, d))
-        best = min(best, heights[order[last]])
+        best = min(best, _last_used_tag(_isotropy_solver(a.basis, d), a, d))
     return best
 
 
@@ -132,7 +161,8 @@ def lagrangian_tangency_order(
 
     The basis keeps the exact classes of all coordinates ordered by i in
     ``exact[d]``, so the classes with i <= j are a prefix and j is the
-    coordinate of the last class the part's solution uses.
+    coordinate of the last class the part's solution uses, read off the
+    basis's solver of those rows (``_exact_solver``).
     """
     _check_curve(curve, a)
     if a.is_zero():
@@ -143,8 +173,7 @@ def lagrangian_tangency_order(
         return None
     best: Extended = math.inf
     for d in a.nonzero_qdegs():
-        owners, vectors = a.basis.exact[d]
-        j = owners[_last_used_column(vectors, _part_quotient_coords(a, d))]
+        j = _last_used_tag(_exact_solver(a.basis, d), a, d)
         best = min(best, d - curve.lams[j])
     return best
 
@@ -223,18 +252,37 @@ def branch_rank(curve: MonomialCurve, a: AlgRestriction) -> int:
     lam_i in the other branch variables could cancel; none exists, as no
     lam_i is a sum of the others (the curve's constructor enforces it).  So
     every term of df(0) ^ beta(0) has an off-curve differential.  The block
-    is read off the constant terms of the basis representatives.
+    is read off the constant terms of the basis representatives, which the
+    basis keeps (``_constant_blocks``); a class without any has rank 0.
     """
     _check_curve(curve, a)
     s = curve.branch_dim
-    block = [[Fraction(0)] * s for _ in range(s)]
-    for el, coeff in zip(a.basis.elements, a.coords):
-        if coeff:
-            for (i, j), poly in el.rep.coeffs.items():
-                value = coeff * poly.constant_term()
+    block = None
+    for coeff, entries in zip(a.coords, _constant_blocks(a.basis)):
+        if coeff and entries:
+            if block is None:
+                block = [[Fraction(0)] * s for _ in range(s)]
+            for (i, j), c in entries:
+                value = coeff * c
                 block[i][j] += value
                 block[j][i] -= value
-    return rank(block, s)
+    return 0 if block is None else rank(block, s)
+
+
+def _constant_blocks(
+    basis: RestrictionBasis,
+) -> tuple[tuple[tuple[IndexTuple, Fraction], ...], ...]:
+    """Per basis element, the ((i, j), c) pairs of the nonzero constant terms
+    of its representative; built once and kept in ``basis.constant_blocks``."""
+    blocks = basis.constant_blocks
+    if blocks is None:
+        blocks = basis.constant_blocks = tuple(
+            tuple(
+                (idx, c) for idx, poly in el.rep.coeffs.items() if (c := poly.constant_term())
+            )
+            for el in basis.elements
+        )
+    return blocks
 
 
 def representable_by_symplectic(curve: MonomialCurve, a: AlgRestriction, n: int) -> bool:

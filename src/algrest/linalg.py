@@ -1,13 +1,14 @@
 """Exact linear algebra over Q and over the rational function field Q(t).
 
-``sparse_rref`` is the one Gaussian elimination over ``Fraction``: it
-reduces sparse rows ``{column: value}``, and ``rref`` is its spelling for
-dense Fraction matrices.  Kernels, solutions, span tests and remainders
-(``reduce_by``) are read off its reduced echelon form.
-``solve_param_linear`` solves systems whose entries are polynomials in
-Z[t], for a parameter t, by fraction-free elimination, and reports whether
-the solution stays pole-free on the closed interval [0, 1], using Sturm
-chains.
+``sparse_echelon`` is the one Gaussian elimination over ``Fraction``: it
+reduces sparse rows ``{column: value}``; ``sparse_rref`` and ``rref`` are
+its dense spellings.  Kernels, solutions, span tests and remainders
+(``reduce_by``, ``sparse_remainder``) are read off its reduced echelon form.
+``PrefixSolver`` answers many right-hand sides against one matrix from one
+elimination.  ``solve_param_linear`` solves systems whose entries are
+polynomials in Z[t], for a parameter t, by fraction-free elimination, and
+reports whether the solution stays pole-free on the closed interval [0, 1],
+by Sturm chains over Z[t].
 """
 
 from __future__ import annotations
@@ -46,16 +47,28 @@ def rref(rows: Sequence[Sequence[Fraction]], width: int | None = None) -> RrefRe
 
 
 def sparse_rref(rows: Iterable[Mapping[int, Fraction]], width: int) -> RrefResult:
-    """Reduced row echelon form of sparse rows ``{column: value}``.
+    """Reduced row echelon form of sparse rows ``{column: value}``: the
+    dense spelling of ``sparse_echelon``.
+
+    That form is unique for a given row space and column order, so the
+    dense rows returned equal those of the textbook dense elimination (kept
+    in ``tests/test_linalg.py`` as the reference).
+    """
+    pivot_rows = sparse_echelon(rows)
+    pivots = sorted(pivot_rows)
+    zero = Fraction(0)
+    dense = [[pivot_rows[p].get(c, zero) for c in range(width)] for p in pivots]
+    return RrefResult(rows=dense, pivots=pivots)
+
+
+def sparse_echelon(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
+    """The reduced echelon form of sparse rows, as {pivot: sparse pivot row}.
 
     Pivot rows are kept fully reduced as rows arrive: an incoming row is
     cleared at every existing pivot column, its first remaining column
     becomes a new pivot, and that column is cleared from the earlier pivot
-    rows.  Each pivot row therefore starts at its pivot and is zero at every
-    other pivot column, so the result is the reduced row echelon form of the
-    row space.  That form is unique for a given row space and column order,
-    so the dense rows returned equal those of the textbook dense elimination
-    (kept in ``tests/test_linalg.py`` as the reference).
+    rows.  Each pivot row therefore starts at its pivot, with value 1, and
+    is zero at every other pivot column.
     """
     pivot_rows: dict[int, dict[int, Fraction]] = {}
     for row in rows:
@@ -71,10 +84,7 @@ def sparse_rref(rows: Iterable[Mapping[int, Fraction]], width: int) -> RrefResul
             if col in prow:
                 _subtract_scaled(prow, prow[col], vec)
         pivot_rows[col] = vec
-    pivots = sorted(pivot_rows)
-    zero = Fraction(0)
-    dense = [[pivot_rows[p].get(c, zero) for c in range(width)] for p in pivots]
-    return RrefResult(rows=dense, pivots=pivots)
+    return pivot_rows
 
 
 def _subtract_scaled(
@@ -152,19 +162,59 @@ def in_span(vectors: Sequence[Sequence[Fraction]], target: Sequence[Fraction]) -
     return not any(reduce_by(rref(vectors, len(target)), target))
 
 
-def sign_variations(values: Sequence[Fraction]) -> int:
-    signs = [1 if v > 0 else -1 for v in values if v]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def sparse_remainder(
+    pivot_rows: Mapping[int, Mapping[int, Fraction]], vec: Sequence[Fraction]
+) -> dict[int, Fraction]:
+    """Remainder of ``vec`` modulo the row space of ``sparse_echelon`` rows,
+    as a sparse row; only the nonzero entries of ``vec`` are visited.  Each
+    pivot row is zero at the other pivots, so its coefficient is the entry
+    of ``vec`` at its own pivot."""
+    work = {c: v for c, v in enumerate(vec) if v}
+    for p in [c for c in work if c in pivot_rows]:
+        _subtract_scaled(work, work[p], pivot_rows[p])
+    return work
 
 
-def sturm_chain(p: UniPoly) -> list[UniPoly]:
-    chain = [p, p.derivative()]
-    while chain[-1]:
-        rem = chain[-2] % chain[-1]
-        if not rem:
-            break
-        chain.append(-rem)
-    return [q for q in chain if q]
+class PrefixSolver:
+    """Solves A x = b, free unknowns at zero, for many right-hand sides b
+    against one column matrix A, and reports the last column it uses.
+
+    The reduced echelon form of the augmented matrix [A | I] is [R | E],
+    with E invertible and E A = R, so A x = b iff R x = E b.  A row of R
+    with pivot p reads x_p + (free unknowns) = (E b)_p, so the solution with
+    free unknowns at zero has x_p = (E b)_p; a zero row of R reads
+    0 = (E b)_r, so b is consistent iff (E b)_r vanishes on those rows.
+    The elimination is done once, and each right-hand side costs one sparse
+    product with the rows of E.
+    """
+
+    __slots__ = ("solved", "checks")
+
+    def __init__(self, columns: Sequence[Sequence[Fraction]], height: int):
+        width = len(columns)
+        one = Fraction(1)
+        echelon = sparse_echelon(
+            {**{c: col[r] for c, col in enumerate(columns) if col[r]}, width + r: one}
+            for r in range(height)
+        )
+        rows = {
+            p: tuple((k - width, v) for k, v in row.items() if k >= width)
+            for p, row in echelon.items()
+        }
+        # (pivot, row of E) for the pivots of A, the last pivot first
+        self.solved = tuple((p, rows[p]) for p in sorted(rows, reverse=True) if p < width)
+        self.checks = tuple(row for p, row in rows.items() if p >= width)
+
+    def last_used_column(self, rhs: Sequence[Fraction]) -> int | None:
+        """The largest c with x_c nonzero in the solution of A x = ``rhs``
+        (0 when ``rhs`` is zero), or None when the system is inconsistent."""
+        for row in self.checks:
+            if sum(v * rhs[k] for k, v in row if rhs[k]):
+                return None
+        for p, row in self.solved:
+            if sum(v * rhs[k] for k, v in row if rhs[k]):
+                return p
+        return 0
 
 
 def sturm_count(p: UniPoly, a: Fraction | int, b: Fraction | int) -> int:
@@ -173,24 +223,12 @@ def sturm_count(p: UniPoly, a: Fraction | int, b: Fraction | int) -> int:
     b = Fraction(b)
     if b <= a:
         return 0
-    sf = p.square_free_part()
-    if sf.degree() < 1:
-        return 0
-    chain = sturm_chain(sf)
-    va = sign_variations([q.evaluate(a) for q in chain])
-    vb = sign_variations([q.evaluate(b) for q in chain])
-    return va - vb
+    return _zroot_count(_zcleared(p), a, b)
 
 
 def poles_in_closed_unit_interval(f: RationalFunctionT) -> int:
     """Distinct poles of a reduced rational function in [0, 1]."""
-    den = f.den
-    if den.degree() < 1:
-        return 0
-    count = sturm_count(den, 0, 1)
-    if not den.evaluate(0):
-        count += 1
-    return count
+    return _zpoles_in_unit_interval(_zcleared(f.den))
 
 
 class ParamSolution(NamedTuple):
@@ -303,11 +341,13 @@ def solve_param_linear(
             if row[k] and scaled[k]:
                 acc = _zsub(acc, _zmul(row[k], scaled[k]))
         scaled[pivots[i]] = _zdiv_exact(acc, row[pivots[i]])
-    solution = [_reduced(scaled.get(c, []), prev) for c in range(width)]
+    solution = []
     counts: dict[UniPoly, int] = {}
-    for f in solution:
+    for c in range(width):
+        f, den = _reduced(scaled.get(c, []), prev)
         if f.den not in counts:
-            counts[f.den] = poles_in_closed_unit_interval(f)
+            counts[f.den] = _zpoles_in_unit_interval(den)
+        solution.append(f)
     poles = [counts[f.den] for f in solution]
     return ParamSolution(consistent=True, solution=solution, pole_counts=poles)
 
@@ -320,8 +360,9 @@ def _catch_up(row: list[list[int]], start: int, prev: list[int], lag: list[int])
             row[j] = _zdiv_exact(_zmul(prev, row[j]), lag)
 
 
-def _reduced(y: list[int], den: list[int]) -> RationalFunctionT:
-    """The reduced rational function y / den for y, den in Z[t], den nonzero.
+def _reduced(y: list[int], den: list[int]) -> tuple[RationalFunctionT, list[int]]:
+    """The reduced rational function y / den for y, den in Z[t], den nonzero,
+    and its denominator in Z[t] (a nonzero multiple of the monic one).
 
     With g the primitive gcd of y and den, y / g and den / g lie in Z[t]
     (Gauss's lemma: a primitive factor over Q[t] is a factor over Z[t]) and
@@ -331,16 +372,17 @@ def _reduced(y: list[int], den: list[int]) -> RationalFunctionT:
     UniPoly(den))`` built without a second Euclid over Q[t].
     """
     if not y:
-        return RationalFunctionT.zero()
+        return RationalFunctionT.zero(), [1]
     if len(y) > 1 and len(den) > 1:
         g = _zgcd(y, den)
         if len(g) > 1:
             y = _zdiv_exact(y, g)
             den = _zdiv_exact(den, g)
     lead = den[-1]
-    return RationalFunctionT._trusted(
+    f = RationalFunctionT._trusted(
         UniPoly([Fraction(c, lead) for c in y]), UniPoly([Fraction(c, lead) for c in den])
     )
+    return f, den
 
 
 # Polynomials in Z[t] for the fraction-free solve: coefficient lists of
@@ -411,25 +453,106 @@ def _zprimitive(a: list[int]) -> list[int]:
 def _zgcd(a: list[int], b: list[int]) -> list[int]:
     """The primitive gcd of nonzero a and b in Z[t], up to sign.
 
-    Euclid on primitive pseudo-remainders: each step replaces a by the
-    remainder of lead(b)^k * a modulo b, which has the same gcd with b up
-    to a constant, and keeps only its primitive part.
+    Euclid on primitive pseudo-remainders (``_zprem``), each of which has
+    the same gcd with b as a, up to a constant.
     """
     a, b = _zprimitive(a), _zprimitive(b)
     if len(a) < len(b):
         a, b = b, a
     while len(b) > 1:
-        rem = a[:]
-        lead = b[-1]
-        while len(rem) >= len(b):
-            c = rem[-1]
-            shift = len(rem) - len(b)
-            rem = [x * lead for x in rem]
-            for j, y in enumerate(b):
-                rem[shift + j] -= c * y
-            while rem and not rem[-1]:
-                rem.pop()
+        rem = _zprem(a, b)
         if not rem:
             return b
         a, b = b, _zprimitive(rem)
     return [1]
+
+
+def _zprem(a: list[int], b: list[int]) -> list[int]:
+    """c * (a mod b) in Z[t] for some integer c > 0, for nonzero b.
+
+    Each step cancels the leading term of the running remainder r as
+    |lead(b)| * r - sign(lead(b)) * lead(r) * t^k * b, which multiplies the
+    remainder modulo b by |lead(b)| > 0: no sign changes.
+    """
+    rem = a[:]
+    lead = b[-1]
+    scale = abs(lead)
+    sign = 1 if lead > 0 else -1
+    while len(rem) >= len(b):
+        c = sign * rem[-1]
+        shift = len(rem) - len(b)
+        rem = [x * scale for x in rem]
+        for j, y in enumerate(b):
+            rem[shift + j] -= c * y
+        while rem and not rem[-1]:
+            rem.pop()
+    return rem
+
+
+def _zcleared(p: UniPoly) -> list[int]:
+    """p times the lcm of its coefficient denominators, in Z[t]."""
+    scale = math.lcm(*(c.denominator for c in p.coeffs))
+    return [c.numerator * (scale // c.denominator) for c in p.coeffs]
+
+
+def _zsturm_chain(p: list[int]) -> list[list[int]]:
+    """Positive multiples of the Sturm chain of the square-free part of p,
+    for p in Z[t] of degree >= 1.
+
+    The square-free part p / gcd(p, p') lies in Z[t] by Gauss's lemma.  Its
+    chain is q_0 = q, q_1 = q', q_(k+1) = -(q_(k-1) mod q_k), ending at a
+    constant; each entry here is a positive multiple of the one over Q[t]
+    (``_zprem`` and primitive parts keep signs), so every sign count is
+    that of the chain over Q.
+    """
+    g = _zgcd(p, _zderivative(p))
+    q = _zprimitive(_zdiv_exact(p, g) if len(g) > 1 else p)
+    chain = [q, _zprimitive(_zderivative(q))]
+    while len(chain[-1]) > 1:
+        rem = _zprem(chain[-2], chain[-1])
+        if not rem:
+            break
+        chain.append(_zprimitive([-c for c in rem]))
+    return chain
+
+
+def _zderivative(p: list[int]) -> list[int]:
+    return [k * c for k, c in enumerate(p)][1:]
+
+
+def _zsign_changes(chain: list[list[int]], x: Fraction) -> int:
+    """Sign changes along the chain at the rational x, zeros dropped.
+
+    The value at 0 is the constant term and the value at 1 the coefficient
+    sum; elsewhere den^deg * q(num / den) has the sign of q(x), as den > 0.
+    """
+    if x == 0:
+        values = [q[0] for q in chain]
+    elif x == 1:
+        values = [sum(q) for q in chain]
+    else:
+        num, den = x.numerator, x.denominator
+        values = []
+        for q in chain:
+            acc, scale = 0, 1
+            for c in reversed(q):
+                acc = acc * num + c * scale
+                scale *= den
+            values.append(acc)
+    signs = [v > 0 for v in values if v]
+    return sum(u != v for u, v in zip(signs, signs[1:]))
+
+
+def _zroot_count(p: list[int], a: Fraction, b: Fraction) -> int:
+    """Distinct real roots in (a, b] of p in Z[t], for a < b (Sturm)."""
+    if len(p) < 2:
+        return 0
+    chain = _zsturm_chain(p)
+    return _zsign_changes(chain, a) - _zsign_changes(chain, b)
+
+
+def _zpoles_in_unit_interval(den: list[int]) -> int:
+    """Distinct roots in [0, 1] of a nonzero den in Z[t]."""
+    if len(den) < 2:
+        return 0
+    return _zroot_count(den, Fraction(0), Fraction(1)) + (not den[0])

@@ -32,7 +32,7 @@ from .curves import (
 )
 from .errors import InputError, LiftError, NotSymmetryError
 from .forms import PolyMap, VectorField, lie_derivative, pullback
-from .linalg import ParamSolution, RrefResult, reduce_by, rref, solve_param_linear
+from .linalg import ParamSolution, rref, solve_param_linear, sparse_echelon, sparse_remainder
 from .poly import Exponent, Frozen, Polynomial, RationalFunctionT, Scalar, UniPoly
 
 
@@ -257,10 +257,10 @@ def action_table(
 
 
 class TangentSpace(Frozen):
-    """Orbit tangent space at a restriction class; the echelon form of the
-    vectors is built on first use."""
+    """Orbit tangent space at a restriction class; the reduced echelon form
+    of the vectors, as sparse pivot rows, is built on first use."""
 
-    __slots__ = ("base", "shifts", "vectors", "_rref")
+    __slots__ = ("base", "shifts", "vectors", "_pivot_rows")
 
     def __init__(
         self,
@@ -271,7 +271,7 @@ class TangentSpace(Frozen):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "shifts", shifts)
         object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "_rref", None)
+        object.__setattr__(self, "_pivot_rows", None)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -288,15 +288,15 @@ class TangentSpace(Frozen):
         )
 
     @property
-    def _echelon(self) -> RrefResult:
-        if self._rref is None:
-            rows = [list(v.coords) for v in self.vectors if not v.is_zero()]
-            object.__setattr__(self, "_rref", rref(rows, len(self.base.coords)))
-        return self._rref
+    def _echelon(self) -> dict[int, dict[int, Fraction]]:
+        if self._pivot_rows is None:
+            rows = ({i: c for i, c in enumerate(v.coords) if c} for v in self.vectors)
+            object.__setattr__(self, "_pivot_rows", sparse_echelon(rows))
+        return self._pivot_rows
 
     @property
     def dim(self) -> int:
-        return self._echelon.rank
+        return len(self._echelon)
 
     @property
     def codim(self) -> int:
@@ -304,7 +304,7 @@ class TangentSpace(Frozen):
         return self.base.basis.dim - self.dim
 
     def contains(self, direction: AlgRestriction) -> bool:
-        return not any(reduce_by(self._echelon, direction.coords))
+        return not sparse_remainder(self._echelon, direction.coords)
 
 
 def orbit_tangent_space(curve: MonomialCurve, a: AlgRestriction) -> TangentSpace:
@@ -356,22 +356,28 @@ def moser_reduce(
     no poles in [0, 1].  The shifts and the vectors L_{X_s} a are those of
     the orbit tangent space at a, which the class keeps.
 
-    The system keeps only its live rows: the coordinates i where some
-    L_{X_s} a, some L_{X_s} kill or kill itself is nonzero.  A dead row
-    reads 0 = 0; inside ``solve_param_linear`` it stays zero under the
-    Bareiss update and is never a pivot, and dropping it changes neither
-    the kernel of the matrix nor the solution set.  The result depends on
-    those alone: a column is a pivot iff it is outside the span of the
-    columns before it, which the kernel decides; the system is consistent
-    iff it has a solution; the solution with free unknowns at zero is the
-    unique one on the pivot columns; and ``RationalFunctionT`` is
-    canonical.  So the coefficients and pole counts are those of the full
-    system.
+    The action of X_s on kill is read off the same vectors: X_s raises the
+    quasi-degree by exactly s, so L_{X_s} kill, for kill the part of a in
+    degree d, is the degree-(d + s) part of L_{X_s} a.  Coordinate i of
+    degree q thus has the entry v - t*v in the column of the shift q - d,
+    and v elsewhere, with v = (L_{X_s} a)_i.
 
-    Each live row is handed over in Z[t]: its entries v - t*w and its
-    right-hand side k are multiplied by the lcm of the row's denominators.
-    Scaling a row by a nonzero constant keeps the solution set, so the
-    solution is that of the system over Q[t].
+    The system keeps only its live rows: the coordinates i where some
+    L_{X_s} a or kill itself is nonzero (L_{X_s} kill is nonzero only
+    there).  A dead row reads 0 = 0; inside ``solve_param_linear`` it stays
+    zero under the Bareiss update and is never a pivot, and dropping it
+    changes neither the kernel of the matrix nor the solution set.  The
+    result depends on those alone: a column is a pivot iff it is outside
+    the span of the columns before it, which the kernel decides; the
+    system is consistent iff it has a solution; the solution with free
+    unknowns at zero is the unique one on the pivot columns; and
+    ``RationalFunctionT`` is canonical.  So the coefficients and pole
+    counts are those of the full system.
+
+    Each live row is handed over in Z[t]: its entries and its right-hand
+    side k are multiplied by the lcm of the row's denominators.  Scaling a
+    row by a nonzero constant keeps the solution set, so the solution is
+    that of the system over Q[t].
     """
     kill._check_same_basis(a)
     kill_degs = kill.nonzero_qdegs()
@@ -385,26 +391,24 @@ def moser_reduce(
         return HomotopyResult(
             feasible=True, consistent=True, shifts=(), coefficients={}, pole_counts={}
         )
+    d = kill_degs[0]
     tangent = orbit_tangent_space(curve, a)
     shifts = tangent.shifts
     v = [vector.coords for vector in tangent.vectors]
-    w = [shift_action(kill, s).coords for s in shifts]
-    m = len(shifts)
     rows = []
     rhs = []
-    # column i is (kill_i, (L_{X_s} a)_i for each s, (L_{X_s} kill)_i for each s)
-    for column in zip(kill.coords, *v, *w):
-        nonzero = [(j, x) for j, x in enumerate(column) if x]
+    # column i is (kill_i, (L_{X_s} a)_i for each s)
+    for el, column in zip(a.basis.elements, zip(kill.coords, *v)):
+        nonzero = [x for x in column if x]
         if not nonzero:
             continue
-        scale = math.lcm(*[x.denominator for _, x in nonzero])
-        ints = [0] * len(column)
-        for j, x in nonzero:
-            ints[j] = x.numerator * (scale // x.denominator)
+        scale = math.lcm(*[x.denominator for x in nonzero])
+        k, *ints = [x.numerator * (scale // x.denominator) for x in column]
+        moved = el.qdeg - d
         rows.append(
-            [[p, -q] if q else [p] if p else [] for p, q in zip(ints[1 : m + 1], ints[m + 1 :])]
+            [([p, -p] if s == moved else [p]) if p else [] for p, s in zip(ints, shifts)]
         )
-        rhs.append([ints[0]] if ints[0] else [])
+        rhs.append([k] if k else [])
     solution: ParamSolution = solve_param_linear(rows, rhs)
     coeffs = {
         s: solution.solution[j] if solution.consistent else RationalFunctionT.zero()

@@ -1,0 +1,185 @@
+"""Per-class queries against the per-class code they replaced.
+
+The engine answers iota and Lt from prefix solvers kept on the basis, the
+branch rank from constant blocks kept on the basis, tangent membership from
+sparse pivot rows, the Moser system from the tangent vectors alone, and pole
+counts from Sturm chains over Z[t].  The references below redo each query
+anew for every class: one augmented solve per graded part, a dense block
+read off every representative, a dense remainder, one ``shift_action`` per
+shift for the kill target, and Sturm chains of ``Fraction`` remainders.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+from fractions import Fraction
+
+from algrest.curves import AlgRestriction, MonomialCurve, cached_basis, monomials_of_qdeg
+from algrest.errors import InputError
+from algrest.invariants import (
+    _part_quotient_coords,
+    branch_rank,
+    index_of_isotropy,
+    lagrangian_tangency_order,
+    representable_by_symplectic,
+)
+from algrest.linalg import rank, reduce_by, rref, solve_linear, solve_param_linear
+from algrest.symmetry import moser_reduce, orbit_tangent_space, shift_action
+
+from test_linalg import reference_poles_in_closed_unit_interval
+
+
+def reference_last_used_column(columns, coords):
+    """Index of the last column that the greedy solution for ``coords``
+    uses (0 when ``coords`` is zero), by one fresh augmented solve."""
+    rows = [[col[r] for col in columns] for r in range(len(coords))]
+    solution = solve_linear(rows, coords)
+    if solution is None:
+        raise InputError("quotient coordinates do not come from this graded component")
+    return max((c for c, x in enumerate(solution) if x), default=0)
+
+
+def reference_iota(curve, a):
+    if a.is_zero():
+        return math.inf
+    lams = curve.lams
+    best = math.inf
+    for d in a.nonzero_qdegs():
+        piece = a.basis.pieces[d]
+        width = len(piece.columns)
+        heights = [
+            sum(monomials_of_qdeg(lams, d - lams[i] - lams[j])[0]) for i, j in piece.columns
+        ]
+        order = sorted(range(width), key=lambda c: -heights[c])
+        images = [
+            piece.quotient_coords([Fraction(int(k == c)) for k in range(width)]) for c in order
+        ]
+        last = reference_last_used_column(images, _part_quotient_coords(a, d))
+        best = min(best, heights[order[last]])
+    return best
+
+
+def reference_graded_lt(curve, a):
+    """min over parts of d - lam_j, j the owner of the last exact row used."""
+    if a.is_zero():
+        return math.inf
+    best = math.inf
+    for d in a.nonzero_qdegs():
+        owners, vectors = a.basis.exact[d]
+        j = owners[reference_last_used_column(vectors, _part_quotient_coords(a, d))]
+        best = min(best, d - curve.lams[j])
+    return best
+
+
+def reference_branch_rank(curve, a):
+    """Rank of the dense constant block, read off every representative."""
+    s = curve.branch_dim
+    block = [[Fraction(0)] * s for _ in range(s)]
+    for el, coeff in zip(a.basis.elements, a.coords):
+        if coeff:
+            for (i, j), poly in el.rep.coeffs.items():
+                value = coeff * poly.constant_term()
+                block[i][j] += value
+                block[j][i] -= value
+    return rank(block, s)
+
+
+def reference_contains(tangent, direction):
+    """Dense remainder modulo the dense echelon form of the tangent vectors."""
+    rows = [list(v.coords) for v in tangent.vectors if not v.is_zero()]
+    return not any(reduce_by(rref(rows, len(direction.coords)), direction.coords))
+
+
+def reference_moser(curve, a, kill):
+    """The live-row Moser system with the actions on kill computed afresh by
+    ``shift_action``, and pole counts from the ``Fraction`` Sturm chain."""
+    tangent = orbit_tangent_space(curve, a)
+    shifts = tangent.shifts
+    v = [vector.coords for vector in tangent.vectors]
+    w = [shift_action(kill, s).coords for s in shifts]
+    m = len(shifts)
+    rows, rhs = [], []
+    for column in zip(kill.coords, *v, *w):
+        nonzero = [x for x in column if x]
+        if not nonzero:
+            continue
+        scale = math.lcm(*[x.denominator for x in nonzero])
+        ints = [x.numerator * (scale // x.denominator) for x in column]
+        rows.append(
+            [[p, -q] if q else [p] if p else [] for p, q in zip(ints[1 : m + 1], ints[m + 1 :])]
+        )
+        rhs.append([ints[0]] if ints[0] else [])
+    solution = solve_param_linear(rows, rhs)
+    if not solution.consistent:
+        return False, {}, {}
+    coefficients = dict(zip(shifts, solution.solution))
+    poles = {s: reference_poles_in_closed_unit_interval(f) for s, f in coefficients.items()}
+    return True, coefficients, poles
+
+
+CURVES = (
+    MonomialCurve((4, 5, 6, 7)),
+    MonomialCurve((4, 5, 6)),
+    MonomialCurve((4, 5, 7)),
+    MonomialCurve((5, 6, 7, 8, 9)),
+    MonomialCurve((3, 7, 8)),
+    MonomialCurve((3, 4)),
+    MonomialCurve((4, 5, 6), ambient=6),
+)
+CLASSES_PER_CURVE = 290
+VALUES = tuple(Fraction(n, q) for n in (-5, -3, -2, -1, 1, 2, 4, 7) for q in (1, 2, 3, 5))
+
+
+def random_classes(basis, rng, count):
+    """The zero class, every one-label class, then random classes of 1 to 5
+    labels with small rational coefficients."""
+    labels = basis.labels
+    yield AlgRestriction.zero(basis)
+    for label in labels:
+        yield AlgRestriction.from_coeffs(basis, {label: 1})
+    for _ in range(count - 1 - len(labels)):
+        chosen = rng.sample(labels, rng.randint(1, min(5, len(labels))))
+        yield AlgRestriction.from_coeffs(basis, {label: rng.choice(VALUES) for label in chosen})
+
+
+def test_class_queries_equal_the_per_class_references():
+    rng = random.Random(17)
+    checked = consistent = poles = zero_blocks = 0
+    for curve in CURVES:
+        basis = cached_basis(curve)
+        units = [AlgRestriction.from_coeffs(basis, {label: 1}) for label in basis.labels]
+        s = curve.branch_dim
+        for a in random_classes(basis, rng, CLASSES_PER_CURVE):
+            where = (curve, str(a))
+            iota = index_of_isotropy(curve, a)
+            assert iota == reference_iota(curve, a), where
+            graded_lt = reference_graded_lt(curve, a)
+            assert lagrangian_tangency_order(curve, a, iota=1) == graded_lt, where
+            assert lagrangian_tangency_order(curve, a) == (None if iota == 0 else graded_lt)
+            rank_a = branch_rank(curve, a)
+            assert rank_a == reference_branch_rank(curve, a), where
+            zero_blocks += rank_a == 0 and not a.is_zero()
+            for n in range(1, s + 1):
+                want = 2 * s - 2 * n <= 0 or reference_branch_rank(curve, a) >= 2 * s - 2 * n
+                assert representable_by_symplectic(curve, a, n) == want, (where, n)
+            tangent = orbit_tangent_space(curve, a)
+            rows = [list(v.coords) for v in tangent.vectors if not v.is_zero()]
+            assert tangent.dim == rank(rows, basis.dim), where
+            for unit in units:
+                assert tangent.contains(unit) == reference_contains(tangent, unit), (where, unit)
+            for d in a.nonzero_qdegs():
+                kill = a.part(d)
+                result = moser_reduce(curve, a, kill)
+                want_consistent, want_coefficients, want_poles = reference_moser(curve, a, kill)
+                assert result.consistent == want_consistent, (where, d)
+                if want_consistent:
+                    assert result.coefficients == want_coefficients, (where, d)
+                    assert result.pole_counts == want_poles, (where, d)
+                    assert result.feasible == (not any(want_poles.values())), (where, d)
+                consistent += want_consistent
+                poles += any(want_poles.values())
+            checked += 1
+    assert checked >= 2000
+    # the draw reaches every branch of the comparisons
+    assert consistent > 3000 and poles > 800 and zero_blocks > 400

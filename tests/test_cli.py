@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -378,3 +382,27 @@ def test_zero_denominators_exit_2(capsys, argv):
     assert rc == 2
     assert out == ""
     assert err.startswith("error: zero denominator at position ") and "Traceback" not in err
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_pipe_closed_early_exits_1_without_a_traceback(fmt):
+    # the reader is gone before the command writes a byte, as with `| head`
+    # exiting early, so every write to stdout meets a broken pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "algrest.cli", "basis", *"5 6 7 8 9".split(), "--format", fmt],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+            check=False,
+        )
+    finally:
+        os.close(write_end)
+    assert done.stderr == b""
+    assert done.returncode == 1

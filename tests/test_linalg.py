@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import example, given, strategies as st
 
 from algrest.linalg import (
     ParamSolution,
+    PrefixSolver,
     RrefResult,
     _reduced,
     _zdiv_exact,
@@ -15,7 +17,6 @@ from algrest.linalg import (
     rank,
     reduce_by,
     rref,
-    sign_variations,
     solve_linear,
     solve_param_linear,
     sparse_rref,
@@ -148,6 +149,74 @@ def test_reduce_by_leaves_the_remainder_off_the_pivots():
     assert reduce_by(rref([], 2), [F(1), F(2)]) == [F(1), F(2)]
 
 
+def sign_variations(values):
+    signs = [1 if v > 0 else -1 for v in values if v]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def sturm_chain(p):
+    chain = [p, p.derivative()]
+    while chain[-1]:
+        rem = chain[-2] % chain[-1]
+        if not rem:
+            break
+        chain.append(-rem)
+    return [q for q in chain if q]
+
+
+def reference_sturm_count(p, a, b):
+    """The Sturm count over Q: a square-free part by Euclid over Q[t], then a
+    chain of Fraction remainders, evaluated at a and b."""
+    a, b = F(a), F(b)
+    if b <= a:
+        return 0
+    sf = p.square_free_part()
+    if sf.degree() < 1:
+        return 0
+    chain = sturm_chain(sf)
+    return sign_variations([q.evaluate(a) for q in chain]) - sign_variations(
+        [q.evaluate(b) for q in chain]
+    )
+
+
+def reference_poles_in_closed_unit_interval(f):
+    den = f.den
+    if den.degree() < 1:
+        return 0
+    return reference_sturm_count(den, 0, 1) + (not den.evaluate(0))
+
+
+def test_prefix_solver_equals_one_solve_per_right_hand_side():
+    """The last used column and the inconsistency verdict of one augmented
+    ``solve_linear`` per right-hand side, on random matrices with dependent
+    columns, zero columns and inconsistent right-hand sides."""
+    rng = random.Random(4242)
+    values = [F(0)] * 6 + [F(n, q) for n in (-3, -1, 1, 2) for q in (1, 2)]
+    inconsistent = 0
+    for _ in range(300):
+        height, width = rng.randint(0, 5), rng.randint(0, 6)
+        columns = [[rng.choice(values) for _ in range(height)] for _ in range(width)]
+        if width >= 3:
+            columns[-1] = [x + 2 * y for x, y in zip(columns[0], columns[1])]
+        solver = PrefixSolver(columns, height)
+        rows = [[col[r] for col in columns] for r in range(height)]
+        for _ in range(5):
+            if columns and rng.random() < 0.6:
+                used = rng.sample(range(width), min(2, width))
+                picks = {c: rng.choice(values) for c in used}
+                rhs = [sum(x * columns[c][r] for c, x in picks.items()) for r in range(height)]
+            else:
+                rhs = [rng.choice(values) for _ in range(height)]
+            solution = solve_linear(rows, rhs) if rows else [F(0)] * width
+            if solution is None:
+                inconsistent += 1
+                assert solver.last_used_column(rhs) is None
+            else:
+                want = max((c for c, x in enumerate(solution) if x), default=0)
+                assert solver.last_used_column(rhs) == want
+    assert inconsistent > 100
+
+
 def test_sign_variations():
     assert sign_variations([F(1), F(-1), F(2)]) == 2
     assert sign_variations([F(1), F(0), F(2)]) == 0
@@ -168,6 +237,74 @@ def test_sturm_count_multiple_root():
     t = UniPoly.t_power(1)
     f = (t - ONE) ** 2
     assert sturm_count(f, 0, 2) == 1
+
+
+def roots_poly(roots, lead=1):
+    """lead * prod (t - r) over the given rational roots, repeats kept."""
+    t = UniPoly.t_power(1)
+    p = UniPoly.constant(lead)
+    for r in roots:
+        p = p * (t - F(r) * ONE)
+    return p
+
+
+def test_sturm_count_at_rational_endpoints():
+    f = roots_poly([F(1, 3), F(2, 3), F(5, 7)])
+    assert sturm_count(f, F(1, 4), F(1, 2)) == 1
+    assert sturm_count(f, F(1, 3), F(2, 3)) == 1  # (1/3, 2/3]: 2/3 only
+    assert sturm_count(f, F(2, 3), F(5, 7)) == 1  # (2/3, 5/7]: 5/7 only
+    assert sturm_count(f, F(-1, 2), F(1, 3)) == 1
+    assert sturm_count(f, F(5, 7), F(9, 2)) == 0
+    assert sturm_count(f, F(1, 2), F(1, 2)) == 0
+    assert sturm_count(f, 1, 0) == 0
+
+
+def test_sturm_count_with_roots_at_zero_and_one():
+    f = roots_poly([0, 1, F(1, 2)])
+    assert sturm_count(f, 0, 1) == 2  # 1/2 and 1; 0 is the open end
+    assert sturm_count(f, -1, 0) == 1
+    assert sturm_count(f, -1, 1) == 3
+    assert sturm_count(f, F(1, 2), 1) == 1
+    assert poles_in_closed_unit_interval(RationalFunctionT(ONE, f)) == 3
+    assert poles_in_closed_unit_interval(RationalFunctionT(ONE, roots_poly([0]))) == 1
+    assert poles_in_closed_unit_interval(RationalFunctionT(ONE, roots_poly([1]))) == 1
+    assert poles_in_closed_unit_interval(RationalFunctionT(ONE, roots_poly([F(-1, 9)]))) == 0
+
+
+def test_sturm_count_with_repeated_roots_and_negative_leads():
+    f = roots_poly([1, 1, 1, F(1, 2), F(1, 2), 3], lead=-7)
+    assert sturm_count(f, 0, 1) == 2
+    assert sturm_count(f, 0, 3) == 3
+    assert sturm_count(-f, 0, 3) == 3
+    g = roots_poly([0, 0, F(-2, 3)], lead=F(-5, 2))
+    assert sturm_count(g, -1, 0) == 2
+    assert sturm_count(g, 0, 1) == 0
+    assert poles_in_closed_unit_interval(RationalFunctionT(ONE, g)) == 1
+    # no real roots at all, negative lead
+    h = UniPoly([-1, 0, -3]) * UniPoly([-2, 1, -1])
+    assert sturm_count(h, -10, 10) == 0
+    assert sturm_count(UniPoly.constant(-4), 0, 1) == 0
+    assert sturm_count(UniPoly.zero(), 0, 1) == 0
+
+
+def test_sturm_count_equals_the_fraction_chain_on_random_polynomials():
+    rng = random.Random(1107)
+    coeffs = [F(n, q) for n in range(-6, 7) for q in (1, 2, 3, 5)]
+    points = [F(n, q) for n in range(-4, 5) for q in (1, 2, 3)]
+    for _ in range(400):
+        degree = rng.randint(0, 8)
+        if rng.random() < 0.5:
+            # rational roots, some repeated, some at the probe points
+            roots = [rng.choice(points) for _ in range(degree)]
+            p = roots_poly(roots, lead=rng.choice([c for c in coeffs if c]))
+        else:
+            p = UniPoly([rng.choice(coeffs) for _ in range(degree + 1)])
+        a, b = sorted(rng.sample(points, 2))
+        for lo, hi in ((a, b), (0, 1), (b, a)):
+            assert sturm_count(p, lo, hi) == reference_sturm_count(p, lo, hi), (p, lo, hi)
+        if p:
+            f = RationalFunctionT(ONE, p)
+            assert poles_in_closed_unit_interval(f) == reference_poles_in_closed_unit_interval(f)
 
 
 def test_poles_in_closed_unit_interval():
@@ -241,7 +378,7 @@ def reference_solve_param_linear(rows, rhs):
     solution = [RationalFunctionT.zero()] * width
     for r, pc in enumerate(red.pivots):
         solution[pc] = red.rows[r][width]
-    poles = [poles_in_closed_unit_interval(f) for f in solution]
+    poles = [reference_poles_in_closed_unit_interval(f) for f in solution]
     return ParamSolution(consistent=True, solution=solution, pole_counts=poles)
 
 
@@ -343,6 +480,8 @@ def test_reduced_component_equals_the_public_constructor(y, den, common, ky, kd,
     y = _zmul(times_t_minus_one(y, ky), common)
     den = [sign * c for c in _zmul(times_t_minus_one(den, kd), common)]
     want = RationalFunctionT(UniPoly(y), UniPoly(den))
-    got = _reduced(y, den)
+    got, zden = _reduced(y, den)
     assert got == want
     assert str(got) == str(want)
+    # the integer denominator whose poles are counted is a multiple of it
+    assert UniPoly(zden) == got.den * UniPoly.constant(zden[-1])
