@@ -415,6 +415,11 @@ def verify_row(
                 report=report,
             )
         )
+    undeclared = sorted({p for env in samples for p in env} - set(row.params))
+    if undeclared:
+        raise InputError(
+            f"semigroup {curve.lams} row {row.id}: undeclared parameter {undeclared[0]!r}"
+        )
     if not checks:
         raise InputError(f"row {row.id} has no sample outside its excluded parameter values")
     return checks

@@ -32,7 +32,7 @@ from .symmetry import (
     symmetry_constant,
 )
 
-FORMATS = ("text", "json", "latex")
+FORMATS = ("text", "json")
 
 
 def _curve(args: argparse.Namespace) -> MonomialCurve:
@@ -269,10 +269,13 @@ def cmd_verify_atlas(args: argparse.Namespace) -> int:
         except OSError as exc:
             raise InputError(f"cannot read samples file: {exc}") from None
         samples = load_samples_file(text)
+    atlases = [load_atlas(lams) for lams in targets]
+    unknown = sorted(set(samples or ()) - {row.id for atlas in atlases for row in atlas.rows})
+    if unknown:
+        raise InputError(f"samples file: no atlas row {unknown[0]} in the verified tables")
     reports = []
     lines: list[str] = []
-    for lams in targets:
-        atlas = load_atlas(lams)
+    for atlas in atlases:
         report = verify_atlas(atlas, n=args.n, samples=samples, seed=args.seed)
         reports.append(report)
         lines.append(f"semigroup {report.semigroup}:")
@@ -326,10 +329,11 @@ def cmd_verify_atlas(args: argparse.Namespace) -> int:
     return 0 if passed else 1
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--format", choices=FORMATS, default="text", help="output format"
-    )
+def _add_common(sub: argparse.ArgumentParser, latex: bool = False) -> None:
+    """The --format option; ``latex`` offers it on the subcommands with a
+    LaTeX printer."""
+    choices = FORMATS + ("latex",) if latex else FORMATS
+    sub.add_argument("--format", choices=choices, default="text", help="output format")
 
 
 def _add_generators(sub: argparse.ArgumentParser, optional: bool = False) -> None:
@@ -359,12 +363,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("basis", help="graded basis of closed-2-form classes")
     _add_generators(p)
     p.add_argument("--ambient", type=int, default=None, help="ambient dimension")
-    _add_common(p)
+    _add_common(p, latex=True)
     p.set_defaults(func=cmd_basis)
 
     p = subs.add_parser("action-table", help="Lie actions of the liftable fields")
     _add_generators(p)
-    _add_common(p)
+    _add_common(p, latex=True)
     p.add_argument(
         "--lift-policy",
         choices=LIFT_POLICIES,
@@ -377,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_generators(p)
     p.add_argument("--ambient", type=int, default=None, help="ambient dimension")
     p.add_argument("--form", required=True, help="2-form, e.g. 'dx1^dx2 + x1*dx1^dx3'")
-    _add_common(p)
+    _add_common(p, latex=True)
     p.set_defaults(func=cmd_project)
 
     p = subs.add_parser("invariants", help="discrete invariants of a class")
@@ -404,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_generators(p)
     p.add_argument("--map", required=True, help="e.g. '(-x1, -x2, x3, x4)'")
     p.add_argument("--restriction", required=True, help=_RESTRICTION_HELP)
-    _add_common(p)
+    _add_common(p, latex=True)
     p.set_defaults(func=cmd_pullback)
 
     p = subs.add_parser("verify-atlas", help="check the bundled classification tables")

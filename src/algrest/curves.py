@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InputError, NotClosedError
 from .forms import DifferentialForm, IndexTuple, Weights
-from .linalg import RrefResult, reduce_by, rref, sparse_rref
+from .linalg import rref, sparse_echelon, sparse_remainder
 from .poly import Exponent, Frozen, Polynomial, Scalar, UniPoly, signed_sum
 
 if TYPE_CHECKING:
@@ -40,6 +40,7 @@ class MonomialCurve(Frozen):
     ``ambient`` 0 means ``len(lams)``."""
 
     __slots__ = ("lams", "ambient")
+    _fields = __slots__
 
     def __init__(self, lams: Iterable[int], ambient: int = 0):
         lams = tuple(int(v) for v in lams)
@@ -61,19 +62,7 @@ class MonomialCurve(Frozen):
         ambient = ambient or len(lams)
         if ambient < len(lams):
             raise InputError("ambient dimension smaller than the exponent list")
-        object.__setattr__(self, "lams", lams)
-        object.__setattr__(self, "ambient", int(ambient))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.lams, self.ambient) == (other.lams, other.ambient)
-
-    def __hash__(self) -> int:
-        return hash((self.lams, self.ambient))
-
-    def __repr__(self) -> str:
-        return f"MonomialCurve(lams={self.lams!r}, ambient={self.ambient!r})"
+        self._set(lams=lams, ambient=int(ambient))
 
     @property
     def branch_dim(self) -> int:
@@ -166,23 +155,26 @@ def ideal_graded_basis(curve: MonomialCurve, qdeg: int) -> tuple[Polynomial, ...
 
 
 @lru_cache(maxsize=None)
-def binomial_span(lams: tuple[int, ...], e: int) -> RrefResult:
-    """Reduced echelon form of V_e, the span of m - m0 over the curve-only
-    exponents m of quasi-degree e, m0 the first: the exponents of the
-    binomials that span the curve-only part of the ideal in degree e."""
+def binomial_span(lams: tuple[int, ...], e: int) -> dict[int, dict[int, Fraction]]:
+    """Reduced echelon form of V_e, as ``sparse_echelon`` pivot rows: the
+    span of m - m0 over the curve-only exponents m of quasi-degree e, m0
+    the first, which are the exponents of the binomials that span the
+    curve-only part of the ideal in degree e."""
     mons = monomials_of_qdeg(lams, e)
-    diffs = [[Fraction(a - b) for a, b in zip(m, mons[0])] for m in mons[1:]]
-    return rref(diffs, len(lams))
+    return sparse_echelon(
+        {i: Fraction(a - b) for i, (a, b) in enumerate(zip(m, mons[0]))} for m in mons[1:]
+    )
 
 
 class GradedPiece(Frozen):
     """One graded quotient piece: k-forms of quasi-degree d modulo the
     forms with zero restriction.  Column J is the class of the curve-only
-    terms x^m dx_J; ``relations`` is the echelon form of their relations,
-    which follows from the other fields and is left out of equality, hash
-    and repr."""
+    terms x^m dx_J; ``relations`` is the reduced echelon form of their
+    relations, as ``sparse_echelon`` pivot rows, which follows from the
+    other fields and is left out of equality, hash and repr."""
 
     __slots__ = ("curve", "k", "d", "columns", "rep_cols", "relations")
+    _fields = __slots__[:-1]
 
     def __init__(
         self,
@@ -191,30 +183,10 @@ class GradedPiece(Frozen):
         d: int,
         columns: tuple[IndexTuple, ...],
         rep_cols: tuple[int, ...],
-        relations: RrefResult,
+        relations: dict[int, dict[int, Fraction]],
     ):
-        object.__setattr__(self, "curve", curve)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "rep_cols", rep_cols)
-        object.__setattr__(self, "relations", relations)
-
-    def _key(self) -> tuple:
-        return (self.curve, self.k, self.d, self.columns, self.rep_cols)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"GradedPiece(curve={self.curve!r}, k={self.k!r}, d={self.d!r}, "
-            f"columns={self.columns!r}, rep_cols={self.rep_cols!r})"
+        self._set(
+            curve=curve, k=k, d=d, columns=columns, rep_cols=rep_cols, relations=relations
         )
 
     @property
@@ -245,8 +217,9 @@ class GradedPiece(Frozen):
     def quotient_coords(self, vec: Sequence[Fraction]) -> list[Fraction]:
         """Reduce modulo the relations; coordinates on the representative
         columns."""
-        work = reduce_by(self.relations, vec)
-        return [work[c] for c in self.rep_cols]
+        work = sparse_remainder(self.relations, vec)
+        zero = Fraction(0)
+        return [work.get(c, zero) for c in self.rep_cols]
 
     def rep_form(self, j: int) -> DifferentialForm:
         """The lift x^m dx_J of the j-th representative column, with m the
@@ -302,21 +275,20 @@ def restriction_quotient(curve: MonomialCurve, k: int, d: int) -> GradedPiece:
     relations: list[dict[int, Fraction]] = []
     if k >= 1:
         for K in itertools.combinations(range(len(lams)), k - 1):
-            for v in binomial_span(lams, d - sum(lams[i] for i in K)).rows:
+            for v in binomial_span(lams, d - sum(lams[i] for i in K)).values():
                 row: dict[int, Fraction] = {}
-                for i, vi in enumerate(v):
-                    if vi and i not in K:
+                for i, vi in v.items():
+                    if i not in K:
                         sign = -1 if sum(j < i for j in K) % 2 else 1
                         row[position[tuple(sorted(K + (i,)))]] = sign * vi
                 relations.append(row)
-    red = sparse_rref(relations, len(columns))
-    pivot_set = set(red.pivots)
+    red = sparse_echelon(relations)
     return GradedPiece(
         curve=curve,
         k=k,
         d=d,
         columns=columns,
-        rep_cols=tuple(c for c in range(len(columns)) if c not in pivot_set),
+        rep_cols=tuple(c for c in range(len(columns)) if c not in red),
         relations=red,
     )
 
@@ -355,7 +327,7 @@ def stop_qdeg(curve: MonomialCurve) -> int:
     lams = curve.lams
     e = run = 0
     while run < lams[0]:
-        run = run + 1 if binomial_span(lams, e).rank == len(lams) - 1 else 0
+        run = run + 1 if len(binomial_span(lams, e)) == len(lams) - 1 else 0
         e += 1
     return e - lams[0] + lams[-1]
 
@@ -367,7 +339,10 @@ class RestrictionBasis:
     [d(x^m dx_i)] for branch coordinates i and curve-only x^m of quasi-degree
     d - lam_i.  ``exact[d] = (owners, rows)`` keeps these rows with their
     owners i for every d with a nonzero 2-form piece, and the canonical
-    reduced echelon form of their span gives the labelled vectors.  That
+    reduced echelon form of their span gives the labelled vectors:
+    ``closed[d]`` keeps it, for every d with a closed class, as
+    ``linalg.sparse_echelon`` pivot rows in the label order (pivots
+    descending), and ``solve_in_closed`` reads classes off it.  That
     span needs no row of owner 0: d^2(x^(m + e_i)) = 0 reads
     (1 + m_i) d(x^m dx_i) = -sum_(j != i) m_j d(x^(m + e_i - e_j) dx_j),
     and each x^(m + e_i - e_j) with m_j > 0 is curve-only of degree
@@ -415,6 +390,7 @@ class RestrictionBasis:
         "label_index",
         "by_degree",
         "exact",
+        "closed",
         "last_nonzero_qdeg",
     )
 
@@ -429,6 +405,7 @@ class RestrictionBasis:
         elements: list[BasisElement] = []
         by_degree: dict[int, list[tuple[int, tuple[Fraction, ...]]]] = {}
         exact: dict[int, tuple[tuple[int, ...], tuple[tuple[Fraction, ...], ...]]] = {}
+        closed: dict[int, dict[int, dict[int, Fraction]]] = {}
         last_nonzero = 0
         for d, piece2 in self.pieces.items():
             if piece2.dim == 0:
@@ -448,11 +425,10 @@ class RestrictionBasis:
                     rows.append(tuple(piece2.quotient_coords(vec)))
             exact[d] = (tuple(owners), tuple(rows))
             canon = rref([row for i, row in zip(owners, rows) if i], piece2.dim)
-            if not canon.rows:
+            if not canon.pivots:
                 continue
-            ordered = sorted(
-                zip(canon.pivots, canon.rows), key=lambda item: item[0], reverse=True
-            )
+            ordered = sorted(zip(canon.pivots, canon.rows), reverse=True)
+            closed[d] = {p: {c: v for c, v in enumerate(vec) if v} for p, vec in ordered}
             labels = _degree_labels(d, len(ordered))
             entries: list[tuple[int, tuple[Fraction, ...]]] = []
             for label, (_, vec) in zip(labels, ordered):
@@ -465,6 +441,7 @@ class RestrictionBasis:
         self.label_index = {el.label: i for i, el in enumerate(elements)}
         self.by_degree = by_degree
         self.exact = exact
+        self.closed = closed
         self.last_nonzero_qdeg = last_nonzero
 
     @property
@@ -496,24 +473,22 @@ class RestrictionBasis:
         Returns a map from global element index to coefficient; raises
         ``NotClosedError`` if the class does not lie in the closed subspace,
         that is, if it is not closed.  The closed vectors of a degree
-        are the rows of a reduced echelon form, so each coefficient is the
-        entry of ``coords2`` at its vector's pivot, and the class is closed
-        iff nothing remains after subtracting them.
+        are the rows of the reduced echelon form ``closed[d]``, so each
+        coefficient is the entry of ``coords2`` at its vector's pivot, and
+        the class is closed iff nothing remains after subtracting them.
         """
-        entries = self.by_degree.get(d, [])
-        if not entries:
+        echelon = self.closed.get(d)
+        if not echelon:
             if any(coords2):
                 raise NotClosedError(
                     f"nonzero restriction class of quasi-degree {d} is not closed"
                 )
             return {}
-        vectors = [vec for _, vec in entries]
-        pivots = [next(c for c, v in enumerate(vec) if v) for vec in vectors]
-        if any(reduce_by(RrefResult(vectors, pivots), coords2)):
+        if sparse_remainder(echelon, coords2):
             raise NotClosedError(
                 f"restriction class of quasi-degree {d} lies outside the closed subspace"
             )
-        return {k: coords2[p] for (k, _), p in zip(entries, pivots) if coords2[p]}
+        return {k: coords2[p] for (k, _), p in zip(self.by_degree[d], echelon) if coords2[p]}
 
 
 @lru_cache(maxsize=16)

@@ -31,25 +31,14 @@ class Weights(Frozen):
     """
 
     __slots__ = ("lams", "ambient")
+    _fields = __slots__
 
     def __init__(self, lams: tuple[int, ...], ambient: int):
         if ambient < len(lams):
             raise InputError("ambient dimension smaller than the weight list")
         if any(w <= 0 for w in lams):
             raise InputError("weights must be positive")
-        object.__setattr__(self, "lams", lams)
-        object.__setattr__(self, "ambient", ambient)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.lams, self.ambient) == (other.lams, other.ambient)
-
-    def __hash__(self) -> int:
-        return hash((self.lams, self.ambient))
-
-    def __repr__(self) -> str:
-        return f"Weights(lams={self.lams!r}, ambient={self.ambient!r})"
+        self._set(lams=lams, ambient=ambient)
 
     def weight(self, index: int) -> int:
         if not 0 <= index < self.ambient:

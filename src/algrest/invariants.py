@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 from .curves import AlgRestriction, MonomialCurve, RestrictionBasis, monomials_of_qdeg
 from .errors import InputError
 from .forms import IndexTuple
-from .linalg import PrefixSolver, rank
+from .linalg import PrefixSolver, sparse_echelon
 from .poly import Polynomial, UniPoly
 
 Extended = int | float
@@ -256,17 +256,15 @@ def branch_rank(curve: MonomialCurve, a: AlgRestriction) -> int:
     basis keeps (``_constant_blocks``); a class without any has rank 0.
     """
     _check_curve(curve, a)
-    s = curve.branch_dim
-    block = None
+    block: dict[int, dict[int, Fraction]] = {}
     for coeff, entries in zip(a.coords, _constant_blocks(a.basis)):
-        if coeff and entries:
-            if block is None:
-                block = [[Fraction(0)] * s for _ in range(s)]
+        if coeff:
             for (i, j), c in entries:
                 value = coeff * c
-                block[i][j] += value
-                block[j][i] -= value
-    return 0 if block is None else rank(block, s)
+                row, column = block.setdefault(i, {}), block.setdefault(j, {})
+                row[j] = row.get(j, 0) + value
+                column[i] = column.get(i, 0) - value
+    return len(sparse_echelon(block.values()))
 
 
 def _constant_blocks(

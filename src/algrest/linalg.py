@@ -1,9 +1,9 @@
 """Exact linear algebra over Q and over the rational function field Q(t).
 
 ``sparse_echelon`` is the one Gaussian elimination over ``Fraction``: it
-reduces sparse rows ``{column: value}``; ``sparse_rref`` and ``rref`` are
-its dense spellings.  Kernels, solutions, span tests and remainders
-(``reduce_by``, ``sparse_remainder``) are read off its reduced echelon form.
+reduces sparse rows ``{column: value}`` to sparse pivot rows, and ``rref``
+is its dense spelling.  Kernels, solutions, span tests and remainders
+(``sparse_remainder``) are read off its reduced echelon form.
 ``PrefixSolver`` answers many right-hand sides against one matrix from one
 elimination.  ``solve_param_linear`` solves systems whose entries are
 polynomials in Z[t], for a parameter t, by fraction-free elimination, and
@@ -15,11 +15,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .poly import RationalFunctionT, UniPoly
-
-S = TypeVar("S")
 
 
 class RrefResult(NamedTuple):
@@ -32,29 +30,20 @@ class RrefResult(NamedTuple):
 
 
 def rref(rows: Sequence[Sequence[Fraction]], width: int | None = None) -> RrefResult:
-    """Reduced row echelon form of a dense Fraction matrix.
+    """Reduced row echelon form of a dense Fraction matrix: the dense
+    spelling of ``sparse_echelon``.  Rows must all have ``width`` entries
+    (the first row's length by default).
 
-    The dense spelling of ``sparse_rref``: rows must all have ``width``
-    entries (the first row's length by default), and their nonzero entries
-    are handed on as sparse rows.
+    That form is unique for a given row space and column order, so the
+    dense rows returned equal those of the textbook dense elimination (kept
+    in ``tests/test_linalg.py`` as the reference).
     """
     if width is None:
         width = len(rows[0]) if rows else 0
     for r in rows:
         if len(r) != width:
             raise ValueError("ragged matrix")
-    return sparse_rref(({c: v for c, v in enumerate(row) if v} for row in rows), width)
-
-
-def sparse_rref(rows: Iterable[Mapping[int, Fraction]], width: int) -> RrefResult:
-    """Reduced row echelon form of sparse rows ``{column: value}``: the
-    dense spelling of ``sparse_echelon``.
-
-    That form is unique for a given row space and column order, so the
-    dense rows returned equal those of the textbook dense elimination (kept
-    in ``tests/test_linalg.py`` as the reference).
-    """
-    pivot_rows = sparse_echelon(rows)
+    pivot_rows = sparse_echelon(dict(enumerate(row)) for row in rows)
     pivots = sorted(pivot_rows)
     zero = Fraction(0)
     dense = [[pivot_rows[p].get(c, zero) for c in range(width)] for p in pivots]
@@ -99,27 +88,6 @@ def _subtract_scaled(
             del target[c]
 
 
-def reduce_by(red: RrefResult, vec: Sequence[S]) -> list[S]:
-    """Remainder of ``vec`` modulo the row space of a reduced echelon form.
-
-    The remainder is zero on every pivot column.  Each row is zero at the
-    other rows' pivots, so its coefficient is the entry of ``vec`` at its
-    own pivot.
-    """
-    work = list(vec)
-    for row, pivot in zip(red.rows, red.pivots):
-        factor = vec[pivot]
-        if factor:
-            for c, b in enumerate(row):
-                if b:
-                    work[c] -= factor * b
-    return work
-
-
-def rank(rows: Sequence[Sequence[Fraction]], width: int | None = None) -> int:
-    return rref(rows, width).rank
-
-
 def kernel_basis(rows: Sequence[Sequence[Fraction]], width: int) -> list[list[Fraction]]:
     """Basis of the right kernel, one vector per free column.
 
@@ -159,7 +127,7 @@ def solve_linear(
 
 def in_span(vectors: Sequence[Sequence[Fraction]], target: Sequence[Fraction]) -> bool:
     """Whether ``target`` lies in the span of ``vectors``."""
-    return not any(reduce_by(rref(vectors, len(target)), target))
+    return not sparse_remainder(sparse_echelon(dict(enumerate(v)) for v in vectors), target)
 
 
 def sparse_remainder(

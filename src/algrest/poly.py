@@ -10,6 +10,7 @@ package's immutable value classes.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
@@ -20,15 +21,43 @@ Scalar = Union[Fraction, int]
 class Frozen:
     """Base of an immutable value class with ``__slots__``: assigning or
     deleting an attribute raises ``AttributeError``, so ``__init__`` sets
-    the slots through ``object.__setattr__``."""
+    the slots through ``_set``.
+
+    A subclass names in ``_fields`` the slots that identify its value (at
+    least two).  Equality holds between instances of one class with equal
+    fields, the hash is that of the field tuple, and the repr reads
+    ``Name(field=value, ...)``; slots left out of ``_fields`` only cache
+    what the fields determine.
+    """
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._values = staticmethod(operator.attrgetter(*cls._fields))
+
+    def _set(self, **values: object) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
 def grlex_key(exps: Exponent) -> tuple[int, Exponent]:
@@ -451,12 +480,6 @@ class UniPoly:
             a, b = b, a % b
         return a.monic()
 
-    def square_free_part(self) -> UniPoly:
-        if self.degree() < 1:
-            return self.monic() if self else self
-        g = self.gcd(self.derivative())
-        return self.divmod(g)[0].monic()
-
     def __str__(self) -> str:
         return signed_sum(
             (self.coeffs[e], "" if e == 0 else "t" if e == 1 else f"t^{e}")
@@ -471,6 +494,7 @@ class RationalFunctionT(Frozen):
     """Reduced rational function in t with monic denominator."""
 
     __slots__ = ("num", "den")
+    _fields = __slots__
 
     def __init__(self, num: UniPoly | Scalar, den: UniPoly | Scalar = 1):
         n = num if isinstance(num, UniPoly) else UniPoly.constant(num)
@@ -488,19 +512,7 @@ class RationalFunctionT(Frozen):
             if lead != 1:
                 n = n * (Fraction(1) / lead)
                 d = d.monic()
-        object.__setattr__(self, "num", n)
-        object.__setattr__(self, "den", d)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
-    def __repr__(self) -> str:
-        return f"RationalFunctionT(num={self.num!r}, den={self.den!r})"
+        self._set(num=n, den=d)
 
     @classmethod
     def zero(cls) -> RationalFunctionT:
@@ -511,8 +523,7 @@ class RationalFunctionT(Frozen):
         """Wrap a quotient that is already reduced: num and den coprime, den
         monic.  Runs no gcd, so the caller answers for the reduction."""
         f = object.__new__(cls)
-        object.__setattr__(f, "num", num)
-        object.__setattr__(f, "den", den)
+        f._set(num=num, den=den)
         return f
 
     def is_zero(self) -> bool:

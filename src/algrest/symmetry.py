@@ -261,6 +261,7 @@ class TangentSpace(Frozen):
     of the vectors, as sparse pivot rows, is built on first use."""
 
     __slots__ = ("base", "shifts", "vectors", "_pivot_rows")
+    _fields = __slots__[:-1]
 
     def __init__(
         self,
@@ -268,30 +269,13 @@ class TangentSpace(Frozen):
         shifts: tuple[int, ...],
         vectors: tuple[AlgRestriction, ...],
     ):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "shifts", shifts)
-        object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "_pivot_rows", None)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.base, self.shifts, self.vectors) == (other.base, other.shifts, other.vectors)
-
-    def __hash__(self) -> int:
-        return hash((self.base, self.shifts, self.vectors))
-
-    def __repr__(self) -> str:
-        return (
-            f"TangentSpace(base={self.base!r}, shifts={self.shifts!r}, "
-            f"vectors={self.vectors!r})"
-        )
+        self._set(base=base, shifts=shifts, vectors=vectors, _pivot_rows=None)
 
     @property
     def _echelon(self) -> dict[int, dict[int, Fraction]]:
         if self._pivot_rows is None:
             rows = ({i: c for i, c in enumerate(v.coords) if c} for v in self.vectors)
-            object.__setattr__(self, "_pivot_rows", sparse_echelon(rows))
+            self._set(_pivot_rows=sparse_echelon(rows))
         return self._pivot_rows
 
     @property

@@ -24,10 +24,10 @@ from algrest.invariants import (
     lagrangian_tangency_order,
     representable_by_symplectic,
 )
-from algrest.linalg import rank, reduce_by, rref, solve_linear, solve_param_linear
+from algrest.linalg import rref, solve_linear, solve_param_linear
 from algrest.symmetry import moser_reduce, orbit_tangent_space, shift_action
 
-from test_linalg import reference_poles_in_closed_unit_interval
+from test_linalg import rank, reduce_by, reference_poles_in_closed_unit_interval
 
 
 def reference_last_used_column(columns, coords):

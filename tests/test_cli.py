@@ -101,6 +101,22 @@ def test_only_the_action_table_takes_a_lift_policy(capsys, argv):
     assert out.startswith("semigroup (4, 5, 6, 7)  policy pinned\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("invariants", "4", "5", "6", "7", "--restriction", "a13-"),
+        ("tangent", "4", "5", "6", "7", "--restriction", "a13-"),
+        ("moser", "4", "5", "6", "7", "--restriction", "a9 + a13-", "--kill", "a13-"),
+        ("verify-atlas", "4", "5", "6"),
+    ],
+)
+def test_only_subcommands_with_a_latex_printer_take_format_latex(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "latex"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'latex'" in capsys.readouterr().err
+
+
 def test_action_table_text(capsys):
     rc, out, _ = run(capsys, "action-table", "4", "5", "6")
     assert rc == 0
@@ -306,8 +322,30 @@ def test_verify_atlas_with_samples_file(capsys, tmp_path):
         ),
         # row 1 of (4, 5, 7) has the single parameter c
         ((), '{"1": [{"c1": "1", "c2": "3/2"}]}', "semigroup (4, 5, 7) row 1: unbound parameter 'c'"),
+        (("4", "5", "7"), '{"99": [{"c": "1"}]}', "no atlas row 99 in the verified tables"),
+        # row 11 is only in the (4, 5, 6, 7) table, one of the three checked
+        ((), '{"11": [{"c": "1"}], "12": [{"c": "2"}], "99": []}', "no atlas row 99"),
+        (
+            ("4", "5", "7"),
+            '{"1": [{"c": "2", "zz": "5"}]}',
+            "semigroup (4, 5, 7) row 1: undeclared parameter 'zz'",
+        ),
+        # the sign of a sign row is not a sample parameter
+        (
+            ("4", "5", "7"),
+            '{"3": [{"c1": "1", "c2": "2", "s": "1"}]}',
+            "semigroup (4, 5, 7) row 3: undeclared parameter 's'",
+        ),
     ],
-    ids=["all-excluded", "unbound-parameter", "no-semigroup"],
+    ids=[
+        "all-excluded",
+        "unbound-parameter",
+        "no-semigroup",
+        "unknown-row",
+        "unknown-row-in-every-table",
+        "undeclared-parameter",
+        "sign-parameter",
+    ],
 )
 def test_verify_atlas_unusable_samples_exit_2(capsys, tmp_path, generators, content, message):
     samples = tmp_path / "samples.json"

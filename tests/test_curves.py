@@ -2,6 +2,7 @@ import importlib
 import itertools
 import math
 import pkgutil
+import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +24,7 @@ from algrest.curves import (
 )
 from algrest.errors import InputError, NotClosedError
 from algrest.forms import DifferentialForm, ext_der, wedge
-from algrest.linalg import RrefResult, kernel_basis, rank, reduce_by, rref, sparse_rref
+from algrest.linalg import RrefResult, kernel_basis, rref, sparse_echelon
 from algrest.parser import parse_form, parse_restriction
 from algrest.poly import Polynomial
 from algrest.symmetry import orbit_tangent_space
@@ -35,6 +36,7 @@ from tables import (
     GAPS,
     LAST_NONZERO_QDEG,
 )
+from test_linalg import rank, reduce_by
 
 ALL = ((4, 5, 6, 7), (4, 5, 6), (4, 5, 7))
 
@@ -192,7 +194,7 @@ def test_closed_form_ideal_basis_spans_the_substitution_kernel():
                 for vec in _ideal_by_kernel(curve, qdeg)
             ]
             assert len(closed) == len(kernel), (curve, qdeg)
-            assert sparse_rref(closed, len(mons)) == sparse_rref(kernel, len(mons))
+            assert sparse_echelon(closed) == sparse_echelon(kernel)
 
 
 def test_tangent_contains_matches_the_rank_definition():
@@ -321,6 +323,63 @@ def test_solve_in_closed_reads_coefficients_and_rejects_non_closed(basis4567):
     with pytest.raises(NotClosedError, match="is not closed"):
         basis4567.solve_in_closed(16, [F(1)])
     assert basis4567.solve_in_closed(16, [F(0)]) == {}
+
+
+def _dense_echelon(pivot_rows, width):
+    pivots = sorted(pivot_rows)
+    rows = [[pivot_rows[p].get(c, Fraction(0)) for c in range(width)] for p in pivots]
+    return RrefResult(rows, pivots)
+
+
+def _reference_solve_in_closed(basis, d, coords2):
+    """Closed-basis coefficients by dense ``reduce_by`` against the labelled
+    vectors, each read at its first nonzero entry; None when not closed."""
+    entries = basis.by_degree.get(d, [])
+    vectors = [vec for _, vec in entries]
+    pivots = [next(c for c, v in enumerate(vec) if v) for vec in vectors]
+    if any(reduce_by(RrefResult(vectors, pivots), coords2)):
+        return None
+    return {k: coords2[p] for (k, _), p in zip(entries, pivots) if coords2[p]}
+
+
+@pytest.mark.parametrize(
+    "lams, ambient",
+    [((4, 5, 6, 7), 0), ((3, 7, 8), 0), ((5, 6, 7, 8, 9), 0), ((4, 5, 6), 6)],
+    ids=str,
+)
+def test_sparse_remainders_equal_dense_reduce_by(lams, ambient):
+    """Piece coordinates and closed-basis solves read off sparse pivot rows
+    equal the dense ``reduce_by`` on seeded random vectors, closed or not."""
+    rng = random.Random(f"sparse-remainders-{lams}-{ambient}")
+    values = [Fraction(0)] * 4 + [Fraction(n, q) for n in (-3, -1, 1, 2) for q in (1, 2, 5)]
+    curve = MonomialCurve(lams, ambient)
+    basis = cached_basis(curve)
+    for k in (1, 2, 3):
+        for d in range(basis.stop_qdeg + lams[-1]):
+            piece = restriction_quotient(curve, k, d)
+            dense = _dense_echelon(piece.relations, len(piece.columns))
+            for _ in range(3):
+                vec = [rng.choice(values) for _ in piece.columns]
+                work = reduce_by(dense, vec)
+                assert piece.quotient_coords(vec) == [work[c] for c in piece.rep_cols], (k, d)
+    closed_seen = not_closed_seen = 0
+    for d, piece2 in basis.pieces.items():
+        vectors = [vec for _, vec in basis.by_degree.get(d, [])]
+        for trial in range(4):
+            if trial % 2 and vectors:
+                coeffs = [rng.choice(values) for _ in vectors]
+                coords2 = [sum(c * v[i] for c, v in zip(coeffs, vectors)) for i in range(piece2.dim)]
+            else:
+                coords2 = [rng.choice(values) for _ in range(piece2.dim)]
+            want = _reference_solve_in_closed(basis, d, coords2)
+            if want is None:
+                not_closed_seen += 1
+                with pytest.raises(NotClosedError):
+                    basis.solve_in_closed(d, coords2)
+            else:
+                closed_seen += 1
+                assert basis.solve_in_closed(d, coords2) == want, (d, coords2)
+    assert closed_seen and not_closed_seen
 
 
 def test_project_known_relations(curve4567, basis4567):
@@ -468,14 +527,14 @@ def reference_quotient(curve, k, d):
             for q in ideal_graded_basis(curve, e):
                 dq = ext_der(DifferentialForm.from_term(m, jdx, q))
                 gens.append(_reference_coordinates(index, dq))
-    red = sparse_rref(gens, len(columns))
-    pivots = set(red.pivots)
+    red = sparse_echelon(gens)
+    pivots = tuple(sorted(red))
     return ReferencePiece(
         curve=curve,
         columns=tuple(columns),
-        zrows=tuple(tuple(row) for row in red.rows),
-        zpivots=tuple(red.pivots),
-        rep_cols=tuple(c for c in range(len(columns)) if c not in pivots),
+        zrows=tuple(tuple(red[p].get(c, Fraction(0)) for c in range(len(columns))) for p in pivots),
+        zpivots=pivots,
+        rep_cols=tuple(c for c in range(len(columns)) if c not in red),
         index=index,
     )
 

@@ -14,12 +14,11 @@ from algrest.linalg import (
     in_span,
     kernel_basis,
     poles_in_closed_unit_interval,
-    rank,
-    reduce_by,
     rref,
     solve_linear,
     solve_param_linear,
-    sparse_rref,
+    sparse_echelon,
+    sparse_remainder,
     sturm_count,
 )
 from algrest.poly import RationalFunctionT, UniPoly
@@ -99,7 +98,7 @@ def sparse_rows(rows):
 
 def dense_rref(rows, width=None):
     """Textbook dense Gauss-Jordan elimination: the reference for
-    ``sparse_rref`` and ``rref``.  Its scalars only need field operations
+    ``sparse_echelon`` and ``rref``.  Its scalars only need field operations
     and truthiness, so it also runs over ``RationalFunctionT``."""
     mat = [list(r) for r in rows]
     if width is None:
@@ -124,6 +123,28 @@ def dense_rref(rows, width=None):
     return RrefResult(rows=mat[:row_at], pivots=pivots)
 
 
+def reduce_by(red, vec):
+    """Dense reference remainder of ``vec`` modulo the row space of a
+    reduced echelon form (an ``RrefResult``).
+
+    The remainder is zero on every pivot column.  Each row is zero at the
+    other rows' pivots, so its coefficient is the entry of ``vec`` at its
+    own pivot.
+    """
+    work = list(vec)
+    for row, pivot in zip(red.rows, red.pivots):
+        factor = vec[pivot]
+        if factor:
+            for c, b in enumerate(row):
+                if b:
+                    work[c] -= factor * b
+    return work
+
+
+def rank(rows, width=None):
+    return rref(rows, width).rank
+
+
 @given(matrix=dense_matrices())
 @example(matrix=(0, []))
 @example(matrix=(3, []))
@@ -133,20 +154,22 @@ def dense_rref(rows, width=None):
 @example(matrix=(1, frows([[0]])))
 def test_sparse_rref_equals_dense_rref(matrix):
     width, rows = matrix
-    sparse = sparse_rref(sparse_rows(rows), width)
     dense = dense_rref(rows, width)
-    assert sparse.pivots == dense.pivots
-    assert sparse.rows == dense.rows
+    pivot_rows = sparse_echelon(sparse_rows(rows))
+    assert sorted(pivot_rows) == dense.pivots
+    assert [[pivot_rows[p].get(c, 0) for c in range(width)] for p in dense.pivots] == dense.rows
+    assert all(0 not in row.values() for row in pivot_rows.values())
     spelled = rref(rows, width)
     assert (spelled.pivots, spelled.rows) == (dense.pivots, dense.rows)
     for row in rows:
-        assert not any(reduce_by(sparse, row))
+        assert not sparse_remainder(pivot_rows, row)
+        assert not any(reduce_by(dense, row))
 
 
 def test_reduce_by_leaves_the_remainder_off_the_pivots():
-    red = rref(frows([[1, 2, 0, 1], [0, 0, 1, 3]]))
-    assert reduce_by(red, frows([[2, 5, 1, 0]])[0]) == frows([[0, 1, 0, -5]])[0]
-    assert reduce_by(rref([], 2), [F(1), F(2)]) == [F(1), F(2)]
+    echelon = sparse_echelon(sparse_rows(frows([[1, 2, 0, 1], [0, 0, 1, 3]])))
+    assert sparse_remainder(echelon, frows([[2, 5, 1, 0]])[0]) == {1: F(1), 3: F(-5)}
+    assert sparse_remainder({}, [F(1), F(0), F(2)]) == {0: F(1), 2: F(2)}
 
 
 def sign_variations(values):
@@ -164,13 +187,21 @@ def sturm_chain(p):
     return [q for q in chain if q]
 
 
+def square_free_part(p):
+    """p / gcd(p, p'), monic, by Euclid over Q[t]."""
+    if p.degree() < 1:
+        return p.monic() if p else p
+    g = p.gcd(p.derivative())
+    return p.divmod(g)[0].monic()
+
+
 def reference_sturm_count(p, a, b):
     """The Sturm count over Q: a square-free part by Euclid over Q[t], then a
     chain of Fraction remainders, evaluated at a and b."""
     a, b = F(a), F(b)
     if b <= a:
         return 0
-    sf = p.square_free_part()
+    sf = square_free_part(p)
     if sf.degree() < 1:
         return 0
     chain = sturm_chain(sf)

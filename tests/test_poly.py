@@ -134,12 +134,6 @@ def test_unipoly_divmod_and_gcd():
     assert f.gcd(g) == t - ONE  # and it is monic
 
 
-def test_unipoly_square_free_part():
-    t = UniPoly.t_power(1)
-    f = ((t - ONE) ** 3) * (t + 2 * ONE)
-    assert f.square_free_part() == (t - ONE) * (t + 2 * ONE)
-
-
 def test_rational_function_reduction():
     t = UniPoly.t_power(1)
     r = RationalFunctionT(t**2 - ONE, t - ONE)

@@ -2,8 +2,9 @@
 and the names its modules import.
 
 Plain records are ``typing.NamedTuple``s; classes with behaviour are
-``__slots__`` classes on ``poly.Frozen``.  Neither needs ``dataclasses``,
-whose import pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``.
+``__slots__`` classes on ``poly.Frozen``, which derives their equality, hash
+and repr from ``_fields``.  Neither needs ``dataclasses``, whose import
+pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``.
 """
 
 import ast
@@ -30,7 +31,7 @@ from algrest.errors import InputError
 from algrest.forms import Weights
 from algrest.invariants import InvariantReport, PmqdVerdict
 from algrest.linalg import ParamSolution, RrefResult
-from algrest.poly import RationalFunctionT, UniPoly
+from algrest.poly import Frozen, RationalFunctionT, UniPoly
 from algrest.symmetry import (
     ActionTable,
     HomotopyResult,
@@ -58,6 +59,8 @@ NAMED_TUPLES = (
     RrefResult,
     ParamSolution,
 )
+
+FROZEN = (MonomialCurve, Weights, GradedPiece, TangentSpace, RationalFunctionT)
 
 
 def test_cold_cli_import_loads_neither_dataclasses_nor_inspect():
@@ -145,6 +148,8 @@ def test_weights_validation_and_equality():
     assert weights == MonomialCurve((4, 5, 6), 4).weights
     assert hash(weights) == hash(Weights((4, 5, 6), 4))
     assert weights != Weights((4, 5, 6), 5)
+    # equal fields in another Frozen class are another value
+    assert weights != MonomialCurve((4, 5, 6), 4) and hash(weights) == hash(((4, 5, 6), 4))
     assert repr(weights) == "Weights(lams=(4, 5, 6), ambient=4)"
 
 
@@ -164,7 +169,7 @@ def test_rational_function_compares_by_reduced_form():
 def test_graded_piece_equality_leaves_out_relations(curve4567):
     piece = restriction_quotient(curve4567, 2, 11)
     twin = GradedPiece(
-        piece.curve, piece.k, piece.d, piece.columns, piece.rep_cols, RrefResult([], [])
+        piece.curve, piece.k, piece.d, piece.columns, piece.rep_cols, {}
     )
     assert twin == piece and hash(twin) == hash(piece)
     assert "relations" not in repr(twin) and repr(twin) == repr(piece)
@@ -180,6 +185,59 @@ def test_tangent_space_contains_is_a_class_attribute(curve4567, basis4567):
     assert tangent == orbit_tangent_space(curve4567, a)
     assert tangent.dim == 7 and tangent._echelon is tangent._echelon
     assert tangent.contains(tangent.vectors[0])
+    assert repr(tangent) == (
+        "TangentSpace(base=AlgRestriction(a9), shifts=(0, 1, 2, 3, 4, 5, 6), "
+        "vectors=(AlgRestriction(9*a9), AlgRestriction(5*a10), "
+        "AlgRestriction(-4*a11+ + 5*a11-), AlgRestriction(-4*a12), "
+        "AlgRestriction(13*a13-), AlgRestriction(7*a14), AlgRestriction(5*a15)))"
+    )
+    # a twin whose echelon is not built yet is the same value
+    twin = TangentSpace(tangent.base, tangent.shifts, tangent.vectors)
+    assert twin._pivot_rows is None and tangent._pivot_rows is not None
+    assert twin == tangent and hash(twin) == hash(tangent) and repr(twin) == repr(tangent)
+    assert twin != TangentSpace(tangent.base, tangent.shifts[:-1], tangent.vectors[:-1])
+
+
+def _frozen_subclasses():
+    found, stack = set(), [Frozen]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            found.add(sub)
+            stack.append(sub)
+    return found
+
+
+def test_frozen_owns_equality_hash_repr_and_slot_assignment():
+    """``Frozen`` writes the value methods once: no subclass defines
+    ``__eq__``, ``__hash__`` or ``__repr__``, each ``_fields`` names slots
+    of its own class, and only ``Frozen`` calls ``object.__setattr__``."""
+    assert _frozen_subclasses() == set(FROZEN)
+    for cls in FROZEN:
+        assert not {"__eq__", "__hash__", "__repr__"} & set(vars(cls)), cls.__name__
+        assert cls._fields and set(cls._fields) <= set(cls.__slots__), cls.__name__
+    for module in sorted((SRC / "algrest").glob("*.py")):
+        tree = ast.parse(module.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(base, ast.Name) and base.id == "Frozen" for base in node.bases
+            ):
+                defined = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+                assert not {"__eq__", "__hash__", "__repr__"} & defined, node.name
+        inside_frozen = {
+            id(sub)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and node.name == "Frozen"
+            for sub in ast.walk(node)
+        }
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "__setattr__"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "object"
+            ):
+                assert id(node) in inside_frozen, (module.name, node.lineno)
+
 
 
 def _instances(curve, basis):
