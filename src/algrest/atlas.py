@@ -39,9 +39,9 @@ from .linalg import rref
 from .invariants import (
     Extended,
     InvariantReport,
-    branch_rank,
     invariant_report,
     pmqd_compare,
+    representable_by_symplectic,
 )
 from .poly import Polynomial, UniPoly
 from .symmetry import orbit_tangent_space
@@ -392,13 +392,12 @@ def verify_row(
             direction = row_class(atlas, row, bumped) - target
             if tangent.contains(direction):
                 failures.append(f"declared modulus {param} is tangent to the orbit")
-        block_rank = branch_rank(curve, target)
         for nn in range(2, s + 1):
             if nn == 2:
                 expected = row.n2_generic and not _violates(env, row.n2_excluded)
             else:
                 expected = nn >= row.min_n
-            got = block_rank >= 2 * s - 2 * nn
+            got = representable_by_symplectic(curve, target, nn)
             if got != expected:
                 failures.append(
                     f"representability on R^{2 * nn}: rank test says {got}, expected {expected}"

@@ -391,7 +391,6 @@ class RestrictionBasis:
         "by_degree",
         "exact",
         "closed",
-        "last_nonzero_qdeg",
     )
 
     def __init__(self, curve: MonomialCurve):
@@ -406,11 +405,9 @@ class RestrictionBasis:
         by_degree: dict[int, list[tuple[int, tuple[Fraction, ...]]]] = {}
         exact: dict[int, tuple[tuple[int, ...], tuple[tuple[Fraction, ...], ...]]] = {}
         closed: dict[int, dict[int, dict[int, Fraction]]] = {}
-        last_nonzero = 0
         for d, piece2 in self.pieces.items():
             if piece2.dim == 0:
                 continue
-            last_nonzero = d
             position = {J: c for c, J in enumerate(piece2.columns)}
             owners: list[int] = []
             rows: list[tuple[Fraction, ...]] = []
@@ -442,7 +439,6 @@ class RestrictionBasis:
         self.by_degree = by_degree
         self.exact = exact
         self.closed = closed
-        self.last_nonzero_qdeg = last_nonzero
 
     @property
     def dim(self) -> int:
@@ -505,11 +501,13 @@ class AlgRestriction:
     ``symmetry.TangentSpace`` at the class once
     ``symmetry.orbit_tangent_space`` has built it, and None before, so the
     multiplicity, the tangent directions and the Moser system of one class
-    share one set of action vectors.  It is left out of equality and hash,
-    and dies with the class.
+    share one set of action vectors.  Likewise ``block_rank`` holds
+    ``invariants.branch_rank`` once it has run, so the realizability test
+    answers every n from one rank.  Both are left out of equality and hash,
+    and die with the class.
     """
 
-    __slots__ = ("basis", "coords", "tangent")
+    __slots__ = ("basis", "coords", "tangent", "block_rank")
 
     def __init__(self, basis: RestrictionBasis, coords: Iterable[Scalar]):
         self.basis = basis
@@ -520,6 +518,7 @@ class AlgRestriction:
             raise InputError("coordinate count does not match the basis")
         self.coords = cs
         self.tangent: TangentSpace | None = None
+        self.block_rank: int | None = None
 
     @classmethod
     def zero(cls, basis: RestrictionBasis) -> AlgRestriction:
@@ -637,6 +636,12 @@ def drop_off_curve(form: DifferentialForm, branch_dim: int) -> DifferentialForm:
     return DifferentialForm(form.degree, branch_dim, coeffs)
 
 
+def check_basis_curve(curve: MonomialCurve, basis: RestrictionBasis) -> None:
+    """Raise InputError unless the basis was built for the curve."""
+    if basis.curve != curve:
+        raise InputError("basis was built for a different curve")
+
+
 def project(
     curve: MonomialCurve,
     form: DifferentialForm,
@@ -647,8 +652,7 @@ def project(
     The closed classes are the kernel of d (see ``RestrictionBasis``), so a
     part outside their span is not closed and raises ``NotClosedError``.
     """
-    if basis.curve != curve:
-        raise InputError("basis was built for a different curve")
+    check_basis_curve(curve, basis)
     if form.nvars != curve.ambient:
         raise InputError(
             f"form has {form.nvars} variables, curve ambient dimension is {curve.ambient}"

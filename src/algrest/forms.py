@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
-from .poly import Exponent, Frozen, Polynomial, Scalar, UniPoly
+from .poly import Exponent, Frozen, Polynomial, Scalar, UniPoly, add_into
 
 IndexTuple = tuple[int, ...]
 
@@ -106,6 +106,20 @@ class DifferentialForm:
                     clean[idx] = poly
         self.coeffs = clean
 
+    @classmethod
+    def _trusted(
+        cls, degree: int, nvars: int, coeffs: dict[IndexTuple, Polynomial]
+    ) -> DifferentialForm:
+        """Wrap coefficients that are clean by construction: strictly
+        increasing index tuples of length degree below nvars, each with a
+        nonzero polynomial in nvars variables.  Validates nothing, so the
+        caller answers for it."""
+        result = object.__new__(cls)
+        result.degree = degree
+        result.nvars = nvars
+        result.coeffs = coeffs
+        return result
+
     # -- constructors -----------------------------------------------------
 
     @classmethod
@@ -168,24 +182,14 @@ class DifferentialForm:
         self._check_compatible(other)
         coeffs = dict(self.coeffs)
         for idx, poly in other.coeffs.items():
-            new = coeffs.get(idx)
-            total = poly if new is None else new + poly
-            if total:
-                coeffs[idx] = total
-            else:
-                coeffs.pop(idx, None)
-        result = DifferentialForm.__new__(DifferentialForm)
-        result.degree = self.degree
-        result.nvars = self.nvars
-        result.coeffs = coeffs
-        return result
+            add_into(coeffs, idx, poly)
+        # add_into drops every zero sum
+        return DifferentialForm._trusted(self.degree, self.nvars, coeffs)
 
     def __neg__(self) -> DifferentialForm:
-        result = DifferentialForm.__new__(DifferentialForm)
-        result.degree = self.degree
-        result.nvars = self.nvars
-        result.coeffs = {idx: -poly for idx, poly in self.coeffs.items()}
-        return result
+        # the negative of a nonzero polynomial is nonzero
+        coeffs = {idx: -poly for idx, poly in self.coeffs.items()}
+        return DifferentialForm._trusted(self.degree, self.nvars, coeffs)
 
     def __sub__(self, other: DifferentialForm) -> DifferentialForm:
         if not isinstance(other, DifferentialForm):
@@ -194,14 +198,9 @@ class DifferentialForm:
 
     def __mul__(self, scalar: Scalar) -> DifferentialForm:
         value = Fraction(scalar)
-        coeffs = {}
-        if value:
-            coeffs = {idx: poly * value for idx, poly in self.coeffs.items()}
-        result = DifferentialForm.__new__(DifferentialForm)
-        result.degree = self.degree
-        result.nvars = self.nvars
-        result.coeffs = coeffs
-        return result
+        # a nonzero polynomial times a nonzero rational is nonzero
+        coeffs = {idx: poly * value for idx, poly in self.coeffs.items()} if value else {}
+        return DifferentialForm._trusted(self.degree, self.nvars, coeffs)
 
     __rmul__ = __mul__
 
@@ -216,11 +215,12 @@ class DifferentialForm:
             for exps, coeff in poly.terms.items():
                 d = weights.qdeg_term(exps, idx)
                 parts.setdefault(d, {}).setdefault(idx, {})[exps] = coeff
+        # each part keeps a nonempty share of the form's clean terms
         return {
-            d: DifferentialForm(
+            d: DifferentialForm._trusted(
                 self.degree,
                 self.nvars,
-                {idx: Polynomial(self.nvars, terms) for idx, terms in data.items()},
+                {idx: Polynomial._trusted(self.nvars, terms) for idx, terms in data.items()},
             )
             for d, data in sorted(parts.items())
         }
@@ -257,16 +257,11 @@ def wedge(left: DifferentialForm, right: DifferentialForm) -> DifferentialForm:
             if merged is None:
                 continue
             sign, idx = merged
+            # a product of nonzero polynomials over Q is nonzero
             term = poly_l * poly_r
-            if sign < 0:
-                term = -term
-            prev = coeffs.get(idx)
-            total = term if prev is None else prev + term
-            if total:
-                coeffs[idx] = total
-            else:
-                coeffs.pop(idx, None)
-    return DifferentialForm(degree, nvars, coeffs)
+            add_into(coeffs, idx, term if sign > 0 else -term)
+    # merged index tuples are sorted
+    return DifferentialForm._trusted(degree, nvars, coeffs)
 
 
 def ext_der(form: DifferentialForm) -> DifferentialForm:
@@ -285,14 +280,9 @@ def ext_der(form: DifferentialForm) -> DifferentialForm:
             if merged is None:
                 continue
             sign, new_idx = merged
-            term = dp if sign > 0 else -dp
-            prev = coeffs.get(new_idx)
-            total = term if prev is None else prev + term
-            if total:
-                coeffs[new_idx] = total
-            else:
-                coeffs.pop(new_idx, None)
-    return DifferentialForm(degree, nvars, coeffs)
+            add_into(coeffs, new_idx, dp if sign > 0 else -dp)
+    # merged index tuples are sorted, and only nonzero partials enter
+    return DifferentialForm._trusted(degree, nvars, coeffs)
 
 
 class VectorField:
@@ -338,17 +328,11 @@ def interior(field: VectorField, form: DifferentialForm) -> DifferentialForm:
             comp = field.components[i]
             if not comp:
                 continue
+            # a product of nonzero polynomials over Q is nonzero
             term = poly * comp
-            if pos % 2:
-                term = -term
-            new_idx = idx[:pos] + idx[pos + 1:]
-            prev = coeffs.get(new_idx)
-            total = term if prev is None else prev + term
-            if total:
-                coeffs[new_idx] = total
-            else:
-                coeffs.pop(new_idx, None)
-    return DifferentialForm(form.degree - 1, nvars, coeffs)
+            add_into(coeffs, idx[:pos] + idx[pos + 1:], -term if pos % 2 else term)
+    # dropping one index keeps a tuple sorted
+    return DifferentialForm._trusted(form.degree - 1, nvars, coeffs)
 
 
 def lie_derivative(field: VectorField, form: DifferentialForm) -> DifferentialForm:
@@ -398,7 +382,8 @@ class PolyMap:
         if not 0 < dim <= self.source_dim:
             raise InputError(f"cannot restrict a map on R^{self.source_dim} to R^{dim}")
         kept = [{e[:dim]: c for e, c in p.terms.items() if not any(e[dim:])} for p in self.components]
-        return PolyMap([Polynomial(dim, terms) for terms in kept], dim)
+        # cutting off an all-zero tail keeps distinct exponents distinct
+        return PolyMap([Polynomial._trusted(dim, terms) for terms in kept], dim)
 
     def apply_series(self, images: Sequence[UniPoly]) -> list[UniPoly]:
         """Compose with a curve t -> images, one UniPoly per source variable."""
@@ -428,7 +413,8 @@ def pullback(phi: PolyMap, form: DifferentialForm) -> DifferentialForm:
             dp = comp.partial(j)
             if dp:
                 coeffs[(j,)] = dp
-        differentials.append(DifferentialForm(1, n, coeffs))
+        # one index below n per nonzero partial
+        differentials.append(DifferentialForm._trusted(1, n, coeffs))
     result = DifferentialForm.zero(form.degree, n)
     for idx, poly in form.coeffs.items():
         pulled_coeff = poly.subst_poly(phi.components)

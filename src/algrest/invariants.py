@@ -16,18 +16,19 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .curves import AlgRestriction, MonomialCurve, RestrictionBasis, monomials_of_qdeg
+from .curves import (
+    AlgRestriction,
+    MonomialCurve,
+    RestrictionBasis,
+    check_basis_curve,
+    monomials_of_qdeg,
+)
 from .errors import InputError
 from .forms import IndexTuple
 from .linalg import PrefixSolver, sparse_echelon
 from .poly import Polynomial, UniPoly
 
 Extended = int | float
-
-
-def _check_curve(curve: MonomialCurve, a: AlgRestriction) -> None:
-    if a.basis.curve != curve:
-        raise InputError("basis was built for a different curve")
 
 
 def symplectic_multiplicity(curve: MonomialCurve, a: AlgRestriction) -> int:
@@ -136,7 +137,7 @@ def index_of_isotropy(curve: MonomialCurve, a: AlgRestriction) -> Extended:
     column the part's solution uses.  The columns depend on the curve and d
     alone, so their solver is built once (``_isotropy_solver``).
     """
-    _check_curve(curve, a)
+    check_basis_curve(curve, a.basis)
     if a.is_zero():
         return math.inf
     best: Extended = math.inf
@@ -164,7 +165,7 @@ def lagrangian_tangency_order(
     coordinate of the last class the part's solution uses, read off the
     basis's solver of those rows (``_exact_solver``).
     """
-    _check_curve(curve, a)
+    check_basis_curve(curve, a.basis)
     if a.is_zero():
         return math.inf
     if iota is None:
@@ -254,8 +255,11 @@ def branch_rank(curve: MonomialCurve, a: AlgRestriction) -> int:
     every term of df(0) ^ beta(0) has an off-curve differential.  The block
     is read off the constant terms of the basis representatives, which the
     basis keeps (``_constant_blocks``); a class without any has rank 0.
+    The rank is computed once per class and kept in ``a.block_rank``.
     """
-    _check_curve(curve, a)
+    check_basis_curve(curve, a.basis)
+    if a.block_rank is not None:
+        return a.block_rank
     block: dict[int, dict[int, Fraction]] = {}
     for coeff, entries in zip(a.coords, _constant_blocks(a.basis)):
         if coeff:
@@ -264,7 +268,8 @@ def branch_rank(curve: MonomialCurve, a: AlgRestriction) -> int:
                 row, column = block.setdefault(i, {}), block.setdefault(j, {})
                 row[j] = row.get(j, 0) + value
                 column[i] = column.get(i, 0) - value
-    return len(sparse_echelon(block.values()))
+    a.block_rank = len(sparse_echelon(block.values()))
+    return a.block_rank
 
 
 def _constant_blocks(
@@ -286,7 +291,7 @@ def _constant_blocks(
 def representable_by_symplectic(curve: MonomialCurve, a: AlgRestriction, n: int) -> bool:
     """Whether some symplectic form on R^{2n} restricts to the class a: iff
     its ``branch_rank`` is at least 2s - 2n."""
-    _check_curve(curve, a)
+    check_basis_curve(curve, a.basis)
     if n < 1:
         raise InputError("the ambient symplectic space needs n >= 1")
     threshold = 2 * curve.branch_dim - 2 * n

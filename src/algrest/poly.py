@@ -97,6 +97,32 @@ def signed_sum(
     return out or "0"
 
 
+def add_into(items: dict, key: object, value: object) -> None:
+    """items[key] += value, a missing key counting as zero, and drop the key
+    when the sum is zero: the one sparse accumulate of the value layer."""
+    prev = items.get(key)
+    total = value if prev is None else prev + value
+    if total:
+        items[key] = total
+    else:
+        items.pop(key, None)
+
+
+def _power(base, n: int, one):
+    """base ** n by square and multiply, ``one`` the unit of base's ring;
+    it neither multiplies by ``one`` nor squares past the top bit of n."""
+    if n < 0:
+        raise ValueError("negative power")
+    result = None
+    while True:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if not n:
+            return one if result is None else result
+        base = base * base
+
+
 def _as_fraction(value: Scalar) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -125,6 +151,16 @@ class Polynomial:
                 if c:
                     clean[tuple(exps)] = c
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict[Exponent, Fraction]) -> Polynomial:
+        """Wrap terms that are clean by construction: exponent tuples of
+        length nvars with no negative entry, and nonzero Fraction
+        coefficients.  Validates nothing, so the caller answers for it."""
+        result = object.__new__(cls)
+        result.nvars = nvars
+        result.terms = terms
+        return result
 
     # -- constructors ---------------------------------------------------
 
@@ -186,21 +222,14 @@ class Polynomial:
         self._check_compatible(other)
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
-            new = terms.get(exps, Fraction(0)) + coeff
-            if new:
-                terms[exps] = new
-            else:
-                terms.pop(exps, None)
-        result = Polynomial.__new__(Polynomial)
-        result.nvars = self.nvars
-        result.terms = terms
-        return result
+            add_into(terms, exps, coeff)
+        # add_into drops every zero sum
+        return Polynomial._trusted(self.nvars, terms)
 
     def __neg__(self) -> Polynomial:
-        result = Polynomial.__new__(Polynomial)
-        result.nvars = self.nvars
-        result.terms = {exps: -coeff for exps, coeff in self.terms.items()}
-        return result
+        # the negative of a nonzero coefficient is nonzero
+        terms = {exps: -coeff for exps, coeff in self.terms.items()}
+        return Polynomial._trusted(self.nvars, terms)
 
     def __sub__(self, other: Polynomial) -> Polynomial:
         if not isinstance(other, Polynomial):
@@ -210,41 +239,23 @@ class Polynomial:
     def __mul__(self, other: Polynomial | Scalar) -> Polynomial:
         if isinstance(other, (Fraction, int)):
             c = _as_fraction(other)
-            result = Polynomial.__new__(Polynomial)
-            result.nvars = self.nvars
-            result.terms = {exps: coeff * c for exps, coeff in self.terms.items()} if c else {}
-            return result
+            # a product of nonzero rationals is nonzero
+            terms = {exps: coeff * c for exps, coeff in self.terms.items()} if c else {}
+            return Polynomial._trusted(self.nvars, terms)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_compatible(other)
         terms: dict[Exponent, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                new = terms.get(exps, Fraction(0)) + c1 * c2
-                if new:
-                    terms[exps] = new
-                else:
-                    terms.pop(exps, None)
-        result = Polynomial.__new__(Polynomial)
-        result.nvars = self.nvars
-        result.terms = terms
-        return result
+                add_into(terms, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+        # add_into drops every zero sum
+        return Polynomial._trusted(self.nvars, terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, power: int) -> Polynomial:
-        if power < 0:
-            raise ValueError("negative power")
-        result = Polynomial.constant(self.nvars, 1)
-        base = self
-        n = power
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, power, Polynomial.constant(self.nvars, 1))
 
     def partial(self, index: int) -> Polynomial:
         """Partial derivative with respect to variable ``index``."""
@@ -254,15 +265,16 @@ class Polynomial:
         for exps, coeff in self.terms.items():
             e = exps[index]
             if e:
-                lowered = exps[:index] + (e - 1,) + exps[index + 1:]
-                terms[lowered] = terms.get(lowered, Fraction(0)) + coeff * e
-        return Polynomial(self.nvars, terms)
+                # lowering one exponent maps distinct exponents to distinct
+                # ones, and coeff * e is nonzero
+                terms[exps[:index] + (e - 1,) + exps[index + 1:]] = coeff * e
+        return Polynomial._trusted(self.nvars, terms)
 
     def substitute(self, images: Sequence[UniPoly]) -> UniPoly:
         """Evaluate with each variable replaced by a univariate polynomial in t.
 
         Sparse: products run on dicts from t-exponent to coefficient, built from
-        the images' nonzero coefficients; each image power is built once per call."""
+        the nonzero coefficients of the image powers; each is built once per call."""
         if len(images) != self.nvars:
             raise ValueError("need one image per variable")
         powers: dict[tuple[int, int], dict[int, Fraction]] = {}
@@ -273,10 +285,7 @@ class Polynomial:
                 if not e:
                     continue
                 if (i, e) not in powers:
-                    base = power = {k: c for k, c in enumerate(images[i].coeffs) if c}
-                    for _ in range(e - 1):
-                        power = _sparse_mul(power, base)
-                    powers[i, e] = power
+                    powers[i, e] = (images[i] ** e).nonzero()
                 term = _sparse_mul(term, powers[i, e])
             for k, c in term.items():
                 total[k] = total.get(k, 0) + c
@@ -369,6 +378,10 @@ class UniPoly:
                 return i
         return None
 
+    def nonzero(self) -> dict[int, Fraction]:
+        """{exponent: coefficient} over the nonzero coefficients."""
+        return {e: c for e, c in enumerate(self.coeffs) if c}
+
     def leading_coeff(self) -> Fraction:
         if not self.coeffs:
             return Fraction(0)
@@ -409,31 +422,12 @@ class UniPoly:
             return UniPoly([a * c for a in self.coeffs]) if c else UniPoly()
         if not isinstance(other, UniPoly):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return UniPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] += a * b
-        return UniPoly(out)
+        return UniPoly.from_terms(_sparse_mul(self.nonzero(), other.nonzero()))
 
     __rmul__ = __mul__
 
     def __pow__(self, power: int) -> UniPoly:
-        if power < 0:
-            raise ValueError("negative power")
-        result = UniPoly.constant(1)
-        base = self
-        n = power
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, power, UniPoly.constant(1))
 
     def derivative(self) -> UniPoly:
         return UniPoly([c * i for i, c in enumerate(self.coeffs)][1:])

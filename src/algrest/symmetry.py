@@ -27,6 +27,7 @@ from .curves import (
     MonomialCurve,
     RestrictionBasis,
     cached_basis,
+    check_basis_curve,
     monomials_of_qdeg,
     project,
 )
@@ -299,8 +300,7 @@ def orbit_tangent_space(curve: MonomialCurve, a: AlgRestriction) -> TangentSpace
     admissible ones up to top_qdeg - min_qdeg, which is >= 0 for a nonzero
     class; the zero class has none.
     """
-    if a.basis.curve != curve:
-        raise InputError("basis was built for a different curve")
+    check_basis_curve(curve, a.basis)
     tangent = a.tangent
     if tangent is None:
         located = a.min_qdeg_part()
@@ -533,12 +533,7 @@ class ScalingResult(NamedTuple):
     constant: Fraction | None
 
 
-def scaling_symmetry(
-    curve: MonomialCurve,
-    target: str,
-    value: Scalar,
-    basis: RestrictionBasis | None = None,
-) -> ScalingResult:
+def scaling_symmetry(curve: MonomialCurve, target: str, value: Scalar) -> ScalingResult:
     """Diagonal symmetry rescaling the coefficient of one basis element.
 
     The coefficient of a quasi-degree-r element can be driven to 1 when r is
@@ -548,9 +543,7 @@ def scaling_symmetry(
     value = Fraction(value)
     if value == 0:
         raise InputError("cannot normalize a zero coefficient")
-    if basis is None:
-        basis = cached_basis(curve)
-    r = basis.element(target).qdeg
+    r = cached_basis(curve).element(target).qdeg
     if r % 2 == 1 or value > 0:
         verdict = "normalize to 1"
         wanted = Fraction(1) / value

@@ -15,6 +15,7 @@ import math
 import random
 from fractions import Fraction
 
+import algrest.invariants as invariants_module
 from algrest.curves import AlgRestriction, MonomialCurve, cached_basis, monomials_of_qdeg
 from algrest.errors import InputError
 from algrest.invariants import (
@@ -183,3 +184,27 @@ def test_class_queries_equal_the_per_class_references():
     assert checked >= 2000
     # the draw reaches every branch of the comparisons
     assert consistent > 3000 and poles > 800 and zero_blocks > 400
+
+
+def test_one_class_computes_its_branch_rank_once(monkeypatch):
+    """The realizability test asks one rank of the branch block per class,
+    kept on the class, for every n; a new class starts without one."""
+    curve = MonomialCurve((5, 6, 7, 8, 9))
+    basis = cached_basis(curve)
+    a = AlgRestriction.from_coeffs(basis, dict.fromkeys(basis.labels[:3], 1))
+    calls = []
+    original = invariants_module.sparse_echelon
+
+    def counting(rows):
+        calls.append(1)
+        return original(rows)
+
+    monkeypatch.setattr(invariants_module, "sparse_echelon", counting)
+    s = curve.branch_dim
+    ns = range(s - 2, s + 1)
+    got = [representable_by_symplectic(curve, a, n) for n in ns]
+    assert len(calls) == 1 and a.block_rank == reference_branch_rank(curve, a)
+    assert got == [a.block_rank >= 2 * s - 2 * n for n in ns]
+    assert branch_rank(curve, a) == a.block_rank and len(calls) == 1
+    twin = AlgRestriction.from_coeffs(basis, dict.fromkeys(basis.labels[:3], 1))
+    assert twin == a and twin.block_rank is None

@@ -10,6 +10,7 @@ from algrest.curves import (
     MonomialCurve,
     cached_basis,
     monomials_of_qdeg,
+    project,
     restriction_quotient,
 )
 from algrest.errors import InputError
@@ -28,6 +29,7 @@ from algrest.invariants import (
 from algrest.linalg import in_span, solve_linear
 from algrest.parser import parse_polynomial, parse_restriction
 from algrest.poly import Polynomial, UniPoly
+from algrest.symmetry import orbit_tangent_space
 
 from test_curves import reference_quotient
 
@@ -143,8 +145,12 @@ def test_representability_thresholds(curve4567, basis4567):
 
 
 def test_invariants_reject_a_class_of_another_curve(basis4567, curve457):
+    """Every per-class entry point, the projection and the orbit tangent
+    space included, checks the curve through ``curves.check_basis_curve``."""
     a = parse_restriction("a13-", basis4567)
     calls = [
+        lambda b: project(curve457, b.rep_form(), b.basis),
+        lambda b: orbit_tangent_space(curve457, b),
         lambda b: symplectic_multiplicity(curve457, b),
         lambda b: index_of_isotropy(curve457, b),
         lambda b: lagrangian_tangency_order(curve457, b),

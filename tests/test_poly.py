@@ -1,10 +1,55 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from algrest.poly import Polynomial, RationalFunctionT, UniPoly, grlex_key
 
 ONE = UniPoly.constant(1)
+
+
+def reference_unipoly_mul(a, b):
+    """The dense product loop that ``UniPoly.__mul__`` ran before it went
+    through the sparse product shared with ``Polynomial.substitute``."""
+    if not a.coeffs or not b.coeffs:
+        return UniPoly()
+    out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        if not x:
+            continue
+        for j, y in enumerate(b.coeffs):
+            if y:
+                out[i + j] += x * y
+    return UniPoly(out)
+
+
+def reference_unipoly_pow(a, n):
+    """The square-and-multiply loop that ``UniPoly.__pow__`` ran before the
+    shared ``poly._power``, on the reference product."""
+    result, base = ONE, a
+    while n:
+        if n & 1:
+            result = reference_unipoly_mul(result, base)
+        base = reference_unipoly_mul(base, base)
+        n >>= 1
+    return result
+
+
+unipolys = st.lists(
+    st.sampled_from([Fraction(0)] * 3 + [Fraction(c, q) for c in (-3, -1, 1, 2) for q in (1, 2)]),
+    max_size=5,
+).map(UniPoly)
+
+
+@given(a=unipolys, b=unipolys, n=st.integers(min_value=0, max_value=5))
+def test_unipoly_product_and_power_equal_the_dense_references(a, b, n):
+    product = a * b
+    assert product == reference_unipoly_mul(a, b)
+    assert all(type(c) is Fraction for c in product.coeffs)
+    assert not product.coeffs or product.coeffs[-1]
+    assert a**n == reference_unipoly_pow(a, n)
+    assert a.nonzero() == {e: c for e, c in enumerate(a.coeffs) if c}
+    assert UniPoly.from_terms(a.nonzero()) == a
 
 
 def total_degree(p):

@@ -14,6 +14,7 @@ from algrest.forms import (
     DifferentialForm,
     PolyMap,
     VectorField,
+    Weights,
     ext_der,
     interior,
     lie_derivative,
@@ -26,6 +27,7 @@ from algrest.poly import Polynomial, UniPoly
 from algrest.symmetry import shift_action
 
 from tables import SHIFTS
+from test_poly import reference_unipoly_mul, reference_unipoly_pow
 
 NVARS = 3
 
@@ -185,7 +187,7 @@ def dense_substitute(poly, images):
         term = UniPoly.constant(coeff)
         for img, e in zip(images, exps):
             if e:
-                term = term * img**e
+                term = reference_unipoly_mul(term, reference_unipoly_pow(img, e))
         result = result + term
     return result
 
@@ -249,3 +251,74 @@ def target_forms(draw):
 )
 def test_pullback_along_the_restricted_map_drops_off_curve(phi, form, dim):
     assert pullback(phi.restrict(dim), form) == drop_off_curve(pullback(phi, form), dim)
+
+
+def assert_clean_polynomial(p, nvars):
+    """p is what the validating constructor makes of its own terms: tuple
+    exponents of the right length, nonzero Fraction coefficients."""
+    assert p.nvars == nvars
+    assert all(type(e) is tuple and type(c) is Fraction and c for e, c in p.terms.items())
+    assert Polynomial(p.nvars, p.terms) == p
+
+
+def assert_clean_form(form, degree, nvars):
+    """form is what the validating constructor makes of its coefficients:
+    sorted index tuples with nonzero clean polynomials."""
+    assert (form.degree, form.nvars) == (degree, nvars)
+    for idx, poly in form.coeffs.items():
+        assert type(idx) is tuple and poly
+        assert_clean_polynomial(poly, nvars)
+    assert DifferentialForm(form.degree, form.nvars, form.coeffs) == form
+
+
+CLEAN_WEIGHTS = (Weights((1, 1, 1), 3), Weights((1, 2, 3), 3), Weights((4, 5, 6), 3))
+
+
+@given(
+    p=polynomials(),
+    q=polynomials(),
+    c=coeff_st,
+    n=st.integers(min_value=0, max_value=3),
+    i=st.integers(min_value=0, max_value=NVARS - 1),
+    left=st.one_of(forms(0), forms(1)),
+    right=st.one_of(forms(1), forms(2)),
+    field=fields(),
+    weights=st.sampled_from(CLEAN_WEIGHTS),
+    dim=st.integers(min_value=1, max_value=NVARS),
+)
+def test_trusted_results_equal_their_validated_copies(
+    p, q, c, n, i, left, right, field, weights, dim
+):
+    """Every result that the value layer builds without validation holds no
+    zero coefficient and no zero polynomial, and equals its re-validated
+    copy; the differences make terms cancel."""
+    sums = (p + q, (p + q) - q, p - p, -p)
+    products = (p * c, c * p, p * q, p * q - q * p, p**n, p.partial(i))
+    for poly in sums + products:
+        assert_clean_polynomial(poly, NVARS)
+    assert (p + q) - q == p and p**n * p == p ** (n + 1)
+    for result, degree in (
+        (left + left * c, left.degree),
+        ((left + left * c) - left, left.degree),
+        (left - left, left.degree),
+        (-right, right.degree),
+        (right * c, right.degree),
+        (wedge(left, right), left.degree + right.degree),
+        (ext_der(left), left.degree + 1),
+        (ext_der(right), right.degree + 1),
+        (interior(field, right), right.degree - 1),
+        (lie_derivative(field, right), right.degree),
+    ):
+        assert_clean_form(result, degree, NVARS)
+    parts = right.graded_parts(weights)
+    for d, part in parts.items():
+        assert_clean_form(part, right.degree, NVARS)
+        for idx, poly in part.coeffs.items():
+            assert all(weights.qdeg_term(e, idx) == d for e in poly.terms)
+    total = DifferentialForm.zero(right.degree, NVARS)
+    for part in parts.values():
+        total = total + part
+    assert total == right
+    phi = PolyMap([f - Polynomial.constant(NVARS, f.constant_term()) for f in (p, q, p * q)])
+    for comp in phi.restrict(dim).components:
+        assert_clean_polynomial(comp, dim)

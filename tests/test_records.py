@@ -262,3 +262,31 @@ def test_assigning_a_field_raises(curve4567, basis4567):
         with pytest.raises(AttributeError):
             delattr(record, field[0])
         assert not hasattr(record, "__dict__"), name
+
+
+def test_value_classes_are_built_without_validation_only_in_trusted():
+    """A ``__new__`` of ``Polynomial`` or ``DifferentialForm`` appears only in
+    that class's ``_trusted``, and so does every other ``__new__`` in the
+    package: results built inside the value layer go through one trusted
+    constructor per type, input from outside through the validating one."""
+    found = set()
+    for module in sorted((SRC / "algrest").glob("*.py")):
+        tree = ast.parse(module.read_text())
+        place = {
+            id(node): (cls.name, method.name)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for method in cls.body
+            if isinstance(method, ast.FunctionDef)
+            for node in ast.walk(method)
+        }
+        found |= {
+            place.get(id(node), (module.name, node.lineno))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "__new__"
+        }
+    assert found == {
+        ("Polynomial", "_trusted"),
+        ("DifferentialForm", "_trusted"),
+        ("RationalFunctionT", "_trusted"),
+    }
