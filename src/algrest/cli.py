@@ -40,7 +40,7 @@ def _curve(args: argparse.Namespace) -> MonomialCurve:
     return MonomialCurve(tuple(args.generators), ambient=ambient)
 
 
-def _emit(args: argparse.Namespace, payload: dict, lines: Sequence[str]) -> None:
+def _emit(args: argparse.Namespace, payload: dict | None, lines: Sequence[str]) -> None:
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
@@ -86,18 +86,21 @@ def cmd_basis(args: argparse.Namespace) -> int:
 def cmd_action_table(args: argparse.Namespace) -> int:
     curve = _curve(args)
     table = action_table(curve, args.lift_policy)
-    payload = {
-        "semigroup": list(curve.lams),
-        "policy": table.policy,
-        "shifts": list(table.shifts),
-        "nonsemigroup_shifts": list(table.nonsemigroup),
-        "labels": list(table.labels),
-        "table": {
-            str(s): {label: str(table.entry(s, label)) for label in table.labels}
-            for s in table.shifts
-        },
-    }
-    if args.format == "latex":
+    payload = None
+    lines: list[str] = []
+    if args.format == "json":
+        payload = {
+            "semigroup": list(curve.lams),
+            "policy": table.policy,
+            "shifts": list(table.shifts),
+            "nonsemigroup_shifts": list(table.nonsemigroup),
+            "labels": list(table.labels),
+            "table": {
+                str(s): {label: str(table.entry(s, label)) for label in table.labels}
+                for s in table.shifts
+            },
+        }
+    elif args.format == "latex":
         cols = " & ".join(latex_label(label) for label in table.labels)
         lines = [f" & {cols} \\\\"]
         for s in table.shifts:

@@ -387,6 +387,7 @@ class RestrictionBasis:
         "exact_solvers",
         "constant_blocks",
         "elements",
+        "labels",
         "label_index",
         "by_degree",
         "exact",
@@ -435,7 +436,8 @@ class RestrictionBasis:
                 elements.append(BasisElement(label, d, vector, rep))
             by_degree[d] = entries
         self.elements = tuple(elements)
-        self.label_index = {el.label: i for i, el in enumerate(elements)}
+        self.labels = tuple(el.label for el in elements)
+        self.label_index = {label: i for i, label in enumerate(self.labels)}
         self.by_degree = by_degree
         self.exact = exact
         self.closed = closed
@@ -448,10 +450,6 @@ class RestrictionBasis:
     def top_qdeg(self) -> int:
         """Largest quasi-degree carrying a basis element."""
         return self.elements[-1].qdeg if self.elements else 0
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(el.label for el in self.elements)
 
     def index_of(self, label: str) -> int:
         """Position of a label in ``elements``."""

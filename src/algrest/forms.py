@@ -197,6 +197,8 @@ class DifferentialForm:
         return self + (-other)
 
     def __mul__(self, scalar: Scalar) -> DifferentialForm:
+        if not isinstance(scalar, (Fraction, int)):
+            return NotImplemented
         value = Fraction(scalar)
         # a nonzero polynomial times a nonzero rational is nonzero
         coeffs = {idx: poly * value for idx, poly in self.coeffs.items()} if value else {}
@@ -336,8 +338,12 @@ def interior(field: VectorField, form: DifferentialForm) -> DifferentialForm:
 
 
 def lie_derivative(field: VectorField, form: DifferentialForm) -> DifferentialForm:
-    """Cartan's formula: L_X = i_X d + d i_X."""
-    return interior(field, ext_der(form)) + ext_der(interior(field, form))
+    """Cartan's formula: L_X = i_X d + d i_X.  On a 0-form i_X is zero, so
+    L_X f = i_X df = X(f)."""
+    derived = interior(field, ext_der(form))
+    if form.degree == 0:
+        return derived
+    return derived + ext_der(interior(field, form))
 
 
 class PolyMap:

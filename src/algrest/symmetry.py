@@ -34,16 +34,17 @@ from .curves import (
 from .errors import InputError, LiftError, NotSymmetryError
 from .forms import PolyMap, VectorField, lie_derivative, pullback
 from .linalg import ParamSolution, rref, solve_param_linear, sparse_echelon, sparse_remainder
-from .poly import Exponent, Frozen, Polynomial, RationalFunctionT, Scalar, UniPoly
+from .poly import Exponent, Frozen, Polynomial, RationalFunctionT, Scalar, add_into
+
+
+def _admissible(curve: MonomialCurve, s: int) -> bool:
+    """Whether lam_i + s is in the semigroup for all i."""
+    return all(curve.in_semigroup(lam + s) for lam in curve.lams)
 
 
 def admissible_shifts(curve: MonomialCurve, bound: int) -> list[int]:
     """Shift 0 plus every s >= 1 with lam_i + s in the semigroup for all i."""
-    shifts = [0]
-    for s in range(1, bound + 1):
-        if all(curve.in_semigroup(lam + s) for lam in curve.lams):
-            shifts.append(s)
-    return shifts
+    return [s for s in range(bound + 1) if _admissible(curve, s)]
 
 
 def nonsemigroup_shifts(curve: MonomialCurve, bound: int) -> list[int]:
@@ -114,7 +115,7 @@ def liftable_field(curve: MonomialCurve, s: int, policy: str = "grlex") -> Lifta
     if s < 0:
         raise InputError("shift must be nonnegative")
     lams = curve.lams
-    if any(not curve.in_semigroup(lam + s) for lam in lams):
+    if not _admissible(curve, s):
         raise LiftError(
             f"no monomial lift exists for shift {s}: some lam_i + {s} is outside the semigroup"
         )
@@ -150,53 +151,117 @@ def liftable_field(curve: MonomialCurve, s: int, policy: str = "grlex") -> Lifta
 
 
 def validate_liftable(curve: MonomialCurve, field: VectorField, s: int) -> bool:
-    """Substitution check: X(g(t)) = t^{s+1} g'(t) componentwise."""
+    """Substitution check: X(g(t)) = t^{s+1} g'(t) componentwise.  A term
+    c x^e restricts to c t^(e . lam) on the curve, and to 0 when it holds
+    an off-curve variable."""
     if field.nvars != curve.ambient:
         return False
-    images = curve.images()
+    lams = curve.lams
+    branch = len(lams)
     for i, comp in enumerate(field.components):
-        value = comp.substitute(images)
-        if i < len(curve.lams):
-            expected = UniPoly.t_power(curve.lams[i] + s, curve.lams[i])
-        else:
-            expected = UniPoly.zero()
-        if value != expected:
+        value: dict[int, Fraction] = {}
+        for exps, c in comp.terms.items():
+            if not any(exps[branch:]):
+                add_into(value, sum(e * lam for e, lam in zip(exps, lams)), c)
+        if value != ({lams[i] + s: lams[i]} if i < branch else {}):
             return False
     return True
-
-
-def lie_action(
-    curve: MonomialCurve,
-    lifted: LiftableField,
-    a: AlgRestriction,
-) -> AlgRestriction:
-    """Lie derivative of a restriction class along a liftable field."""
-    if not validate_liftable(curve, lifted.field, lifted.shift):
-        raise LiftError("field fails the liftability substitution check")
-    return project(curve, lie_derivative(lifted.field, a.rep_form()), a.basis)
 
 
 SparseColumn = tuple[tuple[int, Fraction], ...]
 
 
+def _split(curve: MonomialCurve, s: int) -> tuple[int, int] | None:
+    """(u, s - u) for the smallest u with 0 < u < s - u and both shifts
+    admissible, or None when s is not such a sum: a generator shift."""
+    for u in range(1, (s + 1) // 2):
+        if _admissible(curve, u) and _admissible(curve, s - u):
+            return u, s - u
+    return None
+
+
+def _bracket_column(
+    a_u: tuple[SparseColumn, ...], a_v: tuple[SparseColumn, ...], j: int, scale: Fraction
+) -> SparseColumn:
+    """Column j of scale * (A_u A_v - A_v A_u), from sparse columns."""
+    out: dict[int, Fraction] = {}
+    for k, c in a_v[j]:
+        for i, x in a_u[k]:
+            add_into(out, i, c * x)
+    for k, c in a_u[j]:
+        for i, x in a_v[k]:
+            add_into(out, i, -c * x)
+    return tuple((i, out[i] * scale) for i in sorted(out))
+
+
 def _action_matrix(basis: RestrictionBasis, s: int, policy: str) -> tuple[SparseColumn, ...]:
-    """Column j lists the (i, value) pairs of the nonzero basis coordinates
-    of the action on element j; built once per basis, shift and policy, and
-    kept in ``basis.actions``, with no dense copy beside it."""
+    """Column j lists the (i, value) pairs, i ascending, of the nonzero basis
+    coordinates of L_{X_s} on element j; built once per basis, shift and
+    policy, and kept in ``basis.actions``, with no dense copy beside it.
+
+    The matrices A_s represent the Witt algebra, so Lie derivatives are
+    taken for the generator shifts only:
+
+    - A_0 = diag(qdeg): X_0 is the Euler field E up to a field with
+      coefficients in the curve's ideal, and L_E omega = d * omega for omega
+      quasi-homogeneous of degree d;
+    - if s = u + v with 0 < u < v both admissible, u the smallest such,
+      A_s = (A_u A_v - A_v A_u) / (v - u) from the kept A_u and A_v;
+    - otherwise column j is the projection of L_{X_s} on the element's
+      representative.  X_s raises the quasi-degree by exactly s, so only
+      the columns whose target degree qdeg + s carries a closed class are
+      built, and the others are empty.
+
+    ``liftable_field`` runs for every shift, so a missing lift raises
+    at the shift asked for.
+
+    Proof that [A_u, A_v] = (v - u) A_{u+v}.  Two lifts act alike on closed
+    classes: they differ by a field Z whose coefficients vanish on the
+    curve, so lie in its ideal I.  For a form omega of closed class,
+    L_Z omega = d(i_Z omega) + i_Z d omega; i_Z omega has coefficients in
+    I, and i_Z maps I Omega^3 + dI ^ Omega^2 into I Omega^2 + dI ^ Omega^1,
+    as i_Z(df ^ beta) = Z(f) beta - df ^ i_Z beta with Z(f) in I; so both
+    terms restrict to zero.  On forms L_[X,Y] = [L_X, L_Y], and fields
+    tangent to the curve keep the zero-restriction space, so the identity
+    holds on classes.  X_u and X_v are related through the curve g to
+    t^{u+1} d/dt and t^{v+1} d/dt, hence [X_u, X_v] to their bracket
+    (v - u) t^{u+v+1} d/dt: its i-th component restricts to
+    (v - u) lam_i t^{lam_i + u + v}, and a polynomial restricts to powers
+    t^e with e in the semigroup, so u + v is admissible (admissible shifts
+    are closed under distinct sums), and [X_u, X_v] is a lift of
+    (v - u) X_{u+v}, which acts as (v - u) L_{X_{u+v}}.  Last, the matrices act on the classes of
+    quasi-degree at most top_qdeg: ``project`` drops every part of degree
+    from ``stop_qdeg`` on, and the classes above top_qdeg span a subspace
+    that every X_s keeps, since it raises the degree.  The quotient by a
+    kept subspace carries the induced actions, so the identity holds for
+    the matrices as built.
+    """
     columns = basis.actions.get((s, policy))
     if columns is None:
         curve = basis.curve
         lifted = liftable_field(curve, s, policy)
-        columns = basis.actions[s, policy] = tuple(
-            tuple(
-                (i, c)
-                for i, c in enumerate(
-                    project(curve, lie_derivative(lifted.field, el.rep), basis).coords
+        if s == 0:
+            columns = tuple(((j, Fraction(el.qdeg)),) for j, el in enumerate(basis.elements))
+        elif (split := _split(curve, s)) is not None:
+            u, v = split
+            a_u = _action_matrix(basis, u, policy)
+            a_v = _action_matrix(basis, v, policy)
+            scale = Fraction(1, v - u)
+            columns = tuple(_bracket_column(a_u, a_v, j, scale) for j in range(basis.dim))
+        else:
+            columns = tuple(
+                tuple(
+                    (i, c)
+                    for i, c in enumerate(
+                        project(curve, lie_derivative(lifted.field, el.rep), basis).coords
+                    )
+                    if c
                 )
-                if c
+                if el.qdeg + s in basis.by_degree
+                else ()
+                for el in basis.elements
             )
-            for el in basis.elements
-        )
+        basis.actions[s, policy] = columns
     return columns
 
 

@@ -94,6 +94,34 @@ def test_cartan_formula_spot():
     assert direct == cartan
 
 
+def test_lie_derivative_of_a_function_is_its_directional_derivative():
+    field = VectorField([var(1, 2), Polynomial.zero(2)])
+    assert lie_derivative(field, DifferentialForm.function(var(0, 2))) == (
+        DifferentialForm.function(var(1, 2))
+    )
+    f = var(0) * var(0) * var(1) + var(3)
+    field = VectorField([var(1), var(0) * var(2), Polynomial.zero(4), var(3)])
+    expected = sum(
+        (comp * f.partial(i) for i, comp in enumerate(field.components)), Polynomial.zero(4)
+    )
+    image = lie_derivative(field, DifferentialForm.function(f))
+    assert image.degree == 0
+    assert image == DifferentialForm.function(expected)
+
+
+def test_forms_take_rational_scalars_only():
+    form = dxx(0, 1) + DifferentialForm.from_term(4, (1, 2), var(3))
+    assert form * Fraction(1, 10) == form * 1 * Fraction(1, 10)
+    assert form * 2 == 2 * form == form + form
+    for scalar in (0.1, 0.5, 1.0):
+        with pytest.raises(TypeError):
+            form * scalar
+        with pytest.raises(TypeError):
+            scalar * form
+    with pytest.raises(TypeError):
+        var(0) * 0.1
+
+
 def test_euler_field_scales_by_quasi_degree():
     weights = Weights((4, 5, 6, 7), 4)
     euler = VectorField([weights.weight(i) * var(i) for i in range(4)])

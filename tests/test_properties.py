@@ -4,12 +4,14 @@ Each suite runs under the "bulk" hypothesis profile registered in
 conftest.py: one thousand derandomized examples per property.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from algrest.curves import AlgRestriction, cached_basis, drop_off_curve, project
+from algrest.curves import AlgRestriction, MonomialCurve, cached_basis, drop_off_curve, project
+from algrest.errors import InputError
 from algrest.forms import (
     DifferentialForm,
     PolyMap,
@@ -26,6 +28,7 @@ from algrest.parser import parse_polynomial
 from algrest.poly import Polynomial, UniPoly
 from algrest.symmetry import shift_action
 
+from direct_actions import check_witt_construction
 from tables import SHIFTS
 from test_poly import reference_unipoly_mul, reference_unipoly_pow
 
@@ -141,6 +144,33 @@ def test_lie_action_shifts_the_grading(data):
     for d in a.nonzero_qdegs():
         image = shift_action(a.part(d), s)
         assert set(image.nonzero_qdegs()) <= {d + s}
+
+
+def _small_curves():
+    """Every curve with one to three generators from 1 to 6, bare and with
+    one off-curve variable."""
+    curves = []
+    for k in (1, 2, 3):
+        for lams in itertools.combinations(range(1, 7), k):
+            for ambient in (k, k + 1):
+                try:
+                    curves.append(MonomialCurve(lams, ambient))
+                except InputError:
+                    pass
+    return curves
+
+
+@functools.lru_cache(maxsize=None)
+def _witt_checked(curve):
+    check_witt_construction(curve)
+
+
+@given(curve=st.sampled_from(_small_curves()))
+def test_action_matrices_represent_the_witt_algebra_on_small_semigroups(curve):
+    """A_0 = diag(qdeg), [A_s, A_u] = (u - s) A_{s+u} and the built matrices
+    equal the direct ones (see ``direct_actions``); each curve is checked
+    once per session."""
+    _witt_checked(curve)
 
 
 @given(data=st.data())
@@ -307,6 +337,7 @@ def test_trusted_results_equal_their_validated_copies(
         (ext_der(left), left.degree + 1),
         (ext_der(right), right.degree + 1),
         (interior(field, right), right.degree - 1),
+        (lie_derivative(field, left), left.degree),
         (lie_derivative(field, right), right.degree),
     ):
         assert_clean_form(result, degree, NVARS)

@@ -20,7 +20,6 @@ from algrest.symmetry import (
     curve_scaling,
     is_modulus,
     liftable_field,
-    lie_action,
     moser_reduce,
     nonsemigroup_shifts,
     orbit_tangent_space,
@@ -31,6 +30,7 @@ from algrest.symmetry import (
     validate_liftable,
 )
 
+from direct_actions import check_witt_construction, lie_action
 from tables import ACTIONS, NONSEMIGROUP_SHIFTS, SHIFTS
 from ztpoly import zt_system
 
@@ -79,6 +79,48 @@ def test_action_table_matches_projected_lie_derivatives(lams, policy):
             assert column == tuple((i, c) for i, c in enumerate(expected.coords) if c)
 
 
+# The curves of the Witt identity check: the three bundled semigroups, five
+# plane curves, the (5..9) ladder, three more space curves, and two curves
+# padded by an off-curve variable.
+WITT_CURVES = [
+    ((4, 5, 6, 7), 0),
+    ((4, 5, 6), 0),
+    ((4, 5, 7), 0),
+    ((2, 3), 0),
+    ((2, 5), 0),
+    ((3, 4), 0),
+    ((3, 5), 0),
+    ((5, 6, 7, 8, 9), 0),
+    ((3, 7, 8), 0),
+    ((5, 7, 9), 0),
+    ((6, 10, 15), 0),
+    ((7, 11), 0),
+    ((4, 5, 6, 7), 5),
+    ((3, 4, 5), 4),
+]
+
+
+@pytest.mark.parametrize("lams, ambient", WITT_CURVES)
+def test_action_matrices_represent_the_witt_algebra(lams, ambient):
+    """A_0 = diag(qdeg), [A_s, A_u] = (u - s) A_{s+u} for every pair of
+    admissible shifts, and every built matrix equals the direct one."""
+    check_witt_construction(MonomialCurve(lams, ambient))
+
+
+def test_a_missing_pinned_lift_fails_at_its_shift():
+    """Derived shifts still ask for their own lift, so the pinned policy
+    fails at the first shift without a stored lift, as the direct build did."""
+    with pytest.raises(InputError, match=r"curve \(5, 6, 7, 8, 9\) and shift 0;"):
+        action_table(MonomialCurve((5, 6, 7, 8, 9)), "pinned")
+    curve = MonomialCurve((4, 5, 6, 7))
+    a = AlgRestriction.from_coeffs(RestrictionBasis(curve), {"a9": 1})
+    # 7 = 1 + 6 is a derived shift, and the pinned table stops at 6
+    with pytest.raises(InputError, match=r"curve \(4, 5, 6, 7\) and shift 7;"):
+        shift_action(a, 7, "pinned")
+    assert (7, "pinned") not in a.basis.actions
+    assert shift_action(a, 7).is_zero()
+
+
 def test_actions_live_on_the_class_basis():
     curve = MonomialCurve((3, 4, 5), ambient=4)
     misses = cached_basis.cache_info().misses
@@ -124,6 +166,37 @@ def test_validate_liftable_rejects_broken_field(curve4567):
     components = list(euler.components)
     components[2] = components[2] + Polynomial.variable(4, 0)
     assert not validate_liftable(curve4567, VectorField(components), 0)
+
+
+def substitution_check(curve, field, s):
+    """X(g(t)) = t^{s+1} g'(t), by substituting the curve's series."""
+    images = curve.images()
+    expected = [UniPoly.t_power(lam + s, lam) for lam in curve.lams]
+    expected += [UniPoly.zero()] * (curve.ambient - len(curve.lams))
+    return [comp.substitute(images) for comp in field.components] == expected
+
+
+def test_validate_liftable_equals_the_substitution_check():
+    for lams, ambient in (((4, 5, 6, 7), 5), ((3, 7, 8), 0), ((7, 11), 0)):
+        curve = MonomialCurve(lams, ambient)
+        m = curve.ambient
+        x = [Polynomial.variable(m, i) for i in range(m)]
+        for s in admissible_shifts(curve, 12):
+            field = liftable_field(curve, s).field
+            comps = field.components
+            variants = [
+                field,
+                VectorField([comps[0] * 2] + comps[1:]),
+                VectorField(comps[:-1] + [comps[-1] + x[-1] * x[0]]),
+                VectorField(comps[:-1] + [comps[-1] + x[0] ** 2]),
+                VectorField([comps[0] + x[0] * x[-1]] + comps[1:]),
+            ]
+            for shift in (s, s + 1):
+                for variant in variants:
+                    assert validate_liftable(curve, variant, shift) == substitution_check(
+                        curve, variant, shift
+                    )
+            assert validate_liftable(curve, field, s)
 
 
 def test_lie_action_checks_the_field(curve4567, basis4567):
