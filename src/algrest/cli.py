@@ -19,10 +19,12 @@ from .parser import (
     latex_form,
     latex_label,
     latex_restriction,
+    latex_sum,
     parse_form,
     parse_map,
     parse_restriction,
 )
+from .poly import signed_sum
 from .symmetry import (
     LIFT_POLICIES,
     action_table,
@@ -96,7 +98,7 @@ def cmd_action_table(args: argparse.Namespace) -> int:
             "nonsemigroup_shifts": list(table.nonsemigroup),
             "labels": list(table.labels),
             "table": {
-                str(s): {label: str(table.entry(s, label)) for label in table.labels}
+                str(s): {label: signed_sum(table.terms(s, label)) for label in table.labels}
                 for s in table.shifts
             },
         }
@@ -104,9 +106,7 @@ def cmd_action_table(args: argparse.Namespace) -> int:
         cols = " & ".join(latex_label(label) for label in table.labels)
         lines = [f" & {cols} \\\\"]
         for s in table.shifts:
-            cells = " & ".join(
-                latex_restriction(table.entry(s, label)) for label in table.labels
-            )
+            cells = " & ".join(latex_sum(table.terms(s, label)) for label in table.labels)
             lines.append(f"X_{{{s}}} & {cells} \\\\")
     else:
         lines = [
@@ -117,7 +117,7 @@ def cmd_action_table(args: argparse.Namespace) -> int:
         ]
         for s in table.shifts:
             for label in table.labels:
-                lines.append(f"  L[X_{s}] {label} = {table.entry(s, label)}")
+                lines.append(f"  L[X_{s}] {label} = {signed_sum(table.terms(s, label))}")
     _emit(args, payload, lines)
     return 0
 

@@ -28,11 +28,11 @@ from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 from .errors import InputError, NotClosedError
 from .forms import DifferentialForm, IndexTuple, Weights
 from .linalg import rref, sparse_echelon, sparse_remainder
-from .poly import Exponent, Frozen, Polynomial, Scalar, UniPoly, signed_sum
+from .poly import Exponent, Frozen, Polynomial, Scalar, UniPoly, _as_fraction, signed_sum
 
 if TYPE_CHECKING:
     from .linalg import PrefixSolver
-    from .symmetry import TangentSpace
+    from .symmetry import ActionMatrix, TangentSpace
 
 
 class MonomialCurve(Frozen):
@@ -367,8 +367,10 @@ class RestrictionBasis:
     that reads it, so a class query does only the work of its class:
 
     - ``actions``: the Lie action matrices of ``symmetry``, keyed by
-      (shift, lift policy).  A matrix is stored once, sparse: for each
-      element j, the (i, value) pairs of the nonzero entries of its column;
+      (shift, lift policy).  A matrix is stored once, as a
+      ``symmetry.ActionMatrix``: a common denominator and, for each
+      element j, the (i, m) pairs of the nonzero integer entries of its
+      column;
     - ``isotropy_solvers[d]`` and ``exact_solvers[d]``: the
       ``linalg.PrefixSolver`` of iota's piece columns (by decreasing
       height) and of the exact rows ``exact[d]`` (by owner) at degree d,
@@ -398,7 +400,7 @@ class RestrictionBasis:
         self.curve = curve
         self.stop_qdeg = stop = stop_qdeg(curve)
         self.pieces = {d: restriction_quotient(curve, 2, d) for d in range(1, stop)}
-        self.actions: dict[tuple[int, str], tuple[tuple[tuple[int, Fraction], ...], ...]] = {}
+        self.actions: dict[tuple[int, str], ActionMatrix] = {}
         self.isotropy_solvers: dict[int, tuple[tuple[int, ...], PrefixSolver]] = {}
         self.exact_solvers: dict[int, tuple[tuple[int, ...], PrefixSolver]] = {}
         self.constant_blocks: tuple[tuple[tuple[IndexTuple, Fraction], ...], ...] | None = None
@@ -511,7 +513,7 @@ class AlgRestriction:
         self.basis = basis
         cs = tuple(coords)
         if not set(map(type, cs)) <= {Fraction}:
-            cs = tuple(c if type(c) is Fraction else Fraction(c) for c in cs)
+            cs = tuple(_as_fraction(c) for c in cs)
         if len(cs) != basis.dim:
             raise InputError("coordinate count does not match the basis")
         self.coords = cs
@@ -528,7 +530,8 @@ class AlgRestriction:
     ) -> AlgRestriction:
         vec = [Fraction(0)] * basis.dim
         for label, value in coeffs.items():
-            vec[basis.index_of(label)] += Fraction(value)
+            # distinct labels have distinct indices
+            vec[basis.index_of(label)] = _as_fraction(value)
         return cls(basis, vec)
 
     def _check_same_basis(self, other: AlgRestriction) -> None:
@@ -554,6 +557,8 @@ class AlgRestriction:
         return AlgRestriction(self.basis, (-a for a in self.coords))
 
     def __mul__(self, scalar: Scalar) -> AlgRestriction:
+        if not isinstance(scalar, (Fraction, int)):
+            return NotImplemented
         c = Fraction(scalar)
         return AlgRestriction(self.basis, (a * c for a in self.coords))
 
@@ -580,12 +585,10 @@ class AlgRestriction:
 
     def part(self, qdeg: int) -> AlgRestriction:
         """The graded part living in one quasi-degree."""
+        zero = Fraction(0)
         return AlgRestriction(
             self.basis,
-            (
-                c if el.qdeg == qdeg else Fraction(0)
-                for el, c in zip(self.basis.elements, self.coords)
-            ),
+            (c if el.qdeg == qdeg else zero for el, c in zip(self.basis.elements, self.coords)),
         )
 
     def min_qdeg_part(self) -> tuple[int, AlgRestriction] | None:

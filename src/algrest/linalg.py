@@ -1,14 +1,18 @@
 """Exact linear algebra over Q and over the rational function field Q(t).
 
-``sparse_echelon`` is the one Gaussian elimination over ``Fraction``: it
-reduces sparse rows ``{column: value}`` to sparse pivot rows, and ``rref``
+``zechelon`` is the one elimination kernel: sparse Gauss-Jordan
+elimination over Z, fraction-free, on primitive integer rows
+(Bareiss-style cross-multiplication with the pivot, then division by the
+gcd content).  ``sparse_echelon`` clears rational rows to integer rows,
+runs it, and turns each entry into a ``Fraction`` only at the output; ``rref``
 is its dense spelling.  Kernels, solutions, span tests and remainders
-(``sparse_remainder``) are read off its reduced echelon form.
-``PrefixSolver`` answers many right-hand sides against one matrix from one
-elimination.  ``solve_param_linear`` solves systems whose entries are
-polynomials in Z[t], for a parameter t, by fraction-free elimination, and
-reports whether the solution stays pole-free on the closed interval [0, 1],
-by Sturm chains over Z[t].
+(``sparse_remainder``) are read off that reduced echelon form, and
+``zremainder`` tests membership of integer rows in Z.  ``PrefixSolver``
+answers many right-hand sides against one matrix from one elimination.
+``solve_param_linear`` solves systems whose entries are polynomials in
+Z[t], for a parameter t, by fraction-free elimination (Bareiss, Math.
+Comp. 22, 1968), and reports whether the solution stays pole-free on the
+closed interval [0, 1], by Sturm chains over Z[t].
 """
 
 from __future__ import annotations
@@ -53,39 +57,97 @@ def rref(rows: Sequence[Sequence[Fraction]], width: int | None = None) -> RrefRe
 def sparse_echelon(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
     """The reduced echelon form of sparse rows, as {pivot: sparse pivot row}.
 
-    Pivot rows are kept fully reduced as rows arrive: an incoming row is
-    cleared at every existing pivot column, its first remaining column
-    becomes a new pivot, and that column is cleared from the earlier pivot
-    rows.  Each pivot row therefore starts at its pivot, with value 1, and
-    is zero at every other pivot column.
+    Each row is cleared to a primitive integer row (``zcleared``), the rows
+    are eliminated over Z (``zechelon``), and each entry of a pivot row
+    becomes a ``Fraction`` once, divided by the row's pivot entry.  Pivot
+    rows arrive in the order their pivots are found, each starts at its
+    pivot, with value 1, and is zero at every other pivot column.
+
+    The result equals Gauss-Jordan elimination over ``Fraction`` (kept in
+    ``tests/test_linalg.py`` as the reference) in value, in pivot order and
+    in the key order of every row: ``zechelon`` makes the same dict updates
+    in the same order, on integer rows that stay nonzero multiples of the
+    ``Fraction`` rows, so every entry is zero in one exactly when it is
+    zero in the other.
     """
-    pivot_rows: dict[int, dict[int, Fraction]] = {}
+    echelon = zechelon(zcleared(row) for row in rows)
+    return {p: {c: Fraction(v, row[p]) for c, v in row.items()} for p, row in echelon.items()}
+
+
+def zcleared(row: Mapping[int, Fraction]) -> dict[int, int]:
+    """The primitive integer row proportional to a sparse rational row: its
+    nonzero entries times the lcm of their denominators, divided by the gcd
+    of the products; {} for a zero row.  Keys keep their order."""
+    vec = {c: v for c, v in row.items() if v}
+    if not vec:
+        return vec
+    den = math.lcm(*[v.denominator for v in vec.values()])
+    return _zprimitive_row({c: v.numerator * (den // v.denominator) for c, v in vec.items()})
+
+
+def zechelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Sparse Gauss-Jordan elimination over Z: the one elimination kernel.
+
+    Takes sparse integer rows that hold nonzero entries only, and returns
+    {pivot: primitive integer pivot row}.  Pivot rows are kept fully
+    reduced as rows arrive: an incoming row is cleared at
+    every existing pivot column (``zremainder``), its first remaining column
+    becomes a new pivot, and that column is cleared from the earlier pivot
+    rows.  Clearing column p of a row r against a row q cross-multiplies
+    with the pivot: r' = (q_p / g) r - (r_p / g) q, g = gcd(r_p, q_p), which
+    is zero at p and a nonzero multiple of the ``Fraction`` update r -
+    (r_p / q_p) q; a row is divided by the gcd of its entries before it is
+    kept.  Each pivot row is zero at every other pivot column, so divided by
+    its pivot entry it is the reduced echelon row over Q.
+    """
+    pivot_rows: dict[int, dict[int, int]] = {}
     for row in rows:
-        vec = {c: v for c, v in row.items() if v}
-        for p in [c for c in vec if c in pivot_rows]:
-            _subtract_scaled(vec, vec[p], pivot_rows[p])
+        vec = zremainder(pivot_rows, row)
         if not vec:
             continue
+        vec = _zprimitive_row(vec)
         col = min(vec)
-        inv = vec[col]
-        vec = {c: v / inv for c, v in vec.items()}
-        for prow in pivot_rows.values():
+        for p, prow in pivot_rows.items():
             if col in prow:
-                _subtract_scaled(prow, prow[col], vec)
+                pivot_rows[p] = _zprimitive_row(_zeliminated(prow, col, vec))
         pivot_rows[col] = vec
     return pivot_rows
 
 
-def _subtract_scaled(
-    target: dict[int, Fraction], factor: Fraction, source: Mapping[int, Fraction]
-) -> None:
-    """target -= factor * source on sparse rows, dropping cancelled entries."""
-    for c, b in source.items():
-        value = target.get(c, 0) - factor * b
+def zremainder(pivot_rows: Mapping[int, Mapping[int, int]], vec: dict[int, int]) -> dict[int, int]:
+    """A nonzero multiple of the remainder of the integer row ``vec`` (nonzero
+    entries only) modulo the row space of ``zechelon`` rows; {} exactly
+    when ``vec`` lies in it.
+    Each pivot row is zero at the other pivots, so one clearing per pivot
+    column of ``vec`` suffices."""
+    for p in [c for c in vec if c in pivot_rows]:
+        vec = _zeliminated(vec, p, pivot_rows[p])
+    return vec
+
+
+def _zeliminated(target: Mapping[int, int], col: int, source: Mapping[int, int]) -> dict[int, int]:
+    """(s / g) * target - (t / g) * source for t = target[col], s =
+    source[col] and g = gcd(t, s): zero at ``col``, cancelled entries
+    dropped, and target's keys first, in order, then source's new ones."""
+    t, s = target[col], source[col]
+    g = math.gcd(t, s)
+    if g != 1:
+        t //= g
+        s //= g
+    out = {c: s * v for c, v in target.items()} if s != 1 else dict(target)
+    for c, v in source.items():
+        value = out.get(c, 0) - t * v
         if value:
-            target[c] = value
+            out[c] = value
         else:
-            del target[c]
+            del out[c]
+    return out
+
+
+def _zprimitive_row(vec: dict[int, int]) -> dict[int, int]:
+    """A nonzero integer row divided by the gcd of its entries."""
+    content = math.gcd(*vec.values())
+    return vec if content == 1 else {c: v // content for c, v in vec.items()}
 
 
 def kernel_basis(rows: Sequence[Sequence[Fraction]], width: int) -> list[list[Fraction]]:
@@ -139,7 +201,13 @@ def sparse_remainder(
     of ``vec`` at its own pivot."""
     work = {c: v for c, v in enumerate(vec) if v}
     for p in [c for c in work if c in pivot_rows]:
-        _subtract_scaled(work, work[p], pivot_rows[p])
+        factor = work[p]
+        for c, b in pivot_rows[p].items():
+            value = work.get(c, 0) - factor * b
+            if value:
+                work[c] = value
+            else:
+                del work[c]
     return work
 
 

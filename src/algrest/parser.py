@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .curves import AlgRestriction, RestrictionBasis
 from .errors import InputError
@@ -368,6 +368,11 @@ def latex_form(form: DifferentialForm) -> str:
     return signed_sum(terms, latex_fraction, "", "+", "-")
 
 
+def latex_sum(terms: Iterable[tuple[Fraction, str]]) -> str:
+    """LaTeX for the sum of (coefficient, label) terms of a class."""
+    latex_terms = ((c, latex_label(label)) for c, label in terms)
+    return signed_sum(latex_terms, latex_fraction, "", "+", "-")
+
+
 def latex_restriction(a: AlgRestriction) -> str:
-    terms = ((c, latex_label(label)) for c, label in zip(a.coords, a.basis.labels))
-    return signed_sum(terms, latex_fraction, "", "+", "-")
+    return latex_sum(zip(a.coords, a.basis.labels))

@@ -33,7 +33,7 @@ from .curves import (
 )
 from .errors import InputError, LiftError, NotSymmetryError
 from .forms import PolyMap, VectorField, lie_derivative, pullback
-from .linalg import ParamSolution, rref, solve_param_linear, sparse_echelon, sparse_remainder
+from .linalg import ParamSolution, rref, solve_param_linear, zcleared, zechelon, zremainder
 from .poly import Exponent, Frozen, Polynomial, RationalFunctionT, Scalar, add_into
 
 
@@ -169,6 +169,32 @@ def validate_liftable(curve: MonomialCurve, field: VectorField, s: int) -> bool:
 
 
 SparseColumn = tuple[tuple[int, Fraction], ...]
+IntColumn = tuple[tuple[int, int], ...]
+
+
+class ActionMatrix(NamedTuple):
+    """The matrix of L_{X_s} on a basis, as M / den: ``den`` is the least
+    common denominator of its entries, and ``columns[j]`` lists the (i, m)
+    pairs, i ascending, of the nonzero entries of column j of the integer
+    matrix M."""
+
+    den: int
+    columns: tuple[IntColumn, ...]
+
+    def column(self, j: int) -> SparseColumn:
+        """Column j as (i, value) pairs with ``Fraction`` values."""
+        den = self.den
+        return tuple((i, Fraction(m, den)) for i, m in self.columns[j])
+
+
+def _reduced_matrix(den: int, columns: Sequence[Sequence[tuple[int, int]]]) -> ActionMatrix:
+    """The matrix M / den in lowest terms.  The reduced denominator of m / den
+    is den / gcd(den, m), and the lcm of those over all entries is den / g
+    with g = gcd(den, every m): divide both by g."""
+    g = math.gcd(den, *(m for column in columns for _, m in column))
+    return ActionMatrix(
+        den // g, tuple(tuple((i, m // g) for i, m in column) for column in columns)
+    )
 
 
 def _split(curve: MonomialCurve, s: int) -> tuple[int, int] | None:
@@ -180,24 +206,22 @@ def _split(curve: MonomialCurve, s: int) -> tuple[int, int] | None:
     return None
 
 
-def _bracket_column(
-    a_u: tuple[SparseColumn, ...], a_v: tuple[SparseColumn, ...], j: int, scale: Fraction
-) -> SparseColumn:
-    """Column j of scale * (A_u A_v - A_v A_u), from sparse columns."""
-    out: dict[int, Fraction] = {}
+def _bracket_column(a_u: Sequence[IntColumn], a_v: Sequence[IntColumn], j: int) -> IntColumn:
+    """Column j of M_u M_v - M_v M_u, from integer sparse columns."""
+    out: dict[int, int] = {}
     for k, c in a_v[j]:
         for i, x in a_u[k]:
-            add_into(out, i, c * x)
+            out[i] = out.get(i, 0) + c * x
     for k, c in a_u[j]:
         for i, x in a_v[k]:
-            add_into(out, i, -c * x)
-    return tuple((i, out[i] * scale) for i in sorted(out))
+            out[i] = out.get(i, 0) - c * x
+    return tuple((i, out[i]) for i in sorted(out) if out[i])
 
 
-def _action_matrix(basis: RestrictionBasis, s: int, policy: str) -> tuple[SparseColumn, ...]:
-    """Column j lists the (i, value) pairs, i ascending, of the nonzero basis
-    coordinates of L_{X_s} on element j; built once per basis, shift and
-    policy, and kept in ``basis.actions``, with no dense copy beside it.
+def _action_matrix(basis: RestrictionBasis, s: int, policy: str) -> ActionMatrix:
+    """The ``ActionMatrix`` of L_{X_s} on the basis elements; built once per
+    basis, shift and policy, and kept in ``basis.actions``, with no other
+    copy beside it.
 
     The matrices A_s represent the Witt algebra, so Lie derivatives are
     taken for the generator shifts only:
@@ -206,7 +230,9 @@ def _action_matrix(basis: RestrictionBasis, s: int, policy: str) -> tuple[Sparse
       coefficients in the curve's ideal, and L_E omega = d * omega for omega
       quasi-homogeneous of degree d;
     - if s = u + v with 0 < u < v both admissible, u the smallest such,
-      A_s = (A_u A_v - A_v A_u) / (v - u) from the kept A_u and A_v;
+      A_s = (A_u A_v - A_v A_u) / (v - u) from the kept A_u and A_v, in
+      integers: M_s / den_s = (M_u M_v - M_v M_u) / (den_u den_v (v - u)),
+      brought to lowest terms;
     - otherwise column j is the projection of L_{X_s} on the element's
       representative.  X_s raises the quasi-degree by exactly s, so only
       the columns whose target degree qdeg + s carries a closed class are
@@ -236,61 +262,105 @@ def _action_matrix(basis: RestrictionBasis, s: int, policy: str) -> tuple[Sparse
     kept subspace carries the induced actions, so the identity holds for
     the matrices as built.
     """
-    columns = basis.actions.get((s, policy))
-    if columns is None:
+    matrix = basis.actions.get((s, policy))
+    if matrix is None:
         curve = basis.curve
         lifted = liftable_field(curve, s, policy)
         if s == 0:
-            columns = tuple(((j, Fraction(el.qdeg)),) for j, el in enumerate(basis.elements))
+            matrix = ActionMatrix(1, tuple(((j, el.qdeg),) for j, el in enumerate(basis.elements)))
         elif (split := _split(curve, s)) is not None:
             u, v = split
             a_u = _action_matrix(basis, u, policy)
             a_v = _action_matrix(basis, v, policy)
-            scale = Fraction(1, v - u)
-            columns = tuple(_bracket_column(a_u, a_v, j, scale) for j in range(basis.dim))
+            matrix = _reduced_matrix(
+                a_u.den * a_v.den * (v - u),
+                [_bracket_column(a_u.columns, a_v.columns, j) for j in range(basis.dim)],
+            )
         else:
-            columns = tuple(
-                tuple(
-                    (i, c)
-                    for i, c in enumerate(
-                        project(curve, lie_derivative(lifted.field, el.rep), basis).coords
-                    )
-                    if c
-                )
+            projected = [
+                project(curve, lie_derivative(lifted.field, el.rep), basis).coords
                 if el.qdeg + s in basis.by_degree
                 else ()
                 for el in basis.elements
+            ]
+            den = math.lcm(*(c.denominator for coords in projected for c in coords))
+            matrix = _reduced_matrix(
+                den,
+                [
+                    [(i, c.numerator * (den // c.denominator)) for i, c in enumerate(coords) if c]
+                    for coords in projected
+                ],
             )
-        basis.actions[s, policy] = columns
-    return columns
+        basis.actions[s, policy] = matrix
+    return matrix
+
+
+def _cleared_coords(a: AlgRestriction) -> tuple[int, dict[int, int]]:
+    """(D, A) with a = A / D: D the lcm of the coordinate denominators and A
+    the nonzero integer coordinates, by index."""
+    nonzero = [(j, c) for j, c in enumerate(a.coords) if c]
+    den = math.lcm(*(c.denominator for _, c in nonzero))
+    return den, {j: c.numerator * (den // c.denominator) for j, c in nonzero}
+
+
+def _orbit_row(matrix: ActionMatrix, cleared: dict[int, int]) -> dict[int, int]:
+    """The nonzero entries of M_s A, by index, for A the cleared class."""
+    columns = matrix.columns
+    out: dict[int, int] = {}
+    for j, x in cleared.items():
+        for i, m in columns[j]:
+            out[i] = out.get(i, 0) + x * m
+    return {i: u for i, u in out.items() if u}
+
+
+def _restriction(basis: RestrictionBasis, scale: int, row: Mapping[int, int]) -> AlgRestriction:
+    """The class with coordinates row / scale."""
+    coords = [Fraction(0)] * basis.dim
+    for i, u in row.items():
+        coords[i] = Fraction(u, scale)
+    return AlgRestriction(basis, coords)
 
 
 def shift_action(a: AlgRestriction, s: int, policy: str = "grlex") -> AlgRestriction:
-    """Action of X_s on a class, via its basis's sparse columns for the shift."""
-    basis = a.basis
-    out = [Fraction(0)] * basis.dim
-    for cj, column in zip(a.coords, _action_matrix(basis, s, policy)):
-        if cj:
-            for i, value in column:
-                out[i] += cj * value
-    return AlgRestriction(basis, out)
+    """Action of X_s on a class: M_s A / (den_s D) for a = A / D."""
+    matrix = _action_matrix(a.basis, s, policy)
+    den, cleared = _cleared_coords(a)
+    return _restriction(a.basis, den * matrix.den, _orbit_row(matrix, cleared))
 
 
 class ActionTable(NamedTuple):
-    """Lie actions of every admissible X_s on every basis element."""
+    """Lie actions of every admissible X_s on every basis element: one
+    ``ActionMatrix`` per shift, read one sparse column per cell."""
 
-    curve: MonomialCurve
+    basis: RestrictionBasis
     policy: str
     shifts: tuple[int, ...]
-    labels: tuple[str, ...]
-    entries: Mapping[tuple[int, str], AlgRestriction]
+    matrices: Mapping[int, ActionMatrix]
     nonsemigroup: tuple[int, ...]
 
-    def entry(self, s: int, label: str) -> AlgRestriction:
-        key = (s, label)
-        if key not in self.entries:
+    @property
+    def curve(self) -> MonomialCurve:
+        return self.basis.curve
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return self.basis.labels
+
+    def terms(self, s: int, label: str) -> tuple[tuple[Fraction, str], ...]:
+        """The (coefficient, label) pairs of the nonzero coordinates of the
+        action of X_s on the element ``label``, in basis order."""
+        j = self.basis.label_index.get(label)
+        if s not in self.matrices or j is None:
             raise InputError(f"no action entry for shift {s} and label {label!r}")
-        return self.entries[key]
+        labels = self.basis.labels
+        return tuple((value, labels[i]) for i, value in self.matrices[s].column(j))
+
+    def entry(self, s: int, label: str) -> AlgRestriction:
+        coords = [Fraction(0)] * self.basis.dim
+        index = self.basis.label_index
+        for value, target in self.terms(s, label):
+            coords[index[target]] = value
+        return AlgRestriction(self.basis, coords)
 
 
 def action_table(
@@ -301,47 +371,57 @@ def action_table(
     if basis is None:
         basis = cached_basis(curve)
     if not basis.elements:
-        return ActionTable(curve, policy, (), (), {}, ())
-    min_qdeg = basis.elements[0].qdeg
-    bound = basis.top_qdeg - min_qdeg
+        return ActionTable(basis, policy, (), {}, ())
+    bound = basis.top_qdeg - basis.elements[0].qdeg
     shifts = admissible_shifts(curve, bound)
-    entries = {}
-    for s in shifts:
-        for el, column in zip(basis.elements, _action_matrix(basis, s, policy)):
-            coords = [Fraction(0)] * basis.dim
-            for i, value in column:
-                coords[i] = value
-            entries[s, el.label] = AlgRestriction(basis, coords)
     return ActionTable(
-        curve=curve,
+        basis=basis,
         policy=policy,
         shifts=tuple(shifts),
-        labels=basis.labels,
-        entries=entries,
+        matrices={s: _action_matrix(basis, s, policy) for s in shifts},
         nonsemigroup=tuple(nonsemigroup_shifts(curve, bound)),
     )
 
 
 class TangentSpace(Frozen):
-    """Orbit tangent space at a restriction class; the reduced echelon form
-    of the vectors, as sparse pivot rows, is built on first use."""
+    """Orbit tangent space at a restriction class, kept in integers.
 
-    __slots__ = ("base", "shifts", "vectors", "_pivot_rows")
-    _fields = __slots__[:-1]
+    ``rows`` holds, per shift, the pair (K_s, u_s) with L_{X_s} a = u_s / K_s:
+    for a = A / D cleared once, u_s is the integer sparse row M_s A (by
+    index, nonzero entries only) and K_s = D * den_s.  The reduced echelon
+    form of those rows over Z (``linalg.zechelon``) is built on first use,
+    and ``dim``, ``codim`` and ``contains`` read it; a direction is cleared
+    to an integer row and reduced in Z.  ``vectors``, the actions as
+    ``AlgRestriction`` objects, is filled from the rows on first read; with
+    ``base`` and ``shifts`` it makes the value: equality, hash and repr.
+    """
+
+    __slots__ = ("base", "shifts", "vectors", "rows", "_pivot_rows")
+    _fields = __slots__[:3]
+
+    vectors: tuple[AlgRestriction, ...]
 
     def __init__(
         self,
         base: AlgRestriction,
         shifts: tuple[int, ...],
-        vectors: tuple[AlgRestriction, ...],
+        rows: tuple[tuple[int, dict[int, int]], ...],
     ):
-        self._set(base=base, shifts=shifts, vectors=vectors, _pivot_rows=None)
+        self._set(base=base, shifts=shifts, rows=rows, _pivot_rows=None)
+
+    def __getattr__(self, name: str) -> tuple[AlgRestriction, ...]:
+        # only reached while a slot is unset: ``vectors`` before first use
+        if name != "vectors":
+            raise AttributeError(name)
+        basis = self.base.basis
+        vectors = tuple(_restriction(basis, scale, row) for scale, row in self.rows)
+        self._set(vectors=vectors)
+        return vectors
 
     @property
-    def _echelon(self) -> dict[int, dict[int, Fraction]]:
+    def _echelon(self) -> dict[int, dict[int, int]]:
         if self._pivot_rows is None:
-            rows = ({i: c for i, c in enumerate(v.coords) if c} for v in self.vectors)
-            self._set(_pivot_rows=sparse_echelon(rows))
+            self._set(_pivot_rows=zechelon(u for _, u in self.rows if u))
         return self._pivot_rows
 
     @property
@@ -354,7 +434,8 @@ class TangentSpace(Frozen):
         return self.base.basis.dim - self.dim
 
     def contains(self, direction: AlgRestriction) -> bool:
-        return not sparse_remainder(self._echelon, direction.coords)
+        row = zcleared(dict(enumerate(direction.coords)))
+        return not zremainder(self._echelon, row)
 
 
 def orbit_tangent_space(curve: MonomialCurve, a: AlgRestriction) -> TangentSpace:
@@ -363,18 +444,20 @@ def orbit_tangent_space(curve: MonomialCurve, a: AlgRestriction) -> TangentSpace
 
     Built once per class and kept in ``a.tangent``.  The shifts are the
     admissible ones up to top_qdeg - min_qdeg, which is >= 0 for a nonzero
-    class; the zero class has none.
+    class; the zero class has none.  The class is cleared once, a = A / D,
+    and each action is the integer row M_s A with scale D * den_s.
     """
     check_basis_curve(curve, a.basis)
     tangent = a.tangent
     if tangent is None:
-        located = a.min_qdeg_part()
-        if located is None:
-            shifts: tuple[int, ...] = ()
-        else:
-            shifts = tuple(admissible_shifts(curve, a.basis.top_qdeg - located[0]))
-        vectors = tuple(shift_action(a, s) for s in shifts)
-        tangent = a.tangent = TangentSpace(base=a, shifts=shifts, vectors=vectors)
+        degs = a.nonzero_qdegs()
+        shifts = tuple(admissible_shifts(curve, a.basis.top_qdeg - degs[0])) if degs else ()
+        den, cleared = _cleared_coords(a)
+        rows = []
+        for s in shifts:
+            matrix = _action_matrix(a.basis, s, "grlex")
+            rows.append((den * matrix.den, _orbit_row(matrix, cleared)))
+        tangent = a.tangent = TangentSpace(base=a, shifts=shifts, rows=tuple(rows))
     return tangent
 
 
@@ -423,10 +506,17 @@ def moser_reduce(
     ``RationalFunctionT`` is canonical.  So the coefficients and pole
     counts are those of the full system.
 
-    Each live row is handed over in Z[t]: its entries and its right-hand
-    side k are multiplied by the lcm of the row's denominators.  Scaling a
-    row by a nonzero constant keeps the solution set, so the solution is
-    that of the system over Q[t].
+    Each live row is handed over in Z[t], scaled by the lcm of its
+    entries' reduced denominators, which keeps the solution set; it is
+    built from the tangent space's integer rows without a ``Fraction``.
+    Write L_{X_s} a = u_s / K_s (the rows of ``TangentSpace``) and
+    kill = k / D for D the lcm of kill's denominators, and let K be the
+    lcm of D and the K_s.  Row i is then r / K with r = (k_i K / D,
+    u_{s,i} K / K_s for each s), in integers.  The reduced denominator of
+    r_j / K is K / gcd(K, r_j), and for divisors of K the lcm of K / g_j
+    is K / gcd(g_j), so the lcm over the row is K / G with G = gcd(K, r).
+    The scaled row is therefore r / G: the same integers the ``Fraction``
+    construction gives, so ``solve_param_linear`` gets the same input.
     """
     kill._check_same_basis(a)
     kill_degs = kill.nonzero_qdegs()
@@ -443,17 +533,23 @@ def moser_reduce(
     d = kill_degs[0]
     tangent = orbit_tangent_space(curve, a)
     shifts = tangent.shifts
-    v = [vector.coords for vector in tangent.vectors]
+    columns = (_cleared_coords(kill), *tangent.rows)
+    big = math.lcm(*(scale for scale, _ in columns))
+    # live[i] = r for coordinate i: (kill_i, (L_{X_s} a)_i for each s) times K
+    live: dict[int, list[int]] = {}
+    for j, (scale, column) in enumerate(columns):
+        factor = big // scale
+        for i, x in column.items():
+            if i not in live:
+                live[i] = [0] * len(columns)
+            live[i][j] = x * factor
+    elements = a.basis.elements
     rows = []
     rhs = []
-    # column i is (kill_i, (L_{X_s} a)_i for each s)
-    for el, column in zip(a.basis.elements, zip(kill.coords, *v)):
-        nonzero = [x for x in column if x]
-        if not nonzero:
-            continue
-        scale = math.lcm(*[x.denominator for x in nonzero])
-        k, *ints = [x.numerator * (scale // x.denominator) for x in column]
-        moved = el.qdeg - d
+    for i in sorted(live):
+        g = math.gcd(big, *live[i])
+        k, *ints = [x // g for x in live[i]]
+        moved = elements[i].qdeg - d
         rows.append(
             [([p, -p] if s == moved else [p]) if p else [] for p, s in zip(ints, shifts)]
         )

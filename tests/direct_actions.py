@@ -4,6 +4,7 @@ of ``symmetry._action_matrix`` is checked against, and it shares no code
 with that construction beyond the liftable fields and the projection."""
 
 import itertools
+import math
 from fractions import Fraction
 
 from algrest.curves import RestrictionBasis, project
@@ -72,4 +73,8 @@ def check_witt_construction(curve):
             expected = {i: (u - s) * x for i, x in target[j]}
             assert bracket == expected, f"[D_{s}, D_{u}] on element {j} of {curve}"
     for s in reversed(shifts):
-        assert _action_matrix(basis, s, "grlex") == direct[s], f"A_{s} of {curve}"
+        matrix = _action_matrix(basis, s, "grlex")
+        columns = tuple(matrix.column(j) for j in range(basis.dim))
+        assert columns == direct[s], f"A_{s} of {curve}"
+        # the common denominator is the least one
+        assert math.gcd(matrix.den, *(m for column in matrix.columns for _, m in column)) == 1

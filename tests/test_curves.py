@@ -600,3 +600,21 @@ def test_vectorize_rejects_wrong_degree_and_drops_off_curve_terms():
     piece = restriction_quotient(curve, 2, 16)
     assert not any(piece.vectorize(parse_form("x4*dx1^dx2 + x5*dx1^dx2", 5)))
     assert any(piece.vectorize(parse_form("x3*dx1^dx3 + x4*dx1^dx2", 5)))
+
+
+def test_restriction_classes_take_rational_scalars_only(basis456):
+    """Floats raise instead of entering as binary fractions, as for
+    ``Polynomial`` and ``DifferentialForm``."""
+    with pytest.raises(TypeError, match="rational scalar"):
+        AlgRestriction.from_coeffs(basis456, {"a9": 0.1})
+    with pytest.raises(TypeError, match="rational scalar"):
+        AlgRestriction(basis456, [0.1] + [0] * (basis456.dim - 1))
+    a = AlgRestriction.from_coeffs(basis456, {"a9": 1})
+    assert a.__mul__(0.1) is NotImplemented
+    with pytest.raises(TypeError):
+        a * 0.1
+    with pytest.raises(TypeError):
+        0.1 * a
+    tenth = AlgRestriction.from_coeffs(basis456, {"a9": Fraction(1, 10)})
+    assert a * Fraction(1, 10) == tenth and Fraction(1, 10) * a == tenth
+    assert 2 * a == a + a == AlgRestriction(basis456, [2] + [0] * (basis456.dim - 1))

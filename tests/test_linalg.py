@@ -20,6 +20,9 @@ from algrest.linalg import (
     sparse_echelon,
     sparse_remainder,
     sturm_count,
+    zcleared,
+    zechelon,
+    zremainder,
 )
 from algrest.poly import RationalFunctionT, UniPoly
 
@@ -164,6 +167,105 @@ def test_sparse_rref_equals_dense_rref(matrix):
     for row in rows:
         assert not sparse_remainder(pivot_rows, row)
         assert not any(reduce_by(dense, row))
+
+
+def reference_sparse_echelon(rows):
+    """Sparse Gauss-Jordan elimination over ``Fraction``: the reference for
+    the fraction-free ``sparse_echelon``.  Pivot rows are kept fully reduced
+    as rows arrive: an incoming row is cleared at every existing pivot
+    column, its first remaining column becomes a new pivot, and that column
+    is cleared from the earlier pivot rows."""
+
+    def subtract_scaled(target, factor, source):
+        for c, b in source.items():
+            value = target.get(c, 0) - factor * b
+            if value:
+                target[c] = value
+            else:
+                del target[c]
+
+    pivot_rows = {}
+    for row in rows:
+        vec = {c: v for c, v in row.items() if v}
+        for p in [c for c in vec if c in pivot_rows]:
+            subtract_scaled(vec, vec[p], pivot_rows[p])
+        if not vec:
+            continue
+        col = min(vec)
+        inv = vec[col]
+        vec = {c: v / inv for c, v in vec.items()}
+        for prow in pivot_rows.values():
+            if col in prow:
+                subtract_scaled(prow, prow[col], vec)
+        pivot_rows[col] = vec
+    return pivot_rows
+
+
+# small values, zeros, and values with denominators and numerators far
+# beyond a machine word
+kernel_entry_st = st.sampled_from(
+    [F(0)] * 6
+    + [F(n, q) for n in (-3, -1, 1, 2, 5) for q in (1, 3, 7)]
+    + [F(2**89 - 1, 3**50), F(-(5**40), 2**70 + 1), F(1, 10**30)]
+)
+
+
+@st.composite
+def kernel_rows(draw):
+    """Sparse rows in shuffled key order: random ones, zero ones, and
+    combinations of earlier rows (dependent ones)."""
+    width = draw(st.integers(min_value=0, max_value=8))
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        kind = draw(st.sampled_from(["random", "random", "zero", "dependent"]))
+        if kind == "dependent" and rows:
+            picks = draw(st.lists(st.sampled_from(range(len(rows))), min_size=1, max_size=3))
+            dense = [F(0)] * width
+            for k in picks:
+                coeff = draw(kernel_entry_st)
+                for c, v in rows[k].items():
+                    dense[c] += coeff * v
+        elif kind == "zero":
+            dense = [F(0)] * width
+        else:
+            dense = [draw(kernel_entry_st) for _ in range(width)]
+        order = draw(st.permutations(range(width)))
+        # zero entries are kept: both eliminations must skip them
+        rows.append({c: dense[c] for c in order if dense[c] or draw(st.booleans())})
+    return rows
+
+
+@given(rows=kernel_rows())
+@example(rows=[])
+@example(rows=[{}, {0: F(0)}])
+@example(rows=[{2: F(1, 3), 0: F(2)}, {0: F(4), 2: F(2, 3)}, {1: F(2**89 - 1, 3**50)}])
+def test_fraction_free_echelon_equals_the_fraction_loop(rows):
+    """Values, pivot order and the key order of every pivot row."""
+    got = sparse_echelon(rows)
+    want = reference_sparse_echelon(rows)
+    assert list(got) == list(want)
+    for p in want:
+        assert list(got[p].items()) == list(want[p].items())
+        assert all(type(v) is F for v in got[p].values())
+
+
+@given(rows=kernel_rows(), data=st.data())
+def test_integer_remainder_decides_membership(rows, data):
+    """``zremainder`` of a cleared row is empty exactly when the
+    ``Fraction`` remainder is, against the echelon of the same rows; the
+    direction is a combination of the rows half of the time."""
+    width = 1 + max((c for row in rows for c in row), default=0)
+    if rows and data.draw(st.booleans()):
+        vec = [F(0)] * width
+        for row in rows:
+            coeff = data.draw(kernel_entry_st)
+            for c, v in row.items():
+                vec[c] += coeff * v
+    else:
+        vec = [data.draw(kernel_entry_st) for _ in range(width)]
+    echelon = zechelon(zcleared(row) for row in rows)
+    inside = not sparse_remainder(reference_sparse_echelon(rows), vec)
+    assert (not zremainder(echelon, zcleared(dict(enumerate(vec))))) == inside
 
 
 def test_reduce_by_leaves_the_remainder_off_the_pivots():

@@ -192,10 +192,10 @@ def test_tangent_space_contains_is_a_class_attribute(curve4567, basis4567):
         "AlgRestriction(13*a13-), AlgRestriction(7*a14), AlgRestriction(5*a15)))"
     )
     # a twin whose echelon is not built yet is the same value
-    twin = TangentSpace(tangent.base, tangent.shifts, tangent.vectors)
+    twin = TangentSpace(tangent.base, tangent.shifts, tangent.rows)
     assert twin._pivot_rows is None and tangent._pivot_rows is not None
     assert twin == tangent and hash(twin) == hash(tangent) and repr(twin) == repr(tangent)
-    assert twin != TangentSpace(tangent.base, tangent.shifts[:-1], tangent.vectors[:-1])
+    assert twin != TangentSpace(tangent.base, tangent.shifts[:-1], tangent.rows[:-1])
 
 
 def _frozen_subclasses():

@@ -1,15 +1,17 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import algrest.symmetry as symmetry_module
 from algrest.curves import AlgRestriction, MonomialCurve, RestrictionBasis, cached_basis, project
 from algrest.errors import InputError, LiftError, NotSymmetryError
 from algrest.forms import VectorField, lie_derivative
 from algrest.invariants import invariant_report
-from algrest.linalg import solve_param_linear
+from algrest.linalg import solve_param_linear, sparse_remainder
 from algrest.parser import parse_map, parse_restriction
 from algrest.poly import Polynomial, RationalFunctionT, UniPoly
 from algrest.symmetry import (
@@ -32,6 +34,7 @@ from algrest.symmetry import (
 
 from direct_actions import check_witt_construction, lie_action
 from tables import ACTIONS, NONSEMIGROUP_SHIFTS, SHIFTS
+from test_linalg import reference_sparse_echelon
 from ztpoly import zt_system
 
 
@@ -65,18 +68,27 @@ def test_action_tables_verbatim(lams, policy):
 @pytest.mark.parametrize("lams", sorted(ACTIONS))
 def test_action_table_matches_projected_lie_derivatives(lams, policy):
     """Each entry equals the dense projection of L_{X_s} on the element's
-    representative, and the basis keeps one sparse column per element:
-    the (i, value) pairs of the entry's nonzero coordinates."""
+    representative, and the basis keeps one sparse integer column per
+    element over the least common denominator of the matrix: the (i,
+    value) pairs of the entry's nonzero coordinates, times that
+    denominator."""
     curve = MonomialCurve(lams)
     basis = cached_basis(curve)
     table = action_table(curve, policy, basis)
     for s in table.shifts:
         field = liftable_field(curve, s, policy).field
-        columns = basis.actions[s, policy]
-        for el, column in zip(basis.elements, columns):
+        matrix = basis.actions[s, policy]
+        assert table.matrices[s] is matrix
+        entries = []
+        for j, el in enumerate(basis.elements):
             expected = project(curve, lie_derivative(field, el.rep), basis)
             assert table.entry(s, el.label) == expected
-            assert column == tuple((i, c) for i, c in enumerate(expected.coords) if c)
+            assert matrix.column(j) == tuple((i, c) for i, c in enumerate(expected.coords) if c)
+            assert table.terms(s, el.label) == tuple(
+                (c, label) for c, label in zip(expected.coords, basis.labels) if c
+            )
+            entries += expected.coords
+        assert matrix.den == math.lcm(*(c.denominator for c in entries))
 
 
 # The curves of the Witt identity check: the three bundled semigroups, five
@@ -234,24 +246,29 @@ def test_the_class_keeps_its_tangent_spaces(curve4567, basis4567, curve457):
 
 def test_one_class_computes_each_action_once(monkeypatch, curve4567, basis4567):
     """The multiplicity, the tangent directions and the Moser system of a
-    class share one vector L_{X_s} a per shift."""
+    class share one integer row M_s A per shift, and none of them asks
+    ``shift_action``."""
     a = parse_restriction("a11+ - 3/2*a11- + 2*a12 + 7*a13+", basis4567)
     kill = a.part(13)
     calls = []
-    original = symmetry_module.shift_action
+    original = symmetry_module._orbit_row
 
-    def counting(b, s, policy="grlex"):
-        if b is a:
-            calls.append(s)
-        return original(b, s, policy)
+    def counting(matrix, cleared):
+        calls.append(matrix)
+        return original(matrix, cleared)
 
-    monkeypatch.setattr(symmetry_module, "shift_action", counting)
+    def forbidden(*args):
+        raise AssertionError("shift_action called")
+
+    monkeypatch.setattr(symmetry_module, "_orbit_row", counting)
+    monkeypatch.setattr(symmetry_module, "shift_action", forbidden)
     report = invariant_report(curve4567, a)
     tangent = orbit_tangent_space(curve4567, a)
     assert report.mu == tangent.codim
+    assert not tangent.contains(AlgRestriction.from_coeffs(basis4567, {"a9": 1}))
     result = moser_reduce(curve4567, a, kill)
     assert result.shifts == tangent.shifts
-    assert sorted(calls) == list(tangent.shifts)
+    assert calls == [basis4567.actions[s, "grlex"] for s in tangent.shifts]
 
 
 def test_orbit_tangent_space_of_zero(basis456, curve456):
@@ -407,6 +424,96 @@ def test_pinned_lifts_give_the_grlex_tangent_vectors(lams):
         assert tangent.shifts
         for s, vector in zip(tangent.shifts, tangent.vectors):
             assert shift_action(a, s, "pinned") == vector, f"X_{s} at {a}"
+
+
+# Curves of the orbit-path properties: the bundled ones, the (5..9) and
+# (6..11) ladder curves, a plane curve and a padded space curve.
+ORBIT_CURVES = (
+    MonomialCurve((4, 5, 6, 7)),
+    MonomialCurve((4, 5, 6)),
+    MonomialCurve((4, 5, 7)),
+    MonomialCurve((5, 6, 7, 8, 9)),
+    MonomialCurve((6, 7, 8, 9, 10, 11)),
+    MonomialCurve((7, 9)),
+    MonomialCurve((3, 7, 8), ambient=4),
+)
+ORBIT_VALUES = tuple(Fraction(n, q) for n in (-7, -2, -1, 1, 3, 10) for q in (1, 2, 9, 25))
+
+
+@st.composite
+def sparse_classes(draw, basis):
+    """A class with 1 to 5 labels and small rational coefficients."""
+    chosen = draw(st.lists(st.sampled_from(basis.labels), min_size=1, max_size=5, unique=True))
+    return AlgRestriction.from_coeffs(
+        basis, {label: draw(st.sampled_from(ORBIT_VALUES)) for label in chosen}
+    )
+
+
+@given(data=st.data(), curve=st.sampled_from(ORBIT_CURVES))
+def test_tangent_membership_equals_the_fraction_remainder(data, curve):
+    """The integer rows give the ``shift_action`` vectors, and ``dim`` and
+    ``contains`` equal the ``Fraction`` echelon and remainder of those
+    vectors; half of the directions are drawn inside the tangent space."""
+    basis = cached_basis(curve)
+    a = data.draw(sparse_classes(basis))
+    tangent = orbit_tangent_space(curve, a)
+    assert tangent.vectors == tuple(shift_action(a, s) for s in tangent.shifts)
+    echelon = reference_sparse_echelon(
+        {i: c for i, c in enumerate(v.coords) if c} for v in tangent.vectors
+    )
+    assert tangent.dim == len(echelon)
+    if data.draw(st.booleans()):
+        direction = AlgRestriction.zero(basis)
+        for vector in tangent.vectors:
+            direction = direction + vector * data.draw(st.sampled_from(ORBIT_VALUES))
+        if data.draw(st.booleans()):
+            direction = direction + data.draw(sparse_classes(basis))
+    else:
+        direction = data.draw(sparse_classes(basis))
+    assert tangent.contains(direction) == (not sparse_remainder(echelon, direction.coords))
+
+
+def fraction_moser_rows(tangent, kill, d):
+    """The live rows of the Moser system built from ``Fraction`` vectors:
+    per coordinate with a nonzero entry, (kill_i, (L_{X_s} a)_i for each s)
+    times the lcm of their denominators."""
+    rows, rhs = [], []
+    v = [vector.coords for vector in tangent.vectors]
+    for el, column in zip(kill.basis.elements, zip(kill.coords, *v)):
+        nonzero = [x for x in column if x]
+        if not nonzero:
+            continue
+        scale = math.lcm(*[x.denominator for x in nonzero])
+        k, *ints = [x.numerator * (scale // x.denominator) for x in column]
+        moved = el.qdeg - d
+        rows.append(
+            [([p, -p] if s == moved else [p]) if p else [] for p, s in zip(ints, tangent.shifts)]
+        )
+        rhs.append([k] if k else [])
+    return rows, rhs
+
+
+@given(data=st.data(), curve=st.sampled_from(ORBIT_CURVES[:4]))
+def test_moser_rows_equal_the_fraction_construction(data, curve):
+    """``solve_param_linear`` gets exactly the integer rows of the
+    ``Fraction`` construction, for a random class and graded part."""
+    basis = cached_basis(curve)
+    a = data.draw(sparse_classes(basis))
+    d = data.draw(st.sampled_from(a.nonzero_qdegs()))
+    kill = a.part(d)
+    seen = []
+    original = symmetry_module.solve_param_linear
+
+    def recording(rows, rhs):
+        seen.append((rows, rhs))
+        return original(rows, rhs)
+
+    symmetry_module.solve_param_linear = recording
+    try:
+        moser_reduce(curve, a, kill)
+    finally:
+        symmetry_module.solve_param_linear = original
+    assert seen == [fraction_moser_rows(orbit_tangent_space(curve, a), kill, d)]
 
 
 def test_moser_reduce_zero_kill_is_trivial(curve4567, basis4567):
