@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .curves import (
     AlgRestriction,
@@ -26,7 +26,6 @@ from .curves import (
 from .errors import InputError
 from .forms import IndexTuple
 from .linalg import PrefixSolver, sparse_echelon
-from .poly import Polynomial, UniPoly
 
 Extended = int | float
 
@@ -176,29 +175,6 @@ def lagrangian_tangency_order(
     for d in a.nonzero_qdegs():
         j = _last_used_tag(_exact_solver(a.basis, d), a, d)
         best = min(best, d - curve.lams[j])
-    return best
-
-
-def tangency_order(
-    curve_or_components: MonomialCurve | Sequence[UniPoly],
-    constraints: Sequence[Polynomial],
-) -> Extended:
-    """Minimal vanishing order of the constraints along a parameterized curve."""
-    if isinstance(curve_or_components, MonomialCurve):
-        components = curve_or_components.images()
-    else:
-        components = list(curve_or_components)
-    best: Extended = math.inf
-    for h in constraints:
-        if h.nvars != len(components):
-            raise InputError(
-                f"constraint in {h.nvars} variables does not match a curve with "
-                f"{len(components)} components"
-            )
-        along = h.substitute(components)
-        order = along.order()
-        if order is not None:
-            best = min(best, order)
     return best
 
 

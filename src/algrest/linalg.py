@@ -262,11 +262,6 @@ def sturm_count(p: UniPoly, a: Fraction | int, b: Fraction | int) -> int:
     return _zroot_count(_zcleared(p), a, b)
 
 
-def poles_in_closed_unit_interval(f: RationalFunctionT) -> int:
-    """Distinct poles of a reduced rational function in [0, 1]."""
-    return _zpoles_in_unit_interval(_zcleared(f.den))
-
-
 class ParamSolution(NamedTuple):
     """Outcome of solving a linear system over Q(t)."""
 

@@ -237,19 +237,6 @@ def parse_map(text: str, nvars: int) -> PolyMap:
     return PolyMap(components)
 
 
-def parse_curve_exponents(text: str) -> tuple[int, ...]:
-    stripped = text.strip()
-    if stripped.startswith("(") and stripped.endswith(")"):
-        stripped = stripped[1:-1]
-    parts = [p for p in re.split(r"[,\s]+", stripped.strip()) if p]
-    if not parts:
-        raise InputError("empty exponent list")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise InputError(f"exponent list {text!r} must contain integers") from exc
-
-
 _LABEL_RE = re.compile(r"a\d+(?:\.\d+|[+-])?")
 _RATIONAL_RE = re.compile(r"(\d+)\s*(?:/\s*(\d+))?")
 

@@ -386,20 +386,19 @@ def action_table(
 class TangentSpace(Frozen):
     """Orbit tangent space at a restriction class, kept in integers.
 
-    ``rows`` holds, per shift, the pair (K_s, u_s) with L_{X_s} a = u_s / K_s:
-    for a = A / D cleared once, u_s is the integer sparse row M_s A (by
-    index, nonzero entries only) and K_s = D * den_s.  The reduced echelon
-    form of those rows over Z (``linalg.zechelon``) is built on first use,
-    and ``dim``, ``codim`` and ``contains`` read it; a direction is cleared
-    to an integer row and reduced in Z.  ``vectors``, the actions as
-    ``AlgRestriction`` objects, is filled from the rows on first read; with
-    ``base`` and ``shifts`` it makes the value: equality, hash and repr.
+    The value is ``base`` and ``shifts``: equality, hash and repr read
+    them, and every other slot follows from them.  ``rows`` holds, per
+    shift, the pair (K_s, u_s) with L_{X_s} a = u_s / K_s: for a = A / D
+    cleared once, u_s is the integer sparse row M_s A (by index, nonzero
+    entries only) and K_s = D * den_s.  ``echelon`` is the reduced echelon
+    form of those rows over Z (``linalg.zechelon``); ``dim``, ``codim`` and
+    ``contains`` read it, and a direction is cleared to an integer row and
+    reduced in Z.  ``vectors`` gives the actions as ``AlgRestriction``
+    objects.
     """
 
-    __slots__ = ("base", "shifts", "vectors", "rows", "_pivot_rows")
-    _fields = __slots__[:3]
-
-    vectors: tuple[AlgRestriction, ...]
+    __slots__ = ("base", "shifts", "rows", "echelon")
+    _fields = __slots__[:2]
 
     def __init__(
         self,
@@ -407,26 +406,17 @@ class TangentSpace(Frozen):
         shifts: tuple[int, ...],
         rows: tuple[tuple[int, dict[int, int]], ...],
     ):
-        self._set(base=base, shifts=shifts, rows=rows, _pivot_rows=None)
-
-    def __getattr__(self, name: str) -> tuple[AlgRestriction, ...]:
-        # only reached while a slot is unset: ``vectors`` before first use
-        if name != "vectors":
-            raise AttributeError(name)
-        basis = self.base.basis
-        vectors = tuple(_restriction(basis, scale, row) for scale, row in self.rows)
-        self._set(vectors=vectors)
-        return vectors
+        echelon = zechelon(u for _, u in rows if u)
+        self._set(base=base, shifts=shifts, rows=rows, echelon=echelon)
 
     @property
-    def _echelon(self) -> dict[int, dict[int, int]]:
-        if self._pivot_rows is None:
-            self._set(_pivot_rows=zechelon(u for _, u in self.rows if u))
-        return self._pivot_rows
+    def vectors(self) -> tuple[AlgRestriction, ...]:
+        basis = self.base.basis
+        return tuple(_restriction(basis, scale, row) for scale, row in self.rows)
 
     @property
     def dim(self) -> int:
-        return len(self._echelon)
+        return len(self.echelon)
 
     @property
     def codim(self) -> int:
@@ -435,7 +425,7 @@ class TangentSpace(Frozen):
 
     def contains(self, direction: AlgRestriction) -> bool:
         row = zcleared(dict(enumerate(direction.coords)))
-        return not zremainder(self._echelon, row)
+        return not zremainder(self.echelon, row)
 
 
 def orbit_tangent_space(curve: MonomialCurve, a: AlgRestriction) -> TangentSpace:
@@ -459,11 +449,6 @@ def orbit_tangent_space(curve: MonomialCurve, a: AlgRestriction) -> TangentSpace
             rows.append((den * matrix.den, _orbit_row(matrix, cleared)))
         tangent = a.tangent = TangentSpace(base=a, shifts=shifts, rows=tuple(rows))
     return tangent
-
-
-def is_modulus(curve: MonomialCurve, a: AlgRestriction, direction: AlgRestriction) -> bool:
-    """True iff the direction is transverse to the orbit tangent space at a."""
-    return not orbit_tangent_space(curve, a).contains(direction)
 
 
 class HomotopyResult(NamedTuple):
@@ -572,35 +557,17 @@ def moser_reduce(
     )
 
 
-def _bezout(values: Sequence[int]) -> list[int]:
-    """Integer coefficients alpha with sum(alpha_i * values_i) = gcd."""
-    coeffs = [0] * len(values)
-    g = 0
-    for i, v in enumerate(values):
-        if g == 0:
-            g, coeffs[i] = v, 1
-            continue
-        old_r, r = g, v
-        old_s, s = 1, 0
-        while r:
-            q = old_r // r
-            old_r, r = r, old_r - q * r
-            old_s, s = s, old_s - q * s
-        # old_r = gcd(g, v) = old_s * g + t * v with t derived below
-        t = (old_r - old_s * g) // v
-        for j in range(i):
-            coeffs[j] *= old_s
-        coeffs[i] = t
-        g = old_r
-    return coeffs
-
-
 def symmetry_constant(curve: MonomialCurve, phi: PolyMap) -> Fraction:
     """Leading reparameterization constant of a curve symmetry.
 
     Raises a ``NotSymmetryError`` unless phi maps the curve germ to itself,
     i.e. phi(g(t)) = g(phi(t)) for a formal reparameterization phi(t) =
     c*t + higher order terms; returns c.
+
+    Component i of phi(g(t)) leads with c^lam_i, so c is a rational lam_1-th
+    root of the first lead, up to sign, and the sign is the one under which
+    every lead is c^lam_i.  At most one sign fits: the exponents have gcd 1,
+    so some lam_i is odd.
     """
     m = curve.ambient
     if phi.source_dim != m or phi.target_dim != m:
@@ -625,19 +592,15 @@ def symmetry_constant(curve: MonomialCurve, phi: PolyMap) -> Fraction:
                 f"{u[i].order()} along the curve, expected {lam}"
             )
         leads.append(u[i].coefficient(lam))
-    alphas = _bezout(lams)
-    c = Fraction(1)
-    for lead, alpha in zip(leads, alphas):
-        if alpha >= 0:
-            c *= lead**alpha
-        else:
-            c *= (Fraction(1) / lead) ** (-alpha)
-    for lead, lam in zip(leads, lams):
-        if lead != c**lam:
-            raise NotSymmetryError(
-                "not a local symmetry of the curve: component leading coefficients "
-                "are not powers of a common constant"
-            )
+    root = _rational_root(leads[0], lams[0])
+    for c in () if root is None else (root, -root):
+        if all(lead == c**lam for lead, lam in zip(leads, lams)):
+            break
+    else:
+        raise NotSymmetryError(
+            "not a local symmetry of the curve: component leading coefficients "
+            "are not powers of a common constant"
+        )
     lam1 = lams[0]
     u1 = u[0]
     for i, lam in enumerate(lams):

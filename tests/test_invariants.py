@@ -24,11 +24,10 @@ from algrest.invariants import (
     pmqd_compare,
     representable_by_symplectic,
     symplectic_multiplicity,
-    tangency_order,
 )
 from algrest.linalg import in_span, solve_linear
-from algrest.parser import parse_polynomial, parse_restriction
-from algrest.poly import Polynomial, UniPoly
+from algrest.parser import parse_restriction
+from algrest.poly import Polynomial
 from algrest.symmetry import orbit_tangent_space
 
 from test_curves import reference_quotient
@@ -73,30 +72,6 @@ def test_invariant_report_matches_parts(curve4567, basis4567):
     assert report.iota == 0
     assert report.lt is None
     assert report.min_qdeg == 9
-
-
-def test_tangency_order_monomial_curve(curve4567):
-    constraints = [parse_polynomial("x1", 4), parse_polynomial("x2", 4)]
-    assert tangency_order(curve4567, constraints) == 4
-
-
-def test_tangency_order_deformed_components():
-    components = [
-        UniPoly.t_power(4),
-        UniPoly.t_power(5) + UniPoly.t_power(7),
-        UniPoly.t_power(6),
-        UniPoly.t_power(7),
-    ]
-    constraints = [parse_polynomial("x4", 4), parse_polynomial("x2", 4)]
-    assert tangency_order(components, constraints) == 5
-
-
-def test_tangency_order_edge_cases(curve4567):
-    # a constraint vanishing identically on the curve contributes inf
-    g = parse_polynomial("x2*x3 - x1*x4", 4)
-    assert tangency_order(curve4567, [g]) == math.inf
-    with pytest.raises(InputError):
-        tangency_order(curve4567, [parse_polynomial("x1", 3)])
 
 
 def test_pmqd_compare_kinds(basis4567):

@@ -13,7 +13,6 @@ from algrest.linalg import (
     _zmul,
     in_span,
     kernel_basis,
-    poles_in_closed_unit_interval,
     rref,
     solve_linear,
     solve_param_linear,
@@ -319,6 +318,12 @@ def reference_poles_in_closed_unit_interval(f):
     return reference_sturm_count(den, 0, 1) + (not den.evaluate(0))
 
 
+def poles_of_inverse(den):
+    """Poles in [0, 1] that ``solve_param_linear`` reports for x = 1 / den,
+    the solution of the 1x1 system den * x = 1."""
+    return solve_param_linear(*zt_system([[den]], [ONE])).pole_counts[0]
+
+
 def test_prefix_solver_equals_one_solve_per_right_hand_side():
     """The last used column and the inconsistency verdict of one augmented
     ``solve_linear`` per right-hand side, on random matrices with dependent
@@ -398,10 +403,10 @@ def test_sturm_count_with_roots_at_zero_and_one():
     assert sturm_count(f, -1, 0) == 1
     assert sturm_count(f, -1, 1) == 3
     assert sturm_count(f, F(1, 2), 1) == 1
-    assert poles_in_closed_unit_interval(RationalFunctionT(ONE, f)) == 3
-    assert poles_in_closed_unit_interval(RationalFunctionT(ONE, roots_poly([0]))) == 1
-    assert poles_in_closed_unit_interval(RationalFunctionT(ONE, roots_poly([1]))) == 1
-    assert poles_in_closed_unit_interval(RationalFunctionT(ONE, roots_poly([F(-1, 9)]))) == 0
+    assert poles_of_inverse(f) == 3
+    assert poles_of_inverse(roots_poly([0])) == 1
+    assert poles_of_inverse(roots_poly([1])) == 1
+    assert poles_of_inverse(roots_poly([F(-1, 9)])) == 0
 
 
 def test_sturm_count_with_repeated_roots_and_negative_leads():
@@ -412,7 +417,7 @@ def test_sturm_count_with_repeated_roots_and_negative_leads():
     g = roots_poly([0, 0, F(-2, 3)], lead=F(-5, 2))
     assert sturm_count(g, -1, 0) == 2
     assert sturm_count(g, 0, 1) == 0
-    assert poles_in_closed_unit_interval(RationalFunctionT(ONE, g)) == 1
+    assert poles_of_inverse(g) == 1
     # no real roots at all, negative lead
     h = UniPoly([-1, 0, -3]) * UniPoly([-2, 1, -1])
     assert sturm_count(h, -10, 10) == 0
@@ -437,18 +442,20 @@ def test_sturm_count_equals_the_fraction_chain_on_random_polynomials():
             assert sturm_count(p, lo, hi) == reference_sturm_count(p, lo, hi), (p, lo, hi)
         if p:
             f = RationalFunctionT(ONE, p)
-            assert poles_in_closed_unit_interval(f) == reference_poles_in_closed_unit_interval(f)
+            solved = solve_param_linear(*zt_system([[p]], [ONE]))
+            assert solved.solution == [f]
+            assert solved.pole_counts == [reference_poles_in_closed_unit_interval(f)]
 
 
 def test_poles_in_closed_unit_interval():
     t = UniPoly.t_power(1)
     # pole at 1/2
-    assert poles_in_closed_unit_interval(RationalFunctionT(ONE, t - F(1, 2) * ONE)) == 1
+    assert poles_of_inverse(t - F(1, 2) * ONE) == 1
     # poles at both endpoints count
-    assert poles_in_closed_unit_interval(RationalFunctionT(ONE, t * (t - ONE))) == 2
+    assert poles_of_inverse(t * (t - ONE)) == 2
     # pole at 2 does not
-    assert poles_in_closed_unit_interval(RationalFunctionT(ONE, t - 2 * ONE)) == 0
-    assert poles_in_closed_unit_interval(RationalFunctionT(t)) == 0
+    assert poles_of_inverse(t - 2 * ONE) == 0
+    assert poles_of_inverse(ONE) == 0
 
 
 def test_solve_param_linear_feasible():

@@ -12,7 +12,6 @@ from algrest.parser import (
     latex_form,
     latex_label,
     latex_restriction,
-    parse_curve_exponents,
     parse_form,
     parse_map,
     parse_polynomial,
@@ -86,11 +85,6 @@ def test_parse_map():
     assert len(parse_map("(x1, x2)", 3).components) == 2
     with pytest.raises(InputError):
         parse_map("(x1 + 1, x2, x3)", 3)
-
-
-def test_parse_curve_exponents():
-    assert parse_curve_exponents("(4, 5, 7)") == (4, 5, 7)
-    assert parse_curve_exponents("4 5 7") == (4, 5, 7)
 
 
 def test_parse_restriction_round_trip(basis4567):

@@ -7,9 +7,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 import algrest.symmetry as symmetry_module
-from algrest.curves import AlgRestriction, MonomialCurve, RestrictionBasis, cached_basis, project
+from algrest.curves import (
+    AlgRestriction,
+    MonomialCurve,
+    RestrictionBasis,
+    cached_basis,
+    monomials_of_qdeg,
+    project,
+)
 from algrest.errors import InputError, LiftError, NotSymmetryError
-from algrest.forms import VectorField, lie_derivative
+from algrest.forms import PolyMap, VectorField, lie_derivative
 from algrest.invariants import invariant_report
 from algrest.linalg import solve_param_linear, sparse_remainder
 from algrest.parser import parse_map, parse_restriction
@@ -20,7 +27,6 @@ from algrest.symmetry import (
     action_table,
     admissible_shifts,
     curve_scaling,
-    is_modulus,
     liftable_field,
     moser_reduce,
     nonsemigroup_shifts,
@@ -226,8 +232,6 @@ def test_orbit_tangent_space_dim(curve4567, basis4567):
     assert tangent.dim == 3
     assert tangent.contains(parse_restriction("a14", basis4567))
     assert not tangent.contains(parse_restriction("a9", basis4567))
-    assert is_modulus(curve4567, a, parse_restriction("a9", basis4567))
-    assert not is_modulus(curve4567, a, parse_restriction("a14", basis4567))
 
 
 def test_the_class_keeps_its_tangent_spaces(curve4567, basis4567, curve457):
@@ -540,6 +544,103 @@ def test_symmetry_constant_rejections(curve4567):
         symmetry_constant(curve4567, parse_map("(x2, x1, x3, x4)", 4))
     with pytest.raises(InputError):
         symmetry_constant(curve4567, parse_map("(x1, x2, x3)", 4))
+
+
+def bezout(values):
+    """Integer coefficients alpha with sum(alpha_i * values_i) = gcd."""
+    coeffs = [0] * len(values)
+    g = 0
+    for i, v in enumerate(values):
+        if g == 0:
+            g, coeffs[i] = v, 1
+            continue
+        old_r, r = g, v
+        old_s, s = 1, 0
+        while r:
+            q = old_r // r
+            old_r, r = r, old_r - q * r
+            old_s, s = s, old_s - q * s
+        # old_r = gcd(g, v) = old_s * g + t * v
+        t = (old_r - old_s * g) // v
+        for j in range(i):
+            coeffs[j] *= old_s
+        coeffs[i] = t
+        g = old_r
+    return coeffs
+
+
+def reference_symmetry_constant(curve, phi):
+    """c = prod lead_i^alpha_i for Bezout coefficients with sum alpha_i *
+    lam_i = 1, then the lead and reparameterization checks; returns c or
+    the ``NotSymmetryError`` text.  For maps whose linear part is diagonal
+    and invertible and whose higher terms have higher quasi-degree."""
+    lams = curve.lams
+    u = phi.apply_series(curve.images())
+    leads = [u[i].coefficient(lam) for i, lam in enumerate(lams)]
+    c = math.prod(lead**alpha for lead, alpha in zip(leads, bezout(lams)))
+    if any(lead != c**lam for lead, lam in zip(leads, lams)):
+        return (
+            "not a local symmetry of the curve: component leading coefficients "
+            "are not powers of a common constant"
+        )
+    if any(u[i] ** lams[0] != u[0] ** lam for i, lam in enumerate(lams)):
+        return (
+            "not a local symmetry of the curve: components do not share a "
+            "common reparameterization"
+        )
+    return c
+
+
+SYMMETRY_CURVES = (
+    (4, 5, 6, 7), (4, 5, 6), (4, 5, 7), (3, 4), (2, 5), (6, 10, 15), (3, 7, 8), (5, 6, 7, 8, 9)
+)
+nonzero_rationals = st.builds(
+    Fraction,
+    st.integers(min_value=-4, max_value=4).filter(bool),
+    st.integers(min_value=1, max_value=3),
+)
+
+
+@st.composite
+def near_symmetries(draw):
+    """A curve and a map x_i -> lead_i x_i + higher terms.  The leads are
+    c^lam_i for a random c, some of them spoiled by a sign or a factor, or
+    independent rationals; the higher terms are curve monomials of
+    quasi-degree lam_i + 1 .. lam_i + 3, or none."""
+    lams = draw(st.sampled_from(SYMMETRY_CURVES))
+    curve = MonomialCurve(lams)
+    c = draw(nonzero_rationals)
+    kind = draw(st.sampled_from(["scaling", "spoiled", "diagonal"]))
+    if kind == "diagonal":
+        leads = [draw(nonzero_rationals) for _ in lams]
+    else:
+        leads = [c**lam for lam in lams]
+    if kind == "spoiled":
+        i = draw(st.integers(min_value=0, max_value=len(lams) - 1))
+        leads[i] *= draw(st.sampled_from([-1, 2, Fraction(1, 3)]))
+    components = []
+    for i, lam in enumerate(lams):
+        terms = {tuple(int(k == i) for k in range(len(lams))): leads[i]}
+        if draw(st.booleans()):
+            higher = monomials_of_qdeg(lams, lam + draw(st.integers(min_value=1, max_value=3)))
+            if higher:
+                terms[draw(st.sampled_from(higher))] = draw(nonzero_rationals)
+        components.append(Polynomial(len(lams), terms))
+    return curve, PolyMap(components)
+
+
+@given(case=near_symmetries())
+def test_symmetry_constant_equals_the_bezout_product(case):
+    """One rational root of the first lead, with the sign every lead
+    agrees with, gives the constant or the error that the Bezout product
+    prod lead_i^alpha_i gives: on curve scalings, spoiled scalings and
+    diagonal maps with negative leads, all with or without higher terms."""
+    curve, phi = case
+    try:
+        got = symmetry_constant(curve, phi)
+    except NotSymmetryError as exc:
+        got = str(exc)
+    assert got == reference_symmetry_constant(curve, phi)
 
 
 def test_curve_scaling_scales_by_quasi_degree(curve4567, basis4567):
