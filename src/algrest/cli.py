@@ -50,12 +50,8 @@ def _emit(args: argparse.Namespace, payload: dict | None, lines: Sequence[str]) 
             print(line)
 
 
-def _coords_payload(a) -> dict[str, str]:
-    return {
-        el.label: fraction_str(coeff)
-        for el, coeff in zip(a.basis.elements, a.coords)
-        if coeff
-    }
+def _coords_payload(a: AlgRestriction) -> dict[str, str]:
+    return {label: fraction_str(coeff) for coeff, label in a.terms()}
 
 
 def cmd_basis(args: argparse.Namespace) -> int:
@@ -243,7 +239,7 @@ def cmd_pullback(args: argparse.Namespace) -> int:
     a = parse_restriction(args.restriction, basis)
     phi = parse_map(args.map, curve.ambient)
     constant = symmetry_constant(curve, phi)
-    image = pullback_restriction(curve, phi, a)
+    image = pullback_restriction(curve, phi, a, constant)
     payload = {
         "semigroup": list(curve.lams),
         "restriction": str(a),

@@ -23,7 +23,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import InputError, NotClosedError
 from .forms import DifferentialForm, IndexTuple, Weights
@@ -33,6 +33,8 @@ from .poly import Exponent, Frozen, Polynomial, Scalar, UniPoly, _as_fraction, s
 if TYPE_CHECKING:
     from .linalg import PrefixSolver
     from .symmetry import ActionMatrix, TangentSpace
+
+_ZERO = Fraction(0)
 
 
 class MonomialCurve(Frozen):
@@ -497,6 +499,17 @@ def cached_basis(curve: MonomialCurve) -> RestrictionBasis:
 class AlgRestriction:
     """A class of closed 2-form restrictions, as coordinates in a basis.
 
+    The value is the curve of ``basis`` and ``entries``: a dict from basis
+    index to coordinate that holds the nonzero coordinates only, each a
+    ``Fraction``, with keys in ascending order.  Both invariants make the
+    dict canonical, so equality reads it as is and the hash reads its
+    items in order; and they let every operation pay for the nonzero
+    coordinates alone, where a class has a few among ``basis.dim``.
+    ``coords`` derives the dense tuple of all ``basis.dim`` coordinates
+    for callers outside the package, such as tests.  The validating
+    constructor takes that dense form; results built inside the package
+    go through ``_trusted``, which keeps the invariants by construction.
+
     The class owns its orbit tangent space: ``tangent`` holds the
     ``symmetry.TangentSpace`` at the class once
     ``symmetry.orbit_tangent_space`` has built it, and None before, so the
@@ -507,7 +520,7 @@ class AlgRestriction:
     and die with the class.
     """
 
-    __slots__ = ("basis", "coords", "tangent", "block_rank")
+    __slots__ = ("basis", "entries", "tangent", "block_rank")
 
     def __init__(self, basis: RestrictionBasis, coords: Iterable[Scalar]):
         self.basis = basis
@@ -516,23 +529,44 @@ class AlgRestriction:
             cs = tuple(_as_fraction(c) for c in cs)
         if len(cs) != basis.dim:
             raise InputError("coordinate count does not match the basis")
-        self.coords = cs
+        self.entries = {j: c for j, c in enumerate(cs) if c}
         self.tangent: TangentSpace | None = None
         self.block_rank: int | None = None
 
     @classmethod
+    def _trusted(cls, basis: RestrictionBasis, entries: dict[int, Fraction]) -> AlgRestriction:
+        """Wrap entries that already hold nonzero ``Fraction`` values under
+        ascending keys below ``basis.dim``; checks nothing, so the caller
+        answers for both invariants."""
+        a = object.__new__(cls)
+        a.basis = basis
+        a.entries = entries
+        a.tangent = None
+        a.block_rank = None
+        return a
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """All ``basis.dim`` coordinates, zeros included."""
+        get = self.entries.get
+        return tuple(get(j, _ZERO) for j in range(self.basis.dim))
+
+    @classmethod
     def zero(cls, basis: RestrictionBasis) -> AlgRestriction:
-        return cls(basis, (Fraction(0),) * basis.dim)
+        return cls._trusted(basis, {})
 
     @classmethod
     def from_coeffs(
         cls, basis: RestrictionBasis, coeffs: Mapping[str, Scalar]
     ) -> AlgRestriction:
-        vec = [Fraction(0)] * basis.dim
+        entries: dict[int, Fraction] = {}
         for label, value in coeffs.items():
+            c = _as_fraction(value)
             # distinct labels have distinct indices
-            vec[basis.index_of(label)] = _as_fraction(value)
-        return cls(basis, vec)
+            j = basis.index_of(label)
+            if c:
+                entries[j] = c
+        return cls._trusted(basis, dict(sorted(entries.items())))
 
     def _check_same_basis(self, other: AlgRestriction) -> None:
         if self.basis is not other.basis and (
@@ -541,71 +575,89 @@ class AlgRestriction:
         ):
             raise InputError("restriction classes live in different bases")
 
+    def _plus(self, other: AlgRestriction, sign: int) -> AlgRestriction:
+        """self + sign * other, for sign 1 or -1, over the union of the keys;
+        coordinates that cancel are dropped."""
+        self._check_same_basis(other)
+        a, b = self.entries, other.entries
+        entries: dict[int, Fraction] = {}
+        for j in sorted(a.keys() | b.keys()):
+            c = a.get(j, _ZERO) + sign * b.get(j, _ZERO)
+            if c:
+                entries[j] = c
+        return AlgRestriction._trusted(self.basis, entries)
+
     def __add__(self, other: AlgRestriction) -> AlgRestriction:
         if not isinstance(other, AlgRestriction):
             return NotImplemented
-        self._check_same_basis(other)
-        return AlgRestriction(self.basis, (a + b for a, b in zip(self.coords, other.coords)))
+        return self._plus(other, 1)
 
     def __sub__(self, other: AlgRestriction) -> AlgRestriction:
         if not isinstance(other, AlgRestriction):
             return NotImplemented
-        self._check_same_basis(other)
-        return AlgRestriction(self.basis, (a - b for a, b in zip(self.coords, other.coords)))
+        return self._plus(other, -1)
 
     def __neg__(self) -> AlgRestriction:
-        return AlgRestriction(self.basis, (-a for a in self.coords))
+        return AlgRestriction._trusted(self.basis, {j: -c for j, c in self.entries.items()})
 
     def __mul__(self, scalar: Scalar) -> AlgRestriction:
         if not isinstance(scalar, (Fraction, int)):
             return NotImplemented
         c = Fraction(scalar)
-        return AlgRestriction(self.basis, (a * c for a in self.coords))
+        entries = {j: v * c for j, v in self.entries.items()} if c else {}
+        return AlgRestriction._trusted(self.basis, entries)
 
     __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AlgRestriction):
             return NotImplemented
-        return self.basis.curve == other.basis.curve and self.coords == other.coords
+        return self.basis.curve == other.basis.curve and self.entries == other.entries
 
     def __hash__(self) -> int:
-        return hash((self.basis.curve, self.coords))
+        return hash((self.basis.curve, tuple(self.entries.items())))
 
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not self.entries
 
     def coefficient(self, label: str) -> Fraction:
-        return self.coords[self.basis.index_of(label)]
+        return self.entries.get(self.basis.index_of(label), _ZERO)
 
     def nonzero_qdegs(self) -> list[int]:
-        return sorted(
-            {el.qdeg for el, c in zip(self.basis.elements, self.coords) if c}
-        )
+        elements = self.basis.elements
+        return sorted({elements[j].qdeg for j in self.entries})
 
     def part(self, qdeg: int) -> AlgRestriction:
         """The graded part living in one quasi-degree."""
-        zero = Fraction(0)
-        return AlgRestriction(
-            self.basis,
-            (c if el.qdeg == qdeg else zero for el, c in zip(self.basis.elements, self.coords)),
+        elements = self.basis.elements
+        return AlgRestriction._trusted(
+            self.basis, {j: c for j, c in self.entries.items() if elements[j].qdeg == qdeg}
         )
 
     def min_qdeg_part(self) -> tuple[int, AlgRestriction] | None:
-        degs = self.nonzero_qdegs()
-        if not degs:
+        """The least quasi-degree with a nonzero coordinate and the part
+        there: the elements are in ascending quasi-degree, so it is that of
+        the first key."""
+        if not self.entries:
             return None
-        return degs[0], self.part(degs[0])
+        d = self.basis.elements[next(iter(self.entries))].qdeg
+        return d, self.part(d)
 
     def rep_form(self) -> DifferentialForm:
+        elements = self.basis.elements
         form = DifferentialForm.zero(2, self.basis.curve.ambient)
-        for el, c in zip(self.basis.elements, self.coords):
-            if c:
-                form = form + el.rep * c
+        for j, c in self.entries.items():
+            form = form + elements[j].rep * c
         return form
 
+    def terms(self) -> Iterator[tuple[Fraction, str]]:
+        """The (coefficient, label) pairs of the nonzero coordinates, in
+        basis order."""
+        labels = self.basis.labels
+        return ((c, labels[j]) for j, c in self.entries.items())
+
     def __str__(self) -> str:
-        return signed_sum(zip(self.coords, self.basis.labels))
+        return signed_sum(self.terms())
 
     def __repr__(self) -> str:
         return f"AlgRestriction({self})"
@@ -660,7 +712,7 @@ def project(
         )
     if form.degree != 2:
         raise InputError("only 2-forms can be projected to this basis")
-    coords = [Fraction(0)] * basis.dim
+    entries: dict[int, Fraction] = {}
     for d, part in form.graded_parts(curve.weights).items():
         if d >= basis.stop_qdeg:
             continue
@@ -669,11 +721,10 @@ def project(
         if not any(coords2):
             continue
         try:
-            closed = basis.solve_in_closed(d, coords2)
+            # nonzero coefficients of the elements of degree d alone
+            entries.update(basis.solve_in_closed(d, coords2))
         except NotClosedError:
             raise NotClosedError(
                 f"exterior derivative has a nonzero restriction in quasi-degree {d}"
             ) from None
-        for i, c in closed.items():
-            coords[i] += c
-    return AlgRestriction(basis, coords)
+    return AlgRestriction._trusted(basis, dict(sorted(entries.items())))

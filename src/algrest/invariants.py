@@ -43,8 +43,8 @@ def _part_quotient_coords(a: AlgRestriction, d: int) -> list[Fraction]:
     entries = a.basis.by_degree[d]
     coords = [Fraction(0)] * len(entries[0][1])
     for k, vector in entries:
-        coeff = a.coords[k]
-        if coeff:
+        coeff = a.entries.get(k)
+        if coeff is not None:
             for rho, value in enumerate(vector):
                 if value:
                     coords[rho] += coeff * value
@@ -206,15 +206,14 @@ def pmqd_compare(a1: AlgRestriction, a2: AlgRestriction) -> PmqdVerdict:
     (d1, part1), (d2, part2) = p1, p2
     if d1 != d2:
         return PmqdVerdict(kind="not-proportional", qdegs=(d1, d2))
+    entries1, entries2 = part1.entries, part2.entries
+    if entries1.keys() != entries2.keys():
+        return PmqdVerdict(kind="not-proportional", qdegs=(d1, d2))
     ratio: Fraction | None = None
-    for u, v in zip(part1.coords, part2.coords):
-        if not u and not v:
-            continue
-        if not u or not v:
-            return PmqdVerdict(kind="not-proportional", qdegs=(d1, d2))
+    for j, u in entries1.items():
         if ratio is None:
-            ratio = v / u
-        elif v / u != ratio:
+            ratio = entries2[j] / u
+        elif entries2[j] / u != ratio:
             return PmqdVerdict(kind="not-proportional", qdegs=(d1, d2))
     return PmqdVerdict(kind="proportional", qdegs=(d1, d2), constant=ratio)
 
@@ -237,13 +236,13 @@ def branch_rank(curve: MonomialCurve, a: AlgRestriction) -> int:
     if a.block_rank is not None:
         return a.block_rank
     block: dict[int, dict[int, Fraction]] = {}
-    for coeff, entries in zip(a.coords, _constant_blocks(a.basis)):
-        if coeff:
-            for (i, j), c in entries:
-                value = coeff * c
-                row, column = block.setdefault(i, {}), block.setdefault(j, {})
-                row[j] = row.get(j, 0) + value
-                column[i] = column.get(i, 0) - value
+    blocks = _constant_blocks(a.basis)
+    for k, coeff in a.entries.items():
+        for (i, j), c in blocks[k]:
+            value = coeff * c
+            row, column = block.setdefault(i, {}), block.setdefault(j, {})
+            row[j] = row.get(j, 0) + value
+            column[i] = column.get(i, 0) - value
     a.block_rank = len(sparse_echelon(block.values()))
     return a.block_rank
 

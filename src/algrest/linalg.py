@@ -373,13 +373,16 @@ def solve_param_linear(
                 acc = _zsub(acc, _zmul(row[k], scaled[k]))
         scaled[pivots[i]] = _zdiv_exact(acc, row[pivots[i]])
     solution = []
-    counts: dict[UniPoly, int] = {}
+    poles = []
+    # keyed by the integer coefficients: hashing a UniPoly hashes Fractions
+    counts: dict[tuple[int, ...], int] = {}
     for c in range(width):
         f, den = _reduced(scaled.get(c, []), prev)
-        if f.den not in counts:
-            counts[f.den] = _zpoles_in_unit_interval(den)
+        key = tuple(den)
+        if key not in counts:
+            counts[key] = _zpoles_in_unit_interval(den)
         solution.append(f)
-    poles = [counts[f.den] for f in solution]
+        poles.append(counts[key])
     return ParamSolution(consistent=True, solution=solution, pole_counts=poles)
 
 

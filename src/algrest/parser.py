@@ -362,4 +362,4 @@ def latex_sum(terms: Iterable[tuple[Fraction, str]]) -> str:
 
 
 def latex_restriction(a: AlgRestriction) -> str:
-    return latex_sum(zip(a.coords, a.basis.labels))
+    return latex_sum(a.terms())

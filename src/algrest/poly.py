@@ -510,7 +510,8 @@ class RationalFunctionT(Frozen):
 
     @classmethod
     def zero(cls) -> RationalFunctionT:
-        return cls._trusted(UniPoly(), UniPoly.constant(1))
+        """The zero function: one shared value, which no one can assign to."""
+        return _ZERO_FUNCTION
 
     @classmethod
     def _trusted(cls, num: UniPoly, den: UniPoly) -> RationalFunctionT:
@@ -565,3 +566,6 @@ class RationalFunctionT(Frozen):
         if self.den.degree() == 0 and self.den.leading_coeff() == 1:
             return str(self.num)
         return f"({self.num}) / ({self.den})"
+
+
+_ZERO_FUNCTION = RationalFunctionT._trusted(UniPoly(), UniPoly.constant(1))

@@ -278,17 +278,17 @@ def _action_matrix(basis: RestrictionBasis, s: int, policy: str) -> ActionMatrix
             )
         else:
             projected = [
-                project(curve, lie_derivative(lifted.field, el.rep), basis).coords
+                project(curve, lie_derivative(lifted.field, el.rep), basis).entries
                 if el.qdeg + s in basis.by_degree
-                else ()
+                else {}
                 for el in basis.elements
             ]
-            den = math.lcm(*(c.denominator for coords in projected for c in coords))
+            den = math.lcm(*(c.denominator for entries in projected for c in entries.values()))
             matrix = _reduced_matrix(
                 den,
                 [
-                    [(i, c.numerator * (den // c.denominator)) for i, c in enumerate(coords) if c]
-                    for coords in projected
+                    [(i, c.numerator * (den // c.denominator)) for i, c in entries.items()]
+                    for entries in projected
                 ],
             )
         basis.actions[s, policy] = matrix
@@ -298,9 +298,9 @@ def _action_matrix(basis: RestrictionBasis, s: int, policy: str) -> ActionMatrix
 def _cleared_coords(a: AlgRestriction) -> tuple[int, dict[int, int]]:
     """(D, A) with a = A / D: D the lcm of the coordinate denominators and A
     the nonzero integer coordinates, by index."""
-    nonzero = [(j, c) for j, c in enumerate(a.coords) if c]
-    den = math.lcm(*(c.denominator for _, c in nonzero))
-    return den, {j: c.numerator * (den // c.denominator) for j, c in nonzero}
+    entries = a.entries
+    den = math.lcm(*(c.denominator for c in entries.values()))
+    return den, {j: c.numerator * (den // c.denominator) for j, c in entries.items()}
 
 
 def _orbit_row(matrix: ActionMatrix, cleared: dict[int, int]) -> dict[int, int]:
@@ -314,11 +314,8 @@ def _orbit_row(matrix: ActionMatrix, cleared: dict[int, int]) -> dict[int, int]:
 
 
 def _restriction(basis: RestrictionBasis, scale: int, row: Mapping[int, int]) -> AlgRestriction:
-    """The class with coordinates row / scale."""
-    coords = [Fraction(0)] * basis.dim
-    for i, u in row.items():
-        coords[i] = Fraction(u, scale)
-    return AlgRestriction(basis, coords)
+    """The class with coordinates row / scale, for a row of nonzero integers."""
+    return AlgRestriction._trusted(basis, {i: Fraction(row[i], scale) for i in sorted(row)})
 
 
 def shift_action(a: AlgRestriction, s: int, policy: str = "grlex") -> AlgRestriction:
@@ -356,11 +353,10 @@ class ActionTable(NamedTuple):
         return tuple((value, labels[i]) for i, value in self.matrices[s].column(j))
 
     def entry(self, s: int, label: str) -> AlgRestriction:
-        coords = [Fraction(0)] * self.basis.dim
         index = self.basis.label_index
-        for value, target in self.terms(s, label):
-            coords[index[target]] = value
-        return AlgRestriction(self.basis, coords)
+        return AlgRestriction._trusted(
+            self.basis, {index[target]: value for value, target in self.terms(s, label)}
+        )
 
 
 def action_table(
@@ -424,7 +420,7 @@ class TangentSpace(Frozen):
         return self.base.basis.dim - self.dim
 
     def contains(self, direction: AlgRestriction) -> bool:
-        row = zcleared(dict(enumerate(direction.coords)))
+        row = zcleared(direction.entries)
         return not zremainder(self.echelon, row)
 
 
@@ -616,9 +612,15 @@ def pullback_restriction(
     curve: MonomialCurve,
     phi: PolyMap,
     a: AlgRestriction,
+    constant: Fraction | None = None,
 ) -> AlgRestriction:
-    """Action of a curve symmetry on a restriction class, by pullback."""
-    symmetry_constant(curve, phi)
+    """Action of a curve symmetry on a restriction class, by pullback.
+
+    phi is checked by ``symmetry_constant``; pass the constant it returned
+    for phi as ``constant`` to skip checking phi again.
+    """
+    if constant is None:
+        symmetry_constant(curve, phi)
     return project(curve, pullback(phi, a.rep_form()), a.basis)
 
 

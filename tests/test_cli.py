@@ -280,6 +280,36 @@ def test_pullback_rejects_non_symmetry(capsys):
     assert "not a local symmetry" in err
 
 
+@pytest.mark.parametrize(
+    ("phi", "rc"), [("(x1, -x2, x3, -x4)", 0), ("(-x1, -x2, x3, x4)", 2)]
+)
+def test_pullback_checks_the_map_once(capsys, monkeypatch, phi, rc):
+    """One ``pullback`` composes the map with the curve and runs the power
+    checks once, for a symmetry and for a map that is none."""
+    from algrest import cli as cli_module, symmetry
+    from algrest.forms import PolyMap
+
+    calls = {"symmetry_constant": 0, "apply_series": 0}
+    check, compose = symmetry.symmetry_constant, PolyMap.apply_series
+
+    def counted_check(*args):
+        calls["symmetry_constant"] += 1
+        return check(*args)
+
+    def counted_compose(*args):
+        calls["apply_series"] += 1
+        return compose(*args)
+
+    monkeypatch.setattr(symmetry, "symmetry_constant", counted_check)
+    monkeypatch.setattr(cli_module, "symmetry_constant", counted_check)
+    monkeypatch.setattr(PolyMap, "apply_series", counted_compose)
+    got, _, _ = run(
+        capsys, "pullback", "4", "5", "6", "7", "--map", phi, "--restriction", "a9 + a13+"
+    )
+    assert got == rc
+    assert calls == {"symmetry_constant": 1, "apply_series": 1}
+
+
 def test_verify_atlas_single_semigroup(capsys):
     rc, out, _ = run(capsys, "verify-atlas", "4", "5", "7")
     assert rc == 0

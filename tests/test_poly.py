@@ -195,6 +195,17 @@ def test_rational_function_arithmetic():
     assert (b / a).evaluate(Fraction(2)) == 4
 
 
+def test_rational_function_zero_is_one_shared_immutable_value():
+    zero = RationalFunctionT.zero()
+    assert zero is RationalFunctionT.zero()
+    assert zero == RationalFunctionT(0) and hash(zero) == hash(RationalFunctionT(0))
+    assert not zero and str(zero) == "0"
+    for name in ("num", "den"):
+        with pytest.raises(AttributeError):
+            setattr(zero, name, UniPoly.constant(1))
+    assert zero == RationalFunctionT(0)
+
+
 def test_rational_function_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
         RationalFunctionT(ONE, UniPoly.zero())

@@ -24,8 +24,8 @@ from algrest.forms import (
     wedge,
 )
 from algrest.invariants import pmqd_compare
-from algrest.parser import parse_polynomial
-from algrest.poly import Polynomial, UniPoly
+from algrest.parser import latex_restriction, latex_sum, parse_polynomial, parse_restriction
+from algrest.poly import Polynomial, UniPoly, signed_sum
 from algrest.symmetry import shift_action
 
 from direct_actions import check_witt_construction
@@ -353,3 +353,109 @@ def test_trusted_results_equal_their_validated_copies(
     phi = PolyMap([f - Polynomial.constant(NVARS, f.constant_term()) for f in (p, q, p * q)])
     for comp in phi.restrict(dim).components:
         assert_clean_polynomial(comp, dim)
+
+
+SPARSE_CURVES = tuple(
+    MonomialCurve(lams) for lams in ((4, 5, 6, 7), (4, 5, 6), (4, 5, 7), (5, 6, 7, 8, 9), (3, 7, 8))
+)
+small_rational_st = st.builds(
+    Fraction, st.integers(min_value=-3, max_value=3), st.sampled_from((1, 2, 3))
+)
+
+
+@st.composite
+def sparse_coords(draw, dim):
+    """Dense coordinates of a class: up to four drawn positions, whose
+    values may still be zero."""
+    coords = [Fraction(0)] * dim
+    for j in draw(st.lists(st.integers(min_value=0, max_value=dim - 1), max_size=4, unique=True)):
+        coords[j] = draw(small_rational_st)
+    return tuple(coords)
+
+
+def assert_canonical(a):
+    """The sparse invariants: nonzero ``Fraction`` entries under ascending
+    keys inside the basis."""
+    keys = list(a.entries)
+    assert keys == sorted(keys) and all(0 <= j < a.basis.dim for j in keys)
+    assert all(type(c) is Fraction and c for c in a.entries.values())
+
+
+def dense_part(elements, coords, qdeg):
+    return tuple(c if el.qdeg == qdeg else Fraction(0) for el, c in zip(elements, coords))
+
+
+def signed_text(terms):
+    """A restriction expression with an explicit sign before every term."""
+    return " ".join(f"{'-' if c < 0 else '+'} {abs(c)}*{label}" for label, c in terms)
+
+
+@given(data=st.data(), c=small_rational_st)
+def test_sparse_classes_equal_the_dense_reference(data, c):
+    """Every operation on a class gives the coordinates that the dense
+    computation on ``coords`` tuples gives, and keeps the sparse invariants;
+    the second operand cancels some coordinates of the first."""
+    basis = cached_basis(data.draw(st.sampled_from(SPARSE_CURVES)))
+    dim, labels, elements = basis.dim, basis.labels, basis.elements
+    u = data.draw(sparse_coords(dim))
+    support = [j for j in range(dim) if u[j]]
+    cancelled = data.draw(st.sets(st.sampled_from(support))) if support else set()
+    v = tuple(-u[j] if j in cancelled else x for j, x in enumerate(data.draw(sparse_coords(dim))))
+    a, b = AlgRestriction(basis, u), AlgRestriction(basis, v)
+    zero = Fraction(0)
+    qdegs = sorted({el.qdeg for el in elements})
+    cases = [
+        (a, u),
+        (b, v),
+        (a + b, tuple(x + y for x, y in zip(u, v))),
+        (a - b, tuple(x - y for x, y in zip(u, v))),
+        (b - a, tuple(y - x for x, y in zip(u, v))),
+        (-a, tuple(-x for x in u)),
+        (a * c, tuple(x * c for x in u)),
+        (c * a, tuple(c * x for x in u)),
+        (a * 0, (zero,) * dim),
+        (a - a, (zero,) * dim),
+        (a + -a, (zero,) * dim),
+        ((a + b) - b, u),
+    ]
+    cases += [(a.part(q), dense_part(elements, u, q)) for q in qdegs + [qdegs[-1] + 1]]
+    for got, want in cases:
+        assert_canonical(got)
+        assert got.coords == want
+        degs = sorted({el.qdeg for el, x in zip(elements, want) if x})
+        assert got.nonzero_qdegs() == degs
+        assert got.is_zero() == (not any(want))
+        located = got.min_qdeg_part()
+        if degs:
+            assert located[0] == degs[0]
+            assert_canonical(located[1])
+            assert located[1].coords == dense_part(elements, want, degs[0])
+        else:
+            assert located is None
+        assert [got.coefficient(label) for label in labels] == list(want)
+        assert str(got) == signed_sum(zip(want, labels))
+        assert latex_restriction(got) == latex_sum(zip(want, labels))
+        twin = AlgRestriction(basis, want)
+        assert got == twin and hash(got) == hash(twin)
+        for other, other_coords in ((a, u), (b, v)):
+            assert (got == other) == (want == other_coords)
+    extra = data.draw(st.integers(min_value=0, max_value=dim - 1))
+    order = data.draw(st.permutations(support + [j for j in (extra,) if j not in support]))
+    given_coeffs = {labels[j]: u[j] for j in order}
+    built = AlgRestriction.from_coeffs(basis, given_coeffs)
+    assert_canonical(built)
+    assert built.coords == u
+    text = signed_text(
+        [(labels[extra], 1)] + [(labels[j], u[j]) for j in order] + [(labels[extra], -1)]
+    )
+    parsed = parse_restriction(text, basis)
+    assert_canonical(parsed)
+    assert parsed.coords == u
+
+
+def test_cancelled_labels_and_zero_coefficients_leave_no_entry():
+    basis = cached_basis(MonomialCurve((4, 5, 7)))
+    parsed = parse_restriction("a11 + a12 - a11", basis)
+    assert parsed.entries == {basis.index_of("a12"): 1}
+    assert parsed == AlgRestriction.from_coeffs(basis, {"a11": 0, "a12": 1})
+    assert AlgRestriction.from_coeffs(basis, {"a11": 0}).entries == {}

@@ -352,4 +352,5 @@ def test_value_classes_are_built_without_validation_only_in_trusted():
         ("Polynomial", "_trusted"),
         ("DifferentialForm", "_trusted"),
         ("RationalFunctionT", "_trusted"),
+        ("AlgRestriction", "_trusted"),
     }
