@@ -12,6 +12,7 @@ from typing import Sequence
 from .atlas import BUNDLED, load_atlas, load_samples_file, verify_atlas
 from .curves import AlgRestriction, MonomialCurve, cached_basis, project
 from .errors import InputError
+from .forms import pullback
 from .invariants import invariant_report, representable_by_symplectic
 from .parser import (
     extended_str,
@@ -30,7 +31,6 @@ from .symmetry import (
     action_table,
     moser_reduce,
     orbit_tangent_space,
-    pullback_restriction,
     symmetry_constant,
 )
 
@@ -239,7 +239,7 @@ def cmd_pullback(args: argparse.Namespace) -> int:
     a = parse_restriction(args.restriction, basis)
     phi = parse_map(args.map, curve.ambient)
     constant = symmetry_constant(curve, phi)
-    image = pullback_restriction(curve, phi, a, constant)
+    image = project(curve, pullback(phi, a.rep_form()), basis)
     payload = {
         "semigroup": list(curve.lams),
         "restriction": str(a),

@@ -612,15 +612,9 @@ def pullback_restriction(
     curve: MonomialCurve,
     phi: PolyMap,
     a: AlgRestriction,
-    constant: Fraction | None = None,
 ) -> AlgRestriction:
-    """Action of a curve symmetry on a restriction class, by pullback.
-
-    phi is checked by ``symmetry_constant``; pass the constant it returned
-    for phi as ``constant`` to skip checking phi again.
-    """
-    if constant is None:
-        symmetry_constant(curve, phi)
+    """Action of a curve symmetry on a restriction class, by pullback."""
+    symmetry_constant(curve, phi)
     return project(curve, pullback(phi, a.rep_form()), a.basis)
 
 

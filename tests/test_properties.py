@@ -452,10 +452,3 @@ def test_sparse_classes_equal_the_dense_reference(data, c):
     assert_canonical(parsed)
     assert parsed.coords == u
 
-
-def test_cancelled_labels_and_zero_coefficients_leave_no_entry():
-    basis = cached_basis(MonomialCurve((4, 5, 7)))
-    parsed = parse_restriction("a11 + a12 - a11", basis)
-    assert parsed.entries == {basis.index_of("a12"): 1}
-    assert parsed == AlgRestriction.from_coeffs(basis, {"a11": 0, "a12": 1})
-    assert AlgRestriction.from_coeffs(basis, {"a11": 0}).entries == {}

@@ -217,6 +217,10 @@ UNCALLED = {
     "parser.parse_polynomial": "the grammar's entry point for polynomials; tests build inputs with it",
     "symmetry.scaling_symmetry": "normalizes a leading coefficient; the normal-form work needs it",
     "symmetry.curve_scaling": "the torus of curve symmetries; the normal-form work needs it",
+    "symmetry.pullback_restriction": (
+        "the checked action of a symmetry on a class for library use; cmd_pullback "
+        "checks the map itself, as it prints the constant"
+    ),
 }
 
 
