@@ -42,6 +42,12 @@ def _curve(args: argparse.Namespace) -> MonomialCurve:
     return MonomialCurve(tuple(args.generators), ambient=ambient)
 
 
+def _curve_and_class(args: argparse.Namespace) -> tuple[MonomialCurve, AlgRestriction]:
+    """The curve and the class ``--restriction`` on its cached basis."""
+    curve = _curve(args)
+    return curve, parse_restriction(args.restriction, cached_basis(curve))
+
+
 def _emit(args: argparse.Namespace, payload: dict | None, lines: Sequence[str]) -> None:
     if args.format == "json":
         print(json.dumps(payload, indent=2))
@@ -140,9 +146,7 @@ def cmd_project(args: argparse.Namespace) -> int:
 
 
 def cmd_invariants(args: argparse.Namespace) -> int:
-    curve = _curve(args)
-    basis = cached_basis(curve)
-    a = parse_restriction(args.restriction, basis)
+    curve, a = _curve_and_class(args)
     report = invariant_report(curve, a)
     payload = {
         "semigroup": list(curve.lams),
@@ -174,14 +178,12 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 
 
 def cmd_tangent(args: argparse.Namespace) -> int:
-    curve = _curve(args)
-    basis = cached_basis(curve)
-    a = parse_restriction(args.restriction, basis)
+    curve, a = _curve_and_class(args)
     tangent = orbit_tangent_space(curve, a)
     moduli = [
         el.label
-        for el in basis.elements
-        if not tangent.contains(AlgRestriction.from_coeffs(basis, {el.label: 1}))
+        for el in a.basis.elements
+        if not tangent.contains(AlgRestriction.from_coeffs(a.basis, {el.label: 1}))
     ]
     payload = {
         "semigroup": list(curve.lams),
@@ -201,10 +203,8 @@ def cmd_tangent(args: argparse.Namespace) -> int:
 
 
 def cmd_moser(args: argparse.Namespace) -> int:
-    curve = _curve(args)
-    basis = cached_basis(curve)
-    a = parse_restriction(args.restriction, basis)
-    qdeg = basis.element(args.kill).qdeg
+    curve, a = _curve_and_class(args)
+    qdeg = a.basis.element(args.kill).qdeg
     kill = a.part(qdeg)
     result = moser_reduce(curve, a, kill)
     payload = {
@@ -234,12 +234,10 @@ def cmd_moser(args: argparse.Namespace) -> int:
 
 
 def cmd_pullback(args: argparse.Namespace) -> int:
-    curve = _curve(args)
-    basis = cached_basis(curve)
-    a = parse_restriction(args.restriction, basis)
+    curve, a = _curve_and_class(args)
     phi = parse_map(args.map, curve.ambient)
     constant = symmetry_constant(curve, phi)
-    image = project(curve, pullback(phi, a.rep_form()), basis)
+    image = project(curve, pullback(phi, a.rep_form()), a.basis)
     payload = {
         "semigroup": list(curve.lams),
         "restriction": str(a),

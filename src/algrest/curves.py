@@ -369,10 +369,10 @@ class RestrictionBasis:
     that reads it, so a class query does only the work of its class:
 
     - ``actions``: the Lie action matrices of ``symmetry``, keyed by
-      (shift, lift policy).  A matrix is stored once, as a
-      ``symmetry.ActionMatrix``: a common denominator and, for each
-      element j, the (i, m) pairs of the nonzero integer entries of its
-      column;
+      shift; every lift of X_s acts alike, so the shift determines the
+      matrix.  It is stored once, as a ``symmetry.ActionMatrix``: a common
+      denominator and, for each element j, the (i, m) pairs of the nonzero
+      integer entries of its column;
     - ``isotropy_solvers[d]`` and ``exact_solvers[d]``: the
       ``linalg.PrefixSolver`` of iota's piece columns (by decreasing
       height) and of the exact rows ``exact[d]`` (by owner) at degree d,
@@ -402,7 +402,7 @@ class RestrictionBasis:
         self.curve = curve
         self.stop_qdeg = stop = stop_qdeg(curve)
         self.pieces = {d: restriction_quotient(curve, 2, d) for d in range(1, stop)}
-        self.actions: dict[tuple[int, str], ActionMatrix] = {}
+        self.actions: dict[int, ActionMatrix] = {}
         self.isotropy_solvers: dict[int, tuple[tuple[int, ...], PrefixSolver]] = {}
         self.exact_solvers: dict[int, tuple[tuple[int, ...], PrefixSolver]] = {}
         self.constant_blocks: tuple[tuple[tuple[IndexTuple, Fraction], ...], ...] | None = None

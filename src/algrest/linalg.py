@@ -74,15 +74,21 @@ def sparse_echelon(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, dict[int
     return {p: {c: Fraction(v, row[p]) for c, v in row.items()} for p, row in echelon.items()}
 
 
+def zdenominated(row: Mapping[int, Fraction]) -> tuple[int, dict[int, int]]:
+    """(D, A) with row = A / D: D the lcm of the entries' denominators and A
+    the integer row of their numerators scaled to D, keys in order."""
+    den = math.lcm(*[v.denominator for v in row.values()])
+    return den, {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+
+
 def zcleared(row: Mapping[int, Fraction]) -> dict[int, int]:
     """The primitive integer row proportional to a sparse rational row: its
-    nonzero entries times the lcm of their denominators, divided by the gcd
-    of the products; {} for a zero row.  Keys keep their order."""
+    nonzero entries, denominators cleared (``zdenominated``), divided by
+    their content; {} for a zero row.  Keys keep their order."""
     vec = {c: v for c, v in row.items() if v}
     if not vec:
         return vec
-    den = math.lcm(*[v.denominator for v in vec.values()])
-    return _zprimitive_row({c: v.numerator * (den // v.denominator) for c, v in vec.items()})
+    return _zprimitive_row(zdenominated(vec)[1])
 
 
 def zechelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
@@ -259,7 +265,7 @@ def sturm_count(p: UniPoly, a: Fraction | int, b: Fraction | int) -> int:
     b = Fraction(b)
     if b <= a:
         return 0
-    return _zroot_count(_zcleared(p), a, b)
+    return _zroot_count(list(zdenominated(dict(enumerate(p.coeffs)))[1].values()), a, b)
 
 
 class ParamSolution(NamedTuple):
@@ -521,12 +527,6 @@ def _zprem(a: list[int], b: list[int]) -> list[int]:
         while rem and not rem[-1]:
             rem.pop()
     return rem
-
-
-def _zcleared(p: UniPoly) -> list[int]:
-    """p times the lcm of its coefficient denominators, in Z[t]."""
-    scale = math.lcm(*(c.denominator for c in p.coeffs))
-    return [c.numerator * (scale // c.denominator) for c in p.coeffs]
 
 
 def _zsturm_chain(p: list[int]) -> list[list[int]]:

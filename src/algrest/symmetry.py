@@ -10,10 +10,9 @@ monomial-choice policies are shipped: ``grlex`` picks the graded-lex
 minimal exponent vector, ``pinned`` replays a fixed table of recorded
 choices for the three bundled semigroups.  Two choices differ by a field
 with coefficients in the curve's ideal, which acts as zero on closed
-classes, so the action does not depend on the choice.  The policy is
-therefore an option of the action table, whose output names it; orbit
-tangent spaces and Moser reductions use grlex lifts, which exist on every
-curve.
+classes, so the action does not depend on the choice: it is one matrix
+per shift, built from grlex lifts at the generator shifts only.  The
+policy chooses which fields the action table builds, validates and names.
 """
 
 from __future__ import annotations
@@ -33,7 +32,9 @@ from .curves import (
 )
 from .errors import InputError, LiftError, NotSymmetryError
 from .forms import PolyMap, VectorField, lie_derivative, pullback
-from .linalg import ParamSolution, rref, solve_param_linear, zcleared, zechelon, zremainder
+from .linalg import (
+    ParamSolution, rref, solve_param_linear, zcleared, zdenominated, zechelon, zremainder
+)
 from .poly import Exponent, Frozen, Polynomial, RationalFunctionT, Scalar, add_into
 
 
@@ -218,10 +219,10 @@ def _bracket_column(a_u: Sequence[IntColumn], a_v: Sequence[IntColumn], j: int) 
     return tuple((i, out[i]) for i in sorted(out) if out[i])
 
 
-def _action_matrix(basis: RestrictionBasis, s: int, policy: str) -> ActionMatrix:
+def _action_matrix(basis: RestrictionBasis, s: int) -> ActionMatrix:
     """The ``ActionMatrix`` of L_{X_s} on the basis elements; built once per
-    basis, shift and policy, and kept in ``basis.actions``, with no other
-    copy beside it.
+    basis and shift, and kept in ``basis.actions``, with no other copy
+    beside it.
 
     The matrices A_s represent the Witt algebra, so Lie derivatives are
     taken for the generator shifts only:
@@ -233,13 +234,13 @@ def _action_matrix(basis: RestrictionBasis, s: int, policy: str) -> ActionMatrix
       A_s = (A_u A_v - A_v A_u) / (v - u) from the kept A_u and A_v, in
       integers: M_s / den_s = (M_u M_v - M_v M_u) / (den_u den_v (v - u)),
       brought to lowest terms;
-    - otherwise column j is the projection of L_{X_s} on the element's
-      representative.  X_s raises the quasi-degree by exactly s, so only
-      the columns whose target degree qdeg + s carries a closed class are
-      built, and the others are empty.
-
-    ``liftable_field`` runs for every shift, so a missing lift raises
-    at the shift asked for.
+    - otherwise s is a generator shift, the one place a lift is built: the
+      grlex lift X_s.  Column j is the projection of L_{X_s} on the
+      element's representative.  X_s raises the quasi-degree by exactly s,
+      so only the columns whose target degree qdeg + s carries a closed
+      class are built, and the others are empty.  A negative or
+      inadmissible shift is no sum of admissible ones, so
+      ``liftable_field`` rejects it here.
 
     Proof that [A_u, A_v] = (v - u) A_{u+v}.  Two lifts act alike on closed
     classes: they differ by a field Z whose coefficients vanish on the
@@ -262,45 +263,33 @@ def _action_matrix(basis: RestrictionBasis, s: int, policy: str) -> ActionMatrix
     kept subspace carries the induced actions, so the identity holds for
     the matrices as built.
     """
-    matrix = basis.actions.get((s, policy))
+    matrix = basis.actions.get(s)
     if matrix is None:
         curve = basis.curve
-        lifted = liftable_field(curve, s, policy)
         if s == 0:
             matrix = ActionMatrix(1, tuple(((j, el.qdeg),) for j, el in enumerate(basis.elements)))
         elif (split := _split(curve, s)) is not None:
             u, v = split
-            a_u = _action_matrix(basis, u, policy)
-            a_v = _action_matrix(basis, v, policy)
+            a_u = _action_matrix(basis, u)
+            a_v = _action_matrix(basis, v)
             matrix = _reduced_matrix(
                 a_u.den * a_v.den * (v - u),
                 [_bracket_column(a_u.columns, a_v.columns, j) for j in range(basis.dim)],
             )
         else:
-            projected = [
-                project(curve, lie_derivative(lifted.field, el.rep), basis).entries
+            field = liftable_field(curve, s).field
+            cleared = [
+                zdenominated(project(curve, lie_derivative(field, el.rep), basis).entries)
                 if el.qdeg + s in basis.by_degree
-                else {}
+                else (1, {})
                 for el in basis.elements
             ]
-            den = math.lcm(*(c.denominator for entries in projected for c in entries.values()))
+            den = math.lcm(*(d for d, _ in cleared))
             matrix = _reduced_matrix(
-                den,
-                [
-                    [(i, c.numerator * (den // c.denominator)) for i, c in entries.items()]
-                    for entries in projected
-                ],
+                den, [[(i, m * (den // d)) for i, m in row.items()] for d, row in cleared]
             )
-        basis.actions[s, policy] = matrix
+        basis.actions[s] = matrix
     return matrix
-
-
-def _cleared_coords(a: AlgRestriction) -> tuple[int, dict[int, int]]:
-    """(D, A) with a = A / D: D the lcm of the coordinate denominators and A
-    the nonzero integer coordinates, by index."""
-    entries = a.entries
-    den = math.lcm(*(c.denominator for c in entries.values()))
-    return den, {j: c.numerator * (den // c.denominator) for j, c in entries.items()}
 
 
 def _orbit_row(matrix: ActionMatrix, cleared: dict[int, int]) -> dict[int, int]:
@@ -318,16 +307,18 @@ def _restriction(basis: RestrictionBasis, scale: int, row: Mapping[int, int]) ->
     return AlgRestriction._trusted(basis, {i: Fraction(row[i], scale) for i in sorted(row)})
 
 
-def shift_action(a: AlgRestriction, s: int, policy: str = "grlex") -> AlgRestriction:
-    """Action of X_s on a class: M_s A / (den_s D) for a = A / D."""
-    matrix = _action_matrix(a.basis, s, policy)
-    den, cleared = _cleared_coords(a)
+def shift_action(a: AlgRestriction, s: int) -> AlgRestriction:
+    """Action of X_s on a class: M_s A / (den_s D) for a = A / D.  Every
+    lift of X_s acts alike, so no lift policy enters."""
+    matrix = _action_matrix(a.basis, s)
+    den, cleared = zdenominated(a.entries)
     return _restriction(a.basis, den * matrix.den, _orbit_row(matrix, cleared))
 
 
 class ActionTable(NamedTuple):
     """Lie actions of every admissible X_s on every basis element: one
-    ``ActionMatrix`` per shift, read one sparse column per cell."""
+    ``ActionMatrix`` per shift, read one sparse column per cell, and the
+    lift policy whose fields were built for the table."""
 
     basis: RestrictionBasis
     policy: str
@@ -359,22 +350,25 @@ class ActionTable(NamedTuple):
         )
 
 
-def action_table(
-    curve: MonomialCurve,
-    policy: str = "grlex",
-    basis: RestrictionBasis | None = None,
-) -> ActionTable:
-    if basis is None:
-        basis = cached_basis(curve)
+def action_table(curve: MonomialCurve, policy: str = "grlex") -> ActionTable:
+    """The action table of the curve's cached basis, naming ``policy``.
+
+    The lift of every shift is built and validated under the policy, in
+    ascending order, so a policy without a lift fails at its first such
+    shift; the matrices are then the one action matrix per shift, which no
+    lift policy enters."""
+    basis = cached_basis(curve)
     if not basis.elements:
         return ActionTable(basis, policy, (), {}, ())
     bound = basis.top_qdeg - basis.elements[0].qdeg
-    shifts = admissible_shifts(curve, bound)
+    shifts = tuple(admissible_shifts(curve, bound))
+    for s in shifts:
+        liftable_field(curve, s, policy)
     return ActionTable(
         basis=basis,
         policy=policy,
-        shifts=tuple(shifts),
-        matrices={s: _action_matrix(basis, s, policy) for s in shifts},
+        shifts=shifts,
+        matrices={s: _action_matrix(basis, s) for s in shifts},
         nonsemigroup=tuple(nonsemigroup_shifts(curve, bound)),
     )
 
@@ -425,8 +419,7 @@ class TangentSpace(Frozen):
 
 
 def orbit_tangent_space(curve: MonomialCurve, a: AlgRestriction) -> TangentSpace:
-    """Span of the actions of all admissible X_s at the class a, under
-    grlex lifts (the span does not depend on the lift policy).
+    """Span of the actions of all admissible X_s at the class a.
 
     Built once per class and kept in ``a.tangent``.  The shifts are the
     admissible ones up to top_qdeg - min_qdeg, which is >= 0 for a nonzero
@@ -438,10 +431,10 @@ def orbit_tangent_space(curve: MonomialCurve, a: AlgRestriction) -> TangentSpace
     if tangent is None:
         degs = a.nonzero_qdegs()
         shifts = tuple(admissible_shifts(curve, a.basis.top_qdeg - degs[0])) if degs else ()
-        den, cleared = _cleared_coords(a)
+        den, cleared = zdenominated(a.entries)
         rows = []
         for s in shifts:
-            matrix = _action_matrix(a.basis, s, "grlex")
+            matrix = _action_matrix(a.basis, s)
             rows.append((den * matrix.den, _orbit_row(matrix, cleared)))
         tangent = a.tangent = TangentSpace(base=a, shifts=shifts, rows=tuple(rows))
     return tangent
@@ -514,7 +507,7 @@ def moser_reduce(
     d = kill_degs[0]
     tangent = orbit_tangent_space(curve, a)
     shifts = tangent.shifts
-    columns = (_cleared_coords(kill), *tangent.rows)
+    columns = (zdenominated(kill.entries), *tangent.rows)
     big = math.lcm(*(scale for scale, _ in columns))
     # live[i] = r for coordinate i: (kill_i, (L_{X_s} a)_i for each s) times K
     live: dict[int, list[int]] = {}

@@ -73,7 +73,7 @@ def check_witt_construction(curve):
             expected = {i: (u - s) * x for i, x in target[j]}
             assert bracket == expected, f"[D_{s}, D_{u}] on element {j} of {curve}"
     for s in reversed(shifts):
-        matrix = _action_matrix(basis, s, "grlex")
+        matrix = _action_matrix(basis, s)
         columns = tuple(matrix.column(j) for j in range(basis.dim))
         assert columns == direct[s], f"A_{s} of {curve}"
         # the common denominator is the least one

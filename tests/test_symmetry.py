@@ -58,7 +58,7 @@ def test_admissible_shifts_match_tables(lams):
 def test_action_tables_verbatim(lams, policy):
     curve = MonomialCurve(lams)
     basis = cached_basis(curve)
-    table = action_table(curve, policy, basis)
+    table = action_table(curve, policy)
     assert table.shifts == SHIFTS[lams]
     assert table.nonsemigroup == NONSEMIGROUP_SHIFTS[lams]
     expected = ACTIONS[lams]
@@ -73,17 +73,17 @@ def test_action_tables_verbatim(lams, policy):
 @pytest.mark.parametrize("policy", LIFT_POLICIES)
 @pytest.mark.parametrize("lams", sorted(ACTIONS))
 def test_action_table_matches_projected_lie_derivatives(lams, policy):
-    """Each entry equals the dense projection of L_{X_s} on the element's
-    representative, and the basis keeps one sparse integer column per
-    element over the least common denominator of the matrix: the (i,
-    value) pairs of the entry's nonzero coordinates, times that
-    denominator."""
+    """Each entry equals the dense projection of L_{X_s}, for the policy's
+    lift, on the element's representative, and the basis keeps one sparse
+    integer column per element over the least common denominator of the
+    matrix: the (i, value) pairs of the entry's nonzero coordinates, times
+    that denominator."""
     curve = MonomialCurve(lams)
     basis = cached_basis(curve)
-    table = action_table(curve, policy, basis)
+    table = action_table(curve, policy)
     for s in table.shifts:
         field = liftable_field(curve, s, policy).field
-        matrix = basis.actions[s, policy]
+        matrix = basis.actions[s]
         assert table.matrices[s] is matrix
         entries = []
         for j, el in enumerate(basis.elements):
@@ -126,16 +126,16 @@ def test_action_matrices_represent_the_witt_algebra(lams, ambient):
 
 
 def test_a_missing_pinned_lift_fails_at_its_shift():
-    """Derived shifts still ask for their own lift, so the pinned policy
-    fails at the first shift without a stored lift, as the direct build did."""
+    """The action table builds the lift of every shift under its policy, so
+    the pinned policy fails at the first shift without a stored lift; the
+    action itself needs no pinned lift."""
     with pytest.raises(InputError, match=r"curve \(5, 6, 7, 8, 9\) and shift 0;"):
         action_table(MonomialCurve((5, 6, 7, 8, 9)), "pinned")
     curve = MonomialCurve((4, 5, 6, 7))
     a = AlgRestriction.from_coeffs(RestrictionBasis(curve), {"a9": 1})
     # 7 = 1 + 6 is a derived shift, and the pinned table stops at 6
     with pytest.raises(InputError, match=r"curve \(4, 5, 6, 7\) and shift 7;"):
-        shift_action(a, 7, "pinned")
-    assert (7, "pinned") not in a.basis.actions
+        liftable_field(curve, 7, "pinned")
     assert shift_action(a, 7).is_zero()
 
 
@@ -147,11 +147,55 @@ def test_actions_live_on_the_class_basis():
     shifts = admissible_shifts(curve, basis.top_qdeg - basis.elements[0].qdeg)
     actions = [shift_action(a, s) for s in shifts]
     assert cached_basis.cache_info().misses == misses
-    assert sorted(basis.actions) == [(s, "grlex") for s in shifts]
+    assert sorted(basis.actions) == shifts
     cached = AlgRestriction(cached_basis(curve), a.coords)
     assert cached_basis.cache_info().misses == misses + 1
     assert actions == [shift_action(cached, s) for s in shifts]
     assert any(not action.is_zero() for action in actions)
+
+
+def _record_lifts(monkeypatch):
+    """The (shift, policy) of every ``liftable_field`` call, in order."""
+    built = []
+    original = symmetry_module.liftable_field
+
+    def recording(curve, s, policy="grlex"):
+        built.append((s, policy))
+        return original(curve, s, policy)
+
+    monkeypatch.setattr(symmetry_module, "liftable_field", recording)
+    return built
+
+
+def test_only_generator_shifts_build_a_lift(monkeypatch):
+    """A_0 and the commutator-derived matrices take no Lie derivative and
+    build no lift; each generator shift builds its grlex lift once."""
+    built = _record_lifts(monkeypatch)
+    curve = MonomialCurve((11, 13))
+    tangent = orbit_tangent_space(curve, parse_restriction("a24", RestrictionBasis(curve)))
+    generators = [s for s in tangent.shifts if s and symmetry_module._split(curve, s) is None]
+    assert generators == [11, 13, 22, 26, 119]
+    assert built == [(s, "grlex") for s in generators]
+    built.clear()
+    curve = MonomialCurve((4, 5, 6, 7))
+    report = invariant_report(curve, parse_restriction("a13-", RestrictionBasis(curve)))
+    assert report.mu == 6
+    assert built == [(1, "grlex"), (2, "grlex")]
+
+
+def test_a_pinned_table_keeps_one_matrix_per_shift(monkeypatch):
+    """The table builds and validates the pinned lift of each of its shifts,
+    and its matrices are the basis's one matrix per shift."""
+    built = _record_lifts(monkeypatch)
+    curve = MonomialCurve((4, 5, 6, 7))
+    basis = RestrictionBasis(curve)
+    monkeypatch.setattr(symmetry_module, "cached_basis", lambda _: basis)
+    table = action_table(curve, "pinned")
+    assert table.basis is basis
+    assert built == [(s, "pinned") for s in table.shifts] + [(1, "grlex"), (2, "grlex")]
+    assert list(basis.actions) == list(table.shifts)
+    assert all(type(s) is int for s in basis.actions)
+    assert all(table.matrices[s] is basis.actions[s] for s in table.shifts)
 
 
 def test_euler_field_scales_by_quasi_degree(basis457):
@@ -272,7 +316,7 @@ def test_one_class_computes_each_action_once(monkeypatch, curve4567, basis4567):
     assert not tangent.contains(AlgRestriction.from_coeffs(basis4567, {"a9": 1}))
     result = moser_reduce(curve4567, a, kill)
     assert result.shifts == tangent.shifts
-    assert calls == [basis4567.actions[s, "grlex"] for s in tangent.shifts]
+    assert calls == [basis4567.actions[s] for s in tangent.shifts]
 
 
 def test_orbit_tangent_space_of_zero(basis456, curve456):
@@ -358,13 +402,13 @@ def test_moser_reduce_solutions_satisfy_the_homotopy_equation(curve456, basis456
     assert consistent == 30
 
 
-def reference_moser(curve, a, kill, policy="grlex"):
+def reference_moser(curve, a, kill):
     """The all-rows Moser system: one row per basis coordinate, with every
     action vector computed afresh through ``shift_action``."""
     bound = a.basis.top_qdeg - a.min_qdeg_part()[0]
     shifts = tuple(admissible_shifts(curve, bound))
-    v = {s: shift_action(a, s, policy).coords for s in shifts}
-    w = {s: shift_action(kill, s, policy).coords for s in shifts}
+    v = {s: shift_action(a, s).coords for s in shifts}
+    w = {s: shift_action(kill, s).coords for s in shifts}
     dim = a.basis.dim
     rows = [[UniPoly([v[s][i], -w[s][i]]) for s in shifts] for i in range(dim)]
     rhs = [UniPoly.constant(kill.coords[i]) for i in range(dim)]
@@ -417,9 +461,10 @@ def test_moser_reduce_on_live_rows_matches_the_all_rows_system(lams):
 
 @pytest.mark.parametrize("lams", [(4, 5, 6, 7), (4, 5, 6), (4, 5, 7)])
 def test_pinned_lifts_give_the_grlex_tangent_vectors(lams):
-    """The orbit layer uses grlex lifts only; on the bundled curves the
-    pinned lifts give the same vector L_{X_s} a for every shift of the
-    tangent space, hence the same dim, mu, membership and Moser system."""
+    """On the bundled curves the Lie derivative along the pinned lift, taken
+    directly, is the vector L_{X_s} a of every shift of the tangent space,
+    hence the pinned lifts give the same dim, mu, membership and Moser
+    system."""
     curve = MonomialCurve(lams)
     basis = cached_basis(curve)
     for terms, _ in class_pool(lams, basis.labels):
@@ -427,7 +472,8 @@ def test_pinned_lifts_give_the_grlex_tangent_vectors(lams):
         tangent = orbit_tangent_space(curve, a)
         assert tangent.shifts
         for s, vector in zip(tangent.shifts, tangent.vectors):
-            assert shift_action(a, s, "pinned") == vector, f"X_{s} at {a}"
+            pinned = liftable_field(curve, s, "pinned")
+            assert lie_action(curve, pinned, a) == vector, f"X_{s} at {a}"
 
 
 # Curves of the orbit-path properties: the bundled ones, the (5..9) and
