@@ -204,7 +204,7 @@ def test_euler_field_scales_by_quasi_degree(basis457):
         assert shift_action(unit, 0) == unit * el.qdeg
 
 
-def test_liftable_field_validates(curve4567, curve456):
+def test_liftable_field_validates(curve4567, curve456, basis456):
     for s in (0, 1, 4):
         for policy in ("grlex", "pinned"):
             lifted = liftable_field(curve4567, s, policy)
@@ -221,6 +221,13 @@ def test_liftable_field_validates(curve4567, curve456):
         liftable_field(curve4567, 1, "lexicographic")
     with pytest.raises(InputError):
         liftable_field(curve4567, -1)
+    # a shift without a lift is no sum of admissible shifts, so its action
+    # reaches liftable_field and fails the same way
+    a = AlgRestriction.from_coeffs(basis456, {"a11": 1})
+    for s, error in ((1, LiftError), (3, LiftError), (-1, InputError)):
+        with pytest.raises(error):
+            shift_action(a, s)
+        assert s not in basis456.actions
 
 
 def test_validate_liftable_rejects_broken_field(curve4567):
