@@ -373,13 +373,14 @@ class RestrictionBasis:
       matrix.  It is stored once, as a ``symmetry.ActionMatrix``: a common
       denominator and, for each element j, the (i, m) pairs of the nonzero
       integer entries of its column;
+    - ``shifts``: the admissible shifts of the action table (None until first read);
     - ``isotropy_solvers[d]`` and ``exact_solvers[d]``: the
       ``linalg.PrefixSolver`` of iota's piece columns (by decreasing
       height) and of the exact rows ``exact[d]`` (by owner) at degree d,
       each with the height or owner of every column, for ``invariants``;
-    - ``constant_blocks``: per element, the ((i, j), c) pairs of the
-      nonzero constant terms of its representative, for the rank of a
-      class's branch block (None until first read).
+    - ``constant_blocks``: per element, D and the ((i, j), n) pairs of the
+      nonzero constant terms n / D of its representative, D their lcm
+      denominator, for the rank of a class's branch block (None until read).
     """
 
     __slots__ = (
@@ -387,6 +388,7 @@ class RestrictionBasis:
         "stop_qdeg",
         "pieces",
         "actions",
+        "shifts",
         "isotropy_solvers",
         "exact_solvers",
         "constant_blocks",
@@ -403,9 +405,10 @@ class RestrictionBasis:
         self.stop_qdeg = stop = stop_qdeg(curve)
         self.pieces = {d: restriction_quotient(curve, 2, d) for d in range(1, stop)}
         self.actions: dict[int, ActionMatrix] = {}
+        self.shifts: tuple[int, ...] | None = None
         self.isotropy_solvers: dict[int, tuple[tuple[int, ...], PrefixSolver]] = {}
         self.exact_solvers: dict[int, tuple[tuple[int, ...], PrefixSolver]] = {}
-        self.constant_blocks: tuple[tuple[tuple[IndexTuple, Fraction], ...], ...] | None = None
+        self.constant_blocks: tuple[tuple[int, tuple[tuple[IndexTuple, int], ...]], ...] | None = None
         elements: list[BasisElement] = []
         by_degree: dict[int, list[tuple[int, tuple[Fraction, ...]]]] = {}
         exact: dict[int, tuple[tuple[int, ...], tuple[tuple[Fraction, ...], ...]]] = {}

@@ -25,7 +25,7 @@ from .curves import (
 )
 from .errors import InputError
 from .forms import IndexTuple
-from .linalg import PrefixSolver, sparse_echelon
+from .linalg import PrefixSolver, zdenominated, zechelon
 
 Extended = int | float
 
@@ -229,36 +229,42 @@ def branch_rank(curve: MonomialCurve, a: AlgRestriction) -> int:
     lam_i is a sum of the others (the curve's constructor enforces it).  So
     every term of df(0) ^ beta(0) has an off-curve differential.  The block
     is read off the constant terms of the basis representatives, which the
-    basis keeps (``_constant_blocks``); a class without any has rank 0.
-    The rank is computed once per class and kept in ``a.block_rank``.
+    basis keeps in Z (``_constant_blocks``); a class without any has rank 0.
+    For a = A / D and terms n / D_k of element k, the block times D L (L the
+    class's lcm of D_k) has integer entries A_k n L / D_k, of the same rank.
+    It is computed once per class and kept in ``a.block_rank``.
     """
     check_basis_curve(curve, a.basis)
     if a.block_rank is not None:
         return a.block_rank
-    block: dict[int, dict[int, Fraction]] = {}
     blocks = _constant_blocks(a.basis)
-    for k, coeff in a.entries.items():
-        for (i, j), c in blocks[k]:
-            value = coeff * c
+    _, cleared = zdenominated(a.entries)
+    lcm = math.lcm(*(blocks[k][0] for k in cleared))
+    block: dict[int, dict[int, int]] = {}
+    for k, x in cleared.items():
+        den, pairs = blocks[k]
+        for (i, j), n in pairs:
+            value = x * (lcm // den) * n
             row, column = block.setdefault(i, {}), block.setdefault(j, {})
             row[j] = row.get(j, 0) + value
             column[i] = column.get(i, 0) - value
-    a.block_rank = len(sparse_echelon(block.values()))
+    a.block_rank = len(zechelon({c: v for c, v in row.items() if v} for row in block.values()))
     return a.block_rank
 
 
 def _constant_blocks(
     basis: RestrictionBasis,
-) -> tuple[tuple[tuple[IndexTuple, Fraction], ...], ...]:
-    """Per basis element, the ((i, j), c) pairs of the nonzero constant terms
-    of its representative; built once and kept in ``basis.constant_blocks``."""
+) -> tuple[tuple[int, tuple[tuple[IndexTuple, int], ...]], ...]:
+    """Per basis element, (D, ((i, j), n) pairs) of the nonzero constant terms
+    n / D of its representative (``zdenominated``); kept in ``basis.constant_blocks``."""
     blocks = basis.constant_blocks
     if blocks is None:
-        blocks = basis.constant_blocks = tuple(
-            tuple(
-                (idx, c) for idx, poly in el.rep.coeffs.items() if (c := poly.constant_term())
-            )
+        terms = (
+            {idx: c for idx, poly in el.rep.coeffs.items() if (c := poly.constant_term())}
             for el in basis.elements
+        )
+        blocks = basis.constant_blocks = tuple(
+            (den, tuple(ints.items())) for den, ints in map(zdenominated, terms)
         )
     return blocks
 

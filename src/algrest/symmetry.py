@@ -350,6 +350,15 @@ class ActionTable(NamedTuple):
         )
 
 
+def _basis_shifts(basis: RestrictionBasis) -> tuple[int, ...]:
+    """The admissible shifts up to top_qdeg - elements[0].qdeg of a nonempty
+    basis; computed once and kept in ``basis.shifts``."""
+    if basis.shifts is None:
+        bound = basis.top_qdeg - basis.elements[0].qdeg
+        basis.shifts = tuple(admissible_shifts(basis.curve, bound))
+    return basis.shifts
+
+
 def action_table(curve: MonomialCurve, policy: str = "grlex") -> ActionTable:
     """The action table of the curve's cached basis, naming ``policy``.
 
@@ -361,7 +370,7 @@ def action_table(curve: MonomialCurve, policy: str = "grlex") -> ActionTable:
     if not basis.elements:
         return ActionTable(basis, policy, (), {}, ())
     bound = basis.top_qdeg - basis.elements[0].qdeg
-    shifts = tuple(admissible_shifts(curve, bound))
+    shifts = _basis_shifts(basis)
     for s in shifts:
         liftable_field(curve, s, policy)
     return ActionTable(
@@ -382,9 +391,12 @@ class TangentSpace(Frozen):
     cleared once, u_s is the integer sparse row M_s A (by index, nonzero
     entries only) and K_s = D * den_s.  ``echelon`` is the reduced echelon
     form of those rows over Z (``linalg.zechelon``); ``dim``, ``codim`` and
-    ``contains`` read it, and a direction is cleared to an integer row and
-    reduced in Z.  ``vectors`` gives the actions as ``AlgRestriction``
-    objects.
+    ``contains`` read it.  A direction c e_i lies in the span iff i is a
+    pivot whose row is e_i alone: pivot rows are fully reduced, so the
+    remainder of e_i is e_i when i is no pivot, and else minus its pivot
+    row (scaled to 1 at i) off column i, which sits at non-pivot columns.
+    Any other direction is cleared to an integer row and reduced in Z.
+    ``vectors`` gives the actions as ``AlgRestriction`` objects.
     """
 
     __slots__ = ("base", "shifts", "rows", "echelon")
@@ -414,8 +426,10 @@ class TangentSpace(Frozen):
         return self.base.basis.dim - self.dim
 
     def contains(self, direction: AlgRestriction) -> bool:
-        row = zcleared(direction.entries)
-        return not zremainder(self.echelon, row)
+        entries = direction.entries
+        if len(entries) == 1:
+            return len(self.echelon.get(next(iter(entries)), ())) == 1
+        return not zremainder(self.echelon, zcleared(entries))
 
 
 def orbit_tangent_space(curve: MonomialCurve, a: AlgRestriction) -> TangentSpace:
@@ -423,14 +437,16 @@ def orbit_tangent_space(curve: MonomialCurve, a: AlgRestriction) -> TangentSpace
 
     Built once per class and kept in ``a.tangent``.  The shifts are the
     admissible ones up to top_qdeg - min_qdeg, which is >= 0 for a nonzero
-    class; the zero class has none.  The class is cleared once, a = A / D,
-    and each action is the integer row M_s A with scale D * den_s.
+    class, cut from the basis's list (``_basis_shifts``), whose bound is
+    never smaller; the zero class has none.  The class is cleared once,
+    a = A / D, and each action is the integer row M_s A with scale D * den_s.
     """
     check_basis_curve(curve, a.basis)
     tangent = a.tangent
     if tangent is None:
         degs = a.nonzero_qdegs()
-        shifts = tuple(admissible_shifts(curve, a.basis.top_qdeg - degs[0])) if degs else ()
+        top = a.basis.top_qdeg
+        shifts = tuple(s for s in _basis_shifts(a.basis) if s + degs[0] <= top) if degs else ()
         den, cleared = zdenominated(a.entries)
         rows = []
         for s in shifts:

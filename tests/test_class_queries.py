@@ -1,12 +1,15 @@
 """Per-class queries against the per-class code they replaced.
 
 The engine answers iota and Lt from prefix solvers kept on the basis, the
-branch rank from constant blocks kept on the basis, tangent membership from
-sparse pivot rows, the Moser system from the tangent vectors alone, and pole
-counts from Sturm chains over Z[t].  The references below redo each query
-anew for every class: one augmented solve per graded part, a dense block
-read off every representative, a dense remainder, one ``shift_action`` per
-shift for the kill target, and Sturm chains of ``Fraction`` remainders.
+branch rank from integer constant blocks kept on the basis, the tangent
+shifts from the basis's shift list, tangent membership of a unit direction
+from its pivot row and of any other direction from a remainder in Z, the
+Moser system from the tangent vectors alone, and pole counts from Sturm
+chains over Z[t].  The references below redo each query anew for every
+class: one augmented solve per graded part, a dense ``Fraction`` block
+read off every representative, the admissible shifts up to the class's own
+bound, a dense remainder, one ``shift_action`` per shift for the kill
+target, and Sturm chains of ``Fraction`` remainders.
 """
 
 from __future__ import annotations
@@ -16,9 +19,16 @@ import random
 from fractions import Fraction
 
 import algrest.invariants as invariants_module
-from algrest.curves import AlgRestriction, MonomialCurve, cached_basis, monomials_of_qdeg
+from algrest.curves import (
+    AlgRestriction,
+    MonomialCurve,
+    RestrictionBasis,
+    cached_basis,
+    monomials_of_qdeg,
+)
 from algrest.errors import InputError
 from algrest.invariants import (
+    _constant_blocks,
     _part_quotient_coords,
     branch_rank,
     index_of_isotropy,
@@ -26,7 +36,7 @@ from algrest.invariants import (
     representable_by_symplectic,
 )
 from algrest.linalg import rref, solve_linear, solve_param_linear
-from algrest.symmetry import moser_reduce, orbit_tangent_space, shift_action
+from algrest.symmetry import admissible_shifts, moser_reduce, orbit_tangent_space, shift_action
 
 from test_linalg import rank, reduce_by, reference_poles_in_closed_unit_interval
 
@@ -146,7 +156,8 @@ def random_classes(basis, rng, count):
 
 def test_class_queries_equal_the_per_class_references():
     rng = random.Random(17)
-    checked = consistent = poles = zero_blocks = 0
+    draw = random.Random(19)
+    checked = consistent = poles = zero_blocks = directions = inside = 0
     for curve in CURVES:
         basis = cached_basis(curve)
         units = [AlgRestriction.from_coeffs(basis, {label: 1}) for label in basis.labels]
@@ -165,10 +176,22 @@ def test_class_queries_equal_the_per_class_references():
                 want = 2 * s - 2 * n <= 0 or reference_branch_rank(curve, a) >= 2 * s - 2 * n
                 assert representable_by_symplectic(curve, a, n) == want, (where, n)
             tangent = orbit_tangent_space(curve, a)
+            if not a.is_zero():
+                bound = basis.top_qdeg - a.nonzero_qdegs()[0]
+                assert tangent.shifts == tuple(admissible_shifts(curve, bound)), where
             rows = [list(v.coords) for v in tangent.vectors if not v.is_zero()]
             assert tangent.dim == rank(rows, basis.dim), where
             for unit in units:
                 assert tangent.contains(unit) == reference_contains(tangent, unit), (where, unit)
+            for _ in range(draw.randint(2, 3)):
+                chosen = draw.sample(basis.labels, draw.randint(2, min(4, basis.dim)))
+                direction = AlgRestriction.from_coeffs(
+                    basis, {label: draw.choice(VALUES) for label in chosen}
+                )
+                want = reference_contains(tangent, direction)
+                assert tangent.contains(direction) == want, (where, direction)
+                directions += 1
+                inside += want
             for d in a.nonzero_qdegs():
                 kill = a.part(d)
                 result = moser_reduce(curve, a, kill)
@@ -184,6 +207,8 @@ def test_class_queries_equal_the_per_class_references():
     assert checked >= 2000
     # the draw reaches every branch of the comparisons
     assert consistent > 3000 and poles > 800 and zero_blocks > 400
+    # the general ``contains`` path answers both ways
+    assert inside > 500 and directions - inside > 500
 
 
 def test_one_class_computes_its_branch_rank_once(monkeypatch):
@@ -193,13 +218,13 @@ def test_one_class_computes_its_branch_rank_once(monkeypatch):
     basis = cached_basis(curve)
     a = AlgRestriction.from_coeffs(basis, dict.fromkeys(basis.labels[:3], 1))
     calls = []
-    original = invariants_module.sparse_echelon
+    original = invariants_module.zechelon
 
     def counting(rows):
         calls.append(1)
         return original(rows)
 
-    monkeypatch.setattr(invariants_module, "sparse_echelon", counting)
+    monkeypatch.setattr(invariants_module, "zechelon", counting)
     s = curve.branch_dim
     ns = range(s - 2, s + 1)
     got = [representable_by_symplectic(curve, a, n) for n in ns]
@@ -208,3 +233,22 @@ def test_one_class_computes_its_branch_rank_once(monkeypatch):
     assert branch_rank(curve, a) == a.block_rank and len(calls) == 1
     twin = AlgRestriction.from_coeffs(basis, dict.fromkeys(basis.labels[:3], 1))
     assert twin == a and twin.block_rank is None
+
+
+def test_branch_rank_scales_each_element_to_the_common_denominator():
+    """The basis elements of the curves here have integer constant terms
+    (D = 1), so the lcm / D_k scaling runs on an equal rewriting: element
+    k's terms n / D become (k + 2) n / ((k + 2) D) on a fresh basis.  The
+    ranks stay the reference's, among them that of a9 + a10 + a12 + a13+ on
+    (4,5,6,7), whose Pfaffian b01 b23 - b02 b13 + b03 b12 vanishes: rank 2,
+    not 4."""
+    curve = MonomialCurve((4, 5, 6, 7))
+    basis = RestrictionBasis(curve)
+    basis.constant_blocks = tuple(
+        ((k + 2) * den, tuple((ij, (k + 2) * n) for ij, n in pairs))
+        for k, (den, pairs) in enumerate(_constant_blocks(basis))
+    )
+    flat = AlgRestriction.from_coeffs(basis, dict.fromkeys(("a9", "a10", "a12", "a13+"), 1))
+    assert branch_rank(curve, flat) == reference_branch_rank(curve, flat) == 2
+    for a in random_classes(basis, random.Random(23), 200):
+        assert branch_rank(curve, a) == reference_branch_rank(curve, a), str(a)
