@@ -9,10 +9,14 @@ is its dense spelling.  Kernels, solutions, span tests and remainders
 (``sparse_remainder``) are read off that reduced echelon form, and
 ``zremainder`` tests membership of integer rows in Z.  ``PrefixSolver``
 answers many right-hand sides against one matrix from one elimination.
-``solve_param_linear`` solves systems whose entries are polynomials in
-Z[t], for a parameter t, by fraction-free elimination (Bareiss, Math.
-Comp. 22, 1968), and reports whether the solution stays pole-free on the
-closed interval [0, 1], by Sturm chains over Z[t].
+``solve_param_linear`` solves sparse systems whose entries are
+polynomials in Z[t], for a parameter t, by fraction-free elimination
+(Bareiss, Math. Comp. 22, 1968) with a level per entry: an entry outside
+the pivot row's support is only rescaled, and the rescalings telescope,
+so it is written only when it is read.  The pivot row is the first
+remaining row with the column, and the answer does not depend on the row
+order.  It reports whether the solution stays pole-free on the closed
+interval [0, 1], by Sturm chains over Z[t].
 """
 
 from __future__ import annotations
@@ -280,104 +284,106 @@ class ParamSolution(NamedTuple):
         return self.consistent and not any(self.pole_counts)
 
 
-def solve_param_linear(
-    rows: Sequence[Sequence[list[int]]],
-    rhs: Sequence[list[int]],
-) -> ParamSolution:
+def solve_param_linear(rows: Iterable[Mapping[int, list[int]]], width: int) -> ParamSolution:
     """Solve A(t) x = b(t) over Q(t); free variables are set to zero.
 
-    Every entry of ``rows`` and ``rhs`` is a polynomial in Z[t]: a list of
-    Python ints, constant term first, with no trailing zeros ([] is zero).
-    A system over Q[t] takes this form once each row is scaled by the lcm
-    of its coefficient denominators, which leaves the solution unchanged.
-    Reports, per component of the solution, how many poles land in the
-    closed interval [0, 1].
+    Each row is one equation as {column: entry}, with the unknowns in
+    columns 0 .. width - 1 and the right-hand side under key ``width``; a
+    column outside [0, width] raises ``ValueError``.  An entry is a
+    polynomial in Z[t]: a list of Python ints, constant term first, whose
+    last coefficient is nonzero (else ``ValueError``); zero entries are
+    left out ([] is accepted as zero).  A system over Q[t] takes this form
+    once each row is scaled by the lcm of its coefficient denominators,
+    which leaves the solution unchanged.  Reports, per component of the
+    solution, how many poles land in the closed interval [0, 1].
 
-    The elimination is fraction-free (Bareiss) over Z[t].  Forward
-    elimination with row swaps updates M[i][j] = (piv * M[i][j] -
-    M[i][col] * M[r][j]) / prev, where prev is the previous pivot; by
-    Sylvester's identity every entry is a minor of the input matrix, so
-    each division is exact in Z[t] (and checked: a remainder raises
-    ``ArithmeticError``).  The same identity makes skipping zeros exact.
-    Where M[r][j] is zero the update is piv * M[i][j] / prev, so a zero
-    entry stays zero.  A row whose factor M[i][col] is zero gets only that
-    rescaling, and over consecutive steps the factors telescope: left
-    alone from step k0 to step k, its entries are M * p_k / p_k0, with p_k
-    the pivot of step k (p_0 = 1).  Such a row is therefore not touched;
-    it keeps the step it was left at and is brought up to date
-    (``_catch_up``) by one exact division per nonzero entry when it is next
-    used, as the pivot row or with a nonzero factor.  A row that is never
-    used again stays behind, which changes no zero test.  The system is
-    consistent unless a row below the rank has a nonzero right-hand side.
-    Back substitution computes y_k = D * x_k in Z[t], again by exact
-    divisions, where the last pivot D is the determinant of the pivot
-    block (Cramer's rule).
+    The elimination is fraction-free (Bareiss) over Z[t], on sparse rows.
+    Each step takes as pivot row the first remaining row with an entry in
+    the next column, and updates every other remaining row to M[i][j] =
+    (piv * M[i][j] - M[i][col] * M[r][j]) / prev, prev the pivot of the
+    step before; by Sylvester's identity every entry is a minor of the
+    input rows, so each division is exact in Z[t] (and checked: a
+    remainder raises ``ArithmeticError``).  Where M[r][j] or M[i][col] is
+    zero the update is piv * M[i][j] / prev: a zero entry stays zero, and
+    over consecutive steps the factors telescope, so an entry left alone
+    from step k to step c is M * p_c / p_k, with p_c the pivot of step c
+    (p_0 = 1).  So each entry keeps the step it was last written at, its
+    level, and a step writes only the rows nonzero in the pivot column,
+    and in them only the pivot row's support: fill-in is -factor * M[r][j]
+    / prev, and an entry that cancels is deleted.  An entry is brought up
+    to date, by one exact division, only when it is read: in the pivot
+    row, as a factor, or under the pivot row's support.  Entries left
+    behind change no zero test.  A remaining row has no entry before the
+    current column, and the system is consistent unless a row left after
+    the last pivot has a right-hand side.  Back substitution reads each
+    pivot row at its own step and computes y_k = D * x_k in Z[t], again by
+    exact divisions, where the last pivot D is the determinant of the
+    pivot block (Cramer's rule).
 
     Each component y_k / D is reduced once, in Z[t] (``_reduced``), and
     poles are counted once per distinct reduced denominator.  The result
-    equals that of ``rref`` over ``RationalFunctionT``: a column is a pivot
-    exactly when it is not in the Q(t)-span of the columns before it, so
-    both find the same pivot columns; with the free variables at zero the
-    solution is unique; and both store the canonical reduced form with
-    monic denominator.
+    does not depend on the order of the rows, and equals that of ``rref``
+    over ``RationalFunctionT``: a column is a pivot exactly when it is not
+    in the Q(t)-span of the columns before it, whichever rows are chosen
+    as pivots, so all find the same pivot columns; with the free variables
+    at zero the solution is unique; and both store the canonical reduced
+    form with monic denominator.
     """
-    if len(rows) != len(rhs):
-        raise ValueError("rhs length does not match row count")
-    width = len(rows[0]) if rows else 0
-    mat = []
-    for row, b in zip(rows, rhs):
-        if len(row) != width:
-            raise ValueError("ragged matrix")
-        entries = [*row, b]
-        if any(e and not e[-1] for e in entries):
-            raise ValueError("a Z[t] entry ends in a zero coefficient")
-        mat.append(entries)
-    pivots: list[int] = []
+    pending: list[dict[int, tuple[list[int], int]]] = []
+    for row in rows:
+        entries = {}
+        for c, e in row.items():
+            if not 0 <= c <= width:
+                raise ValueError("column outside the system")
+            if e:
+                if not e[-1]:
+                    raise ValueError("a Z[t] entry ends in a zero coefficient")
+                entries[c] = (e, 0)
+        pending.append(entries)
     dets = [[1]]  # dets[k] = p_k, the pivot of step k
-    level = [0] * len(mat)  # row i holds its Bareiss row times p_level[i] / p_current
-    r = 0
+    pivot_rows: list[tuple[int, list[int], dict[int, list[int]]]] = []
     for col in range(width):
-        found = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-        if found is None:
+        r = next((i for i, row in enumerate(pending) if col in row), None)
+        if r is None:
             continue
-        mat[r], mat[found] = mat[found], mat[r]
-        level[r], level[found] = level[found], level[r]
         current = len(dets) - 1
         prev = dets[current]
-        pivot_row = mat[r]
-        if level[r] != current:
-            _catch_up(pivot_row, col, prev, dets[level[r]])
-        piv = pivot_row[col]
-        for i in range(r + 1, len(mat)):
-            row = mat[i]
-            if not row[col]:
+        pivot_row = {
+            j: e if k == current else _zdiv_exact(_zmul(prev, e), dets[k])
+            for j, (e, k) in pending.pop(r).items()
+        }
+        piv = pivot_row.pop(col)
+        for row in pending:
+            if col not in row:
                 continue
-            if level[i] != current:
-                _catch_up(row, col, prev, dets[level[i]])
-            factor = row[col]
-            row[col] = []
-            for j in range(col + 1, width + 1):
-                if pivot_row[j]:
-                    row[j] = _zdiv_exact(
-                        _zsub(_zmul(piv, row[j]), _zmul(factor, pivot_row[j])), prev
-                    )
-                elif row[j]:
-                    row[j] = _zdiv_exact(_zmul(piv, row[j]), prev)
-            level[i] = current + 1
+            f, k = row.pop(col)
+            factor = f if k == current else _zdiv_exact(_zmul(prev, f), dets[k])
+            negated = [-c for c in factor]
+            for j, p in pivot_row.items():
+                entry = row.get(j)
+                if entry is None:
+                    row[j] = (_zdiv_exact(_zmul(negated, p), prev), current + 1)
+                    continue
+                e, k = entry
+                if k != current:
+                    e = _zdiv_exact(_zmul(prev, e), dets[k])
+                value = _zdiv_exact(_zsub(_zmul(piv, e), _zmul(factor, p)), prev)
+                if value:
+                    row[j] = (value, current + 1)
+                else:
+                    del row[j]
         dets.append(piv)
-        pivots.append(col)
-        r += 1
-    prev = dets[-1]
-    if any(row[width] for row in mat[r:]):
+        pivot_rows.append((col, piv, pivot_row))
+    if any(width in row for row in pending):
         return ParamSolution(consistent=False)
+    prev = dets[-1]
     scaled: dict[int, list[int]] = {}
-    for i in range(r - 1, -1, -1):
-        row = mat[i]
-        acc = _zmul(prev, row[width])
-        for k in pivots[i + 1:]:
-            if row[k] and scaled[k]:
-                acc = _zsub(acc, _zmul(row[k], scaled[k]))
-        scaled[pivots[i]] = _zdiv_exact(acc, row[pivots[i]])
+    for col, piv, row in reversed(pivot_rows):
+        acc = _zmul(prev, row.get(width, []))
+        for k, e in row.items():
+            if scaled.get(k):
+                acc = _zsub(acc, _zmul(e, scaled[k]))
+        scaled[col] = _zdiv_exact(acc, piv)
     solution = []
     poles = []
     # keyed by the integer coefficients: hashing a UniPoly hashes Fractions
@@ -390,14 +396,6 @@ def solve_param_linear(
         solution.append(f)
         poles.append(counts[key])
     return ParamSolution(consistent=True, solution=solution, pole_counts=poles)
-
-
-def _catch_up(row: list[list[int]], start: int, prev: list[int], lag: list[int]) -> None:
-    """Bring a row left behind at pivot ``lag`` to the current pivot ``prev``:
-    row[j] = prev * row[j] / lag for j >= start, on its nonzero entries."""
-    for j in range(start, len(row)):
-        if row[j]:
-            row[j] = _zdiv_exact(_zmul(prev, row[j]), lag)
 
 
 def _reduced(y: list[int], den: list[int]) -> tuple[RationalFunctionT, list[int]]:

@@ -486,23 +486,24 @@ def moser_reduce(
 
     The system keeps only its live rows: the coordinates i where some
     L_{X_s} a or kill itself is nonzero (L_{X_s} kill is nonzero only
-    there).  A dead row reads 0 = 0; inside ``solve_param_linear`` it stays
-    zero under the Bareiss update and is never a pivot, and dropping it
-    changes neither the kernel of the matrix nor the solution set.  The
-    result depends on those alone: a column is a pivot iff it is outside
-    the span of the columns before it, which the kernel decides; the
-    system is consistent iff it has a solution; the solution with free
+    there).  A dead row reads 0 = 0: it has no entry, so
+    ``solve_param_linear`` never writes it or takes it as a pivot, and
+    dropping it changes neither the kernel of the matrix nor the solution
+    set.  The result depends on those alone: a column is a pivot iff it is
+    outside the span of the columns before it, which the kernel decides;
+    the system is consistent iff it has a solution; the solution with free
     unknowns at zero is the unique one on the pivot columns; and
     ``RationalFunctionT`` is canonical.  So the coefficients and pole
     counts are those of the full system.
 
-    Each live row is handed over in Z[t], scaled by the lcm of its
-    entries' reduced denominators, which keeps the solution set; it is
-    built from the tangent space's integer rows without a ``Fraction``.
+    Each live row is handed over as one sparse row in Z[t], its nonzero
+    entries only, scaled by the lcm of its entries' reduced denominators,
+    which keeps the solution set; it is built from the tangent space's
+    integer rows without a ``Fraction``.
     Write L_{X_s} a = u_s / K_s (the rows of ``TangentSpace``) and
     kill = k / D for D the lcm of kill's denominators, and let K be the
-    lcm of D and the K_s.  Row i is then r / K with r = (k_i K / D,
-    u_{s,i} K / K_s for each s), in integers.  The reduced denominator of
+    lcm of D and the K_s.  Row i is then r / K with r = (u_{s,i} K / K_s
+    for each s, k_i K / D), in integers.  The reduced denominator of
     r_j / K is K / gcd(K, r_j), and for divisors of K the lcm of K / g_j
     is K / gcd(g_j), so the lcm over the row is K / G with G = gcd(K, r).
     The scaled row is therefore r / G: the same integers the ``Fraction``
@@ -523,28 +524,26 @@ def moser_reduce(
     d = kill_degs[0]
     tangent = orbit_tangent_space(curve, a)
     shifts = tangent.shifts
-    columns = (zdenominated(kill.entries), *tangent.rows)
+    width = len(shifts)
+    columns = (*tangent.rows, zdenominated(kill.entries))
     big = math.lcm(*(scale for scale, _ in columns))
-    # live[i] = r for coordinate i: (kill_i, (L_{X_s} a)_i for each s) times K
-    live: dict[int, list[int]] = {}
+    # live[i] = r for coordinate i, sparse: {column j: entry j of r}, kill under width
+    live: dict[int, dict[int, int]] = {}
     for j, (scale, column) in enumerate(columns):
         factor = big // scale
         for i, x in column.items():
-            if i not in live:
-                live[i] = [0] * len(columns)
-            live[i][j] = x * factor
+            live.setdefault(i, {})[j] = x * factor
+    column_of = {s: j for j, s in enumerate(shifts)}
     elements = a.basis.elements
     rows = []
-    rhs = []
     for i in sorted(live):
-        g = math.gcd(big, *live[i])
-        k, *ints = [x // g for x in live[i]]
-        moved = elements[i].qdeg - d
-        rows.append(
-            [([p, -p] if s == moved else [p]) if p else [] for p, s in zip(ints, shifts)]
-        )
-        rhs.append([k] if k else [])
-    solution: ParamSolution = solve_param_linear(rows, rhs)
+        g = math.gcd(big, *live[i].values())
+        row = {j: [x // g] for j, x in live[i].items()}
+        moved = column_of.get(elements[i].qdeg - d)
+        if moved in row:
+            row[moved].append(-row[moved][0])
+        rows.append(row)
+    solution: ParamSolution = solve_param_linear(rows, width)
     coeffs = {
         s: solution.solution[j] if solution.consistent else RationalFunctionT.zero()
         for j, s in enumerate(shifts)

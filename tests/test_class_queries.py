@@ -4,12 +4,13 @@ The engine answers iota and Lt from prefix solvers kept on the basis, the
 branch rank from integer constant blocks kept on the basis, the tangent
 shifts from the basis's shift list, tangent membership of a unit direction
 from its pivot row and of any other direction from a remainder in Z, the
-Moser system from the tangent vectors alone, and pole counts from Sturm
-chains over Z[t].  The references below redo each query anew for every
-class: one augmented solve per graded part, a dense ``Fraction`` block
-read off every representative, the admissible shifts up to the class's own
-bound, a dense remainder, one ``shift_action`` per shift for the kill
-target, and Sturm chains of ``Fraction`` remainders.
+Moser system from the tangent vectors alone, solved on sparse rows, and
+pole counts from Sturm chains over Z[t].  The references below redo each
+query anew for every class: one augmented solve per graded part, a dense
+``Fraction`` block read off every representative, the admissible shifts
+up to the class's own bound, a dense remainder modulo one dense echelon
+per class, one ``shift_action`` per shift for the kill target, the dense
+Bareiss solve, and Sturm chains of ``Fraction`` remainders.
 """
 
 from __future__ import annotations
@@ -35,10 +36,11 @@ from algrest.invariants import (
     lagrangian_tangency_order,
     representable_by_symplectic,
 )
-from algrest.linalg import rref, solve_linear, solve_param_linear
+from algrest.linalg import rref, solve_linear
 from algrest.symmetry import admissible_shifts, moser_reduce, orbit_tangent_space, shift_action
 
 from test_linalg import rank, reduce_by, reference_poles_in_closed_unit_interval
+from ztpoly import reference_bareiss
 
 
 def reference_last_used_column(columns, coords):
@@ -96,15 +98,21 @@ def reference_branch_rank(curve, a):
     return rank(block, s)
 
 
-def reference_contains(tangent, direction):
-    """Dense remainder modulo the dense echelon form of the tangent vectors."""
+def reference_echelon(tangent):
+    """The dense echelon form of the tangent vectors, built once per class."""
     rows = [list(v.coords) for v in tangent.vectors if not v.is_zero()]
-    return not any(reduce_by(rref(rows, len(direction.coords)), direction.coords))
+    return rref(rows, tangent.base.basis.dim)
+
+
+def reference_contains(echelon, direction):
+    """Dense remainder of ``direction`` modulo the dense echelon form."""
+    return not any(reduce_by(echelon, direction.coords))
 
 
 def reference_moser(curve, a, kill):
     """The live-row Moser system with the actions on kill computed afresh by
-    ``shift_action``, and pole counts from the ``Fraction`` Sturm chain."""
+    ``shift_action``, solved by the dense Bareiss reference, and pole
+    counts from the ``Fraction`` Sturm chain."""
     tangent = orbit_tangent_space(curve, a)
     shifts = tangent.shifts
     v = [vector.coords for vector in tangent.vectors]
@@ -121,7 +129,7 @@ def reference_moser(curve, a, kill):
             [[p, -q] if q else [p] if p else [] for p, q in zip(ints[1 : m + 1], ints[m + 1 :])]
         )
         rhs.append([ints[0]] if ints[0] else [])
-    solution = solve_param_linear(rows, rhs)
+    solution = reference_bareiss(rows, rhs)
     if not solution.consistent:
         return False, {}, {}
     coefficients = dict(zip(shifts, solution.solution))
@@ -181,14 +189,15 @@ def test_class_queries_equal_the_per_class_references():
                 assert tangent.shifts == tuple(admissible_shifts(curve, bound)), where
             rows = [list(v.coords) for v in tangent.vectors if not v.is_zero()]
             assert tangent.dim == rank(rows, basis.dim), where
+            echelon = reference_echelon(tangent)
             for unit in units:
-                assert tangent.contains(unit) == reference_contains(tangent, unit), (where, unit)
+                assert tangent.contains(unit) == reference_contains(echelon, unit), (where, unit)
             for _ in range(draw.randint(2, 3)):
                 chosen = draw.sample(basis.labels, draw.randint(2, min(4, basis.dim)))
                 direction = AlgRestriction.from_coeffs(
                     basis, {label: draw.choice(VALUES) for label in chosen}
                 )
-                want = reference_contains(tangent, direction)
+                want = reference_contains(echelon, direction)
                 assert tangent.contains(direction) == want, (where, direction)
                 directions += 1
                 inside += want

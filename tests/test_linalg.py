@@ -25,7 +25,7 @@ from algrest.linalg import (
 )
 from algrest.poly import RationalFunctionT, UniPoly
 
-from ztpoly import zt_system
+from ztpoly import dense_system, reference_bareiss, zt_system
 
 F = Fraction
 ONE = UniPoly.constant(1)
@@ -479,18 +479,49 @@ def test_solve_param_linear_pole_blocks_feasibility():
 
 
 def test_solve_param_linear_inconsistent():
-    res = solve_param_linear([[[]]], [[1]])
+    # 0 * x = 1: the row's only entry is its right-hand side
+    res = solve_param_linear([{1: [1]}], 1)
     assert not res.consistent
     assert not res.feasible_on_unit_interval
 
 
 def test_solve_param_linear_rejects_a_trailing_zero_coefficient():
     with pytest.raises(ValueError):
-        solve_param_linear([[[1, 0]]], [[1]])
+        solve_param_linear([{0: [1, 0]}], 1)
     with pytest.raises(ValueError):
-        solve_param_linear([[[1]]], [[0]])
+        solve_param_linear([{0: [1], 1: [0]}], 1)
     with pytest.raises(ValueError):
-        solve_param_linear([[[1], [2]]], [[1], [1]])
+        solve_param_linear([{0: [1]}, {1: [2, 0, 0]}], 1)
+
+
+def test_solve_param_linear_rejects_a_column_outside_the_system():
+    for column in (-1, 2, 5):
+        with pytest.raises(ValueError):
+            solve_param_linear([{0: [1], column: [1]}], 1)
+    with pytest.raises(ValueError):
+        solve_param_linear([{1: [1]}], 0)
+
+
+def test_solve_param_linear_edge_cases_of_the_sparse_rows():
+    t = UniPoly.t_power(1)
+    zero = RationalFunctionT.zero()
+    # no unknowns: consistent unless some row has a right-hand side
+    assert solve_param_linear([], 0) == ParamSolution(True, [], [])
+    assert solve_param_linear([{}], 0) == ParamSolution(True, [], [])
+    assert not solve_param_linear([{0: [3]}], 0).consistent
+    # no rows: every unknown is free, hence zero
+    assert solve_param_linear(iter([]), 3) == ParamSolution(True, [zero] * 3, [0] * 3)
+    # a row whose only entry is its right-hand side, after a pivot row
+    assert not solve_param_linear([{0: [1], 1: [1]}, {2: [1, 1]}], 2).consistent
+    # row 1 is twice row 0 and cancels to empty at the first pivot; the
+    # pivot of column 1 is found after it, in row 2
+    rows = [{0: [1], 1: [1], 2: [2]}, {0: [2], 1: [2], 2: [4]}, {1: [1, 1], 2: [1]}]
+    copies = [{c: list(e) for c, e in row.items()} for row in rows]
+    got = solve_param_linear(rows, 2)
+    assert rows == copies  # the input is left as it was
+    inverse = RationalFunctionT(ONE, t + ONE)
+    assert got == ParamSolution(True, [RationalFunctionT(2 * ONE) - inverse, inverse], [0, 0])
+    assert got == reference_bareiss(*dense_system(rows, 2))
 
 
 def test_exact_division_in_zt_raises_on_a_remainder():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -41,7 +42,7 @@ from algrest.symmetry import (
 from direct_actions import check_witt_construction, lie_action
 from tables import ACTIONS, NONSEMIGROUP_SHIFTS, SHIFTS
 from test_linalg import reference_sparse_echelon
-from ztpoly import zt_system
+from ztpoly import dense_system, reference_bareiss, zt_system
 
 
 @pytest.mark.parametrize("lams", sorted(SHIFTS))
@@ -532,22 +533,22 @@ def test_tangent_membership_equals_the_fraction_remainder(data, curve):
 
 def fraction_moser_rows(tangent, kill, d):
     """The live rows of the Moser system built from ``Fraction`` vectors:
-    per coordinate with a nonzero entry, (kill_i, (L_{X_s} a)_i for each s)
-    times the lcm of their denominators."""
-    rows, rhs = [], []
+    per coordinate with a nonzero entry, ((L_{X_s} a)_i for each s, kill_i)
+    times the lcm of their denominators, as sparse Z[t] rows with the
+    right-hand side under key ``width``, zero entries absent."""
+    rows = []
     v = [vector.coords for vector in tangent.vectors]
-    for el, column in zip(kill.basis.elements, zip(kill.coords, *v)):
+    width = len(tangent.shifts)
+    for el, column in zip(kill.basis.elements, zip(*v, kill.coords)):
         nonzero = [x for x in column if x]
         if not nonzero:
             continue
         scale = math.lcm(*[x.denominator for x in nonzero])
-        k, *ints = [x.numerator * (scale // x.denominator) for x in column]
+        ints = [x.numerator * (scale // x.denominator) for x in column]
         moved = el.qdeg - d
-        rows.append(
-            [([p, -p] if s == moved else [p]) if p else [] for p, s in zip(ints, tangent.shifts)]
-        )
-        rhs.append([k] if k else [])
-    return rows, rhs
+        entries = zip(ints, (*tangent.shifts, None))
+        rows.append({j: [p, -p] if s == moved else [p] for j, (p, s) in enumerate(entries) if p})
+    return rows, width
 
 
 @given(data=st.data(), curve=st.sampled_from(ORBIT_CURVES[:4]))
@@ -561,9 +562,9 @@ def test_moser_rows_equal_the_fraction_construction(data, curve):
     seen = []
     original = symmetry_module.solve_param_linear
 
-    def recording(rows, rhs):
-        seen.append((rows, rhs))
-        return original(rows, rhs)
+    def recording(rows, width):
+        seen.append((rows, width))
+        return original(rows, width)
 
     symmetry_module.solve_param_linear = recording
     try:
@@ -571,6 +572,51 @@ def test_moser_rows_equal_the_fraction_construction(data, curve):
     finally:
         symmetry_module.solve_param_linear = original
     assert seen == [fraction_moser_rows(orbit_tangent_space(curve, a), kill, d)]
+
+
+def every_label_killing_the_lowest(lams):
+    """The curve, its class with every label at coefficient 1, and that
+    class's lowest graded component."""
+    curve = MonomialCurve(lams)
+    basis = cached_basis(curve)
+    a = AlgRestriction.from_coeffs(basis, dict.fromkeys(basis.labels, 1))
+    return curve, a, a.part(a.nonzero_qdegs()[0])
+
+
+def test_plane_curve_moser_equals_the_bareiss_reference(monkeypatch):
+    """On the plane curve (5,7), every label at 1 and the lowest component
+    killed, the sparse kernel solves the Moser system as the dense Bareiss
+    reference does, and ``moser_reduce`` reports that solution."""
+    curve, a, kill = every_label_killing_the_lowest((5, 7))
+    seen = []
+    original = symmetry_module.solve_param_linear
+
+    def recording(rows, width):
+        seen.append((rows, width))
+        return original(rows, width)
+
+    monkeypatch.setattr(symmetry_module, "solve_param_linear", recording)
+    result = moser_reduce(curve, a, kill)
+    [(rows, width)] = seen
+    want = reference_bareiss(*dense_system(rows, width))
+    assert solve_param_linear(rows, width) == want
+    assert want.consistent and result.consistent and not result.feasible
+    assert list(result.coefficients.values()) == want.solution
+    assert list(result.pole_counts.values()) == want.pole_counts
+
+
+def test_plane_curve_moser_keeps_its_recorded_digest():
+    """(7,9), every label at 1 and the lowest component (a16) killed: the
+    sha1 of the coefficients and pole counts that the dense kernel gave."""
+    curve, a, kill = every_label_killing_the_lowest((7, 9))
+    result = moser_reduce(curve, a, kill)
+    text = repr(
+        (
+            result.consistent,
+            [(s, str(result.coefficients[s]), result.pole_counts[s]) for s in result.shifts],
+        )
+    )
+    assert hashlib.sha1(text.encode()).hexdigest() == "b48a2f84cbce0334e1fd40eac69b433cc89cf34f"
 
 
 def test_moser_reduce_zero_kill_is_trivial(curve4567, basis4567):
