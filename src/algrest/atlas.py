@@ -511,14 +511,20 @@ def verify_atlas(
     )
 
 
+def _sample_value(value: object) -> Fraction:
+    if type(value) not in (str, int):  # a JSON float or boolean is not exact
+        raise TypeError(f"parameter value {json.dumps(value)} is not a string or an integer")
+    return Fraction(value)
+
+
 def load_samples_file(text: str) -> dict[int, list[dict[str, Fraction]]]:
-    """Parse a samples file: {"<row id>": [{"param": "p/q", ...}, ...]}."""
+    """Parse a samples file: {"<row id>": [{"param": "p/q" or int, ...}, ...]}."""
     try:
         data = json.loads(text)
         if not isinstance(data, dict):
             raise TypeError("the top level must be a JSON object")
         return {
-            int(key): [{p: Fraction(v) for p, v in entry.items()} for entry in entries]
+            int(key): [{p: _sample_value(v) for p, v in entry.items()} for entry in entries]
             for key, entries in data.items()
         }
     except (ValueError, TypeError, AttributeError, ZeroDivisionError) as exc:

@@ -15,8 +15,8 @@ polynomials in Z[t], for a parameter t, by fraction-free elimination
 the pivot row's support is only rescaled, and the rescalings telescope,
 so it is written only when it is read.  The pivot row is the first
 remaining row with the column, and the answer does not depend on the row
-order.  It reports whether the solution stays pole-free on the closed
-interval [0, 1], by Sturm chains over Z[t].
+order.  ``poly._reduced`` reduces each solution, and Sturm chains over the
+Z[t] of ``poly`` tell whether it stays pole-free on [0, 1].
 """
 
 from __future__ import annotations
@@ -25,7 +25,17 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .poly import RationalFunctionT, UniPoly
+from .poly import (
+    RationalFunctionT,
+    UniPoly,
+    _reduced,
+    _zdiv_exact,
+    _zgcd,
+    _zmul,
+    _zprem,
+    _zprimitive,
+    _zsub,
+)
 
 
 class RrefResult(NamedTuple):
@@ -322,12 +332,12 @@ def solve_param_linear(rows: Iterable[Mapping[int, list[int]]], width: int) -> P
 
     Each component y_k / D is reduced once, in Z[t] (``_reduced``), and
     poles are counted once per distinct reduced denominator.  The result
-    does not depend on the order of the rows, and equals that of ``rref``
-    over ``RationalFunctionT``: a column is a pivot exactly when it is not
-    in the Q(t)-span of the columns before it, whichever rows are chosen
-    as pivots, so all find the same pivot columns; with the free variables
-    at zero the solution is unique; and both store the canonical reduced
-    form with monic denominator.
+    does not depend on the order of the rows, and equals that of
+    Gauss-Jordan elimination over Q(t): a column is a pivot exactly when
+    it is not in the Q(t)-span of the columns before it, whichever rows
+    are chosen as pivots, so all find the same pivot columns; with the
+    free variables at zero the solution is unique; and both store the
+    canonical reduced form with monic denominator.
     """
     pending: list[dict[int, tuple[list[int], int]]] = []
     for row in rows:
@@ -396,135 +406,6 @@ def solve_param_linear(rows: Iterable[Mapping[int, list[int]]], width: int) -> P
         solution.append(f)
         poles.append(counts[key])
     return ParamSolution(consistent=True, solution=solution, pole_counts=poles)
-
-
-def _reduced(y: list[int], den: list[int]) -> tuple[RationalFunctionT, list[int]]:
-    """The reduced rational function y / den for y, den in Z[t], den nonzero,
-    and its denominator in Z[t] (a nonzero multiple of the monic one).
-
-    With g the primitive gcd of y and den, y / g and den / g lie in Z[t]
-    (Gauss's lemma: a primitive factor over Q[t] is a factor over Z[t]) and
-    are coprime over Q.  Dividing both by the leading coefficient of
-    den / g makes the denominator monic, and a reduced quotient with monic
-    denominator is unique, so this is ``RationalFunctionT(UniPoly(y),
-    UniPoly(den))`` built without a second Euclid over Q[t].
-    """
-    if not y:
-        return RationalFunctionT.zero(), [1]
-    if len(y) > 1 and len(den) > 1:
-        g = _zgcd(y, den)
-        if len(g) > 1:
-            y = _zdiv_exact(y, g)
-            den = _zdiv_exact(den, g)
-    lead = den[-1]
-    f = RationalFunctionT._trusted(
-        UniPoly([Fraction(c, lead) for c in y]), UniPoly([Fraction(c, lead) for c in den])
-    )
-    return f, den
-
-
-# Polynomials in Z[t] for the fraction-free solve: coefficient lists of
-# Python ints, constant term first, no trailing zeros ([] is zero).
-
-
-def _zmul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    if len(a) == 1:
-        x = a[0]
-        return [x * y for y in b]
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _zsub(a: list[int], b: list[int]) -> list[int]:
-    out = a + [0] * (len(b) - len(a))
-    for j, y in enumerate(b):
-        out[j] -= y
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _zdiv_exact(a: list[int], b: list[int]) -> list[int]:
-    """The quotient a / b in Z[t] for nonzero b; raises ArithmeticError
-    unless it is exact."""
-    if not a:
-        return []
-    if len(b) == 1:
-        lead = b[0]
-        if lead == 1:
-            return a
-        if any(c % lead for c in a):
-            raise ArithmeticError("inexact polynomial division in Z[t]")
-        return [c // lead for c in a]
-    shift = len(a) - len(b)
-    if shift < 0:
-        raise ArithmeticError("inexact polynomial division in Z[t]")
-    rem = a[:]
-    lead = b[-1]
-    quot = [0] * (shift + 1)
-    for k in range(shift, -1, -1):
-        c = rem[k + len(b) - 1]
-        if c:
-            q, r = divmod(c, lead)
-            if r:
-                raise ArithmeticError("inexact polynomial division in Z[t]")
-            quot[k] = q
-            for j, y in enumerate(b):
-                rem[k + j] -= q * y
-    if any(rem):
-        raise ArithmeticError("inexact polynomial division in Z[t]")
-    return quot
-
-
-def _zprimitive(a: list[int]) -> list[int]:
-    """a divided by the gcd of its coefficients, for nonzero a."""
-    content = math.gcd(*a)
-    return a if content == 1 else [c // content for c in a]
-
-
-def _zgcd(a: list[int], b: list[int]) -> list[int]:
-    """The primitive gcd of nonzero a and b in Z[t], up to sign.
-
-    Euclid on primitive pseudo-remainders (``_zprem``), each of which has
-    the same gcd with b as a, up to a constant.
-    """
-    a, b = _zprimitive(a), _zprimitive(b)
-    if len(a) < len(b):
-        a, b = b, a
-    while len(b) > 1:
-        rem = _zprem(a, b)
-        if not rem:
-            return b
-        a, b = b, _zprimitive(rem)
-    return [1]
-
-
-def _zprem(a: list[int], b: list[int]) -> list[int]:
-    """c * (a mod b) in Z[t] for some integer c > 0, for nonzero b.
-
-    Each step cancels the leading term of the running remainder r as
-    |lead(b)| * r - sign(lead(b)) * lead(r) * t^k * b, which multiplies the
-    remainder modulo b by |lead(b)| > 0: no sign changes.
-    """
-    rem = a[:]
-    lead = b[-1]
-    scale = abs(lead)
-    sign = 1 if lead > 0 else -1
-    while len(rem) >= len(b):
-        c = sign * rem[-1]
-        shift = len(rem) - len(b)
-        rem = [x * scale for x in rem]
-        for j, y in enumerate(b):
-            rem[shift + j] -= c * y
-        while rem and not rem[-1]:
-            rem.pop()
-    return rem
 
 
 def _zsturm_chain(p: list[int]) -> list[list[int]]:

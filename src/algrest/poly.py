@@ -2,14 +2,16 @@
 
 All coefficients are ``fractions.Fraction``; nothing in the package ever
 touches floating point.  ``Polynomial`` is a sparse dict from exponent
-tuples to coefficients, ``UniPoly`` is a dense coefficient list in one
-variable t, and ``RationalFunctionT`` is a reduced quotient of two
-``UniPoly`` with monic denominator.  ``Frozen`` is the base of the
-package's immutable value classes.
+tuples to coefficients, and ``UniPoly`` a dense coefficient list in t.
+The ring Z[t] of integer coefficient lists (``_zmul``, ``_zgcd``, ...)
+carries ``_reduced``, the one reduction of a rational function to its
+reduced pair with monic denominator, which ``RationalFunctionT`` keeps,
+evaluates and prints.  ``Frozen`` is the base of the immutable classes.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
@@ -382,11 +384,6 @@ class UniPoly:
         """{exponent: coefficient} over the nonzero coefficients."""
         return {e: c for e, c in enumerate(self.coeffs) if c}
 
-    def leading_coeff(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
-
     def coefficient(self, e: int) -> Fraction:
         if 0 <= e < len(self.coeffs):
             return self.coeffs[e]
@@ -429,50 +426,12 @@ class UniPoly:
     def __pow__(self, power: int) -> UniPoly:
         return _power(self, power, UniPoly.constant(1))
 
-    def derivative(self) -> UniPoly:
-        return UniPoly([c * i for i, c in enumerate(self.coeffs)][1:])
-
     def evaluate(self, value: Scalar) -> Fraction:
         v = _as_fraction(value)
         total = Fraction(0)
         for c in reversed(self.coeffs):
             total = total * v + c
         return total
-
-    def divmod(self, other: UniPoly) -> tuple[UniPoly, UniPoly]:
-        if not other.coeffs:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dd = other.degree()
-        lead = other.coeffs[-1]
-        if len(rem) - 1 < dd:
-            return UniPoly(), UniPoly(rem)
-        quot = [Fraction(0)] * (len(rem) - dd)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if not c:
-                continue
-            q = c / lead
-            quot[i - dd] = q
-            for j, b in enumerate(other.coeffs):
-                rem[i - dd + j] -= q * b
-        return UniPoly(quot), UniPoly(rem)
-
-    def __mod__(self, other: UniPoly) -> UniPoly:
-        return self.divmod(other)[1]
-
-    def monic(self) -> UniPoly:
-        if not self.coeffs:
-            return self
-        lead = self.coeffs[-1]
-        return UniPoly([c / lead for c in self.coeffs])
-
-    def gcd(self, other: UniPoly) -> UniPoly:
-        """Monic greatest common divisor (Euclid)."""
-        a, b = self, other
-        while b:
-            a, b = b, a % b
-        return a.monic()
 
     def __str__(self) -> str:
         return signed_sum(
@@ -482,6 +441,135 @@ class UniPoly:
 
     def __repr__(self) -> str:
         return f"UniPoly({self})"
+
+
+# Polynomials in Z[t], for ``_reduced`` and the solve in ``linalg``: lists
+# of Python ints, constant term first, no trailing zeros ([] is zero).
+
+
+def _zmul(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    if len(a) == 1:
+        x = a[0]
+        return [x * y for y in b]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _zsub(a: list[int], b: list[int]) -> list[int]:
+    out = a + [0] * (len(b) - len(a))
+    for j, y in enumerate(b):
+        out[j] -= y
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _zdiv_exact(a: list[int], b: list[int]) -> list[int]:
+    """The quotient a / b in Z[t] for nonzero b; raises ArithmeticError
+    unless it is exact."""
+    if not a:
+        return []
+    if len(b) == 1:
+        lead = b[0]
+        if lead == 1:
+            return a
+        if any(c % lead for c in a):
+            raise ArithmeticError("inexact polynomial division in Z[t]")
+        return [c // lead for c in a]
+    shift = len(a) - len(b)
+    if shift < 0:
+        raise ArithmeticError("inexact polynomial division in Z[t]")
+    rem = a[:]
+    lead = b[-1]
+    quot = [0] * (shift + 1)
+    for k in range(shift, -1, -1):
+        c = rem[k + len(b) - 1]
+        if c:
+            q, r = divmod(c, lead)
+            if r:
+                raise ArithmeticError("inexact polynomial division in Z[t]")
+            quot[k] = q
+            for j, y in enumerate(b):
+                rem[k + j] -= q * y
+    if any(rem):
+        raise ArithmeticError("inexact polynomial division in Z[t]")
+    return quot
+
+
+def _zprimitive(a: list[int]) -> list[int]:
+    """a divided by the gcd of its coefficients, for nonzero a."""
+    content = math.gcd(*a)
+    return a if content == 1 else [c // content for c in a]
+
+
+def _zgcd(a: list[int], b: list[int]) -> list[int]:
+    """The primitive gcd of nonzero a and b in Z[t], up to sign.
+
+    Euclid on primitive pseudo-remainders (``_zprem``), each of which has
+    the same gcd with b as a, up to a constant.
+    """
+    a, b = _zprimitive(a), _zprimitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        rem = _zprem(a, b)
+        if not rem:
+            return b
+        a, b = b, _zprimitive(rem)
+    return [1]
+
+
+def _zprem(a: list[int], b: list[int]) -> list[int]:
+    """c * (a mod b) in Z[t] for some integer c > 0, for nonzero b.
+
+    Each step cancels the leading term of the running remainder r as
+    |lead(b)| * r - sign(lead(b)) * lead(r) * t^k * b, which multiplies the
+    remainder modulo b by |lead(b)| > 0: no sign changes.
+    """
+    rem = a[:]
+    lead = b[-1]
+    scale = abs(lead)
+    sign = 1 if lead > 0 else -1
+    while len(rem) >= len(b):
+        c = sign * rem[-1]
+        shift = len(rem) - len(b)
+        rem = [x * scale for x in rem]
+        for j, y in enumerate(b):
+            rem[shift + j] -= c * y
+        while rem and not rem[-1]:
+            rem.pop()
+    return rem
+
+
+def _reduced(y: list[int], den: list[int]) -> tuple[RationalFunctionT, list[int]]:
+    """The reduced rational function y / den for y, den in Z[t], den nonzero,
+    and its denominator in Z[t] (a nonzero multiple of the monic one).
+
+    With g the primitive gcd of y and den, y / g and den / g lie in Z[t]
+    (Gauss's lemma: a primitive factor over Q[t] is a factor over Z[t]) and
+    are coprime over Q.  Dividing both by the leading coefficient of
+    den / g makes the denominator monic, and a reduced quotient with monic
+    denominator is unique: this is the canonical form over Q[t], with no
+    Euclid there, and the ``RationalFunctionT`` constructor runs it too.
+    """
+    if not y:
+        return RationalFunctionT.zero(), [1]
+    if len(y) > 1 and len(den) > 1:
+        g = _zgcd(y, den)
+        if len(g) > 1:
+            y = _zdiv_exact(y, g)
+            den = _zdiv_exact(den, g)
+    lead = den[-1]
+    f = RationalFunctionT._trusted(
+        UniPoly([Fraction(c, lead) for c in y]), UniPoly([Fraction(c, lead) for c in den])
+    )
+    return f, den
 
 
 class RationalFunctionT(Frozen):
@@ -495,18 +583,11 @@ class RationalFunctionT(Frozen):
         d = den if isinstance(den, UniPoly) else UniPoly.constant(den)
         if not d:
             raise ZeroDivisionError("zero denominator")
-        if not n:
-            n, d = UniPoly(), UniPoly.constant(1)
-        else:
-            g = n.gcd(d)
-            if g.degree() > 0:
-                n = n.divmod(g)[0]
-                d = d.divmod(g)[0]
-            lead = d.leading_coeff()
-            if lead != 1:
-                n = n * (Fraction(1) / lead)
-                d = d.monic()
-        self._set(num=n, den=d)
+        # one common scale clears both into Z[t] and keeps their quotient
+        scale = math.lcm(*(c.denominator for c in n.coeffs + d.coeffs))
+        zn, zd = ([c.numerator * (scale // c.denominator) for c in q.coeffs] for q in (n, d))
+        f = _reduced(zn, zd)[0]
+        self._set(num=f.num, den=f.den)
 
     @classmethod
     def zero(cls) -> RationalFunctionT:
@@ -527,35 +608,6 @@ class RationalFunctionT(Frozen):
     def __bool__(self) -> bool:
         return bool(self.num)
 
-    def __add__(self, other: RationalFunctionT) -> RationalFunctionT:
-        if not isinstance(other, RationalFunctionT):
-            return NotImplemented
-        return RationalFunctionT(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __neg__(self) -> RationalFunctionT:
-        return RationalFunctionT(-self.num, self.den)
-
-    def __sub__(self, other: RationalFunctionT) -> RationalFunctionT:
-        if not isinstance(other, RationalFunctionT):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other: RationalFunctionT | Scalar) -> RationalFunctionT:
-        if isinstance(other, (Fraction, int)):
-            return RationalFunctionT(self.num * other, self.den)
-        if not isinstance(other, RationalFunctionT):
-            return NotImplemented
-        return RationalFunctionT(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: RationalFunctionT) -> RationalFunctionT:
-        if not isinstance(other, RationalFunctionT):
-            return NotImplemented
-        if not other.num:
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunctionT(self.num * other.den, self.den * other.num)
-
     def evaluate(self, value: Scalar) -> Fraction:
         d = self.den.evaluate(value)
         if not d:
@@ -563,7 +615,7 @@ class RationalFunctionT(Frozen):
         return self.num.evaluate(value) / d
 
     def __str__(self) -> str:
-        if self.den.degree() == 0 and self.den.leading_coeff() == 1:
+        if not self.den.degree():  # a monic constant is 1
             return str(self.num)
         return f"({self.num}) / ({self.den})"
 

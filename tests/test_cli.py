@@ -418,8 +418,16 @@ def test_verify_atlas_unknown_semigroup(capsys):
 
 @pytest.mark.parametrize(
     "content",
-    [None, "{bad", "[1, 2]", '{"x": [{"c1": "1"}]}', '{"1": [{"c1": "abc"}]}'],
-    ids=["missing", "bad-json", "top-level-list", "non-integer-row", "bad-value"],
+    [
+        None,
+        "{bad",
+        "[1, 2]",
+        '{"x": [{"c1": "1"}]}',
+        '{"1": [{"c1": "abc"}]}',
+        '{"1": [{"c1": 0.1, "c2": "1"}]}',
+        '{"1": [{"c1": true, "c2": "1"}]}',
+    ],
+    ids=["missing", "bad-json", "top-level-list", "non-integer-row", "bad-value", "float", "bool"],
 )
 def test_verify_atlas_malformed_samples_exit_2(capsys, tmp_path, content):
     samples = tmp_path / "samples.json"

@@ -8,9 +8,6 @@ from algrest.linalg import (
     ParamSolution,
     PrefixSolver,
     RrefResult,
-    _reduced,
-    _zdiv_exact,
-    _zmul,
     in_span,
     kernel_basis,
     rref,
@@ -23,9 +20,18 @@ from algrest.linalg import (
     zechelon,
     zremainder,
 )
-from algrest.poly import RationalFunctionT, UniPoly
+from algrest.poly import RationalFunctionT, UniPoly, _reduced, _zdiv_exact, _zmul
 
-from ztpoly import dense_system, reference_bareiss, zt_system
+from ztpoly import (
+    QtScalar,
+    dense_system,
+    derivative,
+    divmod_q,
+    gcd_q,
+    monic,
+    reference_bareiss,
+    zt_system,
+)
 
 F = Fraction
 ONE = UniPoly.constant(1)
@@ -101,7 +107,7 @@ def sparse_rows(rows):
 def dense_rref(rows, width=None):
     """Textbook dense Gauss-Jordan elimination: the reference for
     ``sparse_echelon`` and ``rref``.  Its scalars only need field operations
-    and truthiness, so it also runs over ``RationalFunctionT``."""
+    and truthiness, so it also runs over the reference ``QtScalar``."""
     mat = [list(r) for r in rows]
     if width is None:
         width = len(mat[0]) if mat else 0
@@ -279,9 +285,9 @@ def sign_variations(values):
 
 
 def sturm_chain(p):
-    chain = [p, p.derivative()]
+    chain = [p, derivative(p)]
     while chain[-1]:
-        rem = chain[-2] % chain[-1]
+        rem = divmod_q(chain[-2], chain[-1])[1]
         if not rem:
             break
         chain.append(-rem)
@@ -291,9 +297,9 @@ def sturm_chain(p):
 def square_free_part(p):
     """p / gcd(p, p'), monic, by Euclid over Q[t]."""
     if p.degree() < 1:
-        return p.monic() if p else p
-    g = p.gcd(p.derivative())
-    return p.divmod(g)[0].monic()
+        return monic(p)
+    g = gcd_q(p, derivative(p))
+    return monic(divmod_q(p, g)[0])
 
 
 def reference_sturm_count(p, a, b):
@@ -441,7 +447,7 @@ def test_sturm_count_equals_the_fraction_chain_on_random_polynomials():
         for lo, hi in ((a, b), (0, 1), (b, a)):
             assert sturm_count(p, lo, hi) == reference_sturm_count(p, lo, hi), (p, lo, hi)
         if p:
-            f = RationalFunctionT(ONE, p)
+            f = QtScalar(ONE, p).function()
             solved = solve_param_linear(*zt_system([[p]], [ONE]))
             assert solved.solution == [f]
             assert solved.pole_counts == [reference_poles_in_closed_unit_interval(f)]
@@ -520,7 +526,7 @@ def test_solve_param_linear_edge_cases_of_the_sparse_rows():
     got = solve_param_linear(rows, 2)
     assert rows == copies  # the input is left as it was
     inverse = RationalFunctionT(ONE, t + ONE)
-    assert got == ParamSolution(True, [RationalFunctionT(2 * ONE) - inverse, inverse], [0, 0])
+    assert got == ParamSolution(True, [RationalFunctionT(2 * t + ONE, t + ONE), inverse], [0, 0])
     assert got == reference_bareiss(*dense_system(rows, 2))
 
 
@@ -537,18 +543,16 @@ def test_exact_division_in_zt_raises_on_a_remainder():
 
 
 def reference_solve_param_linear(rows, rhs):
-    """Reference solver: dense elimination over ``RationalFunctionT``."""
+    """Reference solver: dense elimination over the Q(t) scalar ``QtScalar``,
+    which reduces by Euclid over Q[t]."""
     width = len(rows[0]) if rows else 0
-    aug = [
-        [RationalFunctionT(entry) for entry in row] + [RationalFunctionT(b)]
-        for row, b in zip(rows, rhs)
-    ]
+    aug = [[QtScalar(entry) for entry in row] + [QtScalar(b)] for row, b in zip(rows, rhs)]
     red = dense_rref(aug, width + 1)
     if width in red.pivots:
         return ParamSolution(consistent=False)
     solution = [RationalFunctionT.zero()] * width
     for r, pc in enumerate(red.pivots):
-        solution[pc] = red.rows[r][width]
+        solution[pc] = red.rows[r][width].function()
     poles = [reference_poles_in_closed_unit_interval(f) for f in solution]
     return ParamSolution(consistent=True, solution=solution, pole_counts=poles)
 
@@ -640,19 +644,30 @@ zt_st = st.lists(st.integers(min_value=-9, max_value=9), max_size=4).map(
     ky=st.integers(min_value=0, max_value=3),
     kd=st.integers(min_value=0, max_value=3),
     sign=st.sampled_from([1, -1]),
+    qy=st.integers(min_value=1, max_value=6),
+    qd=st.integers(min_value=1, max_value=6),
 )
-@example(y=[16], den=[-1], common=[1], ky=0, kd=3, sign=1)
-@example(y=[2, 4], den=[3], common=[1], ky=0, kd=0, sign=-1)
-@example(y=[0, 0, 5], den=[0, 2], common=[-2, 4], ky=2, kd=2, sign=1)
-def test_reduced_component_equals_the_public_constructor(y, den, common, ky, kd, sign):
-    """Reducing y / den once in Z[t] gives what ``RationalFunctionT`` gives
-    by Euclid over Q[t]: negative leading coefficients, shared (t - 1)^k
-    and other common factors, and constant denominators included."""
+@example(y=[16], den=[-1], common=[1], ky=0, kd=3, sign=1, qy=1, qd=1)
+@example(y=[2, 4], den=[3], common=[1], ky=0, kd=0, sign=-1, qy=1, qd=1)
+@example(y=[0, 0, 5], den=[0, 2], common=[-2, 4], ky=2, kd=2, sign=1, qy=1, qd=1)
+@example(y=[3, 1], den=[-2, 0, 4], common=[1, 1], ky=1, kd=1, sign=-1, qy=6, qd=4)
+def test_reduced_component_equals_the_public_constructor(y, den, common, ky, kd, sign, qy, qd):
+    """Reducing y / den once in Z[t] (``_reduced``), and the public
+    constructor, give the reduced pair of Euclid over Q[t]: negative
+    leading coefficients, shared (t - 1)^k and other common factors, and
+    constant denominators included.  The constructor also takes ``UniPoly``
+    inputs with Fraction coefficients: y / qy over den / qd."""
     y = _zmul(times_t_minus_one(y, ky), common)
     den = [sign * c for c in _zmul(times_t_minus_one(den, kd), common)]
-    want = RationalFunctionT(UniPoly(y), UniPoly(den))
+    want = QtScalar(UniPoly(y), UniPoly(den))
     got, zden = _reduced(y, den)
-    assert got == want
-    assert str(got) == str(want)
+    assert (got.num, got.den) == (want.num, want.den)
+    public = RationalFunctionT(UniPoly(y), UniPoly(den))
+    assert public == got
+    assert str(public) == str(got) == str(want.function())
+    fy, fd = UniPoly(y) * F(1, qy), UniPoly(den) * F(1, qd)
+    want = QtScalar(fy, fd)
+    public = RationalFunctionT(fy, fd)
+    assert (public.num, public.den) == (want.num, want.den)
     # the integer denominator whose poles are counted is a multiple of it
     assert UniPoly(zden) == got.den * UniPoly.constant(zden[-1])

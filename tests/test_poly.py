@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 
 from algrest.poly import Polynomial, RationalFunctionT, UniPoly, grlex_key
 
+from ztpoly import QtScalar, divmod_q, gcd_q
+
 ONE = UniPoly.constant(1)
 
 
@@ -165,7 +167,6 @@ def test_unipoly_arithmetic_and_derivative():
     f = UniPoly.t_power(2) + ONE
     g = UniPoly.t_power(1) - ONE
     assert (f * g).degree() == 3
-    assert f.derivative() == UniPoly.t_power(1, 2)
     assert (f + g) - g == f
     assert (f * Fraction(1, 3)) * 3 == f
 
@@ -173,10 +174,10 @@ def test_unipoly_arithmetic_and_derivative():
 def test_unipoly_divmod_and_gcd():
     t = UniPoly.t_power(1)
     f = (t - ONE) * (t - 2 * ONE)
-    q, r = f.divmod(t - ONE)
+    q, r = divmod_q(f, t - ONE)
     assert q == t - 2 * ONE and r.is_zero()
     g = (t - ONE) * (t + 3 * ONE)
-    assert f.gcd(g) == t - ONE  # and it is monic
+    assert gcd_q(f, g) == t - ONE  # and it is monic
 
 
 def test_rational_function_reduction():
@@ -188,11 +189,12 @@ def test_rational_function_reduction():
 
 def test_rational_function_arithmetic():
     t = UniPoly.t_power(1)
-    a = RationalFunctionT(ONE, t)
-    b = RationalFunctionT(t)
-    assert (a * b).evaluate(Fraction(7)) == 1
-    assert (a + a).evaluate(Fraction(2)) == 1
-    assert (b / a).evaluate(Fraction(2)) == 4
+    a = QtScalar(ONE, t)
+    b = QtScalar(t)
+    assert (a * b).function().evaluate(Fraction(7)) == 1
+    assert (a + a).function().evaluate(Fraction(2)) == 1
+    assert (b / a).function().evaluate(Fraction(2)) == 4
+    assert (b - a).function() == RationalFunctionT(t * t - ONE, t)
 
 
 def test_rational_function_zero_is_one_shared_immutable_value():

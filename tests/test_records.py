@@ -265,6 +265,76 @@ def test_every_src_function_has_a_caller():
     assert _uncalled_definitions() == set(UNCALLED)
 
 
+# Methods and properties of the package's classes, dunders aside, that no
+# code in it reads as an attribute, and why each stays.
+UNCALLED_METHODS = {
+    "Atlas.row": "looks a table row up by id for library use; the atlas tests read rows with it",
+    "ActionTable.entry": (
+        "one cell of an action table as a class, for library use; the acceptance "
+        "and symmetry tests check tables cell by cell with it"
+    ),
+    "TangentSpace.vectors": (
+        "the classes spanning the orbit tangent space, for library use; tests "
+        "compare them with shift_action"
+    ),
+    "MonomialCurve.conductor": (
+        "the conductor of the semigroup, for library use; tests/test_curves.py "
+        "checks it against a table and bounds its scans with it"
+    ),
+    "AlgRestriction.coords": (
+        "all coordinates of a class, zeros included; perfbench/queries.py checks "
+        "the Euler and Moser identities with it"
+    ),
+    "RationalFunctionT.evaluate": (
+        "the value of a Moser coefficient at a time t; perfbench/queries.py and "
+        "the Moser tests check the homotopy identity with it"
+    ),
+}
+
+
+def _attributes(tree):
+    """How often each name occurs in ``tree`` as an ``Attribute``."""
+    return Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+
+
+def _uncalled_methods():
+    """Methods and properties of the package's classes, dunders aside, whose
+    name the package reads as an attribute only inside the method itself,
+    as ``Class.name``."""
+    trees = [ast.parse(module.read_text()) for module in sorted((SRC / "algrest").glob("*.py"))]
+    everywhere = sum((_attributes(tree) for tree in trees), Counter())
+    return {
+        f"{cls.name}.{node.name}"
+        for tree in trees
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and everywhere[node.name] == _attributes(node)[node.name]
+    }
+
+
+def test_every_src_method_has_a_caller():
+    """The method-level twin of the guard above: ``UNCALLED_METHODS`` is the
+    exact list.  A method is reached as an attribute (``obj.name``,
+    ``cls.name``), so a local variable of the same name is no call, and the
+    match is by name, whichever class the attribute belongs to.  Dunder
+    operators are called by syntax, out of its reach."""
+    assert _uncalled_methods() == set(UNCALLED_METHODS)
+
+
+def test_rational_functions_have_one_reduction_and_no_field_arithmetic():
+    """``poly._reduced`` is the one canonicaliser of rational functions:
+    ``UniPoly`` runs no Euclid over Q[t] and keeps no ``leading_coeff`` for
+    one, and ``RationalFunctionT`` has no Q(t) operators (tests/ztpoly.py
+    keeps the Euclid and a Q(t) scalar as the reference)."""
+    for name in ("gcd", "divmod", "monic", "derivative", "leading_coeff", "__mod__"):
+        assert not hasattr(UniPoly, name), name
+    for name in ("__add__", "__neg__", "__sub__", "__mul__", "__rmul__", "__truediv__"):
+        assert not hasattr(RationalFunctionT, name), name
+
+
 def _frozen_subclasses():
     found, stack = set(), [Frozen]
     while stack:

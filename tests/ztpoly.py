@@ -1,18 +1,90 @@
 """Systems over Q[t] in the sparse Z[t] form that ``linalg.solve_param_linear``
-takes, and the dense Bareiss solver it replaced, kept as a reference."""
+takes, the dense Bareiss solver it replaced, and Euclid over Q[t] with a
+Q(t) scalar built on it, kept as references for the reductions in Z[t]."""
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
-from algrest.linalg import (
-    ParamSolution,
-    _reduced,
-    _zdiv_exact,
-    _zmul,
-    _zpoles_in_unit_interval,
-    _zsub,
-)
+from algrest.linalg import ParamSolution, _zpoles_in_unit_interval
+from algrest.poly import RationalFunctionT, UniPoly, _reduced, _zdiv_exact, _zmul, _zsub
+
+ONE = UniPoly.constant(1)
+
+
+def divmod_q(a, b):
+    """Quotient and remainder of a by a nonzero b in Q[t], by long division."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a.coeffs)
+    dd = b.degree()
+    lead = b.coeffs[-1]
+    quot = [Fraction(0)] * max(len(rem) - dd, 0)
+    for i in range(len(rem) - 1, dd - 1, -1):
+        if rem[i]:
+            q = quot[i - dd] = rem[i] / lead
+            for j, c in enumerate(b.coeffs):
+                rem[i - dd + j] -= q * c
+    return UniPoly(quot), UniPoly(rem)
+
+
+def monic(p):
+    return p * (1 / p.coeffs[-1]) if p else p
+
+
+def gcd_q(a, b):
+    """Monic greatest common divisor by Euclid over Q[t]."""
+    while b:
+        a, b = b, divmod_q(a, b)[1]
+    return monic(a)
+
+
+def derivative(p):
+    return UniPoly([c * i for i, c in enumerate(p.coeffs)][1:])
+
+
+class QtScalar:
+    """Reference element of Q(t): num / den reduced by Euclid over Q[t],
+    den monic, with +, -, *, / and truthiness, so a textbook elimination
+    runs over it.  ``function`` wraps the reduced pair unchanged."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=ONE):
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        if not num:
+            den = ONE
+        else:
+            g = gcd_q(num, den)
+            if g.degree() > 0:
+                num, den = divmod_q(num, g)[0], divmod_q(den, g)[0]
+        lead = den.coeffs[-1]
+        self.num, self.den = (num, den) if lead == 1 else (num * (1 / lead), monic(den))
+
+    def __add__(self, other):
+        return QtScalar(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    def __neg__(self):
+        return QtScalar(-self.num, self.den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        return QtScalar(self.num * other.num, self.den * other.den)
+
+    def __truediv__(self, other):
+        if not other:
+            raise ZeroDivisionError("division by zero in Q(t)")
+        return QtScalar(self.num * other.den, self.den * other.num)
+
+    def __bool__(self):
+        return bool(self.num)
+
+    def function(self):
+        return RationalFunctionT._trusted(self.num, self.den)
 
 
 def zt_system(rows, rhs):
