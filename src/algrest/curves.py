@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Seque
 
 from .errors import InputError, NotClosedError
 from .forms import DifferentialForm, IndexTuple, Weights
-from .linalg import rref, sparse_echelon, sparse_remainder
+from .linalg import rref, zcleared, zdenominated, zechelon, zremainder
 from .poly import Exponent, Frozen, Polynomial, Scalar, UniPoly, _as_fraction, signed_sum
 
 if TYPE_CHECKING:
@@ -157,14 +157,14 @@ def ideal_graded_basis(curve: MonomialCurve, qdeg: int) -> tuple[Polynomial, ...
 
 
 @lru_cache(maxsize=None)
-def binomial_span(lams: tuple[int, ...], e: int) -> dict[int, dict[int, Fraction]]:
-    """Reduced echelon form of V_e, as ``sparse_echelon`` pivot rows: the
+def binomial_span(lams: tuple[int, ...], e: int) -> dict[int, dict[int, int]]:
+    """Reduced echelon form of V_e, as ``zechelon`` integer pivot rows: the
     span of m - m0 over the curve-only exponents m of quasi-degree e, m0
     the first, which are the exponents of the binomials that span the
     curve-only part of the ideal in degree e."""
     mons = monomials_of_qdeg(lams, e)
-    return sparse_echelon(
-        {i: Fraction(a - b) for i, (a, b) in enumerate(zip(m, mons[0]))} for m in mons[1:]
+    return zechelon(
+        {i: a - b for i, (a, b) in enumerate(zip(m, mons[0])) if a != b} for m in mons[1:]
     )
 
 
@@ -172,7 +172,7 @@ class GradedPiece(Frozen):
     """One graded quotient piece: k-forms of quasi-degree d modulo the
     forms with zero restriction.  Column J is the class of the curve-only
     terms x^m dx_J; ``relations`` is the reduced echelon form of their
-    relations, as ``sparse_echelon`` pivot rows, which follows from the
+    relations, as ``zechelon`` integer pivot rows, which follows from the
     other fields and is left out of equality, hash and repr."""
 
     __slots__ = ("curve", "k", "d", "columns", "rep_cols", "relations")
@@ -185,7 +185,7 @@ class GradedPiece(Frozen):
         d: int,
         columns: tuple[IndexTuple, ...],
         rep_cols: tuple[int, ...],
-        relations: dict[int, dict[int, Fraction]],
+        relations: dict[int, dict[int, int]],
     ):
         self._set(
             curve=curve, k=k, d=d, columns=columns, rep_cols=rep_cols, relations=relations
@@ -216,12 +216,15 @@ class GradedPiece(Frozen):
                     vec[position[idx]] += coeff
         return vec
 
-    def quotient_coords(self, vec: Sequence[Fraction]) -> list[Fraction]:
+    def quotient_coords(self, vec: Sequence[Scalar]) -> list[Fraction]:
         """Reduce modulo the relations; coordinates on the representative
-        columns."""
-        work = sparse_remainder(self.relations, vec)
-        zero = Fraction(0)
-        return [work.get(c, zero) for c in self.rep_cols]
+        columns.  The vector is cleared once, vec = A / D (``zdenominated``),
+        and A is reduced in Z (``zremainder``) to R with scale K, so the
+        coordinate at a column c is the one division R_c / (D K)."""
+        den, cleared = zdenominated({c: v for c, v in enumerate(vec) if v})
+        scale, work = zremainder(self.relations, cleared)
+        den *= scale
+        return [Fraction(work[c], den) if c in work else _ZERO for c in self.rep_cols]
 
     def rep_form(self, j: int) -> DifferentialForm:
         """The lift x^m dx_J of the j-th representative column, with m the
@@ -274,17 +277,17 @@ def restriction_quotient(curve: MonomialCurve, k: int, d: int) -> GradedPiece:
         if monomials_of_qdeg(lams, d - sum(lams[i] for i in J))
     )
     position = {J: c for c, J in enumerate(columns)}
-    relations: list[dict[int, Fraction]] = []
+    relations: list[dict[int, int]] = []
     if k >= 1:
         for K in itertools.combinations(range(len(lams)), k - 1):
             for v in binomial_span(lams, d - sum(lams[i] for i in K)).values():
-                row: dict[int, Fraction] = {}
+                row: dict[int, int] = {}
                 for i, vi in v.items():
                     if i not in K:
                         sign = -1 if sum(j < i for j in K) % 2 else 1
                         row[position[tuple(sorted(K + (i,)))]] = sign * vi
                 relations.append(row)
-    red = sparse_echelon(relations)
+    red = zechelon(relations)
     return GradedPiece(
         curve=curve,
         k=k,
@@ -342,9 +345,10 @@ class RestrictionBasis:
     d - lam_i.  ``exact[d] = (owners, rows)`` keeps these rows with their
     owners i for every d with a nonzero 2-form piece, and the canonical
     reduced echelon form of their span gives the labelled vectors:
-    ``closed[d]`` keeps it, for every d with a closed class, as
-    ``linalg.sparse_echelon`` pivot rows in the label order (pivots
-    descending), and ``solve_in_closed`` reads classes off it.  That
+    ``closed[d]`` keeps it, for every d with a closed class, as the
+    labelled rows cleared to primitive integer rows (``linalg.zcleared``),
+    a ``zechelon`` form, in the label order (pivots descending), and
+    ``solve_in_closed`` reads classes off it.  That
     span needs no row of owner 0: d^2(x^(m + e_i)) = 0 reads
     (1 + m_i) d(x^m dx_i) = -sum_(j != i) m_j d(x^(m + e_i - e_j) dx_j),
     and each x^(m + e_i - e_j) with m_j > 0 is curve-only of degree
@@ -412,7 +416,7 @@ class RestrictionBasis:
         elements: list[BasisElement] = []
         by_degree: dict[int, list[tuple[int, tuple[Fraction, ...]]]] = {}
         exact: dict[int, tuple[tuple[int, ...], tuple[tuple[Fraction, ...], ...]]] = {}
-        closed: dict[int, dict[int, dict[int, Fraction]]] = {}
+        closed: dict[int, dict[int, dict[int, int]]] = {}
         for d, piece2 in self.pieces.items():
             if piece2.dim == 0:
                 continue
@@ -422,10 +426,10 @@ class RestrictionBasis:
             for i, lam in enumerate(curve.lams):
                 for m in monomials_of_qdeg(curve.lams, d - lam):
                     # d(x^m dx_i) = sum_j m_j x^(m - e_j) dx_j ^ dx_i
-                    vec = [Fraction(0)] * len(piece2.columns)
+                    vec = [0] * len(piece2.columns)
                     for j, e in enumerate(m):
                         if e and j != i:
-                            vec[position[(min(i, j), max(i, j))]] = Fraction(e if j < i else -e)
+                            vec[position[(min(i, j), max(i, j))]] = e if j < i else -e
                     owners.append(i)
                     rows.append(tuple(piece2.quotient_coords(vec)))
             exact[d] = (tuple(owners), tuple(rows))
@@ -433,7 +437,7 @@ class RestrictionBasis:
             if not canon.pivots:
                 continue
             ordered = sorted(zip(canon.pivots, canon.rows), reverse=True)
-            closed[d] = {p: {c: v for c, v in enumerate(vec) if v} for p, vec in ordered}
+            closed[d] = {p: zcleared(dict(enumerate(vec))) for p, vec in ordered}
             labels = _degree_labels(d, len(ordered))
             entries: list[tuple[int, tuple[Fraction, ...]]] = []
             for label, (_, vec) in zip(labels, ordered):
@@ -485,7 +489,7 @@ class RestrictionBasis:
                     f"nonzero restriction class of quasi-degree {d} is not closed"
                 )
             return {}
-        if sparse_remainder(echelon, coords2):
+        if zremainder(echelon, zcleared(dict(enumerate(coords2))))[1]:
             raise NotClosedError(
                 f"restriction class of quasi-degree {d} lies outside the closed subspace"
             )

@@ -87,7 +87,7 @@ def _isotropy_solver(
         ]
         order = sorted(range(width), key=lambda c: -heights[c])
         images = [
-            piece.quotient_coords([Fraction(int(k == c)) for k in range(width)]) for c in order
+            piece.quotient_coords([int(k == c) for k in range(width)]) for c in order
         ]
         found = basis.isotropy_solvers[d] = (
             tuple(heights[c] for c in order),

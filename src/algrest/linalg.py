@@ -1,14 +1,15 @@
 """Exact linear algebra over Q and over the rational function field Q(t).
 
-``zechelon`` is the one elimination kernel: sparse Gauss-Jordan
-elimination over Z, fraction-free, on primitive integer rows
-(Bareiss-style cross-multiplication with the pivot, then division by the
-gcd content).  ``sparse_echelon`` clears rational rows to integer rows,
-runs it, and turns each entry into a ``Fraction`` only at the output; ``rref``
-is its dense spelling.  Kernels, solutions, span tests and remainders
-(``sparse_remainder``) are read off that reduced echelon form, and
-``zremainder`` tests membership of integer rows in Z.  ``PrefixSolver``
-answers many right-hand sides against one matrix from one elimination.
+``zechelon`` is the one elimination kernel and its dict of primitive
+integer pivot rows the one echelon form: sparse Gauss-Jordan elimination
+over Z, fraction-free (Bareiss-style cross-multiplication with the pivot,
+then division by the gcd content).  Rational rows are cleared to integer
+rows first (``zdenominated``, ``zcleared``).  ``zremainder`` reduces an
+integer row against that form and keeps the scale it picks up, so the
+remainder over Q is one division at the end.  ``rref`` gives the dense
+``Fraction`` rows of the same form; kernels, solutions and span tests are
+read off it.  ``PrefixSolver`` answers many right-hand sides against one
+matrix from one elimination, in integers.
 ``solve_param_linear`` solves sparse systems whose entries are
 polynomials in Z[t], for a parameter t, by fraction-free elimination
 (Bareiss, Math. Comp. 22, 1968) with a level per entry: an entry outside
@@ -48,9 +49,10 @@ class RrefResult(NamedTuple):
 
 
 def rref(rows: Sequence[Sequence[Fraction]], width: int | None = None) -> RrefResult:
-    """Reduced row echelon form of a dense Fraction matrix: the dense
-    spelling of ``sparse_echelon``.  Rows must all have ``width`` entries
-    (the first row's length by default).
+    """Reduced row echelon form of a dense Fraction matrix: the ``zechelon``
+    rows of its cleared rows (``zcleared``), each entry divided by the
+    row's pivot entry.  Rows must all have ``width`` entries (the first
+    row's length by default).
 
     That form is unique for a given row space and column order, so the
     dense rows returned equal those of the textbook dense elimination (kept
@@ -61,31 +63,14 @@ def rref(rows: Sequence[Sequence[Fraction]], width: int | None = None) -> RrefRe
     for r in rows:
         if len(r) != width:
             raise ValueError("ragged matrix")
-    pivot_rows = sparse_echelon(dict(enumerate(row)) for row in rows)
+    pivot_rows = zechelon(zcleared(dict(enumerate(row))) for row in rows)
     pivots = sorted(pivot_rows)
     zero = Fraction(0)
-    dense = [[pivot_rows[p].get(c, zero) for c in range(width)] for p in pivots]
+    dense = [
+        [Fraction(row[c], row[p]) if c in row else zero for c in range(width)]
+        for p, row in sorted(pivot_rows.items())
+    ]
     return RrefResult(rows=dense, pivots=pivots)
-
-
-def sparse_echelon(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
-    """The reduced echelon form of sparse rows, as {pivot: sparse pivot row}.
-
-    Each row is cleared to a primitive integer row (``zcleared``), the rows
-    are eliminated over Z (``zechelon``), and each entry of a pivot row
-    becomes a ``Fraction`` once, divided by the row's pivot entry.  Pivot
-    rows arrive in the order their pivots are found, each starts at its
-    pivot, with value 1, and is zero at every other pivot column.
-
-    The result equals Gauss-Jordan elimination over ``Fraction`` (kept in
-    ``tests/test_linalg.py`` as the reference) in value, in pivot order and
-    in the key order of every row: ``zechelon`` makes the same dict updates
-    in the same order, on integer rows that stay nonzero multiples of the
-    ``Fraction`` rows, so every entry is zero in one exactly when it is
-    zero in the other.
-    """
-    echelon = zechelon(zcleared(row) for row in rows)
-    return {p: {c: Fraction(v, row[p]) for c, v in row.items()} for p, row in echelon.items()}
 
 
 def zdenominated(row: Mapping[int, Fraction]) -> tuple[int, dict[int, int]]:
@@ -118,37 +103,46 @@ def zechelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
     is zero at p and a nonzero multiple of the ``Fraction`` update r -
     (r_p / q_p) q; a row is divided by the gcd of its entries before it is
     kept.  Each pivot row is zero at every other pivot column, so divided by
-    its pivot entry it is the reduced echelon row over Q.
+    its pivot entry it is the reduced echelon row over Q.  Scaling an input
+    row by a nonzero factor changes no pivot, zero or key order.
     """
     pivot_rows: dict[int, dict[int, int]] = {}
     for row in rows:
-        vec = zremainder(pivot_rows, row)
+        vec = zremainder(pivot_rows, row)[1]
         if not vec:
             continue
         vec = _zprimitive_row(vec)
         col = min(vec)
         for p, prow in pivot_rows.items():
             if col in prow:
-                pivot_rows[p] = _zprimitive_row(_zeliminated(prow, col, vec))
+                pivot_rows[p] = _zprimitive_row(_zeliminated(prow, col, vec)[1])
         pivot_rows[col] = vec
     return pivot_rows
 
 
-def zremainder(pivot_rows: Mapping[int, Mapping[int, int]], vec: dict[int, int]) -> dict[int, int]:
-    """A nonzero multiple of the remainder of the integer row ``vec`` (nonzero
-    entries only) modulo the row space of ``zechelon`` rows; {} exactly
-    when ``vec`` lies in it.
+def zremainder(
+    pivot_rows: Mapping[int, Mapping[int, int]], vec: dict[int, int]
+) -> tuple[int, dict[int, int]]:
+    """(K, R) for the integer row ``vec`` (nonzero entries only) modulo the
+    row space of ``zechelon`` rows: R / K is its remainder over Q, zero at
+    every pivot column, and R is {} exactly when ``vec`` lies in the span.
     Each pivot row is zero at the other pivots, so one clearing per pivot
-    column of ``vec`` suffices."""
+    column of ``vec`` suffices; clearing column p multiplies the row by
+    q_p / gcd(r_p, q_p), and K is the product of those factors."""
+    scale = 1
     for p in [c for c in vec if c in pivot_rows]:
-        vec = _zeliminated(vec, p, pivot_rows[p])
-    return vec
+        factor, vec = _zeliminated(vec, p, pivot_rows[p])
+        scale *= factor
+    return scale, vec
 
 
-def _zeliminated(target: Mapping[int, int], col: int, source: Mapping[int, int]) -> dict[int, int]:
-    """(s / g) * target - (t / g) * source for t = target[col], s =
-    source[col] and g = gcd(t, s): zero at ``col``, cancelled entries
-    dropped, and target's keys first, in order, then source's new ones."""
+def _zeliminated(
+    target: Mapping[int, int], col: int, source: Mapping[int, int]
+) -> tuple[int, dict[int, int]]:
+    """(s / g, (s / g) * target - (t / g) * source) for t = target[col], s =
+    source[col] and g = gcd(t, s): the row is zero at ``col``, cancelled
+    entries dropped, and target's keys first, in order, then source's new
+    ones."""
     t, s = target[col], source[col]
     g = math.gcd(t, s)
     if g != 1:
@@ -161,7 +155,7 @@ def _zeliminated(target: Mapping[int, int], col: int, source: Mapping[int, int])
             out[c] = value
         else:
             del out[c]
-    return out
+    return s, out
 
 
 def _zprimitive_row(vec: dict[int, int]) -> dict[int, int]:
@@ -209,26 +203,8 @@ def solve_linear(
 
 def in_span(vectors: Sequence[Sequence[Fraction]], target: Sequence[Fraction]) -> bool:
     """Whether ``target`` lies in the span of ``vectors``."""
-    return not sparse_remainder(sparse_echelon(dict(enumerate(v)) for v in vectors), target)
-
-
-def sparse_remainder(
-    pivot_rows: Mapping[int, Mapping[int, Fraction]], vec: Sequence[Fraction]
-) -> dict[int, Fraction]:
-    """Remainder of ``vec`` modulo the row space of ``sparse_echelon`` rows,
-    as a sparse row; only the nonzero entries of ``vec`` are visited.  Each
-    pivot row is zero at the other pivots, so its coefficient is the entry
-    of ``vec`` at its own pivot."""
-    work = {c: v for c, v in enumerate(vec) if v}
-    for p in [c for c in work if c in pivot_rows]:
-        factor = work[p]
-        for c, b in pivot_rows[p].items():
-            value = work.get(c, 0) - factor * b
-            if value:
-                work[c] = value
-            else:
-                del work[c]
-    return work
+    echelon = zechelon(zcleared(dict(enumerate(v))) for v in vectors)
+    return not zremainder(echelon, zcleared(dict(enumerate(target))))[1]
 
 
 class PrefixSolver:
@@ -240,17 +216,18 @@ class PrefixSolver:
     with pivot p reads x_p + (free unknowns) = (E b)_p, so the solution with
     free unknowns at zero has x_p = (E b)_p; a zero row of R reads
     0 = (E b)_r, so b is consistent iff (E b)_r vanishes on those rows.
-    The elimination is done once, and each right-hand side costs one sparse
-    product with the rows of E.
+    The elimination is done once, by ``zechelon`` on the cleared rows, and
+    each row of E is kept as the integer row that is a nonzero multiple of
+    it; only the zero tests are read, so a right-hand side is cleared once
+    (``zdenominated``) and costs one sparse integer product per row.
     """
 
     __slots__ = ("solved", "checks")
 
     def __init__(self, columns: Sequence[Sequence[Fraction]], height: int):
         width = len(columns)
-        one = Fraction(1)
-        echelon = sparse_echelon(
-            {**{c: col[r] for c, col in enumerate(columns) if col[r]}, width + r: one}
+        echelon = zechelon(
+            zcleared({**{c: col[r] for c, col in enumerate(columns)}, width + r: 1})
             for r in range(height)
         )
         rows = {
@@ -264,11 +241,12 @@ class PrefixSolver:
     def last_used_column(self, rhs: Sequence[Fraction]) -> int | None:
         """The largest c with x_c nonzero in the solution of A x = ``rhs``
         (0 when ``rhs`` is zero), or None when the system is inconsistent."""
+        b = zdenominated(dict(enumerate(rhs)))[1]
         for row in self.checks:
-            if sum(v * rhs[k] for k, v in row if rhs[k]):
+            if sum(v * b[k] for k, v in row if b[k]):
                 return None
         for p, row in self.solved:
-            if sum(v * rhs[k] for k, v in row if rhs[k]):
+            if sum(v * b[k] for k, v in row if b[k]):
                 return p
         return 0
 

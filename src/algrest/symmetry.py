@@ -429,7 +429,7 @@ class TangentSpace(Frozen):
         entries = direction.entries
         if len(entries) == 1:
             return len(self.echelon.get(next(iter(entries)), ())) == 1
-        return not zremainder(self.echelon, zcleared(entries))
+        return not zremainder(self.echelon, zcleared(entries))[1]
 
 
 def orbit_tangent_space(curve: MonomialCurve, a: AlgRestriction) -> TangentSpace:

@@ -24,7 +24,7 @@ from algrest.curves import (
 )
 from algrest.errors import InputError, NotClosedError
 from algrest.forms import DifferentialForm, ext_der, wedge
-from algrest.linalg import RrefResult, kernel_basis, rref, sparse_echelon
+from algrest.linalg import RrefResult, kernel_basis, rref
 from algrest.parser import parse_form, parse_restriction
 from algrest.poly import Polynomial
 from algrest.symmetry import orbit_tangent_space
@@ -36,7 +36,7 @@ from tables import (
     GAPS,
     LAST_NONZERO_QDEG,
 )
-from test_linalg import rank, reduce_by
+from test_linalg import rank, reduce_by, reference_sparse_echelon
 
 ALL = ((4, 5, 6, 7), (4, 5, 6), (4, 5, 7))
 
@@ -195,7 +195,7 @@ def test_closed_form_ideal_basis_spans_the_substitution_kernel():
                 for vec in _ideal_by_kernel(curve, qdeg)
             ]
             assert len(closed) == len(kernel), (curve, qdeg)
-            assert sparse_echelon(closed) == sparse_echelon(kernel)
+            assert reference_sparse_echelon(closed) == reference_sparse_echelon(kernel)
 
 
 def test_tangent_contains_matches_the_rank_definition():
@@ -327,8 +327,13 @@ def test_solve_in_closed_reads_coefficients_and_rejects_non_closed(basis4567):
 
 
 def _dense_echelon(pivot_rows, width):
+    """Dense reduced echelon rows of ``zechelon`` rows, each divided by its
+    pivot entry."""
     pivots = sorted(pivot_rows)
-    rows = [[pivot_rows[p].get(c, Fraction(0)) for c in range(width)] for p in pivots]
+    rows = [
+        [Fraction(pivot_rows[p].get(c, 0), pivot_rows[p][p]) for c in range(width)]
+        for p in pivots
+    ]
     return RrefResult(rows, pivots)
 
 
@@ -528,7 +533,7 @@ def reference_quotient(curve, k, d):
             for q in ideal_graded_basis(curve, e):
                 dq = ext_der(DifferentialForm.from_term(m, jdx, q))
                 gens.append(_reference_coordinates(index, dq))
-    red = sparse_echelon(gens)
+    red = reference_sparse_echelon(gens)
     pivots = tuple(sorted(red))
     return ReferencePiece(
         curve=curve,

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -13,10 +14,9 @@ from algrest.linalg import (
     rref,
     solve_linear,
     solve_param_linear,
-    sparse_echelon,
-    sparse_remainder,
     sturm_count,
     zcleared,
+    zdenominated,
     zechelon,
     zremainder,
 )
@@ -106,7 +106,7 @@ def sparse_rows(rows):
 
 def dense_rref(rows, width=None):
     """Textbook dense Gauss-Jordan elimination: the reference for
-    ``sparse_echelon`` and ``rref``.  Its scalars only need field operations
+    ``zechelon`` and ``rref``.  Its scalars only need field operations
     and truthiness, so it also runs over the reference ``QtScalar``."""
     mat = [list(r) for r in rows]
     if width is None:
@@ -163,7 +163,7 @@ def rank(rows, width=None):
 def test_sparse_rref_equals_dense_rref(matrix):
     width, rows = matrix
     dense = dense_rref(rows, width)
-    pivot_rows = sparse_echelon(sparse_rows(rows))
+    pivot_rows = fraction_echelon(sparse_rows(rows))
     assert sorted(pivot_rows) == dense.pivots
     assert [[pivot_rows[p].get(c, 0) for c in range(width)] for p in dense.pivots] == dense.rows
     assert all(0 not in row.values() for row in pivot_rows.values())
@@ -174,9 +174,21 @@ def test_sparse_rref_equals_dense_rref(matrix):
         assert not any(reduce_by(dense, row))
 
 
+def divided_by_pivots(echelon):
+    """``zechelon`` pivot rows, each entry divided by the row's pivot entry:
+    the reduced echelon rows over Q."""
+    return {p: {c: F(v, row[p]) for c, v in row.items()} for p, row in echelon.items()}
+
+
+def fraction_echelon(rows):
+    """The reduced echelon form over Q of sparse rational rows, through
+    ``zcleared`` and ``zechelon``."""
+    return divided_by_pivots(zechelon(zcleared(row) for row in rows))
+
+
 def reference_sparse_echelon(rows):
     """Sparse Gauss-Jordan elimination over ``Fraction``: the reference for
-    the fraction-free ``sparse_echelon``.  Pivot rows are kept fully reduced
+    the fraction-free ``zechelon``.  Pivot rows are kept fully reduced
     as rows arrive: an incoming row is cleared at every existing pivot
     column, its first remaining column becomes a new pivot, and that column
     is cleared from the earlier pivot rows."""
@@ -204,6 +216,23 @@ def reference_sparse_echelon(rows):
                 subtract_scaled(prow, prow[col], vec)
         pivot_rows[col] = vec
     return pivot_rows
+
+
+def sparse_remainder(pivot_rows, vec):
+    """Remainder over ``Fraction`` of the dense ``vec`` modulo the row space
+    of reduced echelon rows with pivot entry 1, as a sparse row: the
+    reference for ``zremainder``.  Each pivot row is zero at the other
+    pivots, so its coefficient is the entry of ``vec`` at its own pivot."""
+    work = {c: v for c, v in enumerate(vec) if v}
+    for p in [c for c in work if c in pivot_rows]:
+        factor = work[p]
+        for c, b in pivot_rows[p].items():
+            value = work.get(c, 0) - factor * b
+            if value:
+                work[c] = value
+            else:
+                del work[c]
+    return work
 
 
 # small values, zeros, and values with denominators and numerators far
@@ -245,19 +274,24 @@ def kernel_rows(draw):
 @example(rows=[{}, {0: F(0)}])
 @example(rows=[{2: F(1, 3), 0: F(2)}, {0: F(4), 2: F(2, 3)}, {1: F(2**89 - 1, 3**50)}])
 def test_fraction_free_echelon_equals_the_fraction_loop(rows):
-    """Values, pivot order and the key order of every pivot row."""
-    got = sparse_echelon(rows)
+    """``zechelon`` rows divided by their pivot entries equal the reference
+    in values, pivot order and the key order of every pivot row; the
+    integer rows are primitive."""
+    echelon = zechelon(zcleared(row) for row in rows)
+    got = divided_by_pivots(echelon)
     want = reference_sparse_echelon(rows)
     assert list(got) == list(want)
     for p in want:
         assert list(got[p].items()) == list(want[p].items())
-        assert all(type(v) is F for v in got[p].values())
+        assert all(type(v) is int for v in echelon[p].values())
+        assert math.gcd(*echelon[p].values()) == 1
 
 
 @given(rows=kernel_rows(), data=st.data())
 def test_integer_remainder_decides_membership(rows, data):
     """``zremainder`` of a cleared row is empty exactly when the
-    ``Fraction`` remainder is, against the echelon of the same rows; the
+    ``Fraction`` remainder is, against the echelon of the same rows, and
+    R / (D K) equals that remainder entry by entry for vec = A / D; the
     direction is a combination of the rows half of the time."""
     width = 1 + max((c for row in rows for c in row), default=0)
     if rows and data.draw(st.booleans()):
@@ -269,14 +303,24 @@ def test_integer_remainder_decides_membership(rows, data):
     else:
         vec = [data.draw(kernel_entry_st) for _ in range(width)]
     echelon = zechelon(zcleared(row) for row in rows)
-    inside = not sparse_remainder(reference_sparse_echelon(rows), vec)
-    assert (not zremainder(echelon, zcleared(dict(enumerate(vec))))) == inside
+    want = sparse_remainder(reference_sparse_echelon(rows), vec)
+    assert (not zremainder(echelon, zcleared(dict(enumerate(vec))))[1]) == (not want)
+    den, cleared = zdenominated({c: v for c, v in enumerate(vec) if v})
+    scale, rem = zremainder(echelon, cleared)
+    assert {c: F(v, den * scale) for c, v in rem.items()} == want
 
 
 def test_reduce_by_leaves_the_remainder_off_the_pivots():
-    echelon = sparse_echelon(sparse_rows(frows([[1, 2, 0, 1], [0, 0, 1, 3]])))
+    rows = sparse_rows(frows([[1, 2, 0, 1], [0, 0, 1, 3]]))
+    echelon = fraction_echelon(rows)
     assert sparse_remainder(echelon, frows([[2, 5, 1, 0]])[0]) == {1: F(1), 3: F(-5)}
     assert sparse_remainder({}, [F(1), F(0), F(2)]) == {0: F(1), 2: F(2)}
+    assert zremainder(zechelon(zcleared(row) for row in rows), {0: 2, 1: 5, 2: 1}) == (
+        1,
+        {1: 1, 3: -5},
+    )
+    assert zremainder(zechelon([{0: 2, 1: 1}]), {0: 3, 1: 1}) == (2, {1: -1})
+    assert zremainder({}, {0: 1, 2: 2}) == (1, {0: 1, 2: 2})
 
 
 def sign_variations(values):

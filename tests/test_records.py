@@ -25,12 +25,18 @@ from algrest.curves import (
     BasisElement,
     GradedPiece,
     MonomialCurve,
+    binomial_span,
     cached_basis,
     restriction_quotient,
 )
 from algrest.errors import InputError
 from algrest.forms import Weights
-from algrest.invariants import InvariantReport, PmqdVerdict
+from algrest.invariants import (
+    InvariantReport,
+    PmqdVerdict,
+    index_of_isotropy,
+    lagrangian_tangency_order,
+)
 from algrest.linalg import ParamSolution, RrefResult
 from algrest.poly import Frozen, RationalFunctionT, UniPoly
 from algrest.symmetry import (
@@ -333,6 +339,36 @@ def test_rational_functions_have_one_reduction_and_no_field_arithmetic():
         assert not hasattr(UniPoly, name), name
     for name in ("__add__", "__neg__", "__sub__", "__mul__", "__rmul__", "__truediv__"):
         assert not hasattr(RationalFunctionT, name), name
+
+
+def test_every_stored_echelon_holds_zechelon_integer_rows():
+    """The echelons ``src`` keeps are ``zechelon`` dicts of integer rows:
+    the binomial spans, the relations of every piece, the closed rows of a
+    basis and the rows of E in its prefix solvers; ``Fraction`` is built
+    only when coordinates leave an echelon, so ``linalg`` has no
+    ``Fraction`` echelon or remainder."""
+    for name in ("sparse_echelon", "sparse_remainder"):
+        assert not hasattr(algrest.linalg, name), name
+    curve = MonomialCurve((4, 5, 6, 7))
+    basis = cached_basis(curve)
+    for label in ("a9", "a11-", "a13+", "a15"):
+        a = AlgRestriction.from_coeffs(basis, {label: Fraction(3, 2)})
+        index_of_isotropy(curve, a)
+        lagrangian_tangency_order(curve, a)
+    assert basis.isotropy_solvers and basis.exact_solvers
+
+    def integer_rows(echelon):
+        return all(type(v) is int for row in echelon.values() for v in row.values())
+
+    assert all(integer_rows(binomial_span(curve.lams, e)) for e in range(basis.stop_qdeg))
+    for d, piece in basis.pieces.items():
+        assert integer_rows(piece.relations), d
+        assert integer_rows(restriction_quotient(curve, 3, d).relations), d
+    assert basis.closed and all(integer_rows(echelon) for echelon in basis.closed.values())
+    solvers = [*basis.isotropy_solvers.values(), *basis.exact_solvers.values()]
+    for _, solver in solvers:
+        rows = [row for _, row in solver.solved] + list(solver.checks)
+        assert all(type(v) is int for row in rows for _, v in row)
 
 
 def _frozen_subclasses():

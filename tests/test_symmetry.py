@@ -19,7 +19,7 @@ from algrest.curves import (
 from algrest.errors import InputError, LiftError, NotSymmetryError
 from algrest.forms import PolyMap, VectorField, lie_derivative
 from algrest.invariants import invariant_report
-from algrest.linalg import solve_param_linear, sparse_remainder
+from algrest.linalg import solve_param_linear
 from algrest.parser import parse_map, parse_restriction
 from algrest.poly import Polynomial, RationalFunctionT, UniPoly
 from algrest.symmetry import (
@@ -41,7 +41,7 @@ from algrest.symmetry import (
 
 from direct_actions import check_witt_construction, lie_action
 from tables import ACTIONS, NONSEMIGROUP_SHIFTS, SHIFTS
-from test_linalg import reference_sparse_echelon
+from test_linalg import reference_sparse_echelon, sparse_remainder
 from ztpoly import dense_system, reference_bareiss, zt_system
 
 
