@@ -14,6 +14,17 @@ as such rather than silently accepted or asserted away.
 Coefficient expressions are parsed once, when a table is loaded; a sample
 only multiplies.  Each sample's invariants are measured once, by
 ``verify_row``, and the distinctness check reads them off its checks.
+
+The three checks on a realization F run in closed form on its exponent
+data, each exact over Q.  Along t -> (t^lam, 0, ...) a term c x^e is
+c t^<e, lam>, or 0 if e has an off-curve exponent (``MonomialCurve.series``),
+which is the substitution itself.  The linear part is nonsingular iff one
+``zechelon`` of its rows, cleared to integers, has 2n pivots, the rank over
+Q.  F^* omega_std is summed pair by pair of terms of F_(2i-1) and F_(2i)
+straight into piece coordinates (``_standard_pullback``), the same sums the
+generic pullback, restricted to the curve and vectorized, adds up, and it
+is projected by the per-degree loop of ``curves.project``
+(``project_vectors``).
 """
 
 from __future__ import annotations
@@ -30,12 +41,12 @@ from typing import Mapping, NamedTuple, Sequence
 from .curves import (
     AlgRestriction,
     MonomialCurve,
+    RestrictionBasis,
     cached_basis,
-    project,
+    project_vectors,
 )
 from .errors import InputError
-from .forms import DifferentialForm, PolyMap, pullback
-from .linalg import rref
+from .forms import PolyMap
 from .invariants import (
     Extended,
     InvariantReport,
@@ -213,6 +224,9 @@ def _violates(env: Mapping[str, Fraction], excluded: Mapping[str, tuple[Fraction
     return any(env.get(p) in vals for p, vals in excluded.items())
 
 
+_POOL = tuple(Fraction(v) for v in "2 -1/3 5 7/2 -4 1/5 3 -5/2 11 -7".split())
+
+
 def default_samples(
     row: AtlasRow, count: int = 3, seed: int = 0
 ) -> list[dict[str, Fraction]]:
@@ -222,7 +236,6 @@ def default_samples(
     appends one extra random sample.  Sign parameters are not included here;
     verification expands each sample over both signs for sign rows.
     """
-    pool = [Fraction(v) for v in "2 -1/3 5 7/2 -4 1/5 3 -5/2 11 -7".split()]
     combined: dict[str, tuple[Fraction, ...]] = dict(row.excluded)
     for real in row.realizations:
         for p, vals in real.excluded.items():
@@ -233,10 +246,10 @@ def default_samples(
         for i, p in enumerate(row.params):
             if p == "s":
                 continue
-            j = (3 * k + 2 * i + row.id) % len(pool)
-            while pool[j] in combined.get(p, ()):
-                j = (j + 1) % len(pool)
-            env[p] = pool[j]
+            j = (3 * k + 2 * i + row.id) % len(_POOL)
+            while _POOL[j] in combined.get(p, ()):
+                j = (j + 1) % len(_POOL)
+            env[p] = _POOL[j]
         samples.append(env)
     if seed:
         rng = random.Random(seed * 1000003 + row.id)
@@ -297,12 +310,45 @@ def build_template(
     return out
 
 
-def standard_symplectic(n: int) -> DifferentialForm:
-    """dx1^dx2 + dx3^dx4 + ... on R^{2n}."""
-    total = DifferentialForm.zero(2, 2 * n)
-    for i in range(n):
-        total = total + DifferentialForm.from_term(2 * n, (2 * i, 2 * i + 1), 1)
-    return total
+def _standard_pullback(basis: RestrictionBasis, phi: PolyMap) -> dict[int, list[Fraction]]:
+    """The piece coordinates (``GradedPiece.vectorize``) of phi^* omega_std,
+    omega_std = dx1^dx2 + dx3^dx4 + ..., by quasi-degree below ``stop_qdeg``.
+
+    phi^* omega_std = sum_i dF_(2i-1) ^ dF_(2i), and terms c1 x^e1 of
+    F_(2i-1) and c2 x^e2 of F_(2i) give the sum over j != k of c1 c2 e1_j
+    e2_k x^(e1 + e2 - u_j - u_k) dx_j ^ dx_k, of quasi-degree <e1 + e2, lam>.
+    A term with an off-curve variable or differential restricts to 0, and a
+    curve-only x^m dx_j ^ dx_k, j < k, is the column (j, k) of its degree's
+    piece, so only curve-only terms count, by their coefficients, and a
+    pair at or above ``stop_qdeg``, where every piece is 0, is skipped.
+    """
+    lams = basis.curve.lams
+    terms = [
+        [
+            (sum(e * w for e, w in zip(exps, lams)), [(j, e) for j, e in enumerate(exps) if e], c)
+            for exps, c in comp.terms.items()
+            if not any(exps[len(lams):])
+        ]
+        for comp in phi.components
+    ]
+    vectors: dict[int, list[Fraction]] = {}
+    for left, right in zip(terms[::2], terms[1::2]):
+        for q1, e1, c1 in left:
+            for q2, e2, c2 in right:
+                d = q1 + q2
+                if d >= basis.stop_qdeg:
+                    continue
+                columns = basis.pieces[d].columns
+                if d not in vectors:
+                    vectors[d] = [Fraction(0)] * len(columns)
+                vec, c = vectors[d], c1 * c2
+                for j, a in e1:
+                    for k, b in e2:
+                        if j < k:
+                            vec[columns.index((j, k))] += c * a * b
+                        elif j > k:
+                            vec[columns.index((k, j))] -= c * a * b
+    return dict(sorted(vectors.items()))
 
 
 class RowCheck(NamedTuple):
@@ -349,7 +395,6 @@ def verify_row(
         samples = default_samples(row, seed=seed)
     basis = cached_basis(curve)
     real = realization_for(row, n)
-    omega0 = standard_symplectic(n)
     checks = []
     for env in _expanded_envs(row, samples):
         failures: list[str] = []
@@ -363,12 +408,11 @@ def verify_row(
             template = build_template(real, env, n)
         except InputError as exc:
             raise InputError(f"semigroup {curve.lams} row {row.id}: {exc}") from None
-        big = curve.with_ambient(2 * n)
-        if phi.apply_series(big.images()) != template:
+        if curve.series(phi.components) != template:
             failures.append("map does not reproduce the stored parameterization")
-        if rref(phi.linear_matrix(), 2 * n).rank != 2 * n:
+        if phi.linear_rank() != 2 * n:
             failures.append("linear part of the realization map is singular")
-        projected = project(curve, pullback(phi.restrict(s), omega0), basis)
+        projected = project_vectors(basis, _standard_pullback(basis, phi))
         if projected != realized:
             failures.append(
                 f"pullback of the standard symplectic form projects to "

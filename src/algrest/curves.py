@@ -75,11 +75,19 @@ class MonomialCurve(Frozen):
     def weights(self) -> Weights:
         return Weights(self.lams, self.ambient)
 
-    def images(self) -> list[UniPoly]:
-        """Component series of the curve, one per ambient variable."""
-        series = [UniPoly.t_power(v) for v in self.lams]
-        series += [UniPoly.zero()] * (self.ambient - len(self.lams))
-        return series
+    def series(self, polys: Iterable[Polynomial]) -> list[UniPoly]:
+        """Each polynomial along the curve: its term c x^e goes to c t^<e, lam>
+        when e has no exponent on an off-curve variable, and to 0 else."""
+        lams = self.lams
+        out = []
+        for poly in polys:
+            terms: dict[int, Fraction] = {}
+            for exps, c in poly.terms.items():
+                if not any(exps[len(lams):]):
+                    q = sum(e * w for e, w in zip(exps, lams))
+                    terms[q] = terms.get(q, 0) + c
+            out.append(UniPoly.from_terms(terms))
+        return out
 
     def in_semigroup(self, value: int) -> bool:
         """Whether some curve-only monomial has quasi-degree ``value``.
@@ -103,9 +111,6 @@ class MonomialCurve(Frozen):
             v += 1
         return v - run
 
-    def with_ambient(self, ambient: int) -> MonomialCurve:
-        return MonomialCurve(self.lams, ambient)
-
     def __str__(self) -> str:
         return "(" + ", ".join(f"t^{v}" for v in self.lams) + ")"
 
@@ -117,16 +122,16 @@ def monomials_of_qdeg(wvec: tuple[int, ...], d: int) -> tuple[Exponent, ...]:
         return ()
 
     def extend(pos: int, remaining: int) -> list[Exponent]:
-        if pos == len(wvec):
-            return [()] if remaining == 0 else []
-        out = []
         w = wvec[pos]
+        if pos == len(wvec) - 1:
+            return [] if remaining % w else [(remaining // w,)]
+        out = []
         for e in range(remaining // w + 1):
             for tail in extend(pos + 1, remaining - e * w):
                 out.append((e,) + tail)
         return out
 
-    mons = extend(0, d)
+    mons = extend(0, d) if wvec else [()] if d == 0 else []
     mons.sort(key=lambda exps: (sum(exps), exps), reverse=True)
     return tuple(mons)
 
@@ -670,32 +675,6 @@ class AlgRestriction:
         return f"AlgRestriction({self})"
 
 
-def drop_off_curve(form: DifferentialForm, branch_dim: int) -> DifferentialForm:
-    """Pull a form back along the inclusion of the curve-supported subspace.
-
-    Deletes every term containing an off-curve variable or differential and
-    re-expresses the rest in the first ``branch_dim`` variables.  The class
-    of the restriction is unchanged: a term p dx_j ^ dx_I with j off-curve
-    equals d(+- x_j p dx_I) up to a form with vanishing coefficients on the
-    curve, and both lie in the zero-restriction space.
-    """
-    m = form.nvars
-    if branch_dim > m:
-        raise InputError("branch dimension exceeds the form's variable count")
-    coeffs: dict[IndexTuple, Polynomial] = {}
-    for idx, poly in form.coeffs.items():
-        if any(i >= branch_dim for i in idx):
-            continue
-        terms = {
-            exps[:branch_dim]: c
-            for exps, c in poly.terms.items()
-            if all(e == 0 for e in exps[branch_dim:])
-        }
-        if terms:
-            coeffs[idx] = Polynomial(branch_dim, terms)
-    return DifferentialForm(form.degree, branch_dim, coeffs)
-
-
 def check_basis_curve(curve: MonomialCurve, basis: RestrictionBasis) -> None:
     """Raise InputError unless the basis was built for the curve."""
     if basis.curve != curve:
@@ -719,12 +698,22 @@ def project(
         )
     if form.degree != 2:
         raise InputError("only 2-forms can be projected to this basis")
+    parts = form.graded_parts(curve.weights).items()
+    return project_vectors(
+        basis, {d: basis.pieces[d].vectorize(part) for d, part in parts if d < basis.stop_qdeg}
+    )
+
+
+def project_vectors(
+    basis: RestrictionBasis, vectors: Mapping[int, Sequence[Scalar]]
+) -> AlgRestriction:
+    """The class of a closed 2-form given by its degree-d piece coordinates
+    ``vectors[d]`` (as ``GradedPiece.vectorize`` gives them), for degrees d
+    in ascending order below ``stop_qdeg``; a part outside the closed
+    span raises ``NotClosedError``."""
     entries: dict[int, Fraction] = {}
-    for d, part in form.graded_parts(curve.weights).items():
-        if d >= basis.stop_qdeg:
-            continue
-        piece2 = basis.pieces[d]
-        coords2 = piece2.quotient_coords(piece2.vectorize(part))
+    for d, vec in vectors.items():
+        coords2 = basis.pieces[d].quotient_coords(vec)
         if not any(coords2):
             continue
         try:

@@ -18,7 +18,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
-from .poly import Exponent, Frozen, Polynomial, Scalar, UniPoly, add_into
+from .linalg import zcleared, zechelon
+from .poly import Exponent, Frozen, Polynomial, Scalar, add_into
 
 IndexTuple = tuple[int, ...]
 
@@ -27,36 +28,30 @@ class Weights(Frozen):
     """Quasi-homogeneous weights for ``ambient`` variables.
 
     The first ``len(lams)`` variables carry the given weights; any further
-    variable carries ``max(lams) + 1``.
+    variable carries ``max(lams) + 1``.  ``wvec``, the weight of every
+    variable, is built once and left out of equality, hash and repr.
     """
 
-    __slots__ = ("lams", "ambient")
-    _fields = __slots__
+    __slots__ = ("lams", "ambient", "wvec")
+    _fields = __slots__[:-1]
 
     def __init__(self, lams: tuple[int, ...], ambient: int):
         if ambient < len(lams):
             raise InputError("ambient dimension smaller than the weight list")
         if any(w <= 0 for w in lams):
             raise InputError("weights must be positive")
-        self._set(lams=lams, ambient=ambient)
+        wvec = lams + (lams[-1] + 1,) * (ambient - len(lams)) if lams else lams
+        self._set(lams=lams, ambient=ambient, wvec=wvec)
 
     def weight(self, index: int) -> int:
         if not 0 <= index < self.ambient:
             raise InputError(f"variable index {index} out of range")
-        if index < len(self.lams):
-            return self.lams[index]
-        return self.lams[-1] + 1
-
-    @property
-    def wvec(self) -> tuple[int, ...]:
-        return tuple(self.weight(i) for i in range(self.ambient))
-
-    def qdeg_monomial(self, exps: Exponent) -> int:
-        return sum(e * w for e, w in zip(exps, self.wvec))
+        return self.wvec[index]
 
     def qdeg_term(self, exps: Exponent, idx: IndexTuple) -> int:
         """Quasi-degree of the form term x^exps dx_idx."""
-        return self.qdeg_monomial(exps) + sum(self.weight(i) for i in idx)
+        wvec = self.wvec
+        return sum(e * w for e, w in zip(exps, wvec)) + sum(wvec[i] for i in idx)
 
 
 def _merge_sign(left: IndexTuple, right: IndexTuple) -> tuple[int, IndexTuple] | None:
@@ -382,18 +377,10 @@ class PolyMap:
         units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
         return [[comp.terms.get(unit, zero) for unit in units] for comp in self.components]
 
-    def restrict(self, dim: int) -> PolyMap:
-        """self after the inclusion of R^dim as the first ``dim`` coordinates;
-        its pullback is the pullback along self then ``curves.drop_off_curve``."""
-        if not 0 < dim <= self.source_dim:
-            raise InputError(f"cannot restrict a map on R^{self.source_dim} to R^{dim}")
-        kept = [{e[:dim]: c for e, c in p.terms.items() if not any(e[dim:])} for p in self.components]
-        # cutting off an all-zero tail keeps distinct exponents distinct
-        return PolyMap([Polynomial._trusted(dim, terms) for terms in kept], dim)
-
-    def apply_series(self, images: Sequence[UniPoly]) -> list[UniPoly]:
-        """Compose with a curve t -> images, one UniPoly per source variable."""
-        return [comp.substitute(images) for comp in self.components]
+    def linear_rank(self) -> int:
+        """Rank of the linear part: the pivot count of one ``zechelon`` on
+        its rows cleared to integers."""
+        return len(zechelon(zcleared(dict(enumerate(row))) for row in self.linear_matrix()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolyMap):

@@ -272,27 +272,6 @@ class Polynomial:
                 terms[exps[:index] + (e - 1,) + exps[index + 1:]] = coeff * e
         return Polynomial._trusted(self.nvars, terms)
 
-    def substitute(self, images: Sequence[UniPoly]) -> UniPoly:
-        """Evaluate with each variable replaced by a univariate polynomial in t.
-
-        Sparse: products run on dicts from t-exponent to coefficient, built from
-        the nonzero coefficients of the image powers; each is built once per call."""
-        if len(images) != self.nvars:
-            raise ValueError("need one image per variable")
-        powers: dict[tuple[int, int], dict[int, Fraction]] = {}
-        total: dict[int, Fraction] = {}
-        for exps, coeff in self.terms.items():
-            term = {0: coeff}
-            for i, e in enumerate(exps):
-                if not e:
-                    continue
-                if (i, e) not in powers:
-                    powers[i, e] = (images[i] ** e).nonzero()
-                term = _sparse_mul(term, powers[i, e])
-            for k, c in term.items():
-                total[k] = total.get(k, 0) + c
-        return UniPoly.from_terms(total)
-
     def subst_poly(self, images: Sequence[Polynomial]) -> Polynomial:
         """Evaluate with each variable replaced by a polynomial."""
         if len(images) != self.nvars:

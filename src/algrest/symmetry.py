@@ -581,7 +581,7 @@ def symmetry_constant(curve: MonomialCurve, phi: PolyMap) -> Fraction:
     linear = phi.linear_matrix()
     if rref(linear, m).rank != m:
         raise NotSymmetryError("not a local symmetry of the curve: linear part is singular")
-    u = phi.apply_series(curve.images())
+    u = curve.series(phi.components)
     lams = curve.lams
     for i in range(len(lams), m):
         if u[i]:

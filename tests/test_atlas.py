@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from algrest import symmetry as symmetry_module
 from algrest.atlas import (
     BUNDLED,
     build_map,
+    build_template,
     coeff_value,
     default_samples,
     load_atlas,
@@ -15,18 +17,20 @@ from algrest.atlas import (
     parse_coeff,
     realization_for,
     row_class,
-    standard_symplectic,
     verify_atlas,
     verify_distinctness,
     verify_row,
 )
-from algrest.curves import project
+from algrest.curves import AlgRestriction, MonomialCurve, cached_basis, project, project_vectors
 from algrest.errors import InputError
+from algrest.forms import PolyMap, pullback
 from algrest.invariants import symplectic_multiplicity
 from algrest.linalg import rref
 from algrest.parser import parse_form
 from algrest.poly import Polynomial
 from algrest.symmetry import orbit_tangent_space
+
+from generic_path import apply_series, curve_images, restrict, standard_symplectic
 
 
 def test_bundled_row_counts(atlas4567, atlas456, atlas457):
@@ -274,3 +278,157 @@ def test_load_samples_file():
         1: [{"c2": Fraction(3, 2)}, {"c2": Fraction(-4)}],
         4: [{"c1": Fraction(1), "c2": Fraction(0)}],
     }
+
+
+def generic_checks(basis, phi, n):
+    """The three realization checks of ``verify_row`` by the generic path:
+    the map along the curve by substitution into the curve's images, the
+    rank of the linear part by a dense rref, and the class of the pulled
+    back standard form by project(pullback(F.restrict(s), omega_std))."""
+    curve = basis.curve
+    return (
+        apply_series(phi, curve_images(MonomialCurve(curve.lams, 2 * n))),
+        rref(phi.linear_matrix(), 2 * n).rank,
+        project(curve, pullback(restrict(phi, len(curve.lams)), standard_symplectic(n)), basis),
+    )
+
+
+def closed_checks(basis, phi):
+    """The same three values by the closed forms that ``verify_row`` runs."""
+    return (
+        basis.curve.series(phi.components),
+        phi.linear_rank(),
+        project_vectors(basis, atlas_module._standard_pullback(basis, phi)),
+    )
+
+
+def generic_failures(atlas, real, env, n):
+    """The failure messages of the three realization checks, by the generic path."""
+    basis = cached_basis(atlas.curve)
+    series, rank, projected = generic_checks(basis, build_map(real, env, n), n)
+    realized = AlgRestriction.from_coeffs(
+        basis, {label: coeff_value(c, env) for label, c in real.restriction.items()}
+    )
+    failures = []
+    if series != build_template(real, env, n):
+        failures.append("map does not reproduce the stored parameterization")
+    if rank != 2 * n:
+        failures.append("linear part of the realization map is singular")
+    if projected != realized:
+        failures.append(
+            f"pullback of the standard symplectic form projects to {projected}, "
+            f"stored restriction is {realized}"
+        )
+    return failures
+
+
+def sample_envs(row, real):
+    """The default samples with two random ones, over both signs of a sign
+    row, off every exclusion of the row and the realization."""
+    samples = default_samples(row) + default_samples(row, seed=11)[-1:]
+    samples += default_samples(row, seed=12)[-1:]
+    for env in atlas_module._expanded_envs(row, samples):
+        if not (
+            atlas_module._violates(env, row.excluded) or atlas_module._violates(env, real.excluded)
+        ):
+            yield env
+
+
+def test_closed_form_checks_equal_the_generic_path_on_every_stored_realization(
+    atlas4567, atlas456, atlas457
+):
+    """Every stored realization of the three tables, at every n from the
+    row's min_n to s (so the identity-padded components are covered too),
+    at the default and at random samples: the curve series, the rank of
+    the linear part and the pulled-back class agree with the generic path."""
+    compared = 0
+    for atlas in (atlas4567, atlas456, atlas457):
+        basis = cached_basis(atlas.curve)
+        for row in atlas.rows:
+            for n in range(row.min_n, len(atlas.curve.lams) + 1):
+                real = realization_for(row, n)
+                for env in sample_envs(row, real):
+                    phi = build_map(real, env, n)
+                    assert closed_checks(basis, phi) == generic_checks(basis, phi, n), (row.id, n, env)
+                    compared += 1
+    assert compared > 300
+
+
+def random_map(rng, s):
+    """n with 2n >= s and a map of R^{2n} fixing the origin: mostly a
+    permutation with nonzero factors for its linear part, plus up to three
+    terms per component of total degree at most 3, the off-curve
+    coordinates included, with coefficients in -3..3."""
+    n = rng.randint((s + 1) // 2, 3)
+    m = 2 * n
+    order = rng.sample(range(m), m) if rng.random() < 0.8 else [None] * m
+    components = []
+    for i in order:
+        terms = {}
+        if i is not None:
+            terms[tuple(int(k == i) for k in range(m))] = Fraction(rng.choice((-3, -1, 1, 2)))
+        for _ in range(rng.randint(0, 3)):
+            exps = [0] * m
+            for _ in range(rng.randint(1, 3)):
+                exps[rng.randrange(m)] += 1
+            terms[tuple(exps)] = Fraction(rng.randint(-3, 3))
+        components.append(Polynomial(m, terms))
+    return n, PolyMap(components)
+
+
+@pytest.mark.parametrize("lams", BUNDLED)
+def test_closed_form_checks_equal_the_generic_path_on_random_maps(lams):
+    basis = cached_basis(MonomialCurve(lams))
+    rng = random.Random(sum(lams))
+    for _ in range(400):
+        n, phi = random_map(rng, len(lams))
+        assert closed_checks(basis, phi) == generic_checks(basis, phi, n), phi
+
+
+def _corrupted(row, n, component, position, replace):
+    """``row`` with one entry of the stored realization for n replaced:
+    ``replace`` maps the old (coefficient, exponent or power) pair at
+    ``position`` of map component ``component``, or of the template when
+    ``component`` is negative, to the new pair."""
+    real = realization_for(row, n)
+    field = "template" if component < 0 else "map_data"
+    comps = list(getattr(real, field))
+    c = ~component if component < 0 else component
+    entries = list(comps[c])
+    entries[position] = replace(entries[position])
+    comps[c] = tuple(entries)
+    bad = real._replace(**{field: tuple(comps)})
+    others = tuple(r for r in row.realizations if r is not real)
+    return row._replace(realizations=(bad, *others)), bad
+
+
+@pytest.mark.parametrize(
+    ("n", "component", "position", "replace", "expected"),
+    [
+        # F2 = x2 + c1*x4 becomes x2 + 2*c1*x4
+        (2, 1, 1, lambda e: ((2 * e[0][0], e[0][1]), e[1]), {
+            "map does not reproduce the stored parameterization",
+            "pullback of the standard symplectic form projects to",
+        }),
+        # the template's first component t^4 becomes 2*t^4
+        (2, ~0, 0, lambda e: ((2 * e[0][0], e[0][1]), e[1]), {
+            "map does not reproduce the stored parameterization",
+        }),
+        # F6 = x6, off the curve, becomes x6^2: only the linear part changes
+        (3, 5, 0, lambda e: (e[0], (0, 0, 0, 0, 0, 2)), {
+            "linear part of the realization map is singular",
+        }),
+    ],
+    ids=["map-coefficient", "template", "linear-part"],
+)
+def test_corrupted_realizations_keep_their_failure_messages(
+    atlas4567, n, component, position, replace, expected
+):
+    """A corrupted map coefficient, template entry or linear part of row 1
+    fails its own checks, with the messages of the generic path."""
+    row, bad = _corrupted(atlas4567.row(1), n, component, position, replace)
+    checks = verify_row(atlas4567, row, n=n, seed=3)
+    assert checks
+    for check in checks:
+        assert list(check.failures) == generic_failures(atlas4567, bad, check.env, n)
+        assert {next(m for m in expected if f.startswith(m)) for f in check.failures} == expected

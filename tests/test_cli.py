@@ -287,27 +287,27 @@ def test_pullback_checks_the_map_once(capsys, monkeypatch, phi, rc):
     """One ``pullback`` composes the map with the curve and runs the power
     checks once, for a symmetry and for a map that is none."""
     from algrest import cli as cli_module, symmetry
-    from algrest.forms import PolyMap
+    from algrest.curves import MonomialCurve
 
-    calls = {"symmetry_constant": 0, "apply_series": 0}
-    check, compose = symmetry.symmetry_constant, PolyMap.apply_series
+    calls = {"symmetry_constant": 0, "series": 0}
+    check, compose = symmetry.symmetry_constant, MonomialCurve.series
 
     def counted_check(*args):
         calls["symmetry_constant"] += 1
         return check(*args)
 
     def counted_compose(*args):
-        calls["apply_series"] += 1
+        calls["series"] += 1
         return compose(*args)
 
     monkeypatch.setattr(symmetry, "symmetry_constant", counted_check)
     monkeypatch.setattr(cli_module, "symmetry_constant", counted_check)
-    monkeypatch.setattr(PolyMap, "apply_series", counted_compose)
+    monkeypatch.setattr(MonomialCurve, "series", counted_compose)
     got, _, _ = run(
         capsys, "pullback", "4", "5", "6", "7", "--map", phi, "--restriction", "a9 + a13+"
     )
     assert got == rc
-    assert calls == {"symmetry_constant": 1, "apply_series": 1}
+    assert calls == {"symmetry_constant": 1, "series": 1}
 
 
 def test_verify_atlas_single_semigroup(capsys):

@@ -15,7 +15,6 @@ from algrest.curves import (
     AlgRestriction,
     MonomialCurve,
     cached_basis,
-    drop_off_curve,
     ideal_graded_basis,
     monomials_of_qdeg,
     project,
@@ -29,6 +28,7 @@ from algrest.parser import parse_form, parse_restriction
 from algrest.poly import Polynomial
 from algrest.symmetry import orbit_tangent_space
 
+from generic_path import curve_images, drop_off_curve, substitute
 from tables import (
     BASIS_LABELS,
     BASIS_QDEGS,
@@ -127,8 +127,9 @@ def test_only_the_basis_cache_holds_per_curve_state():
 
 def test_curve_images_are_t_powers():
     curve = MonomialCurve((4, 5, 7), ambient=5)
-    images = curve.images()
+    images = curve_images(curve)
     assert [f.order() for f in images] == [4, 5, 7, None, None]
+    assert curve.series(Polynomial.variable(5, i) for i in range(5)) == images
 
 
 def test_monomials_of_qdeg():
@@ -136,6 +137,20 @@ def test_monomials_of_qdeg():
     assert set(mono) == {(0, 2, 0, 0), (1, 0, 1, 0)}
     assert monomials_of_qdeg((4, 5, 6, 7), 1) == ()
     assert monomials_of_qdeg((4, 5, 6, 7), 0) == ((0, 0, 0, 0),)
+
+
+@pytest.mark.parametrize(
+    "wvec", [(), (1,), (3,), (2, 3), (4, 7), (5, 2), (1, 1), (4, 5, 6), (2, 2, 5), (3, 1, 4, 2)]
+)
+def test_monomials_of_qdeg_equals_the_brute_force_enumeration(wvec):
+    """Every exponent tuple of weighted degree d, from all tuples with
+    entries up to d, in graded-lex descending order; the empty weight
+    vector has the one empty tuple in degree 0."""
+    for d in range(-2, 26):
+        box = itertools.product(*(range(max(d, 0) // w + 1) for w in wvec))
+        found = [e for e in box if sum(x * w for x, w in zip(e, wvec)) == d]
+        found.sort(key=lambda exps: (sum(exps), exps), reverse=True)
+        assert monomials_of_qdeg(wvec, d) == tuple(found), (wvec, d)
 
 
 def test_basis_labels_and_degrees():
@@ -168,7 +183,7 @@ def test_cached_basis_is_one_object_per_curve():
 def _ideal_by_kernel(curve, qdeg):
     """The ideal's graded piece as the kernel of substitution into the curve."""
     mons = monomials_of_qdeg(curve.weights.wvec, qdeg)
-    values = [Polynomial.monomial(m).substitute(curve.images()) for m in mons]
+    values = [substitute(Polynomial.monomial(m), curve_images(curve)) for m in mons]
     powers = sorted({e for v in values for e in range(len(v.coeffs)) if v.coefficient(e)})
     rows = [[v.coefficient(e) for v in values] for e in powers]
     return kernel_basis(rows, len(mons))
@@ -466,7 +481,7 @@ def test_drop_off_curve():
 
 
 def test_bigger_ambient_same_quotient(curve456):
-    big = curve456.with_ambient(5)
+    big = MonomialCurve(curve456.lams, 5)
     basis_small = cached_basis(curve456)
     basis_big = cached_basis(big)
     assert basis_big.labels == basis_small.labels

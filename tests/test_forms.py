@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from algrest.curves import MonomialCurve
 from algrest.errors import InputError
 from algrest.forms import (
     DifferentialForm,
@@ -15,6 +16,8 @@ from algrest.forms import (
     wedge,
 )
 from algrest.poly import Polynomial, UniPoly
+
+from generic_path import apply_series, restrict
 
 
 def var(i, n=4):
@@ -145,6 +148,23 @@ def test_weights_off_curve_variables():
         weights.weight(6)
 
 
+def test_weights_keep_their_padded_vector_outside_their_value():
+    """The weight vector is built once, in a slot outside ``_fields``:
+    equality, hash and repr read the lams and the ambient alone, and
+    ``weight`` reads the vector, range-checked."""
+    weights = Weights((4, 5, 6), 5)
+    assert weights.wvec == (4, 5, 6, 7, 7) and weights.wvec is weights.wvec
+    assert Weights._fields == ("lams", "ambient")
+    assert weights == Weights((4, 5, 6), 5) and weights != Weights((4, 5, 6), 6)
+    assert hash(weights) == hash(((4, 5, 6), 5))
+    assert repr(weights) == "Weights(lams=(4, 5, 6), ambient=5)"
+    assert [weights.weight(i) for i in range(5)] == list(weights.wvec)
+    for index in (-1, 5):
+        with pytest.raises(InputError, match=f"variable index {index} out of range"):
+            weights.weight(index)
+    assert Weights((4, 5, 6, 7), 4).wvec == (4, 5, 6, 7)
+
+
 def test_polymap_requires_vanishing_constant_term():
     with pytest.raises(InputError):
         PolyMap([var(0) + Polynomial.constant(4, 1), var(1), var(2), var(3)])
@@ -165,21 +185,22 @@ def test_polymap_identity_diagonal_compose():
 
 def test_polymap_apply_series():
     phi = PolyMap([var(0, 2) * var(1, 2), var(1, 2)], source_dim=2)
-    images = phi.apply_series([UniPoly.t_power(4), UniPoly.t_power(5)])
+    images = apply_series(phi, [UniPoly.t_power(4), UniPoly.t_power(5)])
     assert images[0] == UniPoly.t_power(9)
     assert images[1] == UniPoly.t_power(5)
+    assert MonomialCurve((4, 5)).series(phi.components) == images
 
 
 def test_polymap_restrict_sets_the_other_coordinates_to_zero():
     phi = PolyMap([var(0) + var(2) * var(3), var(1) * var(2), var(2), var(0) * var(1) + var(3)])
     inclusion = PolyMap([var(0, 2), var(1, 2), Polynomial.zero(2), Polynomial.zero(2)], 2)
-    restricted = phi.restrict(2)
+    restricted = restrict(phi, 2)
     assert restricted.source_dim == 2 and restricted.target_dim == 4
     assert restricted == compose(phi, inclusion)
-    assert phi.restrict(4) == phi
+    assert restrict(phi, 4) == phi
     for dim in (0, 5):
         with pytest.raises(InputError):
-            phi.restrict(dim)
+            restrict(phi, dim)
 
 
 def test_pullback_linear_map_gives_determinant_factor():

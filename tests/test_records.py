@@ -219,7 +219,6 @@ UNCALLED = {
         "wrapped by the benchmark tracer; perfbench/queries.py checks the Euler "
         "identity and the action tables with it"
     ),
-    "curves.drop_off_curve": "the reference for PolyMap.restrict in tests/test_properties.py",
     "parser.parse_polynomial": "the grammar's entry point for polynomials; tests build inputs with it",
     "symmetry.scaling_symmetry": "normalizes a leading coefficient; the normal-form work needs it",
     "symmetry.curve_scaling": "the torus of curve symmetries; the normal-form work needs it",
@@ -290,6 +289,10 @@ UNCALLED_METHODS = {
     "AlgRestriction.coords": (
         "all coordinates of a class, zeros included; perfbench/queries.py checks "
         "the Euler and Moser identities with it"
+    ),
+    "UniPoly.t_power": (
+        "the series c*t^e, for library use; the poly, linalg, symmetry and property "
+        "tests build series with it"
     ),
     "RationalFunctionT.evaluate": (
         "the value of a Moser coefficient at a time t; perfbench/queries.py and "

@@ -40,6 +40,7 @@ from algrest.symmetry import (
 )
 
 from direct_actions import check_witt_construction, lie_action
+from generic_path import apply_series, curve_images, substitute
 from tables import ACTIONS, NONSEMIGROUP_SHIFTS, SHIFTS
 from test_linalg import reference_sparse_echelon, sparse_remainder
 from ztpoly import dense_system, reference_bareiss, zt_system
@@ -240,10 +241,10 @@ def test_validate_liftable_rejects_broken_field(curve4567):
 
 def substitution_check(curve, field, s):
     """X(g(t)) = t^{s+1} g'(t), by substituting the curve's series."""
-    images = curve.images()
+    images = curve_images(curve)
     expected = [UniPoly.t_power(lam + s, lam) for lam in curve.lams]
     expected += [UniPoly.zero()] * (curve.ambient - len(curve.lams))
-    return [comp.substitute(images) for comp in field.components] == expected
+    return [substitute(comp, images) for comp in field.components] == expected
 
 
 def test_validate_liftable_equals_the_substitution_check():
@@ -674,7 +675,7 @@ def reference_symmetry_constant(curve, phi):
     the ``NotSymmetryError`` text.  For maps whose linear part is diagonal
     and invertible and whose higher terms have higher quasi-degree."""
     lams = curve.lams
-    u = phi.apply_series(curve.images())
+    u = apply_series(phi, curve_images(curve))
     leads = [u[i].coefficient(lam) for i, lam in enumerate(lams)]
     c = math.prod(lead**alpha for lead, alpha in zip(leads, bezout(lams)))
     if any(lead != c**lam for lead, lam in zip(leads, lams)):
