@@ -17,8 +17,9 @@ only multiplies.  Each sample's invariants are measured once, by
 
 The three checks on a realization F run in closed form on its exponent
 data, each exact over Q.  Along t -> (t^lam, 0, ...) a term c x^e is
-c t^<e, lam>, or 0 if e has an off-curve exponent (``MonomialCurve.series``),
-which is the substitution itself.  The linear part is nonsingular iff one
+c t^<e, lam>, or 0 if e has an off-curve exponent (``MonomialCurve.power_of``),
+which is the substitution itself; F's series and the stored one compare as
+{t-power: coefficient} dicts.  The linear part is nonsingular iff one
 ``zechelon`` of its rows, cleared to integers, has 2n pivots, the rank over
 Q.  F^* omega_std is summed pair by pair of terms of F_(2i-1) and F_(2i)
 straight into piece coordinates (``_standard_pullback``), the same sums the
@@ -54,7 +55,7 @@ from .invariants import (
     pmqd_compare,
     representable_by_symplectic,
 )
-from .poly import Polynomial, UniPoly
+from .poly import Polynomial, add_into
 from .symmetry import orbit_tangent_space
 
 _COEFF_RE = re.compile(
@@ -298,15 +299,16 @@ def build_map(real: Realization, env: Mapping[str, Fraction], n: int) -> PolyMap
 
 def build_template(
     real: Realization, env: Mapping[str, Fraction], n: int
-) -> list[UniPoly]:
-    """The stored parameterization on R^{2n}, zero-padded beyond 2*real.n."""
+) -> list[dict[int, Fraction]]:
+    """The stored parameterization on R^{2n}, zero-padded beyond 2*real.n,
+    as {t-power: coefficient} dicts, the way ``MonomialCurve.series`` gives it."""
     out = []
     for comp in real.template:
         terms: dict[int, Fraction] = {}
         for coeff, power in comp:
-            terms[power] = terms.get(power, 0) + coeff_value(coeff, env)
-        out.append(UniPoly.from_terms(terms))
-    out.extend(UniPoly.zero() for _ in range(2 * real.n, 2 * n))
+            add_into(terms, power, coeff_value(coeff, env))
+        out.append(terms)
+    out.extend({} for _ in range(2 * real.n, 2 * n))
     return out
 
 
@@ -322,12 +324,12 @@ def _standard_pullback(basis: RestrictionBasis, phi: PolyMap) -> dict[int, list[
     piece, so only curve-only terms count, by their coefficients, and a
     pair at or above ``stop_qdeg``, where every piece is 0, is skipped.
     """
-    lams = basis.curve.lams
+    curve = basis.curve
     terms = [
         [
-            (sum(e * w for e, w in zip(exps, lams)), [(j, e) for j, e in enumerate(exps) if e], c)
+            (q, [(j, e) for j, e in enumerate(exps) if e], c)
             for exps, c in comp.terms.items()
-            if not any(exps[len(lams):])
+            if (q := curve.power_of(exps)) is not None
         ]
         for comp in phi.components
     ]

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Seque
 from .errors import InputError, NotClosedError
 from .forms import DifferentialForm, IndexTuple, Weights
 from .linalg import rref, zcleared, zdenominated, zechelon, zremainder
-from .poly import Exponent, Frozen, Polynomial, Scalar, UniPoly, _as_fraction, signed_sum
+from .poly import Exponent, Frozen, Polynomial, Scalar, _as_fraction, add_into, signed_sum
 
 if TYPE_CHECKING:
     from .linalg import PrefixSolver
@@ -75,18 +75,22 @@ class MonomialCurve(Frozen):
     def weights(self) -> Weights:
         return Weights(self.lams, self.ambient)
 
-    def series(self, polys: Iterable[Polynomial]) -> list[UniPoly]:
-        """Each polynomial along the curve: its term c x^e goes to c t^<e, lam>
-        when e has no exponent on an off-curve variable, and to 0 else."""
+    def power_of(self, exps: Exponent) -> int | None:
+        """The restriction rule: x^e is t^<e, lam> along the curve, and 0
+        (None) when e has an exponent on an off-curve variable."""
         lams = self.lams
+        return None if any(exps[len(lams):]) else sum(e * w for e, w in zip(exps, lams))
+
+    def series(self, polys: Iterable[Polynomial]) -> list[dict[int, Fraction]]:
+        """Each polynomial along the curve, as {t-power: coefficient} of its
+        nonzero coefficients: the term c x^e adds c at ``power_of(e)``."""
         out = []
         for poly in polys:
             terms: dict[int, Fraction] = {}
             for exps, c in poly.terms.items():
-                if not any(exps[len(lams):]):
-                    q = sum(e * w for e, w in zip(exps, lams))
-                    terms[q] = terms.get(q, 0) + c
-            out.append(UniPoly.from_terms(terms))
+                if (q := self.power_of(exps)) is not None:
+                    add_into(terms, q, c)
+            out.append(terms)
         return out
 
     def in_semigroup(self, value: int) -> bool:
@@ -201,14 +205,15 @@ class GradedPiece(Frozen):
         return len(self.rep_cols)
 
     def vectorize(self, form: DifferentialForm) -> list[Fraction]:
-        """Coordinates of a quasi-homogeneous degree-d k-form; terms with an
-        off-curve variable or differential restrict to zero."""
+        """Coordinates of a quasi-homogeneous degree-d k-form: x^e dx_J counts
+        at column J if x^e is on the curve (``power_of``), as d - lam_J is
+        then in the semigroup, and a term off the curve restricts to 0."""
         if form.nvars != self.curve.ambient:
             raise InputError("form variable count does not match the curve")
         if form.degree != self.k:
             raise InputError(f"expected a {self.k}-form")
-        weights = self.curve.weights
-        branch = self.curve.branch_dim
+        curve = self.curve
+        weights = curve.weights
         position = {J: c for c, J in enumerate(self.columns)}
         vec = [Fraction(0)] * len(self.columns)
         for idx, poly in form.coeffs.items():
@@ -217,7 +222,7 @@ class GradedPiece(Frozen):
                     raise InputError(
                         f"term x^{exps} dx{idx} is not quasi-homogeneous of degree {self.d}"
                     )
-                if all(i < branch for i in idx) and not any(exps[branch:]):
+                if idx in position and curve.power_of(exps) is not None:
                     vec[position[idx]] += coeff
         return vec
 

@@ -321,10 +321,6 @@ class UniPoly:
         self.coeffs: list[Fraction] = cs
 
     @classmethod
-    def zero(cls) -> UniPoly:
-        return cls()
-
-    @classmethod
     def constant(cls, value: Scalar) -> UniPoly:
         return cls([value])
 
@@ -352,21 +348,9 @@ class UniPoly:
         """Degree, or -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def order(self) -> int | None:
-        """Lowest exponent with nonzero coefficient; None for zero."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return None
-
     def nonzero(self) -> dict[int, Fraction]:
         """{exponent: coefficient} over the nonzero coefficients."""
         return {e: c for e, c in enumerate(self.coeffs) if c}
-
-    def coefficient(self, e: int) -> Fraction:
-        if 0 <= e < len(self.coeffs):
-            return self.coeffs[e]
-        return Fraction(0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UniPoly):
@@ -379,10 +363,10 @@ class UniPoly:
     def __add__(self, other: UniPoly) -> UniPoly:
         if not isinstance(other, UniPoly):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(
-            [self.coefficient(i) + other.coefficient(i) for i in range(n)]
-        )
+        terms = self.nonzero()
+        for e, c in other.nonzero().items():
+            add_into(terms, e, c)
+        return UniPoly.from_terms(terms)
 
     def __neg__(self) -> UniPoly:
         return UniPoly([-c for c in self.coeffs])

@@ -35,7 +35,7 @@ from .forms import PolyMap, VectorField, lie_derivative, pullback
 from .linalg import (
     ParamSolution, rref, solve_param_linear, zcleared, zdenominated, zechelon, zremainder
 )
-from .poly import Exponent, Frozen, Polynomial, RationalFunctionT, Scalar, add_into
+from .poly import Exponent, Frozen, Polynomial, RationalFunctionT, Scalar, UniPoly
 
 
 def _admissible(curve: MonomialCurve, s: int) -> bool:
@@ -152,21 +152,12 @@ def liftable_field(curve: MonomialCurve, s: int, policy: str = "grlex") -> Lifta
 
 
 def validate_liftable(curve: MonomialCurve, field: VectorField, s: int) -> bool:
-    """Substitution check: X(g(t)) = t^{s+1} g'(t) componentwise.  A term
-    c x^e restricts to c t^(e . lam) on the curve, and to 0 when it holds
-    an off-curve variable."""
-    if field.nvars != curve.ambient:
-        return False
+    """Substitution check: X(g(t)) = t^{s+1} g'(t) componentwise, the
+    series of X along the curve (``MonomialCurve.series``) against
+    lam_i t^(lam_i + s) on each branch component and 0 off the curve."""
     lams = curve.lams
-    branch = len(lams)
-    for i, comp in enumerate(field.components):
-        value: dict[int, Fraction] = {}
-        for exps, c in comp.terms.items():
-            if not any(exps[branch:]):
-                add_into(value, sum(e * lam for e, lam in zip(exps, lams)), c)
-        if value != ({lams[i] + s: lams[i]} if i < branch else {}):
-            return False
-    return True
+    expected = [{lam + s: lam} for lam in lams] + [{}] * (curve.ambient - len(lams))
+    return field.nvars == curve.ambient and curve.series(field.components) == expected
 
 
 SparseColumn = tuple[tuple[int, Fraction], ...]
@@ -583,19 +574,19 @@ def symmetry_constant(curve: MonomialCurve, phi: PolyMap) -> Fraction:
         raise NotSymmetryError("not a local symmetry of the curve: linear part is singular")
     u = curve.series(phi.components)
     lams = curve.lams
-    for i in range(len(lams), m):
-        if u[i]:
-            raise NotSymmetryError(
-                "not a local symmetry of the curve: an off-curve component is nonzero along it"
-            )
+    if any(u[len(lams):]):
+        raise NotSymmetryError(
+            "not a local symmetry of the curve: an off-curve component is nonzero along it"
+        )
     leads: list[Fraction] = []
     for i, lam in enumerate(lams):
-        if u[i].order() != lam:
+        order = min(u[i], default=None)
+        if order != lam:
             raise NotSymmetryError(
                 f"not a local symmetry of the curve: component {i + 1} has order "
-                f"{u[i].order()} along the curve, expected {lam}"
+                f"{order} along the curve, expected {lam}"
             )
-        leads.append(u[i].coefficient(lam))
+        leads.append(u[i][lam])
     root = _rational_root(leads[0], lams[0])
     for c in () if root is None else (root, -root):
         if all(lead == c**lam for lead, lam in zip(leads, lams)):
@@ -606,9 +597,9 @@ def symmetry_constant(curve: MonomialCurve, phi: PolyMap) -> Fraction:
             "are not powers of a common constant"
         )
     lam1 = lams[0]
-    u1 = u[0]
-    for i, lam in enumerate(lams):
-        if u[i] ** lam1 != u1**lam:
+    u1 = UniPoly.from_terms(u[0])
+    for terms, lam in zip(u[1:], lams[1:]):
+        if UniPoly.from_terms(terms) ** lam1 != u1**lam:
             raise NotSymmetryError(
                 "not a local symmetry of the curve: components do not share a "
                 "common reparameterization"
@@ -681,9 +672,7 @@ def scaling_symmetry(curve: MonomialCurve, target: str, value: Scalar) -> Scalin
     u = _rational_root(wanted, r)
     if u is None:
         return ScalingResult(verdict=verdict, map=None, constant=None)
-    weights = curve.weights
-    factors = [u ** weights.weight(i) for i in range(curve.ambient)]
-    return ScalingResult(verdict=verdict, map=PolyMap.diagonal(factors), constant=u)
+    return ScalingResult(verdict=verdict, map=curve_scaling(curve, u), constant=u)
 
 
 def curve_scaling(curve: MonomialCurve, c: Scalar) -> PolyMap:

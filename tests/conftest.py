@@ -3,17 +3,21 @@ from __future__ import annotations
 import re
 
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, Phase, settings
 
 from algrest.atlas import load_atlas
 from algrest.curves import MonomialCurve, cached_basis
 
+# No shrink phase: a passing run draws the same 1000 examples either way,
+# while shrinking a failure of these properties can take minutes; the
+# failing example is reported as drawn.
 settings.register_profile(
     "bulk",
     max_examples=1000,
     derandomize=True,
     deadline=None,
     suppress_health_check=list(HealthCheck),
+    phases=[phase for phase in Phase if phase is not Phase.shrink],
 )
 settings.load_profile("bulk")
 

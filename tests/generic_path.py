@@ -35,7 +35,7 @@ def substitute(poly, images):
 def curve_images(curve):
     """Component series of the curve, one per ambient variable."""
     series = [UniPoly.t_power(v) for v in curve.lams]
-    series += [UniPoly.zero()] * (curve.ambient - len(curve.lams))
+    series += [UniPoly()] * (curve.ambient - len(curve.lams))
     return series
 
 

@@ -282,12 +282,13 @@ def test_load_samples_file():
 
 def generic_checks(basis, phi, n):
     """The three realization checks of ``verify_row`` by the generic path:
-    the map along the curve by substitution into the curve's images, the
+    the map along the curve by substitution into the curve's images, as
+    {t-power: coefficient} of its nonzero coefficients, the
     rank of the linear part by a dense rref, and the class of the pulled
     back standard form by project(pullback(F.restrict(s), omega_std))."""
     curve = basis.curve
     return (
-        apply_series(phi, curve_images(MonomialCurve(curve.lams, 2 * n))),
+        [f.nonzero() for f in apply_series(phi, curve_images(MonomialCurve(curve.lams, 2 * n)))],
         rref(phi.linear_matrix(), 2 * n).rank,
         project(curve, pullback(restrict(phi, len(curve.lams)), standard_symplectic(n)), basis),
     )

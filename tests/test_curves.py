@@ -126,10 +126,41 @@ def test_only_the_basis_cache_holds_per_curve_state():
 
 
 def test_curve_images_are_t_powers():
+    """The coordinates along the curve are its t-powers, and ``series`` is
+    the nonzero part of the substitution reference on seeded random
+    polynomials with off-curve variables, cancelling terms and padded
+    ambients."""
     curve = MonomialCurve((4, 5, 7), ambient=5)
     images = curve_images(curve)
-    assert [f.order() for f in images] == [4, 5, 7, None, None]
-    assert curve.series(Polynomial.variable(5, i) for i in range(5)) == images
+    assert [min(f.nonzero(), default=None) for f in images] == [4, 5, 7, None, None]
+    coordinates = [Polynomial.variable(5, i) for i in range(5)]
+    assert curve.series(coordinates) == [f.nonzero() for f in images]
+    rng = random.Random(31)
+    off_curve = cancelled = 0
+    for lams, ambient in (((4, 5, 7), 5), ((4, 5, 6, 7), 0), ((2, 3), 4), ((3, 7, 8), 6)):
+        curve = MonomialCurve(lams, ambient)
+        m = curve.ambient
+        polys = []
+        for _ in range(60):
+            terms = {}
+            for _ in range(rng.randint(0, 5)):
+                exps = tuple(rng.randint(0, 2) for _ in range(m))
+                terms[exps] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            # two curve-only monomials of one quasi-degree with opposite
+            # coefficients cancel along the curve
+            e = tuple(rng.randint(0, 3) for _ in lams)
+            twins = monomials_of_qdeg(lams, sum(a * w for a, w in zip(e, lams)))
+            if len(twins) > 1 and rng.random() < 0.5:
+                pad = (0,) * (m - len(lams))
+                c = Fraction(rng.randint(1, 3))
+                terms[twins[0] + pad] = c
+                terms[twins[-1] + pad] = -c
+                cancelled += 1
+            off_curve += any(any(exps[len(lams):]) for exps in terms)
+            polys.append(Polynomial(m, terms))
+        want = [substitute(poly, curve_images(curve)).nonzero() for poly in polys]
+        assert curve.series(polys) == want, lams
+    assert off_curve > 50 and cancelled > 50
 
 
 def test_monomials_of_qdeg():
@@ -183,9 +214,9 @@ def test_cached_basis_is_one_object_per_curve():
 def _ideal_by_kernel(curve, qdeg):
     """The ideal's graded piece as the kernel of substitution into the curve."""
     mons = monomials_of_qdeg(curve.weights.wvec, qdeg)
-    values = [substitute(Polynomial.monomial(m), curve_images(curve)) for m in mons]
-    powers = sorted({e for v in values for e in range(len(v.coeffs)) if v.coefficient(e)})
-    rows = [[v.coefficient(e) for v in values] for e in powers]
+    values = [substitute(Polynomial.monomial(m), curve_images(curve)).nonzero() for m in mons]
+    powers = sorted({e for v in values for e in v})
+    rows = [[v.get(e, Fraction(0)) for v in values] for e in powers]
     return kernel_basis(rows, len(mons))
 
 

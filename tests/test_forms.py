@@ -188,7 +188,7 @@ def test_polymap_apply_series():
     images = apply_series(phi, [UniPoly.t_power(4), UniPoly.t_power(5)])
     assert images[0] == UniPoly.t_power(9)
     assert images[1] == UniPoly.t_power(5)
-    assert MonomialCurve((4, 5)).series(phi.components) == images
+    assert MonomialCurve((4, 5)).series(phi.components) == [f.nonzero() for f in images]
 
 
 def test_polymap_restrict_sets_the_other_coordinates_to_zero():

@@ -472,7 +472,7 @@ def test_sturm_count_with_repeated_roots_and_negative_leads():
     h = UniPoly([-1, 0, -3]) * UniPoly([-2, 1, -1])
     assert sturm_count(h, -10, 10) == 0
     assert sturm_count(UniPoly.constant(-4), 0, 1) == 0
-    assert sturm_count(UniPoly.zero(), 0, 1) == 0
+    assert sturm_count(UniPoly(), 0, 1) == 0
 
 
 def test_sturm_count_equals_the_fraction_chain_on_random_polynomials():
@@ -511,7 +511,7 @@ def test_poles_in_closed_unit_interval():
 def test_solve_param_linear_feasible():
     t = UniPoly.t_power(1)
     # x + t*y = t, y = 1  ->  x = 0, y = 1
-    rows = [[ONE, t], [UniPoly.zero(), ONE]]
+    rows = [[ONE, t], [UniPoly(), ONE]]
     res = solve_param_linear(*zt_system(rows, [t, ONE]))
     assert res.consistent
     assert res.feasible_on_unit_interval
@@ -603,7 +603,7 @@ def reference_solve_param_linear(rows, rhs):
 
 # t-degree at most 2 and denominators at most 6
 coeff_st = st.sampled_from([F(0)] + [F(n, q) for n in (-5, -2, -1, 1, 3) for q in (1, 2, 3, 6)])
-tpoly_st = st.one_of(st.just(UniPoly.zero()), st.lists(coeff_st, max_size=3).map(UniPoly))
+tpoly_st = st.one_of(st.just(UniPoly()), st.lists(coeff_st, max_size=3).map(UniPoly))
 
 
 @st.composite
@@ -617,7 +617,7 @@ def param_systems(draw):
     for c in draw(st.sets(st.integers(min_value=0, max_value=3), max_size=2)):
         if c < width:
             for row in rows:
-                row[c] = UniPoly.zero()
+                row[c] = UniPoly()
     if height >= 3 and draw(st.booleans()):
         p, q = draw(coeff_st), draw(coeff_st)
         rows[-1] = [x * p + y * q for x, y in zip(rows[0], rows[1])]
@@ -634,9 +634,9 @@ def sparse_pencils(draw):
     width = draw(st.integers(min_value=1, max_value=6))
     height = draw(st.integers(min_value=1, max_value=8))
     entry_st = st.one_of(
-        st.just(UniPoly.zero()),
-        st.just(UniPoly.zero()),
-        st.just(UniPoly.zero()),
+        st.just(UniPoly()),
+        st.just(UniPoly()),
+        st.just(UniPoly()),
         st.lists(coeff_st, min_size=1, max_size=2).map(UniPoly),
     )
     rows = [[draw(entry_st) for _ in range(width)] for _ in range(height)]
@@ -650,7 +650,7 @@ def poly_rows(data):
 
 @given(system=st.one_of(param_systems(), sparse_pencils()))
 @example(system=([], []))
-@example(system=(poly_rows([[[], []], [[], []]]), [UniPoly.zero(), ONE]))
+@example(system=(poly_rows([[[], []], [[], []]]), [UniPoly(), ONE]))
 @example(system=(poly_rows([[[], [1, 1]], [[], [2, 2]]]), [ONE, 2 * ONE]))
 @example(system=(poly_rows([[[], [1, 1]], [[], [2, 2]]]), [ONE, 3 * ONE]))
 @example(

@@ -157,10 +157,9 @@ def test_polynomial_str_readable():
 def test_unipoly_basics():
     f = UniPoly.t_power(3) - UniPoly.t_power(1, 2)
     assert f.degree() == 3
-    assert f.order() == 1
-    assert f.coefficient(1) == Fraction(-2)
-    assert UniPoly.zero().degree() == -1
-    assert UniPoly.zero().order() is None
+    assert f.nonzero() == {1: Fraction(-2), 3: Fraction(1)}
+    assert UniPoly().degree() == -1
+    assert UniPoly().nonzero() == {}
     assert f.evaluate(Fraction(2)) == 8 - 4
 
 
@@ -211,4 +210,4 @@ def test_rational_function_zero_is_one_shared_immutable_value():
 
 def test_rational_function_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
-        RationalFunctionT(ONE, UniPoly.zero())
+        RationalFunctionT(ONE, UniPoly())

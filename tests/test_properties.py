@@ -216,7 +216,7 @@ def test_pmqd_is_stable_under_scalings(data, r1, r2):
 def dense_substitute(poly, images):
     """Reference: the dense substitution, one ``UniPoly`` power per factor
     and one dense sum per term."""
-    result = UniPoly.zero()
+    result = UniPoly()
     for exps, coeff in poly.terms.items():
         term = UniPoly.constant(coeff)
         for img, e in zip(images, exps):
@@ -230,7 +230,7 @@ image_st = st.one_of(
     st.builds(UniPoly.t_power, st.integers(min_value=1, max_value=7), nonzero_coeff_st),
     st.lists(nonzero_coeff_st, min_size=2, max_size=4).map(UniPoly),
     nonzero_coeff_st.map(UniPoly.constant),
-    st.just(UniPoly.zero()),
+    st.just(UniPoly()),
 )
 
 

@@ -38,7 +38,7 @@ from algrest.invariants import (
     lagrangian_tangency_order,
 )
 from algrest.linalg import ParamSolution, RrefResult
-from algrest.poly import Frozen, RationalFunctionT, UniPoly
+from algrest.poly import Frozen, Polynomial, RationalFunctionT, UniPoly
 from algrest.symmetry import (
     ActionTable,
     HomotopyResult,
@@ -221,7 +221,6 @@ UNCALLED = {
     ),
     "parser.parse_polynomial": "the grammar's entry point for polynomials; tests build inputs with it",
     "symmetry.scaling_symmetry": "normalizes a leading coefficient; the normal-form work needs it",
-    "symmetry.curve_scaling": "the torus of curve symmetries; the normal-form work needs it",
     "symmetry.pullback_restriction": (
         "the checked action of a symmetry on a class for library use; cmd_pullback "
         "checks the map itself, as it prints the constant"
@@ -286,6 +285,14 @@ UNCALLED_METHODS = {
         "the conductor of the semigroup, for library use; tests/test_curves.py "
         "checks it against a table and bounds its scans with it"
     ),
+    "AlgRestriction.coefficient": (
+        "one coordinate of a class by label, for library use; the parser, atlas, "
+        "symmetry and property tests read classes with it"
+    ),
+    "DifferentialForm.coefficient": (
+        "the polynomial at one dx_J of a form, for library use; the forms, parser "
+        "and invariants tests read forms with it"
+    ),
     "AlgRestriction.coords": (
         "all coordinates of a class, zeros included; perfbench/queries.py checks "
         "the Euler and Moser identities with it"
@@ -342,6 +349,21 @@ def test_rational_functions_have_one_reduction_and_no_field_arithmetic():
         assert not hasattr(UniPoly, name), name
     for name in ("__add__", "__neg__", "__sub__", "__mul__", "__rmul__", "__truediv__"):
         assert not hasattr(RationalFunctionT, name), name
+
+
+def test_the_curve_series_are_sparse_and_unipoly_keeps_no_readers_for_them():
+    """``MonomialCurve.series`` gives {t-power: coefficient} dicts, which the
+    liftability, symmetry and atlas checks read directly: ``UniPoly`` keeps
+    no ``order``, ``coefficient`` or ``zero`` for them, and ``atlas`` does
+    not import it (the dense series stay in tests/generic_path.py as the
+    reference)."""
+    for name in ("order", "coefficient", "zero"):
+        assert not hasattr(UniPoly, name), name
+    assert not hasattr(algrest.atlas, "UniPoly")
+    curve = MonomialCurve((4, 5, 7), 5)
+    terms = {(1, 1, 0, 0, 0): 2, (0, 0, 0, 0, 1): 3, (0, 4, 0, 0, 0): 1, (5, 0, 0, 0, 0): -1}
+    (series,) = curve.series([Polynomial(5, terms)])
+    assert series == {9: 2} and type(series[9]) is Fraction
 
 
 def test_every_stored_echelon_holds_zechelon_integer_rows():

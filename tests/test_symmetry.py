@@ -243,12 +243,13 @@ def substitution_check(curve, field, s):
     """X(g(t)) = t^{s+1} g'(t), by substituting the curve's series."""
     images = curve_images(curve)
     expected = [UniPoly.t_power(lam + s, lam) for lam in curve.lams]
-    expected += [UniPoly.zero()] * (curve.ambient - len(curve.lams))
+    expected += [UniPoly()] * (curve.ambient - len(curve.lams))
     return [substitute(comp, images) for comp in field.components] == expected
 
 
 def test_validate_liftable_equals_the_substitution_check():
-    for lams, ambient in (((4, 5, 6, 7), 5), ((3, 7, 8), 0), ((7, 11), 0)):
+    curves = (((4, 5, 6, 7), 5), ((3, 7, 8), 0), ((7, 11), 0), ((2, 5), 0), ((4, 5, 6), 6))
+    for lams, ambient in curves:
         curve = MonomialCurve(lams, ambient)
         m = curve.ambient
         x = [Polynomial.variable(m, i) for i in range(m)]
@@ -676,7 +677,7 @@ def reference_symmetry_constant(curve, phi):
     and invertible and whose higher terms have higher quasi-degree."""
     lams = curve.lams
     u = apply_series(phi, curve_images(curve))
-    leads = [u[i].coefficient(lam) for i, lam in enumerate(lams)]
+    leads = [u[i].nonzero().get(lam, 0) for i, lam in enumerate(lams)]
     c = math.prod(lead**alpha for lead, alpha in zip(leads, bezout(lams)))
     if any(lead != c**lam for lead, lam in zip(leads, lams)):
         return (
