@@ -6,150 +6,98 @@ The package works with quasi-homogeneous monomial curve germs t -> (t^l1,
 homotopy reductions, evaluates the discrete symplectic invariants, and
 machine-checks the bundled classification tables for the semigroups
 (4, 5, 6, 7), (4, 5, 6) and (4, 5, 7).
+
+Submodules load lazily.  ``import algrest`` registers every submodule
+except ``cli`` in ``sys.modules`` and as an attribute of the package
+through ``importlib.util.LazyLoader``; a submodule's source is compiled and
+run on the first read of one of its attributes, so a CLI command runs only
+the modules it uses.  They are registered rather than left unimported so
+that code walking ``sys.modules`` for the package, such as a tracer that
+wraps its functions, finds every one of them, and reading one runs it
+first.  ``cli``, the entry point, is imported as usual: ``python -m
+algrest.cli`` runs it as ``__main__``, and ``runpy`` warns when the module
+it is about to run is already registered.  The public names of
+``__all__`` resolve through the submodule that defines them (PEP 562
+``__getattr__``), so reading ``algrest.cached_basis`` runs ``curves`` and
+the modules it imports, and no others.
+
+The package is single-threaded: under Python 3.10 and 3.11 the first-read
+load of a lazy module takes no lock, so two threads that first read the
+same submodule at once can both run it.
 """
 
-from .atlas import (
-    BUNDLED,
-    Atlas,
-    AtlasReport,
-    RowCheck,
-    load_atlas,
-    verify_atlas,
-    verify_distinctness,
-    verify_row,
-)
-from .curves import (
-    AlgRestriction,
-    BasisElement,
-    GradedPiece,
-    MonomialCurve,
-    RestrictionBasis,
-    cached_basis,
-    monomials_of_qdeg,
-    project,
-    restriction_quotient,
-    stop_qdeg,
-)
-from .errors import (
-    InputError,
-    LiftError,
-    NotClosedError,
-    NotSymmetryError,
-)
-from .forms import (
-    DifferentialForm,
-    PolyMap,
-    VectorField,
-    Weights,
-    ext_der,
-    interior,
-    lie_derivative,
-    pullback,
-    wedge,
-)
-from .invariants import (
-    InvariantReport,
-    PmqdVerdict,
-    index_of_isotropy,
-    invariant_report,
-    lagrangian_tangency_order,
-    pmqd_compare,
-    representable_by_symplectic,
-    symplectic_multiplicity,
-)
-from .parser import (
-    parse_form,
-    parse_map,
-    parse_polynomial,
-    parse_restriction,
-)
-from .poly import Polynomial, RationalFunctionT, UniPoly
-from .symmetry import (
-    LIFT_POLICIES,
-    ActionTable,
-    HomotopyResult,
-    LiftableField,
-    ScalingResult,
-    TangentSpace,
-    action_table,
-    admissible_shifts,
-    curve_scaling,
-    liftable_field,
-    moser_reduce,
-    nonsemigroup_shifts,
-    orbit_tangent_space,
-    pullback_restriction,
-    scaling_symmetry,
-    shift_action,
-    symmetry_constant,
-    validate_liftable,
-)
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ActionTable",
-    "AlgRestriction",
-    "Atlas",
-    "AtlasReport",
-    "BUNDLED",
-    "BasisElement",
-    "DifferentialForm",
-    "GradedPiece",
-    "HomotopyResult",
-    "InputError",
-    "InvariantReport",
-    "LIFT_POLICIES",
-    "LiftError",
-    "LiftableField",
-    "MonomialCurve",
-    "NotClosedError",
-    "NotSymmetryError",
-    "PmqdVerdict",
-    "PolyMap",
-    "Polynomial",
-    "RationalFunctionT",
-    "RestrictionBasis",
-    "RowCheck",
-    "ScalingResult",
-    "TangentSpace",
-    "UniPoly",
-    "VectorField",
-    "Weights",
-    "action_table",
-    "admissible_shifts",
-    "cached_basis",
-    "curve_scaling",
-    "ext_der",
-    "index_of_isotropy",
-    "interior",
-    "invariant_report",
-    "lagrangian_tangency_order",
-    "lie_derivative",
-    "liftable_field",
-    "load_atlas",
-    "monomials_of_qdeg",
-    "moser_reduce",
-    "nonsemigroup_shifts",
-    "orbit_tangent_space",
-    "parse_form",
-    "parse_map",
-    "parse_polynomial",
-    "parse_restriction",
-    "pmqd_compare",
-    "project",
-    "pullback",
-    "pullback_restriction",
-    "representable_by_symplectic",
-    "restriction_quotient",
-    "scaling_symmetry",
-    "shift_action",
-    "stop_qdeg",
-    "symmetry_constant",
-    "symplectic_multiplicity",
-    "validate_liftable",
-    "verify_atlas",
-    "verify_distinctness",
-    "verify_row",
-    "wedge",
-]
+_SUBMODULES = (
+    "atlas",
+    "curves",
+    "errors",
+    "forms",
+    "invariants",
+    "linalg",
+    "parser",
+    "poly",
+    "symmetry",
+)
+
+# every public name -> the submodule that defines it
+_OWNER = {
+    name: module
+    for module, names in (
+        ("atlas", ("BUNDLED", "Atlas", "AtlasReport", "RowCheck", "load_atlas",
+                   "verify_atlas", "verify_distinctness", "verify_row")),
+        ("curves", ("AlgRestriction", "BasisElement", "GradedPiece", "MonomialCurve",
+                    "RestrictionBasis", "cached_basis", "monomials_of_qdeg", "project",
+                    "restriction_quotient", "stop_qdeg")),
+        ("errors", ("InputError", "LiftError", "NotClosedError", "NotSymmetryError")),
+        ("forms", ("LIFT_POLICIES", "DifferentialForm", "PolyMap", "VectorField",
+                   "Weights", "ext_der", "interior", "lie_derivative", "pullback",
+                   "wedge")),
+        ("invariants", ("InvariantReport", "PmqdVerdict", "index_of_isotropy",
+                        "invariant_report", "lagrangian_tangency_order", "pmqd_compare",
+                        "representable_by_symplectic", "symplectic_multiplicity")),
+        ("parser", ("parse_form", "parse_map", "parse_polynomial", "parse_restriction")),
+        ("poly", ("Polynomial", "RationalFunctionT", "UniPoly")),
+        ("symmetry", ("ActionTable", "HomotopyResult", "LiftableField", "ScalingResult",
+                      "TangentSpace", "action_table", "admissible_shifts", "curve_scaling",
+                      "liftable_field", "moser_reduce", "nonsemigroup_shifts",
+                      "orbit_tangent_space", "pullback_restriction", "scaling_symmetry",
+                      "shift_action", "symmetry_constant", "validate_liftable")),
+    )
+    for name in names
+}
+
+__all__ = sorted(_OWNER)
+
+def _register_lazily(fullname: str):
+    """Put the module ``fullname`` in ``sys.modules`` unexecuted; its first
+    attribute read compiles and runs it."""
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+for _name in _SUBMODULES:
+    # find_spec on a registered module reads its __spec__, which runs it;
+    # a reload of the package keeps the modules it registered
+    _fullname = f"{__name__}.{_name}"
+    globals()[_name] = sys.modules.get(_fullname) or _register_lazily(_fullname)
+del _name, _fullname
+
+
+def __getattr__(name: str):
+    try:
+        module = _OWNER[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(globals()[module], name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_OWNER))

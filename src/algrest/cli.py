@@ -3,66 +3,47 @@
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import pathlib
 import sys
 from typing import Sequence
 
-from .atlas import BUNDLED, load_atlas, load_samples_file, verify_atlas
-from .curves import AlgRestriction, MonomialCurve, cached_basis, project
-from .errors import InputError
-from .forms import pullback
-from .invariants import invariant_report, representable_by_symplectic
-from .parser import (
-    extended_str,
-    fraction_str,
-    latex_form,
-    latex_label,
-    latex_restriction,
-    latex_sum,
-    parse_form,
-    parse_map,
-    parse_restriction,
-)
-from .poly import signed_sum
-from .symmetry import (
-    LIFT_POLICIES,
-    action_table,
-    moser_reduce,
-    orbit_tangent_space,
-    symmetry_constant,
-)
+# modules, not names: each loads on first use (see ``algrest.__init__``), so
+# a command runs only the modules it needs
+from . import atlas, curves, errors, forms, invariants, parser, poly, symmetry
 
 FORMATS = ("text", "json")
 
 
-def _curve(args: argparse.Namespace) -> MonomialCurve:
+def _curve(args: argparse.Namespace) -> curves.MonomialCurve:
     ambient = getattr(args, "ambient", None) or 0
-    return MonomialCurve(tuple(args.generators), ambient=ambient)
+    return curves.MonomialCurve(tuple(args.generators), ambient=ambient)
 
 
-def _curve_and_class(args: argparse.Namespace) -> tuple[MonomialCurve, AlgRestriction]:
+def _curve_and_class(
+    args: argparse.Namespace,
+) -> tuple[curves.MonomialCurve, curves.AlgRestriction]:
     """The curve and the class ``--restriction`` on its cached basis."""
     curve = _curve(args)
-    return curve, parse_restriction(args.restriction, cached_basis(curve))
+    return curve, parser.parse_restriction(args.restriction, curves.cached_basis(curve))
 
 
 def _emit(args: argparse.Namespace, payload: dict | None, lines: Sequence[str]) -> None:
     if args.format == "json":
+        import json
+
         print(json.dumps(payload, indent=2))
     else:
         for line in lines:
             print(line)
 
 
-def _coords_payload(a: AlgRestriction) -> dict[str, str]:
-    return {label: fraction_str(coeff) for coeff, label in a.terms()}
+def _coords_payload(a: curves.AlgRestriction) -> dict[str, str]:
+    return {label: parser.fraction_str(coeff) for coeff, label in a.terms()}
 
 
 def cmd_basis(args: argparse.Namespace) -> int:
     curve = _curve(args)
-    basis = cached_basis(curve)
+    basis = curves.cached_basis(curve)
     payload = {
         "semigroup": list(curve.lams),
         "ambient": curve.ambient,
@@ -75,7 +56,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
     }
     if args.format == "latex":
         lines = [
-            f"{latex_label(el.label)} &= {latex_form(el.rep)} \\\\"
+            f"{parser.latex_label(el.label)} &= {parser.latex_form(el.rep)} \\\\"
             for el in basis.elements
         ]
     else:
@@ -89,7 +70,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
 
 def cmd_action_table(args: argparse.Namespace) -> int:
     curve = _curve(args)
-    table = action_table(curve, args.lift_policy)
+    table = symmetry.action_table(curve, args.lift_policy)
     payload = None
     lines: list[str] = []
     if args.format == "json":
@@ -100,15 +81,15 @@ def cmd_action_table(args: argparse.Namespace) -> int:
             "nonsemigroup_shifts": list(table.nonsemigroup),
             "labels": list(table.labels),
             "table": {
-                str(s): {label: signed_sum(table.terms(s, label)) for label in table.labels}
+                str(s): {label: poly.signed_sum(table.terms(s, label)) for label in table.labels}
                 for s in table.shifts
             },
         }
     elif args.format == "latex":
-        cols = " & ".join(latex_label(label) for label in table.labels)
+        cols = " & ".join(parser.latex_label(label) for label in table.labels)
         lines = [f" & {cols} \\\\"]
         for s in table.shifts:
-            cells = " & ".join(latex_sum(table.terms(s, label)) for label in table.labels)
+            cells = " & ".join(parser.latex_sum(table.terms(s, label)) for label in table.labels)
             lines.append(f"X_{{{s}}} & {cells} \\\\")
     else:
         lines = [
@@ -119,18 +100,18 @@ def cmd_action_table(args: argparse.Namespace) -> int:
         ]
         for s in table.shifts:
             for label in table.labels:
-                lines.append(f"  L[X_{s}] {label} = {signed_sum(table.terms(s, label))}")
+                lines.append(f"  L[X_{s}] {label} = {poly.signed_sum(table.terms(s, label))}")
     _emit(args, payload, lines)
     return 0
 
 
 def cmd_project(args: argparse.Namespace) -> int:
     curve = _curve(args)
-    basis = cached_basis(curve)
-    form = parse_form(args.form, curve.ambient)
+    basis = curves.cached_basis(curve)
+    form = parser.parse_form(args.form, curve.ambient)
     if form.degree != 2:
-        raise InputError("projection expects a differential 2-form")
-    a = project(curve, form, basis)
+        raise errors.InputError("projection expects a differential 2-form")
+    a = curves.project(curve, form, basis)
     payload = {
         "semigroup": list(curve.lams),
         "form": args.form,
@@ -138,7 +119,7 @@ def cmd_project(args: argparse.Namespace) -> int:
         "coordinates": _coords_payload(a),
     }
     if args.format == "latex":
-        lines = [latex_restriction(a)]
+        lines = [parser.latex_restriction(a)]
     else:
         lines = [f"[{args.form}] = {a}"]
     _emit(args, payload, lines)
@@ -147,27 +128,27 @@ def cmd_project(args: argparse.Namespace) -> int:
 
 def cmd_invariants(args: argparse.Namespace) -> int:
     curve, a = _curve_and_class(args)
-    report = invariant_report(curve, a)
+    report = invariants.invariant_report(curve, a)
     payload = {
         "semigroup": list(curve.lams),
         "restriction": str(a),
         "mu": report.mu,
-        "iota": extended_str(report.iota),
-        "lt": extended_str(report.lt),
+        "iota": parser.extended_str(report.iota),
+        "lt": parser.extended_str(report.lt),
         "min_qdeg": report.min_qdeg,
     }
     lt_text = "not determined by tangency data (iota = 0)" if report.lt is None else str(
-        extended_str(report.lt)
+        parser.extended_str(report.lt)
     )
     lines = [
         f"class: {a}",
         f"mu = {report.mu}",
-        f"iota = {extended_str(report.iota)}",
+        f"iota = {parser.extended_str(report.iota)}",
         f"Lt = {lt_text}",
         f"min qdeg = {report.min_qdeg}",
     ]
     if args.n is not None:
-        ok = representable_by_symplectic(curve, a, args.n)
+        ok = invariants.representable_by_symplectic(curve, a, args.n)
         payload["n"] = args.n
         payload["representable"] = ok
         lines.append(
@@ -179,11 +160,11 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 
 def cmd_tangent(args: argparse.Namespace) -> int:
     curve, a = _curve_and_class(args)
-    tangent = orbit_tangent_space(curve, a)
+    tangent = symmetry.orbit_tangent_space(curve, a)
     moduli = [
         el.label
         for el in a.basis.elements
-        if not tangent.contains(AlgRestriction.from_coeffs(a.basis, {el.label: 1}))
+        if not tangent.contains(curves.AlgRestriction.from_coeffs(a.basis, {el.label: 1}))
     ]
     payload = {
         "semigroup": list(curve.lams),
@@ -206,7 +187,7 @@ def cmd_moser(args: argparse.Namespace) -> int:
     curve, a = _curve_and_class(args)
     qdeg = a.basis.element(args.kill).qdeg
     kill = a.part(qdeg)
-    result = moser_reduce(curve, a, kill)
+    result = symmetry.moser_reduce(curve, a, kill)
     payload = {
         "semigroup": list(curve.lams),
         "restriction": str(a),
@@ -235,22 +216,22 @@ def cmd_moser(args: argparse.Namespace) -> int:
 
 def cmd_pullback(args: argparse.Namespace) -> int:
     curve, a = _curve_and_class(args)
-    phi = parse_map(args.map, curve.ambient)
-    constant = symmetry_constant(curve, phi)
-    image = project(curve, pullback(phi, a.rep_form()), a.basis)
+    phi = parser.parse_map(args.map, curve.ambient)
+    constant = symmetry.symmetry_constant(curve, phi)
+    image = curves.project(curve, forms.pullback(phi, a.rep_form()), a.basis)
     payload = {
         "semigroup": list(curve.lams),
         "restriction": str(a),
         "map": args.map,
-        "constant": fraction_str(constant),
+        "constant": parser.fraction_str(constant),
         "image": str(image),
         "coordinates": _coords_payload(image),
     }
     if args.format == "latex":
-        lines = [latex_restriction(image)]
+        lines = [parser.latex_restriction(image)]
     else:
         lines = [
-            f"symmetry constant c = {fraction_str(constant)}",
+            f"symmetry constant c = {parser.fraction_str(constant)}",
             f"pullback of {a} = {image}",
         ]
     _emit(args, payload, lines)
@@ -258,22 +239,23 @@ def cmd_pullback(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_atlas(args: argparse.Namespace) -> int:
-    targets = [tuple(args.generators)] if args.generators else list(BUNDLED)
+    targets = [tuple(args.generators)] if args.generators else list(atlas.BUNDLED)
     samples = None
     if args.samples:
         try:
-            text = pathlib.Path(args.samples).read_text()
+            with open(args.samples) as handle:
+                text = handle.read()
         except OSError as exc:
-            raise InputError(f"cannot read samples file: {exc}") from None
-        samples = load_samples_file(text)
-    atlases = [load_atlas(lams) for lams in targets]
-    unknown = sorted(set(samples or ()) - {row.id for atlas in atlases for row in atlas.rows})
+            raise errors.InputError(f"cannot read samples file: {exc}") from None
+        samples = atlas.load_samples_file(text)
+    tables = [atlas.load_atlas(lams) for lams in targets]
+    unknown = sorted(set(samples or ()) - {row.id for table in tables for row in table.rows})
     if unknown:
-        raise InputError(f"samples file: no atlas row {unknown[0]} in the verified tables")
+        raise errors.InputError(f"samples file: no atlas row {unknown[0]} in the verified tables")
     reports = []
     lines: list[str] = []
-    for atlas in atlases:
-        report = verify_atlas(atlas, n=args.n, samples=samples, seed=args.seed)
+    for table in tables:
+        report = atlas.verify_atlas(table, n=args.n, samples=samples, seed=args.seed)
         reports.append(report)
         lines.append(f"semigroup {report.semigroup}:")
         by_row: dict[int, list] = {}
@@ -286,7 +268,7 @@ def cmd_verify_atlas(args: argparse.Namespace) -> int:
             lines.append(f"  row {row_id}: {status} ({len(checks)} samples)")
             for check in bad:
                 env = ", ".join(
-                    f"{k}={fraction_str(v)}" for k, v in sorted(check.env.items())
+                    f"{k}={parser.fraction_str(v)}" for k, v in sorted(check.env.items())
                 )
                 for msg in check.failures:
                     lines.append(f"    at [{env}]: {msg}")
@@ -311,7 +293,7 @@ def cmd_verify_atlas(args: argparse.Namespace) -> int:
                     {
                         "row": c.row_id,
                         "n": c.n,
-                        "env": {k: fraction_str(v) for k, v in sorted(c.env.items())},
+                        "env": {k: parser.fraction_str(v) for k, v in sorted(c.env.items())},
                         "passed": c.passed,
                         "failures": list(c.failures),
                         "known": list(c.known),
@@ -348,14 +330,14 @@ _SEED_HELP = "extra random sample per row when nonzero, except rows listed in --
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    top = argparse.ArgumentParser(
         prog="algrest",
         description=(
             "Exact graded computations with algebraic restrictions of closed "
             "2-forms to quasi-homogeneous monomial curves."
         ),
     )
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = top.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("basis", help="graded basis of closed-2-form classes")
     _add_generators(p)
@@ -368,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, latex=True)
     p.add_argument(
         "--lift-policy",
-        choices=LIFT_POLICIES,
+        choices=forms.LIFT_POLICIES,
         default="grlex",
         help="how to pick monomial components of the liftable fields",
     )
@@ -416,19 +398,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_verify_atlas)
 
-    return parser
+    return top
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         # flush inside the try, so that a reader who closed the pipe early
         # is seen here and not at interpreter shutdown
         sys.stdout.flush()
         return code
-    except InputError as exc:
+    except errors.InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -31,7 +31,7 @@ from .curves import (
     project,
 )
 from .errors import InputError, LiftError, NotSymmetryError
-from .forms import PolyMap, VectorField, lie_derivative, pullback
+from .forms import LIFT_POLICIES, PolyMap, VectorField, lie_derivative, pullback
 from .linalg import (
     ParamSolution, rref, solve_param_linear, zcleared, zdenominated, zechelon, zremainder
 )
@@ -90,8 +90,6 @@ _PINNED: dict[tuple[tuple[int, ...], int], tuple[Exponent, ...]] = {
     ((4, 5, 7), 9): ((2, 1, 0), (1, 2, 0), (1, 1, 1)),
 }
 
-LIFT_POLICIES = ("grlex", "pinned")
-
 
 class LiftableField(NamedTuple):
     """A validated liftable field: X(g(t)) = t^{s+1} g'(t)."""
@@ -138,7 +136,7 @@ def liftable_field(curve: MonomialCurve, s: int, policy: str = "grlex") -> Lifta
         pad = (0,) * (m - len(lams))
         exps_list = [e + pad for e in stored]
     else:
-        raise InputError(f"unknown lift policy {policy!r}; use grlex or pinned")
+        raise InputError(f"unknown lift policy {policy!r}; use {' or '.join(LIFT_POLICIES)}")
     components = [
         Polynomial.monomial(exps_list[i], lams[i]) for i in range(len(lams))
     ]

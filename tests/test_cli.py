@@ -286,7 +286,7 @@ def test_pullback_rejects_non_symmetry(capsys):
 def test_pullback_checks_the_map_once(capsys, monkeypatch, phi, rc):
     """One ``pullback`` composes the map with the curve and runs the power
     checks once, for a symmetry and for a map that is none."""
-    from algrest import cli as cli_module, symmetry
+    from algrest import symmetry
     from algrest.curves import MonomialCurve
 
     calls = {"symmetry_constant": 0, "series": 0}
@@ -301,7 +301,6 @@ def test_pullback_checks_the_map_once(capsys, monkeypatch, phi, rc):
         return compose(*args)
 
     monkeypatch.setattr(symmetry, "symmetry_constant", counted_check)
-    monkeypatch.setattr(cli_module, "symmetry_constant", counted_check)
     monkeypatch.setattr(MonomialCurve, "series", counted_compose)
     got, _, _ = run(
         capsys, "pullback", "4", "5", "6", "7", "--map", phi, "--restriction", "a9 + a13+"
@@ -387,7 +386,7 @@ def test_verify_atlas_unusable_samples_exit_2(capsys, tmp_path, generators, cont
 
 
 def test_verify_atlas_failure_exit_code(capsys, monkeypatch):
-    import algrest.cli as cli_module
+    from algrest import atlas
 
     failing = AtlasReport(
         semigroup=(4, 5, 6, 7),
@@ -402,7 +401,7 @@ def test_verify_atlas_failure_exit_code(capsys, monkeypatch):
         ),
         distinctness_failures=(),
     )
-    monkeypatch.setattr(cli_module, "verify_atlas", lambda *a, **k: failing)
+    monkeypatch.setattr(atlas, "verify_atlas", lambda *a, **k: failing)
     rc, out, _ = run(capsys, "verify-atlas", "4", "5", "6", "7")
     assert rc == 1
     assert "row 1: FAIL" in out

@@ -1,0 +1,116 @@
+"""How the package loads: ``import algrest`` registers its submodules
+lazily, and a CLI command runs only the modules it uses.
+
+Each case runs in a fresh interpreter, since the test process has run
+every module already.  A module has run once its namespace holds
+``__builtins__``, which ``exec`` adds; the probe reads the namespace
+through ``object.__getattribute__``, which does not trigger the load.
+"""
+
+import ast
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+SUBMODULES = tuple(
+    sorted(path.stem for path in (SRC / "algrest").glob("*.py") if path.stem != "__init__")
+)
+
+# what every command runs: the CLI, and the curve with what it imports
+BASE = {"cli", "curves", "errors", "forms", "linalg", "poly"}
+
+PROBE = """
+import json, sys
+import algrest
+
+def state():
+    return {
+        name: "__builtins__" in object.__getattribute__(module, "__dict__")
+        for name, module in vars(algrest).items()
+        if sys.modules.get(f"algrest.{name}") is module
+    }
+"""
+
+
+def _run(body: str, *argv: str):
+    """The JSON that ``body`` prints last, run after ``PROBE`` in a fresh
+    interpreter."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE + body, *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_importing_the_cli_registers_every_submodule_and_runs_few():
+    state = _run("import algrest.cli\nprint(json.dumps(state()))")
+    assert set(state) == set(SUBMODULES)
+    assert not any(state[name] for name in ("atlas", "invariants", "symmetry", "parser"))
+
+
+@pytest.mark.parametrize(
+    ("argv", "more"),
+    [
+        ("basis 4 5 6 7", set()),
+        ("action-table 4 5 6", {"symmetry"}),
+        ("invariants 4 5 6 7 --restriction a9 --n 2", {"symmetry", "parser", "invariants"}),
+        ("verify-atlas 4 5 6", set(SUBMODULES) - BASE),
+    ],
+    ids=["basis", "action-table", "invariants", "verify-atlas"],
+)
+def test_a_command_runs_only_the_modules_it_uses(argv, more):
+    state = _run(
+        "import algrest.cli\n"
+        "rc = algrest.cli.main(sys.argv[1:])\n"
+        "print(json.dumps({'rc': rc, 'ran': sorted(n for n, ran in state().items() if ran)}))",
+        *argv.split(),
+    )
+    assert state == {"rc": 0, "ran": sorted(BASE | more)}
+
+
+def _definers() -> dict[str, list[str]]:
+    """Every top-level ``def``, ``class`` and assigned name of each
+    submodule, mapped to the submodules that define it."""
+    out: dict[str, list[str]] = {}
+    for name in SUBMODULES:
+        tree = ast.parse((SRC / "algrest" / f"{name}.py").read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                out.setdefault(node.name, []).append(name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Name):
+                        out.setdefault(target.id, []).append(name)
+    return out
+
+
+def test_public_names_resolve_to_the_objects_their_submodules_define():
+    definers = _definers()
+    public = _run("print(json.dumps(algrest.__all__))")
+    assert public and all(len(definers.get(name, ())) == 1 for name in public), [
+        (name, definers.get(name)) for name in public if len(definers.get(name, ())) != 1
+    ]
+    owners = {name: definers[name][0] for name in public}
+    result = _run(
+        "owners = json.loads(sys.argv[1])\n"
+        "wrong = [name for name, owner in owners.items()\n"
+        "         if getattr(algrest, name) is not getattr(getattr(algrest, owner), name)]\n"
+        "listed = set(dir(algrest))\n"
+        "star = {}\n"
+        "exec('from algrest import *', star)\n"
+        "print(json.dumps({'wrong': wrong, 'unlisted': sorted(set(owners) - listed),\n"
+        "                  'unbound': sorted(n for n in owners if star.get(n) is not getattr(algrest, n))}))",
+        json.dumps(owners),
+    )
+    assert result == {"wrong": [], "unlisted": [], "unbound": []}
