@@ -358,7 +358,7 @@ class RestrictionBasis:
     ``closed[d]`` keeps it, for every d with a closed class, as the
     labelled rows cleared to primitive integer rows (``linalg.zcleared``),
     a ``zechelon`` form, in the label order (pivots descending), and
-    ``solve_in_closed`` reads classes off it.  That
+    ``zproject`` reads classes off it.  That
     span needs no row of owner 0: d^2(x^(m + e_i)) = 0 reads
     (1 + m_i) d(x^m dx_i) = -sum_(j != i) m_j d(x^(m + e_i - e_j) dx_j),
     and each x^(m + e_i - e_j) with m_j > 0 is curve-only of degree
@@ -482,28 +482,26 @@ class RestrictionBasis:
     def element(self, label: str) -> BasisElement:
         return self.elements[self.index_of(label)]
 
-    def solve_in_closed(self, d: int, coords2: Sequence[Fraction]) -> dict[int, Fraction]:
-        """Express quotient coordinates at degree d in the closed basis there.
-
-        Returns a map from global element index to coefficient; raises
-        ``NotClosedError`` if the class does not lie in the closed subspace,
-        that is, if it is not closed.  The closed vectors of a degree
-        are the rows of the reduced echelon form ``closed[d]``, so each
-        coefficient is the entry of ``coords2`` at its vector's pivot, and
-        the class is closed iff nothing remains after subtracting them.
-        """
+    def zproject(self, d: int, vec: dict[int, int]) -> tuple[int, dict[int, int]]:
+        """(K, {k: c}) for an integer row of piece-d columns (nonzero entries):
+        its class is sum_k (c / K) e_k over the elements k of degree d, or
+        ``NotClosedError``.  The row is reduced in Z by the piece's relations
+        to R with scale K; the closed vectors are the rows of ``closed[d]``
+        scaled to 1 at their pivots, so c is R at its vector's pivot, and
+        the class is closed iff nothing remains after subtracting them."""
+        piece = self.pieces[d]
+        scale, work = zremainder(piece.relations, vec)
+        coords = {j: work[c] for j, c in enumerate(piece.rep_cols) if c in work}
+        if not coords:
+            return scale, {}
         echelon = self.closed.get(d)
         if not echelon:
-            if any(coords2):
-                raise NotClosedError(
-                    f"nonzero restriction class of quasi-degree {d} is not closed"
-                )
-            return {}
-        if zremainder(echelon, zcleared(dict(enumerate(coords2))))[1]:
+            raise NotClosedError(f"nonzero restriction class of quasi-degree {d} is not closed")
+        if zremainder(echelon, coords)[1]:
             raise NotClosedError(
                 f"restriction class of quasi-degree {d} lies outside the closed subspace"
             )
-        return {k: coords2[p] for (k, _), p in zip(self.by_degree[d], echelon) if coords2[p]}
+        return scale, {k: coords[p] for (k, _), p in zip(self.by_degree[d], echelon) if p in coords}
 
 
 @lru_cache(maxsize=16)
@@ -715,17 +713,17 @@ def project_vectors(
     """The class of a closed 2-form given by its degree-d piece coordinates
     ``vectors[d]`` (as ``GradedPiece.vectorize`` gives them), for degrees d
     in ascending order below ``stop_qdeg``; a part outside the closed
-    span raises ``NotClosedError``."""
+    span raises ``NotClosedError``.  Each is cleared once and projected in Z."""
     entries: dict[int, Fraction] = {}
     for d, vec in vectors.items():
-        coords2 = basis.pieces[d].quotient_coords(vec)
-        if not any(coords2):
-            continue
+        den, cleared = zdenominated({c: v for c, v in enumerate(vec) if v})
         try:
             # nonzero coefficients of the elements of degree d alone
-            entries.update(basis.solve_in_closed(d, coords2))
+            scale, row = basis.zproject(d, cleared)
         except NotClosedError:
             raise NotClosedError(
                 f"exterior derivative has a nonzero restriction in quasi-degree {d}"
             ) from None
+        den *= scale
+        entries.update((k, Fraction(x, den)) for k, x in row.items())
     return AlgRestriction._trusted(basis, dict(sorted(entries.items())))

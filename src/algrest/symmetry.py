@@ -11,7 +11,7 @@ minimal exponent vector, ``pinned`` replays a fixed table of recorded
 choices for the three bundled semigroups.  Two choices differ by a field
 with coefficients in the curve's ideal, which acts as zero on closed
 classes, so the action does not depend on the choice: it is one matrix
-per shift, built from grlex lifts at the generator shifts only.  The
+per shift, read in closed form off the grlex lift's exponents.  The
 policy chooses which fields the action table builds, validates and names.
 """
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 from .curves import (
     AlgRestriction,
@@ -31,7 +31,7 @@ from .curves import (
     project,
 )
 from .errors import InputError, LiftError, NotSymmetryError
-from .forms import LIFT_POLICIES, PolyMap, VectorField, lie_derivative, pullback
+from .forms import LIFT_POLICIES, PolyMap, VectorField, pullback
 from .linalg import (
     ParamSolution, rref, solve_param_linear, zcleared, zdenominated, zechelon, zremainder
 )
@@ -102,46 +102,38 @@ class LiftableField(NamedTuple):
         return f"X_{self.shift} = {self.field}"
 
 
-def _curve_monomials(curve: MonomialCurve, qdeg: int) -> list[Exponent]:
-    """Curve-supported monomials of a quasi-degree, padded to ambient width."""
-    pad = (0,) * (curve.ambient - len(curve.lams))
-    return [m + pad for m in monomials_of_qdeg(curve.lams, qdeg)]
-
-
-def liftable_field(curve: MonomialCurve, s: int, policy: str = "grlex") -> LiftableField:
-    """Build the liftable field X_s under a monomial-choice policy, "grlex"
-    or "pinned"."""
+def _grlex_exponents(curve: MonomialCurve, s: int) -> tuple[Exponent, ...]:
+    """The exponents n_i of the grlex lift X_i = lam_i x^(n_i), one per
+    branch coordinate: the graded-lex minimal curve-only exponent of
+    quasi-degree lam_i + s, which exists iff s is admissible."""
     if s < 0:
         raise InputError("shift must be nonnegative")
-    lams = curve.lams
     if not _admissible(curve, s):
         raise LiftError(
             f"no monomial lift exists for shift {s}: some lam_i + {s} is outside the semigroup"
         )
-    m = curve.ambient
-    if policy == "grlex":
-        exps_list = []
-        for lam in lams:
-            candidates = _curve_monomials(curve, lam + s)
-            if not candidates:
-                raise LiftError(f"no monomial of quasi-degree {lam + s} exists")
-            exps_list.append(min(candidates, key=lambda e: (sum(e), e)))
-    elif policy == "pinned":
-        stored = _PINNED.get((lams, s))
-        if stored is None:
+    return tuple(monomials_of_qdeg(curve.lams, lam + s)[-1] for lam in curve.lams)
+
+
+def liftable_field(curve: MonomialCurve, s: int, policy: str = "grlex") -> LiftableField:
+    """Build the liftable field X_s under a monomial-choice policy, "grlex"
+    or "pinned"; the shift is checked first, under every policy."""
+    exps = _grlex_exponents(curve, s)
+    lams, m = curve.lams, curve.ambient
+    if policy == "pinned":
+        exps = _PINNED.get((lams, s))
+        if exps is None:
             raise InputError(
                 f"no pinned lift stored for curve {lams} and shift {s}; "
                 "use the grlex policy"
             )
-        pad = (0,) * (m - len(lams))
-        exps_list = [e + pad for e in stored]
-    else:
+    elif policy != "grlex":
         raise InputError(f"unknown lift policy {policy!r}; use {' or '.join(LIFT_POLICIES)}")
-    components = [
-        Polynomial.monomial(exps_list[i], lams[i]) for i in range(len(lams))
-    ]
-    components += [Polynomial.zero(m)] * (m - len(lams))
-    field = VectorField(components)
+    pad = (0,) * (m - len(lams))
+    field = VectorField(
+        [Polynomial.monomial(e + pad, lam) for e, lam in zip(exps, lams)]
+        + [Polynomial.zero(m)] * len(pad)
+    )
     if not validate_liftable(curve, field, s):
         raise LiftError(
             f"the chosen monomials do not satisfy X(g(t)) = t^{s + 1} g'(t)"
@@ -177,35 +169,21 @@ class ActionMatrix(NamedTuple):
         return tuple((i, Fraction(m, den)) for i, m in self.columns[j])
 
 
-def _reduced_matrix(den: int, columns: Sequence[Sequence[tuple[int, int]]]) -> ActionMatrix:
-    """The matrix M / den in lowest terms.  The reduced denominator of m / den
-    is den / gcd(den, m), and the lcm of those over all entries is den / g
-    with g = gcd(den, every m): divide both by g."""
-    g = math.gcd(den, *(m for column in columns for _, m in column))
+def _reduced_matrix(dim: int, columns: Mapping[int, tuple[int, dict[int, int]]]) -> ActionMatrix:
+    """The matrix whose column i is c / K for columns[i] = (K, c), the other
+    columns empty, in lowest terms.  Over D = lcm(K) the entries are m =
+    c D / K; the reduced denominator of m / D is D / gcd(D, m), and the lcm
+    of those over all entries is D / g with g = gcd(D, every m): divide
+    both by g."""
+    den = math.lcm(*(scale for scale, _ in columns.values()))
+    scaled = {
+        i: [(k, c * (den // scale)) for k, c in column.items()]
+        for i, (scale, column) in columns.items()
+    }
+    g = math.gcd(den, *(m for column in scaled.values() for _, m in column))
     return ActionMatrix(
-        den // g, tuple(tuple((i, m // g) for i, m in column) for column in columns)
+        den // g, tuple(tuple((k, m // g) for k, m in scaled.get(i, ())) for i in range(dim))
     )
-
-
-def _split(curve: MonomialCurve, s: int) -> tuple[int, int] | None:
-    """(u, s - u) for the smallest u with 0 < u < s - u and both shifts
-    admissible, or None when s is not such a sum: a generator shift."""
-    for u in range(1, (s + 1) // 2):
-        if _admissible(curve, u) and _admissible(curve, s - u):
-            return u, s - u
-    return None
-
-
-def _bracket_column(a_u: Sequence[IntColumn], a_v: Sequence[IntColumn], j: int) -> IntColumn:
-    """Column j of M_u M_v - M_v M_u, from integer sparse columns."""
-    out: dict[int, int] = {}
-    for k, c in a_v[j]:
-        for i, x in a_u[k]:
-            out[i] = out.get(i, 0) + c * x
-    for k, c in a_u[j]:
-        for i, x in a_v[k]:
-            out[i] = out.get(i, 0) - c * x
-    return tuple((i, out[i]) for i in sorted(out) if out[i])
 
 
 def _action_matrix(basis: RestrictionBasis, s: int) -> ActionMatrix:
@@ -213,70 +191,60 @@ def _action_matrix(basis: RestrictionBasis, s: int) -> ActionMatrix:
     basis and shift, and kept in ``basis.actions``, with no other copy
     beside it.
 
-    The matrices A_s represent the Witt algebra, so Lie derivatives are
-    taken for the generator shifts only:
+    Every column is read in closed form off the exponents n_i of the grlex
+    lift X_i = lam_i x^(n_i) (``_grlex_exponents``, which rejects a negative
+    or inadmissible shift).  For a representative term x^m dx_a ^ dx_b of
+    degree d, L_X(x^m dx_a ^ dx_b) = X(x^m) dx_a ^ dx_b + x^m dX_a ^ dx_b +
+    x^m dx_a ^ dX_b, with X(x^m) = sum_i m_i lam_i x^(m - e_i + n_i) and dX_a
+    = lam_a sum_k (n_a)_k x^(n_a - e_k) dx_k.  Every term is curve-only, and
+    the piece of degree d + s takes each curve-only x^e dx_J to its column
+    e_J whatever e is (``restriction_quotient``), so the image is the column
+    sum w e_ab + lam_a sum_k (n_a)_k e_kb + lam_b sum_k (n_b)_k e_ak, with w
+    = sum_i m_i lam_i = d - lam_a - lam_b, e_kb = -e_bk and e_aa = 0; a term
+    of coefficient zero is skipped, as its column need not exist.  At s = 0,
+    n_i = e_i and each sum is d e_ab: A_0 = diag(qdeg), the Euler field.
 
-    - A_0 = diag(qdeg): X_0 is the Euler field E up to a field with
-      coefficients in the curve's ideal, and L_E omega = d * omega for omega
-      quasi-homogeneous of degree d;
-    - if s = u + v with 0 < u < v both admissible, u the smallest such,
-      A_s = (A_u A_v - A_v A_u) / (v - u) from the kept A_u and A_v, in
-      integers: M_s / den_s = (M_u M_v - M_v M_u) / (den_u den_v (v - u)),
-      brought to lowest terms;
-    - otherwise s is a generator shift, the one place a lift is built: the
-      grlex lift X_s.  Column j is the projection of L_{X_s} on the
-      element's representative.  X_s raises the quasi-degree by exactly s,
-      so only the columns whose target degree qdeg + s carries a closed
-      class are built, and the others are empty.  A negative or
-      inadmissible shift is no sum of admissible ones, so
-      ``liftable_field`` rejects it here.
+    An element's representative is its closed row r (``basis.closed[d]``)
+    over its pivot entry r_p, so its image is summed in integers from r and
+    projected in Z (``RestrictionBasis.zproject``, scale K) to the column
+    over K r_p; only a column whose target degree has a closed class is
+    built.  A negative K r_p is kept: it divides lcm(K) to a negative factor.
 
-    Proof that [A_u, A_v] = (v - u) A_{u+v}.  Two lifts act alike on closed
-    classes: they differ by a field Z whose coefficients vanish on the
-    curve, so lie in its ideal I.  For a form omega of closed class,
-    L_Z omega = d(i_Z omega) + i_Z d omega; i_Z omega has coefficients in
-    I, and i_Z maps I Omega^3 + dI ^ Omega^2 into I Omega^2 + dI ^ Omega^1,
-    as i_Z(df ^ beta) = Z(f) beta - df ^ i_Z beta with Z(f) in I; so both
-    terms restrict to zero.  On forms L_[X,Y] = [L_X, L_Y], and fields
-    tangent to the curve keep the zero-restriction space, so the identity
-    holds on classes.  X_u and X_v are related through the curve g to
-    t^{u+1} d/dt and t^{v+1} d/dt, hence [X_u, X_v] to their bracket
-    (v - u) t^{u+v+1} d/dt: its i-th component restricts to
-    (v - u) lam_i t^{lam_i + u + v}, and a polynomial restricts to powers
-    t^e with e in the semigroup, so u + v is admissible (admissible shifts
-    are closed under distinct sums), and [X_u, X_v] is a lift of
-    (v - u) X_{u+v}, which acts as (v - u) L_{X_{u+v}}.  Last, the matrices act on the classes of
-    quasi-degree at most top_qdeg: ``project`` drops every part of degree
-    from ``stop_qdeg`` on, and the classes above top_qdeg span a subspace
-    that every X_s keeps, since it raises the degree.  The quotient by a
-    kept subspace carries the induced actions, so the identity holds for
-    the matrices as built.
+    Why one lift serves all.  Two lifts act alike on closed classes: they
+    differ by a field Z whose coefficients vanish on the curve, so lie in
+    its ideal I.  For a form omega of closed class, L_Z omega = d(i_Z omega)
+    + i_Z d omega; i_Z omega has coefficients in I, and i_Z maps I Omega^3 +
+    dI ^ Omega^2 into I Omega^2 + dI ^ Omega^1, as i_Z(df ^ beta) = Z(f)
+    beta - df ^ i_Z beta with Z(f) in I; so both terms restrict to zero.
     """
     matrix = basis.actions.get(s)
     if matrix is None:
-        curve = basis.curve
-        if s == 0:
-            matrix = ActionMatrix(1, tuple(((j, el.qdeg),) for j, el in enumerate(basis.elements)))
-        elif (split := _split(curve, s)) is not None:
-            u, v = split
-            a_u = _action_matrix(basis, u)
-            a_v = _action_matrix(basis, v)
-            matrix = _reduced_matrix(
-                a_u.den * a_v.den * (v - u),
-                [_bracket_column(a_u.columns, a_v.columns, j) for j in range(basis.dim)],
-            )
-        else:
-            field = liftable_field(curve, s).field
-            cleared = [
-                zdenominated(project(curve, lie_derivative(field, el.rep), basis).entries)
-                if el.qdeg + s in basis.by_degree
-                else (1, {})
-                for el in basis.elements
-            ]
-            den = math.lcm(*(d for d, _ in cleared))
-            matrix = _reduced_matrix(
-                den, [[(i, m * (den // d)) for i, m in row.items()] for d, row in cleared]
-            )
+        lams = basis.curve.lams
+        exps = _grlex_exponents(basis.curve, s)
+        # dX_a as the (k, lam_a (n_a)_k) pairs of its nonzero terms
+        dlift = [[(k, lam * e) for k, e in enumerate(n) if e] for lam, n in zip(lams, exps)]
+        built: dict[int, tuple[int, dict[int, int]]] = {}
+        for d, entries in basis.by_degree.items():
+            if d + s not in basis.by_degree:
+                continue
+            piece = basis.pieces[d]
+            # the signed column of dx_i ^ dx_k in the target piece, i != k
+            position = {}
+            for c, (i, k) in enumerate(basis.pieces[d + s].columns):
+                position[i, k], position[k, i] = (c, 1), (c, -1)
+            for (i, _), (p, row) in zip(entries, basis.closed[d].items()):
+                vec: dict[int, int] = {}
+                for j, r in row.items():
+                    a, b = piece.columns[piece.rep_cols[j]]
+                    terms = [((a, b), d - lams[a] - lams[b])]
+                    terms += [((k, b), x) for k, x in dlift[a]] + [((a, k), x) for k, x in dlift[b]]
+                    for pair, x in terms:
+                        if x and pair[0] != pair[1]:
+                            col, sign = position[pair]
+                            vec[col] = vec.get(col, 0) + sign * r * x
+                scale, column = basis.zproject(d + s, {c: x for c, x in vec.items() if x})
+                built[i] = (scale * row[p], column)
+        matrix = _reduced_matrix(basis.dim, built)
         basis.actions[s] = matrix
     return matrix
 

@@ -1,7 +1,9 @@
 """The all-direct Lie action: every column of every action matrix from a Lie
-derivative and ``project``.  It is the reference that the Witt construction
-of ``symmetry._action_matrix`` is checked against, and it shares no code
-with that construction beyond the liftable fields and the projection."""
+derivative and ``project``.  It is the reference that the closed-form
+construction of ``symmetry._action_matrix`` is checked against, and it
+shares no code with that construction beyond the closed-class basis.  The
+bracket identity [A_s, A_u] = (u - s) A_{s+u} is a tested property of the
+direct matrices here, not a construction: no matrix is built from it."""
 
 import itertools
 import math
@@ -51,8 +53,8 @@ def check_witt_construction(curve):
     """On a fresh basis of the curve, with the direct matrices D_s as the
     oracle: D_0 = diag(qdeg); [D_s, D_u] = (u - s) D_{s+u} for every pair of
     admissible shifts s < u up to top_qdeg - min_qdeg, with D_{s+u} = 0
-    past that bound; and the built A_s equals D_s for every shift, the
-    shifts asked for from the largest down."""
+    past that bound (the Witt algebra); and the built A_s equals D_s for
+    every shift, the shifts asked for from the largest down."""
     basis = RestrictionBasis(curve)
     if not basis.elements:
         return

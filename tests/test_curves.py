@@ -23,7 +23,7 @@ from algrest.curves import (
 )
 from algrest.errors import InputError, NotClosedError
 from algrest.forms import DifferentialForm, ext_der, wedge
-from algrest.linalg import RrefResult, kernel_basis, rref
+from algrest.linalg import RrefResult, kernel_basis, rref, zdenominated
 from algrest.parser import parse_form, parse_restriction
 from algrest.poly import Polynomial
 from algrest.symmetry import orbit_tangent_space
@@ -356,20 +356,31 @@ def test_project_rejects_non_closed_class(curve4567, basis4567):
         project(curve4567, form, basis4567)
 
 
+def solve_in_closed(basis, d, coords2):
+    """The closed-basis coefficients of quotient coordinates at degree d, by
+    global element index: ``zproject`` of the row on the representative
+    columns, which the relations leave as it is."""
+    rep_cols = basis.pieces[d].rep_cols
+    den, row = zdenominated({rep_cols[j]: c for j, c in enumerate(coords2) if c})
+    scale, coeffs = basis.zproject(d, row)
+    assert scale == 1
+    return {k: Fraction(x, den) for k, x in coeffs.items()}
+
+
 def test_solve_in_closed_reads_coefficients_and_rejects_non_closed(basis4567):
     F = Fraction
     # qdeg 11 has two closed classes: a11+ = (0, 1) and a11- = (1, 0)
     i_plus, i_minus = basis4567.label_index["a11+"], basis4567.label_index["a11-"]
-    assert basis4567.solve_in_closed(11, [F(-3), F(2, 5)]) == {i_plus: F(2, 5), i_minus: F(-3)}
-    assert basis4567.solve_in_closed(15, [F(7), F(0)]) == {basis4567.label_index["a15"]: F(7)}
-    assert basis4567.solve_in_closed(15, [F(0), F(0)]) == {}
+    assert solve_in_closed(basis4567, 11, [F(-3), F(2, 5)]) == {i_plus: F(2, 5), i_minus: F(-3)}
+    assert solve_in_closed(basis4567, 15, [F(7), F(0)]) == {basis4567.label_index["a15"]: F(7)}
+    assert solve_in_closed(basis4567, 15, [F(0), F(0)]) == {}
     # qdeg 15: a two-dimensional piece with one closed class
     with pytest.raises(NotClosedError, match="lies outside the closed subspace"):
-        basis4567.solve_in_closed(15, [F(1), F(1)])
+        solve_in_closed(basis4567, 15, [F(1), F(1)])
     # qdeg 16: a one-dimensional piece with no closed class
     with pytest.raises(NotClosedError, match="is not closed"):
-        basis4567.solve_in_closed(16, [F(1)])
-    assert basis4567.solve_in_closed(16, [F(0)]) == {}
+        solve_in_closed(basis4567, 16, [F(1)])
+    assert solve_in_closed(basis4567, 16, [F(0)]) == {}
 
 
 def _dense_echelon(pivot_rows, width):
@@ -427,11 +438,25 @@ def test_sparse_remainders_equal_dense_reduce_by(lams, ambient):
             if want is None:
                 not_closed_seen += 1
                 with pytest.raises(NotClosedError):
-                    basis.solve_in_closed(d, coords2)
+                    solve_in_closed(basis, d, coords2)
             else:
                 closed_seen += 1
-                assert basis.solve_in_closed(d, coords2) == want, (d, coords2)
+                assert solve_in_closed(basis, d, coords2) == want, (d, coords2)
     assert closed_seen and not_closed_seen
+    # a row on every column: zproject reduces it by the relations first
+    for d, piece2 in basis.pieces.items():
+        dense = _dense_echelon(piece2.relations, len(piece2.columns))
+        for _ in range(3):
+            vec = [rng.choice(values) for _ in piece2.columns]
+            work = reduce_by(dense, vec)
+            want = _reference_solve_in_closed(basis, d, [work[c] for c in piece2.rep_cols])
+            den, row = zdenominated({c: v for c, v in enumerate(vec) if v})
+            if want is None:
+                with pytest.raises(NotClosedError):
+                    basis.zproject(d, row)
+            else:
+                scale, coeffs = basis.zproject(d, row)
+                assert {k: Fraction(x, den * scale) for k, x in coeffs.items()} == want, d
 
 
 def test_project_known_relations(curve4567, basis4567):

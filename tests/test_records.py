@@ -217,6 +217,10 @@ UNCALLED = {
     "linalg.in_span": "wrapped by the benchmark tracer (perfbench/tracer.py TARGETS)",
     "linalg.sturm_count": "wrapped by the benchmark tracer (perfbench/tracer.py TARGETS)",
     "curves.ideal_graded_basis": "wrapped by the benchmark tracer (perfbench/tracer.py TARGETS)",
+    "forms.lie_derivative": (
+        "public; wrapped by the benchmark tracer (perfbench/tracer.py TARGETS); the "
+        "tests' reference for the closed-form action matrices (tests/direct_actions.py)"
+    ),
     "symmetry.shift_action": (
         "wrapped by the benchmark tracer; perfbench/queries.py checks the Euler "
         "identity and the action tables with it"

@@ -135,7 +135,7 @@ def test_a_missing_pinned_lift_fails_at_its_shift():
         action_table(MonomialCurve((5, 6, 7, 8, 9)), "pinned")
     curve = MonomialCurve((4, 5, 6, 7))
     a = AlgRestriction.from_coeffs(RestrictionBasis(curve), {"a9": 1})
-    # 7 = 1 + 6 is a derived shift, and the pinned table stops at 6
+    # the pinned table stops at 6, and the action of X_7 needs no lift
     with pytest.raises(InputError, match=r"curve \(4, 5, 6, 7\) and shift 7;"):
         liftable_field(curve, 7, "pinned")
     assert shift_action(a, 7).is_zero()
@@ -169,20 +169,18 @@ def _record_lifts(monkeypatch):
     return built
 
 
-def test_only_generator_shifts_build_a_lift(monkeypatch):
-    """A_0 and the commutator-derived matrices take no Lie derivative and
-    build no lift; each generator shift builds its grlex lift once."""
+def test_the_action_layer_builds_no_lift(monkeypatch):
+    """Every action matrix is read off the grlex lift's exponents: orbit
+    tangent spaces and invariants build no ``liftable_field``."""
     built = _record_lifts(monkeypatch)
     curve = MonomialCurve((11, 13))
     tangent = orbit_tangent_space(curve, parse_restriction("a24", RestrictionBasis(curve)))
-    generators = [s for s in tangent.shifts if s and symmetry_module._split(curve, s) is None]
-    assert generators == [11, 13, 22, 26, 119]
-    assert built == [(s, "grlex") for s in generators]
-    built.clear()
+    assert tangent.shifts
+    assert built == []
     curve = MonomialCurve((4, 5, 6, 7))
     report = invariant_report(curve, parse_restriction("a13-", RestrictionBasis(curve)))
     assert report.mu == 6
-    assert built == [(1, "grlex"), (2, "grlex")]
+    assert built == []
 
 
 def test_a_pinned_table_keeps_one_matrix_per_shift(monkeypatch):
@@ -194,7 +192,7 @@ def test_a_pinned_table_keeps_one_matrix_per_shift(monkeypatch):
     monkeypatch.setattr(symmetry_module, "cached_basis", lambda _: basis)
     table = action_table(curve, "pinned")
     assert table.basis is basis
-    assert built == [(s, "pinned") for s in table.shifts] + [(1, "grlex"), (2, "grlex")]
+    assert built == [(s, "pinned") for s in table.shifts]
     assert list(basis.actions) == list(table.shifts)
     assert all(type(s) is int for s in basis.actions)
     assert all(table.matrices[s] is basis.actions[s] for s in table.shifts)
@@ -223,8 +221,8 @@ def test_liftable_field_validates(curve4567, curve456, basis456):
         liftable_field(curve4567, 1, "lexicographic")
     with pytest.raises(InputError):
         liftable_field(curve4567, -1)
-    # a shift without a lift is no sum of admissible shifts, so its action
-    # reaches liftable_field and fails the same way
+    # the action reads the grlex exponents, which reject a shift without a
+    # lift the way liftable_field does
     a = AlgRestriction.from_coeffs(basis456, {"a11": 1})
     for s, error in ((1, LiftError), (3, LiftError), (-1, InputError)):
         with pytest.raises(error):
