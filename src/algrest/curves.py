@@ -226,15 +226,12 @@ class GradedPiece(Frozen):
                     vec[position[idx]] += coeff
         return vec
 
-    def quotient_coords(self, vec: Sequence[Scalar]) -> list[Fraction]:
-        """Reduce modulo the relations; coordinates on the representative
-        columns.  The vector is cleared once, vec = A / D (``zdenominated``),
-        and A is reduced in Z (``zremainder``) to R with scale K, so the
-        coordinate at a column c is the one division R_c / (D K)."""
-        den, cleared = zdenominated({c: v for c, v in enumerate(vec) if v})
-        scale, work = zremainder(self.relations, cleared)
-        den *= scale
-        return [Fraction(work[c], den) if c in work else _ZERO for c in self.rep_cols]
+    def zquotient(self, vec: dict[int, int]) -> tuple[int, dict[int, int]]:
+        """(K, {j: c}) for an integer row of piece columns (nonzero entries):
+        reduced in Z by the relations to R with scale K (``zremainder``),
+        its quotient coordinates are c / K for c = R at representative j."""
+        scale, work = zremainder(self.relations, vec)
+        return scale, {j: work[c] for j, c in enumerate(self.rep_cols) if c in work}
 
     def rep_form(self, j: int) -> DifferentialForm:
         """The lift x^m dx_J of the j-th representative column, with m the
@@ -245,11 +242,11 @@ class GradedPiece(Frozen):
         pad = (0,) * (self.curve.ambient - len(lams))
         return DifferentialForm.from_term(self.curve.ambient, J, Polynomial.monomial(m + pad))
 
-    def coords_to_form(self, coords: Sequence[Fraction]) -> DifferentialForm:
+    def coords_to_form(self, den: int, row: Mapping[int, int]) -> DifferentialForm:
+        """The form sum_j (row_j / den) ``rep_form(j)``."""
         form = DifferentialForm.zero(self.k, self.curve.ambient)
-        for j, c in enumerate(coords):
-            if c:
-                form = form + self.rep_form(j) * c
+        for j, c in row.items():
+            form = form + self.rep_form(j) * Fraction(c, den)
         return form
 
 
@@ -309,11 +306,12 @@ def restriction_quotient(curve: MonomialCurve, k: int, d: int) -> GradedPiece:
 
 
 class BasisElement(NamedTuple):
-    """One labeled basis class of closed 2-form restrictions."""
+    """One labeled basis class of closed 2-form restrictions; ``vector`` = (D,
+    row) gives its quotient coordinates row / D, row its row in ``closed``."""
 
     label: str
     qdeg: int
-    vector: tuple[Fraction, ...]
+    vector: tuple[int, dict[int, int]]
     rep: DifferentialForm
 
 
@@ -353,12 +351,13 @@ class RestrictionBasis:
     The closed classes of degree d are the exact ones, spanned by the rows
     [d(x^m dx_i)] for branch coordinates i and curve-only x^m of quasi-degree
     d - lam_i.  ``exact[d] = (owners, rows)`` keeps these rows with their
-    owners i for every d with a nonzero 2-form piece, and the canonical
-    reduced echelon form of their span gives the labelled vectors:
-    ``closed[d]`` keeps it, for every d with a closed class, as the
-    labelled rows cleared to primitive integer rows (``linalg.zcleared``),
-    a ``zechelon`` form, in the label order (pivots descending), and
-    ``zproject`` reads classes off it.  That
+    owners i for every d with a nonzero 2-form piece, each as a nonzero
+    multiple in Z (``GradedPiece.zquotient``), and the canonical reduced
+    echelon form of their span gives the labelled vectors: ``closed[d]``
+    keeps it, for every d with a closed class, as the labelled rows cleared
+    to primitive integer rows (``linalg.zcleared``), a ``zechelon`` form, in
+    the label order (pivots descending), and ``zproject`` reads classes off
+    it; ``by_degree[d]`` pairs each element with its row.  That
     span needs no row of owner 0: d^2(x^(m + e_i)) = 0 reads
     (1 + m_i) d(x^m dx_i) = -sum_(j != i) m_j d(x^(m + e_i - e_j) dx_j),
     and each x^(m + e_i - e_j) with m_j > 0 is curve-only of degree
@@ -424,35 +423,35 @@ class RestrictionBasis:
         self.exact_solvers: dict[int, tuple[tuple[int, ...], PrefixSolver]] = {}
         self.constant_blocks: tuple[tuple[int, tuple[tuple[IndexTuple, int], ...]], ...] | None = None
         elements: list[BasisElement] = []
-        by_degree: dict[int, list[tuple[int, tuple[Fraction, ...]]]] = {}
-        exact: dict[int, tuple[tuple[int, ...], tuple[tuple[Fraction, ...], ...]]] = {}
+        by_degree: dict[int, list[tuple[int, tuple[int, dict[int, int]]]]] = {}
+        exact: dict[int, tuple[tuple[int, ...], tuple[dict[int, int], ...]]] = {}
         closed: dict[int, dict[int, dict[int, int]]] = {}
         for d, piece2 in self.pieces.items():
             if piece2.dim == 0:
                 continue
             position = {J: c for c, J in enumerate(piece2.columns)}
             owners: list[int] = []
-            rows: list[tuple[Fraction, ...]] = []
+            rows: list[dict[int, int]] = []
             for i, lam in enumerate(curve.lams):
                 for m in monomials_of_qdeg(curve.lams, d - lam):
                     # d(x^m dx_i) = sum_j m_j x^(m - e_j) dx_j ^ dx_i
-                    vec = [0] * len(piece2.columns)
-                    for j, e in enumerate(m):
-                        if e and j != i:
-                            vec[position[(min(i, j), max(i, j))]] = e if j < i else -e
+                    terms = [(j, e) for j, e in enumerate(m) if e and j != i]
+                    vec = {position[min(i, j), max(i, j)]: e if j < i else -e for j, e in terms}
                     owners.append(i)
-                    rows.append(tuple(piece2.quotient_coords(vec)))
+                    rows.append(piece2.zquotient(vec)[1])
             exact[d] = (tuple(owners), tuple(rows))
-            canon = rref([row for i, row in zip(owners, rows) if i], piece2.dim)
+            dim = range(piece2.dim)
+            dense = [[row.get(j, 0) for j in dim] for i, row in zip(owners, rows) if i]
+            canon = rref(dense, len(dim))
             if not canon.pivots:
                 continue
             ordered = sorted(zip(canon.pivots, canon.rows), reverse=True)
             closed[d] = {p: zcleared(dict(enumerate(vec))) for p, vec in ordered}
             labels = _degree_labels(d, len(ordered))
-            entries: list[tuple[int, tuple[Fraction, ...]]] = []
-            for label, (_, vec) in zip(labels, ordered):
-                vector = tuple(vec)
-                rep = piece2.coords_to_form(vector)
+            entries: list[tuple[int, tuple[int, dict[int, int]]]] = []
+            for label, (p, row) in zip(labels, closed[d].items()):
+                vector = (row[p], row)
+                rep = piece2.coords_to_form(*vector)
                 entries.append((len(elements), vector))
                 elements.append(BasisElement(label, d, vector, rep))
             by_degree[d] = entries
@@ -485,13 +484,11 @@ class RestrictionBasis:
     def zproject(self, d: int, vec: dict[int, int]) -> tuple[int, dict[int, int]]:
         """(K, {k: c}) for an integer row of piece-d columns (nonzero entries):
         its class is sum_k (c / K) e_k over the elements k of degree d, or
-        ``NotClosedError``.  The row is reduced in Z by the piece's relations
-        to R with scale K; the closed vectors are the rows of ``closed[d]``
-        scaled to 1 at their pivots, so c is R at its vector's pivot, and
-        the class is closed iff nothing remains after subtracting them."""
-        piece = self.pieces[d]
-        scale, work = zremainder(piece.relations, vec)
-        coords = {j: work[c] for j, c in enumerate(piece.rep_cols) if c in work}
+        ``NotClosedError``.  Its quotient coordinates are R / K
+        (``GradedPiece.zquotient``); the closed vectors are the rows of
+        ``closed[d]`` scaled to 1 at their pivots, so c is R at its vector's
+        pivot, and the class is closed iff nothing remains after them."""
+        scale, coords = self.pieces[d].zquotient(vec)
         if not coords:
             return scale, {}
         echelon = self.closed.get(d)
@@ -574,14 +571,16 @@ class AlgRestriction:
     def from_coeffs(
         cls, basis: RestrictionBasis, coeffs: Mapping[str, Scalar]
     ) -> AlgRestriction:
+        """sum c e_label over ``coeffs`` in one pass; ints become ``Fraction``."""
+        index = basis.label_index
         entries: dict[int, Fraction] = {}
-        for label, value in coeffs.items():
-            c = _as_fraction(value)
-            # distinct labels have distinct indices
-            j = basis.index_of(label)
+        for label, v in coeffs.items():
+            c = v if type(v) is Fraction else Fraction(v) if type(v) is int else _as_fraction(v)
+            # distinct labels have distinct indices; index_of raises on an unknown one
+            j = index[label] if label in index else basis.index_of(label)
             if c:
                 entries[j] = c
-        return cls._trusted(basis, dict(sorted(entries.items())))
+        return cls._trusted(basis, dict(sorted(entries.items())) if len(entries) > 1 else entries)
 
     def _check_same_basis(self, other: AlgRestriction) -> None:
         if self.basis is not other.basis and (
@@ -680,7 +679,7 @@ class AlgRestriction:
 
 def check_basis_curve(curve: MonomialCurve, basis: RestrictionBasis) -> None:
     """Raise InputError unless the basis was built for the curve."""
-    if basis.curve != curve:
+    if basis.curve is not curve and basis.curve != curve:
         raise InputError("basis was built for a different curve")
 
 

@@ -39,16 +39,23 @@ def symplectic_multiplicity(curve: MonomialCurve, a: AlgRestriction) -> int:
     return orbit_tangent_space(curve, a).codim
 
 
-def _part_quotient_coords(a: AlgRestriction, d: int) -> list[Fraction]:
-    entries = a.basis.by_degree[d]
-    coords = [Fraction(0)] * len(entries[0][1])
-    for k, vector in entries:
-        coeff = a.entries.get(k)
-        if coeff is not None:
-            for rho, value in enumerate(vector):
-                if value:
-                    coords[rho] += coeff * value
-    return coords
+def _part_quotient_coords(a: AlgRestriction, d: int) -> tuple[int, dict[int, int]]:
+    """(D, R) with R / D the piece coordinates of the part of a at degree d,
+    R an integer row of nonzero entries: for coefficients x_k / L_k and
+    vectors row_k / D_k (``BasisElement``), D = lcm(L_k D_k) and R = sum_k
+    x_k (D / (L_k D_k)) row_k, a sum only for a part of two or more elements."""
+    entries = a.entries
+    part = [(entries[k], vector) for k, vector in a.basis.by_degree[d] if k in entries]
+    if len(part) == 1:
+        ((c, (scale, row)),) = part
+        return c.denominator * scale, {j: c.numerator * v for j, v in row.items()}
+    den = math.lcm(*[c.denominator * scale for c, (scale, _) in part])
+    total: dict[int, int] = {}
+    for c, (scale, row) in part:
+        x = c.numerator * (den // (c.denominator * scale))
+        for j, v in row.items():
+            total[j] = total.get(j, 0) + x * v
+    return den, {j: v for j, v in total.items() if v}
 
 
 def _last_used_tag(
@@ -65,7 +72,7 @@ def _last_used_tag(
     used column.
     """
     tags, solver = found
-    last = solver.last_used_column(_part_quotient_coords(a, d))
+    last = solver.last_used_column(_part_quotient_coords(a, d)[1])
     if last is None:
         raise InputError("quotient coordinates do not come from this graded component")
     return tags[last]
@@ -76,7 +83,8 @@ def _isotropy_solver(
 ) -> tuple[tuple[int, ...], PrefixSolver]:
     """The solver of the piece's column classes [e_J] at degree d, ordered by
     decreasing top total degree h(J), with those heights; built once per
-    basis and degree, and kept in ``basis.isotropy_solvers``."""
+    basis and degree, and kept in ``basis.isotropy_solvers``; each class is
+    the integer row of e_J reduced in Z (``GradedPiece.zquotient``)."""
     found = basis.isotropy_solvers.get(d)
     if found is None:
         lams = basis.curve.lams
@@ -86,9 +94,7 @@ def _isotropy_solver(
             sum(monomials_of_qdeg(lams, d - lams[i] - lams[j])[0]) for i, j in piece.columns
         ]
         order = sorted(range(width), key=lambda c: -heights[c])
-        images = [
-            piece.quotient_coords([int(k == c) for k in range(width)]) for c in order
-        ]
+        images = [piece.zquotient({c: 1})[1] for c in order]
         found = basis.isotropy_solvers[d] = (
             tuple(heights[c] for c in order),
             PrefixSolver(images, piece.dim),
@@ -97,8 +103,8 @@ def _isotropy_solver(
 
 
 def _exact_solver(basis: RestrictionBasis, d: int) -> tuple[tuple[int, ...], PrefixSolver]:
-    """The solver of the exact rows ``basis.exact[d]``, ordered by owner,
-    with their owners; built once per basis and degree, and kept in
+    """The solver of the integer exact rows ``basis.exact[d]``, ordered by
+    owner, with their owners; built once per basis and degree, and kept in
     ``basis.exact_solvers``."""
     found = basis.exact_solvers.get(d)
     if found is None:

@@ -8,8 +8,8 @@ rows first (``zdenominated``, ``zcleared``).  ``zremainder`` reduces an
 integer row against that form and keeps the scale it picks up, so the
 remainder over Q is one division at the end.  ``rref`` gives the dense
 ``Fraction`` rows of the same form; kernels, solutions and span tests are
-read off it.  ``PrefixSolver`` answers many right-hand sides against one
-matrix from one elimination, in integers.
+read off it.  ``PrefixSolver`` answers many sparse integer right-hand
+sides against one matrix from one elimination.
 ``solve_param_linear`` solves sparse systems whose entries are
 polynomials in Z[t], for a parameter t, by fraction-free elimination
 (Bareiss, Math. Comp. 22, 1968) with a level per entry: an entry outside
@@ -216,39 +216,37 @@ class PrefixSolver:
     with pivot p reads x_p + (free unknowns) = (E b)_p, so the solution with
     free unknowns at zero has x_p = (E b)_p; a zero row of R reads
     0 = (E b)_r, so b is consistent iff (E b)_r vanishes on those rows.
-    The elimination is done once, by ``zechelon`` on the cleared rows, and
-    each row of E is kept as the integer row that is a nonzero multiple of
-    it; only the zero tests are read, so a right-hand side is cleared once
-    (``zdenominated``) and costs one sparse integer product per row.
+    The elimination is done once, by ``zechelon``, and each row of E is
+    kept as the integer row that is a nonzero multiple of it; only the zero
+    tests are read, so a right-hand side costs one sparse integer product
+    per row.  Columns and right-hand sides are sparse integer rows {index:
+    value}, nonzero entries only, and may be any nonzero multiples of the
+    vectors they stand for: that scales an unknown or every (E b)_r.
     """
 
     __slots__ = ("solved", "checks")
 
-    def __init__(self, columns: Sequence[Sequence[Fraction]], height: int):
+    def __init__(self, columns: Sequence[Mapping[int, int]], height: int):
         width = len(columns)
-        echelon = zechelon(
-            zcleared({**{c: col[r] for c, col in enumerate(columns)}, width + r: 1})
-            for r in range(height)
-        )
-        rows = {
+        rows: list[dict[int, int]] = [{width + r: 1} for r in range(height)]
+        for c, col in enumerate(columns):
+            for r, v in col.items():
+                rows[r][c] = v
+        echelon = zechelon(rows)
+        solved = {
             p: tuple((k - width, v) for k, v in row.items() if k >= width)
             for p, row in echelon.items()
         }
         # (pivot, row of E) for the pivots of A, the last pivot first
-        self.solved = tuple((p, rows[p]) for p in sorted(rows, reverse=True) if p < width)
-        self.checks = tuple(row for p, row in rows.items() if p >= width)
+        self.solved = tuple((p, solved[p]) for p in sorted(solved, reverse=True) if p < width)
+        self.checks = tuple(row for p, row in solved.items() if p >= width)
 
-    def last_used_column(self, rhs: Sequence[Fraction]) -> int | None:
+    def last_used_column(self, rhs: Mapping[int, int]) -> int | None:
         """The largest c with x_c nonzero in the solution of A x = ``rhs``
         (0 when ``rhs`` is zero), or None when the system is inconsistent."""
-        b = zdenominated(dict(enumerate(rhs)))[1]
-        for row in self.checks:
-            if sum(v * b[k] for k, v in row if b[k]):
-                return None
-        for p, row in self.solved:
-            if sum(v * b[k] for k, v in row if b[k]):
-                return p
-        return 0
+        if any(sum(v * rhs[k] for k, v in row if k in rhs) for row in self.checks):
+            return None
+        return next((p for p, row in self.solved if sum(v * rhs[k] for k, v in row if k in rhs)), 0)
 
 
 def sturm_count(p: UniPoly, a: Fraction | int, b: Fraction | int) -> int:
@@ -308,8 +306,8 @@ def solve_param_linear(rows: Iterable[Mapping[int, list[int]]], width: int) -> P
     exact divisions, where the last pivot D is the determinant of the
     pivot block (Cramer's rule).
 
-    Each component y_k / D is reduced once, in Z[t] (``_reduced``), and
-    poles are counted once per distinct reduced denominator.  The result
+    Each nonzero component y_k / D is reduced once, in Z[t] (``_reduced``),
+    and poles counted once per distinct reduced denominator.  The result
     does not depend on the order of the rows, and equals that of
     Gauss-Jordan elimination over Q(t): a column is a pivot exactly when
     it is not in the Q(t)-span of the columns before it, whichever rows
@@ -372,17 +370,18 @@ def solve_param_linear(rows: Iterable[Mapping[int, list[int]]], width: int) -> P
             if scaled.get(k):
                 acc = _zsub(acc, _zmul(e, scaled[k]))
         scaled[col] = _zdiv_exact(acc, piv)
-    solution = []
-    poles = []
+    solution = [RationalFunctionT.zero()] * width
+    poles = [0] * width
     # keyed by the integer coefficients: hashing a UniPoly hashes Fractions
     counts: dict[tuple[int, ...], int] = {}
-    for c in range(width):
-        f, den = _reduced(scaled.get(c, []), prev)
-        key = tuple(den)
-        if key not in counts:
-            counts[key] = _zpoles_in_unit_interval(den)
-        solution.append(f)
-        poles.append(counts[key])
+    for c, y in scaled.items():
+        if y:
+            f, den = _reduced(y, prev)
+            key = tuple(den)
+            if key not in counts:
+                counts[key] = _zpoles_in_unit_interval(den)
+            solution[c] = f
+            poles[c] = counts[key]
     return ParamSolution(consistent=True, solution=solution, pole_counts=poles)
 
 

@@ -315,7 +315,7 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [_as_fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else _as_fraction(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs: list[Fraction] = cs

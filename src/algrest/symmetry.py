@@ -457,41 +457,43 @@ def moser_reduce(
     entries only, scaled by the lcm of its entries' reduced denominators,
     which keeps the solution set; it is built from the tangent space's
     integer rows without a ``Fraction``.
-    Write L_{X_s} a = u_s / K_s (the rows of ``TangentSpace``) and
-    kill = k / D for D the lcm of kill's denominators, and let K be the
-    lcm of D and the K_s.  Row i is then r / K with r = (u_{s,i} K / K_s
-    for each s, k_i K / D), in integers.  The reduced denominator of
-    r_j / K is K / gcd(K, r_j), and for divisors of K the lcm of K / g_j
-    is K / gcd(g_j), so the lcm over the row is K / G with G = gcd(K, r).
-    The scaled row is therefore r / G: the same integers the ``Fraction``
+    Write L_{X_s} a = u_s / K_s (the rows of ``TangentSpace``; shift 0
+    is among them, as a is nonzero) and let K be the lcm of the K_s, a
+    multiple of the class's denominator, so of kill's: kill = k / K in Z.
+    Row i is then r / K with r = (u_{s,i} K / K_s for each s, k_i).  The
+    reduced denominator of r_j / K is K / gcd(K, r_j), and for divisors of
+    K the lcm of K / g_j is K / gcd(g_j), so the lcm over the row is K / G
+    with G = gcd(K, r).  The scaled row is therefore r / G, whichever
+    common denominator K is: the same integers the ``Fraction``
     construction gives, so ``solve_param_linear`` gets the same input.
+    Kill's keys ascend, as the elements' degrees do, so it is one graded
+    component iff its first and last keys share the degree.
     """
     kill._check_same_basis(a)
-    kill_degs = kill.nonzero_qdegs()
-    if len(kill_degs) > 1:
-        raise InputError("kill target must be a single graded component")
-    if kill_degs and kill != a.part(kill_degs[0]):
-        raise InputError(
-            "kill target must equal the graded component of a in its quasi-degree"
-        )
-    if not kill_degs:
+    entries = kill.entries
+    if not entries:
         return HomotopyResult(
             feasible=True, consistent=True, shifts=(), coefficients={}, pole_counts={}
         )
-    d = kill_degs[0]
+    elements = a.basis.elements
+    d = elements[next(iter(entries))].qdeg
+    if elements[next(reversed(entries))].qdeg != d:
+        raise InputError("kill target must be a single graded component")
+    if any(a.entries.get(k) != entries.get(k) for k, _ in a.basis.by_degree[d]):
+        raise InputError("kill target must equal the graded component of a in its quasi-degree")
     tangent = orbit_tangent_space(curve, a)
     shifts = tangent.shifts
     width = len(shifts)
-    columns = (*tangent.rows, zdenominated(kill.entries))
-    big = math.lcm(*(scale for scale, _ in columns))
+    big = math.lcm(*(scale for scale, _ in tangent.rows))
     # live[i] = r for coordinate i, sparse: {column j: entry j of r}, kill under width
     live: dict[int, dict[int, int]] = {}
-    for j, (scale, column) in enumerate(columns):
+    for j, (scale, column) in enumerate(tangent.rows):
         factor = big // scale
         for i, x in column.items():
             live.setdefault(i, {})[j] = x * factor
+    for i, c in entries.items():
+        live.setdefault(i, {})[width] = c.numerator * (big // c.denominator)
     column_of = {s: j for j, s in enumerate(shifts)}
-    elements = a.basis.elements
     rows = []
     for i in sorted(live):
         g = math.gcd(big, *live[i].values())
@@ -501,20 +503,14 @@ def moser_reduce(
             row[moved].append(-row[moved][0])
         rows.append(row)
     solution: ParamSolution = solve_param_linear(rows, width)
-    coeffs = {
-        s: solution.solution[j] if solution.consistent else RationalFunctionT.zero()
-        for j, s in enumerate(shifts)
-    }
-    poles = {
-        s: solution.pole_counts[j] if solution.consistent else 0
-        for j, s in enumerate(shifts)
-    }
+    if not solution.consistent:
+        solution = ParamSolution(False, [RationalFunctionT.zero()] * width, [0] * width)
     return HomotopyResult(
         feasible=solution.feasible_on_unit_interval,
         consistent=solution.consistent,
         shifts=shifts,
-        coefficients=coeffs,
-        pole_counts=poles,
+        coefficients=dict(zip(shifts, solution.solution)),
+        pole_counts=dict(zip(shifts, solution.pole_counts)),
     )
 
 

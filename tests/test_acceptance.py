@@ -25,6 +25,7 @@ from algrest.atlas import (
 from algrest.curves import (
     AlgRestriction,
     MonomialCurve,
+    RestrictionBasis,
     cached_basis,
     project,
     restriction_quotient,
@@ -40,6 +41,7 @@ from algrest.parser import parse_map, parse_restriction
 from algrest.poly import RationalFunctionT, UniPoly
 from algrest.symmetry import action_table, moser_reduce, shift_action
 
+import semigroups
 from direct_actions import direct_action_matrix
 from test_atlas import alias_forms
 from tables import (
@@ -435,6 +437,36 @@ def test_criterion_9_closed_one_form_identity():
         for d in range(1, basis.stop_qdeg + curve.lams[-1]):
             exact = restriction_quotient(curve, 1, d).dim - curve.in_semigroup(d)
             assert len(basis.by_degree.get(d, [])) == exact, (curve.lams, d)
+
+
+def test_criterion_9_kahler_formula_from_the_semigroup_alone():
+    """On every numerical semigroup of genus <= 6, the closed classes of
+    each degree 1 .. stop - 1 number dim Omega_d - [d in S, d > 0], with
+    dim Omega_d = |I_d| - rank R_d read off the semigroup's factorizations
+    alone (``tests/semigroups.py``; DJZ 2008)."""
+    checked = 0
+    for genus in range(7):
+        for semigroup in semigroups.by_genus(genus):
+            lams = semigroup.generators()
+            basis = RestrictionBasis(MonomialCurve(lams))
+            for d in range(1, basis.stop_qdeg):
+                got = len(basis.by_degree.get(d, []))
+                assert got == semigroups.closed_dim(lams, d), (lams, d)
+                checked += 1
+    assert checked > 1500
+
+
+def test_criterion_9_semigroup_counts_by_genus():
+    """The tree enumerator gives n_g = 1, 1, 2, 4, 7, 12, 23 semigroups of
+    genus g = 0 .. 6 (Bras-Amoros 2008; OEIS A007323), each once, each of
+    its genus and generated by coprime minimal generators."""
+    counts = []
+    for genus in range(7):
+        found = semigroups.by_genus(genus)
+        assert len({s.gaps for s in found}) == len(found)
+        assert all(s.genus == genus and math.gcd(*s.generators()) == 1 for s in found)
+        counts.append(len(found))
+    assert counts == [1, 1, 2, 4, 7, 12, 23]
 
 
 def test_criterion_9_certified_tail():

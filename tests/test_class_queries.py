@@ -39,6 +39,7 @@ from algrest.invariants import (
 from algrest.linalg import rref, solve_linear
 from algrest.symmetry import admissible_shifts, moser_reduce, orbit_tangent_space, shift_action
 
+from fraction_path import dense, part_quotient_coords, quotient_coords
 from test_linalg import rank, reduce_by, reference_poles_in_closed_unit_interval
 from ztpoly import reference_bareiss
 
@@ -65,24 +66,34 @@ def reference_iota(curve, a):
             sum(monomials_of_qdeg(lams, d - lams[i] - lams[j])[0]) for i, j in piece.columns
         ]
         order = sorted(range(width), key=lambda c: -heights[c])
-        images = [
-            piece.quotient_coords([Fraction(int(k == c)) for k in range(width)]) for c in order
-        ]
-        last = reference_last_used_column(images, _part_quotient_coords(a, d))
+        images = [quotient_coords(piece, [int(k == c) for k in range(width)]) for c in order]
+        last = reference_last_used_column(images, part_quotient_coords(a, d))
         best = min(best, heights[order[last]])
     return best
 
 
 def reference_graded_lt(curve, a):
-    """min over parts of d - lam_j, j the owner of the last exact row used."""
+    """min over parts of d - lam_j, j the owner of the last exact row used;
+    a nonzero multiple of a row is used where the row is."""
     if a.is_zero():
         return math.inf
     best = math.inf
     for d in a.nonzero_qdegs():
-        owners, vectors = a.basis.exact[d]
-        j = owners[reference_last_used_column(vectors, _part_quotient_coords(a, d))]
+        owners, rows = a.basis.exact[d]
+        vectors = [dense(row, a.basis.pieces[d].dim) for row in rows]
+        j = owners[reference_last_used_column(vectors, part_quotient_coords(a, d))]
         best = min(best, d - curve.lams[j])
     return best
+
+
+def assert_integer_parts(a):
+    """Each part's integer row (``_part_quotient_coords``) is D times the
+    ``Fraction`` reference, zero entries left out."""
+    for d in a.nonzero_qdegs():
+        den, row = _part_quotient_coords(a, d)
+        assert all(type(v) is int and v for v in row.values()), (str(a), d)
+        want = {j: den * x for j, x in enumerate(part_quotient_coords(a, d)) if x}
+        assert row == want, (str(a), d)
 
 
 def reference_branch_rank(curve, a):
@@ -172,6 +183,7 @@ def test_class_queries_equal_the_per_class_references():
         s = curve.branch_dim
         for a in random_classes(basis, rng, CLASSES_PER_CURVE):
             where = (curve, str(a))
+            assert_integer_parts(a)
             iota = index_of_isotropy(curve, a)
             assert iota == reference_iota(curve, a), where
             graded_lt = reference_graded_lt(curve, a)
@@ -218,6 +230,24 @@ def test_class_queries_equal_the_per_class_references():
     assert consistent > 3000 and poles > 800 and zero_blocks > 400
     # the general ``contains`` path answers both ways
     assert inside > 500 and directions - inside > 500
+
+
+def test_integer_parts_bring_unequal_element_denominators_to_one():
+    """Two elements of one degree with different pivot entries D_k (1 and
+    2 at degree 29 of (4,10,11,13), 4 and 2 at degree 31 of (6,8,9,10)):
+    each part's integer row is still D times the reference, and iota and
+    Lt equal the per-class references."""
+    rng = random.Random(29)
+    for lams, d in (((4, 10, 11, 13), 29), ((6, 8, 9, 10), 31)):
+        curve = MonomialCurve(lams)
+        basis = cached_basis(curve)
+        assert len({den for _, (den, _) in basis.by_degree[d]}) > 1
+        labels = [basis.labels[k] for k, _ in basis.by_degree[d]]
+        for _ in range(20):
+            a = AlgRestriction.from_coeffs(basis, {label: rng.choice(VALUES) for label in labels})
+            assert_integer_parts(a)
+            assert index_of_isotropy(curve, a) == reference_iota(curve, a), str(a)
+            assert lagrangian_tangency_order(curve, a, iota=1) == reference_graded_lt(curve, a)
 
 
 def test_one_class_computes_its_branch_rank_once(monkeypatch):

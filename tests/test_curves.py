@@ -28,6 +28,7 @@ from algrest.parser import parse_form, parse_restriction
 from algrest.poly import Polynomial
 from algrest.symmetry import orbit_tangent_space
 
+from fraction_path import dense, element_vectors, quotient_coords, zquotient_coords
 from generic_path import curve_images, drop_off_curve, substitute
 from tables import (
     BASIS_LABELS,
@@ -274,7 +275,7 @@ def closed_vectors_by_kernel(curve, d):
         return []
     piece3 = restriction_quotient(curve, 3, d)
     image_cols = [
-        piece3.quotient_coords(piece3.vectorize(ext_der(piece2.rep_form(j))))
+        quotient_coords(piece3, piece3.vectorize(ext_der(piece2.rep_form(j))))
         for j in range(piece2.dim)
     ]
     map_rows = [[col[i] for col in image_cols] for i in range(piece3.dim)]
@@ -307,8 +308,7 @@ def test_exact_classes_equal_the_kernel_into_three_forms():
     for curve in KERNEL_REFERENCE_CURVES:
         basis = cached_basis(curve)
         for d in range(1, basis.stop_qdeg):
-            vectors = [vec for _, vec in basis.by_degree.get(d, [])]
-            assert vectors == closed_vectors_by_kernel(curve, d), (curve, d)
+            assert element_vectors(basis, d) == closed_vectors_by_kernel(curve, d), (curve, d)
 
 
 def test_each_owners_exact_rows_lie_in_the_span_of_the_others():
@@ -319,10 +319,36 @@ def test_each_owners_exact_rows_lie_in_the_span_of_the_others():
         basis = cached_basis(curve)
         for d, (owners, rows) in basis.exact.items():
             width = restriction_quotient(curve, 2, d).dim
+            rows = [dense(row, width) for row in rows]
             full = rref(rows, width)
             for owner in set(owners):
                 kept = [row for i, row in zip(owners, rows) if i != owner]
                 assert rref(kept, width) == full, (curve, d, owner)
+
+
+def test_exact_rows_are_multiples_of_their_quotient_coordinates():
+    """``exact[d]`` keeps, per owner i and curve-only x^m of degree d - lam_i
+    in ``monomials_of_qdeg`` order, the integer row of d(x^m dx_i): a
+    nonzero multiple of its ``Fraction`` quotient coordinates, or empty
+    when they vanish."""
+    for curve in KERNEL_REFERENCE_CURVES[:6]:
+        basis = cached_basis(curve)
+        pad = (0,) * (curve.ambient - len(curve.lams))
+        for d, (owners, rows) in basis.exact.items():
+            piece = basis.pieces[d]
+            forms = [
+                ext_der(DifferentialForm.from_term(curve.ambient, (i,), Polynomial.monomial(m)))
+                for i, lam in enumerate(curve.lams)
+                for m in (exps + pad for exps in monomials_of_qdeg(curve.lams, d - lam))
+            ]
+            assert len(forms) == len(rows), (curve, d)
+            for form, row in zip(forms, rows):
+                coords = quotient_coords(piece, piece.vectorize(form))
+                assert all(type(v) is int and v for v in row.values()), (curve, d)
+                assert bool(row) == any(coords), (curve, d)
+                if row:
+                    ratio = next(Fraction(v, coords[j]) for j, v in row.items())
+                    assert dense(row, piece.dim) == [ratio * c for c in coords], (curve, d)
 
 
 def test_basis_representatives_are_closed(curve4567, curve456, curve457):
@@ -331,7 +357,7 @@ def test_basis_representatives_are_closed(curve4567, curve456, curve457):
         for el in basis.elements:
             der = ext_der(el.rep)
             piece = restriction_quotient(curve, 3, el.qdeg)
-            assert all(c == 0 for c in piece.quotient_coords(piece.vectorize(der)))
+            assert all(c == 0 for c in quotient_coords(piece, piece.vectorize(der)))
 
 
 def test_project_round_trip(basis4567):
@@ -398,7 +424,7 @@ def _reference_solve_in_closed(basis, d, coords2):
     """Closed-basis coefficients by dense ``reduce_by`` against the labelled
     vectors, each read at its first nonzero entry; None when not closed."""
     entries = basis.by_degree.get(d, [])
-    vectors = [vec for _, vec in entries]
+    vectors = element_vectors(basis, d)
     pivots = [next(c for c, v in enumerate(vec) if v) for vec in vectors]
     if any(reduce_by(RrefResult(vectors, pivots), coords2)):
         return None
@@ -424,10 +450,10 @@ def test_sparse_remainders_equal_dense_reduce_by(lams, ambient):
             for _ in range(3):
                 vec = [rng.choice(values) for _ in piece.columns]
                 work = reduce_by(dense, vec)
-                assert piece.quotient_coords(vec) == [work[c] for c in piece.rep_cols], (k, d)
+                assert zquotient_coords(piece, vec) == [work[c] for c in piece.rep_cols], (k, d)
     closed_seen = not_closed_seen = 0
     for d, piece2 in basis.pieces.items():
-        vectors = [vec for _, vec in basis.by_degree.get(d, [])]
+        vectors = element_vectors(basis, d)
         for trial in range(4):
             if trial % 2 and vectors:
                 coeffs = [rng.choice(values) for _ in vectors]
@@ -646,9 +672,8 @@ def test_kahler_pieces_equal_the_full_column_reference():
                     term = DifferentialForm.from_term(
                         curve.ambient, idx, Polynomial.monomial(exps)
                     )
-                    assert piece.quotient_coords(piece.vectorize(term)) == ref.quotient_coords(
-                        unit
-                    ), (where, idx, exps)
+                    got = zquotient_coords(piece, piece.vectorize(term))
+                    assert got == ref.quotient_coords(unit), (where, idx, exps)
 
 
 def test_zero_rows_have_no_constant_branch_entry():
@@ -694,3 +719,26 @@ def test_restriction_classes_take_rational_scalars_only(basis456):
     tenth = AlgRestriction.from_coeffs(basis456, {"a9": Fraction(1, 10)})
     assert a * Fraction(1, 10) == tenth and Fraction(1, 10) * a == tenth
     assert 2 * a == a + a == AlgRestriction(basis456, [2] + [0] * (basis456.dim - 1))
+
+
+def test_from_coeffs_equals_the_validating_constructor(basis4567):
+    """``from_coeffs`` builds in one pass what the validating constructor
+    builds from the dense coordinates: int values become ``Fraction``,
+    ``Fraction`` values are kept, zero values and the key order of the
+    mapping leave no trace, and an unknown label raises the constructor's
+    lookup error after a non-rational value raises its ``TypeError``."""
+    labels = basis4567.labels
+    rng = random.Random(34)
+    values = [0, 0, 1, -2, 5, Fraction(0), Fraction(3, 2), Fraction(-1, 3), Fraction(4)]
+    for _ in range(200):
+        chosen = rng.sample(labels, rng.randint(0, 5))
+        coeffs = {label: rng.choice(values) for label in chosen}
+        dense = [coeffs.get(label, 0) for label in labels]
+        built = AlgRestriction.from_coeffs(basis4567, coeffs)
+        want = AlgRestriction(basis4567, dense)
+        assert built == want and list(built.entries.items()) == list(want.entries.items())
+        assert all(type(c) is Fraction and c for c in built.entries.values())
+    with pytest.raises(InputError, match="unknown basis label 'a8'"):
+        AlgRestriction.from_coeffs(basis4567, {"a9": 1, "a8": 0})
+    with pytest.raises(TypeError, match="rational scalar"):
+        AlgRestriction.from_coeffs(basis4567, {"a8": 0.5})

@@ -16,7 +16,6 @@ from algrest.curves import (
 from algrest.errors import InputError
 from algrest.forms import DifferentialForm, ext_der
 from algrest.invariants import (
-    _part_quotient_coords,
     branch_rank,
     index_of_isotropy,
     invariant_report,
@@ -30,6 +29,8 @@ from algrest.parser import parse_restriction
 from algrest.poly import Polynomial
 from algrest.symmetry import orbit_tangent_space
 
+from fraction_path import part_quotient_coords, quotient_coords
+from test_class_queries import assert_integer_parts
 from test_curves import reference_quotient
 
 
@@ -204,7 +205,7 @@ def reference_vanishing_order_bound(curve, d, part_coords, closed=True):
 
 def reference_iota(curve, a, closed=True):
     return min(
-        reference_vanishing_order_bound(curve, d, _part_quotient_coords(a, d), closed)
+        reference_vanishing_order_bound(curve, d, part_quotient_coords(a, d), closed)
         for d in a.nonzero_qdegs()
     )
 
@@ -218,7 +219,7 @@ def _lagrangian_span_vectors(curve, d, i):
         one_form = DifferentialForm.from_term(
             curve.ambient, (i,), Polynomial.monomial(exps + pad)
         )
-        vectors.append(list(piece.quotient_coords(piece.vectorize(ext_der(one_form)))))
+        vectors.append(quotient_coords(piece, piece.vectorize(ext_der(one_form))))
     return vectors
 
 
@@ -226,7 +227,7 @@ def reference_graded_lt(curve, a):
     """min over parts of d - lam_j, by one span test per coordinate j."""
     lt = math.inf
     for d in a.nonzero_qdegs():
-        coords = _part_quotient_coords(a, d)
+        coords = part_quotient_coords(a, d)
         for j in range(1, len(curve.lams) + 1):
             vectors = [v for i in range(j) for v in _lagrangian_span_vectors(curve, d, i)]
             if in_span(vectors, coords):
@@ -268,6 +269,7 @@ def test_single_solve_invariants_match_the_reference_scans():
     for curve in EQUIVALENCE_CURVES:
         basis = cached_basis(curve)
         for a in equivalence_classes(basis, rng):
+            assert_integer_parts(a)
             iota = index_of_isotropy(curve, a)
             assert iota == reference_iota(curve, a), (curve, str(a))
             # the Euler-field lemma of index_of_isotropy: closedness costs nothing

@@ -377,17 +377,25 @@ def poles_of_inverse(den):
 def test_prefix_solver_equals_one_solve_per_right_hand_side():
     """The last used column and the inconsistency verdict of one augmented
     ``solve_linear`` per right-hand side, on random matrices with dependent
-    columns, zero columns and inconsistent right-hand sides."""
+    columns, zero columns and inconsistent right-hand sides.  The solver
+    takes sparse integer rows: each column and right-hand side is handed
+    over times a random nonzero integer, which changes no answer."""
     rng = random.Random(4242)
-    values = [F(0)] * 6 + [F(n, q) for n in (-3, -1, 1, 2) for q in (1, 2)]
+    values = [0] * 6 + [-3, -1, 1, 2, 4, 6]
+    scales = (1, -1, 2, -3, 7, 12)
+
+    def sparse(vec):
+        k = rng.choice(scales)
+        return {r: k * x for r, x in enumerate(vec) if x}
+
     inconsistent = 0
     for _ in range(300):
         height, width = rng.randint(0, 5), rng.randint(0, 6)
         columns = [[rng.choice(values) for _ in range(height)] for _ in range(width)]
         if width >= 3:
             columns[-1] = [x + 2 * y for x, y in zip(columns[0], columns[1])]
-        solver = PrefixSolver(columns, height)
-        rows = [[col[r] for col in columns] for r in range(height)]
+        solver = PrefixSolver([sparse(col) for col in columns], height)
+        rows = [[F(col[r]) for col in columns] for r in range(height)]
         for _ in range(5):
             if columns and rng.random() < 0.6:
                 used = rng.sample(range(width), min(2, width))
@@ -395,13 +403,13 @@ def test_prefix_solver_equals_one_solve_per_right_hand_side():
                 rhs = [sum(x * columns[c][r] for c, x in picks.items()) for r in range(height)]
             else:
                 rhs = [rng.choice(values) for _ in range(height)]
-            solution = solve_linear(rows, rhs) if rows else [F(0)] * width
+            solution = solve_linear(rows, [F(x) for x in rhs]) if rows else [F(0)] * width
             if solution is None:
                 inconsistent += 1
-                assert solver.last_used_column(rhs) is None
+                assert solver.last_used_column(sparse(rhs)) is None
             else:
                 want = max((c for c, x in enumerate(solution) if x), default=0)
-                assert solver.last_used_column(rhs) == want
+                assert solver.last_used_column(sparse(rhs)) == want
     assert inconsistent > 100
 
 
