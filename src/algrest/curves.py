@@ -572,12 +572,11 @@ class AlgRestriction:
         cls, basis: RestrictionBasis, coeffs: Mapping[str, Scalar]
     ) -> AlgRestriction:
         """sum c e_label over ``coeffs`` in one pass; ints become ``Fraction``."""
-        index = basis.label_index
         entries: dict[int, Fraction] = {}
-        for label, v in coeffs.items():
-            c = v if type(v) is Fraction else Fraction(v) if type(v) is int else _as_fraction(v)
-            # distinct labels have distinct indices; index_of raises on an unknown one
-            j = index[label] if label in index else basis.index_of(label)
+        for label, value in coeffs.items():
+            c = _as_fraction(value)
+            # distinct labels have distinct indices
+            j = basis.index_of(label)
             if c:
                 entries[j] = c
         return cls._trusted(basis, dict(sorted(entries.items())) if len(entries) > 1 else entries)
@@ -679,7 +678,7 @@ class AlgRestriction:
 
 def check_basis_curve(curve: MonomialCurve, basis: RestrictionBasis) -> None:
     """Raise InputError unless the basis was built for the curve."""
-    if basis.curve is not curve and basis.curve != curve:
+    if basis.curve != curve:
         raise InputError("basis was built for a different curve")
 
 

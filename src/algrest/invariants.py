@@ -39,23 +39,20 @@ def symplectic_multiplicity(curve: MonomialCurve, a: AlgRestriction) -> int:
     return orbit_tangent_space(curve, a).codim
 
 
-def _part_quotient_coords(a: AlgRestriction, d: int) -> tuple[int, dict[int, int]]:
-    """(D, R) with R / D the piece coordinates of the part of a at degree d,
-    R an integer row of nonzero entries: for coefficients x_k / L_k and
+def _part_quotient_coords(a: AlgRestriction, d: int) -> dict[int, int]:
+    """An integer row R of nonzero entries whose quotient by D is the piece
+    coordinates of the part of a at degree d: for coefficients x_k / L_k and
     vectors row_k / D_k (``BasisElement``), D = lcm(L_k D_k) and R = sum_k
-    x_k (D / (L_k D_k)) row_k, a sum only for a part of two or more elements."""
+    x_k (D / (L_k D_k)) row_k."""
     entries = a.entries
     part = [(entries[k], vector) for k, vector in a.basis.by_degree[d] if k in entries]
-    if len(part) == 1:
-        ((c, (scale, row)),) = part
-        return c.denominator * scale, {j: c.numerator * v for j, v in row.items()}
     den = math.lcm(*[c.denominator * scale for c, (scale, _) in part])
     total: dict[int, int] = {}
     for c, (scale, row) in part:
         x = c.numerator * (den // (c.denominator * scale))
         for j, v in row.items():
             total[j] = total.get(j, 0) + x * v
-    return den, {j: v for j, v in total.items() if v}
+    return {j: v for j, v in total.items() if v}
 
 
 def _last_used_tag(
@@ -72,7 +69,7 @@ def _last_used_tag(
     used column.
     """
     tags, solver = found
-    last = solver.last_used_column(_part_quotient_coords(a, d)[1])
+    last = solver.last_used_column(_part_quotient_coords(a, d))
     if last is None:
         raise InputError("quotient coordinates do not come from this graded component")
     return tags[last]

@@ -27,7 +27,8 @@ class Frozen:
 
     A subclass names in ``_fields`` the slots that identify its value (at
     least two).  Equality holds between instances of one class with equal
-    fields, the hash is that of the field tuple, and the repr reads
+    fields (an instance equals itself without a field read), the hash is
+    that of the field tuple, and the repr reads
     ``Name(field=value, ...)``; slots left out of ``_fields`` only cache
     what the fields determine.
     """
@@ -50,6 +51,8 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._values(self) == self._values(other)
@@ -315,7 +318,7 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [c if type(c) is Fraction else _as_fraction(c) for c in coeffs]
+        cs = [_as_fraction(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs: list[Fraction] = cs

@@ -9,6 +9,7 @@ the part of a class summed over ``Fraction`` element vectors.  The tests
 compare the integer rows with them.
 """
 
+import math
 from fractions import Fraction
 
 from algrest.linalg import RrefResult, zdenominated
@@ -62,3 +63,13 @@ def part_quotient_coords(a, d):
                 if value:
                     coords[rho] += coeff * value
     return coords
+
+
+def part_denominator(a, d):
+    """D = lcm(L_k D_k) over the elements k of degree d in a, x_k / L_k the
+    coefficient and D_k the pivot entry of the element's integer row: the
+    common denominator over which the integer path sums the part."""
+    entries = a.entries
+    return math.lcm(
+        *[entries[k].denominator * den for k, (den, _) in a.basis.by_degree[d] if k in entries]
+    )

@@ -39,7 +39,7 @@ from algrest.invariants import (
 from algrest.linalg import rref, solve_linear
 from algrest.symmetry import admissible_shifts, moser_reduce, orbit_tangent_space, shift_action
 
-from fraction_path import dense, part_quotient_coords, quotient_coords
+from fraction_path import dense, part_denominator, part_quotient_coords, quotient_coords
 from test_linalg import rank, reduce_by, reference_poles_in_closed_unit_interval
 from ztpoly import reference_bareiss
 
@@ -90,8 +90,9 @@ def assert_integer_parts(a):
     """Each part's integer row (``_part_quotient_coords``) is D times the
     ``Fraction`` reference, zero entries left out."""
     for d in a.nonzero_qdegs():
-        den, row = _part_quotient_coords(a, d)
+        row = _part_quotient_coords(a, d)
         assert all(type(v) is int and v for v in row.values()), (str(a), d)
+        den = part_denominator(a, d)
         want = {j: den * x for j, x in enumerate(part_quotient_coords(a, d)) if x}
         assert row == want, (str(a), d)
 
