@@ -228,12 +228,10 @@ def _violates(env: Mapping[str, Fraction], excluded: Mapping[str, tuple[Fraction
 _POOL = tuple(Fraction(v) for v in "2 -1/3 5 7/2 -4 1/5 3 -5/2 11 -7".split())
 
 
-def default_samples(
-    row: AtlasRow, count: int = 3, seed: int = 0
-) -> list[dict[str, Fraction]]:
+def default_samples(row: AtlasRow, seed: int = 0) -> list[dict[str, Fraction]]:
     """Deterministic parameter samples respecting every declared exclusion.
 
-    The first ``count`` samples are drawn from a fixed pool; a nonzero seed
+    The first three samples are drawn from a fixed pool; a nonzero seed
     appends one extra random sample.  Sign parameters are not included here;
     verification expands each sample over both signs for sign rows.
     """
@@ -242,7 +240,7 @@ def default_samples(
         for p, vals in real.excluded.items():
             combined[p] = tuple(set(combined.get(p, ())) | set(vals))
     samples = []
-    for k in range(count):
+    for k in range(3):
         env: dict[str, Fraction] = {}
         for i, p in enumerate(row.params):
             if p == "s":
@@ -481,7 +479,7 @@ def verify_distinctness(
     measured = {(c.row_id, frozenset(c.env.items())): c.report for c in checks}
     by_row: dict[int, list[tuple[AlgRestriction, InvariantReport]]] = {}
     for row in atlas.rows:
-        sample = default_samples(row, count=1, seed=seed)[0]
+        sample = default_samples(row, seed=seed)[0]
         for env in _expanded_envs(row, [sample]):
             a = row_class(atlas, row, env)
             report = measured.get((row.id, frozenset(env.items())))

@@ -13,8 +13,8 @@ of d(x^m dx_i), so no 3-form piece is ever built.
 
 Everything is exact over Q.  A curve's basis owns its 2-form pieces and
 all per-curve state built for class queries (Lie action matrices, prefix
-solvers, constant blocks); ``cached_basis`` keeps the bases of a bounded
-number of curves, so evicting a curve frees all of its state.
+solvers); ``cached_basis`` keeps the bases of a bounded number of curves,
+so evicting a curve frees all of its state.
 """
 
 from __future__ import annotations
@@ -390,10 +390,7 @@ class RestrictionBasis:
     - ``isotropy_solvers[d]`` and ``exact_solvers[d]``: the
       ``linalg.PrefixSolver`` of iota's piece columns (by decreasing
       height) and of the exact rows ``exact[d]`` (by owner) at degree d,
-      each with the height or owner of every column, for ``invariants``;
-    - ``constant_blocks``: per element, D and the ((i, j), n) pairs of the
-      nonzero constant terms n / D of its representative, D their lcm
-      denominator, for the rank of a class's branch block (None until read).
+      each with the height or owner of every column, for ``invariants``.
     """
 
     __slots__ = (
@@ -404,7 +401,6 @@ class RestrictionBasis:
         "shifts",
         "isotropy_solvers",
         "exact_solvers",
-        "constant_blocks",
         "elements",
         "labels",
         "label_index",
@@ -421,7 +417,6 @@ class RestrictionBasis:
         self.shifts: tuple[int, ...] | None = None
         self.isotropy_solvers: dict[int, tuple[tuple[int, ...], PrefixSolver]] = {}
         self.exact_solvers: dict[int, tuple[tuple[int, ...], PrefixSolver]] = {}
-        self.constant_blocks: tuple[tuple[int, tuple[tuple[IndexTuple, int], ...]], ...] | None = None
         elements: list[BasisElement] = []
         by_degree: dict[int, list[tuple[int, tuple[int, dict[int, int]]]]] = {}
         exact: dict[int, tuple[tuple[int, ...], tuple[dict[int, int], ...]]] = {}

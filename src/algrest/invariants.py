@@ -24,7 +24,6 @@ from .curves import (
     monomials_of_qdeg,
 )
 from .errors import InputError
-from .forms import IndexTuple
 from .linalg import PrefixSolver, zdenominated, zechelon
 
 Extended = int | float
@@ -231,45 +230,33 @@ def branch_rank(curve: MonomialCurve, a: AlgRestriction) -> int:
     lam_i in the other branch variables could cancel; none exists, as no
     lam_i is a sum of the others (the curve's constructor enforces it).  So
     every term of df(0) ^ beta(0) has an off-curve differential.  The block
-    is read off the constant terms of the basis representatives, which the
-    basis keeps in Z (``_constant_blocks``); a class without any has rank 0.
-    For a = A / D and terms n / D_k of element k, the block times D L (L the
-    class's lcm of D_k) has integer entries A_k n L / D_k, of the same rank.
-    It is computed once per class and kept in ``a.block_rank``.
+    is read off the integer element rows: the lift of column j = (p, q) at
+    degree d is x^m dx_p ^ dx_q with m of weight d - lam_p - lam_q, constant
+    iff d = lam_p + lam_q, and element k = (D_k, row_k) puts row_k[j] / D_k at
+    (p, q) for those columns only; a class without any has rank 0.  For
+    a = A / D the block times D L (L the lcm of the class's D_k) has integer
+    entries A_k (L / D_k) row_k[j], of the same rank.  It is computed once
+    per class and kept in ``a.block_rank``.
     """
     check_basis_curve(curve, a.basis)
     if a.block_rank is not None:
         return a.block_rank
-    blocks = _constant_blocks(a.basis)
+    lams, elements = curve.lams, a.basis.elements
     _, cleared = zdenominated(a.entries)
-    lcm = math.lcm(*(blocks[k][0] for k in cleared))
+    lcm = math.lcm(*(elements[k].vector[0] for k in cleared))
     block: dict[int, dict[int, int]] = {}
     for k, x in cleared.items():
-        den, pairs = blocks[k]
-        for (i, j), n in pairs:
-            value = x * (lcm // den) * n
-            row, column = block.setdefault(i, {}), block.setdefault(j, {})
-            row[j] = row.get(j, 0) + value
-            column[i] = column.get(i, 0) - value
+        d, (den, vec) = elements[k].qdeg, elements[k].vector
+        piece = a.basis.pieces[d]
+        for j, n in vec.items():
+            p, q = piece.columns[piece.rep_cols[j]]
+            if lams[p] + lams[q] == d:
+                value = x * (lcm // den) * n
+                row, column = block.setdefault(p, {}), block.setdefault(q, {})
+                row[q] = row.get(q, 0) + value
+                column[p] = column.get(p, 0) - value
     a.block_rank = len(zechelon({c: v for c, v in row.items() if v} for row in block.values()))
     return a.block_rank
-
-
-def _constant_blocks(
-    basis: RestrictionBasis,
-) -> tuple[tuple[int, tuple[tuple[IndexTuple, int], ...]], ...]:
-    """Per basis element, (D, ((i, j), n) pairs) of the nonzero constant terms
-    n / D of its representative (``zdenominated``); kept in ``basis.constant_blocks``."""
-    blocks = basis.constant_blocks
-    if blocks is None:
-        terms = (
-            {idx: c for idx, poly in el.rep.coeffs.items() if (c := poly.constant_term())}
-            for el in basis.elements
-        )
-        blocks = basis.constant_blocks = tuple(
-            (den, tuple(ints.items())) for den, ints in map(zdenominated, terms)
-        )
-    return blocks
 
 
 def representable_by_symplectic(curve: MonomialCurve, a: AlgRestriction, n: int) -> bool:

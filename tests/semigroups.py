@@ -20,6 +20,12 @@ restrictions to the monomial curve are Omega of K[S]).  Every closed
 2-form class is exact, d of a 1-form class, and the closed 1-form classes
 of degree d are d(t^d) for d in S, so ``closed_dim`` is dim Omega_d - [d in
 S, d > 0].
+
+``Semigroup.presentation_size`` counts the relations of a minimal
+presentation, from which ``is_complete_intersection`` follows, and
+``is_symmetric`` reads the definition.  ``lie_action`` is the action of
+t^(s + 1) d/dt on the symbols of Omega, the model that the engine's
+action matrices are compared with.
 """
 
 from __future__ import annotations
@@ -56,6 +62,42 @@ class Semigroup:
             if x in self and not any(y in self and x - y in self for y in range(1, x))
         )
 
+    def is_symmetric(self) -> bool:
+        """Whether, for every integer x, exactly one of x and F - x lies in
+        S (F the Frobenius number); K[S] is Gorenstein iff S is symmetric
+        (Kunz, Proc. AMS 25, 1970)."""
+        f = self.frobenius
+        return all((x in self) != (f - x in self) for x in range(f + 1))
+
+    def presentation_size(self) -> int:
+        """The number of relations in a minimal presentation of S on its
+        minimal generators lam_1 < ... < lam_e.
+
+        For each n, join two factorizations of n when their supports meet;
+        a minimal presentation has c_n - 1 relations of degree n, c_n the
+        number of components (Rosales and Garcia-Sanchez 2009).  Two
+        factorizations in different components have disjoint supports, so
+        c_n > 1 needs n - lam_i - lam_j outside S for i and j in the supports
+        of two components: else c + e_i + e_j, c a factorization of the
+        difference, would join them.  For n > F + lam_1, n - lam_1 is in S,
+        so some component holds a factorization with i = 1, and so n <= F +
+        lam_1 + lam_j <= F + lam_1 + lam_e: the scan stops there.  A
+        factorization's component is read off a union-find of the
+        generators that the supports join (``_support_components``).
+        """
+        lams = self.generators()
+        return sum(
+            _support_components(factorizations(lams, n), len(lams)) - 1
+            for n in range(1, self.frobenius + lams[0] + lams[-1] + 1)
+            if n in self
+        )
+
+    def is_complete_intersection(self) -> bool:
+        """Whether K[S] is a complete intersection: iff a minimal
+        presentation of S has e - 1 relations, e the number of minimal
+        generators (Herzog, Manuscripta Math. 3, 1970)."""
+        return self.presentation_size() == len(self.generators()) - 1
+
 
 def by_genus(genus: int) -> list[Semigroup]:
     """Every numerical semigroup of the genus, each once (the tree above)."""
@@ -79,6 +121,42 @@ def factorizations(lams: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
     return [
         (e,) + tail for e in range(n // first + 1) for tail in factorizations(rest, n - e * first)
     ]
+
+
+def _support_components(facts: list[tuple[int, ...]], width: int) -> int:
+    """The number of components of the graph on the nonzero factorizations
+    ``facts`` that joins two whose supports meet: a union-find of the
+    ``width`` generators, each support joining its own."""
+    parent = list(range(width))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    supports = [[i for i, e in enumerate(a) if e] for a in facts]
+    for support in supports:
+        for i in support[1:]:
+            parent[root(i)] = root(support[0])
+    return len({root(support[0]) for support in supports})
+
+
+def lie_action(lams: tuple[int, ...], d: int, i: int, s: int) -> dict[int, int]:
+    """L_(D_s) e_i as {j: coefficient} of the symbols e_j of degree d + s,
+    for e_i = t^(d - lam_i) dx_i of degree d and D_s = t^(s + 1) d/dt, the
+    field that X_s restricts to; lam_i + s must lie in S.
+
+    With f = t^(d - lam_i) and x_i = t^lam_i, L_D(f dx_i) = D(f) dx_i + f
+    d(D x_i).  D(f) = (d - lam_i) t^(d - lam_i + s), and D x_i = lam_i
+    t^(lam_i + s) is lam_i x^c along the curve for c the first
+    factorization of lam_i + s, so f d(D x_i) = lam_i sum_j c_j t^(d + s -
+    lam_j) dx_j.  Hence L_(D_s) e_i = (d - lam_i) e_i + lam_i sum_j c_j e_j,
+    with no e_i term when d = lam_i.
+    """
+    c = factorizations(lams, lams[i] + s)[0]
+    out = {j: lams[i] * cj for j, cj in enumerate(c) if cj}
+    out[i] = out.get(i, 0) + d - lams[i]
+    return {j: v for j, v in out.items() if v}
 
 
 def rank(rows: list[list[int]]) -> int:

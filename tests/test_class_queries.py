@@ -1,7 +1,7 @@
 """Per-class queries against the per-class code they replaced.
 
 The engine answers iota and Lt from prefix solvers kept on the basis, the
-branch rank from integer constant blocks kept on the basis, the tangent
+branch rank in closed form on the basis's integer element rows, the tangent
 shifts from the basis's shift list, tangent membership of a unit direction
 from its pivot row and of any other direction from a remainder in Z, the
 Moser system from the tangent vectors alone, solved on sparse rows, and
@@ -29,7 +29,6 @@ from algrest.curves import (
 )
 from algrest.errors import InputError
 from algrest.invariants import (
-    _constant_blocks,
     _part_quotient_coords,
     branch_rank,
     index_of_isotropy,
@@ -276,18 +275,21 @@ def test_one_class_computes_its_branch_rank_once(monkeypatch):
 
 
 def test_branch_rank_scales_each_element_to_the_common_denominator():
-    """The basis elements of the curves here have integer constant terms
-    (D = 1), so the lcm / D_k scaling runs on an equal rewriting: element
-    k's terms n / D become (k + 2) n / ((k + 2) D) on a fresh basis.  The
-    ranks stay the reference's, among them that of a9 + a10 + a12 + a13+ on
-    (4,5,6,7), whose Pfaffian b01 b23 - b02 b13 + b03 b12 vanishes: rank 2,
-    not 4."""
+    """No semigroup of genus <= 9 has two elements with constant terms and
+    different D, and every element of (4,5,6,7) has D = 1, so the L / D_k
+    scaling runs on an equal rewriting: element k's vector (D, row) becomes
+    ((k + 2) D, (k + 2) row) on a fresh basis, the same quotient
+    coordinates with a different D per element.  The ranks stay the
+    reference's, which reads the unscaled representatives, among them that
+    of a9 + a10 + a12 + a13+ on (4,5,6,7), whose Pfaffian b01 b23 - b02 b13
+    + b03 b12 vanishes: rank 2, not 4."""
     curve = MonomialCurve((4, 5, 6, 7))
     basis = RestrictionBasis(curve)
-    basis.constant_blocks = tuple(
-        ((k + 2) * den, tuple((ij, (k + 2) * n) for ij, n in pairs))
-        for k, (den, pairs) in enumerate(_constant_blocks(basis))
-    )
+    scaled = []
+    for k, el in enumerate(basis.elements):
+        den, row = el.vector
+        scaled.append(el._replace(vector=((k + 2) * den, {j: (k + 2) * n for j, n in row.items()})))
+    basis.elements = tuple(scaled)
     flat = AlgRestriction.from_coeffs(basis, dict.fromkeys(("a9", "a10", "a12", "a13+"), 1))
     assert branch_rank(curve, flat) == reference_branch_rank(curve, flat) == 2
     for a in random_classes(basis, random.Random(23), 200):
