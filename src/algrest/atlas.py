@@ -15,17 +15,15 @@ Coefficient expressions are parsed once, when a table is loaded; a sample
 only multiplies.  Each sample's invariants are measured once, by
 ``verify_row``, and the distinctness check reads them off its checks.
 
-The three checks on a realization F run in closed form on its exponent
-data, each exact over Q.  Along t -> (t^lam, 0, ...) a term c x^e is
-c t^<e, lam>, or 0 if e has an off-curve exponent (``MonomialCurve.power_of``),
-which is the substitution itself; F's series and the stored one compare as
-{t-power: coefficient} dicts.  The linear part is nonsingular iff one
-``zechelon`` of its rows, cleared to integers, has 2n pivots, the rank over
-Q.  F^* omega_std is summed pair by pair of terms of F_(2i-1) and F_(2i)
-straight into piece coordinates (``_standard_pullback``), the same sums the
-generic pullback, restricted to the curve and vectorized, adds up, and it
-is projected by the per-degree loop of ``curves.project``
-(``project_vectors``).
+The three checks on a realization F run in Z.  Its exponent data is read
+once per row (``_read_map``): each term's t-power along the curve
+(``MonomialCurve.power_of``), its linear slot, and the integer piece rows
+that each pair of terms of F_(2i-1) and F_(2i) adds to F^* omega_std.  A
+sample clears each component once to K_i and integer numerators
+(``_map_checks``), compares its series with K_i times the stored
+parameterization, ranks the linear rows by one ``zechelon`` and projects
+the pullback summed over L = lcm(K_(2i-1) K_(2i)).  The directions of the
+declared moduli are read off the row's coefficients once per row.
 """
 
 from __future__ import annotations
@@ -47,7 +45,6 @@ from .curves import (
     project_vectors,
 )
 from .errors import InputError
-from .forms import PolyMap
 from .invariants import (
     Extended,
     InvariantReport,
@@ -55,7 +52,8 @@ from .invariants import (
     pmqd_compare,
     representable_by_symplectic,
 )
-from .poly import Polynomial, add_into
+from .linalg import zdenominated, zechelon
+from .poly import add_into
 from .symmetry import orbit_tangent_space
 
 _COEFF_RE = re.compile(
@@ -97,9 +95,7 @@ def _values(coeffs: Mapping[str, Coeff], env: Mapping[str, Fraction]) -> dict[st
 
 
 def _parse_excluded(data: Mapping[str, Sequence[str]] | None) -> dict[str, tuple[Fraction, ...]]:
-    if not data:
-        return {}
-    return {p: tuple(Fraction(v) for v in vals) for p, vals in data.items()}
+    return {p: tuple(Fraction(v) for v in vals) for p, vals in (data or {}).items()}
 
 
 class Realization(NamedTuple):
@@ -168,23 +164,21 @@ def load_atlas(lams: Sequence[int]) -> Atlas:
     curve = MonomialCurve(tuple(data["semigroup"]))
     rows = []
     for rd in data["rows"]:
-        realizations = []
-        for real in rd["realizations"]:
-            realizations.append(
-                Realization(
-                    n=real["n"],
-                    map_data=tuple(
-                        tuple((parse_coeff(str(e)), tuple(x)) for e, x in comp)
-                        for comp in real["map"]
-                    ),
-                    template=tuple(
-                        tuple((parse_coeff(str(e)), int(p)) for e, p in comp)
-                        for comp in real["template"]
-                    ),
-                    restriction=_parse_coeffs(real["restriction"]),
-                    excluded=_parse_excluded(real.get("excluded")),
-                )
+        realizations = tuple(
+            Realization(
+                n=real["n"],
+                map_data=tuple(
+                    tuple((parse_coeff(str(e)), tuple(x)) for e, x in comp) for comp in real["map"]
+                ),
+                template=tuple(
+                    tuple((parse_coeff(str(e)), int(p)) for e, p in comp)
+                    for comp in real["template"]
+                ),
+                restriction=_parse_coeffs(real["restriction"]),
+                excluded=_parse_excluded(real.get("excluded")),
             )
+            for real in rd["realizations"]
+        )
         iota_printed = _decode_extended(rd["expected"]["iota"])
         discrepancies = dict(rd.get("discrepancies", {}))
         iota = iota_printed
@@ -209,15 +203,13 @@ def load_atlas(lams: Sequence[int]) -> Atlas:
                 n2_generic=bool(rd["n2"]["generic"]),
                 n2_excluded=_parse_excluded(rd["n2"].get("excluded")),
                 discrepancies=discrepancies,
-                realizations=tuple(realizations),
+                realizations=realizations,
             )
         )
     return Atlas(curve=curve, aliases=dict(data["aliases"]), rows=tuple(rows))
 
 
-def row_class(
-    atlas: Atlas, row: AtlasRow, env: Mapping[str, Fraction]
-) -> AlgRestriction:
+def row_class(atlas: Atlas, row: AtlasRow, env: Mapping[str, Fraction]) -> AlgRestriction:
     return AlgRestriction.from_coeffs(cached_basis(atlas.curve), _values(row.restriction, env))
 
 
@@ -280,21 +272,6 @@ def realization_for(row: AtlasRow, n: int) -> Realization:
     return best
 
 
-def build_map(real: Realization, env: Mapping[str, Fraction], n: int) -> PolyMap:
-    """The stored map on R^{2n}, padded with identity coordinates beyond 2*real.n."""
-    nvars = 2 * n
-    components = []
-    for comp in real.map_data:
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for coeff, exps in comp:
-            padded = tuple(exps) + (0,) * (nvars - len(exps))
-            terms[padded] = terms.get(padded, 0) + coeff_value(coeff, env)
-        components.append(Polynomial(nvars, terms))
-    for extra in range(2 * real.n, nvars):
-        components.append(Polynomial.variable(nvars, extra))
-    return PolyMap(components)
-
-
 def build_template(
     real: Realization, env: Mapping[str, Fraction], n: int
 ) -> list[dict[int, Fraction]]:
@@ -310,45 +287,82 @@ def build_template(
     return out
 
 
-def _standard_pullback(basis: RestrictionBasis, phi: PolyMap) -> dict[int, list[Fraction]]:
-    """The piece coordinates (``GradedPiece.vectorize``) of phi^* omega_std,
-    omega_std = dx1^dx2 + dx3^dx4 + ..., by quasi-degree below ``stop_qdeg``.
-
-    phi^* omega_std = sum_i dF_(2i-1) ^ dF_(2i), and terms c1 x^e1 of
-    F_(2i-1) and c2 x^e2 of F_(2i) give the sum over j != k of c1 c2 e1_j
-    e2_k x^(e1 + e2 - u_j - u_k) dx_j ^ dx_k, of quasi-degree <e1 + e2, lam>.
-    A term with an off-curve variable or differential restricts to 0, and a
-    curve-only x^m dx_j ^ dx_k, j < k, is the column (j, k) of its degree's
-    piece, so only curve-only terms count, by their coefficients, and a
-    pair at or above ``stop_qdeg``, where every piece is 0, is skipped.
-    """
+def _read_map(basis: RestrictionBasis, real: Realization, n: int) -> tuple[list, list, list]:
+    """The parameter-free data of the stored map F on R^{2n}, padded with
+    identity components beyond 2*real.n: per component its coefficients;
+    per term its t-power along the curve (``power_of``) and its linear slot,
+    each None where it has none; and (i - 1, d, t1, t2, row) for each pair of
+    curve-only terms t1 of F_(2i-1) and t2 of F_(2i) of quasi-degree d below
+    ``stop_qdeg``.  F^* omega_std = sum_i dF_(2i-1) ^ dF_(2i), and terms c1
+    x^e1 and c2 x^e2 give the sum over j != k of c1 c2 e1_j e2_k x^(e1 + e2 -
+    u_j - u_k) dx_j ^ dx_k, of quasi-degree <e1 + e2, lam>; curve-only, that
+    is c1 c2 times the integer row {column (j, k) of piece d: +-e1_j e2_k}."""
     curve = basis.curve
+    units = [(((Fraction(1), None), (0,) * k + (1,)),) for k in range(2 * real.n, 2 * n)]
+    comps = [*real.map_data, *units]
     terms = [
-        [
-            (q, [(j, e) for j, e in enumerate(exps) if e], c)
-            for exps, c in comp.terms.items()
-            if (q := curve.power_of(exps)) is not None
-        ]
-        for comp in phi.components
+        [(curve.power_of(e), e.index(1) if sum(e) == 1 else None) for _, e in c] for c in comps
     ]
-    vectors: dict[int, list[Fraction]] = {}
-    for left, right in zip(terms[::2], terms[1::2]):
-        for q1, e1, c1 in left:
-            for q2, e2, c2 in right:
-                d = q1 + q2
-                if d >= basis.stop_qdeg:
-                    continue
-                columns = basis.pieces[d].columns
-                if d not in vectors:
-                    vectors[d] = [Fraction(0)] * len(columns)
-                vec, c = vectors[d], c1 * c2
-                for j, a in e1:
-                    for k, b in e2:
-                        if j < k:
-                            vec[columns.index((j, k))] += c * a * b
-                        elif j > k:
-                            vec[columns.index((k, j))] -= c * a * b
-    return dict(sorted(vectors.items()))
+    pairs = []
+    for i in range(n):
+        for (t1, (q1, _)), (t2, (q2, _)) in itertools.product(
+            enumerate(terms[2 * i]), enumerate(terms[2 * i + 1])
+        ):
+            if q1 is None or q2 is None or q1 + q2 >= basis.stop_qdeg:
+                continue
+            columns, row = basis.pieces[q1 + q2].columns, {}
+            for (j, a), (k, b) in itertools.product(
+                enumerate(comps[2 * i][t1][1]), enumerate(comps[2 * i + 1][t2][1])
+            ):
+                if a and b and j != k:
+                    add_into(row, columns.index((min(j, k), max(j, k))), a * b if j < k else -a * b)
+            if row:
+                pairs.append((i, q1 + q2, t1, t2, row))
+    return [[c for c, _ in comp] for comp in comps], terms, pairs
+
+
+def _map_checks(
+    basis: RestrictionBasis, data: tuple[list, list, list], env: Mapping[str, Fraction]
+) -> tuple[list[tuple[int, dict[int, int]]], int, AlgRestriction]:
+    """The three checks of the stored map F at one sample, in Z: per
+    component (K_i, K_i times its series along the curve), with its
+    coefficients cleared once to K_i and integer numerators; the rank of
+    F's linear part, one ``zechelon`` of its integer rows; and the class of
+    F^* omega_std, the rows of ``_read_map`` summed over L = lcm(K_(2i-1)
+    K_(2i)), those of F_(2i-1) and F_(2i) scaled by L / (K_(2i-1) K_(2i))."""
+    coeffs, terms, pairs = data
+    cleared = [zdenominated(dict(enumerate(coeff_value(c, env) for c in comp))) for comp in coeffs]
+    series, rows = [], []
+    for (scale, nums), comp in zip(cleared, terms):
+        powers, linear = {}, {}
+        for t, (q, slot) in enumerate(comp):
+            if q is not None:
+                add_into(powers, q, nums[t])
+            if slot is not None:
+                add_into(linear, slot, nums[t])
+        series.append((scale, powers))
+        rows.append(linear)
+    products = [k1 * k2 for (k1, _), (k2, _) in zip(cleared[::2], cleared[1::2])]
+    den = math.lcm(*products)
+    vectors: dict[int, dict[int, int]] = {}
+    for i, d, t1, t2, row in pairs:
+        factor = den // products[i] * cleared[2 * i][1][t1] * cleared[2 * i + 1][1][t2]
+        vec = vectors.setdefault(d, {})
+        for col, m in row.items():
+            add_into(vec, col, factor * m)
+    projected = project_vectors(basis, {d: (den, vec) for d, vec in vectors.items()})
+    return series, len(zechelon(rows)), projected
+
+
+def modulus_directions(basis: RestrictionBasis, row: AtlasRow) -> list[tuple[str, AlgRestriction]]:
+    """Each declared modulus p of ``row`` with its direction da/dp, the same at
+    every sample: a coefficient is f or f * p, so da/dp is f at the labels
+    whose coefficient is f * p."""
+    coeffs = row.restriction.items()
+    return [
+        (p, AlgRestriction.from_coeffs(basis, {label: f for label, (f, q) in coeffs if q == p}))
+        for p in row.moduli
+    ]
 
 
 class RowCheck(NamedTuple):
@@ -383,6 +397,12 @@ def verify_row(
     samples: Sequence[Mapping[str, Fraction]] | None = None,
     seed: int = 0,
 ) -> list[RowCheck]:
+    """Check ``row`` on R^{2n} (``row.min_n`` by default) at each sample (the
+    default ones for ``seed`` unless ``samples`` is given), over both signs
+    of a sign row, skipping excluded ones: the stored realization for n
+    reproduces its parameterization, has a nonsingular linear part and pulls
+    omega_std back to its restriction; mu, iota, Lt and the realizability on
+    R^4 .. R^{2s} match the table; each declared modulus is transverse to the orbit."""
     curve = atlas.curve
     s = len(curve.lams)
     if n is None:
@@ -395,6 +415,8 @@ def verify_row(
         samples = default_samples(row, seed=seed)
     basis = cached_basis(curve)
     real = realization_for(row, n)
+    data = _read_map(basis, real, n)
+    directions = modulus_directions(basis, row)
     checks = []
     for env in _expanded_envs(row, samples):
         failures: list[str] = []
@@ -404,15 +426,17 @@ def verify_row(
         try:
             target = row_class(atlas, row, env)
             realized = AlgRestriction.from_coeffs(basis, _values(real.restriction, env))
-            phi = build_map(real, env, n)
+            series, rank, projected = _map_checks(basis, data, env)
             template = build_template(real, env, n)
         except InputError as exc:
             raise InputError(f"semigroup {curve.lams} row {row.id}: {exc}") from None
-        if curve.series(phi.components) != template:
+        if len(series) != len(template) or any(
+            powers != {p: scale * c for p, c in terms.items()}
+            for (scale, powers), terms in zip(series, template)
+        ):
             failures.append("map does not reproduce the stored parameterization")
-        if phi.linear_rank() != 2 * n:
+        if rank != 2 * n:
             failures.append("linear part of the realization map is singular")
-        projected = project_vectors(basis, _standard_pullback(basis, phi))
         if projected != realized:
             failures.append(
                 f"pullback of the standard symplectic form projects to "
@@ -430,10 +454,7 @@ def verify_row(
             )
         if row.lt_mode in ("computed", "infinite") and report.lt != row.lt_printed:
             failures.append(f"lt = {report.lt}, table says {row.lt_printed}")
-        for param in row.moduli:
-            bumped = dict(env)
-            bumped[param] = env[param] + 1
-            direction = row_class(atlas, row, bumped) - target
+        for param, direction in directions:
             if tangent.contains(direction):
                 failures.append(f"declared modulus {param} is tangent to the orbit")
         for nn in range(2, s + 1):
@@ -503,15 +524,8 @@ def verify_distinctness(
             continue
         verdict = pmqd_compare(a, b)
         even = sa.min_qdeg is not None and sa.min_qdeg % 2 == 0
-        if not (
-            verdict.kind == "not-proportional"
-            or (
-                verdict.kind == "proportional"
-                and verdict.constant is not None
-                and verdict.constant < 0
-                and even
-            )
-        ):
+        negative = verdict.kind == "proportional" and (verdict.constant or 0) < 0
+        if verdict.kind != "not-proportional" and not (negative and even):
             failures.append(f"sign variants of row {row_id} are not distinguished")
     return failures
 
@@ -529,11 +543,8 @@ class AtlasReport(NamedTuple):
 
     @property
     def known_notes(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for check in self.checks:
-            for note in check.known:
-                seen.setdefault(f"row {check.row_id}: {note}")
-        return tuple(seen)
+        notes = (f"row {check.row_id}: {note}" for check in self.checks for note in check.known)
+        return tuple(dict.fromkeys(notes))
 
 
 def verify_atlas(

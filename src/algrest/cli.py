@@ -267,18 +267,13 @@ def cmd_verify_atlas(args: argparse.Namespace) -> int:
             status = "ok" if not bad else "FAIL"
             lines.append(f"  row {row_id}: {status} ({len(checks)} samples)")
             for check in bad:
-                env = ", ".join(
-                    f"{k}={parser.fraction_str(v)}" for k, v in sorted(check.env.items())
-                )
+                env = ", ".join(f"{k}={v}" for k, v in sorted(check.env.items()))
                 for msg in check.failures:
                     lines.append(f"    at [{env}]: {msg}")
         for note in report.known_notes:
             lines.append(f"  known: {note}")
-        if report.distinctness_failures:
-            for msg in report.distinctness_failures:
-                lines.append(f"  distinctness FAIL: {msg}")
-        else:
-            lines.append("  distinctness: ok")
+        failures = [f"  distinctness FAIL: {msg}" for msg in report.distinctness_failures]
+        lines.extend(failures or ["  distinctness: ok"])
     passed = all(r.passed for r in reports)
     lines.append("all checks passed" if passed else "verification FAILED")
     payload = {
@@ -293,7 +288,7 @@ def cmd_verify_atlas(args: argparse.Namespace) -> int:
                     {
                         "row": c.row_id,
                         "n": c.n,
-                        "env": {k: parser.fraction_str(v) for k, v in sorted(c.env.items())},
+                        "env": {k: str(v) for k, v in sorted(c.env.items())},
                         "passed": c.passed,
                         "failures": list(c.failures),
                         "known": list(c.known),

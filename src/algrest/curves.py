@@ -23,7 +23,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import InputError, NotClosedError
 from .forms import DifferentialForm, IndexTuple, Weights
@@ -695,28 +695,28 @@ def project(
     if form.degree != 2:
         raise InputError("only 2-forms can be projected to this basis")
     parts = form.graded_parts(curve.weights).items()
-    return project_vectors(
-        basis, {d: basis.pieces[d].vectorize(part) for d, part in parts if d < basis.stop_qdeg}
-    )
+    vectors = {d: basis.pieces[d].vectorize(part) for d, part in parts if d < basis.stop_qdeg}
+    rows = {d: zdenominated({c: v for c, v in enumerate(vec) if v}) for d, vec in vectors.items()}
+    return project_vectors(basis, rows)
 
 
 def project_vectors(
-    basis: RestrictionBasis, vectors: Mapping[int, Sequence[Scalar]]
+    basis: RestrictionBasis, rows: Mapping[int, tuple[int, dict[int, int]]]
 ) -> AlgRestriction:
-    """The class of a closed 2-form given by its degree-d piece coordinates
-    ``vectors[d]`` (as ``GradedPiece.vectorize`` gives them), for degrees d
-    in ascending order below ``stop_qdeg``; a part outside the closed
-    span raises ``NotClosedError``.  Each is cleared once and projected in Z."""
+    """The class of a closed 2-form whose degree-d piece coordinates
+    (``GradedPiece.vectorize``) are R / D for ``rows[d]`` = (D, R), R an
+    integer row of nonzero entries, for degrees d below ``stop_qdeg``; a
+    part outside the closed span raises ``NotClosedError``.  Each row is
+    projected in Z (``RestrictionBasis.zproject``)."""
     entries: dict[int, Fraction] = {}
-    for d, vec in vectors.items():
-        den, cleared = zdenominated({c: v for c, v in enumerate(vec) if v})
+    for d, (den, row) in rows.items():
         try:
             # nonzero coefficients of the elements of degree d alone
-            scale, row = basis.zproject(d, cleared)
+            scale, coords = basis.zproject(d, row)
         except NotClosedError:
             raise NotClosedError(
                 f"exterior derivative has a nonzero restriction in quasi-degree {d}"
             ) from None
         den *= scale
-        entries.update((k, Fraction(x, den)) for k, x in row.items())
+        entries.update((k, Fraction(x, den)) for k, x in coords.items())
     return AlgRestriction._trusted(basis, dict(sorted(entries.items())))

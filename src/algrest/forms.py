@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
-from .linalg import zcleared, zechelon
 from .poly import Exponent, Frozen, Polynomial, Scalar, add_into
 
 IndexTuple = tuple[int, ...]
@@ -381,11 +380,6 @@ class PolyMap:
         n, zero = self.source_dim, Fraction(0)
         units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
         return [[comp.terms.get(unit, zero) for unit in units] for comp in self.components]
-
-    def linear_rank(self) -> int:
-        """Rank of the linear part: the pivot count of one ``zechelon`` on
-        its rows cleared to integers."""
-        return len(zechelon(zcleared(dict(enumerate(row))) for row in self.linear_matrix()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolyMap):

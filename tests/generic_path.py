@@ -1,13 +1,31 @@
 """The generic path that ``atlas.verify_row`` and ``symmetry.symmetry_constant``
-replaced by closed forms on exponent data: composing a map with the curve's
-component series by sparse substitution, restricting a map to the curve's
+replaced by closed forms on exponent data: building a stored realization
+as a ``PolyMap`` at a sample, composing a map with the curve's component
+series by sparse substitution, restricting a map to the curve's
 coordinates, and pulling back the standard symplectic form by the generic
 ``forms.pullback``.  The tests compare the closed forms with it, and check
 ``forms.pullback`` against the restriction identity it satisfies."""
 
+from algrest.atlas import coeff_value
 from algrest.errors import InputError
 from algrest.forms import DifferentialForm, PolyMap
 from algrest.poly import Polynomial, UniPoly, _sparse_mul
+
+
+def build_map(real, env, n):
+    """The stored map on R^{2n} at the sample ``env``, padded with identity
+    coordinates beyond 2*real.n."""
+    nvars = 2 * n
+    components = []
+    for comp in real.map_data:
+        terms = {}
+        for coeff, exps in comp:
+            padded = tuple(exps) + (0,) * (nvars - len(exps))
+            terms[padded] = terms.get(padded, 0) + coeff_value(coeff, env)
+        components.append(Polynomial(nvars, terms))
+    for extra in range(2 * real.n, nvars):
+        components.append(Polynomial.variable(nvars, extra))
+    return PolyMap(components)
 
 
 def substitute(poly, images):

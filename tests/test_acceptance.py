@@ -14,7 +14,6 @@ import pytest
 from hypothesis import settings
 
 from algrest.atlas import (
-    build_map,
     default_samples,
     load_atlas,
     realization_for,
@@ -45,6 +44,7 @@ from algrest.symmetry import action_table, admissible_shifts, moser_reduce, shif
 
 import semigroups
 from direct_actions import direct_action_matrix
+from generic_path import build_map
 from test_atlas import alias_forms
 from tables import (
     ACTIONS,

@@ -8,12 +8,13 @@ from algrest import invariants as invariants_module
 from algrest import symmetry as symmetry_module
 from algrest.atlas import (
     BUNDLED,
-    build_map,
+    Realization,
     build_template,
     coeff_value,
     default_samples,
     load_atlas,
     load_samples_file,
+    modulus_directions,
     parse_coeff,
     realization_for,
     row_class,
@@ -21,16 +22,16 @@ from algrest.atlas import (
     verify_distinctness,
     verify_row,
 )
-from algrest.curves import AlgRestriction, MonomialCurve, cached_basis, project, project_vectors
+from algrest.curves import AlgRestriction, MonomialCurve, cached_basis, project
 from algrest.errors import InputError
 from algrest.forms import PolyMap, pullback
 from algrest.invariants import symplectic_multiplicity
-from algrest.linalg import rref
+from algrest.linalg import rref, zcleared, zechelon
 from algrest.parser import parse_form
 from algrest.poly import Polynomial
 from algrest.symmetry import orbit_tangent_space
 
-from generic_path import apply_series, curve_images, restrict, standard_symplectic
+from generic_path import apply_series, build_map, curve_images, restrict, standard_symplectic
 
 
 def test_bundled_row_counts(atlas4567, atlas456, atlas457):
@@ -294,13 +295,26 @@ def generic_checks(basis, phi, n):
     )
 
 
-def closed_checks(basis, phi):
-    """The same three values by the closed forms that ``verify_row`` runs."""
+def closed_checks(basis, real, env, n):
+    """The same three values by the integer path that ``verify_row`` runs:
+    the exponent data read once (``_read_map``), then one sample's checks
+    (``_map_checks``), each series divided back by its component's K."""
+    data = atlas_module._read_map(basis, real, n)
+    series, rank, projected = atlas_module._map_checks(basis, data, env)
     return (
-        basis.curve.series(phi.components),
-        phi.linear_rank(),
-        project_vectors(basis, atlas_module._standard_pullback(basis, phi)),
+        [{q: Fraction(c, scale) for q, c in powers.items()} for scale, powers in series],
+        rank,
+        projected,
     )
+
+
+def as_realization(phi):
+    """A map with constant coefficients as a stored realization on R^{2n}."""
+    n = len(phi.components) // 2
+    map_data = tuple(
+        tuple(((c, None), exps) for exps, c in comp.terms.items()) for comp in phi.components
+    )
+    return Realization(n=n, map_data=map_data, template=(), restriction={}, excluded={})
 
 
 def generic_failures(atlas, real, env, n):
@@ -349,8 +363,8 @@ def test_closed_form_checks_equal_the_generic_path_on_every_stored_realization(
             for n in range(row.min_n, len(atlas.curve.lams) + 1):
                 real = realization_for(row, n)
                 for env in sample_envs(row, real):
-                    phi = build_map(real, env, n)
-                    assert closed_checks(basis, phi) == generic_checks(basis, phi, n), (row.id, n, env)
+                    generic = generic_checks(basis, build_map(real, env, n), n)
+                    assert closed_checks(basis, real, env, n) == generic, (row.id, n, env)
                     compared += 1
     assert compared > 300
 
@@ -383,7 +397,29 @@ def test_closed_form_checks_equal_the_generic_path_on_random_maps(lams):
     rng = random.Random(sum(lams))
     for _ in range(400):
         n, phi = random_map(rng, len(lams))
-        assert closed_checks(basis, phi) == generic_checks(basis, phi, n), phi
+        assert closed_checks(basis, as_realization(phi), {}, n) == generic_checks(basis, phi, n), phi
+
+
+def test_closed_form_checks_scale_paired_components_with_different_denominators():
+    """Each pair of components enters the pullback over its own K_(2i-1)
+    K_(2i), 3 * 4 and 5 * 7 here, and both pairs add to the degrees 13 and
+    14: the integer sums over their lcm agree with the generic path."""
+    curve = MonomialCurve((4, 5, 6, 7))
+    basis = cached_basis(curve)
+    x = [Polynomial.variable(4, i) for i in range(4)]
+    phi = PolyMap([
+        x[0] * Fraction(1, 3) + x[0] * x[0] * Fraction(2, 3),
+        x[1] * Fraction(5, 4) + x[0] * x[2] * Fraction(1, 2),
+        x[2] * Fraction(1, 5) + x[0] * x[1] * Fraction(2, 5),
+        x[3] * Fraction(3, 7) + x[0] * x[0] * Fraction(2, 7),
+    ])
+    real = as_realization(phi)
+    data = atlas_module._read_map(basis, real, 2)
+    degrees = [{d for j, d, *_ in data[2] if j == i} for i in (0, 1)]
+    assert degrees[0] & degrees[1] == {13, 14}
+    closed = closed_checks(basis, real, {}, 2)
+    assert closed == generic_checks(basis, phi, 2)
+    assert len(closed[2].nonzero_qdegs()) >= 3
 
 
 def _corrupted(row, n, component, position, replace):
@@ -433,3 +469,60 @@ def test_corrupted_realizations_keep_their_failure_messages(
     for check in checks:
         assert list(check.failures) == generic_failures(atlas4567, bad, check.env, n)
         assert {next(m for m in expected if f.startswith(m)) for f in check.failures} == expected
+
+
+def direction_samples(row):
+    """The default samples and the random ones of seeds 3 and 11, over both
+    signs of a sign row."""
+    samples = default_samples(row) + default_samples(row, seed=3)[-1:]
+    samples += default_samples(row, seed=11)[-1:]
+    return list(atlas_module._expanded_envs(row, samples))
+
+
+def test_modulus_directions_equal_the_bumped_class_differences(atlas4567, atlas456, atlas457):
+    """The per-row direction of each modulus p equals the class at p + 1
+    minus the class at p, at every sample: the old per-sample form.  Every
+    bundled modulus has factor 1 at one label, so a made-up row adds
+    factors other than 1 and a modulus at two labels."""
+    made_up = atlas4567.row(4)._replace(
+        restriction={
+            "a9": (Fraction(1), None),
+            "a11-": (Fraction(-3, 2), "c1"),
+            "a13+": (Fraction(2), "c1"),
+            "a12": (Fraction(1, 3), "c2"),
+        }
+    )
+    compared = 0
+    for atlas, extra in ((atlas4567, [made_up]), (atlas456, []), (atlas457, [])):
+        basis = cached_basis(atlas.curve)
+        for row in [*atlas.rows, *extra]:
+            directions = modulus_directions(basis, row)
+            assert [param for param, _ in directions] == list(row.moduli)
+            for env in direction_samples(row):
+                target = row_class(atlas, row, env)
+                for param, direction in directions:
+                    bumped = {**env, param: env[param] + 1}
+                    assert direction == row_class(atlas, row, bumped) - target, (row.id, param)
+                    compared += 1
+    assert compared > 150
+
+
+def test_declared_moduli_are_jointly_transverse_to_the_orbit(atlas4567, atlas456, atlas457):
+    """At every default sample of every row, both signs included, the
+    directions of the row's moduli raise the rank of the tangent rows by
+    exactly their number: they are independent modulo the orbit, not only
+    each outside it."""
+    samples = 0
+    for atlas in (atlas4567, atlas456, atlas457):
+        basis = cached_basis(atlas.curve)
+        for row in atlas.rows:
+            directions = [zcleared(d.entries) for _, d in modulus_directions(basis, row)]
+            for env in atlas_module._expanded_envs(row, default_samples(row)):
+                tangent = orbit_tangent_space(atlas.curve, row_class(atlas, row, env))
+                rows = [u for _, u in tangent.rows if u]
+                assert len(zechelon(rows + directions)) - tangent.dim == len(row.moduli), (
+                    row.id,
+                    env,
+                )
+                samples += 1
+    assert samples == 127

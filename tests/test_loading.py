@@ -64,9 +64,10 @@ def test_importing_the_cli_registers_every_submodule_and_runs_few():
         ("basis 4 5 6 7", set()),
         ("action-table 4 5 6", {"symmetry"}),
         ("invariants 4 5 6 7 --restriction a9 --n 2", {"symmetry", "parser", "invariants"}),
-        ("verify-atlas 4 5 6", set(SUBMODULES) - BASE),
+        ("verify-atlas 4 5 6", set(SUBMODULES) - BASE - {"parser"}),
+        ("verify-atlas 4 5 6 --format json", set(SUBMODULES) - BASE - {"parser"}),
     ],
-    ids=["basis", "action-table", "invariants", "verify-atlas"],
+    ids=["basis", "action-table", "invariants", "verify-atlas", "verify-atlas-json"],
 )
 def test_a_command_runs_only_the_modules_it_uses(argv, more):
     state = _run(
