@@ -40,6 +40,7 @@ _SUBMODULES = (
     "linalg",
     "parser",
     "poly",
+    "qt",
     "symmetry",
 )
 
@@ -49,18 +50,18 @@ _OWNER = {
     for module, names in (
         ("atlas", ("BUNDLED", "Atlas", "AtlasReport", "RowCheck", "load_atlas",
                    "verify_atlas", "verify_distinctness", "verify_row")),
-        ("curves", ("AlgRestriction", "BasisElement", "GradedPiece", "MonomialCurve",
-                    "RestrictionBasis", "cached_basis", "monomials_of_qdeg", "project",
-                    "restriction_quotient", "stop_qdeg")),
+        ("curves", ("LIFT_POLICIES", "AlgRestriction", "BasisElement", "GradedPiece",
+                    "MonomialCurve", "RestrictionBasis", "cached_basis", "monomials_of_qdeg",
+                    "project", "restriction_quotient", "stop_qdeg")),
         ("errors", ("InputError", "LiftError", "NotClosedError", "NotSymmetryError")),
-        ("forms", ("LIFT_POLICIES", "DifferentialForm", "PolyMap", "VectorField",
-                   "Weights", "ext_der", "interior", "lie_derivative", "pullback",
-                   "wedge")),
+        ("forms", ("DifferentialForm", "PolyMap", "VectorField", "Weights", "ext_der",
+                   "interior", "lie_derivative", "pullback", "wedge")),
         ("invariants", ("InvariantReport", "PmqdVerdict", "index_of_isotropy",
                         "invariant_report", "lagrangian_tangency_order", "pmqd_compare",
                         "representable_by_symplectic", "symplectic_multiplicity")),
         ("parser", ("parse_form", "parse_map", "parse_polynomial", "parse_restriction")),
-        ("poly", ("Polynomial", "RationalFunctionT", "UniPoly")),
+        ("poly", ("Polynomial",)),
+        ("qt", ("RationalFunctionT", "UniPoly")),
         ("symmetry", ("ActionTable", "HomotopyResult", "LiftableField", "ScalingResult",
                       "TangentSpace", "action_table", "admissible_shifts", "curve_scaling",
                       "liftable_field", "moser_reduce", "nonsemigroup_shifts",

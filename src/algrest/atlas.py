@@ -553,6 +553,8 @@ def verify_atlas(
     samples: Mapping[int, Sequence[Mapping[str, Fraction]]] | None = None,
     seed: int = 0,
 ) -> AtlasReport:
+    if n is not None and n < 1:
+        raise InputError("the ambient symplectic space needs n >= 1")
     checks: list[RowCheck] = []
     for row in atlas.rows:
         row_n = n if n is not None and n >= row.min_n else row.min_n

@@ -44,17 +44,20 @@ def _coords_payload(a: curves.AlgRestriction) -> dict[str, str]:
 def cmd_basis(args: argparse.Namespace) -> int:
     curve = _curve(args)
     basis = curves.cached_basis(curve)
-    payload = {
-        "semigroup": list(curve.lams),
-        "ambient": curve.ambient,
-        "dim": basis.dim,
-        "top_qdeg": basis.top_qdeg,
-        "basis": [
-            {"label": el.label, "qdeg": el.qdeg, "representative": str(el.rep)}
-            for el in basis.elements
-        ],
-    }
-    if args.format == "latex":
+    payload = None
+    lines: list[str] = []
+    if args.format == "json":
+        payload = {
+            "semigroup": list(curve.lams),
+            "ambient": curve.ambient,
+            "dim": basis.dim,
+            "top_qdeg": basis.top_qdeg,
+            "basis": [
+                {"label": el.label, "qdeg": el.qdeg, "representative": str(el.rep)}
+                for el in basis.elements
+            ],
+        }
+    elif args.format == "latex":
         lines = [
             f"{parser.latex_label(el.label)} &= {parser.latex_form(el.rep)} \\\\"
             for el in basis.elements
@@ -345,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, latex=True)
     p.add_argument(
         "--lift-policy",
-        choices=forms.LIFT_POLICIES,
+        choices=curves.LIFT_POLICIES,
         default="grlex",
         help="how to pick monomial components of the liftable fields",
     )

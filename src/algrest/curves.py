@@ -25,8 +25,8 @@ from functools import lru_cache
 from math import gcd
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
+from . import forms
 from .errors import InputError, NotClosedError
-from .forms import DifferentialForm, IndexTuple, Weights
 from .linalg import rref, zcleared, zdenominated, zechelon, zremainder
 from .poly import Exponent, Frozen, Polynomial, Scalar, _as_fraction, add_into, signed_sum
 
@@ -35,6 +35,10 @@ if TYPE_CHECKING:
     from .symmetry import ActionMatrix, TangentSpace
 
 _ZERO = Fraction(0)
+
+# the monomial-choice policies of the liftable fields (``symmetry``): the
+# CLI offers them, so they live in a module that every command runs
+LIFT_POLICIES = ("grlex", "pinned")
 
 
 class MonomialCurve(Frozen):
@@ -72,8 +76,8 @@ class MonomialCurve(Frozen):
         return len(self.lams)
 
     @property
-    def weights(self) -> Weights:
-        return Weights(self.lams, self.ambient)
+    def weights(self) -> forms.Weights:
+        return forms.Weights(self.lams, self.ambient)
 
     def power_of(self, exps: Exponent) -> int | None:
         """The restriction rule: x^e is t^<e, lam> along the curve, and 0
@@ -192,7 +196,7 @@ class GradedPiece(Frozen):
         curve: MonomialCurve,
         k: int,
         d: int,
-        columns: tuple[IndexTuple, ...],
+        columns: tuple[forms.IndexTuple, ...],
         rep_cols: tuple[int, ...],
         relations: dict[int, dict[int, int]],
     ):
@@ -204,7 +208,7 @@ class GradedPiece(Frozen):
     def dim(self) -> int:
         return len(self.rep_cols)
 
-    def vectorize(self, form: DifferentialForm) -> list[Fraction]:
+    def vectorize(self, form: forms.DifferentialForm) -> list[Fraction]:
         """Coordinates of a quasi-homogeneous degree-d k-form: x^e dx_J counts
         at column J if x^e is on the curve (``power_of``), as d - lam_J is
         then in the semigroup, and a term off the curve restricts to 0."""
@@ -233,18 +237,18 @@ class GradedPiece(Frozen):
         scale, work = zremainder(self.relations, vec)
         return scale, {j: work[c] for j, c in enumerate(self.rep_cols) if c in work}
 
-    def rep_form(self, j: int) -> DifferentialForm:
+    def rep_form(self, j: int) -> forms.DifferentialForm:
         """The lift x^m dx_J of the j-th representative column, with m the
         last curve-only exponent of quasi-degree d - lam_J."""
         J = self.columns[self.rep_cols[j]]
         lams = self.curve.lams
         m = monomials_of_qdeg(lams, self.d - sum(lams[i] for i in J))[-1]
         pad = (0,) * (self.curve.ambient - len(lams))
-        return DifferentialForm.from_term(self.curve.ambient, J, Polynomial.monomial(m + pad))
+        return forms.DifferentialForm.from_term(self.curve.ambient, J, Polynomial.monomial(m + pad))
 
-    def coords_to_form(self, den: int, row: Mapping[int, int]) -> DifferentialForm:
+    def coords_to_form(self, den: int, row: Mapping[int, int]) -> forms.DifferentialForm:
         """The form sum_j (row_j / den) ``rep_form(j)``."""
-        form = DifferentialForm.zero(self.k, self.curve.ambient)
+        form = forms.DifferentialForm.zero(self.k, self.curve.ambient)
         for j, c in row.items():
             form = form + self.rep_form(j) * Fraction(c, den)
         return form
@@ -307,12 +311,18 @@ def restriction_quotient(curve: MonomialCurve, k: int, d: int) -> GradedPiece:
 
 class BasisElement(NamedTuple):
     """One labeled basis class of closed 2-form restrictions; ``vector`` = (D,
-    row) gives its quotient coordinates row / D, row its row in ``closed``."""
+    row) gives its quotient coordinates row / D in ``piece``, row its row in
+    ``closed``.  ``rep``, its representative form, is built from them on
+    each read: only the ``basis`` printers and ``rep_form`` read one."""
 
     label: str
     qdeg: int
     vector: tuple[int, dict[int, int]]
-    rep: DifferentialForm
+    piece: GradedPiece
+
+    @property
+    def rep(self) -> forms.DifferentialForm:
+        return self.piece.coords_to_form(*self.vector)
 
 
 def _degree_labels(d: int, count: int) -> list[str]:
@@ -446,9 +456,8 @@ class RestrictionBasis:
             entries: list[tuple[int, tuple[int, dict[int, int]]]] = []
             for label, (p, row) in zip(labels, closed[d].items()):
                 vector = (row[p], row)
-                rep = piece2.coords_to_form(*vector)
                 entries.append((len(elements), vector))
-                elements.append(BasisElement(label, d, vector, rep))
+                elements.append(BasisElement(label, d, vector, piece2))
             by_degree[d] = entries
         self.elements = tuple(elements)
         self.labels = tuple(el.label for el in elements)
@@ -651,9 +660,9 @@ class AlgRestriction:
         d = self.basis.elements[next(iter(self.entries))].qdeg
         return d, self.part(d)
 
-    def rep_form(self) -> DifferentialForm:
+    def rep_form(self) -> forms.DifferentialForm:
         elements = self.basis.elements
-        form = DifferentialForm.zero(2, self.basis.curve.ambient)
+        form = forms.DifferentialForm.zero(2, self.basis.curve.ambient)
         for j, c in self.entries.items():
             form = form + elements[j].rep * c
         return form
@@ -679,7 +688,7 @@ def check_basis_curve(curve: MonomialCurve, basis: RestrictionBasis) -> None:
 
 def project(
     curve: MonomialCurve,
-    form: DifferentialForm,
+    form: forms.DifferentialForm,
     basis: RestrictionBasis,
 ) -> AlgRestriction:
     """Express the restriction class of a closed polynomial 2-form in the basis.

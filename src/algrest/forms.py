@@ -281,11 +281,6 @@ def ext_der(form: DifferentialForm) -> DifferentialForm:
     return DifferentialForm._trusted(degree, nvars, coeffs)
 
 
-# the monomial-choice policies of the liftable fields (``symmetry``): the
-# CLI offers them, so they live in a module that every command runs
-LIFT_POLICIES = ("grlex", "pinned")
-
-
 class VectorField:
     """Polynomial vector field, one component polynomial per variable."""
 

@@ -16,8 +16,9 @@ polynomials in Z[t], for a parameter t, by fraction-free elimination
 the pivot row's support is only rescaled, and the rescalings telescope,
 so it is written only when it is read.  The pivot row is the first
 remaining row with the column, and the answer does not depend on the row
-order.  ``poly._reduced`` reduces each solution, and Sturm chains over the
-Z[t] of ``poly`` tell whether it stays pole-free on [0, 1].
+order.  ``qt._reduced`` reduces each solution, and Sturm chains over the
+Z[t] of ``qt`` tell whether it stays pole-free on [0, 1]; ``qt`` is read
+through its module, so a run that solves and counts nothing never compiles it.
 """
 
 from __future__ import annotations
@@ -26,17 +27,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .poly import (
-    RationalFunctionT,
-    UniPoly,
-    _reduced,
-    _zdiv_exact,
-    _zgcd,
-    _zmul,
-    _zprem,
-    _zprimitive,
-    _zsub,
-)
+from . import qt
 
 
 class RrefResult(NamedTuple):
@@ -249,7 +240,7 @@ class PrefixSolver:
         return next((p for p, row in self.solved if sum(v * rhs[k] for k, v in row if k in rhs)), 0)
 
 
-def sturm_count(p: UniPoly, a: Fraction | int, b: Fraction | int) -> int:
+def sturm_count(p: qt.UniPoly, a: Fraction | int, b: Fraction | int) -> int:
     """Number of distinct real roots of p in the half-open interval (a, b]."""
     a = Fraction(a)
     b = Fraction(b)
@@ -262,7 +253,7 @@ class ParamSolution(NamedTuple):
     """Outcome of solving a linear system over Q(t)."""
 
     consistent: bool
-    solution: Sequence[RationalFunctionT] = ()
+    solution: Sequence[qt.RationalFunctionT] = ()
     pole_counts: Sequence[int] = ()
 
     @property
@@ -315,6 +306,7 @@ def solve_param_linear(rows: Iterable[Mapping[int, list[int]]], width: int) -> P
     free variables at zero the solution is unique; and both store the
     canonical reduced form with monic denominator.
     """
+    zmul, zsub, zdiv_exact = qt._zmul, qt._zsub, qt._zdiv_exact
     pending: list[dict[int, tuple[list[int], int]]] = []
     for row in rows:
         entries = {}
@@ -335,7 +327,7 @@ def solve_param_linear(rows: Iterable[Mapping[int, list[int]]], width: int) -> P
         current = len(dets) - 1
         prev = dets[current]
         pivot_row = {
-            j: e if k == current else _zdiv_exact(_zmul(prev, e), dets[k])
+            j: e if k == current else zdiv_exact(zmul(prev, e), dets[k])
             for j, (e, k) in pending.pop(r).items()
         }
         piv = pivot_row.pop(col)
@@ -343,17 +335,17 @@ def solve_param_linear(rows: Iterable[Mapping[int, list[int]]], width: int) -> P
             if col not in row:
                 continue
             f, k = row.pop(col)
-            factor = f if k == current else _zdiv_exact(_zmul(prev, f), dets[k])
+            factor = f if k == current else zdiv_exact(zmul(prev, f), dets[k])
             negated = [-c for c in factor]
             for j, p in pivot_row.items():
                 entry = row.get(j)
                 if entry is None:
-                    row[j] = (_zdiv_exact(_zmul(negated, p), prev), current + 1)
+                    row[j] = (zdiv_exact(zmul(negated, p), prev), current + 1)
                     continue
                 e, k = entry
                 if k != current:
-                    e = _zdiv_exact(_zmul(prev, e), dets[k])
-                value = _zdiv_exact(_zsub(_zmul(piv, e), _zmul(factor, p)), prev)
+                    e = zdiv_exact(zmul(prev, e), dets[k])
+                value = zdiv_exact(zsub(zmul(piv, e), zmul(factor, p)), prev)
                 if value:
                     row[j] = (value, current + 1)
                 else:
@@ -365,18 +357,18 @@ def solve_param_linear(rows: Iterable[Mapping[int, list[int]]], width: int) -> P
     prev = dets[-1]
     scaled: dict[int, list[int]] = {}
     for col, piv, row in reversed(pivot_rows):
-        acc = _zmul(prev, row.get(width, []))
+        acc = zmul(prev, row.get(width, []))
         for k, e in row.items():
             if scaled.get(k):
-                acc = _zsub(acc, _zmul(e, scaled[k]))
-        scaled[col] = _zdiv_exact(acc, piv)
-    solution = [RationalFunctionT.zero()] * width
+                acc = zsub(acc, zmul(e, scaled[k]))
+        scaled[col] = zdiv_exact(acc, piv)
+    solution = [qt.RationalFunctionT.zero()] * width
     poles = [0] * width
     # keyed by the integer coefficients: hashing a UniPoly hashes Fractions
     counts: dict[tuple[int, ...], int] = {}
     for c, y in scaled.items():
         if y:
-            f, den = _reduced(y, prev)
+            f, den = qt._reduced(y, prev)
             key = tuple(den)
             if key not in counts:
                 counts[key] = _zpoles_in_unit_interval(den)
@@ -395,14 +387,14 @@ def _zsturm_chain(p: list[int]) -> list[list[int]]:
     (``_zprem`` and primitive parts keep signs), so every sign count is
     that of the chain over Q.
     """
-    g = _zgcd(p, _zderivative(p))
-    q = _zprimitive(_zdiv_exact(p, g) if len(g) > 1 else p)
-    chain = [q, _zprimitive(_zderivative(q))]
+    g = qt._zgcd(p, _zderivative(p))
+    q = qt._zprimitive(qt._zdiv_exact(p, g) if len(g) > 1 else p)
+    chain = [q, qt._zprimitive(_zderivative(q))]
     while len(chain[-1]) > 1:
-        rem = _zprem(chain[-2], chain[-1])
+        rem = qt._zprem(chain[-2], chain[-1])
         if not rem:
             break
-        chain.append(_zprimitive([-c for c in rem]))
+        chain.append(qt._zprimitive([-c for c in rem]))
     return chain
 
 

@@ -17,9 +17,9 @@ import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from . import forms
 from .curves import AlgRestriction, RestrictionBasis
 from .errors import InputError
-from .forms import DifferentialForm, PolyMap, wedge
 from .poly import Polynomial, signed_sum
 
 _TOKEN_RE = re.compile(
@@ -147,7 +147,7 @@ class _Parser:
 
     # Form grammar: sum of terms, each an optional polynomial coefficient
     # times a wedge of dx factors.
-    def parse_form(self) -> DifferentialForm:
+    def parse_form(self) -> forms.DifferentialForm:
         result = self.parse_form_term()
         while True:
             op = self.accept_op("+", "-")
@@ -165,7 +165,7 @@ class _Parser:
                 raise InputError("all terms of a form must have the same degree")
             result = result + term if op == "+" else result - term
 
-    def parse_form_term(self) -> DifferentialForm:
+    def parse_form_term(self) -> forms.DifferentialForm:
         sign = 1
         while True:
             op = self.accept_op("+", "-")
@@ -174,7 +174,7 @@ class _Parser:
             if op == "-":
                 sign = -sign
         coeff = Polynomial.constant(self.nvars, 1)
-        wedge_form: DifferentialForm | None = None
+        wedge_form: forms.DifferentialForm | None = None
         saw_factor = False
         while True:
             token = self.peek()
@@ -184,8 +184,8 @@ class _Parser:
             if kind == "dx":
                 self.pos += 1
                 index = self.check_var(int(value), position)  # type: ignore[arg-type]
-                factor = DifferentialForm.from_term(self.nvars, (index,), 1)
-                wedge_form = factor if wedge_form is None else wedge(wedge_form, factor)
+                factor = forms.DifferentialForm.from_term(self.nvars, (index,), 1)
+                wedge_form = factor if wedge_form is None else forms.wedge(wedge_form, factor)
                 saw_factor = True
                 if self.accept_op("^"):
                     continue
@@ -206,8 +206,8 @@ class _Parser:
         if sign < 0:
             coeff = -coeff
         if wedge_form is None:
-            return DifferentialForm.function(coeff)
-        return wedge(DifferentialForm.function(coeff), wedge_form)
+            return forms.DifferentialForm.function(coeff)
+        return forms.wedge(forms.DifferentialForm.function(coeff), wedge_form)
 
 
 def parse_polynomial(text: str, nvars: int) -> Polynomial:
@@ -219,11 +219,11 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
     return result
 
 
-def parse_form(text: str, nvars: int) -> DifferentialForm:
+def parse_form(text: str, nvars: int) -> forms.DifferentialForm:
     return _Parser(text, nvars).parse_form()
 
 
-def parse_map(text: str, nvars: int) -> PolyMap:
+def parse_map(text: str, nvars: int) -> forms.PolyMap:
     """A map is a parenthesized comma-separated list of polynomial components."""
     parser = _Parser(text, nvars)
     parser.expect_op("(")
@@ -234,7 +234,7 @@ def parse_map(text: str, nvars: int) -> PolyMap:
     token = parser.peek()
     if token is not None:
         raise InputError(f"unexpected token at position {token[2]} in {text!r}")
-    return PolyMap(components)
+    return forms.PolyMap(components)
 
 
 _LABEL_RE = re.compile(r"a\d+(?:\.\d+|[+-])?")
@@ -346,7 +346,7 @@ def latex_monomial(exps: Sequence[int]) -> str:
     return "".join(parts)
 
 
-def latex_form(form: DifferentialForm) -> str:
+def latex_form(form: forms.DifferentialForm) -> str:
     terms = (
         (coeff, latex_monomial(exps) + "\\wedge ".join(f"dx_{{{i + 1}}}" for i in idx))
         for idx in sorted(form.coeffs)

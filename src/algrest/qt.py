@@ -1,0 +1,305 @@
+"""Arithmetic in t over Q: the parameter of a Moser homotopy.
+
+``UniPoly`` is a dense polynomial in t with ``Fraction`` coefficients.  The
+ring Z[t] of integer coefficient lists (``_zmul``, ``_zgcd``, ...) carries
+``_reduced``, the one reduction of a rational function to its reduced pair
+with monic denominator, which ``RationalFunctionT`` keeps, evaluates and
+prints; ``linalg`` solves systems over Q(t) and counts poles in that ring.
+It is a module of its own because only a Moser system and a symmetry
+check read it: ``linalg`` and ``symmetry`` reach it through the module
+object, so a command that does neither never compiles it.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from typing import Iterable, Mapping
+
+from .poly import Frozen, Scalar, _as_fraction, _power, add_into, signed_sum
+
+
+def _sparse_mul(a: Mapping[int, Fraction], b: Mapping[int, Fraction]) -> dict[int, Fraction]:
+    """Product of two univariate polynomials given as {exponent: coefficient}."""
+    out: dict[int, Fraction] = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = out.get(i + j, 0) + x * y
+    return out
+
+
+class UniPoly:
+    """Dense univariate polynomial in t with Fraction coefficients."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Iterable[Scalar] = ()):
+        cs = [_as_fraction(c) for c in coeffs]
+        while cs and not cs[-1]:
+            cs.pop()
+        self.coeffs: list[Fraction] = cs
+
+    @classmethod
+    def constant(cls, value: Scalar) -> UniPoly:
+        return cls([value])
+
+    @classmethod
+    def t_power(cls, e: int, coeff: Scalar = 1) -> UniPoly:
+        return cls.from_terms({e: coeff})
+
+    @classmethod
+    def from_terms(cls, terms: Mapping[int, Scalar]) -> UniPoly:
+        """The sum of c * t^e over the items e -> c of ``terms``."""
+        if any(e < 0 for e in terms):
+            raise ValueError("negative exponent")
+        coeffs: list[Scalar] = [Fraction(0)] * (max(terms, default=-1) + 1)
+        for e, c in terms.items():
+            coeffs[e] = c
+        return cls(coeffs)
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def degree(self) -> int:
+        """Degree, or -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
+
+    def nonzero(self) -> dict[int, Fraction]:
+        """{exponent: coefficient} over the nonzero coefficients."""
+        return {e: c for e, c in enumerate(self.coeffs) if c}
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, UniPoly):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.coeffs))
+
+    def __add__(self, other: UniPoly) -> UniPoly:
+        if not isinstance(other, UniPoly):
+            return NotImplemented
+        terms = self.nonzero()
+        for e, c in other.nonzero().items():
+            add_into(terms, e, c)
+        return UniPoly.from_terms(terms)
+
+    def __neg__(self) -> UniPoly:
+        return UniPoly([-c for c in self.coeffs])
+
+    def __sub__(self, other: UniPoly) -> UniPoly:
+        if not isinstance(other, UniPoly):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other: UniPoly | Scalar) -> UniPoly:
+        if isinstance(other, (Fraction, int)):
+            c = _as_fraction(other)
+            return UniPoly([a * c for a in self.coeffs]) if c else UniPoly()
+        if not isinstance(other, UniPoly):
+            return NotImplemented
+        return UniPoly.from_terms(_sparse_mul(self.nonzero(), other.nonzero()))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, power: int) -> UniPoly:
+        return _power(self, power, UniPoly.constant(1))
+
+    def evaluate(self, value: Scalar) -> Fraction:
+        v = _as_fraction(value)
+        total = Fraction(0)
+        for c in reversed(self.coeffs):
+            total = total * v + c
+        return total
+
+    def __str__(self) -> str:
+        return signed_sum(
+            (self.coeffs[e], "" if e == 0 else "t" if e == 1 else f"t^{e}")
+            for e in range(len(self.coeffs) - 1, -1, -1)
+        )
+
+    def __repr__(self) -> str:
+        return f"UniPoly({self})"
+
+
+# Polynomials in Z[t], for ``_reduced`` and the solve in ``linalg``: lists
+# of Python ints, constant term first, no trailing zeros ([] is zero).
+
+
+def _zmul(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    if len(a) == 1:
+        x = a[0]
+        return [x * y for y in b]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _zsub(a: list[int], b: list[int]) -> list[int]:
+    out = a + [0] * (len(b) - len(a))
+    for j, y in enumerate(b):
+        out[j] -= y
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _zdiv_exact(a: list[int], b: list[int]) -> list[int]:
+    """The quotient a / b in Z[t] for nonzero b; raises ArithmeticError
+    unless it is exact."""
+    if not a:
+        return []
+    if len(b) == 1:
+        lead = b[0]
+        if lead == 1:
+            return a
+        if any(c % lead for c in a):
+            raise ArithmeticError("inexact polynomial division in Z[t]")
+        return [c // lead for c in a]
+    shift = len(a) - len(b)
+    if shift < 0:
+        raise ArithmeticError("inexact polynomial division in Z[t]")
+    rem = a[:]
+    lead = b[-1]
+    quot = [0] * (shift + 1)
+    for k in range(shift, -1, -1):
+        c = rem[k + len(b) - 1]
+        if c:
+            q, r = divmod(c, lead)
+            if r:
+                raise ArithmeticError("inexact polynomial division in Z[t]")
+            quot[k] = q
+            for j, y in enumerate(b):
+                rem[k + j] -= q * y
+    if any(rem):
+        raise ArithmeticError("inexact polynomial division in Z[t]")
+    return quot
+
+
+def _zprimitive(a: list[int]) -> list[int]:
+    """a divided by the gcd of its coefficients, for nonzero a."""
+    content = math.gcd(*a)
+    return a if content == 1 else [c // content for c in a]
+
+
+def _zgcd(a: list[int], b: list[int]) -> list[int]:
+    """The primitive gcd of nonzero a and b in Z[t], up to sign.
+
+    Euclid on primitive pseudo-remainders (``_zprem``), each of which has
+    the same gcd with b as a, up to a constant.
+    """
+    a, b = _zprimitive(a), _zprimitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        rem = _zprem(a, b)
+        if not rem:
+            return b
+        a, b = b, _zprimitive(rem)
+    return [1]
+
+
+def _zprem(a: list[int], b: list[int]) -> list[int]:
+    """c * (a mod b) in Z[t] for some integer c > 0, for nonzero b.
+
+    Each step cancels the leading term of the running remainder r as
+    |lead(b)| * r - sign(lead(b)) * lead(r) * t^k * b, which multiplies the
+    remainder modulo b by |lead(b)| > 0: no sign changes.
+    """
+    rem = a[:]
+    lead = b[-1]
+    scale = abs(lead)
+    sign = 1 if lead > 0 else -1
+    while len(rem) >= len(b):
+        c = sign * rem[-1]
+        shift = len(rem) - len(b)
+        rem = [x * scale for x in rem]
+        for j, y in enumerate(b):
+            rem[shift + j] -= c * y
+        while rem and not rem[-1]:
+            rem.pop()
+    return rem
+
+
+def _reduced(y: list[int], den: list[int]) -> tuple[RationalFunctionT, list[int]]:
+    """The reduced rational function y / den for y, den in Z[t], den nonzero,
+    and its denominator in Z[t] (a nonzero multiple of the monic one).
+
+    With g the primitive gcd of y and den, y / g and den / g lie in Z[t]
+    (Gauss's lemma: a primitive factor over Q[t] is a factor over Z[t]) and
+    are coprime over Q.  Dividing both by the leading coefficient of
+    den / g makes the denominator monic, and a reduced quotient with monic
+    denominator is unique: this is the canonical form over Q[t], with no
+    Euclid there, and the ``RationalFunctionT`` constructor runs it too.
+    """
+    if not y:
+        return RationalFunctionT.zero(), [1]
+    if len(y) > 1 and len(den) > 1:
+        g = _zgcd(y, den)
+        if len(g) > 1:
+            y = _zdiv_exact(y, g)
+            den = _zdiv_exact(den, g)
+    lead = den[-1]
+    f = RationalFunctionT._trusted(
+        UniPoly([Fraction(c, lead) for c in y]), UniPoly([Fraction(c, lead) for c in den])
+    )
+    return f, den
+
+
+class RationalFunctionT(Frozen):
+    """Reduced rational function in t with monic denominator."""
+
+    __slots__ = ("num", "den")
+    _fields = __slots__
+
+    def __init__(self, num: UniPoly | Scalar, den: UniPoly | Scalar = 1):
+        n = num if isinstance(num, UniPoly) else UniPoly.constant(num)
+        d = den if isinstance(den, UniPoly) else UniPoly.constant(den)
+        if not d:
+            raise ZeroDivisionError("zero denominator")
+        # one common scale clears both into Z[t] and keeps their quotient
+        scale = math.lcm(*(c.denominator for c in n.coeffs + d.coeffs))
+        zn, zd = ([c.numerator * (scale // c.denominator) for c in q.coeffs] for q in (n, d))
+        f = _reduced(zn, zd)[0]
+        self._set(num=f.num, den=f.den)
+
+    @classmethod
+    def zero(cls) -> RationalFunctionT:
+        """The zero function: one shared value, which no one can assign to."""
+        return _ZERO_FUNCTION
+
+    @classmethod
+    def _trusted(cls, num: UniPoly, den: UniPoly) -> RationalFunctionT:
+        """Wrap a quotient that is already reduced: num and den coprime, den
+        monic.  Runs no gcd, so the caller answers for the reduction."""
+        f = object.__new__(cls)
+        f._set(num=num, den=den)
+        return f
+
+    def is_zero(self) -> bool:
+        return not self.num
+
+    def __bool__(self) -> bool:
+        return bool(self.num)
+
+    def evaluate(self, value: Scalar) -> Fraction:
+        d = self.den.evaluate(value)
+        if not d:
+            raise ZeroDivisionError(f"pole at t = {value}")
+        return self.num.evaluate(value) / d
+
+    def __str__(self) -> str:
+        if not self.den.degree():  # a monic constant is 1
+            return str(self.num)
+        return f"({self.num}) / ({self.den})"
+
+
+_ZERO_FUNCTION = RationalFunctionT._trusted(UniPoly(), UniPoly.constant(1))

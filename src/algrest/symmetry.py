@@ -13,6 +13,7 @@ with coefficients in the curve's ideal, which acts as zero on closed
 classes, so the action does not depend on the choice: it is one matrix
 per shift, read in closed form off the grlex lift's exponents.  The
 policy chooses which fields the action table builds, validates and names.
+``forms`` and ``qt`` are read through their modules: orbit queries use neither.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ import math
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
+from . import forms, qt
 from .curves import (
+    LIFT_POLICIES,
     AlgRestriction,
     MonomialCurve,
     RestrictionBasis,
@@ -31,11 +34,10 @@ from .curves import (
     project,
 )
 from .errors import InputError, LiftError, NotSymmetryError
-from .forms import LIFT_POLICIES, PolyMap, VectorField, pullback
 from .linalg import (
     ParamSolution, rref, solve_param_linear, zcleared, zdenominated, zechelon, zremainder
 )
-from .poly import Exponent, Frozen, Polynomial, RationalFunctionT, Scalar, UniPoly
+from .poly import Exponent, Frozen, Polynomial, Scalar
 
 
 def _admissible(curve: MonomialCurve, s: int) -> bool:
@@ -95,7 +97,7 @@ class LiftableField(NamedTuple):
     """A validated liftable field: X(g(t)) = t^{s+1} g'(t)."""
 
     shift: int
-    field: VectorField
+    field: forms.VectorField
     policy: str
 
     def __str__(self) -> str:
@@ -130,7 +132,7 @@ def liftable_field(curve: MonomialCurve, s: int, policy: str = "grlex") -> Lifta
     elif policy != "grlex":
         raise InputError(f"unknown lift policy {policy!r}; use {' or '.join(LIFT_POLICIES)}")
     pad = (0,) * (m - len(lams))
-    field = VectorField(
+    field = forms.VectorField(
         [Polynomial.monomial(e + pad, lam) for e, lam in zip(exps, lams)]
         + [Polynomial.zero(m)] * len(pad)
     )
@@ -141,7 +143,7 @@ def liftable_field(curve: MonomialCurve, s: int, policy: str = "grlex") -> Lifta
     return LiftableField(shift=s, field=field, policy=policy)
 
 
-def validate_liftable(curve: MonomialCurve, field: VectorField, s: int) -> bool:
+def validate_liftable(curve: MonomialCurve, field: forms.VectorField, s: int) -> bool:
     """Substitution check: X(g(t)) = t^{s+1} g'(t) componentwise, the
     series of X along the curve (``MonomialCurve.series``) against
     lam_i t^(lam_i + s) on each branch component and 0 off the curve."""
@@ -419,7 +421,7 @@ class HomotopyResult(NamedTuple):
     feasible: bool
     consistent: bool
     shifts: tuple[int, ...]
-    coefficients: dict[int, RationalFunctionT]
+    coefficients: dict[int, qt.RationalFunctionT]
     pole_counts: dict[int, int]
 
 
@@ -504,7 +506,7 @@ def moser_reduce(
         rows.append(row)
     solution: ParamSolution = solve_param_linear(rows, width)
     if not solution.consistent:
-        solution = ParamSolution(False, [RationalFunctionT.zero()] * width, [0] * width)
+        solution = ParamSolution(False, [qt.RationalFunctionT.zero()] * width, [0] * width)
     return HomotopyResult(
         feasible=solution.feasible_on_unit_interval,
         consistent=solution.consistent,
@@ -514,7 +516,7 @@ def moser_reduce(
     )
 
 
-def symmetry_constant(curve: MonomialCurve, phi: PolyMap) -> Fraction:
+def symmetry_constant(curve: MonomialCurve, phi: forms.PolyMap) -> Fraction:
     """Leading reparameterization constant of a curve symmetry.
 
     Raises a ``NotSymmetryError`` unless phi maps the curve germ to itself,
@@ -559,9 +561,9 @@ def symmetry_constant(curve: MonomialCurve, phi: PolyMap) -> Fraction:
             "are not powers of a common constant"
         )
     lam1 = lams[0]
-    u1 = UniPoly.from_terms(u[0])
+    u1 = qt.UniPoly.from_terms(u[0])
     for terms, lam in zip(u[1:], lams[1:]):
-        if UniPoly.from_terms(terms) ** lam1 != u1**lam:
+        if qt.UniPoly.from_terms(terms) ** lam1 != u1**lam:
             raise NotSymmetryError(
                 "not a local symmetry of the curve: components do not share a "
                 "common reparameterization"
@@ -571,12 +573,12 @@ def symmetry_constant(curve: MonomialCurve, phi: PolyMap) -> Fraction:
 
 def pullback_restriction(
     curve: MonomialCurve,
-    phi: PolyMap,
+    phi: forms.PolyMap,
     a: AlgRestriction,
 ) -> AlgRestriction:
     """Action of a curve symmetry on a restriction class, by pullback."""
     symmetry_constant(curve, phi)
-    return project(curve, pullback(phi, a.rep_form()), a.basis)
+    return project(curve, forms.pullback(phi, a.rep_form()), a.basis)
 
 
 def _rational_root(value: Fraction, r: int) -> Fraction | None:
@@ -610,7 +612,7 @@ class ScalingResult(NamedTuple):
     """Diagonal scaling symmetry normalizing one basis coefficient."""
 
     verdict: str
-    map: PolyMap | None
+    map: forms.PolyMap | None
     constant: Fraction | None
 
 
@@ -637,10 +639,10 @@ def scaling_symmetry(curve: MonomialCurve, target: str, value: Scalar) -> Scalin
     return ScalingResult(verdict=verdict, map=curve_scaling(curve, u), constant=u)
 
 
-def curve_scaling(curve: MonomialCurve, c: Scalar) -> PolyMap:
+def curve_scaling(curve: MonomialCurve, c: Scalar) -> forms.PolyMap:
     """The diagonal symmetry x_i -> c^{w_i} x_i, covering t -> c*t."""
     c = Fraction(c)
     if c == 0:
         raise InputError("scaling constant must be nonzero")
     weights = curve.weights
-    return PolyMap.diagonal([c ** weights.weight(i) for i in range(curve.ambient)])
+    return forms.PolyMap.diagonal([c ** weights.weight(i) for i in range(curve.ambient)])

@@ -9,7 +9,8 @@ coordinates, and pulling back the standard symplectic form by the generic
 from algrest.atlas import coeff_value
 from algrest.errors import InputError
 from algrest.forms import DifferentialForm, PolyMap
-from algrest.poly import Polynomial, UniPoly, _sparse_mul
+from algrest.poly import Polynomial
+from algrest.qt import UniPoly, _sparse_mul
 
 
 def build_map(real, env, n):

@@ -39,7 +39,8 @@ from algrest.invariants import (
 )
 from algrest.linalg import rref
 from algrest.parser import parse_map, parse_restriction
-from algrest.poly import Polynomial, RationalFunctionT, UniPoly
+from algrest.poly import Polynomial
+from algrest.qt import RationalFunctionT, UniPoly
 from algrest.symmetry import action_table, admissible_shifts, moser_reduce, shift_action
 
 import semigroups

@@ -409,6 +409,17 @@ def test_verify_atlas_failure_exit_code(capsys, monkeypatch):
     assert out.strip().endswith("verification FAILED")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_verify_atlas_rejects_n_below_1(capsys, n, fmt):
+    """As for ``invariants``: no table row is checked on R^0 or below, so
+    the run exits 2 before it prints anything."""
+    rc, out, err = run(capsys, "verify-atlas", "4", "5", "6", f"--n={n}", "--format", fmt)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: the ambient symplectic space needs n >= 1\n"
+
+
 def test_verify_atlas_unknown_semigroup(capsys):
     rc, _, err = run(capsys, "verify-atlas", "3", "5", "7")
     assert rc == 2

@@ -15,7 +15,8 @@ from algrest.forms import (
     pullback,
     wedge,
 )
-from algrest.poly import Polynomial, UniPoly
+from algrest.poly import Polynomial
+from algrest.qt import UniPoly
 
 from generic_path import apply_series, restrict
 

@@ -20,7 +20,7 @@ from algrest.linalg import (
     zechelon,
     zremainder,
 )
-from algrest.poly import RationalFunctionT, UniPoly, _reduced, _zdiv_exact, _zmul
+from algrest.qt import RationalFunctionT, UniPoly, _reduced, _zdiv_exact, _zmul
 
 from ztpoly import (
     QtScalar,

@@ -23,7 +23,7 @@ SUBMODULES = tuple(
 )
 
 # what every command runs: the CLI, and the curve with what it imports
-BASE = {"cli", "curves", "errors", "forms", "linalg", "poly"}
+BASE = {"cli", "curves", "errors", "linalg", "poly"}
 
 PROBE = """
 import json, sys
@@ -55,19 +55,38 @@ def _run(body: str, *argv: str):
 def test_importing_the_cli_registers_every_submodule_and_runs_few():
     state = _run("import algrest.cli\nprint(json.dumps(state()))")
     assert set(state) == set(SUBMODULES)
-    assert not any(state[name] for name in ("atlas", "invariants", "symmetry", "parser"))
+    assert not any(
+        state[name] for name in ("atlas", "invariants", "symmetry", "parser", "forms", "qt")
+    )
 
 
 @pytest.mark.parametrize(
     ("argv", "more"),
     [
-        ("basis 4 5 6 7", set()),
-        ("action-table 4 5 6", {"symmetry"}),
+        ("basis 4 5 6 7", {"forms"}),
+        ("action-table 4 5 6", {"symmetry", "forms"}),
+        ("project 4 5 6 7 --form x2*dx1^dx2+x1*dx1^dx3", {"parser", "forms"}),
+        (
+            "pullback 4 5 6 7 --map (x1,-x2,x3,-x4) --restriction a9+a13+",
+            {"parser", "forms", "symmetry", "qt"},
+        ),
+        ("tangent 4 5 6 7 --restriction a13-", {"symmetry", "parser"}),
         ("invariants 4 5 6 7 --restriction a9 --n 2", {"symmetry", "parser", "invariants"}),
-        ("verify-atlas 4 5 6", set(SUBMODULES) - BASE - {"parser"}),
-        ("verify-atlas 4 5 6 --format json", set(SUBMODULES) - BASE - {"parser"}),
+        ("moser 4 5 6 7 --restriction a9+a13+ --kill a13+", {"symmetry", "parser", "qt"}),
+        ("verify-atlas 4 5 6", {"atlas", "invariants", "symmetry"}),
+        ("verify-atlas 4 5 6 --format json", {"atlas", "invariants", "symmetry"}),
     ],
-    ids=["basis", "action-table", "invariants", "verify-atlas", "verify-atlas-json"],
+    ids=[
+        "basis",
+        "action-table",
+        "project",
+        "pullback",
+        "tangent",
+        "invariants",
+        "moser",
+        "verify-atlas",
+        "verify-atlas-json",
+    ],
 )
 def test_a_command_runs_only_the_modules_it_uses(argv, more):
     state = _run(
@@ -77,6 +96,16 @@ def test_a_command_runs_only_the_modules_it_uses(argv, more):
         *argv.split(),
     )
     assert state == {"rc": 0, "ran": sorted(BASE | more)}
+
+
+def test_a_basis_builds_its_representative_forms_on_first_read():
+    state = _run(
+        "basis = algrest.cached_basis(algrest.MonomialCurve((4, 5, 6, 7)))\n"
+        "built = state()['forms']\n"
+        "rep = str(basis.elements[0].rep)\n"
+        "print(json.dumps({'built': built, 'read': state()['forms'], 'rep': rep}))"
+    )
+    assert state == {"built": False, "read": True, "rep": "dx1^dx2"}
 
 
 def _definers() -> dict[str, list[str]]:

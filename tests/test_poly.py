@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from algrest.poly import Polynomial, RationalFunctionT, UniPoly, grlex_key
+from algrest.poly import Polynomial, grlex_key
+from algrest.qt import RationalFunctionT, UniPoly
 
 from generic_path import substitute
 from ztpoly import QtScalar, divmod_q, gcd_q
@@ -13,7 +14,7 @@ ONE = UniPoly.constant(1)
 
 def reference_unipoly_mul(a, b):
     """The dense product loop that ``UniPoly.__mul__`` ran before it went
-    through the sparse product ``poly._sparse_mul``."""
+    through the sparse product ``qt._sparse_mul``."""
     if not a.coeffs or not b.coeffs:
         return UniPoly()
     out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)

@@ -25,7 +25,8 @@ from algrest.forms import (
 )
 from algrest.invariants import pmqd_compare
 from algrest.parser import latex_restriction, latex_sum, parse_polynomial, parse_restriction
-from algrest.poly import Polynomial, UniPoly, signed_sum
+from algrest.poly import Polynomial, signed_sum
+from algrest.qt import UniPoly
 from algrest.symmetry import liftable_field, shift_action
 
 from direct_actions import check_witt_construction, lie_action

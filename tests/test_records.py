@@ -38,7 +38,8 @@ from algrest.invariants import (
     lagrangian_tangency_order,
 )
 from algrest.linalg import ParamSolution, RrefResult
-from algrest.poly import Frozen, Polynomial, RationalFunctionT, UniPoly
+from algrest.poly import Frozen, Polynomial
+from algrest.qt import RationalFunctionT, UniPoly
 from algrest.symmetry import (
     ActionTable,
     HomotopyResult,
@@ -347,7 +348,7 @@ def test_every_src_method_has_a_caller():
 
 
 def test_rational_functions_have_one_reduction_and_no_field_arithmetic():
-    """``poly._reduced`` is the one canonicaliser of rational functions:
+    """``qt._reduced`` is the one canonicaliser of rational functions:
     ``UniPoly`` runs no Euclid over Q[t] and keeps no ``leading_coeff`` for
     one, and ``RationalFunctionT`` has no Q(t) operators (tests/ztpoly.py
     keeps the Euclid and a Q(t) scalar as the reference)."""

@@ -21,7 +21,8 @@ from algrest.forms import PolyMap, VectorField, lie_derivative
 from algrest.invariants import invariant_report
 from algrest.linalg import solve_param_linear
 from algrest.parser import parse_map, parse_restriction
-from algrest.poly import Polynomial, RationalFunctionT, UniPoly
+from algrest.poly import Polynomial
+from algrest.qt import RationalFunctionT, UniPoly
 from algrest.symmetry import (
     LIFT_POLICIES,
     HomotopyResult,

@@ -8,7 +8,7 @@ import math
 from fractions import Fraction
 
 from algrest.linalg import ParamSolution, _zpoles_in_unit_interval
-from algrest.poly import RationalFunctionT, UniPoly, _reduced, _zdiv_exact, _zmul, _zsub
+from algrest.qt import RationalFunctionT, UniPoly, _reduced, _zdiv_exact, _zmul, _zsub
 
 ONE = UniPoly.constant(1)
 
