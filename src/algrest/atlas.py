@@ -489,18 +489,15 @@ def verify_row(
     return checks
 
 
-def verify_distinctness(
-    atlas: Atlas,
-    seed: int = 0,
-    checks: Sequence[RowCheck] = (),
-) -> list[str]:
+def verify_distinctness(atlas: Atlas, checks: Sequence[RowCheck] = ()) -> list[str]:
     """Pairwise distinguishability of all rows, and of sign variants, at each
-    row's first default sample.  The invariants there are read off the
-    reports of this atlas's ``checks`` where one matches, else measured."""
+    row's first default sample, which no seed changes.  The invariants there
+    are read off the reports of this atlas's ``checks`` where one matches,
+    else measured."""
     measured = {(c.row_id, frozenset(c.env.items())): c.report for c in checks}
     by_row: dict[int, list[tuple[AlgRestriction, InvariantReport]]] = {}
     for row in atlas.rows:
-        sample = default_samples(row, seed=seed)[0]
+        sample = default_samples(row)[0]
         for env in _expanded_envs(row, [sample]):
             a = row_class(atlas, row, env)
             report = measured.get((row.id, frozenset(env.items())))
@@ -560,7 +557,7 @@ def verify_atlas(
         row_n = n if n is not None and n >= row.min_n else row.min_n
         row_samples = None if samples is None else samples.get(row.id)
         checks.extend(verify_row(atlas, row, n=row_n, samples=row_samples, seed=seed))
-    distinct = verify_distinctness(atlas, seed=seed, checks=checks)
+    distinct = verify_distinctness(atlas, checks=checks)
     return AtlasReport(
         semigroup=atlas.curve.lams,
         checks=tuple(checks),

@@ -16,9 +16,9 @@ polynomials in Z[t], for a parameter t, by fraction-free elimination
 the pivot row's support is only rescaled, and the rescalings telescope,
 so it is written only when it is read.  The pivot row is the first
 remaining row with the column, and the answer does not depend on the row
-order.  ``qt._reduced`` reduces each solution, and Sturm chains over the
-Z[t] of ``qt`` tell whether it stays pole-free on [0, 1]; ``qt`` is read
-through its module, so a run that solves and counts nothing never compiles it.
+order.  ``qt._reduced`` reduces each solution, and the Sturm count of
+``qt`` tells whether it stays pole-free on [0, 1]; ``qt`` is read through
+its module, so a run that solves and counts nothing never compiles it.
 """
 
 from __future__ import annotations
@@ -246,7 +246,7 @@ def sturm_count(p: qt.UniPoly, a: Fraction | int, b: Fraction | int) -> int:
     b = Fraction(b)
     if b <= a:
         return 0
-    return _zroot_count(list(zdenominated(dict(enumerate(p.coeffs)))[1].values()), a, b)
+    return qt._zroot_count(list(zdenominated(dict(enumerate(p.coeffs)))[1].values()), a, b)
 
 
 class ParamSolution(NamedTuple):
@@ -371,70 +371,8 @@ def solve_param_linear(rows: Iterable[Mapping[int, list[int]]], width: int) -> P
             f, den = qt._reduced(y, prev)
             key = tuple(den)
             if key not in counts:
-                counts[key] = _zpoles_in_unit_interval(den)
+                counts[key] = qt._zpoles_in_unit_interval(den)
             solution[c] = f
             poles[c] = counts[key]
     return ParamSolution(consistent=True, solution=solution, pole_counts=poles)
 
-
-def _zsturm_chain(p: list[int]) -> list[list[int]]:
-    """Positive multiples of the Sturm chain of the square-free part of p,
-    for p in Z[t] of degree >= 1.
-
-    The square-free part p / gcd(p, p') lies in Z[t] by Gauss's lemma.  Its
-    chain is q_0 = q, q_1 = q', q_(k+1) = -(q_(k-1) mod q_k), ending at a
-    constant; each entry here is a positive multiple of the one over Q[t]
-    (``_zprem`` and primitive parts keep signs), so every sign count is
-    that of the chain over Q.
-    """
-    g = qt._zgcd(p, _zderivative(p))
-    q = qt._zprimitive(qt._zdiv_exact(p, g) if len(g) > 1 else p)
-    chain = [q, qt._zprimitive(_zderivative(q))]
-    while len(chain[-1]) > 1:
-        rem = qt._zprem(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append(qt._zprimitive([-c for c in rem]))
-    return chain
-
-
-def _zderivative(p: list[int]) -> list[int]:
-    return [k * c for k, c in enumerate(p)][1:]
-
-
-def _zsign_changes(chain: list[list[int]], x: Fraction) -> int:
-    """Sign changes along the chain at the rational x, zeros dropped.
-
-    The value at 0 is the constant term and the value at 1 the coefficient
-    sum; elsewhere den^deg * q(num / den) has the sign of q(x), as den > 0.
-    """
-    if x == 0:
-        values = [q[0] for q in chain]
-    elif x == 1:
-        values = [sum(q) for q in chain]
-    else:
-        num, den = x.numerator, x.denominator
-        values = []
-        for q in chain:
-            acc, scale = 0, 1
-            for c in reversed(q):
-                acc = acc * num + c * scale
-                scale *= den
-            values.append(acc)
-    signs = [v > 0 for v in values if v]
-    return sum(u != v for u, v in zip(signs, signs[1:]))
-
-
-def _zroot_count(p: list[int], a: Fraction, b: Fraction) -> int:
-    """Distinct real roots in (a, b] of p in Z[t], for a < b (Sturm)."""
-    if len(p) < 2:
-        return 0
-    chain = _zsturm_chain(p)
-    return _zsign_changes(chain, a) - _zsign_changes(chain, b)
-
-
-def _zpoles_in_unit_interval(den: list[int]) -> int:
-    """Distinct roots in [0, 1] of a nonzero den in Z[t]."""
-    if len(den) < 2:
-        return 0
-    return _zroot_count(den, Fraction(0), Fraction(1)) + (not den[0])

@@ -1,13 +1,16 @@
 """Arithmetic in t over Q: the parameter of a Moser homotopy.
 
-``UniPoly`` is a dense polynomial in t with ``Fraction`` coefficients.  The
-ring Z[t] of integer coefficient lists (``_zmul``, ``_zgcd``, ...) carries
+One ring computes on polynomials in t, given as coefficient lists:
+``_zmul`` and ``_zsub`` take any exact coefficients, and ``UniPoly``, a
+dense polynomial with ``Fraction`` coefficients, runs ``+``, ``-`` and ``*``
+through them.  On integer lists, Z[t], the gcd and pseudo-remainder carry
 ``_reduced``, the one reduction of a rational function to its reduced pair
-with monic denominator, which ``RationalFunctionT`` keeps, evaluates and
-prints; ``linalg`` solves systems over Q(t) and counts poles in that ring.
-It is a module of its own because only a Moser system and a symmetry
-check read it: ``linalg`` and ``symmetry`` reach it through the module
-object, so a command that does neither never compiles it.
+with monic denominator (which ``RationalFunctionT`` keeps, evaluates and
+prints), and the Sturm chains that count roots and poles on [0, 1];
+``linalg`` solves systems over Q(t) in that ring.  It is a module of its
+own because only a Moser system and a symmetry check read it: ``linalg``
+and ``symmetry`` reach it through the module object, so a command that
+does neither never compiles it.
 """
 
 from __future__ import annotations
@@ -16,16 +19,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .poly import Frozen, Scalar, _as_fraction, _power, add_into, signed_sum
-
-
-def _sparse_mul(a: Mapping[int, Fraction], b: Mapping[int, Fraction]) -> dict[int, Fraction]:
-    """Product of two univariate polynomials given as {exponent: coefficient}."""
-    out: dict[int, Fraction] = {}
-    for i, x in a.items():
-        for j, y in b.items():
-            out[i + j] = out.get(i + j, 0) + x * y
-    return out
+from .poly import Frozen, Scalar, _as_fraction, _power, signed_sum
 
 
 class UniPoly:
@@ -44,10 +38,6 @@ class UniPoly:
         return cls([value])
 
     @classmethod
-    def t_power(cls, e: int, coeff: Scalar = 1) -> UniPoly:
-        return cls.from_terms({e: coeff})
-
-    @classmethod
     def from_terms(cls, terms: Mapping[int, Scalar]) -> UniPoly:
         """The sum of c * t^e over the items e -> c of ``terms``."""
         if any(e < 0 for e in terms):
@@ -57,19 +47,12 @@ class UniPoly:
             coeffs[e] = c
         return cls(coeffs)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
     def degree(self) -> int:
         """Degree, or -1 for the zero polynomial."""
         return len(self.coeffs) - 1
-
-    def nonzero(self) -> dict[int, Fraction]:
-        """{exponent: coefficient} over the nonzero coefficients."""
-        return {e: c for e, c in enumerate(self.coeffs) if c}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UniPoly):
@@ -82,10 +65,7 @@ class UniPoly:
     def __add__(self, other: UniPoly) -> UniPoly:
         if not isinstance(other, UniPoly):
             return NotImplemented
-        terms = self.nonzero()
-        for e, c in other.nonzero().items():
-            add_into(terms, e, c)
-        return UniPoly.from_terms(terms)
+        return UniPoly(_zsub(self.coeffs, [-c for c in other.coeffs]))
 
     def __neg__(self) -> UniPoly:
         return UniPoly([-c for c in self.coeffs])
@@ -93,7 +73,7 @@ class UniPoly:
     def __sub__(self, other: UniPoly) -> UniPoly:
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return self + (-other)
+        return UniPoly(_zsub(self.coeffs, other.coeffs))
 
     def __mul__(self, other: UniPoly | Scalar) -> UniPoly:
         if isinstance(other, (Fraction, int)):
@@ -101,7 +81,7 @@ class UniPoly:
             return UniPoly([a * c for a in self.coeffs]) if c else UniPoly()
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return UniPoly.from_terms(_sparse_mul(self.nonzero(), other.nonzero()))
+        return UniPoly(_zmul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -125,11 +105,12 @@ class UniPoly:
         return f"UniPoly({self})"
 
 
-# Polynomials in Z[t], for ``_reduced`` and the solve in ``linalg``: lists
-# of Python ints, constant term first, no trailing zeros ([] is zero).
+# Coefficient lists, constant term first, no trailing zeros ([] is zero).
+# ``_zmul`` and ``_zsub`` take any exact coefficients, ``UniPoly``'s too; the
+# rest is Z[t], lists of Python ints, for ``_reduced``, Sturm and ``linalg``.
 
 
-def _zmul(a: list[int], b: list[int]) -> list[int]:
+def _zmul(a: list[Scalar], b: list[Scalar]) -> list[Scalar]:
     if not a or not b:
         return []
     if len(a) == 1:
@@ -143,7 +124,7 @@ def _zmul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _zsub(a: list[int], b: list[int]) -> list[int]:
+def _zsub(a: list[Scalar], b: list[Scalar]) -> list[Scalar]:
     out = a + [0] * (len(b) - len(a))
     for j, y in enumerate(b):
         out[j] -= y
@@ -229,6 +210,69 @@ def _zprem(a: list[int], b: list[int]) -> list[int]:
     return rem
 
 
+def _zsturm_chain(p: list[int]) -> list[list[int]]:
+    """Positive multiples of the Sturm chain of the square-free part of p,
+    for p in Z[t] of degree >= 1.
+
+    The square-free part p / gcd(p, p') lies in Z[t] by Gauss's lemma.  Its
+    chain is q_0 = q, q_1 = q', q_(k+1) = -(q_(k-1) mod q_k), ending at a
+    constant; each entry here is a positive multiple of the one over Q[t]
+    (``_zprem`` and primitive parts keep signs), so every sign count is
+    that of the chain over Q.
+    """
+    g = _zgcd(p, _zderivative(p))
+    q = _zprimitive(_zdiv_exact(p, g) if len(g) > 1 else p)
+    chain = [q, _zprimitive(_zderivative(q))]
+    while len(chain[-1]) > 1:
+        rem = _zprem(chain[-2], chain[-1])
+        if not rem:
+            break
+        chain.append(_zprimitive([-c for c in rem]))
+    return chain
+
+
+def _zderivative(p: list[int]) -> list[int]:
+    return [k * c for k, c in enumerate(p)][1:]
+
+
+def _zsign_changes(chain: list[list[int]], x: Fraction) -> int:
+    """Sign changes along the chain at the rational x, zeros dropped.
+
+    The value at 0 is the constant term and the value at 1 the coefficient
+    sum; elsewhere den^deg * q(num / den) has the sign of q(x), as den > 0.
+    """
+    if x == 0:
+        values = [q[0] for q in chain]
+    elif x == 1:
+        values = [sum(q) for q in chain]
+    else:
+        num, den = x.numerator, x.denominator
+        values = []
+        for q in chain:
+            acc, scale = 0, 1
+            for c in reversed(q):
+                acc = acc * num + c * scale
+                scale *= den
+            values.append(acc)
+    signs = [v > 0 for v in values if v]
+    return sum(u != v for u, v in zip(signs, signs[1:]))
+
+
+def _zroot_count(p: list[int], a: Fraction, b: Fraction) -> int:
+    """Distinct real roots in (a, b] of p in Z[t], for a < b (Sturm)."""
+    if len(p) < 2:
+        return 0
+    chain = _zsturm_chain(p)
+    return _zsign_changes(chain, a) - _zsign_changes(chain, b)
+
+
+def _zpoles_in_unit_interval(den: list[int]) -> int:
+    """Distinct roots in [0, 1] of a nonzero den in Z[t]."""
+    if len(den) < 2:
+        return 0
+    return _zroot_count(den, Fraction(0), Fraction(1)) + (not den[0])
+
+
 def _reduced(y: list[int], den: list[int]) -> tuple[RationalFunctionT, list[int]]:
     """The reduced rational function y / den for y, den in Z[t], den nonzero,
     and its denominator in Z[t] (a nonzero multiple of the monic one).
@@ -283,9 +327,6 @@ class RationalFunctionT(Frozen):
         f = object.__new__(cls)
         f._set(num=num, den=den)
         return f
-
-    def is_zero(self) -> bool:
-        return not self.num
 
     def __bool__(self) -> bool:
         return bool(self.num)

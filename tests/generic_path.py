@@ -1,8 +1,8 @@
 """The generic path that ``atlas.verify_row`` and ``symmetry.symmetry_constant``
 replaced by closed forms on exponent data: building a stored realization
 as a ``PolyMap`` at a sample, composing a map with the curve's component
-series by sparse substitution, restricting a map to the curve's
-coordinates, and pulling back the standard symplectic form by the generic
+series by substitution, restricting a map to the curve's coordinates,
+and pulling back the standard symplectic form by the generic
 ``forms.pullback``.  The tests compare the closed forms with it, and check
 ``forms.pullback`` against the restriction identity it satisfies."""
 
@@ -10,7 +10,7 @@ from algrest.atlas import coeff_value
 from algrest.errors import InputError
 from algrest.forms import DifferentialForm, PolyMap
 from algrest.poly import Polynomial
-from algrest.qt import UniPoly, _sparse_mul
+from algrest.qt import UniPoly
 
 
 def build_map(real, env, n):
@@ -29,31 +29,33 @@ def build_map(real, env, n):
     return PolyMap(components)
 
 
+def terms_of(f):
+    """{exponent: coefficient} over the nonzero coefficients of a ``UniPoly``."""
+    return {e: c for e, c in enumerate(f.coeffs) if c}
+
+
 def substitute(poly, images):
     """Evaluate ``poly`` with each variable replaced by a univariate
-    polynomial in t.  Sparse: products run on dicts from t-exponent to
-    coefficient, built from the nonzero coefficients of the image powers;
-    each is built once per call."""
+    polynomial in t, by ``UniPoly``'s ``*``, ``**`` and ``+``; each image
+    power is built once per call."""
     if len(images) != poly.nvars:
         raise ValueError("need one image per variable")
     powers = {}
-    total = {}
+    total = UniPoly()
     for exps, coeff in poly.terms.items():
-        term = {0: coeff}
+        term = UniPoly.constant(coeff)
         for i, e in enumerate(exps):
-            if not e:
-                continue
-            if (i, e) not in powers:
-                powers[i, e] = (images[i] ** e).nonzero()
-            term = _sparse_mul(term, powers[i, e])
-        for k, c in term.items():
-            total[k] = total.get(k, 0) + c
-    return UniPoly.from_terms(total)
+            if e:
+                if (i, e) not in powers:
+                    powers[i, e] = images[i] ** e
+                term = term * powers[i, e]
+        total = total + term
+    return total
 
 
 def curve_images(curve):
     """Component series of the curve, one per ambient variable."""
-    series = [UniPoly.t_power(v) for v in curve.lams]
+    series = [UniPoly.from_terms({v: 1}) for v in curve.lams]
     series += [UniPoly()] * (curve.ambient - len(curve.lams))
     return series
 

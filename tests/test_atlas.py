@@ -31,7 +31,14 @@ from algrest.parser import parse_form
 from algrest.poly import Polynomial
 from algrest.symmetry import orbit_tangent_space
 
-from generic_path import apply_series, build_map, curve_images, restrict, standard_symplectic
+from generic_path import (
+    apply_series,
+    build_map,
+    curve_images,
+    restrict,
+    standard_symplectic,
+    terms_of,
+)
 
 
 def test_bundled_row_counts(atlas4567, atlas456, atlas457):
@@ -242,7 +249,7 @@ def test_verify_atlas_measures_each_sample_once(monkeypatch, atlas4567, atlas456
 @pytest.mark.parametrize("seed", [0, 5])
 def test_verify_distinctness_alone_matches_verify_atlas(seed, atlas4567, atlas456, atlas457):
     for atlas in (atlas4567, atlas456, atlas457):
-        alone = verify_distinctness(atlas, seed)
+        alone = verify_distinctness(atlas)
         assert alone == list(verify_atlas(atlas, seed=seed).distinctness_failures)
 
 
@@ -289,7 +296,7 @@ def generic_checks(basis, phi, n):
     back standard form by project(pullback(F.restrict(s), omega_std))."""
     curve = basis.curve
     return (
-        [f.nonzero() for f in apply_series(phi, curve_images(MonomialCurve(curve.lams, 2 * n)))],
+        [terms_of(f) for f in apply_series(phi, curve_images(MonomialCurve(curve.lams, 2 * n)))],
         rref(phi.linear_matrix(), 2 * n).rank,
         project(curve, pullback(restrict(phi, len(curve.lams)), standard_symplectic(n)), basis),
     )

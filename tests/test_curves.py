@@ -29,7 +29,7 @@ from algrest.poly import Polynomial
 from algrest.symmetry import orbit_tangent_space
 
 from fraction_path import dense, element_vectors, quotient_coords, zquotient_coords
-from generic_path import curve_images, drop_off_curve, substitute
+from generic_path import curve_images, drop_off_curve, substitute, terms_of
 from tables import (
     BASIS_LABELS,
     BASIS_QDEGS,
@@ -133,9 +133,9 @@ def test_curve_images_are_t_powers():
     ambients."""
     curve = MonomialCurve((4, 5, 7), ambient=5)
     images = curve_images(curve)
-    assert [min(f.nonzero(), default=None) for f in images] == [4, 5, 7, None, None]
+    assert [min(terms_of(f), default=None) for f in images] == [4, 5, 7, None, None]
     coordinates = [Polynomial.variable(5, i) for i in range(5)]
-    assert curve.series(coordinates) == [f.nonzero() for f in images]
+    assert curve.series(coordinates) == [terms_of(f) for f in images]
     rng = random.Random(31)
     off_curve = cancelled = 0
     for lams, ambient in (((4, 5, 7), 5), ((4, 5, 6, 7), 0), ((2, 3), 4), ((3, 7, 8), 6)):
@@ -159,7 +159,7 @@ def test_curve_images_are_t_powers():
                 cancelled += 1
             off_curve += any(any(exps[len(lams):]) for exps in terms)
             polys.append(Polynomial(m, terms))
-        want = [substitute(poly, curve_images(curve)).nonzero() for poly in polys]
+        want = [terms_of(substitute(poly, curve_images(curve))) for poly in polys]
         assert curve.series(polys) == want, lams
     assert off_curve > 50 and cancelled > 50
 
@@ -215,7 +215,7 @@ def test_cached_basis_is_one_object_per_curve():
 def _ideal_by_kernel(curve, qdeg):
     """The ideal's graded piece as the kernel of substitution into the curve."""
     mons = monomials_of_qdeg(curve.weights.wvec, qdeg)
-    values = [substitute(Polynomial.monomial(m), curve_images(curve)).nonzero() for m in mons]
+    values = [terms_of(substitute(Polynomial.monomial(m), curve_images(curve))) for m in mons]
     powers = sorted({e for v in values for e in v})
     rows = [[v.get(e, Fraction(0)) for v in values] for e in powers]
     return kernel_basis(rows, len(mons))

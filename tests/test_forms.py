@@ -18,7 +18,7 @@ from algrest.forms import (
 from algrest.poly import Polynomial
 from algrest.qt import UniPoly
 
-from generic_path import apply_series, restrict
+from generic_path import apply_series, restrict, terms_of
 
 
 def var(i, n=4):
@@ -186,10 +186,10 @@ def test_polymap_identity_diagonal_compose():
 
 def test_polymap_apply_series():
     phi = PolyMap([var(0, 2) * var(1, 2), var(1, 2)], source_dim=2)
-    images = apply_series(phi, [UniPoly.t_power(4), UniPoly.t_power(5)])
-    assert images[0] == UniPoly.t_power(9)
-    assert images[1] == UniPoly.t_power(5)
-    assert MonomialCurve((4, 5)).series(phi.components) == [f.nonzero() for f in images]
+    images = apply_series(phi, [UniPoly.from_terms({4: 1}), UniPoly.from_terms({5: 1})])
+    assert images[0] == UniPoly.from_terms({9: 1})
+    assert images[1] == UniPoly.from_terms({5: 1})
+    assert MonomialCurve((4, 5)).series(phi.components) == [terms_of(f) for f in images]
 
 
 def test_polymap_restrict_sets_the_other_coordinates_to_zero():

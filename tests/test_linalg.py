@@ -420,7 +420,7 @@ def test_sign_variations():
 
 
 def test_sturm_count_half_open():
-    t = UniPoly.t_power(1)
+    t = UniPoly.from_terms({1: 1})
     f = (t - ONE) * (t - 3 * ONE)  # roots 1 and 3
     assert sturm_count(f, 0, 2) == 1
     assert sturm_count(f, 0, 4) == 2
@@ -430,14 +430,14 @@ def test_sturm_count_half_open():
 
 
 def test_sturm_count_multiple_root():
-    t = UniPoly.t_power(1)
+    t = UniPoly.from_terms({1: 1})
     f = (t - ONE) ** 2
     assert sturm_count(f, 0, 2) == 1
 
 
 def roots_poly(roots, lead=1):
     """lead * prod (t - r) over the given rational roots, repeats kept."""
-    t = UniPoly.t_power(1)
+    t = UniPoly.from_terms({1: 1})
     p = UniPoly.constant(lead)
     for r in roots:
         p = p * (t - F(r) * ONE)
@@ -506,7 +506,7 @@ def test_sturm_count_equals_the_fraction_chain_on_random_polynomials():
 
 
 def test_poles_in_closed_unit_interval():
-    t = UniPoly.t_power(1)
+    t = UniPoly.from_terms({1: 1})
     # pole at 1/2
     assert poles_of_inverse(t - F(1, 2) * ONE) == 1
     # poles at both endpoints count
@@ -517,7 +517,7 @@ def test_poles_in_closed_unit_interval():
 
 
 def test_solve_param_linear_feasible():
-    t = UniPoly.t_power(1)
+    t = UniPoly.from_terms({1: 1})
     # x + t*y = t, y = 1  ->  x = 0, y = 1
     rows = [[ONE, t], [UniPoly(), ONE]]
     res = solve_param_linear(*zt_system(rows, [t, ONE]))
@@ -528,7 +528,7 @@ def test_solve_param_linear_feasible():
 
 
 def test_solve_param_linear_pole_blocks_feasibility():
-    t = UniPoly.t_power(1)
+    t = UniPoly.from_terms({1: 1})
     # (t - 1/2) x = 1 has the solution 1/(t - 1/2) with a pole inside [0, 1]
     res = solve_param_linear(*zt_system([[t - F(1, 2) * ONE]], [ONE]))
     assert res.consistent
@@ -561,7 +561,7 @@ def test_solve_param_linear_rejects_a_column_outside_the_system():
 
 
 def test_solve_param_linear_edge_cases_of_the_sparse_rows():
-    t = UniPoly.t_power(1)
+    t = UniPoly.from_terms({1: 1})
     zero = RationalFunctionT.zero()
     # no unknowns: consistent unless some row has a right-hand side
     assert solve_param_linear([], 0) == ParamSolution(True, [], [])

@@ -6,15 +6,24 @@ from hypothesis import given, strategies as st
 from algrest.poly import Polynomial, grlex_key
 from algrest.qt import RationalFunctionT, UniPoly
 
-from generic_path import substitute
+from generic_path import substitute, terms_of
 from ztpoly import QtScalar, divmod_q, gcd_q
 
 ONE = UniPoly.constant(1)
 
 
+def reference_unipoly_add(a, b, sign=1):
+    """a + sign * b, coefficient by coefficient: the check of ``UniPoly``'s
+    ``+`` and ``-``, which run through ``qt._zsub``."""
+    width = max(len(a.coeffs), len(b.coeffs))
+    padded = [p.coeffs + [Fraction(0)] * (width - len(p.coeffs)) for p in (a, b)]
+    return UniPoly([x + sign * y for x, y in zip(*padded)])
+
+
 def reference_unipoly_mul(a, b):
-    """The dense product loop that ``UniPoly.__mul__`` ran before it went
-    through the sparse product ``qt._sparse_mul``."""
+    """The dense product loop: the independent check of ``qt._zmul``, which
+    ``UniPoly``'s ``*`` shares with the Z[t] solver and with the Q(t)
+    reference of tests/ztpoly.py."""
     if not a.coeffs or not b.coeffs:
         return UniPoly()
     out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
@@ -39,21 +48,31 @@ def reference_unipoly_pow(a, n):
     return result
 
 
+# int and Fraction inputs mixed: every result must still hold Fractions only
 unipolys = st.lists(
-    st.sampled_from([Fraction(0)] * 3 + [Fraction(c, q) for c in (-3, -1, 1, 2) for q in (1, 2)]),
+    st.sampled_from([0, Fraction(0), 0, -2, 1, 3] + [Fraction(c, 2) for c in (-3, -1, 1, 3)]),
     max_size=5,
 ).map(UniPoly)
 
 
 @given(a=unipolys, b=unipolys, n=st.integers(min_value=0, max_value=5))
 def test_unipoly_product_and_power_equal_the_dense_references(a, b, n):
-    product = a * b
-    assert product == reference_unipoly_mul(a, b)
-    assert all(type(c) is Fraction for c in product.coeffs)
-    assert not product.coeffs or product.coeffs[-1]
-    assert a**n == reference_unipoly_pow(a, n)
-    assert a.nonzero() == {e: c for e, c in enumerate(a.coeffs) if c}
-    assert UniPoly.from_terms(a.nonzero()) == a
+    """``*``, ``**``, ``+`` and ``-`` against the dense loops above: each
+    result has Fraction coefficients and no trailing zero."""
+    cases = [
+        (a * b, reference_unipoly_mul(a, b)),
+        (a**n, reference_unipoly_pow(a, n)),
+        (a + b, reference_unipoly_add(a, b)),
+        (a - b, reference_unipoly_add(a, b, -1)),
+        (a * 3, reference_unipoly_mul(a, UniPoly([3]))),
+    ]
+    for got, want in cases:
+        assert got == want
+        assert all(type(c) is Fraction for c in got.coeffs)
+        assert not got.coeffs or got.coeffs[-1]
+    for zero in (a - a, a + (-a), (a + b) - (b + a)):
+        assert zero.coeffs == [] and not zero
+    assert UniPoly.from_terms(terms_of(a)) == a
 
 
 def total_degree(p):
@@ -80,8 +99,8 @@ def test_polynomial_construction_and_terms():
 
 def test_unipoly_from_terms():
     assert UniPoly.from_terms({3: 2, 0: Fraction(1, 2)}) == UniPoly([Fraction(1, 2), 0, 0, 2])
-    assert UniPoly.from_terms({4: 0, 1: 1}) == UniPoly.t_power(1)
-    assert UniPoly.from_terms({}).is_zero()
+    assert UniPoly.from_terms({4: 0, 1: 1}) == UniPoly.from_terms({1: 1})
+    assert not UniPoly.from_terms({})
     assert all(type(c) is Fraction for c in UniPoly.from_terms({2: 3}).coeffs)
     with pytest.raises(ValueError):
         UniPoly.from_terms({-1: 1})
@@ -127,10 +146,10 @@ def test_polynomial_power_and_partial():
 def test_substitute_into_curve_components():
     # x1*x2 - x3 along (t^4, t^5, t^9) vanishes identically
     p = Polynomial.monomial((1, 1, 0)) - Polynomial.monomial((0, 0, 1))
-    images = [UniPoly.t_power(4), UniPoly.t_power(5), UniPoly.t_power(9)]
-    assert substitute(p, images).is_zero()
+    images = [UniPoly.from_terms({4: 1}), UniPoly.from_terms({5: 1}), UniPoly.from_terms({9: 1})]
+    assert not substitute(p, images)
     q = Polynomial.monomial((1, 1, 0)) + Polynomial.monomial((0, 0, 1))
-    assert substitute(q, images) == UniPoly.t_power(9, 2)
+    assert substitute(q, images) == UniPoly.from_terms({9: 2})
 
 
 def test_subst_poly_composition():
@@ -156,40 +175,40 @@ def test_polynomial_str_readable():
 
 
 def test_unipoly_basics():
-    f = UniPoly.t_power(3) - UniPoly.t_power(1, 2)
+    f = UniPoly.from_terms({3: 1}) - UniPoly.from_terms({1: 2})
     assert f.degree() == 3
-    assert f.nonzero() == {1: Fraction(-2), 3: Fraction(1)}
+    assert terms_of(f) == {1: Fraction(-2), 3: Fraction(1)}
     assert UniPoly().degree() == -1
-    assert UniPoly().nonzero() == {}
+    assert terms_of(UniPoly()) == {}
     assert f.evaluate(Fraction(2)) == 8 - 4
 
 
 def test_unipoly_arithmetic_and_derivative():
-    f = UniPoly.t_power(2) + ONE
-    g = UniPoly.t_power(1) - ONE
+    f = UniPoly.from_terms({2: 1}) + ONE
+    g = UniPoly.from_terms({1: 1}) - ONE
     assert (f * g).degree() == 3
     assert (f + g) - g == f
     assert (f * Fraction(1, 3)) * 3 == f
 
 
 def test_unipoly_divmod_and_gcd():
-    t = UniPoly.t_power(1)
+    t = UniPoly.from_terms({1: 1})
     f = (t - ONE) * (t - 2 * ONE)
     q, r = divmod_q(f, t - ONE)
-    assert q == t - 2 * ONE and r.is_zero()
+    assert q == t - 2 * ONE and not r
     g = (t - ONE) * (t + 3 * ONE)
     assert gcd_q(f, g) == t - ONE  # and it is monic
 
 
 def test_rational_function_reduction():
-    t = UniPoly.t_power(1)
+    t = UniPoly.from_terms({1: 1})
     r = RationalFunctionT(t**2 - ONE, t - ONE)
     assert r == RationalFunctionT(t + ONE)
     assert r.evaluate(Fraction(3)) == 4
 
 
 def test_rational_function_arithmetic():
-    t = UniPoly.t_power(1)
+    t = UniPoly.from_terms({1: 1})
     a = QtScalar(ONE, t)
     b = QtScalar(t)
     assert (a * b).function().evaluate(Fraction(7)) == 1

@@ -32,7 +32,7 @@ from algrest.symmetry import liftable_field, shift_action
 from direct_actions import check_witt_construction, lie_action
 from generic_path import drop_off_curve, restrict, substitute
 from tables import SHIFTS
-from test_poly import reference_unipoly_mul, reference_unipoly_pow
+from test_poly import reference_unipoly_add, reference_unipoly_mul, reference_unipoly_pow
 
 NVARS = 3
 
@@ -215,20 +215,25 @@ def test_pmqd_is_stable_under_scalings(data, r1, r2):
 
 
 def dense_substitute(poly, images):
-    """Reference: the dense substitution, one ``UniPoly`` power per factor
-    and one dense sum per term."""
+    """Reference: the dense substitution, one power per factor and one sum
+    per term, by the reference loops of tests/test_poly.py, so
+    ``substitute`` checks ``UniPoly``'s ``*``, ``**`` and ``+``."""
     result = UniPoly()
     for exps, coeff in poly.terms.items():
         term = UniPoly.constant(coeff)
         for img, e in zip(images, exps):
             if e:
                 term = reference_unipoly_mul(term, reference_unipoly_pow(img, e))
-        result = result + term
+        result = reference_unipoly_add(result, term)
     return result
 
 
 image_st = st.one_of(
-    st.builds(UniPoly.t_power, st.integers(min_value=1, max_value=7), nonzero_coeff_st),
+    st.builds(
+        lambda e, c: UniPoly.from_terms({e: c}),
+        st.integers(min_value=1, max_value=7),
+        nonzero_coeff_st,
+    ),
     st.lists(nonzero_coeff_st, min_size=2, max_size=4).map(UniPoly),
     nonzero_coeff_st.map(UniPoly.constant),
     st.just(UniPoly()),

@@ -304,10 +304,6 @@ UNCALLED_METHODS = {
         "all coordinates of a class, zeros included; perfbench/queries.py checks "
         "the Euler and Moser identities with it"
     ),
-    "UniPoly.t_power": (
-        "the series c*t^e, for library use; the poly, linalg, symmetry and property "
-        "tests build series with it"
-    ),
     "RationalFunctionT.evaluate": (
         "the value of a Moser coefficient at a time t; perfbench/queries.py and "
         "the Moser tests check the homotopy identity with it"
@@ -351,11 +347,24 @@ def test_rational_functions_have_one_reduction_and_no_field_arithmetic():
     """``qt._reduced`` is the one canonicaliser of rational functions:
     ``UniPoly`` runs no Euclid over Q[t] and keeps no ``leading_coeff`` for
     one, and ``RationalFunctionT`` has no Q(t) operators (tests/ztpoly.py
-    keeps the Euclid and a Q(t) scalar as the reference)."""
+    keeps the Euclid and a Q(t) scalar as the reference).  ``qt`` is the one
+    ring of polynomials in t: ``_zmul`` and ``_zsub`` are its product and
+    difference, ``UniPoly``'s operators included, truthiness its zero test,
+    and the Sturm counts sit next to the gcd and pseudo-remainder they run
+    on; ``linalg`` keeps only the entry points the benchmark tracer wraps."""
     for name in ("gcd", "divmod", "monic", "derivative", "leading_coeff", "__mod__"):
         assert not hasattr(UniPoly, name), name
     for name in ("__add__", "__neg__", "__sub__", "__mul__", "__rmul__", "__truediv__"):
         assert not hasattr(RationalFunctionT, name), name
+    assert not hasattr(algrest.qt, "_sparse_mul")
+    for name in ("t_power", "nonzero", "is_zero"):
+        assert not hasattr(UniPoly, name), name
+    assert not hasattr(RationalFunctionT, "is_zero")
+    sturm = ("_zsturm_chain", "_zderivative", "_zsign_changes", "_zroot_count", "_zpoles_in_unit_interval")
+    for name in sturm:
+        assert callable(getattr(algrest.qt, name)) and not hasattr(algrest.linalg, name), name
+    for name in ("sturm_count", "solve_param_linear", "ParamSolution"):
+        assert getattr(algrest.linalg, name).__module__ == "algrest.linalg", name
 
 
 def test_the_curve_series_are_sparse_and_unipoly_keeps_no_readers_for_them():

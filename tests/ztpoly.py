@@ -7,8 +7,16 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from algrest.linalg import ParamSolution, _zpoles_in_unit_interval
-from algrest.qt import RationalFunctionT, UniPoly, _reduced, _zdiv_exact, _zmul, _zsub
+from algrest.linalg import ParamSolution
+from algrest.qt import (
+    RationalFunctionT,
+    UniPoly,
+    _reduced,
+    _zdiv_exact,
+    _zmul,
+    _zpoles_in_unit_interval,
+    _zsub,
+)
 
 ONE = UniPoly.constant(1)
 
