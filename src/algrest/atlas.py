@@ -489,7 +489,7 @@ def verify_row(
     return checks
 
 
-def verify_distinctness(atlas: Atlas, checks: Sequence[RowCheck] = ()) -> list[str]:
+def verify_distinctness(atlas: Atlas, *, checks: Sequence[RowCheck] = ()) -> list[str]:
     """Pairwise distinguishability of all rows, and of sign variants, at each
     row's first default sample, which no seed changes.  The invariants there
     are read off the reports of this atlas's ``checks`` where one matches,

@@ -111,15 +111,18 @@ class UniPoly:
 
 
 def _zmul(a: list[Scalar], b: list[Scalar]) -> list[Scalar]:
+    """a * b over nonzero pairs only, as a power of a curve series is long
+    and sparse; untouched entries stay zeros of a's own coefficient type."""
     if not a or not b:
         return []
     if len(a) == 1:
         x = a[0]
         return [x * y for y in b]
-    out = [0] * (len(a) + len(b) - 1)
+    terms = [(j, y) for j, y in enumerate(b) if y]
+    out = [a[-1] * 0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
+            for j, y in terms:
                 out[i + j] += x * y
     return out
 

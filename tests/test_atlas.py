@@ -251,6 +251,8 @@ def test_verify_distinctness_alone_matches_verify_atlas(seed, atlas4567, atlas45
     for atlas in (atlas4567, atlas456, atlas457):
         alone = verify_distinctness(atlas)
         assert alone == list(verify_atlas(atlas, seed=seed).distinctness_failures)
+    with pytest.raises(TypeError):
+        verify_distinctness(atlas456, seed)  # checks is keyword-only
 
 
 def test_verify_distinctness_reads_the_reports_of_its_checks(monkeypatch, atlas456):

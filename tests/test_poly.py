@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from algrest.poly import Polynomial, grlex_key
-from algrest.qt import RationalFunctionT, UniPoly
+from algrest.qt import RationalFunctionT, UniPoly, _zmul, _zsub
 
 from generic_path import substitute, terms_of
 from ztpoly import QtScalar, divmod_q, gcd_q
@@ -48,7 +48,8 @@ def reference_unipoly_pow(a, n):
     return result
 
 
-# int and Fraction inputs mixed: every result must still hold Fractions only
+# built from int and Fraction values, which ``UniPoly`` converts to Fractions;
+# raw lists that mix the two go to ``qt._zmul`` and ``qt._zsub`` below
 unipolys = st.lists(
     st.sampled_from([0, Fraction(0), 0, -2, 1, 3] + [Fraction(c, 2) for c in (-3, -1, 1, 3)]),
     max_size=5,
@@ -72,6 +73,10 @@ def test_unipoly_product_and_power_equal_the_dense_references(a, b, n):
         assert not got.coeffs or got.coeffs[-1]
     for zero in (a - a, a + (-a), (a + b) - (b + a)):
         assert zero.coeffs == [] and not zero
+    mixed = [int(c) if c.denominator == 1 else c for c in a.coeffs]
+    assert UniPoly(_zmul(mixed, b.coeffs)) == UniPoly(_zmul(b.coeffs, mixed)) == a * b
+    assert UniPoly(_zsub(mixed, b.coeffs)) == a - b
+    assert _zsub(mixed, mixed) == []
     assert UniPoly.from_terms(terms_of(a)) == a
 
 
