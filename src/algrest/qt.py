@@ -2,8 +2,9 @@
 
 One ring computes on polynomials in t, given as coefficient lists:
 ``_zmul`` and ``_zsub`` take any exact coefficients, and ``UniPoly``, a
-dense polynomial with ``Fraction`` coefficients, runs ``+``, ``-`` and ``*``
-through them.  On integer lists, Z[t], the gcd and pseudo-remainder carry
+dense polynomial with ``Fraction`` coefficients, runs its ``*`` through
+``_zmul`` (it has no ``+`` or ``-``: nothing here adds two of them).  On
+integer lists, Z[t], the gcd and pseudo-remainder carry
 ``_reduced``, the one reduction of a rational function to its reduced pair
 with monic denominator (which ``RationalFunctionT`` keeps, evaluates and
 prints), and the Sturm chains that count roots and poles on [0, 1];
@@ -61,19 +62,6 @@ class UniPoly:
 
     def __hash__(self) -> int:
         return hash(tuple(self.coeffs))
-
-    def __add__(self, other: UniPoly) -> UniPoly:
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return UniPoly(_zsub(self.coeffs, [-c for c in other.coeffs]))
-
-    def __neg__(self) -> UniPoly:
-        return UniPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other: UniPoly) -> UniPoly:
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return UniPoly(_zsub(self.coeffs, other.coeffs))
 
     def __mul__(self, other: UniPoly | Scalar) -> UniPoly:
         if isinstance(other, (Fraction, int)):

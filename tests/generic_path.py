@@ -12,6 +12,8 @@ from algrest.forms import DifferentialForm, PolyMap
 from algrest.poly import Polynomial
 from algrest.qt import UniPoly
 
+from ztpoly import poly_add
+
 
 def build_map(real, env, n):
     """The stored map on R^{2n} at the sample ``env``, padded with identity
@@ -36,8 +38,8 @@ def terms_of(f):
 
 def substitute(poly, images):
     """Evaluate ``poly`` with each variable replaced by a univariate
-    polynomial in t, by ``UniPoly``'s ``*``, ``**`` and ``+``; each image
-    power is built once per call."""
+    polynomial in t, by ``UniPoly``'s ``*`` and ``**`` and by ``poly_add``;
+    each image power is built once per call."""
     if len(images) != poly.nvars:
         raise ValueError("need one image per variable")
     powers = {}
@@ -49,7 +51,7 @@ def substitute(poly, images):
                 if (i, e) not in powers:
                     powers[i, e] = images[i] ** e
                 term = term * powers[i, e]
-        total = total + term
+        total = poly_add(total, term)
     return total
 
 

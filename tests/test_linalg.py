@@ -29,6 +29,7 @@ from ztpoly import (
     divmod_q,
     gcd_q,
     monic,
+    poly_add,
     reference_bareiss,
     zt_system,
 )
@@ -334,7 +335,7 @@ def sturm_chain(p):
         rem = divmod_q(chain[-2], chain[-1])[1]
         if not rem:
             break
-        chain.append(-rem)
+        chain.append(rem * -1)
     return [q for q in chain if q]
 
 
@@ -421,7 +422,7 @@ def test_sign_variations():
 
 def test_sturm_count_half_open():
     t = UniPoly.from_terms({1: 1})
-    f = (t - ONE) * (t - 3 * ONE)  # roots 1 and 3
+    f = poly_add(t, ONE, -1) * poly_add(t, ONE, -3)  # roots 1 and 3
     assert sturm_count(f, 0, 2) == 1
     assert sturm_count(f, 0, 4) == 2
     # interval is half open on the left: a root at the left endpoint not counted
@@ -431,7 +432,7 @@ def test_sturm_count_half_open():
 
 def test_sturm_count_multiple_root():
     t = UniPoly.from_terms({1: 1})
-    f = (t - ONE) ** 2
+    f = poly_add(t, ONE, -1) ** 2
     assert sturm_count(f, 0, 2) == 1
 
 
@@ -440,7 +441,7 @@ def roots_poly(roots, lead=1):
     t = UniPoly.from_terms({1: 1})
     p = UniPoly.constant(lead)
     for r in roots:
-        p = p * (t - F(r) * ONE)
+        p = p * poly_add(t, ONE, -F(r))
     return p
 
 
@@ -471,7 +472,7 @@ def test_sturm_count_with_repeated_roots_and_negative_leads():
     f = roots_poly([1, 1, 1, F(1, 2), F(1, 2), 3], lead=-7)
     assert sturm_count(f, 0, 1) == 2
     assert sturm_count(f, 0, 3) == 3
-    assert sturm_count(-f, 0, 3) == 3
+    assert sturm_count(f * -1, 0, 3) == 3
     g = roots_poly([0, 0, F(-2, 3)], lead=F(-5, 2))
     assert sturm_count(g, -1, 0) == 2
     assert sturm_count(g, 0, 1) == 0
@@ -508,11 +509,11 @@ def test_sturm_count_equals_the_fraction_chain_on_random_polynomials():
 def test_poles_in_closed_unit_interval():
     t = UniPoly.from_terms({1: 1})
     # pole at 1/2
-    assert poles_of_inverse(t - F(1, 2) * ONE) == 1
+    assert poles_of_inverse(poly_add(t, ONE, -F(1, 2))) == 1
     # poles at both endpoints count
-    assert poles_of_inverse(t * (t - ONE)) == 2
+    assert poles_of_inverse(t * poly_add(t, ONE, -1)) == 2
     # pole at 2 does not
-    assert poles_of_inverse(t - 2 * ONE) == 0
+    assert poles_of_inverse(poly_add(t, ONE, -2)) == 0
     assert poles_of_inverse(ONE) == 0
 
 
@@ -530,7 +531,7 @@ def test_solve_param_linear_feasible():
 def test_solve_param_linear_pole_blocks_feasibility():
     t = UniPoly.from_terms({1: 1})
     # (t - 1/2) x = 1 has the solution 1/(t - 1/2) with a pole inside [0, 1]
-    res = solve_param_linear(*zt_system([[t - F(1, 2) * ONE]], [ONE]))
+    res = solve_param_linear(*zt_system([[poly_add(t, ONE, -F(1, 2))]], [ONE]))
     assert res.consistent
     assert res.pole_counts == [1]
     assert not res.feasible_on_unit_interval
@@ -550,6 +551,9 @@ def test_solve_param_linear_rejects_a_trailing_zero_coefficient():
         solve_param_linear([{0: [1], 1: [0]}], 1)
     with pytest.raises(ValueError):
         solve_param_linear([{0: [1]}, {1: [2, 0, 0]}], 1)
+    # every row is checked before the peel meets the inconsistent 0 = 1
+    with pytest.raises(ValueError):
+        solve_param_linear([{1: [1]}, {0: [2, 0]}], 1)
 
 
 def test_solve_param_linear_rejects_a_column_outside_the_system():
@@ -577,8 +581,9 @@ def test_solve_param_linear_edge_cases_of_the_sparse_rows():
     copies = [{c: list(e) for c, e in row.items()} for row in rows]
     got = solve_param_linear(rows, 2)
     assert rows == copies  # the input is left as it was
-    inverse = RationalFunctionT(ONE, t + ONE)
-    assert got == ParamSolution(True, [RationalFunctionT(2 * t + ONE, t + ONE), inverse], [0, 0])
+    inverse = RationalFunctionT(ONE, poly_add(t, ONE))
+    first = RationalFunctionT(poly_add(ONE, t, 2), poly_add(t, ONE))
+    assert got == ParamSolution(True, [first, inverse], [0, 0])
     assert got == reference_bareiss(*dense_system(rows, 2))
 
 
@@ -628,10 +633,10 @@ def param_systems(draw):
                 row[c] = UniPoly()
     if height >= 3 and draw(st.booleans()):
         p, q = draw(coeff_st), draw(coeff_st)
-        rows[-1] = [x * p + y * q for x, y in zip(rows[0], rows[1])]
-        rhs[-1] = rhs[0] * p + rhs[1] * q
+        rows[-1] = [poly_add(x * p, y, q) for x, y in zip(rows[0], rows[1])]
+        rhs[-1] = poly_add(rhs[0] * p, rhs[1], q)
         if draw(st.booleans()):
-            rhs[-1] = rhs[-1] + draw(tpoly_st)
+            rhs[-1] = poly_add(rhs[-1], draw(tpoly_st))
     return rows, rhs
 
 
@@ -652,11 +657,54 @@ def sparse_pencils(draw):
     return rows, rhs
 
 
+@st.composite
+def peeled_systems(draw):
+    """Up to 8 x 5 systems shaped for the peel of ``solve_param_linear``,
+    most rows holding one unknown once the rows before them are solved.
+
+    A chain: row k holds the unknowns of rows 0 .. k - 1, some of them, and
+    its own pivot, a nonzero constant or of degree 1, so constant pivots
+    cascade down the chain and a degree-1 pivot leaves an unknown that
+    occurs again.  Then up to three extra rows: c x_j = 0, which forces a
+    zero; e x_j = b, which repeats a fixed unknown and so substitutes to
+    0 = b unless it agrees; and a rescaled chain row, its right-hand side
+    matching or not.  The rows are shuffled."""
+    width = draw(st.integers(min_value=1, max_value=5))
+    order = draw(st.permutations(range(width)))
+    const_st = coeff_st.filter(bool).map(UniPoly.constant)
+    linear_st = st.tuples(coeff_st, coeff_st.filter(bool)).map(UniPoly)
+    pivot_st = st.one_of(const_st, const_st, linear_st)
+    entry_st = st.one_of(st.just(UniPoly()), const_st, linear_st)
+    rows, rhs = [], []
+    for k, j in enumerate(order):
+        row = [UniPoly()] * width
+        for i in order[:k]:
+            row[i] = draw(entry_st)
+        row[j] = draw(pivot_st)
+        rows.append(row)
+        rhs.append(draw(st.one_of(st.just(UniPoly()), const_st, const_st)))
+    for kind in draw(st.lists(st.sampled_from("zsc"), max_size=3)):
+        if kind == "c":
+            k = draw(st.integers(min_value=0, max_value=width - 1))
+            scale = draw(coeff_st.filter(bool))
+            row, b = [x * scale for x in rows[k]], rhs[k] * scale
+            if draw(st.booleans()):
+                b = poly_add(b, draw(const_st))
+        else:
+            row = [UniPoly()] * width
+            row[draw(st.sampled_from(order))] = draw(pivot_st)
+            b = UniPoly() if kind == "z" else draw(const_st)
+        rows.append(row)
+        rhs.append(b)
+    shuffled = draw(st.permutations(range(len(rows))))
+    return [rows[i] for i in shuffled], [rhs[i] for i in shuffled]
+
+
 def poly_rows(data):
     return [[UniPoly(entry) for entry in row] for row in data]
 
 
-@given(system=st.one_of(param_systems(), sparse_pencils()))
+@given(system=st.one_of(param_systems(), sparse_pencils(), peeled_systems()))
 @example(system=([], []))
 @example(system=(poly_rows([[[], []], [[], []]]), [UniPoly(), ONE]))
 @example(system=(poly_rows([[[], [1, 1]], [[], [2, 2]]]), [ONE, 2 * ONE]))
@@ -668,6 +716,17 @@ def poly_rows(data):
     )
 )
 @example(system=(poly_rows([[[F(-1, 2), 1]], [[0, 0, F(1, 6)]]]), [ONE, UniPoly([0, 0, F(1, 6)])]))
+# the peel solves it all: 2 x0 = 1 fixes x0, then x1, then x2, and x3 = 0
+@example(
+    system=(
+        poly_rows([[[], [0, 1], [-1], []], [[1], [3], [], []], [[2], [], [], []], [[], [], [], [1, 1]]]),
+        [3 * ONE, 2 * ONE, ONE, UniPoly()],
+    )
+)
+# x1 = 1 fixes x0 = 0 through the middle row, and 2 x0 = 1 becomes 0 = 1
+@example(system=(poly_rows([[[2], []], [[1], [1]], [[], [1]]]), [ONE, ONE, ONE]))
+# (t + 1) x0 = 1 has one unknown, but x0 occurs again: the Bareiss takes both
+@example(system=(poly_rows([[[1, 1], []], [[1], [2]]]), [ONE, ONE]))
 def test_solve_param_linear_equals_the_rref_reference(system):
     rows, rhs = system
     got = solve_param_linear(*zt_system(rows, rhs))

@@ -7,14 +7,14 @@ from algrest.poly import Polynomial, grlex_key
 from algrest.qt import RationalFunctionT, UniPoly, _zmul, _zsub
 
 from generic_path import substitute, terms_of
-from ztpoly import QtScalar, divmod_q, gcd_q
+from ztpoly import QtScalar, divmod_q, gcd_q, poly_add
 
 ONE = UniPoly.constant(1)
 
 
 def reference_unipoly_add(a, b, sign=1):
-    """a + sign * b, coefficient by coefficient: the check of ``UniPoly``'s
-    ``+`` and ``-``, which run through ``qt._zsub``."""
+    """a + sign * b, coefficient by coefficient: the check of ``poly_add``
+    (tests/ztpoly.py), which runs through ``qt._zsub``."""
     width = max(len(a.coeffs), len(b.coeffs))
     padded = [p.coeffs + [Fraction(0)] * (width - len(p.coeffs)) for p in (a, b)]
     return UniPoly([x + sign * y for x, y in zip(*padded)])
@@ -58,24 +58,25 @@ unipolys = st.lists(
 
 @given(a=unipolys, b=unipolys, n=st.integers(min_value=0, max_value=5))
 def test_unipoly_product_and_power_equal_the_dense_references(a, b, n):
-    """``*``, ``**``, ``+`` and ``-`` against the dense loops above: each
-    result has Fraction coefficients and no trailing zero."""
+    """``*``, ``**`` and the sums of ``poly_add`` against the dense loops
+    above: each result has Fraction coefficients and no trailing zero."""
     cases = [
         (a * b, reference_unipoly_mul(a, b)),
         (a**n, reference_unipoly_pow(a, n)),
-        (a + b, reference_unipoly_add(a, b)),
-        (a - b, reference_unipoly_add(a, b, -1)),
+        (poly_add(a, b), reference_unipoly_add(a, b)),
+        (poly_add(a, b, -1), reference_unipoly_add(a, b, -1)),
         (a * 3, reference_unipoly_mul(a, UniPoly([3]))),
     ]
     for got, want in cases:
         assert got == want
         assert all(type(c) is Fraction for c in got.coeffs)
         assert not got.coeffs or got.coeffs[-1]
-    for zero in (a - a, a + (-a), (a + b) - (b + a)):
+    swapped = poly_add(poly_add(a, b), poly_add(b, a), -1)
+    for zero in (poly_add(a, a, -1), poly_add(a, a * -1), swapped):
         assert zero.coeffs == [] and not zero
     mixed = [int(c) if c.denominator == 1 else c for c in a.coeffs]
     assert UniPoly(_zmul(mixed, b.coeffs)) == UniPoly(_zmul(b.coeffs, mixed)) == a * b
-    assert UniPoly(_zsub(mixed, b.coeffs)) == a - b
+    assert UniPoly(_zsub(mixed, b.coeffs)) == poly_add(a, b, -1)
     assert _zsub(mixed, mixed) == []
     assert UniPoly.from_terms(terms_of(a)) == a
 
@@ -180,7 +181,7 @@ def test_polynomial_str_readable():
 
 
 def test_unipoly_basics():
-    f = UniPoly.from_terms({3: 1}) - UniPoly.from_terms({1: 2})
+    f = poly_add(UniPoly.from_terms({3: 1}), UniPoly.from_terms({1: 2}), -1)
     assert f.degree() == 3
     assert terms_of(f) == {1: Fraction(-2), 3: Fraction(1)}
     assert UniPoly().degree() == -1
@@ -189,26 +190,26 @@ def test_unipoly_basics():
 
 
 def test_unipoly_arithmetic_and_derivative():
-    f = UniPoly.from_terms({2: 1}) + ONE
-    g = UniPoly.from_terms({1: 1}) - ONE
+    f = poly_add(UniPoly.from_terms({2: 1}), ONE)
+    g = poly_add(UniPoly.from_terms({1: 1}), ONE, -1)
     assert (f * g).degree() == 3
-    assert (f + g) - g == f
+    assert poly_add(poly_add(f, g), g, -1) == f
     assert (f * Fraction(1, 3)) * 3 == f
 
 
 def test_unipoly_divmod_and_gcd():
     t = UniPoly.from_terms({1: 1})
-    f = (t - ONE) * (t - 2 * ONE)
-    q, r = divmod_q(f, t - ONE)
-    assert q == t - 2 * ONE and not r
-    g = (t - ONE) * (t + 3 * ONE)
-    assert gcd_q(f, g) == t - ONE  # and it is monic
+    f = poly_add(t, ONE, -1) * poly_add(t, ONE, -2)
+    q, r = divmod_q(f, poly_add(t, ONE, -1))
+    assert q == poly_add(t, ONE, -2) and not r
+    g = poly_add(t, ONE, -1) * poly_add(t, ONE, 3)
+    assert gcd_q(f, g) == poly_add(t, ONE, -1)  # and it is monic
 
 
 def test_rational_function_reduction():
     t = UniPoly.from_terms({1: 1})
-    r = RationalFunctionT(t**2 - ONE, t - ONE)
-    assert r == RationalFunctionT(t + ONE)
+    r = RationalFunctionT(poly_add(t**2, ONE, -1), poly_add(t, ONE, -1))
+    assert r == RationalFunctionT(poly_add(t, ONE))
     assert r.evaluate(Fraction(3)) == 4
 
 
@@ -219,7 +220,7 @@ def test_rational_function_arithmetic():
     assert (a * b).function().evaluate(Fraction(7)) == 1
     assert (a + a).function().evaluate(Fraction(2)) == 1
     assert (b / a).function().evaluate(Fraction(2)) == 4
-    assert (b - a).function() == RationalFunctionT(t * t - ONE, t)
+    assert (b - a).function() == RationalFunctionT(poly_add(t * t, ONE, -1), t)
 
 
 def test_rational_function_zero_is_one_shared_immutable_value():

@@ -217,7 +217,7 @@ def test_pmqd_is_stable_under_scalings(data, r1, r2):
 def dense_substitute(poly, images):
     """Reference: the dense substitution, one power per factor and one sum
     per term, by the reference loops of tests/test_poly.py, so
-    ``substitute`` checks ``UniPoly``'s ``*``, ``**`` and ``+``."""
+    ``substitute`` checks ``UniPoly``'s ``*`` and ``**`` and ``poly_add``."""
     result = UniPoly()
     for exps, coeff in poly.terms.items():
         term = UniPoly.constant(coeff)

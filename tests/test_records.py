@@ -349,16 +349,19 @@ def test_rational_functions_have_one_reduction_and_no_field_arithmetic():
     one, and ``RationalFunctionT`` has no Q(t) operators (tests/ztpoly.py
     keeps the Euclid and a Q(t) scalar as the reference).  ``qt`` is the one
     ring of polynomials in t: ``_zmul`` and ``_zsub`` are its product and
-    difference, ``UniPoly``'s operators included, truthiness its zero test,
-    and the Sturm counts sit next to the gcd and pseudo-remainder they run
-    on; ``linalg`` keeps only the entry points the benchmark tracer wraps."""
+    difference, truthiness its zero test, and the Sturm counts sit next to
+    the gcd and pseudo-remainder they run on; ``UniPoly`` has ``*`` and
+    ``**`` but no ``+``, ``-`` or unary ``-``, which only the tests used
+    (``poly_add`` of tests/ztpoly.py adds); ``linalg`` keeps only the entry
+    points the benchmark tracer wraps."""
     for name in ("gcd", "divmod", "monic", "derivative", "leading_coeff", "__mod__"):
         assert not hasattr(UniPoly, name), name
     for name in ("__add__", "__neg__", "__sub__", "__mul__", "__rmul__", "__truediv__"):
         assert not hasattr(RationalFunctionT, name), name
     assert not hasattr(algrest.qt, "_sparse_mul")
-    for name in ("t_power", "nonzero", "is_zero"):
+    for name in ("t_power", "nonzero", "is_zero", "__add__", "__sub__", "__neg__"):
         assert not hasattr(UniPoly, name), name
+    assert callable(UniPoly.__mul__) and callable(UniPoly.__pow__)
     assert not hasattr(RationalFunctionT, "is_zero")
     sturm = ("_zsturm_chain", "_zderivative", "_zsign_changes", "_zroot_count", "_zpoles_in_unit_interval")
     for name in sturm:

@@ -21,6 +21,13 @@ from algrest.qt import (
 ONE = UniPoly.constant(1)
 
 
+def poly_add(a, b, scale=1):
+    """a + scale * b for ``UniPoly`` a and b and a rational scale, by
+    ``qt._zsub`` on their coefficients: ``UniPoly`` multiplies but does not
+    add."""
+    return UniPoly(_zsub(a.coeffs, [-scale * c for c in b.coeffs]))
+
+
 def divmod_q(a, b):
     """Quotient and remainder of a by a nonzero b in Q[t], by long division."""
     if not b:
@@ -72,10 +79,10 @@ class QtScalar:
         self.num, self.den = (num, den) if lead == 1 else (num * (1 / lead), monic(den))
 
     def __add__(self, other):
-        return QtScalar(self.num * other.den + other.num * self.den, self.den * other.den)
+        return QtScalar(poly_add(self.num * other.den, other.num * self.den), self.den * other.den)
 
     def __neg__(self):
-        return QtScalar(-self.num, self.den)
+        return QtScalar(self.num * -1, self.den)
 
     def __sub__(self, other):
         return self + (-other)
