@@ -296,7 +296,8 @@ def _read_map(basis: RestrictionBasis, real: Realization, n: int) -> tuple[list,
     ``stop_qdeg``.  F^* omega_std = sum_i dF_(2i-1) ^ dF_(2i), and terms c1
     x^e1 and c2 x^e2 give the sum over j != k of c1 c2 e1_j e2_k x^(e1 + e2 -
     u_j - u_k) dx_j ^ dx_k, of quasi-degree <e1 + e2, lam>; curve-only, that
-    is c1 c2 times the integer row {column (j, k) of piece d: +-e1_j e2_k}."""
+    is c1 c2 times the signed row of the terms e1_j e2_k e_j ^ e_k in piece d
+    (``GradedPiece.signed_row``)."""
     curve = basis.curve
     units = [(((Fraction(1), None), (0,) * k + (1,)),) for k in range(2 * real.n, 2 * n)]
     comps = [*real.map_data, *units]
@@ -310,12 +311,10 @@ def _read_map(basis: RestrictionBasis, real: Realization, n: int) -> tuple[list,
         ):
             if q1 is None or q2 is None or q1 + q2 >= basis.stop_qdeg:
                 continue
-            columns, row = basis.pieces[q1 + q2].columns, {}
-            for (j, a), (k, b) in itertools.product(
-                enumerate(comps[2 * i][t1][1]), enumerate(comps[2 * i + 1][t2][1])
-            ):
-                if a and b and j != k:
-                    add_into(row, columns.index((min(j, k), max(j, k))), a * b if j < k else -a * b)
+            e1, e2 = comps[2 * i][t1][1], comps[2 * i + 1][t2][1]
+            row = basis.pieces[q1 + q2].signed_row(
+                (j, k, a * b) for (j, a), (k, b) in itertools.product(enumerate(e1), enumerate(e2))
+            )
             if row:
                 pairs.append((i, q1 + q2, t1, t2, row))
     return [[c for c, _ in comp] for comp in comps], terms, pairs

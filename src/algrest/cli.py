@@ -97,7 +97,7 @@ def cmd_action_table(args: argparse.Namespace) -> int:
     else:
         lines = [
             f"semigroup {curve.lams}  policy {table.policy}",
-            "shifts: " + " ".join(str(s) for s in table.shifts),
+            "shifts: " + (" ".join(str(s) for s in table.shifts) or "none"),
             "shifts outside the semigroup: "
             + (" ".join(str(s) for s in table.nonsemigroup) or "none"),
         ]

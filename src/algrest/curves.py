@@ -185,11 +185,12 @@ class GradedPiece(Frozen):
     """One graded quotient piece: k-forms of quasi-degree d modulo the
     forms with zero restriction.  Column J is the class of the curve-only
     terms x^m dx_J; ``relations`` is the reduced echelon form of their
-    relations, as ``zechelon`` integer pivot rows, which follows from the
-    other fields and is left out of equality, hash and repr."""
+    relations, as ``zechelon`` integer pivot rows, and ``column_of`` maps
+    each J to its column.  Both follow from the other fields and are left
+    out of equality, hash and repr."""
 
-    __slots__ = ("curve", "k", "d", "columns", "rep_cols", "relations")
-    _fields = __slots__[:-1]
+    __slots__ = ("curve", "k", "d", "columns", "rep_cols", "relations", "column_of")
+    _fields = __slots__[:-2]
 
     def __init__(
         self,
@@ -201,7 +202,8 @@ class GradedPiece(Frozen):
         relations: dict[int, dict[int, int]],
     ):
         self._set(
-            curve=curve, k=k, d=d, columns=columns, rep_cols=rep_cols, relations=relations
+            curve=curve, k=k, d=d, columns=columns, rep_cols=rep_cols, relations=relations,
+            column_of={J: c for c, J in enumerate(columns)},
         )
 
     @property
@@ -218,7 +220,6 @@ class GradedPiece(Frozen):
             raise InputError(f"expected a {self.k}-form")
         curve = self.curve
         weights = curve.weights
-        position = {J: c for c, J in enumerate(self.columns)}
         vec = [Fraction(0)] * len(self.columns)
         for idx, poly in form.coeffs.items():
             for exps, coeff in poly.terms.items():
@@ -226,9 +227,22 @@ class GradedPiece(Frozen):
                     raise InputError(
                         f"term x^{exps} dx{idx} is not quasi-homogeneous of degree {self.d}"
                     )
-                if idx in position and curve.power_of(exps) is not None:
-                    vec[position[idx]] += coeff
+                if idx in self.column_of and curve.power_of(exps) is not None:
+                    vec[self.column_of[idx]] += coeff
         return vec
+
+    def signed_row(self, terms: Iterable[tuple[int, int, int]]) -> dict[int, int]:
+        """The integer row of sum x e_j ^ e_k over the (j, k, x) terms of a
+        2-form piece, nonzero entries only: e_k ^ e_j = -e_j ^ e_k and
+        e_j ^ e_j = 0, and a term with x = 0 is skipped, as its column need
+        not exist."""
+        column_of = self.column_of
+        row: dict[int, int] = {}
+        for j, k, x in terms:
+            if x and j != k:
+                c = column_of[j, k] if j < k else column_of[k, j]
+                row[c] = row.get(c, 0) + (x if j < k else -x)
+        return {c: x for c, x in row.items() if x}
 
     def zquotient(self, vec: dict[int, int]) -> tuple[int, dict[int, int]]:
         """(K, {j: c}) for an integer row of piece columns (nonzero entries):
@@ -358,22 +372,28 @@ def stop_qdeg(curve: MonomialCurve) -> int:
 class RestrictionBasis:
     """Labeled basis of the space of closed 2-form restriction classes.
 
-    The closed classes of degree d are the exact ones, spanned by the rows
-    [d(x^m dx_i)] for branch coordinates i and curve-only x^m of quasi-degree
-    d - lam_i.  ``exact[d] = (owners, rows)`` keeps these rows with their
-    owners i for every d with a nonzero 2-form piece, each as a nonzero
-    multiple in Z (``GradedPiece.zquotient``), and the canonical reduced
-    echelon form of their span gives the labelled vectors: ``closed[d]``
-    keeps it, for every d with a closed class, as the labelled rows cleared
-    to primitive integer rows (``linalg.zcleared``), a ``zechelon`` form, in
-    the label order (pivots descending), and ``zproject`` reads classes off
-    it; ``by_degree[d]`` pairs each element with its row.  That
-    span needs no row of owner 0: d^2(x^(m + e_i)) = 0 reads
+    The closed classes of degree d are the exact ones, spanned by the
+    classes [d(x^m dx_i)] for branch coordinates i and curve-only x^m of
+    quasi-degree d - lam_i.  Each owner i gives one class: d(x^m dx_i) is
+    the symbol m ^ e_i of the piece (``restriction_quotient``), and for two
+    such m, m' the difference (m - m') ^ e_i is one of the piece's own
+    relations, v ^ e_K with K = {i} and v in V_(d - lam_i).  So
+    ``exact[d] = (owners, rows)`` keeps one row per owner i with d - lam_i
+    in the semigroup, that of the first m (``GradedPiece.signed_row``), for
+    every d with a nonzero 2-form piece, each as a nonzero multiple in Z
+    (``GradedPiece.zquotient``), and the canonical reduced echelon form of
+    their span gives the labelled vectors: ``closed[d]`` keeps it, for
+    every d with a closed class, as the labelled rows cleared to primitive
+    integer rows (``linalg.zcleared``), a ``zechelon`` form, in the label
+    order (pivots descending), and ``zproject`` reads classes off it;
+    ``by_degree[d]`` pairs each element with its row.  That span needs no
+    row of owner 0: d^2(x^(m + e_i)) = 0 reads
     (1 + m_i) d(x^m dx_i) = -sum_(j != i) m_j d(x^(m + e_i - e_j) dx_j),
     and each x^(m + e_i - e_j) with m_j > 0 is curve-only of degree
-    d - lam_j, so any one owner's rows lie in the span of the other
-    owners' rows.  Owner 0, the smallest weight, has the most rows, so
-    they are left out of the elimination; ``exact`` keeps them for Lt.
+    d - lam_j, so any one owner's row lies in the span of the other
+    owners' rows.  Owner 0's row is left out of the elimination; ``exact``
+    keeps it for Lt, whose prefix spans, like the closed echelon, depend
+    only on the span of each owner prefix.
 
     Proof that the span is the kernel of d into the 3-form piece: exact
     classes are closed, since d^2 = 0 and d maps zero-restriction forms to
@@ -431,22 +451,20 @@ class RestrictionBasis:
         by_degree: dict[int, list[tuple[int, tuple[int, dict[int, int]]]]] = {}
         exact: dict[int, tuple[tuple[int, ...], tuple[dict[int, int], ...]]] = {}
         closed: dict[int, dict[int, dict[int, int]]] = {}
+        lams = curve.lams
         for d, piece2 in self.pieces.items():
             if piece2.dim == 0:
                 continue
-            position = {J: c for c, J in enumerate(piece2.columns)}
-            owners: list[int] = []
-            rows: list[dict[int, int]] = []
-            for i, lam in enumerate(curve.lams):
-                for m in monomials_of_qdeg(curve.lams, d - lam):
-                    # d(x^m dx_i) = sum_j m_j x^(m - e_j) dx_j ^ dx_i
-                    terms = [(j, e) for j, e in enumerate(m) if e and j != i]
-                    vec = {position[min(i, j), max(i, j)]: e if j < i else -e for j, e in terms}
-                    owners.append(i)
-                    rows.append(piece2.zquotient(vec)[1])
-            exact[d] = (tuple(owners), tuple(rows))
+            # owner i -> d(x^m dx_i) = sum_j m_j x^(m - e_j) dx_j ^ dx_i, for
+            # the first curve-only m of quasi-degree d - lam_i
+            rows = {
+                i: piece2.zquotient(piece2.signed_row((j, i, e) for j, e in enumerate(ms[0])))[1]
+                for i, lam in enumerate(lams)
+                if (ms := monomials_of_qdeg(lams, d - lam))
+            }
+            exact[d] = (tuple(rows), tuple(rows.values()))
             dim = range(piece2.dim)
-            dense = [[row.get(j, 0) for j in dim] for i, row in zip(owners, rows) if i]
+            dense = [[row.get(j, 0) for j in dim] for i, row in rows.items() if i]
             canon = rref(dense, len(dim))
             if not canon.pivots:
                 continue
@@ -479,7 +497,8 @@ class RestrictionBasis:
         """Position of a label in ``elements``."""
         i = self.label_index.get(label)
         if i is None:
-            raise InputError(f"unknown basis label {label!r}; have {', '.join(self.labels)}")
+            have = f"have {', '.join(self.labels)}" if self.labels else "the basis has no elements"
+            raise InputError(f"unknown basis label {label!r}; {have}")
         return i
 
     def element(self, label: str) -> BasisElement:

@@ -202,9 +202,10 @@ def _action_matrix(basis: RestrictionBasis, s: int) -> ActionMatrix:
     the piece of degree d + s takes each curve-only x^e dx_J to its column
     e_J whatever e is (``restriction_quotient``), so the image is the column
     sum w e_ab + lam_a sum_k (n_a)_k e_kb + lam_b sum_k (n_b)_k e_ak, with w
-    = sum_i m_i lam_i = d - lam_a - lam_b, e_kb = -e_bk and e_aa = 0; a term
-    of coefficient zero is skipped, as its column need not exist.  At s = 0,
-    n_i = e_i and each sum is d e_ab: A_0 = diag(qdeg), the Euler field.
+    = sum_i m_i lam_i = d - lam_a - lam_b, summed as one signed row of the
+    target piece (``GradedPiece.signed_row``, which orients each e_kb and
+    skips zero terms).  At s = 0, n_i = e_i and each sum is d e_ab: A_0 =
+    diag(qdeg), the Euler field.
 
     An element's representative is its closed row r (``basis.closed[d]``)
     over its pivot entry r_p, so its image is summed in integers from r and
@@ -229,22 +230,15 @@ def _action_matrix(basis: RestrictionBasis, s: int) -> ActionMatrix:
         for d, entries in basis.by_degree.items():
             if d + s not in basis.by_degree:
                 continue
-            piece = basis.pieces[d]
-            # the signed column of dx_i ^ dx_k in the target piece, i != k
-            position = {}
-            for c, (i, k) in enumerate(basis.pieces[d + s].columns):
-                position[i, k], position[k, i] = (c, 1), (c, -1)
+            piece, target = basis.pieces[d], basis.pieces[d + s]
             for (i, _), (p, row) in zip(entries, basis.closed[d].items()):
-                vec: dict[int, int] = {}
+                terms = []
                 for j, r in row.items():
                     a, b = piece.columns[piece.rep_cols[j]]
-                    terms = [((a, b), d - lams[a] - lams[b])]
-                    terms += [((k, b), x) for k, x in dlift[a]] + [((a, k), x) for k, x in dlift[b]]
-                    for pair, x in terms:
-                        if x and pair[0] != pair[1]:
-                            col, sign = position[pair]
-                            vec[col] = vec.get(col, 0) + sign * r * x
-                scale, column = basis.zproject(d + s, {c: x for c, x in vec.items() if x})
+                    terms.append((a, b, r * (d - lams[a] - lams[b])))
+                    terms += [(k, b, r * x) for k, x in dlift[a]]
+                    terms += [(a, k, r * x) for k, x in dlift[b]]
+                scale, column = basis.zproject(d + s, target.signed_row(terms))
                 built[i] = (scale * row[p], column)
         matrix = _reduced_matrix(basis.dim, built)
         basis.actions[s] = matrix

@@ -124,6 +124,16 @@ def test_action_table_text(capsys):
     assert "  L[X_4] a9 = 13*a13" in out
 
 
+def test_action_table_of_an_empty_basis_says_none(capsys):
+    rc, out, _ = run(capsys, "action-table", "1")
+    assert rc == 0
+    assert out.splitlines() == [
+        "semigroup (1,)  policy grlex",
+        "shifts: none",
+        "shifts outside the semigroup: none",
+    ]
+
+
 def test_project_text_and_errors(capsys):
     rc, out, _ = run(capsys, "project", "4", "5", "6", "7", "--form", "dx1^dx2")
     assert rc == 0
@@ -255,6 +265,12 @@ def test_moser_unknown_label(capsys):
     )
     assert rc == 2
     assert err.startswith("error:")
+
+
+def test_moser_unknown_label_on_an_empty_basis(capsys):
+    rc, out, err = run(capsys, "moser", "1", "--restriction", "0", "--kill", "a1")
+    assert rc == 2 and out == ""
+    assert err == "error: unknown basis label 'a1'; the basis has no elements\n"
 
 
 def test_pullback_text(capsys):

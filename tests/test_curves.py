@@ -327,28 +327,45 @@ def test_each_owners_exact_rows_lie_in_the_span_of_the_others():
 
 
 def test_exact_rows_are_multiples_of_their_quotient_coordinates():
-    """``exact[d]`` keeps, per owner i and curve-only x^m of degree d - lam_i
-    in ``monomials_of_qdeg`` order, the integer row of d(x^m dx_i): a
-    nonzero multiple of its ``Fraction`` quotient coordinates, or empty
-    when they vanish."""
+    """``exact[d]`` keeps one integer row per owner i with d - lam_i in the
+    semigroup, in owner order, and d(x^m dx_i) of every curve-only x^m of
+    that degree, through the generic path, has quotient coordinates that
+    are a multiple of it: nonzero multiples, all vanishing exactly when the
+    row is empty."""
     for curve in KERNEL_REFERENCE_CURVES[:6]:
         basis = cached_basis(curve)
         pad = (0,) * (curve.ambient - len(curve.lams))
         for d, (owners, rows) in basis.exact.items():
             piece = basis.pieces[d]
-            forms = [
-                ext_der(DifferentialForm.from_term(curve.ambient, (i,), Polynomial.monomial(m)))
-                for i, lam in enumerate(curve.lams)
-                for m in (exps + pad for exps in monomials_of_qdeg(curve.lams, d - lam))
-            ]
-            assert len(forms) == len(rows), (curve, d)
-            for form, row in zip(forms, rows):
-                coords = quotient_coords(piece, piece.vectorize(form))
+            assert owners == tuple(
+                i for i, lam in enumerate(curve.lams) if curve.in_semigroup(d - lam)
+            ), (curve, d)
+            assert len(rows) == len(owners), (curve, d)
+            for i, row in zip(owners, rows):
                 assert all(type(v) is int and v for v in row.values()), (curve, d)
-                assert bool(row) == any(coords), (curve, d)
-                if row:
-                    ratio = next(Fraction(v, coords[j]) for j, v in row.items())
-                    assert dense(row, piece.dim) == [ratio * c for c in coords], (curve, d)
+                for m in monomials_of_qdeg(curve.lams, d - curve.lams[i]):
+                    x_m = Polynomial.monomial(m + pad)
+                    form = ext_der(DifferentialForm.from_term(curve.ambient, (i,), x_m))
+                    coords = quotient_coords(piece, piece.vectorize(form))
+                    assert bool(row) == any(coords), (curve, d, i, m)
+                    if row:
+                        ratio = next(Fraction(coords[j], v) for j, v in row.items())
+                        assert ratio and coords == dense(row, piece.dim, 1 / ratio), (curve, d, i)
+
+
+def test_signed_row_orients_each_pair_and_drops_the_rest(curve4567):
+    piece = restriction_quotient(curve4567, 2, 15)
+    col = piece.column_of
+    assert piece.columns == ((0, 1), (0, 2), (0, 3), (1, 2)) and col[1, 2] == 3
+    # e_k ^ e_j = -e_j ^ e_k, summed over repeated pairs
+    assert piece.signed_row([(0, 2, 3), (2, 0, 5), (1, 2, -4)]) == {1: -2, 3: -4}
+    # e_j ^ e_j = 0, and a zero term's pair (1, 3) need not be a column
+    assert piece.signed_row([(2, 2, 7), (1, 3, 0), (3, 1, 0)]) == {}
+    with pytest.raises(KeyError):
+        piece.signed_row([(1, 3, 1)])
+    # terms that cancel leave no key
+    assert piece.signed_row([(0, 1, 2), (1, 0, 2), (0, 3, 1)]) == {2: 1}
+    assert piece.signed_row(iter([(3, 0, 6)])) == {2: -6}
 
 
 def test_basis_representatives_are_closed(curve4567, curve456, curve457):

@@ -283,6 +283,22 @@ def test_single_solve_invariants_match_the_reference_scans():
     assert checked > 900
 
 
+def test_graded_lt_matches_the_all_monomial_reference_on_six_generators():
+    # (6, ..., 11) keeps one exact row per owner where the reference spans
+    # every monomial's row; iota = 1 makes Lt read its solver on every class
+    curve = MonomialCurve((6, 7, 8, 9, 10, 11))
+    basis = cached_basis(curve)
+    rng = random.Random(4011)
+    values = [Fraction(n, q) for n in (-3, -1, 1, 2, 5) for q in (1, 2, 7)]
+    classes = [{label: 1} for label in basis.labels]
+    for _ in range(12):
+        chosen = rng.sample(basis.labels, rng.randint(1, 3))
+        classes.append({label: rng.choice(values) for label in chosen})
+    for coeffs in classes:
+        a = AlgRestriction.from_coeffs(basis, coeffs)
+        assert lagrangian_tangency_order(curve, a, iota=1) == reference_graded_lt(curve, a), str(a)
+
+
 def _pfaffian_principal(block, rows):
     """Pfaffian of a principal 2x2 or 4x4 antisymmetric polynomial block."""
     if len(rows) == 2:

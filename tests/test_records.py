@@ -183,6 +183,12 @@ def test_graded_piece_equality_leaves_out_relations(curve4567):
     )
     assert twin == piece and hash(twin) == hash(piece)
     assert "relations" not in repr(twin) and repr(twin) == repr(piece)
+    # the column map is derived from the columns, and likewise left out
+    assert twin.column_of == piece.column_of == {(0, 3): 0, (1, 2): 1}
+    assert "column_of" not in repr(piece) and "column_of" not in GradedPiece._fields
+    bare = object.__new__(GradedPiece)
+    bare._set(**{name: getattr(piece, name) for name in GradedPiece._fields}, column_of={})
+    assert bare == piece and hash(bare) == hash(piece) and repr(bare) == repr(piece)
     other = GradedPiece(piece.curve, piece.k, piece.d + 1, piece.columns, piece.rep_cols, None)
     assert other != piece
 
