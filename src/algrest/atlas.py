@@ -313,7 +313,8 @@ def _read_map(basis: RestrictionBasis, real: Realization, n: int) -> tuple[list,
                 continue
             e1, e2 = comps[2 * i][t1][1], comps[2 * i + 1][t2][1]
             row = basis.pieces[q1 + q2].signed_row(
-                (j, k, a * b) for (j, a), (k, b) in itertools.product(enumerate(e1), enumerate(e2))
+                (j, (k,), a * b)
+                for (j, a), (k, b) in itertools.product(enumerate(e1), enumerate(e2))
             )
             if row:
                 pairs.append((i, q1 + q2, t1, t2, row))

@@ -90,7 +90,7 @@ def cmd_action_table(args: argparse.Namespace) -> int:
         }
     elif args.format == "latex":
         cols = " & ".join(parser.latex_label(label) for label in table.labels)
-        lines = [f" & {cols} \\\\"]
+        lines = [f" & {cols} \\\\"] if table.labels else []
         for s in table.shifts:
             cells = " & ".join(parser.latex_sum(table.terms(s, label)) for label in table.labels)
             lines.append(f"X_{{{s}}} & {cells} \\\\")

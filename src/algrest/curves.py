@@ -3,7 +3,7 @@
 A curve ``g(t) = (t^l1, ..., t^ls, 0, ..., 0)`` induces, in each quasi-degree
 d, a finite quotient of the quasi-homogeneous k-forms by the subspace of
 forms with zero restriction (forms vanishing on the curve plus exact
-differentials of vanishing forms).  ``restriction_quotient`` builds one such
+differentials of vanishing forms).  ``GradedPiece`` builds one such
 piece exactly from the Kaehler presentation of the semigroup ring, with one
 column per branch k-subset; ``RestrictionBasis`` scans the degrees below the
 certified stop ``stop_qdeg`` and labels the classes of closed 2-forms, and
@@ -20,6 +20,7 @@ so evicting a curve frees all of its state.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -182,29 +183,59 @@ def binomial_span(lams: tuple[int, ...], e: int) -> dict[int, dict[int, int]]:
 
 
 class GradedPiece(Frozen):
-    """One graded quotient piece: k-forms of quasi-degree d modulo the
-    forms with zero restriction.  Column J is the class of the curve-only
-    terms x^m dx_J; ``relations`` is the reduced echelon form of their
-    relations, as ``zechelon`` integer pivot rows, and ``column_of`` maps
-    each J to its column.  Both follow from the other fields and are left
-    out of equality, hash and repr."""
+    """The graded piece of k-form restrictions in quasi-degree d: k-forms
+    of quasi-degree d modulo the forms with zero restriction.
 
-    __slots__ = ("curve", "k", "d", "columns", "rep_cols", "relations", "column_of")
-    _fields = __slots__[:-2]
+    The zero-restriction space is I Omega^k + dI ^ Omega^(k-1), since
+    d(f beta) = df ^ beta + f d(beta), so the piece is the degree-d part of
+    the Kaehler k-forms of the semigroup ring (Kunz, "Kaehler
+    Differentials", 1986).  Modulo I, terms with an off-curve variable or
+    differential vanish and the curve-only terms x^m dx_J of degree d are
+    all equal: one column e_J per branch k-subset J with d - lam_J in the
+    semigroup (``columns``, and ``column_of`` maps each J to its column).
+    As d(x^m - x^m0) ^ dx_K = sum_i v_i e_i ^ e_K mod I with v = m - m0,
+    each branch (k-1)-subset K and row v of V_(d - lam_K) give the relation
+    ``signed_row`` of the terms (i, K, v_i); off-curve generators of I give
+    none.  ``relations`` is their reduced echelon form, as ``zechelon``
+    integer pivot rows.
 
-    def __init__(
-        self,
-        curve: MonomialCurve,
-        k: int,
-        d: int,
-        columns: tuple[forms.IndexTuple, ...],
-        rep_cols: tuple[int, ...],
-        relations: dict[int, dict[int, int]],
-    ):
-        self._set(
-            curve=curve, k=k, d=d, columns=columns, rep_cols=rep_cols, relations=relations,
-            column_of={J: c for c, J in enumerate(columns)},
+    The non-pivot columns of a reduced echelon form are the right-greedy
+    quotient basis (``rep_cols``): a column is one iff its class is
+    independent of the classes of the later columns.  Over all monomial
+    columns (J lexicographic, then ``monomials_of_qdeg`` order) each
+    curve-only column of J has class e_J and every other column class 0,
+    so that choice is the last curve-only monomial of the non-pivot J here,
+    which ``rep_form`` lifts: the representatives and quotient coordinates
+    are those of eliminating every monomial column.
+
+    The value is (curve, k, d); the other slots follow from it and are
+    left out of equality, hash and repr."""
+
+    __slots__ = ("curve", "k", "d", "columns", "column_of", "relations", "rep_cols")
+    _fields = __slots__[:3]
+
+    def __init__(self, curve: MonomialCurve, k: int, d: int):
+        if k < 0:
+            raise InputError("form degree must be nonnegative")
+        if d < 0:
+            raise InputError("quasi-degree must be nonnegative")
+        lams = curve.lams
+        branch = range(len(lams))
+        columns = tuple(
+            J
+            for J in itertools.combinations(branch, k)
+            if monomials_of_qdeg(lams, d - sum(lams[i] for i in J))
         )
+        self._set(
+            curve=curve, k=k, d=d, columns=columns, column_of={J: c for c, J in enumerate(columns)}
+        )
+        relations = zechelon(
+            self.signed_row((i, K, x) for i, x in v.items())
+            for K in (itertools.combinations(branch, k - 1) if k else ())
+            for v in binomial_span(lams, d - sum(lams[i] for i in K)).values()
+        )
+        rep_cols = tuple(c for c in range(len(columns)) if c not in relations)
+        self._set(relations=relations, rep_cols=rep_cols)
 
     @property
     def dim(self) -> int:
@@ -231,17 +262,18 @@ class GradedPiece(Frozen):
                     vec[self.column_of[idx]] += coeff
         return vec
 
-    def signed_row(self, terms: Iterable[tuple[int, int, int]]) -> dict[int, int]:
-        """The integer row of sum x e_j ^ e_k over the (j, k, x) terms of a
-        2-form piece, nonzero entries only: e_k ^ e_j = -e_j ^ e_k and
-        e_j ^ e_j = 0, and a term with x = 0 is skipped, as its column need
-        not exist."""
+    def signed_row(self, terms: Iterable[tuple[int, tuple[int, ...], int]]) -> dict[int, int]:
+        """The integer row of sum x e_i ^ e_K over the (i, K, x) terms, K an
+        increasing (k-1)-tuple, nonzero entries only: e_i ^ e_K is
+        (-1)^#{j in K : j < i} e_(K + i), and 0 when i is in K; a term with
+        x = 0 is skipped, as its column need not exist."""
         column_of = self.column_of
         row: dict[int, int] = {}
-        for j, k, x in terms:
-            if x and j != k:
-                c = column_of[j, k] if j < k else column_of[k, j]
-                row[c] = row.get(c, 0) + (x if j < k else -x)
+        for i, K, x in terms:
+            if x and i not in K:
+                n = bisect_left(K, i)
+                c = column_of[K[:n] + (i,) + K[n:]]
+                row[c] = row.get(c, 0) + (-x if n & 1 else x)
         return {c: x for c, x in row.items() if x}
 
     def zquotient(self, vec: dict[int, int]) -> tuple[int, dict[int, int]]:
@@ -269,58 +301,10 @@ class GradedPiece(Frozen):
 
 
 def restriction_quotient(curve: MonomialCurve, k: int, d: int) -> GradedPiece:
-    """Build the graded piece of k-form restrictions in quasi-degree d.
-
-    The zero-restriction space is I Omega^k + dI ^ Omega^(k-1), since
-    d(f beta) = df ^ beta + f d(beta), so the piece is the degree-d part of
-    the Kaehler k-forms of the semigroup ring (Kunz, "Kaehler
-    Differentials", 1986).  Modulo I, terms with an off-curve variable or
-    differential vanish and the curve-only terms x^m dx_J of degree d are
-    all equal: one column e_J per branch k-subset J with d - lam_J in the
-    semigroup.  As d(x^m - x^m0) ^ dx_K = sum_i v_i e_i ^ e_K mod I with
-    v = m - m0, each branch (k-1)-subset K and row v of V_(d - lam_K) give
-    the relation sum_(i not in K) +-v_i e_(K+i), with sign
-    (-1)^#{j in K : j < i}; off-curve generators of I give none.
-
-    The non-pivot columns of a reduced echelon form are the right-greedy
-    quotient basis: a column is one iff its class is independent of the
-    classes of the later columns.  Over all monomial columns (J
-    lexicographic, then ``monomials_of_qdeg`` order) each curve-only column
-    of J has class e_J and every other column class 0, so that choice is
-    the last curve-only monomial of the non-pivot J here, which
-    ``GradedPiece.rep_form`` lifts: the representatives and quotient
-    coordinates are those of eliminating every monomial column.
-    """
-    if k < 0:
-        raise InputError("form degree must be nonnegative")
-    if d < 0:
-        raise InputError("quasi-degree must be nonnegative")
-    lams = curve.lams
-    columns = tuple(
-        J
-        for J in itertools.combinations(range(len(lams)), k)
-        if monomials_of_qdeg(lams, d - sum(lams[i] for i in J))
-    )
-    position = {J: c for c, J in enumerate(columns)}
-    relations: list[dict[int, int]] = []
-    if k >= 1:
-        for K in itertools.combinations(range(len(lams)), k - 1):
-            for v in binomial_span(lams, d - sum(lams[i] for i in K)).values():
-                row: dict[int, int] = {}
-                for i, vi in v.items():
-                    if i not in K:
-                        sign = -1 if sum(j < i for j in K) % 2 else 1
-                        row[position[tuple(sorted(K + (i,)))]] = sign * vi
-                relations.append(row)
-    red = zechelon(relations)
-    return GradedPiece(
-        curve=curve,
-        k=k,
-        d=d,
-        columns=columns,
-        rep_cols=tuple(c for c in range(len(columns)) if c not in red),
-        relations=red,
-    )
+    """The graded piece of k-form restrictions in quasi-degree d,
+    ``GradedPiece(curve, k, d)``: the public name, and the one call per
+    piece that ``RestrictionBasis`` makes."""
+    return GradedPiece(curve, k, d)
 
 
 class BasisElement(NamedTuple):
@@ -351,7 +335,7 @@ def stop_qdeg(curve: MonomialCurve) -> int:
     """A quasi-degree D from which every 2-form piece is provably zero.
 
     V_e (``binomial_span``) lies in ker(lam), of dimension s - 1.  In the
-    presentation of ``restriction_quotient`` the degree-d piece is spanned
+    presentation of ``GradedPiece`` the degree-d piece is spanned
     by symbols e_i ^ e_k of wedge^2 Q^s, with the relations v ^ e_j for v
     in V_(d - lam_j).  If V_(d - lam_j) = ker(lam) for every branch j, they
     span ker(lam) ^ Q^s, all of wedge^2 Q^s as ker(lam) has codimension 1:
@@ -375,7 +359,7 @@ class RestrictionBasis:
     The closed classes of degree d are the exact ones, spanned by the
     classes [d(x^m dx_i)] for branch coordinates i and curve-only x^m of
     quasi-degree d - lam_i.  Each owner i gives one class: d(x^m dx_i) is
-    the symbol m ^ e_i of the piece (``restriction_quotient``), and for two
+    the symbol m ^ e_i of the piece (``GradedPiece``), and for two
     such m, m' the difference (m - m') ^ e_i is one of the piece's own
     relations, v ^ e_K with K = {i} and v in V_(d - lam_i).  So
     ``exact[d] = (owners, rows)`` keeps one row per owner i with d - lam_i
@@ -458,7 +442,7 @@ class RestrictionBasis:
             # owner i -> d(x^m dx_i) = sum_j m_j x^(m - e_j) dx_j ^ dx_i, for
             # the first curve-only m of quasi-degree d - lam_i
             rows = {
-                i: piece2.zquotient(piece2.signed_row((j, i, e) for j, e in enumerate(ms[0])))[1]
+                i: piece2.zquotient(piece2.signed_row((j, (i,), e) for j, e in enumerate(ms[0])))[1]
                 for i, lam in enumerate(lams)
                 if (ms := monomials_of_qdeg(lams, d - lam))
             }

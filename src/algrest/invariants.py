@@ -130,7 +130,7 @@ def index_of_isotropy(curve: MonomialCurve, a: AlgRestriction) -> Extended:
     Over all representatives the answer is closed form.  Modulo the
     zero-restriction space every curve-only term x^m dx_J is the piece's
     column e_J, whatever m is, and every other term is 0
-    (``restriction_quotient``).  So a column only offers its top total
+    (``curves.GradedPiece``).  So a column only offers its top total
     degree h(J), that of the first curve-only monomial of quasi-degree
     d - lam_J, and the part has a representative of order q iff it lies in
     the span of the classes [e_J] with h(J) >= q.  With the columns ordered

@@ -159,9 +159,7 @@ class _Parser:
                     )
                 return result
             term = self.parse_form_term()
-            if term.degree != result.degree and not (
-                term.is_zero() or result.is_zero()
-            ):
+            if term.degree != result.degree:
                 raise InputError("all terms of a form must have the same degree")
             result = result + term if op == "+" else result - term
 

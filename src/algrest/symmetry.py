@@ -200,7 +200,7 @@ def _action_matrix(basis: RestrictionBasis, s: int) -> ActionMatrix:
     x^m dx_a ^ dX_b, with X(x^m) = sum_i m_i lam_i x^(m - e_i + n_i) and dX_a
     = lam_a sum_k (n_a)_k x^(n_a - e_k) dx_k.  Every term is curve-only, and
     the piece of degree d + s takes each curve-only x^e dx_J to its column
-    e_J whatever e is (``restriction_quotient``), so the image is the column
+    e_J whatever e is (``curves.GradedPiece``), so the image is the column
     sum w e_ab + lam_a sum_k (n_a)_k e_kb + lam_b sum_k (n_b)_k e_ak, with w
     = sum_i m_i lam_i = d - lam_a - lam_b, summed as one signed row of the
     target piece (``GradedPiece.signed_row``, which orients each e_kb and
@@ -224,8 +224,9 @@ def _action_matrix(basis: RestrictionBasis, s: int) -> ActionMatrix:
     if matrix is None:
         lams = basis.curve.lams
         exps = _grlex_exponents(basis.curve, s)
-        # dX_a as the (k, lam_a (n_a)_k) pairs of its nonzero terms
-        dlift = [[(k, lam * e) for k, e in enumerate(n) if e] for lam, n in zip(lams, exps)]
+        # dX_a as (k, (k,), lam_a (n_a)_k) per nonzero term: the signed_row
+        # index k and its one-tuple, built once and not once per column
+        dlift = [[(k, (k,), lam * e) for k, e in enumerate(n) if e] for lam, n in zip(lams, exps)]
         built: dict[int, tuple[int, dict[int, int]]] = {}
         for d, entries in basis.by_degree.items():
             if d + s not in basis.by_degree:
@@ -235,9 +236,10 @@ def _action_matrix(basis: RestrictionBasis, s: int) -> ActionMatrix:
                 terms = []
                 for j, r in row.items():
                     a, b = piece.columns[piece.rep_cols[j]]
-                    terms.append((a, b, r * (d - lams[a] - lams[b])))
-                    terms += [(k, b, r * x) for k, x in dlift[a]]
-                    terms += [(a, k, r * x) for k, x in dlift[b]]
+                    B = (b,)
+                    terms.append((a, B, r * (d - lams[a] - lams[b])))
+                    terms += [(k, B, r * x) for k, _, x in dlift[a]]
+                    terms += [(a, K, r * x) for _, K, x in dlift[b]]
                 scale, column = basis.zproject(d + s, target.signed_row(terms))
                 built[i] = (scale * row[p], column)
         matrix = _reduced_matrix(basis.dim, built)

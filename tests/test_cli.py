@@ -134,6 +134,13 @@ def test_action_table_of_an_empty_basis_says_none(capsys):
     ]
 
 
+def test_action_table_of_an_empty_basis_prints_no_latex(capsys):
+    # like ``basis 1 --format latex``: no header row without columns
+    rc, out, _ = run(capsys, "action-table", "1", "--format", "latex")
+    assert rc == 0 and out == ""
+    assert run(capsys, "basis", "1", "--format", "latex")[:2] == (0, "")
+
+
 def test_project_text_and_errors(capsys):
     rc, out, _ = run(capsys, "project", "4", "5", "6", "7", "--form", "dx1^dx2")
     assert rc == 0

@@ -13,6 +13,7 @@ import pytest
 import algrest
 from algrest.curves import (
     AlgRestriction,
+    GradedPiece,
     MonomialCurve,
     cached_basis,
     ideal_graded_basis,
@@ -358,14 +359,34 @@ def test_signed_row_orients_each_pair_and_drops_the_rest(curve4567):
     col = piece.column_of
     assert piece.columns == ((0, 1), (0, 2), (0, 3), (1, 2)) and col[1, 2] == 3
     # e_k ^ e_j = -e_j ^ e_k, summed over repeated pairs
-    assert piece.signed_row([(0, 2, 3), (2, 0, 5), (1, 2, -4)]) == {1: -2, 3: -4}
+    assert piece.signed_row([(0, (2,), 3), (2, (0,), 5), (1, (2,), -4)]) == {1: -2, 3: -4}
     # e_j ^ e_j = 0, and a zero term's pair (1, 3) need not be a column
-    assert piece.signed_row([(2, 2, 7), (1, 3, 0), (3, 1, 0)]) == {}
+    assert piece.signed_row([(2, (2,), 7), (1, (3,), 0), (3, (1,), 0)]) == {}
     with pytest.raises(KeyError):
-        piece.signed_row([(1, 3, 1)])
+        piece.signed_row([(1, (3,), 1)])
     # terms that cancel leave no key
-    assert piece.signed_row([(0, 1, 2), (1, 0, 2), (0, 3, 1)]) == {2: 1}
-    assert piece.signed_row(iter([(3, 0, 6)])) == {2: -6}
+    assert piece.signed_row([(0, (1,), 2), (1, (0,), 2), (0, (3,), 1)]) == {2: 1}
+    assert piece.signed_row(iter([(3, (0,), 6)])) == {2: -6}
+    # a 3-form piece: e_i ^ e_K inserts i at each position of K with
+    # sign (-1)^#{j in K : j < i}; (1, 2, 3) is no column in degree 21
+    piece3 = restriction_quotient(curve4567, 3, 21)
+    assert piece3.columns == ((0, 1, 2), (0, 1, 3), (0, 2, 3))
+    assert piece3.signed_row([(0, (1, 2), 2), (1, (0, 3), 5), (3, (0, 2), 7)]) == {
+        0: 2, 1: -5, 2: 7
+    }
+    assert piece3.signed_row([(1, (1, 2), 4), (2, (0, 2), -1), (3, (1, 2), 0)]) == {}
+    with pytest.raises(KeyError):
+        piece3.signed_row([(3, (1, 2), 1)])
+    assert piece3.signed_row([(0, (1, 2), 3), (1, (0, 2), 3), (2, (0, 3), 1)]) == {2: -1}
+
+
+def test_graded_piece_checks_k_and_d_like_restriction_quotient(curve4567):
+    for k, d, message in ((-1, 5, "form degree must be nonnegative"),
+                          (2, -1, "quasi-degree must be nonnegative")):
+        with pytest.raises(InputError, match=message):
+            GradedPiece(curve4567, k, d)
+        with pytest.raises(InputError, match=message):
+            restriction_quotient(curve4567, k, d)
 
 
 def test_basis_representatives_are_closed(curve4567, curve456, curve457):

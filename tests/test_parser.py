@@ -70,6 +70,10 @@ def test_parse_form_terms():
 def test_parse_form_degree_consistency():
     with pytest.raises(InputError):
         parse_form("dx1 + dx1^dx2", 3)
+    # a zero term has a degree too: a mixed sum fails in the parser
+    for text in ("dx1^dx2 + 0*dx3", "0*dx1 + dx1^dx2"):
+        with pytest.raises(InputError, match="all terms of a form must have the same degree"):
+            parse_form(text, 3)
 
 
 def test_parse_form_zero_form():

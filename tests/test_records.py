@@ -177,20 +177,22 @@ def test_rational_function_compares_by_reduced_form():
 
 
 def test_graded_piece_equality_leaves_out_relations(curve4567):
+    # the value is (curve, k, d): two builds are equal, and the columns, the
+    # column map, the relations and the representatives follow from it
     piece = restriction_quotient(curve4567, 2, 11)
-    twin = GradedPiece(
-        piece.curve, piece.k, piece.d, piece.columns, piece.rep_cols, {}
-    )
-    assert twin == piece and hash(twin) == hash(piece)
-    assert "relations" not in repr(twin) and repr(twin) == repr(piece)
-    # the column map is derived from the columns, and likewise left out
+    twin = GradedPiece(curve4567, 2, 11)
+    assert twin is not piece and twin == piece and hash(twin) == hash(piece)
+    assert GradedPiece._fields == ("curve", "k", "d")
+    assert set(GradedPiece.__slots__) - set(GradedPiece._fields) == {
+        "columns", "column_of", "relations", "rep_cols"
+    }
+    assert repr(piece) == repr(twin) == f"GradedPiece(curve={curve4567!r}, k=2, d=11)"
     assert twin.column_of == piece.column_of == {(0, 3): 0, (1, 2): 1}
-    assert "column_of" not in repr(piece) and "column_of" not in GradedPiece._fields
+    assert twin.relations == piece.relations and twin.rep_cols == piece.rep_cols
     bare = object.__new__(GradedPiece)
-    bare._set(**{name: getattr(piece, name) for name in GradedPiece._fields}, column_of={})
+    bare._set(curve=curve4567, k=2, d=11, relations={})
     assert bare == piece and hash(bare) == hash(piece) and repr(bare) == repr(piece)
-    other = GradedPiece(piece.curve, piece.k, piece.d + 1, piece.columns, piece.rep_cols, None)
-    assert other != piece
+    assert GradedPiece(curve4567, 2, 12) != piece
 
 
 def test_tangent_space_contains_is_a_class_attribute(curve4567, basis4567):
