@@ -1,13 +1,14 @@
 """Text grammar for forms, polynomials, maps, and restriction classes.
 
-The grammar is small and explicit: polynomials use x1, x2, ... with ^ for
-powers and * between factors; differential forms add wedge factors written
-dx1^dx2; restriction-class expressions are rational combinations of basis
-labels such as ``a9 + 3/2*a13+ - a13-``.  A trailing + or - on a label is
-claimed by the label when the basis has such an element and pushed back as
-an operator otherwise.  Printers emit the same grammar plus a LaTeX
-variant, and rationals serialize as "p/q" strings with "inf" for infinite
-invariant values.
+One tokenizer and one recursive-descent parser serve four grammars.
+Polynomials use x1, x2, ... with ^ for powers and * between factors;
+differential forms add wedge factors written dx1^dx2; maps are
+parenthesized lists of polynomials; restriction-class expressions are
+rational combinations of basis labels such as ``a9 + 3/2*a13+ - a13-``.  A
++ or - that starts where a label ends is claimed by the label when the
+basis has such an element and read as an operator otherwise.  Printers
+emit the same grammar plus a LaTeX variant, and rationals serialize as
+"p/q" strings with "inf" for infinite invariant values.
 """
 
 from __future__ import annotations
@@ -15,41 +16,32 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Container, Iterable, Sequence, TypeVar
 
 from . import forms
 from .curves import AlgRestriction, RestrictionBasis
 from .errors import InputError
 from .poly import Polynomial, signed_sum
 
+_T = TypeVar("_T")
+
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<dx>dx(?P<dxi>\d+))|(?P<var>x(?P<vari>\d+))|(?P<num>\d+)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^(),]))"
+    r"(?P<dx>dx\d+)|(?P<var>x\d+)|(?P<num>\d+)"
+    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*(?:\.\d+)?)|(?P<op>[-+*/^(),])|(?P<space>\s+)|(?P<bad>.)"
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
+    """(kind, value, start) per token; dx, var and num carry their integer."""
     tokens: list[tuple[str, object, int]] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            if text[pos:].strip() == "":
-                break
-            raise InputError(f"unexpected character {text[pos:].lstrip()[0]!r} at position {pos}")
-        if match.lastgroup is None and match.group().strip() == "":
-            break
-        if match.group("dx") is not None:
-            tokens.append(("dx", int(match.group("dxi")), match.start()))
-        elif match.group("var") is not None:
-            tokens.append(("var", int(match.group("vari")), match.start()))
-        elif match.group("num") is not None:
-            tokens.append(("num", int(match.group("num")), match.start()))
-        elif match.group("name") is not None:
-            tokens.append(("name", match.group("name"), match.start()))
-        else:
-            tokens.append(("op", match.group("op"), match.start()))
-        pos = match.end()
+    for match in _TOKEN_RE.finditer(text):
+        kind, word, start = match.lastgroup, match.group(), match.start()
+        if kind == "bad":
+            raise InputError(f"unexpected character {word!r} at position {start}")
+        if kind in ("dx", "var", "num"):
+            tokens.append((kind, int(word.lstrip("dx")), start))
+        elif kind != "space":
+            tokens.append((str(kind), word, start))
     return tokens
 
 
@@ -70,6 +62,10 @@ class _Parser:
         self.pos += 1
         return token
 
+    def at(self, kind: str) -> bool:
+        token = self.peek()
+        return token is not None and token[0] == kind
+
     def accept_op(self, *ops: str) -> str | None:
         token = self.peek()
         if token is not None and token[0] == "op" and token[1] in ops:
@@ -89,24 +85,35 @@ class _Parser:
             )
         return index - 1
 
+    def signs(self) -> int:
+        """A run of + and - signs, as +1 or -1."""
+        sign = 1
+        while (op := self.accept_op("+", "-")) is not None:
+            if op == "-":
+                sign = -sign
+        return sign
+
+    def rational(self, numer: int) -> Fraction:
+        """n or n/d, once the numerator token n is read."""
+        if not self.accept_op("/"):
+            return Fraction(numer)
+        kind, den, position = self.next()
+        if kind != "num":
+            raise InputError(f"expected integer denominator at position {position}")
+        if not den:
+            raise InputError(f"zero denominator at position {position} in {self.text!r}")
+        return Fraction(numer, den)  # type: ignore[arg-type]
+
     # Polynomial grammar: sum of products of powered atoms.
     def parse_poly(self) -> Polynomial:
         result = self.parse_poly_term()
-        while True:
-            op = self.accept_op("+", "-")
-            if op is None:
-                return result
+        while (op := self.accept_op("+", "-")) is not None:
             term = self.parse_poly_term()
             result = result + term if op == "+" else result - term
+        return result
 
     def parse_poly_term(self) -> Polynomial:
-        sign = 1
-        while True:
-            op = self.accept_op("+", "-")
-            if op is None:
-                break
-            if op == "-":
-                sign = -sign
+        sign = self.signs()
         result = self.parse_poly_factor()
         while self.accept_op("*"):
             result = result * self.parse_poly_factor()
@@ -122,179 +129,114 @@ class _Parser:
         return base
 
     def parse_poly_atom(self) -> Polynomial:
-        token = self.next()
-        kind, value, position = token
+        kind, value, position = self.next()
         if kind == "num":
-            numer = int(value)  # type: ignore[arg-type]
-            if self.accept_op("/"):
-                den_token = self.next()
-                if den_token[0] != "num":
-                    raise InputError(f"expected integer denominator at position {den_token[2]}")
-                den = int(den_token[1])  # type: ignore[arg-type]
-                if not den:
-                    raise InputError(
-                        f"zero denominator at position {den_token[2]} in {self.text!r}"
-                    )
-                return Polynomial.constant(self.nvars, Fraction(numer, den))
-            return Polynomial.constant(self.nvars, numer)
+            return Polynomial.constant(self.nvars, self.rational(value))  # type: ignore[arg-type]
         if kind == "var":
-            return Polynomial.variable(self.nvars, self.check_var(int(value), position))  # type: ignore[arg-type]
+            return Polynomial.variable(self.nvars, self.check_var(value, position))  # type: ignore[arg-type]
         if kind == "op" and value == "(":
             inner = self.parse_poly()
             self.expect_op(")")
             return inner
         raise InputError(f"unexpected token at position {position} in {self.text!r}")
 
-    # Form grammar: sum of terms, each an optional polynomial coefficient
-    # times a wedge of dx factors.
+    def parse_map(self) -> forms.PolyMap:
+        self.expect_op("(")
+        components = [self.parse_poly()]
+        while self.accept_op(","):
+            components.append(self.parse_poly())
+        self.expect_op(")")
+        return forms.PolyMap(components)
+
+    # Form grammar: sum of terms of one degree; a term is signs, then
+    # polynomial factors joined by *, then optionally a wedge dx (^ dx)*.
     def parse_form(self) -> forms.DifferentialForm:
         result = self.parse_form_term()
-        while True:
-            op = self.accept_op("+", "-")
-            if op is None:
-                token = self.peek()
-                if token is not None:
-                    raise InputError(
-                        f"unexpected token at position {token[2]} in {self.text!r}"
-                    )
-                return result
+        while (op := self.accept_op("+", "-")) is not None:
             term = self.parse_form_term()
             if term.degree != result.degree:
                 raise InputError("all terms of a form must have the same degree")
             result = result + term if op == "+" else result - term
+        return result
 
     def parse_form_term(self) -> forms.DifferentialForm:
-        sign = 1
-        while True:
-            op = self.accept_op("+", "-")
-            if op is None:
-                break
-            if op == "-":
-                sign = -sign
-        coeff = Polynomial.constant(self.nvars, 1)
-        wedge_form: forms.DifferentialForm | None = None
-        saw_factor = False
-        while True:
-            token = self.peek()
-            if token is None:
-                break
-            kind, value, position = token
-            if kind == "dx":
-                self.pos += 1
-                index = self.check_var(int(value), position)  # type: ignore[arg-type]
-                factor = forms.DifferentialForm.from_term(self.nvars, (index,), 1)
-                wedge_form = factor if wedge_form is None else forms.wedge(wedge_form, factor)
-                saw_factor = True
-                if self.accept_op("^"):
-                    continue
-                break
-            if wedge_form is not None:
-                break
-            if kind in ("num", "var") or (kind == "op" and value == "("):
-                coeff = coeff * self.parse_poly_factor()
-                saw_factor = True
-                if self.accept_op("*"):
-                    continue
-                break
-            break
-        if not saw_factor:
-            token = self.peek()
-            position = token[2] if token else len(self.text)
-            raise InputError(f"expected a term at position {position} in {self.text!r}")
-        if sign < 0:
-            coeff = -coeff
-        if wedge_form is None:
-            return forms.DifferentialForm.function(coeff)
+        coeff = Polynomial.constant(self.nvars, self.signs())
+        while not self.at("dx"):
+            coeff = coeff * self.parse_poly_factor()
+            if not self.accept_op("*"):
+                return forms.DifferentialForm.function(coeff)
+        wedge_form = self.parse_dx()
+        while self.accept_op("^"):
+            wedge_form = forms.wedge(wedge_form, self.parse_dx())
         return forms.wedge(forms.DifferentialForm.function(coeff), wedge_form)
 
+    def parse_dx(self) -> forms.DifferentialForm:
+        kind, value, position = self.next()
+        if kind != "dx":
+            raise InputError(f"expected a dx factor at position {position} in {self.text!r}")
+        index = self.check_var(value, position)  # type: ignore[arg-type]
+        return forms.DifferentialForm.from_term(self.nvars, (index,), 1)
 
-def parse_polynomial(text: str, nvars: int) -> Polynomial:
+    # Restriction grammar: terms [sign] [n[/d] [*]] label, with a sign
+    # before every term but the first.
+    def parse_restriction(self, labels: Container[str]) -> dict[str, Fraction]:
+        if self.peek() is None:
+            raise InputError("empty restriction expression")
+        coeffs: dict[str, Fraction] = {}
+        while (token := self.peek()) is not None:
+            op = self.accept_op("+", "-")
+            if op is None and self.pos > 0:
+                raise InputError(f"expected + or - at position {token[2]} in {self.text!r}")
+            value = Fraction(-1 if op == "-" else 1)
+            if self.at("num"):
+                value *= self.rational(self.next()[1])  # type: ignore[arg-type]
+                self.accept_op("*")
+            label = self.parse_label(labels)
+            coeffs[label] = coeffs.get(label, Fraction(0)) + value
+        return coeffs
+
+    def parse_label(self, labels: Container[str]) -> str:
+        """A name token, with the + or - that starts where it ends when the
+        two make a label; ``RestrictionBasis.index_of`` rejects a non-label."""
+        kind, label, position = self.peek() or ("end", "", len(self.text))
+        if kind != "name":
+            raise InputError(f"expected a basis label at position {position} in {self.text!r}")
+        self.pos += 1
+        suffix = self.peek()
+        end = position + len(str(label))
+        if suffix is not None and suffix[2] == end and f"{label}{suffix[1]}" in labels:
+            label = f"{label}{self.next()[1]}"
+        return str(label)
+
+
+def _parse(text: str, nvars: int, rule: Callable[[_Parser], _T]) -> _T:
+    """Apply one grammar rule to the whole of ``text``."""
     parser = _Parser(text, nvars)
-    result = parser.parse_poly()
+    result = rule(parser)
     token = parser.peek()
     if token is not None:
         raise InputError(f"unexpected token at position {token[2]} in {text!r}")
     return result
 
 
+def parse_polynomial(text: str, nvars: int) -> Polynomial:
+    return _parse(text, nvars, _Parser.parse_poly)
+
+
 def parse_form(text: str, nvars: int) -> forms.DifferentialForm:
-    return _Parser(text, nvars).parse_form()
+    return _parse(text, nvars, _Parser.parse_form)
 
 
 def parse_map(text: str, nvars: int) -> forms.PolyMap:
     """A map is a parenthesized comma-separated list of polynomial components."""
-    parser = _Parser(text, nvars)
-    parser.expect_op("(")
-    components = [parser.parse_poly()]
-    while parser.accept_op(","):
-        components.append(parser.parse_poly())
-    parser.expect_op(")")
-    token = parser.peek()
-    if token is not None:
-        raise InputError(f"unexpected token at position {token[2]} in {text!r}")
-    return forms.PolyMap(components)
-
-
-_LABEL_RE = re.compile(r"a\d+(?:\.\d+|[+-])?")
-_RATIONAL_RE = re.compile(r"(\d+)\s*(?:/\s*(\d+))?")
+    return _parse(text, nvars, _Parser.parse_map)
 
 
 def parse_restriction(text: str, basis: RestrictionBasis) -> AlgRestriction:
-    """Parse a rational combination of basis labels.
-
-    A + or - directly after a label's digits is part of the label when the
-    basis has that element, and an operator otherwise.
-    """
-    labels = set(basis.labels)
-    coeffs: dict[str, Fraction] = {}
-    pos = 0
-    stripped = text.strip()
-    if stripped == "0":
+    """Parse a rational combination of basis labels, or "0"."""
+    if text.strip() == "0":
         return AlgRestriction.zero(basis)
-    first = True
-    while True:
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-        if pos >= len(text):
-            if first:
-                raise InputError("empty restriction expression")
-            break
-        sign = Fraction(1)
-        if text[pos] in "+-":
-            if text[pos] == "-":
-                sign = -sign
-            pos += 1
-            while pos < len(text) and text[pos].isspace():
-                pos += 1
-        elif not first:
-            raise InputError(f"expected + or - at position {pos} in {text!r}")
-        first = False
-        match = _RATIONAL_RE.match(text, pos)
-        value = Fraction(1)
-        if match is not None:
-            den = int(match.group(2) or 1)
-            if not den:
-                raise InputError(f"zero denominator at position {match.start(2)} in {text!r}")
-            value = Fraction(int(match.group(1)), den)
-            pos = match.end()
-            while pos < len(text) and text[pos].isspace():
-                pos += 1
-            if pos < len(text) and text[pos] == "*":
-                pos += 1
-                while pos < len(text) and text[pos].isspace():
-                    pos += 1
-        label_match = _LABEL_RE.match(text, pos)
-        if label_match is None:
-            raise InputError(f"expected a basis label at position {pos} in {text!r}")
-        label = label_match.group()
-        end = label_match.end()
-        if label not in labels and label[-1] in "+-":
-            label = label[:-1]
-            end -= 1
-        if label not in labels:
-            raise InputError(f"unknown basis label {label!r} in {text!r}")
-        pos = end
-        coeffs[label] = coeffs.get(label, Fraction(0)) + sign * value
+    coeffs = _parse(text, 0, lambda parser: parser.parse_restriction(basis.label_index))
     return AlgRestriction.from_coeffs(basis, coeffs)
 
 

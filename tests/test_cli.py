@@ -154,6 +154,15 @@ def test_project_text_and_errors(capsys):
     assert err == "error: exterior derivative has a nonzero restriction in quasi-degree 16\n"
 
 
+def test_project_rejects_a_dangling_wedge_and_counts_positions_from_the_token(capsys):
+    rc, out, err = run(capsys, "project", "4", "5", "6", "7", "--form", "x2*dx1^dx2 + x1*dx1^dx3^")
+    assert (rc, out) == (2, "")
+    assert err == "error: unexpected end of expression in 'x2*dx1^dx2 + x1*dx1^dx3^'\n"
+    rc, out, err = run(capsys, "project", "4", "5", "6", "7", "--form", "dx1 ^ dx9")
+    assert (rc, out) == (2, "")
+    assert err == "error: variable index 9 out of range 1..4 at position 6\n"
+
+
 def test_invariants_text(capsys):
     rc, out, _ = run(capsys, "invariants", "4", "5", "6", "7", "--restriction", "a13-")
     assert rc == 0

@@ -346,7 +346,7 @@ def reference_representable(curve, a, n):
     generic_rank = 0
     for size in (2, 4):
         if size > s or not any(
-            not _pfaffian_principal(block, rows).is_zero()
+            _pfaffian_principal(block, rows)
             for rows in itertools.combinations(range(s), size)
         ):
             break

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -76,6 +77,34 @@ def test_parse_form_degree_consistency():
             parse_form(text, 3)
 
 
+@pytest.mark.parametrize(
+    "text", ["x1*+x3", "3/2*-x1", "x2*dx1^dx2 + x1*dx1^dx3^", "x1*", "dx1^", "dx1^ - dx2", "x1*dx1^x2"]
+)
+def test_a_form_term_cannot_end_in_star_or_wedge(text):
+    # after a * or a ^ a factor is required, as in a polynomial
+    with pytest.raises(InputError):
+        parse_form(text, 3)
+
+
+def test_a_polynomial_term_cannot_end_in_star():
+    with pytest.raises(InputError, match="unexpected token at position 3"):
+        parse_polynomial("x1*+x3", 3)
+    assert parse_form(" x1 * dx1 ^ dx2 ", 3) == parse_form("x1*dx1^dx2", 3)
+
+
+def test_error_positions_are_where_the_token_starts():
+    with pytest.raises(InputError, match="variable index 9 out of range 1..4 at position 6$"):
+        parse_form("dx1 ^ dx9", 4)
+    with pytest.raises(InputError, match="unexpected character '\\$' at position 5$"):
+        parse_polynomial("x1 + $", 3)
+    with pytest.raises(InputError, match="unexpected token at position 6 in"):
+        parse_polynomial("x1 +  )", 3)
+    with pytest.raises(InputError, match="expected '\\)' at position 9 in"):
+        parse_map("(x1, x2  x3)", 3)
+    with pytest.raises(InputError, match="expected a dx factor at position 12 in"):
+        parse_form(" x1 * dx1 ^ x2", 3)
+
+
 def test_parse_form_zero_form():
     form = parse_form("x1^2 + x2", 3)
     assert form.degree == 0
@@ -123,6 +152,60 @@ def test_parse_restriction_errors(basis456):
         parse_restriction("3", basis456)
     with pytest.raises(InputError):
         parse_restriction("a11+", basis456)  # label from another semigroup
+
+
+def test_parse_restriction_error_wording(basis456):
+    with pytest.raises(InputError, match="^expected \\+ or - at position 4 in 'a13 a17'$"):
+        parse_restriction("a13 a17", basis456)
+    with pytest.raises(InputError, match="^expected a basis label at position 7 in 'a13 \\+ 3'$"):
+        parse_restriction("a13 + 3", basis456)
+    with pytest.raises(InputError, match="^expected a basis label at position 6 in 'a13 - \\* a17'$"):
+        parse_restriction("a13 - * a17", basis456)
+    for text in ("", "   "):
+        with pytest.raises(InputError, match="^empty restriction expression$"):
+            parse_restriction(text, basis456)
+
+
+def _render_restriction(rng, terms):
+    """Text for sum sign * coeff * label over ``terms``, in any of the
+    spellings the grammar allows: optional first sign, `*` or juxtaposition,
+    unreduced p/q, spaces anywhere between tokens or none."""
+    def space():
+        return " " * rng.choice((0, 0, 1, 2))
+
+    text = space()
+    for i, (sign, coeff, label) in enumerate(terms):
+        if i or sign < 0 or rng.random() < 0.3:
+            text += ("-" if sign < 0 else "+") + space()
+        if coeff != 1 or rng.random() < 0.3:
+            if coeff.denominator == 1 and rng.random() < 0.7:
+                text += str(coeff.numerator)
+            else:
+                scale = rng.randint(1, 3)
+                text += f"{coeff.numerator * scale}{space()}/{space()}{coeff.denominator * scale}"
+            text += rng.choice(("*", " * ", "* ", " ", ""))
+        text += label + space()
+    return text
+
+
+@pytest.mark.parametrize("lams", [(4, 5, 6, 7), (4, 5, 6), (6, 7, 8, 9, 10, 11)])
+def test_parse_restriction_equals_the_sum_of_its_drawn_terms(lams):
+    """An oracle that needs no scanner: draw (sign, coefficient, label)
+    terms, render them, and compare with the class built from their sums.
+    Signed labels meet operators with no space between (a11+-a11-), and
+    dotted labels (a17.1) appear on (6, ..., 11)."""
+    basis = cached_basis(MonomialCurve(lams))
+    rng = random.Random(len(lams))
+    for _ in range(300):
+        terms = [
+            (rng.choice((1, -1)), Fraction(rng.randint(0, 7), rng.randint(1, 4)), rng.choice(basis.labels))
+            for _ in range(rng.randint(1, 5))
+        ]
+        sums: dict[str, Fraction] = {}
+        for sign, coeff, label in terms:
+            sums[label] = sums.get(label, Fraction(0)) + sign * coeff
+        text = _render_restriction(rng, terms)
+        assert parse_restriction(text, basis) == AlgRestriction.from_coeffs(basis, sums), text
 
 
 def test_fraction_str():

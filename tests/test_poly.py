@@ -99,8 +99,8 @@ def test_polynomial_construction_and_terms():
     assert p.constant_term() == Fraction(-3)
     assert total_degree(p) == 2
     assert total_degree(Polynomial.zero(3)) == -1
-    assert not p.is_zero()
-    assert Polynomial.zero(3).is_zero()
+    assert p
+    assert not Polynomial.zero(3)
 
 
 def test_unipoly_from_terms():
@@ -135,8 +135,8 @@ def test_polynomial_arithmetic_ring_axioms_spot():
     q = x - y
     assert p * q == x**2 - y**2
     assert (p + q) * (p + q) == 4 * (x**2)
-    assert (p - p).is_zero()
-    assert (p * Polynomial.zero(2)).is_zero()
+    assert not p - p
+    assert not p * Polynomial.zero(2)
     assert (Fraction(1, 2) * p) * 2 == p
 
 
@@ -146,7 +146,7 @@ def test_polynomial_power_and_partial():
     p = (x + y) ** 3
     assert p.partial(0) == 3 * ((x + y) ** 2)
     assert p.partial(1) == 3 * ((x + y) ** 2)
-    assert Polynomial.constant(2, 5).partial(0).is_zero()
+    assert not Polynomial.constant(2, 5).partial(0)
 
 
 def test_substitute_into_curve_components():

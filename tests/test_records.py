@@ -30,7 +30,7 @@ from algrest.curves import (
     restriction_quotient,
 )
 from algrest.errors import InputError
-from algrest.forms import Weights
+from algrest.forms import DifferentialForm, Weights
 from algrest.invariants import (
     InvariantReport,
     PmqdVerdict,
@@ -349,6 +349,17 @@ def test_every_src_method_has_a_caller():
     match is by name, whichever class the attribute belongs to.  Dunder
     operators are called by syntax, out of its reach."""
     assert _uncalled_methods() == set(UNCALLED_METHODS)
+
+
+def test_polynomials_and_forms_test_zero_by_truthiness():
+    """``Polynomial`` and ``DifferentialForm`` have no ``is_zero``: nothing
+    in ``src`` called one, and truthiness is their zero test.  The guard
+    above cannot see this, as it matches by name and ``AlgRestriction.is_zero``
+    has callers."""
+    for cls in (Polynomial, DifferentialForm):
+        assert not hasattr(cls, "is_zero"), cls
+    assert not Polynomial.zero(2) and Polynomial.constant(2, 1)
+    assert not DifferentialForm.zero(0, 2) and DifferentialForm.function(Polynomial.constant(2, 1))
 
 
 def test_rational_functions_have_one_reduction_and_no_field_arithmetic():
