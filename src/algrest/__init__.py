@@ -38,6 +38,7 @@ _SUBMODULES = (
     "forms",
     "invariants",
     "linalg",
+    "orbit",
     "parser",
     "poly",
     "qt",
@@ -54,18 +55,17 @@ _OWNER = {
                     "MonomialCurve", "RestrictionBasis", "cached_basis", "monomials_of_qdeg",
                     "project", "restriction_quotient", "stop_qdeg")),
         ("errors", ("InputError", "LiftError", "NotClosedError", "NotSymmetryError")),
-        ("forms", ("DifferentialForm", "PolyMap", "VectorField", "Weights", "ext_der",
-                   "interior", "lie_derivative", "pullback", "wedge")),
+        ("forms", ("DifferentialForm", "PolyMap", "Polynomial", "VectorField", "Weights",
+                   "ext_der", "interior", "lie_derivative", "pullback", "wedge")),
         ("invariants", ("InvariantReport", "PmqdVerdict", "index_of_isotropy",
                         "invariant_report", "lagrangian_tangency_order", "pmqd_compare",
                         "representable_by_symplectic", "symplectic_multiplicity")),
+        ("orbit", ("TangentSpace", "admissible_shifts", "orbit_tangent_space")),
         ("parser", ("parse_form", "parse_map", "parse_polynomial", "parse_restriction")),
-        ("poly", ("Polynomial",)),
         ("qt", ("RationalFunctionT", "UniPoly")),
         ("symmetry", ("ActionTable", "HomotopyResult", "LiftableField", "ScalingResult",
-                      "TangentSpace", "action_table", "admissible_shifts", "curve_scaling",
-                      "liftable_field", "moser_reduce", "nonsemigroup_shifts",
-                      "orbit_tangent_space", "pullback_restriction", "scaling_symmetry",
+                      "action_table", "curve_scaling", "liftable_field", "moser_reduce",
+                      "nonsemigroup_shifts", "pullback_restriction", "scaling_symmetry",
                       "shift_action", "symmetry_constant", "validate_liftable")),
     )
     for name in names

@@ -53,8 +53,8 @@ from .invariants import (
     representable_by_symplectic,
 )
 from .linalg import zdenominated, zechelon
+from .orbit import orbit_tangent_space
 from .poly import add_into
-from .symmetry import orbit_tangent_space
 
 _COEFF_RE = re.compile(
     r"^\s*(-)?\s*(?:(\d+(?:/\d+)?)\s*(?:\*\s*([A-Za-z_][A-Za-z_0-9]*))?"
@@ -565,24 +565,41 @@ def verify_atlas(
     )
 
 
-def _sample_value(value: object) -> Fraction:
-    if type(value) not in (str, int):  # a JSON float or boolean is not exact
-        raise TypeError(f"parameter value {json.dumps(value)} is not a string or an integer")
-    return Fraction(value)
+def _sample_value(row: int, name: str, value: object) -> Fraction:
+    try:
+        if type(value) in (str, int):  # a JSON float or boolean is not exact
+            return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"row {row}: parameter {name!r} must be an integer or a string p/q, q nonzero")
 
 
 def load_samples_file(text: str) -> dict[int, list[dict[str, Fraction]]]:
-    """Parse a samples file: {"<row id>": [{"param": "p/q" or int, ...}, ...]}."""
+    """Parse a samples file: {"<row id>": [{"param": "p/q" or int, ...}, ...]}.
+
+    JSON objects are read as tuples of (key, value) pairs, so a row named
+    twice (also as "1" and "01") or a parameter named twice in one sample
+    is rejected, not read as its last value."""
+    out: dict[int, list[dict[str, Fraction]]] = {}
     try:
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise TypeError("the top level must be a JSON object")
-        return {
-            int(key): [{p: _sample_value(v) for p, v in entry.items()} for entry in entries]
-            for key, entries in data.items()
-        }
-    except (ValueError, TypeError, AttributeError, ZeroDivisionError) as exc:
+        data = json.loads(text, object_pairs_hook=tuple)
+        if type(data) is not tuple:
+            raise ValueError("the top level must be a JSON object")
+        for key, entries in data:
+            try:
+                row = int(key)
+            except ValueError:
+                raise ValueError(f"row id {key!r} is not an integer") from None
+            if row in out:
+                raise ValueError(f"row {row} is named twice")
+            if type(entries) is not list or any(type(entry) is not tuple for entry in entries):
+                raise ValueError(f"row {row}: the samples must be a JSON list of objects")
+            out[row] = [{name: _sample_value(row, name, v) for name, v in entry} for entry in entries]
+            if any(len(sample) < len(entry) for sample, entry in zip(out[row], entries)):
+                raise ValueError(f"row {row}: a parameter is named twice in one sample")
+    except ValueError as exc:
         raise InputError(f"malformed samples file: {exc}") from None
+    return out
 
 
 BUNDLED = ((4, 5, 6, 7), (4, 5, 6), (4, 5, 7))

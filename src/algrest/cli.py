@@ -9,7 +9,7 @@ from typing import Sequence
 
 # modules, not names: each loads on first use (see ``algrest.__init__``), so
 # a command runs only the modules it needs
-from . import atlas, curves, errors, forms, invariants, parser, poly, symmetry
+from . import atlas, curves, errors, forms, invariants, orbit, parser, poly, symmetry
 
 FORMATS = ("text", "json")
 
@@ -163,7 +163,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 
 def cmd_tangent(args: argparse.Namespace) -> int:
     curve, a = _curve_and_class(args)
-    tangent = symmetry.orbit_tangent_space(curve, a)
+    tangent = orbit.orbit_tangent_space(curve, a)
     moduli = [
         el.label
         for el in a.basis.elements

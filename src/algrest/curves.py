@@ -29,11 +29,11 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 from . import forms
 from .errors import InputError, NotClosedError
 from .linalg import rref, zcleared, zdenominated, zechelon, zremainder
-from .poly import Exponent, Frozen, Polynomial, Scalar, _as_fraction, add_into, signed_sum
+from .poly import Exponent, Frozen, Scalar, _as_fraction, add_into, signed_sum
 
 if TYPE_CHECKING:
     from .linalg import PrefixSolver
-    from .symmetry import ActionMatrix, TangentSpace
+    from .orbit import ActionMatrix, TangentSpace
 
 _ZERO = Fraction(0)
 
@@ -86,7 +86,7 @@ class MonomialCurve(Frozen):
         lams = self.lams
         return None if any(exps[len(lams):]) else sum(e * w for e, w in zip(exps, lams))
 
-    def series(self, polys: Iterable[Polynomial]) -> list[dict[int, Fraction]]:
+    def series(self, polys: Iterable[forms.Polynomial]) -> list[dict[int, Fraction]]:
         """Each polynomial along the curve, as {t-power: coefficient} of its
         nonzero coefficients: the term c x^e adds c at ``power_of(e)``."""
         out = []
@@ -145,7 +145,7 @@ def monomials_of_qdeg(wvec: tuple[int, ...], d: int) -> tuple[Exponent, ...]:
     return tuple(mons)
 
 
-def ideal_graded_basis(curve: MonomialCurve, qdeg: int) -> tuple[Polynomial, ...]:
+def ideal_graded_basis(curve: MonomialCurve, qdeg: int) -> tuple[forms.Polynomial, ...]:
     """Basis of quasi-homogeneous polynomials of the given quasi-degree
     vanishing on the curve.
 
@@ -157,10 +157,10 @@ def ideal_graded_basis(curve: MonomialCurve, qdeg: int) -> tuple[Polynomial, ...
     Convex Polytopes", 1996, ch. 4).
     """
     branch = curve.branch_dim
-    basis: list[Polynomial] = []
-    first: Polynomial | None = None
+    basis: list[forms.Polynomial] = []
+    first: forms.Polynomial | None = None
     for m in monomials_of_qdeg(curve.weights.wvec, qdeg):
-        mono = Polynomial.monomial(m)
+        mono = forms.Polynomial.monomial(m)
         if any(m[branch:]):
             basis.append(mono)
         elif first is None:
@@ -290,7 +290,8 @@ class GradedPiece(Frozen):
         lams = self.curve.lams
         m = monomials_of_qdeg(lams, self.d - sum(lams[i] for i in J))[-1]
         pad = (0,) * (self.curve.ambient - len(lams))
-        return forms.DifferentialForm.from_term(self.curve.ambient, J, Polynomial.monomial(m + pad))
+        mono = forms.Polynomial.monomial(m + pad)
+        return forms.DifferentialForm.from_term(self.curve.ambient, J, mono)
 
     def coords_to_form(self, den: int, row: Mapping[int, int]) -> forms.DifferentialForm:
         """The form sum_j (row_j / den) ``rep_form(j)``."""
@@ -395,12 +396,12 @@ class RestrictionBasis:
     depends on the curve alone and is filled on first use by the module
     that reads it, so a class query does only the work of its class:
 
-    - ``actions``: the Lie action matrices of ``symmetry``, keyed by
+    - ``actions``: the Lie action matrices of ``orbit``, keyed by
       shift; every lift of X_s acts alike, so the shift determines the
-      matrix.  It is stored once, as a ``symmetry.ActionMatrix``: a common
+      matrix.  It is stored once, as an ``orbit.ActionMatrix``: a common
       denominator and, for each element j, the (i, m) pairs of the nonzero
       integer entries of its column;
-    - ``shifts``: the admissible shifts of the action table (None until first read);
+    - ``shifts``: the admissible shifts of ``orbit`` (None until first read);
     - ``isotropy_solvers[d]`` and ``exact_solvers[d]``: the
       ``linalg.PrefixSolver`` of iota's piece columns (by decreasing
       height) and of the exact rows ``exact[d]`` (by owner) at degree d,
@@ -530,8 +531,8 @@ class AlgRestriction:
     go through ``_trusted``, which keeps the invariants by construction.
 
     The class owns its orbit tangent space: ``tangent`` holds the
-    ``symmetry.TangentSpace`` at the class once
-    ``symmetry.orbit_tangent_space`` has built it, and None before, so the
+    ``orbit.TangentSpace`` at the class once
+    ``orbit.orbit_tangent_space`` has built it, and None before, so the
     multiplicity, the tangent directions and the Moser system of one class
     share one set of action vectors.  Likewise ``block_rank`` holds
     ``invariants.branch_rank`` once it has run, so the realizability test

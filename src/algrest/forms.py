@@ -1,10 +1,12 @@
-"""Polynomial differential forms, vector fields, and polynomial map germs.
-
-Forms are sparse: a ``DifferentialForm`` of degree k in m variables maps
-strictly increasing k-tuples of variable indices (0-based) to polynomial
-coefficients.  The operations here are the classical exact ones: wedge
-product, exterior derivative, interior product, Lie derivative via Cartan's
-formula, and pullback along a polynomial map germ.
+"""Polynomial differential forms, vector fields, and polynomial map germs,
+over ``Polynomial``, their coefficient ring: a sparse dict from exponent
+tuples to ``Fraction`` coefficients, which only they and the grammar that
+reads them build.  Forms are sparse: a ``DifferentialForm`` of degree k
+in m variables maps strictly increasing k-tuples of variable indices
+(0-based) to polynomial coefficients.  The operations here are the
+classical exact ones: wedge product, exterior derivative, interior
+product, Lie derivative via Cartan's formula, and pullback along a
+polynomial map germ.
 
 ``Weights`` fixes the quasi-homogeneous grading: coordinate i carries the
 i-th curve exponent, and every coordinate beyond the curve's ambient block
@@ -15,12 +17,176 @@ finite-dimensional.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError
-from .poly import Exponent, Frozen, Polynomial, Scalar, add_into
+from .poly import Exponent, Frozen, Scalar, _as_fraction, _power, add_into, grlex_key, signed_sum
 
 IndexTuple = tuple[int, ...]
+
+
+class Polynomial:
+    """Sparse polynomial in ``nvars`` variables with Fraction coefficients."""
+
+    __slots__ = ("nvars", "terms")
+
+    def __init__(self, nvars: int, terms: Mapping[Exponent, Scalar] | None = None):
+        if nvars < 0:
+            raise ValueError("nvars must be nonnegative")
+        self.nvars = nvars
+        clean: dict[Exponent, Fraction] = {}
+        if terms:
+            for exps, coeff in terms.items():
+                if len(exps) != nvars:
+                    raise ValueError(f"exponent tuple {exps} has wrong length for {nvars} variables")
+                if any(e < 0 for e in exps):
+                    raise ValueError(f"negative exponent in {exps}")
+                c = _as_fraction(coeff)
+                if c:
+                    clean[tuple(exps)] = c
+        self.terms = clean
+
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict[Exponent, Fraction]) -> Polynomial:
+        """Wrap terms that are clean by construction: exponent tuples of
+        length nvars with no negative entry, and nonzero Fraction
+        coefficients.  Validates nothing, so the caller answers for it."""
+        result = object.__new__(cls)
+        result.nvars = nvars
+        result.terms = terms
+        return result
+
+    # -- constructors ---------------------------------------------------
+
+    @classmethod
+    def zero(cls, nvars: int) -> Polynomial:
+        return cls(nvars)
+
+    @classmethod
+    def constant(cls, nvars: int, value: Scalar) -> Polynomial:
+        c = _as_fraction(value)
+        return cls(nvars, {(0,) * nvars: c} if c else {})
+
+    @classmethod
+    def variable(cls, nvars: int, index: int) -> Polynomial:
+        if not 0 <= index < nvars:
+            raise ValueError(f"variable index {index} out of range for {nvars} variables")
+        exps = tuple(1 if i == index else 0 for i in range(nvars))
+        return cls(nvars, {exps: Fraction(1)})
+
+    @classmethod
+    def monomial(cls, exps: Exponent, coeff: Scalar = 1) -> Polynomial:
+        return cls(len(exps), {tuple(exps): _as_fraction(coeff)})
+
+    # -- queries ---------------------------------------------------------
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def constant_term(self) -> Fraction:
+        return self.terms.get((0,) * self.nvars, Fraction(0))
+
+    def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
+        """Terms in descending graded lexicographic order (deterministic)."""
+        return sorted(self.terms.items(), key=lambda item: grlex_key(item[0]), reverse=True)
+
+    def __iter__(self) -> Iterator[tuple[Exponent, Fraction]]:
+        return iter(self.sorted_terms())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return self.nvars == other.nvars and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash((self.nvars, frozenset(self.terms.items())))
+
+    # -- arithmetic -------------------------------------------------------
+
+    def _check_compatible(self, other: Polynomial) -> None:
+        if self.nvars != other.nvars:
+            raise ValueError(f"variable count mismatch: {self.nvars} vs {other.nvars}")
+
+    def __add__(self, other: Polynomial) -> Polynomial:
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        self._check_compatible(other)
+        terms = dict(self.terms)
+        for exps, coeff in other.terms.items():
+            add_into(terms, exps, coeff)
+        # add_into drops every zero sum
+        return Polynomial._trusted(self.nvars, terms)
+
+    def __neg__(self) -> Polynomial:
+        # the negative of a nonzero coefficient is nonzero
+        terms = {exps: -coeff for exps, coeff in self.terms.items()}
+        return Polynomial._trusted(self.nvars, terms)
+
+    def __sub__(self, other: Polynomial) -> Polynomial:
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other: Polynomial | Scalar) -> Polynomial:
+        if isinstance(other, (Fraction, int)):
+            c = _as_fraction(other)
+            # a product of nonzero rationals is nonzero
+            terms = {exps: coeff * c for exps, coeff in self.terms.items()} if c else {}
+            return Polynomial._trusted(self.nvars, terms)
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        self._check_compatible(other)
+        terms: dict[Exponent, Fraction] = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                add_into(terms, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+        # add_into drops every zero sum
+        return Polynomial._trusted(self.nvars, terms)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, power: int) -> Polynomial:
+        return _power(self, power, Polynomial.constant(self.nvars, 1))
+
+    def partial(self, index: int) -> Polynomial:
+        """Partial derivative with respect to variable ``index``."""
+        if not 0 <= index < self.nvars:
+            raise ValueError(f"variable index {index} out of range")
+        terms: dict[Exponent, Fraction] = {}
+        for exps, coeff in self.terms.items():
+            e = exps[index]
+            if e:
+                # lowering one exponent maps distinct exponents to distinct
+                # ones, and coeff * e is nonzero
+                terms[exps[:index] + (e - 1,) + exps[index + 1:]] = coeff * e
+        return Polynomial._trusted(self.nvars, terms)
+
+    def subst_poly(self, images: Sequence[Polynomial]) -> Polynomial:
+        """Evaluate with each variable replaced by a polynomial."""
+        if len(images) != self.nvars:
+            raise ValueError("need one image per variable")
+        if not images:
+            return Polynomial.constant(0, self.constant_term())
+        target = images[0].nvars
+        result = Polynomial.zero(target)
+        for exps, coeff in self.terms.items():
+            term = Polynomial.constant(target, coeff)
+            for img, e in zip(images, exps):
+                if e:
+                    term = term * img**e
+            result = result + term
+        return result
+
+    # -- printing ---------------------------------------------------------
+
+    def __str__(self) -> str:
+        def mono(exps: Exponent) -> str:
+            return "*".join(f"x{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(exps) if e)
+
+        return signed_sum((coeff, mono(exps)) for exps, coeff in self.sorted_terms())
+
+    def __repr__(self) -> str:
+        return f"Polynomial({self})"
 
 
 class Weights(Frozen):

@@ -33,7 +33,7 @@ def symplectic_multiplicity(curve: MonomialCurve, a: AlgRestriction) -> int:
     """Codimension of the orbit of a in the closed-restriction space, read
     off the orbit tangent space that the class keeps; that lookup checks
     the curve."""
-    from .symmetry import orbit_tangent_space
+    from .orbit import orbit_tangent_space
 
     return orbit_tangent_space(curve, a).codim
 

@@ -10,16 +10,11 @@ remainder over Q is one division at the end.  ``rref`` gives the dense
 ``Fraction`` rows of the same form; kernels, solutions and span tests are
 read off it.  ``PrefixSolver`` answers many sparse integer right-hand
 sides against one matrix from one elimination.
-``solve_param_linear`` solves sparse systems whose entries are
-polynomials in Z[t], for a parameter t: it peels the rows with one
-unknown, then runs fraction-free elimination on the rest
-(Bareiss, Math. Comp. 22, 1968) with a level per entry: an entry outside
-the pivot row's support is only rescaled, and the rescalings telescope,
-so it is written only when it is read.  The pivot row is the first
-remaining row with the column, and the answer does not depend on the row
-order.  ``qt._reduced`` reduces each solution, and the Sturm count of
-``qt`` tells whether it stays pole-free on [0, 1]; ``qt`` is read through
-its module, so a run that solves and counts nothing never compiles it.
+``solve_param_linear`` validates sparse systems whose entries are
+polynomials in Z[t], for a parameter t, and hands them to ``qt``, where
+the peel, the fraction-free elimination and the Sturm counts run
+(``qt._zsolve``); ``qt`` is read through its module, so a run that
+solves and counts nothing never compiles it.
 """
 
 from __future__ import annotations
@@ -275,57 +270,12 @@ def solve_param_linear(rows: Iterable[Mapping[int, list[int]]], width: int) -> P
     which leaves the solution unchanged.  Reports, per component of the
     solution, how many poles land in the closed interval [0, 1].
 
-    Every row is validated first.  Then the rows with one unknown are
-    peeled (Andersen & Andersen, Math. Programming 71, 1995), to a fixed
-    point, through an index of the rows holding each unknown and a queue:
-    c x_j = 0 forces x_j = 0, so column j leaves every row; e x_j = b, with
-    e a constant, fixes x_j = b / e, and every other row a x_j + ... = c
-    becomes |e| (...) = |e| c - sign(e) a b, divided by its integer
-    content; e x_j = b with deg e >= 1 is peeled only when x_j is in no
-    other row (substituting it would multiply rows by e); and 0 = b, b
-    nonzero, is inconsistent.  The peel finds the same answer: no column
-    but j has an entry in the row r of e x_j = b, so j is a pivot column,
-    and any other column lies in the span of the columns before it exactly
-    when it does so with row r and column j removed; scaling a row changes
-    no span.  So the pivot columns, the solutions and the one with the free
-    unknowns at zero are those of the rows that remain, with the peeled x_j.
-
-    The elimination of the rows that remain is fraction-free (Bareiss)
-    over Z[t], on sparse rows; it is skipped when none remain.
-    Each step takes as pivot row the first remaining row with an entry in
-    the next column, and updates every other remaining row to M[i][j] =
-    (piv * M[i][j] - M[i][col] * M[r][j]) / prev, prev the pivot of the
-    step before; by Sylvester's identity every entry is a minor of the
-    input rows, so each division is exact in Z[t] (and checked: a
-    remainder raises ``ArithmeticError``).  Where M[r][j] or M[i][col] is
-    zero the update is piv * M[i][j] / prev: a zero entry stays zero, and
-    over consecutive steps the factors telescope, so an entry left alone
-    from step k to step c is M * p_c / p_k, with p_c the pivot of step c
-    (p_0 = 1).  So each entry keeps the step it was last written at, its
-    level, and a step writes only the rows nonzero in the pivot column,
-    and in them only the pivot row's support: fill-in is -factor * M[r][j]
-    / prev, and an entry that cancels is deleted.  An entry is brought up
-    to date, by one exact division, only when it is read: in the pivot
-    row, as a factor, or under the pivot row's support.  Entries left
-    behind change no zero test.  A remaining row has no entry before the
-    current column, and the system is consistent unless a row left after
-    the last pivot has a right-hand side.  Back substitution reads each
-    pivot row at its own step and computes y_k = D * x_k in Z[t], again by
-    exact divisions, where the last pivot D is the determinant of the
-    pivot block (Cramer's rule).
-
-    Each nonzero component y_k / D, and each peeled b / e, is reduced once,
-    in Z[t] (``_reduced``), and poles counted once per distinct reduced
-    denominator.  The result does not depend on the order of the rows, and
-    equals that of Gauss-Jordan elimination over Q(t): a column is a pivot
-    exactly when it is not in the Q(t)-span of the columns before it,
-    whichever rows are chosen as pivots, so all find the same pivot
-    columns; with the free variables at zero the solution is unique; and
-    both store the canonical reduced form with monic denominator.
+    Every row is validated first.  ``qt._zsolve`` then peels the rows with
+    one unknown and eliminates the rest fraction-free (Bareiss), checking
+    each division (a remainder raises ``ArithmeticError``); the answer does
+    not depend on the row order and equals Gauss-Jordan's over Q(t).
     """
-    zmul, zsub, zdiv_exact = qt._zmul, qt._zsub, qt._zdiv_exact
     live: dict[int, dict[int, list[int]]] = {}
-    holders: dict[int, set[int]] = {}  # unknown j -> the live rows with an entry at j
     for i, row in enumerate(rows):
         entries = live[i] = {}
         for c, e in row.items():
@@ -335,97 +285,5 @@ def solve_param_linear(rows: Iterable[Mapping[int, list[int]]], width: int) -> P
                 if not e[-1]:
                     raise ValueError("a Z[t] entry ends in a zero coefficient")
                 entries[c] = e
-                if c < width:
-                    holders.setdefault(c, set()).add(i)
-    queue = [i for i, row in live.items() if len(row) - (width in row) < 2]
-    peeled: list[tuple[int, list[int], list[int]]] = []  # (j, b, e): x_j = b / e
-    while queue:
-        i = queue.pop()
-        row = live.get(i)
-        if row is None:
-            continue
-        j = next((c for c in row if c != width), None)
-        if j is None:  # 0 = b
-            if row:
-                return ParamSolution(consistent=False)
-            del live[i]
-            continue
-        e, b = row[j], row.get(width, [])
-        if b and len(e) > 1 and len(holders[j]) > 1:
-            continue  # substituting it would multiply rows by e: the Bareiss takes it
-        del live[i]
-        others = holders.pop(j) - {i}
-        peeled.append((j, b, e))
-        scale, signed = abs(e[0]), ([-c for c in b] if e[0] < 0 else b)
-        for k in others:
-            other = live[k]
-            a = other.pop(j)
-            if b:  # e is a constant: scale by |e| and move sign(e) * a * b across
-                rhs = zsub([scale * c for c in other.pop(width, [])], zmul(a, signed))
-                other = {c: [scale * x for x in v] for c, v in other.items()}
-                if rhs:
-                    other[width] = rhs
-                g = math.gcd(*(x for v in other.values() for x in v))
-                if g > 1:
-                    other = {c: [x // g for x in v] for c, v in other.items()}
-                live[k] = other
-            if len(other) - (width in other) < 2:
-                queue.append(k)
-    pending = [{c: (e, 0) for c, e in row.items()} for row in live.values()]
-    dets = [[1]]  # dets[k] = p_k, the pivot of step k
-    pivot_rows: list[tuple[int, list[int], dict[int, list[int]]]] = []
-    for col in sorted({c for row in pending for c in row if c != width}):
-        r = next((i for i, row in enumerate(pending) if col in row), None)
-        if r is None:
-            continue
-        current = len(dets) - 1
-        prev = dets[current]
-        pivot_row = {
-            j: e if k == current else zdiv_exact(zmul(prev, e), dets[k])
-            for j, (e, k) in pending.pop(r).items()
-        }
-        piv = pivot_row.pop(col)
-        for row in pending:
-            if col not in row:
-                continue
-            f, k = row.pop(col)
-            factor = f if k == current else zdiv_exact(zmul(prev, f), dets[k])
-            negated = [-c for c in factor]
-            for j, p in pivot_row.items():
-                entry = row.get(j)
-                if entry is None:
-                    row[j] = (zdiv_exact(zmul(negated, p), prev), current + 1)
-                    continue
-                e, k = entry
-                if k != current:
-                    e = zdiv_exact(zmul(prev, e), dets[k])
-                value = zdiv_exact(zsub(zmul(piv, e), zmul(factor, p)), prev)
-                if value:
-                    row[j] = (value, current + 1)
-                else:
-                    del row[j]
-        dets.append(piv)
-        pivot_rows.append((col, piv, pivot_row))
-    if any(width in row for row in pending):
-        return ParamSolution(consistent=False)
-    prev = dets[-1]
-    scaled: dict[int, list[int]] = {}
-    for col, piv, row in reversed(pivot_rows):
-        acc = zmul(prev, row.get(width, []))
-        for k, e in row.items():
-            if scaled.get(k):
-                acc = zsub(acc, zmul(e, scaled[k]))
-        scaled[col] = zdiv_exact(acc, piv)
-    solution = [qt.RationalFunctionT.zero()] * width
-    poles = [0] * width
-    # keyed by the integer coefficients: hashing a UniPoly hashes Fractions
-    counts: dict[tuple[int, ...], int] = {}
-    for c, y, den in [(c, y, prev) for c, y in scaled.items()] + peeled:
-        if y:
-            f, den = qt._reduced(y, den)
-            key = tuple(den)
-            if key not in counts:
-                counts[key] = qt._zpoles_in_unit_interval(den)
-            solution[c] = f
-            poles[c] = counts[key]
-    return ParamSolution(consistent=True, solution=solution, pole_counts=poles)
+    solved = qt._zsolve(live, width)
+    return ParamSolution(True, *solved) if solved else ParamSolution(consistent=False)

@@ -21,7 +21,7 @@ from typing import Callable, Container, Iterable, Sequence, TypeVar
 from . import forms
 from .curves import AlgRestriction, RestrictionBasis
 from .errors import InputError
-from .poly import Polynomial, signed_sum
+from .poly import signed_sum
 
 _T = TypeVar("_T")
 
@@ -105,21 +105,21 @@ class _Parser:
         return Fraction(numer, den)  # type: ignore[arg-type]
 
     # Polynomial grammar: sum of products of powered atoms.
-    def parse_poly(self) -> Polynomial:
+    def parse_poly(self) -> forms.Polynomial:
         result = self.parse_poly_term()
         while (op := self.accept_op("+", "-")) is not None:
             term = self.parse_poly_term()
             result = result + term if op == "+" else result - term
         return result
 
-    def parse_poly_term(self) -> Polynomial:
+    def parse_poly_term(self) -> forms.Polynomial:
         sign = self.signs()
         result = self.parse_poly_factor()
         while self.accept_op("*"):
             result = result * self.parse_poly_factor()
         return result if sign > 0 else -result
 
-    def parse_poly_factor(self) -> Polynomial:
+    def parse_poly_factor(self) -> forms.Polynomial:
         base = self.parse_poly_atom()
         if self.accept_op("^"):
             token = self.next()
@@ -128,12 +128,12 @@ class _Parser:
             base = base ** int(token[1])  # type: ignore[assignment]
         return base
 
-    def parse_poly_atom(self) -> Polynomial:
+    def parse_poly_atom(self) -> forms.Polynomial:
         kind, value, position = self.next()
         if kind == "num":
-            return Polynomial.constant(self.nvars, self.rational(value))  # type: ignore[arg-type]
+            return forms.Polynomial.constant(self.nvars, self.rational(value))  # type: ignore[arg-type]
         if kind == "var":
-            return Polynomial.variable(self.nvars, self.check_var(value, position))  # type: ignore[arg-type]
+            return forms.Polynomial.variable(self.nvars, self.check_var(value, position))  # type: ignore[arg-type]
         if kind == "op" and value == "(":
             inner = self.parse_poly()
             self.expect_op(")")
@@ -160,7 +160,7 @@ class _Parser:
         return result
 
     def parse_form_term(self) -> forms.DifferentialForm:
-        coeff = Polynomial.constant(self.nvars, self.signs())
+        coeff = forms.Polynomial.constant(self.nvars, self.signs())
         while not self.at("dx"):
             coeff = coeff * self.parse_poly_factor()
             if not self.accept_op("*"):
@@ -219,7 +219,7 @@ def _parse(text: str, nvars: int, rule: Callable[[_Parser], _T]) -> _T:
     return result
 
 
-def parse_polynomial(text: str, nvars: int) -> Polynomial:
+def parse_polynomial(text: str, nvars: int) -> forms.Polynomial:
     return _parse(text, nvars, _Parser.parse_poly)
 
 

@@ -1,6 +1,6 @@
 """The all-direct Lie action: every column of every action matrix from a Lie
 derivative and ``project``.  It is the reference that the closed-form
-construction of ``symmetry._action_matrix`` is checked against, and it
+construction of ``orbit._action_matrix`` is checked against, and it
 shares no code with that construction beyond the closed-class basis.  The
 bracket identity [A_s, A_u] = (u - s) A_{s+u} is a tested property of the
 direct matrices here, not a construction: no matrix is built from it."""
@@ -12,7 +12,8 @@ from fractions import Fraction
 from algrest.curves import RestrictionBasis, project
 from algrest.errors import LiftError
 from algrest.forms import lie_derivative
-from algrest.symmetry import _action_matrix, admissible_shifts, liftable_field, validate_liftable
+from algrest.orbit import _action_matrix, admissible_shifts
+from algrest.symmetry import liftable_field, validate_liftable
 
 
 def lie_action(curve, lifted, a):

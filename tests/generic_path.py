@@ -8,8 +8,7 @@ and pulling back the standard symplectic form by the generic
 
 from algrest.atlas import coeff_value
 from algrest.errors import InputError
-from algrest.forms import DifferentialForm, PolyMap
-from algrest.poly import Polynomial
+from algrest.forms import DifferentialForm, PolyMap, Polynomial
 from algrest.qt import UniPoly
 
 from ztpoly import poly_add

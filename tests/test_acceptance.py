@@ -31,17 +31,17 @@ from algrest.curves import (
     restriction_quotient,
     stop_qdeg,
 )
-from algrest.forms import DifferentialForm, ext_der
+from algrest.forms import DifferentialForm, Polynomial, ext_der
 from algrest.invariants import (
     index_of_isotropy,
     invariant_report,
     representable_by_symplectic,
 )
 from algrest.linalg import rref
+from algrest.orbit import admissible_shifts
 from algrest.parser import parse_map, parse_restriction
-from algrest.poly import Polynomial
 from algrest.qt import RationalFunctionT, UniPoly
-from algrest.symmetry import action_table, admissible_shifts, moser_reduce, shift_action
+from algrest.symmetry import action_table, moser_reduce, shift_action
 
 import semigroups
 from direct_actions import direct_action_matrix

@@ -5,7 +5,7 @@ import pytest
 
 from algrest import atlas as atlas_module
 from algrest import invariants as invariants_module
-from algrest import symmetry as symmetry_module
+from algrest import orbit as orbit_module
 from algrest.atlas import (
     BUNDLED,
     Realization,
@@ -24,12 +24,11 @@ from algrest.atlas import (
 )
 from algrest.curves import AlgRestriction, MonomialCurve, cached_basis, project
 from algrest.errors import InputError
-from algrest.forms import PolyMap, pullback
+from algrest.forms import PolyMap, Polynomial, pullback
 from algrest.invariants import symplectic_multiplicity
 from algrest.linalg import rref, zcleared, zechelon
+from algrest.orbit import orbit_tangent_space
 from algrest.parser import parse_form
-from algrest.poly import Polynomial
-from algrest.symmetry import orbit_tangent_space
 
 from generic_path import (
     apply_series,
@@ -219,7 +218,7 @@ def test_verify_row_rejects_a_row_without_surviving_samples(atlas4567):
 
 def test_verify_atlas_measures_each_sample_once(monkeypatch, atlas4567, atlas456, atlas457):
     built, multiplicities = [], []
-    tangent_space = symmetry_module.orbit_tangent_space
+    tangent_space = orbit_module.orbit_tangent_space
     multiplicity = invariants_module.symplectic_multiplicity
 
     def building(curve, a):
@@ -234,7 +233,7 @@ def test_verify_atlas_measures_each_sample_once(monkeypatch, atlas4567, atlas456
         return multiplicity(curve, a)
 
     monkeypatch.setattr(atlas_module, "orbit_tangent_space", building)
-    monkeypatch.setattr(symmetry_module, "orbit_tangent_space", building)
+    monkeypatch.setattr(orbit_module, "orbit_tangent_space", building)
     monkeypatch.setattr(invariants_module, "symplectic_multiplicity", measuring)
     for atlas in (atlas4567, atlas456, atlas457):
         built.clear()
@@ -288,6 +287,20 @@ def test_load_samples_file():
         1: [{"c2": Fraction(3, 2)}, {"c2": Fraction(-4)}],
         4: [{"c1": Fraction(1), "c2": Fraction(0)}],
     }
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"1": [{"c2": "1"}], "01": [{"c2": "2"}]}',
+        '{"4": [], "4": [{"c1": "1", "c2": "0"}]}',
+        '{"1": [{"c2": "1", "c2": "2"}]}',
+    ],
+    ids=["row-as-01", "repeated-row", "repeated-parameter"],
+)
+def test_load_samples_file_rejects_a_name_given_twice(text):
+    with pytest.raises(InputError, match="named twice"):
+        load_samples_file(text)
 
 
 def generic_checks(basis, phi, n):

@@ -36,7 +36,8 @@ from algrest.invariants import (
     representable_by_symplectic,
 )
 from algrest.linalg import rref, solve_linear
-from algrest.symmetry import admissible_shifts, moser_reduce, orbit_tangent_space, shift_action
+from algrest.orbit import admissible_shifts, orbit_tangent_space
+from algrest.symmetry import moser_reduce, shift_action
 
 from fraction_path import dense, part_denominator, part_quotient_coords, quotient_coords
 from test_linalg import rank, reduce_by, reference_poles_in_closed_unit_interval

@@ -484,6 +484,42 @@ def test_verify_atlas_malformed_samples_exit_2(capsys, tmp_path, content):
 
 
 @pytest.mark.parametrize(
+    "content, message",
+    [
+        (
+            '{"1": [{"c1": "1", "c2": "3"}], "01": [{"c1": "2", "c2": "5"}]}',
+            "malformed samples file: row 1 is named twice",
+        ),
+        (
+            '{"1": [{"c1": "1", "c2": "3"}], "1": [{"c1": "2", "c2": "5"}]}',
+            "malformed samples file: row 1 is named twice",
+        ),
+        (
+            '{"1": [{"c1": "1", "c2": "3", "c1": "2"}]}',
+            "malformed samples file: row 1: a parameter is named twice in one sample",
+        ),
+        ('{"1": {"c1": "1"}}', "malformed samples file: row 1: the samples must be a JSON list of objects"),
+        ('{"1": [["c1"]]}', "malformed samples file: row 1: the samples must be a JSON list of objects"),
+        ('{"a": []}', "malformed samples file: row id 'a' is not an integer"),
+        (
+            '{"1": [{"c1": "1/0", "c2": "1"}]}',
+            "malformed samples file: row 1: parameter 'c1' must be an integer or a string p/q, q nonzero",
+        ),
+    ],
+    ids=["row-as-01", "repeated-row", "repeated-parameter", "object-of-samples", "list-sample",
+         "non-integer-row", "zero-denominator"],
+)
+def test_verify_atlas_samples_file_says_what_it_must_hold(capsys, tmp_path, content, message):
+    """A row or parameter named twice is rejected, not read as its last
+    value, and a misshapen file gets a message about the file, not
+    Python's."""
+    samples = tmp_path / "samples.json"
+    samples.write_text(content)
+    rc, out, err = run(capsys, "verify-atlas", "4", "5", "6", "7", "--samples", str(samples))
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("project", "4", "5", "6", "7", "--form", "1/0*dx1^dx2"),

@@ -23,11 +23,10 @@ from algrest.curves import (
     stop_qdeg,
 )
 from algrest.errors import InputError, NotClosedError
-from algrest.forms import DifferentialForm, ext_der, wedge
+from algrest.forms import DifferentialForm, Polynomial, ext_der, wedge
 from algrest.linalg import RrefResult, kernel_basis, rref, zdenominated
+from algrest.orbit import orbit_tangent_space
 from algrest.parser import parse_form, parse_restriction
-from algrest.poly import Polynomial
-from algrest.symmetry import orbit_tangent_space
 
 from fraction_path import dense, element_vectors, quotient_coords, zquotient_coords
 from generic_path import curve_images, drop_off_curve, substitute, terms_of

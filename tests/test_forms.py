@@ -7,6 +7,7 @@ from algrest.errors import InputError
 from algrest.forms import (
     DifferentialForm,
     PolyMap,
+    Polynomial,
     VectorField,
     Weights,
     ext_der,
@@ -15,7 +16,6 @@ from algrest.forms import (
     pullback,
     wedge,
 )
-from algrest.poly import Polynomial
 from algrest.qt import UniPoly
 
 from generic_path import apply_series, restrict, terms_of

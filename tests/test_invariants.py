@@ -14,7 +14,7 @@ from algrest.curves import (
     restriction_quotient,
 )
 from algrest.errors import InputError
-from algrest.forms import DifferentialForm, ext_der
+from algrest.forms import DifferentialForm, Polynomial, ext_der
 from algrest.invariants import (
     branch_rank,
     index_of_isotropy,
@@ -25,9 +25,8 @@ from algrest.invariants import (
     symplectic_multiplicity,
 )
 from algrest.linalg import in_span, solve_linear
+from algrest.orbit import orbit_tangent_space
 from algrest.parser import parse_restriction
-from algrest.poly import Polynomial
-from algrest.symmetry import orbit_tangent_space
 
 from fraction_path import part_quotient_coords, quotient_coords
 from test_class_queries import assert_integer_parts

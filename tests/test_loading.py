@@ -17,6 +17,7 @@ import sys
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+PERFBENCH = SRC.parent / "perfbench"
 
 SUBMODULES = tuple(
     sorted(path.stem for path in (SRC / "algrest").glob("*.py") if path.stem != "__init__")
@@ -56,7 +57,7 @@ def test_importing_the_cli_registers_every_submodule_and_runs_few():
     state = _run("import algrest.cli\nprint(json.dumps(state()))")
     assert set(state) == set(SUBMODULES)
     assert not any(
-        state[name] for name in ("atlas", "invariants", "symmetry", "parser", "forms", "qt")
+        state[name] for name in ("atlas", "invariants", "orbit", "symmetry", "parser", "forms", "qt")
     )
 
 
@@ -64,17 +65,17 @@ def test_importing_the_cli_registers_every_submodule_and_runs_few():
     ("argv", "more"),
     [
         ("basis 4 5 6 7", {"forms"}),
-        ("action-table 4 5 6", {"symmetry", "forms"}),
+        ("action-table 4 5 6", {"symmetry", "orbit", "forms"}),
         ("project 4 5 6 7 --form x2*dx1^dx2+x1*dx1^dx3", {"parser", "forms"}),
         (
             "pullback 4 5 6 7 --map (x1,-x2,x3,-x4) --restriction a9+a13+",
-            {"parser", "forms", "symmetry", "qt"},
+            {"parser", "forms", "symmetry", "orbit", "qt"},
         ),
-        ("tangent 4 5 6 7 --restriction a13-", {"symmetry", "parser"}),
-        ("invariants 4 5 6 7 --restriction a9 --n 2", {"symmetry", "parser", "invariants"}),
-        ("moser 4 5 6 7 --restriction a9+a13+ --kill a13+", {"symmetry", "parser", "qt"}),
-        ("verify-atlas 4 5 6", {"atlas", "invariants", "symmetry"}),
-        ("verify-atlas 4 5 6 --format json", {"atlas", "invariants", "symmetry"}),
+        ("tangent 4 5 6 7 --restriction a13-", {"orbit", "parser"}),
+        ("invariants 4 5 6 7 --restriction a9 --n 2", {"orbit", "parser", "invariants"}),
+        ("moser 4 5 6 7 --restriction a9+a13+ --kill a13+", {"symmetry", "orbit", "parser", "qt"}),
+        ("verify-atlas 4 5 6", {"atlas", "invariants", "orbit"}),
+        ("verify-atlas 4 5 6 --format json", {"atlas", "invariants", "orbit"}),
     ],
     ids=[
         "basis",
@@ -96,6 +97,63 @@ def test_a_command_runs_only_the_modules_it_uses(argv, more):
         *argv.split(),
     )
     assert state == {"rc": 0, "ran": sorted(BASE | more)}
+
+
+TRACER_PROBE = """
+sys.path.insert(0, sys.argv[1])
+import algrest.cli
+from tracer import TARGETS, Tracer
+from algrest import atlas, orbit, symmetry
+
+def bindings():
+    out = {}
+    for name, module in sorted(sys.modules.items()):
+        if name.startswith("algrest."):
+            out.update((f"{name}.{attr}", id(value)) for attr, value in vars(module).items())
+    for owner, path, _ in TARGETS:
+        if "." in path:
+            cls, attr = path.split(".")
+            out[f"{owner}.{path}"] = id(vars(getattr(getattr(algrest, owner), cls))[attr])
+    return out
+
+tracer = Tracer()
+tracer.install()
+tracer.uninstall()
+before = bindings()
+tracer.install()
+wrapped = {
+    "orbit_tangent_space": hasattr(orbit.orbit_tangent_space, "__wrapped__")
+    and orbit.orbit_tangent_space is symmetry.orbit_tangent_space is atlas.orbit_tangent_space,
+    "contains": hasattr(vars(orbit.TangentSpace)["contains"], "__wrapped__"),
+}
+resolved = sorted(tracer.stats) == sorted(name for _, _, name in TARGETS)
+tracer.uninstall()
+after = bindings()
+print(json.dumps({
+    "resolved": resolved,
+    "wrapped": wrapped,
+    "changed": sorted(key for key in before if after.get(key) != before[key]),
+    "shared": symmetry.orbit_tangent_space is orbit.orbit_tangent_space
+    and symmetry.TangentSpace is orbit.TangentSpace,
+}))
+"""
+
+
+def test_the_benchmark_tracer_wraps_every_target_and_restores_every_attribute():
+    """The benchmark's tracer (``perfbench/tracer.py``) resolves each of its
+    targets on its own module after ``import algrest.cli``, its first
+    install running every lazy module, and uninstalling it puts back every
+    module attribute and class attribute it rebound.  ``symmetry`` holds
+    the orbit layer's own ``orbit_tangent_space`` and ``TangentSpace``, so
+    wrapping its targets reaches the callers in ``atlas`` and ``orbit``,
+    which ``invariants`` reads."""
+    result = _run(TRACER_PROBE, str(PERFBENCH))
+    assert result == {
+        "resolved": True,
+        "wrapped": {"orbit_tangent_space": True, "contains": True},
+        "changed": [],
+        "shared": True,
+    }
 
 
 def test_a_basis_builds_its_representative_forms_on_first_read():

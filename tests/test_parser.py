@@ -6,7 +6,7 @@ import pytest
 
 from algrest.curves import AlgRestriction, MonomialCurve, cached_basis
 from algrest.errors import InputError
-from algrest.forms import DifferentialForm
+from algrest.forms import DifferentialForm, Polynomial
 from algrest.parser import (
     extended_str,
     fraction_str,
@@ -18,7 +18,6 @@ from algrest.parser import (
     parse_polynomial,
     parse_restriction,
 )
-from algrest.poly import Polynomial
 
 
 def test_parse_polynomial_basic():

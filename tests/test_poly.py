@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from algrest.poly import Polynomial, grlex_key
+from algrest.forms import Polynomial
+from algrest.poly import grlex_key
 from algrest.qt import RationalFunctionT, UniPoly, _zmul, _zsub
 
 from generic_path import substitute, terms_of

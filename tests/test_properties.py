@@ -15,6 +15,7 @@ from algrest.errors import InputError
 from algrest.forms import (
     DifferentialForm,
     PolyMap,
+    Polynomial,
     VectorField,
     Weights,
     ext_der,
@@ -25,7 +26,7 @@ from algrest.forms import (
 )
 from algrest.invariants import pmqd_compare
 from algrest.parser import latex_restriction, latex_sum, parse_polynomial, parse_restriction
-from algrest.poly import Polynomial, signed_sum
+from algrest.poly import signed_sum
 from algrest.qt import UniPoly
 from algrest.symmetry import liftable_field, shift_action
 

@@ -30,7 +30,7 @@ from algrest.curves import (
     restriction_quotient,
 )
 from algrest.errors import InputError
-from algrest.forms import DifferentialForm, Weights
+from algrest.forms import DifferentialForm, Polynomial, Weights
 from algrest.invariants import (
     InvariantReport,
     PmqdVerdict,
@@ -38,16 +38,10 @@ from algrest.invariants import (
     lagrangian_tangency_order,
 )
 from algrest.linalg import ParamSolution, RrefResult
-from algrest.poly import Frozen, Polynomial
+from algrest.orbit import TangentSpace, orbit_tangent_space
+from algrest.poly import Frozen
 from algrest.qt import RationalFunctionT, UniPoly
-from algrest.symmetry import (
-    ActionTable,
-    HomotopyResult,
-    LiftableField,
-    ScalingResult,
-    TangentSpace,
-    orbit_tangent_space,
-)
+from algrest.symmetry import ActionTable, HomotopyResult, LiftableField, ScalingResult
 
 SRC = pathlib.Path(algrest.__file__).resolve().parents[1]
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import algrest.orbit as orbit_module
 import algrest.symmetry as symmetry_module
 from algrest.curves import (
     AlgRestriction,
@@ -17,22 +18,20 @@ from algrest.curves import (
     project,
 )
 from algrest.errors import InputError, LiftError, NotSymmetryError
-from algrest.forms import PolyMap, VectorField, lie_derivative
+from algrest.forms import PolyMap, Polynomial, VectorField, lie_derivative
 from algrest.invariants import invariant_report
 from algrest.linalg import solve_param_linear
+from algrest.orbit import admissible_shifts, orbit_tangent_space
 from algrest.parser import parse_map, parse_restriction
-from algrest.poly import Polynomial
 from algrest.qt import RationalFunctionT, UniPoly
 from algrest.symmetry import (
     LIFT_POLICIES,
     HomotopyResult,
     action_table,
-    admissible_shifts,
     curve_scaling,
     liftable_field,
     moser_reduce,
     nonsemigroup_shifts,
-    orbit_tangent_space,
     pullback_restriction,
     scaling_symmetry,
     shift_action,
@@ -308,7 +307,7 @@ def test_one_class_computes_each_action_once(monkeypatch, curve4567, basis4567):
     a = parse_restriction("a11+ - 3/2*a11- + 2*a12 + 7*a13+", basis4567)
     kill = a.part(13)
     calls = []
-    original = symmetry_module._orbit_row
+    original = orbit_module._orbit_row
 
     def counting(matrix, cleared):
         calls.append(matrix)
@@ -317,7 +316,7 @@ def test_one_class_computes_each_action_once(monkeypatch, curve4567, basis4567):
     def forbidden(*args):
         raise AssertionError("shift_action called")
 
-    monkeypatch.setattr(symmetry_module, "_orbit_row", counting)
+    monkeypatch.setattr(orbit_module, "_orbit_row", counting)
     monkeypatch.setattr(symmetry_module, "shift_action", forbidden)
     report = invariant_report(curve4567, a)
     tangent = orbit_tangent_space(curve4567, a)
