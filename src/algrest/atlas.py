@@ -94,8 +94,16 @@ def _values(coeffs: Mapping[str, Coeff], env: Mapping[str, Fraction]) -> dict[st
     return {label: coeff_value(coeff, env) for label, coeff in coeffs.items()}
 
 
+def _rational(expr: str) -> Fraction:
+    """A rational constant, read by the coefficient rule with no name."""
+    factor, name = parse_coeff(expr)
+    if name is not None:
+        raise InputError(f"bad rational {expr!r}")
+    return factor
+
+
 def _parse_excluded(data: Mapping[str, Sequence[str]] | None) -> dict[str, tuple[Fraction, ...]]:
-    return {p: tuple(Fraction(v) for v in vals) for p, vals in (data or {}).items()}
+    return {p: tuple(_rational(v) for v in vals) for p, vals in (data or {}).items()}
 
 
 class Realization(NamedTuple):
@@ -235,8 +243,6 @@ def default_samples(row: AtlasRow, seed: int = 0) -> list[dict[str, Fraction]]:
     for k in range(3):
         env: dict[str, Fraction] = {}
         for i, p in enumerate(row.params):
-            if p == "s":
-                continue
             j = (3 * k + 2 * i + row.id) % len(_POOL)
             while _POOL[j] in combined.get(p, ()):
                 j = (j + 1) % len(_POOL)
@@ -246,8 +252,6 @@ def default_samples(row: AtlasRow, seed: int = 0) -> list[dict[str, Fraction]]:
         rng = random.Random(seed * 1000003 + row.id)
         env = {}
         for p in row.params:
-            if p == "s":
-                continue
             while True:
                 value = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
                 if value != 0 and value not in combined.get(p, ()):
@@ -568,8 +572,8 @@ def verify_atlas(
 def _sample_value(row: int, name: str, value: object) -> Fraction:
     try:
         if type(value) in (str, int):  # a JSON float or boolean is not exact
-            return Fraction(value)
-    except (ValueError, ZeroDivisionError):
+            return _rational(str(value))
+    except (InputError, ZeroDivisionError):
         pass
     raise ValueError(f"row {row}: parameter {name!r} must be an integer or a string p/q, q nonzero")
 

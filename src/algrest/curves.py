@@ -590,10 +590,7 @@ class AlgRestriction:
         return cls._trusted(basis, dict(sorted(entries.items())) if len(entries) > 1 else entries)
 
     def _check_same_basis(self, other: AlgRestriction) -> None:
-        if self.basis is not other.basis and (
-            self.basis.curve != other.basis.curve
-            or self.basis.labels != other.basis.labels
-        ):
+        if self.basis is not other.basis and self.basis.curve != other.basis.curve:
             raise InputError("restriction classes live in different bases")
 
     def _plus(self, other: AlgRestriction, sign: int) -> AlgRestriction:

@@ -529,7 +529,7 @@ class PolyMap:
     def diagonal(cls, factors: Sequence[Scalar]) -> PolyMap:
         nvars = len(factors)
         return cls(
-            [Polynomial.variable(nvars, i) * Fraction(factors[i]) for i in range(nvars)],
+            [Polynomial.variable(nvars, i) * _as_fraction(factors[i]) for i in range(nvars)],
             nvars,
         )
 

@@ -24,6 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import qt
+from .poly import _as_fraction
 
 
 class RrefResult(NamedTuple):
@@ -238,8 +239,8 @@ class PrefixSolver:
 
 def sturm_count(p: qt.UniPoly, a: Fraction | int, b: Fraction | int) -> int:
     """Number of distinct real roots of p in the half-open interval (a, b]."""
-    a = Fraction(a)
-    b = Fraction(b)
+    a = _as_fraction(a)
+    b = _as_fraction(b)
     if b <= a:
         return 0
     return qt._zroot_count(list(zdenominated(dict(enumerate(p.coeffs)))[1].values()), a, b)

@@ -245,16 +245,13 @@ def fraction_str(value: Fraction) -> str:
 
 
 def extended_str(value: object) -> str | int | None:
-    """JSON-friendly rendering of invariant values."""
+    """JSON-friendly rendering of an invariant value: an int, ``math.inf``
+    or None."""
     if value is None:
         return None
     if isinstance(value, float) and math.isinf(value):
         return "inf"
-    if isinstance(value, Fraction):
-        return fraction_str(value)
-    if isinstance(value, int):
-        return value
-    return str(value)
+    return value
 
 
 def latex_fraction(value: Fraction) -> str:
@@ -267,8 +264,6 @@ def latex_fraction(value: Fraction) -> str:
 
 def latex_label(label: str) -> str:
     match = re.fullmatch(r"a(\d+)([+-]?)(?:\.(\d+))?", label)
-    if match is None:
-        return label
     digits, sign, serial = match.groups()
     sub = digits + (f",{serial}" if serial else "")
     if sign:

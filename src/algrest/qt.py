@@ -217,8 +217,6 @@ def _zsturm_chain(p: list[int]) -> list[list[int]]:
     chain = [q, _zprimitive(_zderivative(q))]
     while len(chain[-1]) > 1:
         rem = _zprem(chain[-2], chain[-1])
-        if not rem:
-            break
         chain.append(_zprimitive([-c for c in rem]))
     return chain
 

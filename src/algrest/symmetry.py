@@ -32,7 +32,7 @@ from .orbit import (
     ActionMatrix, TangentSpace, _action_matrix, _basis_shifts, _grlex_exponents, _orbit_row,
     _restriction, admissible_shifts, orbit_tangent_space
 )
-from .poly import Exponent, Scalar
+from .poly import Exponent, Scalar, _as_fraction
 
 
 def nonsemigroup_shifts(curve: MonomialCurve, bound: int) -> list[int]:
@@ -357,9 +357,7 @@ def pullback_restriction(
 
 
 def _rational_root(value: Fraction, r: int) -> Fraction | None:
-    """Exact r-th root of a rational, or None; negative values need odd r."""
-    if value == 0:
-        return Fraction(0)
+    """Exact r-th root of a nonzero rational, or None; negative ones need odd r."""
     if value < 0:
         if r % 2 == 0:
             return None
@@ -398,7 +396,7 @@ def scaling_symmetry(curve: MonomialCurve, target: str, value: Scalar) -> Scalin
     odd or the value is positive, and to -1 when r is even and the value is
     negative; the map exists whenever the needed r-th root is rational.
     """
-    value = Fraction(value)
+    value = _as_fraction(value)
     if value == 0:
         raise InputError("cannot normalize a zero coefficient")
     r = cached_basis(curve).element(target).qdeg
@@ -416,7 +414,7 @@ def scaling_symmetry(curve: MonomialCurve, target: str, value: Scalar) -> Scalin
 
 def curve_scaling(curve: MonomialCurve, c: Scalar) -> forms.PolyMap:
     """The diagonal symmetry x_i -> c^{w_i} x_i, covering t -> c*t."""
-    c = Fraction(c)
+    c = _as_fraction(c)
     if c == 0:
         raise InputError("scaling constant must be nonzero")
     weights = curve.weights

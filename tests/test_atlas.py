@@ -266,6 +266,64 @@ def test_verify_distinctness_reads_the_reports_of_its_checks(monkeypatch, atlas4
         verify_distinctness(atlas456, checks=checks[1:])
 
 
+@pytest.mark.parametrize(
+    ("row_id", "changes", "expected"),
+    [
+        (1, {"mu": 3}, "mu = 2, table says 3"),
+        (1, {"iota": 1}, "iota = 0, expected 1"),
+        (5, {"lt_printed": 10}, "lt = 9, table says 10"),
+        (10, {"lt_printed": 9}, "lt = inf, table says 9"),
+        (1, {"n2_generic": False}, "representability on R^4: rank test says True, expected False"),
+    ],
+    ids=["mu", "iota", "lt-computed", "lt-infinite", "representability"],
+)
+def test_verify_row_reports_a_table_entry_that_disagrees(atlas456, row_id, changes, expected):
+    """Each invariant check fires, alone, on a row whose table entry is wrong."""
+    row = atlas456.row(row_id)._replace(**changes)
+    checks = verify_row(atlas456, row, samples=default_samples(row)[:1])
+    assert [check.failures for check in checks] == [(expected,)]
+
+
+def test_verify_row_reports_a_modulus_tangent_to_the_orbit(atlas456):
+    """Row 1 of (4,5,6) with one more modulus d along a13, which is tangent
+    to the orbit there; at d = 0 the class is the row's own."""
+    row = atlas456.row(1)
+    bent = row._replace(
+        params=(*row.params, "d"),
+        restriction={**row.restriction, "a13": (Fraction(1), "d")},
+        moduli=(*row.moduli, "d"),
+    )
+    env = {**default_samples(row)[0], "d": Fraction(0)}
+    assert [check.failures for check in verify_row(atlas456, bent, samples=[env])] == [
+        ("declared modulus d is tangent to the orbit",)
+    ]
+
+
+def test_verify_distinctness_reports_rows_it_cannot_tell_apart(atlas456):
+    twin = atlas456.row(1)._replace(id=99)
+    doubled = atlas456._replace(rows=(*atlas456.rows, twin))
+    assert verify_distinctness(doubled) == ["row 1 and row 99 are not distinguished"]
+    # a sign row whose restriction ignores s has two equal variants
+    unsigned = tuple(row._replace(sign=row.id == 1 or row.sign) for row in atlas456.rows)
+    assert verify_distinctness(atlas456._replace(rows=unsigned)) == [
+        "sign variants of row 1 are not distinguished"
+    ]
+
+
+def test_verify_distinctness_passes_sign_variants_of_unequal_invariants(atlas4567):
+    # a11+ + a11- and a11+ - a11- are rows 4 and 7 of (4,5,6,7): mu 4 and 5
+    row = atlas4567.row(4)._replace(
+        params=(), restriction={"a11+": (Fraction(1), None), "a11-": (Fraction(1), "s")}, sign=True
+    )
+    assert verify_distinctness(atlas4567._replace(rows=(row,))) == []
+
+
+def test_default_samples_skip_an_excluded_pool_value(atlas456):
+    # row 1, sample 0, draws pool entry 1 (-1/3) for c1 and entry 3 (7/2) for c2
+    row = atlas456.row(1)._replace(excluded={"c1": (Fraction(-1, 3),)})
+    assert default_samples(row)[0] == {"c1": Fraction(5), "c2": Fraction(7, 2)}
+
+
 def test_verify_row_rejects_small_n(atlas4567):
     row = atlas4567.row(10)
     with pytest.raises(InputError):
@@ -287,6 +345,7 @@ def test_load_samples_file():
         1: [{"c2": Fraction(3, 2)}, {"c2": Fraction(-4)}],
         4: [{"c1": Fraction(1), "c2": Fraction(0)}],
     }
+    assert load_samples_file('{"2": [{"c": -4}]}') == {2: [{"c": Fraction(-4)}]}
 
 
 @pytest.mark.parametrize(
@@ -301,6 +360,14 @@ def test_load_samples_file():
 def test_load_samples_file_rejects_a_name_given_twice(text):
     with pytest.raises(InputError, match="named twice"):
         load_samples_file(text)
+
+
+@pytest.mark.parametrize("value", ['"0.5"', '"1e3"', '"1_000"', '"+3"', '"1/0"', '"c"', "0.5", "true"])
+def test_load_samples_file_reads_values_by_the_coefficient_rule(value):
+    """A value is an integer or a string the coefficient rule reads as a
+    constant: no decimal, exponent, digit separator, plus sign or name."""
+    with pytest.raises(InputError, match="must be an integer or a string p/q, q nonzero"):
+        load_samples_file(f'{{"1": [{{"c2": {value}}}]}}')
 
 
 def generic_checks(basis, phi, n):

@@ -141,6 +141,30 @@ def test_action_table_of_an_empty_basis_prints_no_latex(capsys):
     assert run(capsys, "basis", "1", "--format", "latex")[:2] == (0, "")
 
 
+def test_action_table_project_and_pullback_latex_bytes(capsys):
+    rc, out, _ = run(capsys, "action-table", "4", "5", "6", "--format", "latex")
+    assert rc == 0
+    assert out == (
+        " & a_{9} & a_{10} & a_{11} & a_{13} & a_{14} & a_{15} & a_{17} & a_{19} \\\\\n"
+        "X_{0} & 9a_{9} & 10a_{10} & 11a_{11} & 13a_{13} & 14a_{14} & 15a_{15} & 17a_{17} & 19a_{19} \\\\\n"
+        "X_{4} & 13a_{13} & 14a_{14} & 5a_{15} & -\\tfrac{34}{3}a_{17} & 0 & 57a_{19} & 0 & 0 \\\\\n"
+        "X_{5} & 7a_{14} & 10a_{15} & 0 & 0 & 38a_{19} & 0 & 0 & 0 \\\\\n"
+        "X_{6} & 5a_{15} & 0 & 17a_{17} & 19a_{19} & 0 & 0 & 0 & 0 \\\\\n"
+        "X_{7} & 0 & 0 & 0 & 0 & 0 & 0 & 0 & 0 \\\\\n"
+        "X_{8} & -\\tfrac{34}{3}a_{17} & 0 & 19a_{19} & 0 & 0 & 0 & 0 & 0 \\\\\n"
+        "X_{9} & 0 & 38a_{19} & 0 & 0 & 0 & 0 & 0 & 0 \\\\\n"
+        "X_{10} & 19a_{19} & 0 & 0 & 0 & 0 & 0 & 0 & 0 \\\\\n"
+    )
+    form = "x2*dx1^dx2 + x1*dx1^dx3"
+    rc, out, _ = run(capsys, "project", "4", "5", "6", "7", "--form", form, "--format", "latex")
+    assert (rc, out) == (0, "\\tfrac{3}{2}a_{14}\n")
+    rc, out, _ = run(
+        capsys, "pullback", "4", "5", "6", "7", "--map", "(x1, -x2, x3, -x4)",
+        "--restriction", "a9 + a13+", "--format", "latex",
+    )
+    assert (rc, out) == (0, "-a_{9}-a_{13}^{+}\n")
+
+
 def test_project_text_and_errors(capsys):
     rc, out, _ = run(capsys, "project", "4", "5", "6", "7", "--form", "dx1^dx2")
     assert rc == 0
@@ -273,6 +297,24 @@ def test_moser_infeasible_is_reported_not_an_error(capsys):
     assert rc == 0
     assert "consistent: no" in out
     assert "feasible on [0, 1]: no" in out
+
+
+def test_moser_text_counts_the_poles_in_the_unit_interval(capsys):
+    rc, out, _ = run(
+        capsys,
+        "moser", "4", "5", "6", "7",
+        "--restriction", "5*a13+ - 2*a13- - 4*a14",
+        "--kill", "a13+",
+    )
+    assert rc == 0
+    assert out.splitlines()[-6:] == [
+        "  b_0(t) = (-1/13) / (t - 1)",
+        "  b_1(t) = (-2/39) / (t^2 - 2*t + 1)",
+        "  b_2(t) = (16/117) / (t^3 - 3*t^2 + 3*t - 1)",
+        "  b_0 has 1 pole(s) in [0, 1]",
+        "  b_1 has 1 pole(s) in [0, 1]",
+        "  b_2 has 1 pole(s) in [0, 1]",
+    ]
 
 
 def test_moser_unknown_label(capsys):

@@ -732,6 +732,15 @@ def test_vectorize_rejects_wrong_degree_and_drops_off_curve_terms():
     piece = restriction_quotient(curve, 2, 11)
     with pytest.raises(InputError, match="not quasi-homogeneous of degree 11"):
         piece.vectorize(parse_form("x1*dx1^dx2", 5))
+    with pytest.raises(InputError, match="^form variable count does not match the curve$"):
+        piece.vectorize(parse_form("dx2^dx3", 4))
+    with pytest.raises(InputError, match="^expected a 2-form$"):
+        piece.vectorize(parse_form("x1*dx2", 5))
+    basis = cached_basis(curve)
+    with pytest.raises(InputError, match="^form has 4 variables, curve ambient dimension is 5$"):
+        project(curve, parse_form("dx2^dx3", 4), basis)
+    with pytest.raises(InputError, match="^only 2-forms can be projected to this basis$"):
+        project(curve, parse_form("x1*dx2", 5), basis)
     assert piece.vectorize(parse_form("dx2^dx3 + dx1^dx4", 5)) == piece.vectorize(
         parse_form("dx2^dx3", 5)
     )

@@ -126,6 +126,57 @@ def test_forms_take_rational_scalars_only():
         var(0) * 0.1
 
 
+def test_values_of_mismatched_shapes_raise():
+    """Each constructor and operation of the value layer rejects input
+    whose variable count, degree, index or exponent does not fit."""
+    with pytest.raises(ValueError, match="nvars must be nonnegative"):
+        Polynomial(-1)
+    with pytest.raises(ValueError, match="wrong length for 2 variables"):
+        Polynomial(2, {(1,): 1})
+    with pytest.raises(ValueError, match="negative exponent"):
+        Polynomial(2, {(1, -1): 1})
+    with pytest.raises(ValueError, match="variable index 2 out of range for 2 variables"):
+        Polynomial.variable(2, 2)
+    with pytest.raises(ValueError, match="variable count mismatch: 4 vs 3"):
+        var(0) + var(0, 3)
+    with pytest.raises(ValueError, match="variable index 4 out of range"):
+        var(0).partial(4)
+    with pytest.raises(ValueError, match="need one image per variable"):
+        var(0).subst_poly([var(0)])
+    assert Polynomial.constant(0, 5).subst_poly([]) == Polynomial.constant(0, 5)
+    with pytest.raises(InputError, match="form degree must be nonnegative"):
+        DifferentialForm(-1, 2)
+    with pytest.raises(InputError, match="wrong length for degree 2"):
+        DifferentialForm(2, 4, {(0,): var(0)})
+    with pytest.raises(InputError, match="out of range for 4 variables"):
+        DifferentialForm(1, 4, {(4,): var(0)})
+    with pytest.raises(InputError, match="must be strictly increasing"):
+        DifferentialForm(2, 4, {(1, 0): var(0)})
+    with pytest.raises(InputError, match="coefficient variable count mismatch"):
+        DifferentialForm(1, 4, {(0,): var(0, 3)})
+    with pytest.raises(InputError, match="^variable count mismatch$"):
+        dx(0) + dx(0, 3)
+    with pytest.raises(InputError, match="form degree mismatch"):
+        dx(0) + dxx(0, 1)
+    with pytest.raises(InputError, match="weights do not match"):
+        dx(0).graded_parts(Weights((4, 5, 6), 3))
+    with pytest.raises(InputError, match="^variable count mismatch$"):
+        wedge(dx(0), dx(0, 3))
+    field = VectorField([var(i) for i in range(4)])
+    with pytest.raises(InputError, match="^variable count mismatch$"):
+        interior(field, dx(0, 3))
+    with pytest.raises(InputError, match="vector field needs at least one component"):
+        VectorField([])
+    with pytest.raises(InputError, match="component variable count mismatch"):
+        VectorField([var(0, 2), var(0, 3)])
+    with pytest.raises(InputError, match="map needs at least one component"):
+        PolyMap([])
+    with pytest.raises(InputError, match="component variable count mismatch"):
+        PolyMap([var(0), var(0, 3)])
+    with pytest.raises(InputError, match="does not match the map's target"):
+        pullback(identity_map(3), dx(0))
+
+
 def test_euler_field_scales_by_quasi_degree():
     weights = Weights((4, 5, 6, 7), 4)
     euler = VectorField([weights.weight(i) * var(i) for i in range(4)])
@@ -182,6 +233,8 @@ def test_polymap_identity_diagonal_compose():
     assert compose(diag, ident).components == diag.components
     twice = compose(diag, diag)
     assert twice.linear_matrix()[0][0] == 4
+    with pytest.raises(TypeError, match="rational scalar"):
+        PolyMap.diagonal([0.1, 1])
 
 
 def test_polymap_apply_series():

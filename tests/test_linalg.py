@@ -73,6 +73,8 @@ def test_solve_linear_and_inconsistency():
     # free variable pinned to zero
     sol = solve_linear(frows([[1, 1]]), [F(5)])
     assert sol == [F(5), F(0)]
+    with pytest.raises(ValueError, match="rhs length does not match row count"):
+        solve_linear(rows, [F(3)])
 
 
 def test_in_span():
@@ -454,6 +456,9 @@ def test_sturm_count_at_rational_endpoints():
     assert sturm_count(f, F(5, 7), F(9, 2)) == 0
     assert sturm_count(f, F(1, 2), F(1, 2)) == 0
     assert sturm_count(f, 1, 0) == 0
+    for a, b in ((0.25, 1), (0, 0.5)):
+        with pytest.raises(TypeError, match="rational scalar"):
+            sturm_count(f, a, b)
 
 
 def test_sturm_count_with_roots_at_zero_and_one():
@@ -597,6 +602,9 @@ def test_exact_division_in_zt_raises_on_a_remainder():
         _zdiv_exact([0, 1], [0, 2])  # t / 2t = 1/2 is not in Z[t]
     with pytest.raises(ArithmeticError):
         _zdiv_exact([3], [1, 1])  # lower degree than the divisor
+    assert _zdiv_exact([4, -6], [2]) == [2, -3]
+    with pytest.raises(ArithmeticError):
+        _zdiv_exact([4, 3], [2])  # (3t + 4) / 2 is not in Z[t]
 
 
 def reference_solve_param_linear(rows, rhs):

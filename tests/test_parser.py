@@ -102,6 +102,12 @@ def test_error_positions_are_where_the_token_starts():
         parse_map("(x1, x2  x3)", 3)
     with pytest.raises(InputError, match="expected a dx factor at position 12 in"):
         parse_form(" x1 * dx1 ^ x2", 3)
+    with pytest.raises(InputError, match="^expected integer denominator at position 2$"):
+        parse_polynomial("1/x1", 3)
+    with pytest.raises(InputError, match="^expected integer exponent at position 3$"):
+        parse_polynomial("x1^x2", 3)
+    with pytest.raises(InputError, match="^unexpected token at position 3 in 'x1 x2'$"):
+        parse_polynomial("x1 x2", 3)
 
 
 def test_parse_form_zero_form():
@@ -222,12 +228,14 @@ def test_latex_label():
     assert latex_label("a11+") == "a_{11}^{+}"
     assert latex_label("a13-") == "a_{13}^{-}"
     assert latex_label("a9") == "a_{9}"
+    assert latex_label("a17.1") == "a_{17,1}"
 
 
 def test_latex_form_and_restriction(basis4567):
     form = parse_form("x1*dx1^dx2", 4)
     text = latex_form(form)
     assert "dx_{1}" in text and "\\wedge" in text and "x_{1}" in text
+    assert latex_form(parse_form("x1^2*x3*dx1^dx2", 4)) == "x_{1}^{2}x_{3}dx_{1}\\wedge dx_{2}"
     a = parse_restriction("a9 - 1/2*a13+", basis4567)
     out = latex_restriction(a)
     assert "a_{9}" in out and "\\tfrac{1}{2}" in out and "a_{13}^{+}" in out

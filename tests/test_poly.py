@@ -148,6 +148,15 @@ def test_polynomial_power_and_partial():
     assert p.partial(0) == 3 * ((x + y) ** 2)
     assert p.partial(1) == 3 * ((x + y) ** 2)
     assert not Polynomial.constant(2, 5).partial(0)
+    with pytest.raises(ValueError, match="negative power"):
+        x ** -1
+
+
+def test_rational_function_evaluate_raises_at_a_pole():
+    f = RationalFunctionT(1, UniPoly([-1, 1]))  # 1 / (t - 1)
+    assert f.evaluate(3) == Fraction(1, 2)
+    with pytest.raises(ZeroDivisionError, match="pole at t = 1"):
+        f.evaluate(1)
 
 
 def test_substitute_into_curve_components():

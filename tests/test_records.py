@@ -43,6 +43,8 @@ from algrest.poly import Frozen
 from algrest.qt import RationalFunctionT, UniPoly
 from algrest.symmetry import ActionTable, HomotopyResult, LiftableField, ScalingResult
 
+from line_trace import UNRUN, source_groups
+
 SRC = pathlib.Path(algrest.__file__).resolve().parents[1]
 
 NAMED_TUPLES = (
@@ -343,6 +345,16 @@ def test_every_src_method_has_a_caller():
     match is by name, whichever class the attribute belongs to.  Dunder
     operators are called by syntax, out of its reach."""
     assert _uncalled_methods() == set(UNCALLED_METHODS)
+
+
+def test_every_listed_unrun_line_is_still_a_src_line():
+    """The line-level twin, without the trace: each key of
+    ``tests/line_trace.py``'s ``UNRUN`` names at least as many executable
+    src lines as it counts, and gives a reason.  That the lines really go
+    unrun is for ``python tests/line_trace.py`` to check."""
+    groups = source_groups()
+    assert [key for key in UNRUN if groups[key[:3]] < key[3]] == []
+    assert all(UNRUN.values())
 
 
 def test_polynomials_and_forms_test_zero_by_truthiness():

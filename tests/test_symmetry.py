@@ -61,8 +61,12 @@ def test_action_tables_verbatim(lams, policy):
     curve = MonomialCurve(lams)
     basis = cached_basis(curve)
     table = action_table(curve, policy)
+    assert table.curve == curve
     assert table.shifts == SHIFTS[lams]
     assert table.nonsemigroup == NONSEMIGROUP_SHIFTS[lams]
+    for s, label in ((max(table.shifts) + 1, table.labels[0]), (table.shifts[0], "a8")):
+        with pytest.raises(InputError, match=f"no action entry for shift {s} and label {label!r}"):
+            table.terms(s, label)
     expected = ACTIONS[lams]
     for s in table.shifts:
         for label in table.labels:
@@ -643,6 +647,9 @@ def test_symmetry_constant_rejections(curve4567):
         symmetry_constant(curve4567, parse_map("(x2, x1, x3, x4)", 4))
     with pytest.raises(InputError):
         symmetry_constant(curve4567, parse_map("(x1, x2, x3)", 4))
+    padded = MonomialCurve((4, 5, 6), ambient=4)
+    with pytest.raises(NotSymmetryError, match="off-curve component is nonzero along it"):
+        symmetry_constant(padded, parse_map("(x1, x2, x3, x4 + x1)", 4))
 
 
 def bezout(values):
@@ -751,6 +758,8 @@ def test_curve_scaling_scales_by_quasi_degree(curve4567, basis4567):
         assert image.part(r) == a.part(r) * Fraction(2) ** r
     with pytest.raises(InputError):
         curve_scaling(curve4567, 0)
+    with pytest.raises(TypeError, match="rational scalar"):
+        curve_scaling(curve4567, 0.5)
 
 
 def test_scaling_symmetry_normalizes_rational_roots(curve4567, basis4567):
@@ -774,3 +783,5 @@ def test_scaling_symmetry_without_rational_root(curve4567):
     assert result.map is None and result.constant is None
     with pytest.raises(InputError):
         scaling_symmetry(curve4567, "a11+", 0)
+    with pytest.raises(TypeError, match="rational scalar"):
+        scaling_symmetry(curve4567, "a9", 0.5)
