@@ -417,6 +417,8 @@ def verify_row(
         )
     if samples is None:
         samples = default_samples(row, seed=seed)
+    elif not samples:
+        raise InputError(f"row {row.id} was given no samples")
     basis = cached_basis(curve)
     real = realization_for(row, n)
     data = _read_map(basis, real, n)

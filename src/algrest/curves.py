@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 from . import forms
 from .errors import InputError, NotClosedError
 from .linalg import rref, zcleared, zdenominated, zechelon, zremainder
-from .poly import Exponent, Frozen, Scalar, _as_fraction, add_into, signed_sum
+from .poly import Exponent, Frozen, Scalar, _as_fraction, add_into, grlex_key, signed_sum
 
 if TYPE_CHECKING:
     from .linalg import PrefixSolver
@@ -141,7 +141,7 @@ def monomials_of_qdeg(wvec: tuple[int, ...], d: int) -> tuple[Exponent, ...]:
         return out
 
     mons = extend(0, d) if wvec else [()] if d == 0 else []
-    mons.sort(key=lambda exps: (sum(exps), exps), reverse=True)
+    mons.sort(key=grlex_key, reverse=True)
     return tuple(mons)
 
 
@@ -224,7 +224,7 @@ class GradedPiece(Frozen):
         columns = tuple(
             J
             for J in itertools.combinations(branch, k)
-            if monomials_of_qdeg(lams, d - sum(lams[i] for i in J))
+            if curve.in_semigroup(d - sum(lams[i] for i in J))
         )
         self._set(
             curve=curve, k=k, d=d, columns=columns, column_of={J: c for c, J in enumerate(columns)}
@@ -544,9 +544,7 @@ class AlgRestriction:
 
     def __init__(self, basis: RestrictionBasis, coords: Iterable[Scalar]):
         self.basis = basis
-        cs = tuple(coords)
-        if not set(map(type, cs)) <= {Fraction}:
-            cs = tuple(_as_fraction(c) for c in cs)
+        cs = tuple(map(_as_fraction, coords))
         if len(cs) != basis.dim:
             raise InputError("coordinate count does not match the basis")
         self.entries = {j: c for j, c in enumerate(cs) if c}

@@ -104,9 +104,6 @@ def _zmul(a: list[Scalar], b: list[Scalar]) -> list[Scalar]:
     and sparse; untouched entries stay zeros of a's own coefficient type."""
     if not a or not b:
         return []
-    if len(a) == 1:
-        x = a[0]
-        return [x * y for y in b]
     terms = [(j, y) for j, y in enumerate(b) if y]
     out = [a[-1] * 0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -130,13 +127,6 @@ def _zdiv_exact(a: list[int], b: list[int]) -> list[int]:
     unless it is exact."""
     if not a:
         return []
-    if len(b) == 1:
-        lead = b[0]
-        if lead == 1:
-            return a
-        if any(c % lead for c in a):
-            raise ArithmeticError("inexact polynomial division in Z[t]")
-        return [c // lead for c in a]
     shift = len(a) - len(b)
     if shift < 0:
         raise ArithmeticError("inexact polynomial division in Z[t]")
@@ -213,7 +203,7 @@ def _zsturm_chain(p: list[int]) -> list[list[int]]:
     that of the chain over Q.
     """
     g = _zgcd(p, _zderivative(p))
-    q = _zprimitive(_zdiv_exact(p, g) if len(g) > 1 else p)
+    q = _zprimitive(_zdiv_exact(p, g))
     chain = [q, _zprimitive(_zderivative(q))]
     while len(chain[-1]) > 1:
         rem = _zprem(chain[-2], chain[-1])
@@ -226,24 +216,16 @@ def _zderivative(p: list[int]) -> list[int]:
 
 
 def _zsign_changes(chain: list[list[int]], x: Fraction) -> int:
-    """Sign changes along the chain at the rational x, zeros dropped.
-
-    The value at 0 is the constant term and the value at 1 the coefficient
-    sum; elsewhere den^deg * q(num / den) has the sign of q(x), as den > 0.
-    """
-    if x == 0:
-        values = [q[0] for q in chain]
-    elif x == 1:
-        values = [sum(q) for q in chain]
-    else:
-        num, den = x.numerator, x.denominator
-        values = []
-        for q in chain:
-            acc, scale = 0, 1
-            for c in reversed(q):
-                acc = acc * num + c * scale
-                scale *= den
-            values.append(acc)
+    """Sign changes along the chain at the rational x, zeros dropped:
+    den^deg * q(num / den) has the sign of q(x), as den > 0."""
+    num, den = x.numerator, x.denominator
+    values = []
+    for q in chain:
+        acc, scale = 0, 1
+        for c in reversed(q):
+            acc = acc * num + c * scale
+            scale *= den
+        values.append(acc)
     signs = [v > 0 for v in values if v]
     return sum(u != v for u, v in zip(signs, signs[1:]))
 
@@ -258,8 +240,6 @@ def _zroot_count(p: list[int], a: Fraction, b: Fraction) -> int:
 
 def _zpoles_in_unit_interval(den: list[int]) -> int:
     """Distinct roots in [0, 1] of a nonzero den in Z[t]."""
-    if len(den) < 2:
-        return 0
     return _zroot_count(den, Fraction(0), Fraction(1)) + (not den[0])
 
 
@@ -276,11 +256,8 @@ def _reduced(y: list[int], den: list[int]) -> tuple[RationalFunctionT, list[int]
     """
     if not y:
         return RationalFunctionT.zero(), [1]
-    if len(y) > 1 and len(den) > 1:
-        g = _zgcd(y, den)
-        if len(g) > 1:
-            y = _zdiv_exact(y, g)
-            den = _zdiv_exact(den, g)
+    g = _zgcd(y, den)
+    y, den = _zdiv_exact(y, g), _zdiv_exact(den, g)
     lead = den[-1]
     f = RationalFunctionT._trusted(
         UniPoly([Fraction(c, lead) for c in y]), UniPoly([Fraction(c, lead) for c in den])
@@ -383,14 +360,14 @@ def _zsolve(
     exact divisions, where the last pivot D is the determinant of the
     pivot block (Cramer's rule).
 
-    Each nonzero component y_k / D, and each peeled b / e, is reduced once,
-    in Z[t] (``_reduced``), and poles counted once per distinct reduced
-    denominator.  The result does not depend on the order of the rows, and
-    equals that of Gauss-Jordan elimination over Q(t): a column is a pivot
-    exactly when it is not in the Q(t)-span of the columns before it,
-    whichever rows are chosen as pivots, so all find the same pivot
-    columns; with the free variables at zero the solution is unique; and
-    both store the canonical reduced form with monic denominator.
+    Each nonzero component y_k / D, and each peeled b / e, is reduced in
+    Z[t] (``_reduced``), and the poles of its denominator counted.  The
+    result does not depend on the order of the rows, and equals that of
+    Gauss-Jordan elimination over Q(t): a column is a pivot exactly when it
+    is not in the Q(t)-span of the columns before it, whichever rows are
+    chosen as pivots, so all find the same pivot columns; with the free
+    variables at zero the solution is unique; and both store the canonical
+    reduced form with monic denominator.
     """
     zmul, zsub, zdiv_exact = _zmul, _zsub, _zdiv_exact
     holders: dict[int, set[int]] = {}  # unknown j -> the live rows with an entry at j
@@ -479,14 +456,8 @@ def _zsolve(
         scaled[col] = zdiv_exact(acc, piv)
     solution = [RationalFunctionT.zero()] * width
     poles = [0] * width
-    # keyed by the integer coefficients: hashing a UniPoly hashes Fractions
-    counts: dict[tuple[int, ...], int] = {}
     for c, y, den in [(c, y, prev) for c, y in scaled.items()] + peeled:
         if y:
-            f, den = _reduced(y, den)
-            key = tuple(den)
-            if key not in counts:
-                counts[key] = _zpoles_in_unit_interval(den)
-            solution[c] = f
-            poles[c] = counts[key]
+            solution[c], den = _reduced(y, den)
+            poles[c] = _zpoles_in_unit_interval(den)
     return solution, poles

@@ -231,18 +231,11 @@ def moser_reduce(
     counts are those of the full system.
 
     Each live row is handed over as one sparse row in Z[t], its nonzero
-    entries only, scaled by the lcm of its entries' reduced denominators,
-    which keeps the solution set; it is built from the tangent space's
-    integer rows without a ``Fraction``.
-    Write L_{X_s} a = u_s / K_s (the rows of ``TangentSpace``; shift 0
-    is among them, as a is nonzero) and let K be the lcm of the K_s, a
-    multiple of the class's denominator, so of kill's: kill = k / K in Z.
-    Row i is then r / K with r = (u_{s,i} K / K_s for each s, k_i).  The
-    reduced denominator of r_j / K is K / gcd(K, r_j), and for divisors of
-    K the lcm of K / g_j is K / gcd(g_j), so the lcm over the row is K / G
-    with G = gcd(K, r).  The scaled row is therefore r / G, whichever
-    common denominator K is: the same integers the ``Fraction``
-    construction gives, so ``solve_param_linear`` gets the same input.
+    entries only, built from the tangent space's integer rows without a
+    ``Fraction``: with L_{X_s} a = u_s / K_s (the rows of ``TangentSpace``;
+    shift 0 is among them, as a is nonzero) and K the lcm of the K_s, a
+    multiple of kill's denominator, so kill = k / K in Z, row i is r =
+    (u_{s,i} K / K_s for each s, k_i).  Scaling a row keeps the solution set.
     Kill's keys ascend, as the elements' degrees do, so it is one graded
     component iff its first and last keys share the degree.
     """
@@ -262,19 +255,18 @@ def moser_reduce(
     shifts = tangent.shifts
     width = len(shifts)
     big = math.lcm(*(scale for scale, _ in tangent.rows))
-    # live[i] = r for coordinate i, sparse: {column j: entry j of r}, kill under width
-    live: dict[int, dict[int, int]] = {}
+    # live[i] = r for coordinate i, sparse: {column j: [entry j of r]}, kill under width
+    live: dict[int, dict[int, list[int]]] = {}
     for j, (scale, column) in enumerate(tangent.rows):
         factor = big // scale
         for i, x in column.items():
-            live.setdefault(i, {})[j] = x * factor
+            live.setdefault(i, {})[j] = [x * factor]
     for i, c in entries.items():
-        live.setdefault(i, {})[width] = c.numerator * (big // c.denominator)
+        live.setdefault(i, {})[width] = [c.numerator * (big // c.denominator)]
     column_of = {s: j for j, s in enumerate(shifts)}
     rows = []
     for i in sorted(live):
-        g = math.gcd(big, *live[i].values())
-        row = {j: [x // g] for j, x in live[i].items()}
+        row = live[i]
         moved = column_of.get(elements[i].qdeg - d)
         if moved in row:
             row[moved].append(-row[moved][0])

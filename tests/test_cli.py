@@ -418,6 +418,8 @@ def test_verify_atlas_with_samples_file(capsys, tmp_path):
     "generators, content, message",
     [
         (("4", "5", "6", "7"), '{"1": [{"c1": "1", "c2": "0"}]}', "row 1 has no sample outside"),
+        # nothing is excluded: the row was given no sample at all
+        (("4", "5", "6", "7"), '{"1": []}', "row 1 was given no samples"),
         (
             ("4", "5", "6", "7"),
             '{"1": [{"c2": "3/2"}]}',
@@ -442,6 +444,7 @@ def test_verify_atlas_with_samples_file(capsys, tmp_path):
     ],
     ids=[
         "all-excluded",
+        "no-samples",
         "unbound-parameter",
         "no-semigroup",
         "unknown-row",

@@ -583,6 +583,18 @@ def test_restriction_coordinates_become_fractions(basis4567):
     assert set(map(type, AlgRestriction(basis4567, iter(range(dim))).coords)) == {Fraction}
     with pytest.raises(InputError):
         AlgRestriction(basis4567, fractions[1:])
+    # mixes of int and Fraction give the canonical class: nonzero Fractions
+    # under ascending keys, equal to from_coeffs's, hash included
+    rng = random.Random(45)
+    values = [0, 0, 1, -2, Fraction(0), Fraction(3), Fraction(-1, 2)]
+    for _ in range(200):
+        coords = [rng.choice(values) for _ in range(dim)]
+        a = AlgRestriction(basis4567, coords)
+        assert a.entries == {j: Fraction(c) for j, c in enumerate(coords) if c}
+        assert list(a.entries) == sorted(a.entries)
+        assert all(type(c) is Fraction for c in a.entries.values())
+        b = AlgRestriction.from_coeffs(basis4567, dict(zip(basis4567.labels, coords)))
+        assert a == b and hash(a) == hash(b)
 
 
 def test_mixed_basis_operations_rejected(basis4567, basis456):

@@ -282,6 +282,48 @@ def test_single_solve_invariants_match_the_reference_scans():
     assert checked > 900
 
 
+BLOCK_CURVES = (
+    MonomialCurve((4, 5, 6, 7)),
+    MonomialCurve((4, 5, 6)),
+    MonomialCurve((4, 5, 7)),
+    MonomialCurve((5, 6, 7, 8, 9)),
+    MonomialCurve((3, 7, 8)),
+    MonomialCurve((2, 3)),
+    MonomialCurve((3, 5, 7)),
+    MonomialCurve((5, 7)),
+    MonomialCurve((3, 4, 5)),
+    MonomialCurve((4, 5, 6), ambient=6),
+    MonomialCurve((3, 5, 7), ambient=4),
+    MonomialCurve((2, 3), ambient=4),
+    MonomialCurve((5, 7), ambient=3),
+)
+
+
+def test_iota_is_zero_exactly_when_the_branch_block_is_nonzero():
+    """An independent oracle for iota = 0: a zero-restriction form has, at
+    0, only terms with an off-branch differential (``branch_rank``), and a
+    constant term with an off-curve differential restricts to 0, so a class
+    has a representative vanishing at 0 iff its branch block is zero.
+    ``index_of_isotropy`` and ``branch_rank`` reach their answers by
+    different code; the zero class has iota inf and rank 0."""
+    rng = random.Random(4545)
+    values = [Fraction(n, q) for n in (-3, -1, 1, 2, 5) for q in (1, 2, 7)]
+    seen = {True: 0, False: 0}
+    for curve in BLOCK_CURVES:
+        basis = cached_basis(curve)
+        labels = basis.labels
+        low = labels[: min(4, len(labels))]
+        for _ in range(250):
+            chosen = set(rng.sample(labels, rng.randint(0, min(4, len(labels)))))
+            if rng.random() < 0.5:
+                chosen.add(rng.choice(low))
+            a = AlgRestriction.from_coeffs(basis, {lab: rng.choice(values) for lab in chosen})
+            iota = index_of_isotropy(curve, a)
+            assert (iota == 0) == (branch_rank(curve, a) != 0), (curve, str(a))
+            seen[iota == 0] += 1
+    assert min(seen.values()) > 1000
+
+
 def test_graded_lt_matches_the_all_monomial_reference_on_six_generators():
     # (6, ..., 11) keeps one exact row per owner where the reference spans
     # every monomial's row; iota = 1 makes Lt read its solver on every class

@@ -502,7 +502,8 @@ def test_sturm_count_equals_the_fraction_chain_on_random_polynomials():
         else:
             p = UniPoly([rng.choice(coeffs) for _ in range(degree + 1)])
         a, b = sorted(rng.sample(points, 2))
-        for lo, hi in ((a, b), (0, 1), (b, a)):
+        # 0 and 1 as either endpoint, where chain values are often zero
+        for lo, hi in ((a, b), (0, 1), (b, a), (a, 0), (0, b), (a, 1), (1, b)):
             assert sturm_count(p, lo, hi) == reference_sturm_count(p, lo, hi), (p, lo, hi)
         if p:
             f = QtScalar(ONE, p).function()
@@ -605,6 +606,13 @@ def test_exact_division_in_zt_raises_on_a_remainder():
     assert _zdiv_exact([4, -6], [2]) == [2, -3]
     with pytest.raises(ArithmeticError):
         _zdiv_exact([4, 3], [2])  # (3t + 4) / 2 is not in Z[t]
+    # constant divisors take the general long division, 1 and -1 included
+    assert _zdiv_exact([5, 0, -3], [1]) == [5, 0, -3]
+    assert _zdiv_exact([5, 0, -3], [-1]) == [-5, 0, 3]
+    assert _zdiv_exact([9, 0, -6], [-3]) == [-3, 0, 2]
+    assert _zdiv_exact([], [-3]) == []
+    with pytest.raises(ArithmeticError):
+        _zdiv_exact([9, 1, -6], [-3])
 
 
 def reference_solve_param_linear(rows, rhs):
@@ -768,6 +776,7 @@ zt_st = st.lists(st.integers(min_value=-9, max_value=9), max_size=4).map(
 )
 @example(y=[16], den=[-1], common=[1], ky=0, kd=3, sign=1, qy=1, qd=1)
 @example(y=[2, 4], den=[3], common=[1], ky=0, kd=0, sign=-1, qy=1, qd=1)
+@example(y=[6], den=[-4], common=[1], ky=0, kd=0, sign=1, qy=1, qd=1)
 @example(y=[0, 0, 5], den=[0, 2], common=[-2, 4], ky=2, kd=2, sign=1, qy=1, qd=1)
 @example(y=[3, 1], den=[-2, 0, 4], common=[1, 1], ky=1, kd=1, sign=-1, qy=6, qd=4)
 def test_reduced_component_equals_the_public_constructor(y, den, common, ky, kd, sign, qy, qd):

@@ -77,6 +77,8 @@ def test_unipoly_product_and_power_equal_the_dense_references(a, b, n):
         assert zero.coeffs == [] and not zero
     mixed = [int(c) if c.denominator == 1 else c for c in a.coeffs]
     assert UniPoly(_zmul(mixed, b.coeffs)) == UniPoly(_zmul(b.coeffs, mixed)) == a * b
+    for c in (1, -1, 2, Fraction(-3, 2)):  # a one-coefficient factor, on either side
+        assert _zmul([c], mixed) == _zmul(mixed, [c]) == [c * x for x in mixed]
     assert UniPoly(_zsub(mixed, b.coeffs)) == poly_add(a, b, -1)
     assert _zsub(mixed, mixed) == []
     assert UniPoly.from_terms(terms_of(a)) == a

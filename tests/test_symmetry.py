@@ -557,8 +557,10 @@ def fraction_moser_rows(tangent, kill, d):
 
 @given(data=st.data(), curve=st.sampled_from(ORBIT_CURVES[:4]))
 def test_moser_rows_equal_the_fraction_construction(data, curve):
-    """``solve_param_linear`` gets exactly the integer rows of the
-    ``Fraction`` construction, for a random class and graded part."""
+    """``solve_param_linear`` gets the integer rows of the ``Fraction``
+    construction, each times a positive integer, for a random class and
+    graded part, and ``moser_reduce`` reports the solution of the
+    ``Fraction`` rows themselves."""
     basis = cached_basis(curve)
     a = data.draw(sparse_classes(basis))
     d = data.draw(st.sampled_from(a.nonzero_qdegs()))
@@ -572,10 +574,23 @@ def test_moser_rows_equal_the_fraction_construction(data, curve):
 
     symmetry_module.solve_param_linear = recording
     try:
-        moser_reduce(curve, a, kill)
+        result = moser_reduce(curve, a, kill)
     finally:
         symmetry_module.solve_param_linear = original
-    assert seen == [fraction_moser_rows(orbit_tangent_space(curve, a), kill, d)]
+    want_rows, width = fraction_moser_rows(orbit_tangent_space(curve, a), kill, d)
+    [(rows, seen_width)] = seen
+    assert seen_width == width and len(rows) == len(want_rows)
+    for row, want in zip(rows, want_rows):
+        assert row.keys() == want.keys()
+        j = next(iter(want))
+        factor, rest = divmod(row[j][0], want[j][0])
+        assert factor > 0 and rest == 0
+        assert all(row[c] == [factor * x for x in entry] for c, entry in want.items())
+    want = solve_param_linear(want_rows, width)
+    assert (result.consistent, result.feasible) == (want.consistent, want.feasible_on_unit_interval)
+    if want.consistent:
+        assert list(result.coefficients.values()) == list(want.solution)
+        assert list(result.pole_counts.values()) == list(want.pole_counts)
 
 
 def every_label_killing_the_lowest(lams):
