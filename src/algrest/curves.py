@@ -14,7 +14,9 @@ of d(x^m dx_i), so no 3-form piece is ever built.
 Everything is exact over Q.  A curve's basis owns its 2-form pieces and
 all per-curve state built for class queries (Lie action matrices, prefix
 solvers); ``cached_basis`` keeps the bases of a bounded number of curves,
-so evicting a curve frees all of its state.
+so evicting a curve frees its basis and what the basis holds.  The
+module-level memos ``monomials_of_qdeg`` and ``binomial_span``, unbounded
+and keyed by exponent tuples, outlive the eviction (ROADMAP item 5).
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ from .curves import (
 )
 from .errors import InputError
 from .linalg import PrefixSolver, zdenominated, zechelon
+from .orbit import orbit_tangent_space
 
 Extended = int | float
 
@@ -33,8 +34,6 @@ def symplectic_multiplicity(curve: MonomialCurve, a: AlgRestriction) -> int:
     """Codimension of the orbit of a in the closed-restriction space, read
     off the orbit tangent space that the class keeps; that lookup checks
     the curve."""
-    from .orbit import orbit_tangent_space
-
     return orbit_tangent_space(curve, a).codim
 
 

@@ -337,28 +337,29 @@ def _zsolve(
 
     The elimination of the rows that remain is fraction-free (Bareiss,
     Math. Comp. 22, 1968) over Z[t], on sparse rows; it is skipped when
-    none remain.
-    Each step takes as pivot row the first remaining row with an entry in
-    the next column, and updates every other remaining row to M[i][j] =
-    (piv * M[i][j] - M[i][col] * M[r][j]) / prev, prev the pivot of the
-    step before; by Sylvester's identity every entry is a minor of the
-    input rows, so each division is exact in Z[t] (and checked: a
-    remainder raises ``ArithmeticError``).  Where M[r][j] or M[i][col] is
-    zero the update is piv * M[i][j] / prev: a zero entry stays zero, and
-    over consecutive steps the factors telescope, so an entry left alone
-    from step k to step c is M * p_c / p_k, with p_c the pivot of step c
-    (p_0 = 1).  So each entry keeps the step it was last written at, its
-    level, and a step writes only the rows nonzero in the pivot column,
-    and in them only the pivot row's support: fill-in is -factor * M[r][j]
-    / prev, and an entry that cancels is deleted.  An entry is brought up
-    to date, by one exact division, only when it is read: in the pivot
-    row, as a factor, or under the pivot row's support.  Entries left
-    behind change no zero test.  A remaining row has no entry before the
-    current column, and the system is consistent unless a row left after
-    the last pivot has a right-hand side.  Back substitution reads each
-    pivot row at its own step and computes y_k = D * x_k in Z[t], again by
-    exact divisions, where the last pivot D is the determinant of the
-    pivot block (Cramer's rule).
+    none remain.  Each step takes as pivot row the first remaining row with
+    an entry in the next column, and updates every other remaining row to
+    M[i][j] = piv * M[i][j] - M[i][col] * M[r][j], divided from the second
+    step on by prev, the pivot of the step before; by Sylvester's identity
+    every entry is a minor of the input rows, so each division is exact in
+    Z[t] (and checked: a remainder raises ``ArithmeticError``).  Where
+    M[r][j] or M[i][col] is zero the update is piv * M[i][j] / prev: a zero
+    entry stays zero, and over consecutive steps the factors telescope, so
+    an entry e written by the step of pivot q and left alone since is
+    e * prev / q when read, and an input entry left alone is e * prev (e
+    itself at the first step).  So each entry keeps the pivot of the step
+    that wrote it, none for an input entry, and a step writes only the rows
+    nonzero in the pivot column, and in them only the pivot row's support:
+    fill-in is -factor * M[r][j] / prev, and an entry that cancels is
+    deleted.  An entry is brought up to date, by one product and at most
+    one exact division, only when it is read: in the pivot row, as a
+    factor, or under the pivot row's support.  Entries left behind change
+    no zero test, and every divisor is a pivot.  A remaining row has no
+    entry before the current column, and the system is consistent unless a
+    row left after the last pivot has a right-hand side.  Back substitution
+    reads each pivot row at its own step and computes y_k = D * x_k in
+    Z[t], again by exact divisions, where the last pivot D is the
+    determinant of the pivot block (Cramer's rule).
 
     Each nonzero component y_k / D, and each peeled b / e, is reduced in
     Z[t] (``_reduced``), and the poles of its denominator counted.  The
@@ -409,44 +410,36 @@ def _zsolve(
                 live[k] = other
             if len(other) - (width in other) < 2:
                 queue.append(k)
-    pending = [{c: (e, 0) for c, e in row.items()} for row in live.values()]
-    dets = [[1]]  # dets[k] = p_k, the pivot of step k
+    # each entry (e, q): e as the step of pivot q wrote it, q None for an input entry
+    pending = [{c: (e, None) for c, e in row.items()} for row in live.values()]
+    prev = None  # the pivot of the step before, None at the first step
+
+    def current(e, q):  # the entry (e, q) brought up to this step
+        return e if q == prev else zmul(prev, e) if q is None else zdiv_exact(zmul(prev, e), q)
+
     pivot_rows: list[tuple[int, list[int], dict[int, list[int]]]] = []
     for col in sorted({c for row in pending for c in row if c != width}):
         r = next((i for i, row in enumerate(pending) if col in row), None)
         if r is None:
             continue
-        current = len(dets) - 1
-        prev = dets[current]
-        pivot_row = {
-            j: e if k == current else zdiv_exact(zmul(prev, e), dets[k])
-            for j, (e, k) in pending.pop(r).items()
-        }
+        pivot_row = {j: current(*entry) for j, entry in pending.pop(r).items()}
         piv = pivot_row.pop(col)
         for row in pending:
             if col not in row:
                 continue
-            f, k = row.pop(col)
-            factor = f if k == current else zdiv_exact(zmul(prev, f), dets[k])
-            negated = [-c for c in factor]
+            factor = current(*row.pop(col))
             for j, p in pivot_row.items():
-                entry = row.get(j)
-                if entry is None:
-                    row[j] = (zdiv_exact(zmul(negated, p), prev), current + 1)
-                    continue
-                e, k = entry
-                if k != current:
-                    e = zdiv_exact(zmul(prev, e), dets[k])
-                value = zdiv_exact(zsub(zmul(piv, e), zmul(factor, p)), prev)
+                value = zsub(zmul(piv, current(*row.get(j, ([], prev)))), zmul(factor, p))
+                if prev is not None:
+                    value = zdiv_exact(value, prev)
                 if value:
-                    row[j] = (value, current + 1)
+                    row[j] = (value, piv)
                 else:
                     del row[j]
-        dets.append(piv)
+        prev = piv
         pivot_rows.append((col, piv, pivot_row))
     if any(width in row for row in pending):
         return None
-    prev = dets[-1]
     scaled: dict[int, list[int]] = {}
     for col, piv, row in reversed(pivot_rows):
         acc = zmul(prev, row.get(width, []))

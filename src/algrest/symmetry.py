@@ -255,23 +255,16 @@ def moser_reduce(
     shifts = tangent.shifts
     width = len(shifts)
     big = math.lcm(*(scale for scale, _ in tangent.rows))
-    # live[i] = r for coordinate i, sparse: {column j: [entry j of r]}, kill under width
+    # live[i] = r for coordinate i, sparse: {column j: entry j of r}, kill under width
     live: dict[int, dict[int, list[int]]] = {}
-    for j, (scale, column) in enumerate(tangent.rows):
+    for j, (s, (scale, column)) in enumerate(zip(shifts, tangent.rows)):
         factor = big // scale
         for i, x in column.items():
-            live.setdefault(i, {})[j] = [x * factor]
+            v = x * factor
+            live.setdefault(i, {})[j] = [v, -v] if elements[i].qdeg == d + s else [v]
     for i, c in entries.items():
         live.setdefault(i, {})[width] = [c.numerator * (big // c.denominator)]
-    column_of = {s: j for j, s in enumerate(shifts)}
-    rows = []
-    for i in sorted(live):
-        row = live[i]
-        moved = column_of.get(elements[i].qdeg - d)
-        if moved in row:
-            row[moved].append(-row[moved][0])
-        rows.append(row)
-    solution: ParamSolution = solve_param_linear(rows, width)
+    solution: ParamSolution = solve_param_linear([live[i] for i in sorted(live)], width)
     if not solution.consistent:
         solution = ParamSolution(False, [qt.RationalFunctionT.zero()] * width, [0] * width)
     return HomotopyResult(

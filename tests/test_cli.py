@@ -1,6 +1,10 @@
+import hashlib
+import itertools
 import json
 import os
 import pathlib
+import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -605,3 +609,49 @@ def test_a_pipe_closed_early_exits_1_without_a_traceback(fmt):
         os.close(write_end)
     assert done.stderr == b""
     assert done.returncode == 1
+
+
+WORKFLOW = pathlib.Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+PIN = re.compile(r"algrest (.*) \| sha1sum \| grep -q ([0-9a-f]{40})")
+
+
+def console_script_pins():
+    """(argv, sha1) of every ``algrest ... | sha1sum | grep -q <hex>`` line
+    of the workflow's Console-script step, the one home of those pins; a
+    ``sha1sum`` line of another form must be one of the two that hash a
+    file (``sha1sum < "$row5.out"``), which stay in the workflow alone."""
+    lines = WORKFLOW.read_text().splitlines()
+    start = lines.index("      - name: Console script")
+    pins = []
+    for line in itertools.takewhile(
+        lambda text: not text.strip() or text.startswith("        "), lines[start + 1 :]
+    ):
+        command = line.strip()
+        if "sha1sum" not in command:
+            continue
+        match = PIN.fullmatch(command)
+        if match is None:
+            assert command.startswith('sha1sum < "$row5.out"'), command
+            continue
+        pins.append((shlex.split(match[1]), match[2]))
+    return pins
+
+
+CONSOLE_SCRIPT_PINS = console_script_pins()
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    CONSOLE_SCRIPT_PINS,
+    ids=[" ".join(argv)[:60] for argv, _ in CONSOLE_SCRIPT_PINS],
+)
+def test_console_script_output_has_its_ci_digest(capsys, monkeypatch, argv, digest):
+    """Each piped sha1 pin of the workflow, run in process: the bytes the
+    command prints hash to the pinned digest.  A ``--help`` exits 0 after
+    printing; argparse wraps it to the 80 columns of a terminal-less run."""
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        assert main(argv) == 0
+    except SystemExit as exc:
+        assert "--help" in argv and exc.code == 0
+    assert hashlib.sha1(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import math
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import algrest.orbit as orbit_module
+import algrest.qt as qt_module
 import algrest.symmetry as symmetry_module
 from algrest.curves import (
     AlgRestriction,
@@ -636,6 +638,37 @@ def test_plane_curve_moser_keeps_its_recorded_digest():
         )
     )
     assert hashlib.sha1(text.encode()).hexdigest() == "b48a2f84cbce0334e1fd40eac69b433cc89cf34f"
+
+
+@pytest.mark.parametrize("lams", [(5, 7), (7, 9)])
+def test_moser_elimination_never_divides_by_one(monkeypatch, lams):
+    """Every label at 1 and the lowest component killed: the elimination and
+    the back substitution of ``qt._zsolve`` divide by no constant 1.  The
+    system is the one ``moser_reduce`` hands over; the reductions of the
+    components and their pole counts, which divide too, are stubbed out."""
+    curve, a, kill = every_label_killing_the_lowest(lams)
+    systems = []
+    solve = qt_module._zsolve
+
+    def recording(live, width):
+        systems.append((copy.deepcopy(live), width))
+        return solve(live, width)
+
+    monkeypatch.setattr(qt_module, "_zsolve", recording)
+    moser_reduce(curve, a, kill)
+    [(live, width)] = systems
+    divisors = []
+    divide = qt_module._zdiv_exact
+
+    def recording_divide(num, den):
+        divisors.append(den)
+        return divide(num, den)
+
+    monkeypatch.setattr(qt_module, "_zdiv_exact", recording_divide)
+    monkeypatch.setattr(qt_module, "_reduced", lambda y, den: (RationalFunctionT.zero(), den))
+    monkeypatch.setattr(qt_module, "_zpoles_in_unit_interval", lambda den: 0)
+    assert solve(live, width) is not None
+    assert divisors and [1] not in divisors
 
 
 def test_moser_reduce_zero_kill_is_trivial(curve4567, basis4567):
