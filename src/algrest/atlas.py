@@ -481,7 +481,7 @@ def verify_row(
                 n=n,
                 env=env,
                 failures=tuple(failures),
-                known=tuple(dict.fromkeys(known)),
+                known=tuple(known),
                 report=report,
             )
         )

@@ -138,8 +138,6 @@ def index_of_isotropy(curve: MonomialCurve, a: AlgRestriction) -> Extended:
     alone, so their solver is built once (``_isotropy_solver``).
     """
     check_basis_curve(curve, a.basis)
-    if a.is_zero():
-        return math.inf
     best: Extended = math.inf
     for d in a.nonzero_qdegs():
         best = min(best, _last_used_tag(_isotropy_solver(a.basis, d), a, d))
@@ -265,7 +263,7 @@ def representable_by_symplectic(curve: MonomialCurve, a: AlgRestriction, n: int)
     if n < 1:
         raise InputError("the ambient symplectic space needs n >= 1")
     threshold = 2 * curve.branch_dim - 2 * n
-    return threshold <= 0 or branch_rank(curve, a) >= threshold
+    return branch_rank(curve, a) >= threshold
 
 
 class InvariantReport(NamedTuple):

@@ -271,10 +271,11 @@ def solve_param_linear(rows: Iterable[Mapping[int, list[int]]], width: int) -> P
     which leaves the solution unchanged.  Reports, per component of the
     solution, how many poles land in the closed interval [0, 1].
 
-    Every row is validated first.  ``qt._zsolve`` then peels the rows with
-    one unknown and eliminates the rest fraction-free (Bareiss), checking
-    each division (a remainder raises ``ArithmeticError``); the answer does
-    not depend on the row order and equals Gauss-Jordan's over Q(t).
+    Every row is validated first.  ``qt._zsolve`` then peels the rows it
+    settles without changing another entry and eliminates the rest
+    fraction-free (Bareiss), checking each division (a remainder raises
+    ``ArithmeticError``); the answer does not depend on the row order and
+    equals Gauss-Jordan's over Q(t).
     """
     live: dict[int, dict[int, list[int]]] = {}
     for i, row in enumerate(rows):

@@ -153,21 +153,30 @@ def _zprimitive(a: list[int]) -> list[int]:
     return a if content == 1 else [c // content for c in a]
 
 
-def _zgcd(a: list[int], b: list[int]) -> list[int]:
-    """The primitive gcd of nonzero a and b in Z[t], up to sign.
-
-    Euclid on primitive pseudo-remainders (``_zprem``), each of which has
-    the same gcd with b as a, up to a constant.
+def _zremainders(a: list[int], b: list[int]) -> list[list[int]]:
+    """The remainder sequence of nonzero a and b in Z[t], deg a >= deg b:
+    their primitive parts, then the negated primitive pseudo-remainder
+    (``_zprem``) of the two entries before, ending at a constant or at the
+    last entry before a zero remainder.  Each entry is a positive multiple
+    of the negated remainder over Q[t] and has the gcd of a and b as its
+    gcd with the entry before, so a last entry of degree >= 1 is that gcd,
+    primitive, up to sign; a constant one means a and b are coprime.
     """
-    a, b = _zprimitive(a), _zprimitive(b)
+    seq = [_zprimitive(a), _zprimitive(b)]
+    while len(seq[-1]) > 1:
+        rem = _zprem(seq[-2], seq[-1])
+        if not rem:
+            break
+        seq.append(_zprimitive([-c for c in rem]))
+    return seq
+
+
+def _zgcd(a: list[int], b: list[int]) -> list[int]:
+    """The primitive gcd of nonzero a and b in Z[t], up to sign."""
     if len(a) < len(b):
         a, b = b, a
-    while len(b) > 1:
-        rem = _zprem(a, b)
-        if not rem:
-            return b
-        a, b = b, _zprimitive(rem)
-    return [1]
+    g = _zremainders(a, b)[-1]
+    return g if len(g) > 1 else [1]
 
 
 def _zprem(a: list[int], b: list[int]) -> list[int]:
@@ -193,22 +202,18 @@ def _zprem(a: list[int], b: list[int]) -> list[int]:
 
 
 def _zsturm_chain(p: list[int]) -> list[list[int]]:
-    """Positive multiples of the Sturm chain of the square-free part of p,
-    for p in Z[t] of degree >= 1.
+    """A Sturm chain of the square-free part of p, for p in Z[t] of degree
+    >= 1, up to positive factors and one common sign.
 
-    The square-free part p / gcd(p, p') lies in Z[t] by Gauss's lemma.  Its
-    chain is q_0 = q, q_1 = q', q_(k+1) = -(q_(k-1) mod q_k), ending at a
-    constant; each entry here is a positive multiple of the one over Q[t]
-    (``_zprem`` and primitive parts keep signs), so every sign count is
-    that of the chain over Q.
+    The remainder sequence of p and p' (``_zremainders``) ends at
+    g = gcd(p, p'), a constant when p is square-free.  Every entry is a
+    multiple of g, and divided by g the entries are a Sturm chain of p / g;
+    dividing by g(x) flips every sign at once or none.  So the sign changes
+    at a less those at b count the distinct roots of p in (a, b].
     """
-    g = _zgcd(p, _zderivative(p))
-    q = _zprimitive(_zdiv_exact(p, g))
-    chain = [q, _zprimitive(_zderivative(q))]
-    while len(chain[-1]) > 1:
-        rem = _zprem(chain[-2], chain[-1])
-        chain.append(_zprimitive([-c for c in rem]))
-    return chain
+    chain = _zremainders(p, _zderivative(p))
+    g = chain[-1]
+    return chain if len(g) < 2 else [_zdiv_exact(q, g) for q in chain]
 
 
 def _zderivative(p: list[int]) -> list[int]:
@@ -320,20 +325,20 @@ def _zsolve(
     (row -> {column: Z[t] entry}; consumed): the solution and its pole
     counts, or None if inconsistent.
 
-    The rows with one unknown are peeled (Andersen & Andersen, Math.
-    Programming 71, 1995), to a fixed point, through a queue and the index
-    ``holders`` of the rows with an entry at each unknown:
-    c x_j = 0 forces x_j = 0, so column j leaves every row; e x_j = b, with
-    e a constant, fixes x_j = b / e, and every other row a x_j + ... = c
-    becomes |e| (...) = |e| c - sign(e) a b, divided by its integer
-    content; e x_j = b with deg e >= 1 is peeled only when x_j is in no
-    other row (substituting it would multiply rows by e); and 0 = b, b
-    nonzero, is inconsistent.  The peel finds the same answer: no column
-    but j has an entry in the row r of e x_j = b, so j is a pivot column,
-    and any other column lies in the span of the columns before it exactly
-    when it does so with row r and column j removed; scaling a row changes
-    no span.  So the pivot columns, the solutions and the one with the free
-    unknowns at zero are those of the rows that remain, with the peeled x_j.
+    The peel (Andersen & Andersen, Math. Programming 71, 1995) removes rows
+    of at most one unknown, to a fixed point, through a queue and the index
+    ``holders`` of the rows with an entry at each unknown; each rule removes
+    one row and changes no other entry.  0 = b is inconsistent for b
+    nonzero, and an empty row is dropped; e x_j = 0 forces x_j = 0, so
+    column j leaves every row, and those rows go back in the queue;
+    e x_j = b fixes x_j = b / e when x_j is in no other row, whatever the
+    degree of e.  Every other row goes to the elimination.  The peel finds
+    the same answer: no column but j has an entry in the row r of
+    e x_j = b, so j is a pivot column, and any other column lies in the
+    span of the columns before it exactly when it does so with row r and
+    column j removed.  So the pivot columns, the solutions and the one with
+    the free unknowns at zero are those of the rows that remain, with the
+    peeled x_j.
 
     The elimination of the rows that remain is fraction-free (Bareiss,
     Math. Comp. 22, 1968) over Z[t], on sparse rows; it is skipped when
@@ -390,24 +395,13 @@ def _zsolve(
             del live[i]
             continue
         e, b = row[j], row.get(width, [])
-        if b and len(e) > 1 and len(holders[j]) > 1:
-            continue  # substituting it would multiply rows by e: the Bareiss takes it
+        if b and len(holders[j]) > 1:
+            continue  # x_j occurs in another row: the Bareiss takes it
         del live[i]
-        others = holders.pop(j) - {i}
         peeled.append((j, b, e))
-        scale, signed = abs(e[0]), ([-c for c in b] if e[0] < 0 else b)
-        for k in others:
+        for k in holders.pop(j) - {i}:  # only for b zero: x_j = 0 leaves every row
             other = live[k]
-            a = other.pop(j)
-            if b:  # e is a constant: scale by |e| and move sign(e) * a * b across
-                rhs = zsub([scale * c for c in other.pop(width, [])], zmul(a, signed))
-                other = {c: [scale * x for x in v] for c, v in other.items()}
-                if rhs:
-                    other[width] = rhs
-                g = math.gcd(*(x for v in other.values() for x in v))
-                if g > 1:
-                    other = {c: [x // g for x in v] for c, v in other.items()}
-                live[k] = other
+            del other[j]
             if len(other) - (width in other) < 2:
                 queue.append(k)
     # each entry (e, q): e as the step of pivot q wrote it, q None for an input entry

@@ -89,10 +89,16 @@ class LiftableField(NamedTuple):
         return f"X_{self.shift} = {self.field}"
 
 
+def _check_policy(policy: str) -> None:
+    if policy not in LIFT_POLICIES:
+        raise InputError(f"unknown lift policy {policy!r}; use {' or '.join(LIFT_POLICIES)}")
+
+
 def liftable_field(curve: MonomialCurve, s: int, policy: str = "grlex") -> LiftableField:
     """Build the liftable field X_s under a monomial-choice policy, "grlex"
     or "pinned"; the shift is checked first, under every policy."""
     exps = _grlex_exponents(curve, s)
+    _check_policy(policy)
     lams, m = curve.lams, curve.ambient
     if policy == "pinned":
         exps = _PINNED.get((lams, s))
@@ -101,8 +107,6 @@ def liftable_field(curve: MonomialCurve, s: int, policy: str = "grlex") -> Lifta
                 f"no pinned lift stored for curve {lams} and shift {s}; "
                 "use the grlex policy"
             )
-    elif policy != "grlex":
-        raise InputError(f"unknown lift policy {policy!r}; use {' or '.join(LIFT_POLICIES)}")
     pad = (0,) * (m - len(lams))
     field = forms.VectorField(
         [forms.Polynomial.monomial(e + pad, lam) for e, lam in zip(exps, lams)]
@@ -174,6 +178,7 @@ def action_table(curve: MonomialCurve, policy: str = "grlex") -> ActionTable:
     ascending order, so a policy without a lift fails at its first such
     shift; the matrices are then the one action matrix per shift, which no
     lift policy enters."""
+    _check_policy(policy)
     basis = cached_basis(curve)
     if not basis.elements:
         return ActionTable(basis, policy, (), {}, ())
@@ -249,7 +254,7 @@ def moser_reduce(
     d = elements[next(iter(entries))].qdeg
     if elements[next(reversed(entries))].qdeg != d:
         raise InputError("kill target must be a single graded component")
-    if any(a.entries.get(k) != entries.get(k) for k, _ in a.basis.by_degree[d]):
+    if kill != a.part(d):
         raise InputError("kill target must equal the graded component of a in its quasi-degree")
     tangent: TangentSpace = orbit_tangent_space(curve, a)
     shifts = tangent.shifts

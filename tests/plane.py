@@ -1,0 +1,71 @@
+"""Plane curves (t^p, t^q) in closed form, with the standard library only:
+the Milnor-algebra model of their closed 2-form classes, an oracle for the
+engine that uses no forms and no ``algrest.linalg``.
+
+For p < q coprime let f = x^q - y^p.  Every 2-form on the plane is closed,
+and the 2-forms of zero restriction are f Omega^2 + df ^ Omega^1 =
+J dx^dy with J = (x^(q-1), y^(p-1)), which contains f by Euler's identity.
+So the classes are R dx^dy with R = Q[x, y] / J, whose basis is the
+Milnor monomials x^i y^j, i <= q - 2 and j <= p - 2 (``milnor_monomials``;
+Milnor-Orlik 1970: dim R = (p - 1)(q - 1)).  With x of weight p and y of
+weight q, x^i y^j dx^dy has quasi-degree p i + q j + p + q (``qdeg``).
+
+The liftable field of shift s acts as u_s E, u_s the monomial of weight s
+and E the Euler field, up to fields with coefficients in J, which act as
+zero; and L_{uE}(g dx^dy) = (w(u) + w(g) + p + q) u g dx^dy.  So the
+orbit tangent space at a dx^dy is D(a R), where D multiplies each monomial
+by its quasi-degree and is invertible, and mu(a), the codimension of the
+orbit, is dim R - rank(multiplication by a on R), the colength of the
+principal ideal (a) (``colength``).
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+
+def milnor_monomials(p: int, q: int) -> list[tuple[int, int]]:
+    """The exponents (i, j) of the basis x^i y^j of R, by quasi-degree;
+    weights p i + q j are distinct in the box, as p and q are coprime."""
+    box = [(i, j) for i in range(q - 1) for j in range(p - 1)]
+    return sorted(box, key=lambda m: qdeg(p, q, *m))
+
+
+def qdeg(p: int, q: int, i: int, j: int) -> int:
+    """The quasi-degree of x^i y^j dx^dy."""
+    return p * i + q * j + p + q
+
+
+def rank(rows: list[list[Fraction]]) -> int:
+    """The rank of a matrix over Q, by Gaussian elimination."""
+    rows = [row[:] for row in rows]
+    found = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(found, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[found], rows[pivot] = rows[pivot], rows[found]
+        top = rows[found]
+        for r in range(found + 1, len(rows)):
+            if rows[r][col]:
+                factor = rows[r][col] / top[col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], top)]
+        found += 1
+    return found
+
+
+def colength(p: int, q: int, a: dict[tuple[int, int], Fraction]) -> int:
+    """dim R / (a) for a = sum of c x^i y^j over the items (i, j) -> c:
+    dim R less the rank of the multiplication by a on R, whose column for
+    x^k y^l is a x^k y^l with the monomials that lie in J dropped."""
+    basis = milnor_monomials(p, q)
+    index = {m: n for n, m in enumerate(basis)}
+    columns = []
+    for k, l in basis:
+        column = [Fraction(0)] * len(basis)
+        for (i, j), c in a.items():
+            n = index.get((i + k, j + l))
+            if n is not None:
+                column[n] += c
+        columns.append(column)
+    return len(basis) - rank(columns)

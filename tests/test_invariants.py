@@ -28,9 +28,36 @@ from algrest.linalg import in_span, solve_linear
 from algrest.orbit import orbit_tangent_space
 from algrest.parser import parse_restriction
 
+import plane
 from fraction_path import part_quotient_coords, quotient_coords
 from test_class_queries import assert_integer_parts
 from test_curves import reference_quotient
+
+
+PLANE_CURVES = [(2, q) for q in range(3, 14, 2)] + [
+    (3, 4), (3, 5), (3, 7), (4, 5), (4, 7), (5, 6), (5, 7), (7, 9)
+]
+
+
+@pytest.mark.parametrize("p, q", PLANE_CURVES)
+def test_multiplicity_of_a_plane_curve_class_is_its_colength(p, q):
+    """On (t^p, t^q) the basis is x^i y^j dx1^dx2 over the Milnor monomials,
+    at quasi-degree p i + q j + p + q, and mu of a class a is the colength
+    of the ideal (a) in the Milnor algebra (``plane``), on random classes
+    whose lowest terms are zero up to a random degree."""
+    curve = MonomialCurve((p, q))
+    basis = cached_basis(curve)
+    monomials = plane.milnor_monomials(p, q)
+    assert [e.qdeg for e in basis.elements] == [plane.qdeg(p, q, *m) for m in monomials]
+    for element, m in zip(basis.elements, monomials):
+        assert {J: f.terms for J, f in element.rep.coeffs.items()} == {(0, 1): {m: 1}}
+    rng = random.Random(1900 + 31 * p + q)
+    values = [Fraction(0)] * 3 + [Fraction(n, d) for n in (-2, -1, 1, 3) for d in (1, 2)]
+    for _ in range(60):
+        start = rng.randrange(len(monomials) + 1)
+        coeffs = {m: rng.choice(values) for m in monomials[start:]}
+        a = AlgRestriction(basis, [coeffs.get(m, 0) for m in monomials])
+        assert symplectic_multiplicity(curve, a) == plane.colength(p, q, coeffs)
 
 
 def test_multiplicity_is_orbit_codimension(curve4567, basis4567):

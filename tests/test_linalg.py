@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+import algrest.qt as qt_module
 from algrest.linalg import (
     ParamSolution,
     PrefixSolver,
@@ -512,6 +513,38 @@ def test_sturm_count_equals_the_fraction_chain_on_random_polynomials():
             assert solved.pole_counts == [reference_poles_in_closed_unit_interval(f)]
 
 
+def test_pole_counts_never_divide_by_one(monkeypatch):
+    """The Sturm chain of a square-free denominator divides by nothing, and
+    that of a repeated-root one by gcd(p, p') alone: no ``_zdiv_exact`` in a
+    pole count divides by the constant 1."""
+    rng = random.Random(4811)
+    roots = [F(n, q) for n in range(-3, 5) for q in (1, 2, 3)]
+    divisors = []
+    divide = qt_module._zdiv_exact
+
+    def recording_divide(num, den):
+        divisors.append(den)
+        return divide(num, den)
+
+    monkeypatch.setattr(qt_module, "_zdiv_exact", recording_divide)
+    repeated = 0
+    for _ in range(200):
+        chosen = rng.sample(roots, rng.randint(1, 4))
+        if rng.random() < 0.5:
+            chosen += rng.choices(chosen, k=rng.randint(1, 3))
+        den = [rng.choice([-3, -1, 2, 5])]
+        for r in chosen:
+            den = _zmul(den, [-r.numerator, r.denominator])
+        if rng.random() < 0.3:
+            den = _zmul(den, [1, 0, 1])  # no real roots
+        before = len(divisors)
+        got = qt_module._zpoles_in_unit_interval(den)
+        assert got == sum(0 <= r <= 1 for r in set(chosen))
+        repeated += len(divisors) > before
+    assert repeated > 50
+    assert [1] not in divisors
+
+
 def test_poles_in_closed_unit_interval():
     t = UniPoly.from_terms({1: 1})
     # pole at 1/2
@@ -676,15 +709,16 @@ def sparse_pencils(draw):
 @st.composite
 def peeled_systems(draw):
     """Up to 8 x 5 systems shaped for the peel of ``solve_param_linear``,
-    most rows holding one unknown once the rows before them are solved.
+    with rows of one unknown at every stage of it.
 
     A chain: row k holds the unknowns of rows 0 .. k - 1, some of them, and
-    its own pivot, a nonzero constant or of degree 1, so constant pivots
-    cascade down the chain and a degree-1 pivot leaves an unknown that
-    occurs again.  Then up to three extra rows: c x_j = 0, which forces a
-    zero; e x_j = b, which repeats a fixed unknown and so substitutes to
-    0 = b unless it agrees; and a rescaled chain row, its right-hand side
-    matching or not.  The rows are shuffled."""
+    its own pivot, a nonzero constant or of degree 1, so a row whose right-
+    hand side is zero forces a zero that can leave a later row with one
+    unknown, and a row of one unknown with a nonzero right-hand side is
+    peeled only when no later row holds its unknown.  Then up to three
+    extra rows: c x_j = 0, which forces a zero; e x_j = b, which repeats an
+    unknown of the chain, consistent with it or not; and a rescaled chain
+    row, its right-hand side matching or not.  The rows are shuffled."""
     width = draw(st.integers(min_value=1, max_value=5))
     order = draw(st.permutations(range(width)))
     const_st = coeff_st.filter(bool).map(UniPoly.constant)
@@ -732,16 +766,16 @@ def poly_rows(data):
     )
 )
 @example(system=(poly_rows([[[F(-1, 2), 1]], [[0, 0, F(1, 6)]]]), [ONE, UniPoly([0, 0, F(1, 6)])]))
-# the peel solves it all: 2 x0 = 1 fixes x0, then x1, then x2, and x3 = 0
+# the peel forces x3 = 0; 2 x0 = 1 shares x0 with the middle row, so the Bareiss solves the rest
 @example(
     system=(
         poly_rows([[[], [0, 1], [-1], []], [[1], [3], [], []], [[2], [], [], []], [[], [], [], [1, 1]]]),
         [3 * ONE, 2 * ONE, ONE, UniPoly()],
     )
 )
-# x1 = 1 fixes x0 = 0 through the middle row, and 2 x0 = 1 becomes 0 = 1
+# 2 x0 = 1 and x1 = 1 each share an unknown with the middle row: the Bareiss finds 0 = 1
 @example(system=(poly_rows([[[2], []], [[1], [1]], [[], [1]]]), [ONE, ONE, ONE]))
-# (t + 1) x0 = 1 has one unknown, but x0 occurs again: the Bareiss takes both
+# (t + 1) x0 = 1 has one unknown, but x0 occurs again: the Bareiss takes both, whatever the degree
 @example(system=(poly_rows([[[1, 1], []], [[1], [2]]]), [ONE, ONE]))
 def test_solve_param_linear_equals_the_rref_reference(system):
     rows, rhs = system

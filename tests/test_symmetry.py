@@ -147,6 +147,14 @@ def test_a_missing_pinned_lift_fails_at_its_shift():
     assert shift_action(a, 7).is_zero()
 
 
+@pytest.mark.parametrize("lams", [(1,), (2, 3)])
+def test_an_unknown_lift_policy_fails_on_every_basis(lams):
+    """The policy name is checked before the table is built, so an empty
+    basis, which has no shift to lift, rejects it too."""
+    with pytest.raises(InputError, match="unknown lift policy 'bogus'; use grlex or pinned"):
+        action_table(MonomialCurve(lams), "bogus")
+
+
 def test_actions_live_on_the_class_basis():
     curve = MonomialCurve((3, 4, 5), ambient=4)
     misses = cached_basis.cache_info().misses
