@@ -10,8 +10,8 @@ remainder over Q is one division at the end.  ``rref`` gives the dense
 ``Fraction`` rows of the same form; kernels, solutions and span tests are
 read off it.  ``PrefixSolver`` answers many sparse integer right-hand
 sides against one matrix from one elimination.
-``solve_param_linear`` validates sparse systems whose entries are
-polynomials in Z[t], for a parameter t, and hands them to ``qt``, where
+``solve_param_linear`` solves sparse systems whose entries are
+polynomials in Z[t], for a parameter t, in ``qt``, where the validation,
 the peel, the fraction-free elimination and the Sturm counts run
 (``qt._zsolve``); ``qt`` is read through its module, so a run that
 solves and counts nothing never compiles it.
@@ -271,21 +271,12 @@ def solve_param_linear(rows: Iterable[Mapping[int, list[int]]], width: int) -> P
     which leaves the solution unchanged.  Reports, per component of the
     solution, how many poles land in the closed interval [0, 1].
 
-    Every row is validated first.  ``qt._zsolve`` then peels the rows it
-    settles without changing another entry and eliminates the rest
+    ``qt._zsolve`` validates every row, in the pass that indexes the system
+    and before it solves any, and never writes to a row.  It peels the rows
+    it settles without changing another entry and eliminates the rest
     fraction-free (Bareiss), checking each division (a remainder raises
     ``ArithmeticError``); the answer does not depend on the row order and
     equals Gauss-Jordan's over Q(t).
     """
-    live: dict[int, dict[int, list[int]]] = {}
-    for i, row in enumerate(rows):
-        entries = live[i] = {}
-        for c, e in row.items():
-            if not 0 <= c <= width:
-                raise ValueError("column outside the system")
-            if e:
-                if not e[-1]:
-                    raise ValueError("a Z[t] entry ends in a zero coefficient")
-                entries[c] = e
-    solved = qt._zsolve(live, width)
+    solved = qt._zsolve(rows, width)
     return ParamSolution(True, *solved) if solved else ParamSolution(consistent=False)

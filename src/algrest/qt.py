@@ -171,14 +171,6 @@ def _zremainders(a: list[int], b: list[int]) -> list[list[int]]:
     return seq
 
 
-def _zgcd(a: list[int], b: list[int]) -> list[int]:
-    """The primitive gcd of nonzero a and b in Z[t], up to sign."""
-    if len(a) < len(b):
-        a, b = b, a
-    g = _zremainders(a, b)[-1]
-    return g if len(g) > 1 else [1]
-
-
 def _zprem(a: list[int], b: list[int]) -> list[int]:
     """c * (a mod b) in Z[t] for some integer c > 0, for nonzero b.
 
@@ -252,17 +244,20 @@ def _reduced(y: list[int], den: list[int]) -> tuple[RationalFunctionT, list[int]
     """The reduced rational function y / den for y, den in Z[t], den nonzero,
     and its denominator in Z[t] (a nonzero multiple of the monic one).
 
-    With g the primitive gcd of y and den, y / g and den / g lie in Z[t]
-    (Gauss's lemma: a primitive factor over Q[t] is a factor over Z[t]) and
-    are coprime over Q.  Dividing both by the leading coefficient of
-    den / g makes the denominator monic, and a reduced quotient with monic
-    denominator is unique: this is the canonical form over Q[t], with no
-    Euclid there, and the ``RationalFunctionT`` constructor runs it too.
+    The remainder sequence of y and den (``_zremainders``) ends at g, their
+    primitive gcd up to sign, or at a constant when they are coprime, which
+    is not divided out.  y / g and den / g lie in Z[t] (Gauss's lemma: a
+    primitive factor over Q[t] is a factor over Z[t]) and are coprime over
+    Q.  Dividing both by the leading coefficient of den / g makes the
+    denominator monic, and a reduced quotient with monic denominator is
+    unique: this is the canonical form over Q[t], with no Euclid there, and
+    the ``RationalFunctionT`` constructor runs it too.
     """
     if not y:
         return RationalFunctionT.zero(), [1]
-    g = _zgcd(y, den)
-    y, den = _zdiv_exact(y, g), _zdiv_exact(den, g)
+    g = _zremainders(*((y, den) if len(y) >= len(den) else (den, y)))[-1]
+    if len(g) > 1:
+        y, den = _zdiv_exact(y, g), _zdiv_exact(den, g)
     lead = den[-1]
     f = RationalFunctionT._trusted(
         UniPoly([Fraction(c, lead) for c in y]), UniPoly([Fraction(c, lead) for c in den])
@@ -319,11 +314,16 @@ _ZERO_FUNCTION = RationalFunctionT._trusted(UniPoly(), UniPoly.constant(1))
 
 
 def _zsolve(
-    live: dict[int, dict[int, list[int]]], width: int
+    rows: Iterable[Mapping[int, list[int]]], width: int
 ) -> tuple[list[RationalFunctionT], list[int]] | None:
-    """Solve the validated rows ``live`` of ``linalg.solve_param_linear``
-    (row -> {column: Z[t] entry}; consumed): the solution and its pole
-    counts, or None if inconsistent.
+    """Solve the rows of ``linalg.solve_param_linear`` ({column: Z[t]
+    entry} each): the solution and its pole counts, or None if inconsistent.
+
+    One pass validates every row (``ValueError`` for a column outside
+    [0, width] or an entry ending in a zero coefficient) before any is
+    solved, and indexes the unknowns and queues the rows of at most one
+    unknown.  The rows are read, never written: one is rebuilt only when it
+    holds a [] entry or loses an unknown forced to zero.
 
     The peel (Andersen & Andersen, Math. Programming 71, 1995) removes rows
     of at most one unknown, to a fixed point, through a queue and the index
@@ -376,12 +376,23 @@ def _zsolve(
     reduced form with monic denominator.
     """
     zmul, zsub, zdiv_exact = _zmul, _zsub, _zdiv_exact
+    live: dict[int, Mapping[int, list[int]]] = {}  # row index -> the row, no [] entry
     holders: dict[int, set[int]] = {}  # unknown j -> the live rows with an entry at j
-    for i, row in live.items():
-        for c in row:
-            if c < width:
+    queue: list[int] = []  # the rows of at most one unknown
+    for i, row in enumerate(rows):
+        empty = False
+        for c, e in row.items():
+            if not 0 <= c <= width:
+                raise ValueError("column outside the system")
+            if not e:
+                empty = True
+            elif not e[-1]:
+                raise ValueError("a Z[t] entry ends in a zero coefficient")
+            elif c < width:
                 holders.setdefault(c, set()).add(i)
-    queue = [i for i, row in live.items() if len(row) - (width in row) < 2]
+        row = live[i] = {c: e for c, e in row.items() if e} if empty else row
+        if len(row) - (width in row) < 2:
+            queue.append(i)
     peeled: list[tuple[int, list[int], list[int]]] = []  # (j, b, e): x_j = b / e
     while queue:
         i = queue.pop()
@@ -400,8 +411,7 @@ def _zsolve(
         del live[i]
         peeled.append((j, b, e))
         for k in holders.pop(j) - {i}:  # only for b zero: x_j = 0 leaves every row
-            other = live[k]
-            del other[j]
+            other = live[k] = {c: x for c, x in live[k].items() if c != j}
             if len(other) - (width in other) < 2:
                 queue.append(k)
     # each entry (e, q): e as the step of pivot q wrote it, q None for an input entry

@@ -27,7 +27,7 @@ from .curves import (
     LIFT_POLICIES, AlgRestriction, MonomialCurve, RestrictionBasis, cached_basis, project
 )
 from .errors import InputError, LiftError, NotSymmetryError
-from .linalg import ParamSolution, rref, solve_param_linear, zdenominated
+from .linalg import rref, solve_param_linear, zdenominated
 from .orbit import (
     ActionMatrix, TangentSpace, _action_matrix, _basis_shifts, _grlex_exponents, _orbit_row,
     _restriction, admissible_shifts, orbit_tangent_space
@@ -247,9 +247,7 @@ def moser_reduce(
     kill._check_same_basis(a)
     entries = kill.entries
     if not entries:
-        return HomotopyResult(
-            feasible=True, consistent=True, shifts=(), coefficients={}, pole_counts={}
-        )
+        return HomotopyResult(True, True, (), {}, {})
     elements = a.basis.elements
     d = elements[next(iter(entries))].qdeg
     if elements[next(reversed(entries))].qdeg != d:
@@ -269,16 +267,12 @@ def moser_reduce(
             live.setdefault(i, {})[j] = [v, -v] if elements[i].qdeg == d + s else [v]
     for i, c in entries.items():
         live.setdefault(i, {})[width] = [c.numerator * (big // c.denominator)]
-    solution: ParamSolution = solve_param_linear([live[i] for i in sorted(live)], width)
+    solution = solve_param_linear([live[i] for i in sorted(live)], width)
     if not solution.consistent:
-        solution = ParamSolution(False, [qt.RationalFunctionT.zero()] * width, [0] * width)
-    return HomotopyResult(
-        feasible=solution.feasible_on_unit_interval,
-        consistent=solution.consistent,
-        shifts=shifts,
-        coefficients=dict(zip(shifts, solution.solution)),
-        pole_counts=dict(zip(shifts, solution.pole_counts)),
-    )
+        zeros = dict.fromkeys(shifts, qt.RationalFunctionT.zero())
+        return HomotopyResult(False, False, shifts, zeros, dict.fromkeys(shifts, 0))
+    solved = dict(zip(shifts, solution.solution)), dict(zip(shifts, solution.pole_counts))
+    return HomotopyResult(solution.feasible_on_unit_interval, True, shifts, *solved)
 
 
 def symmetry_constant(curve: MonomialCurve, phi: forms.PolyMap) -> Fraction:

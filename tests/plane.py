@@ -16,12 +16,26 @@ zero; and L_{uE}(g dx^dy) = (w(u) + w(g) + p + q) u g dx^dy.  So the
 orbit tangent space at a dx^dy is D(a R), where D multiplies each monomial
 by its quasi-degree and is invertible, and mu(a), the codimension of the
 orbit, is dim R - rank(multiplication by a on R), the colength of the
-principal ideal (a) (``colength``).
+principal ideal (a) (``colength``).  The action matrix of the shift s is
+D composed with the multiplication by u_s (``action_columns``): zero when
+no Milnor monomial has weight s, as u_s then lies in J or, for s outside
+the semigroup, does not exist.
+
+Killing the unit component c0 of a = c0 + N, N nilpotent in R, along
+A_t = a - t c0 = c0 (1 - t) + N solves D(B A_t) = c0, the killed
+component, for B = sum of b_s u_s.  So B = (c0 / (p + q)) sum_k (-N)^k /
+(c0 (1 - t))^(k+1), and every b_s is a polynomial in 1 / (1 - t) with no
+constant term (``moser_series``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+# The plane curves (p, q) the oracles run on in tier-1.
+CURVES = [(2, q) for q in range(3, 14, 2)] + [
+    (3, 4), (3, 5), (3, 7), (4, 5), (4, 7), (5, 6), (5, 7), (7, 9)
+]
 
 
 def milnor_monomials(p: int, q: int) -> list[tuple[int, int]]:
@@ -69,3 +83,47 @@ def colength(p: int, q: int, a: dict[tuple[int, int], Fraction]) -> int:
                 column[n] += c
         columns.append(column)
     return len(basis) - rank(columns)
+
+
+def monomial_of_weight(p: int, q: int, s: int) -> tuple[int, int] | None:
+    """The Milnor monomial x^i y^j of weight p i + q j = s, or None."""
+    return next(((i, j) for i, j in milnor_monomials(p, q) if p * i + q * j == s), None)
+
+
+def multiply(p: int, q: int, a: dict, b: dict) -> dict:
+    """The product of a and b in R, as {(i, j): c}: the products of their
+    terms, those outside the Milnor box (in J) dropped."""
+    out: dict[tuple[int, int], Fraction] = {}
+    for (i, j), c in a.items():
+        for (k, l), d in b.items():
+            if i + k <= q - 2 and j + l <= p - 2:
+                out[i + k, j + l] = out.get((i + k, j + l), 0) + c * d
+    return {m: c for m, c in out.items() if c}
+
+
+def action_columns(p: int, q: int, s: int) -> list[tuple[tuple[int, Fraction], ...]]:
+    """The columns of D(u_s .) over the Milnor monomials (by quasi-degree)
+    as (row, value) pairs: x^k y^l goes to qdeg times u_s x^k y^l."""
+    basis = milnor_monomials(p, q)
+    u = monomial_of_weight(p, q, s)
+    columns = []
+    for m in basis:
+        image = multiply(p, q, {u: 1}, {m: 1}) if u else {}
+        columns.append(tuple((basis.index(n), Fraction(qdeg(p, q, *n))) for n in image))
+    return columns
+
+
+def moser_series(p: int, q: int, a: dict) -> dict[tuple[int, int], list[Fraction]]:
+    """For a = c0 + N with c0 = a[(0, 0)] nonzero: the beta_k of each
+    nonzero b_m = sum_k beta_k / (1 - t)^(k+1), the coefficient of x^i y^j
+    = m in B, which are those of m in (-N)^k / ((p + q) c0^k)."""
+    c0 = a[0, 0]
+    minus_n = {m: -c for m, c in a.items() if m != (0, 0) and c}
+    series: dict[tuple[int, int], list[Fraction]] = {}
+    power, k = {(0, 0): Fraction(1)}, 0
+    while power:
+        for m, c in power.items():
+            betas = series.setdefault(m, [])
+            betas += [Fraction(0)] * (k - len(betas)) + [c / ((p + q) * c0**k)]
+        power, k = multiply(p, q, power, minus_n), k + 1
+    return series

@@ -34,12 +34,7 @@ from test_class_queries import assert_integer_parts
 from test_curves import reference_quotient
 
 
-PLANE_CURVES = [(2, q) for q in range(3, 14, 2)] + [
-    (3, 4), (3, 5), (3, 7), (4, 5), (4, 7), (5, 6), (5, 7), (7, 9)
-]
-
-
-@pytest.mark.parametrize("p, q", PLANE_CURVES)
+@pytest.mark.parametrize("p, q", plane.CURVES)
 def test_multiplicity_of_a_plane_curve_class_is_its_colength(p, q):
     """On (t^p, t^q) the basis is x^i y^j dx1^dx2 over the Milnor monomials,
     at quasi-degree p i + q j + p + q, and mu of a class a is the colength

@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 from fractions import Fraction
@@ -777,13 +778,24 @@ def poly_rows(data):
 @example(system=(poly_rows([[[2], []], [[1], [1]], [[], [1]]]), [ONE, ONE, ONE]))
 # (t + 1) x0 = 1 has one unknown, but x0 occurs again: the Bareiss takes both, whatever the degree
 @example(system=(poly_rows([[[1, 1], []], [[1], [2]]]), [ONE, ONE]))
+# 3 x1 = 0 forces x1 = 0, so the first row loses x1 and is peeled as x0 = 1
+@example(system=(poly_rows([[[1], [1]], [[], [3]]]), [ONE, UniPoly()]))
+# a forced zero that leaves the second row 0 = 2 t: inconsistent
+@example(system=(poly_rows([[[], [1, 1]], [[], [1]]]), [UniPoly(), UniPoly([0, 2])]))
 def test_solve_param_linear_equals_the_rref_reference(system):
+    """The solver equals the reference, on the sparse rows and on the same
+    rows with a [] entry at every zero, and writes to neither."""
     rows, rhs = system
-    got = solve_param_linear(*zt_system(rows, rhs))
+    sparse, width = zt_system(rows, rhs)
+    padded = [{j: row.get(j, []) for j in range(width + 1)} for row in sparse]
+    copies = copy.deepcopy((sparse, padded))
+    got = solve_param_linear(sparse, width)
     want = reference_solve_param_linear(rows, rhs)
     assert got.consistent == want.consistent
     assert got.solution == want.solution
     assert got.pole_counts == want.pole_counts
+    assert solve_param_linear(padded, width) == got
+    assert (sparse, padded) == copies
 
 
 def times_t_minus_one(coeffs, k):

@@ -41,11 +41,12 @@ from algrest.symmetry import (
     validate_liftable,
 )
 
+import plane
 from direct_actions import check_witt_construction, lie_action
 from generic_path import apply_series, curve_images, substitute, terms_of
 from tables import ACTIONS, NONSEMIGROUP_SHIFTS, SHIFTS
 from test_linalg import reference_sparse_echelon, sparse_remainder
-from ztpoly import dense_system, reference_bareiss, zt_system
+from ztpoly import dense_system, poly_add, reference_bareiss, zt_system
 
 
 @pytest.mark.parametrize("lams", sorted(SHIFTS))
@@ -677,6 +678,87 @@ def test_moser_elimination_never_divides_by_one(monkeypatch, lams):
     monkeypatch.setattr(qt_module, "_zpoles_in_unit_interval", lambda den: 0)
     assert solve(live, width) is not None
     assert divisors and [1] not in divisors
+
+
+def test_class_query_moser_systems_never_divide_by_one(monkeypatch):
+    """The 300 Moser systems of the class-queries stream (the pool of each
+    of its four curves): no ``_zdiv_exact`` of the elimination, the back
+    substitution, the reductions or the pole counts divides by the constant
+    1.  Nothing is stubbed."""
+    divisors = []
+    divide = qt_module._zdiv_exact
+
+    def recording_divide(num, den):
+        divisors.append(den)
+        return divide(num, den)
+
+    monkeypatch.setattr(qt_module, "_zdiv_exact", recording_divide)
+    for lams in [(4, 5, 6, 7), (4, 5, 6), (4, 5, 7), (5, 6, 7, 8, 9)]:
+        curve = MonomialCurve(lams)
+        basis = cached_basis(curve)
+        for terms, kill_label in class_pool(lams, basis.labels):
+            a = AlgRestriction.from_coeffs(basis, terms)
+            moser_reduce(curve, a, a.part(basis.element(kill_label).qdeg))
+    assert len(divisors) > 500
+    assert [1] not in divisors
+
+
+@pytest.mark.parametrize("p, q", plane.CURVES)
+def test_plane_curve_action_matrices_are_the_milnor_model(p, q):
+    """On (t^p, t^q) the action matrix of every shift is D(u_s .) on the
+    Milnor monomials (``plane``), and the one admissible shift outside the
+    semigroup, the Frobenius number pq - p - q, acts as zero."""
+    table = action_table(MonomialCurve((p, q)))
+    frobenius = p * q - p - q
+    assert table.nonsemigroup == (frobenius,)
+    for s in table.shifts:
+        matrix = table.matrices[s]
+        got = [matrix.column(j) for j in range(len(table.labels))]
+        assert got == plane.action_columns(p, q, s), f"shift {s}"
+    assert not any(table.matrices[frobenius].columns)
+
+
+def over_powers_of_one_minus_t(betas):
+    """sum_k betas[k] / (1 - t)^(k + 1) as a ``RationalFunctionT``."""
+    one_minus_t = UniPoly([1, -1])
+    num = UniPoly()
+    for beta in betas:
+        num = poly_add(num * one_minus_t, UniPoly.constant(beta))
+    return RationalFunctionT(num, one_minus_t ** len(betas))
+
+
+def assert_moser_is_the_milnor_model(p, q, coeffs):
+    """``moser_reduce`` on (t^p, t^q), for the class of Milnor coefficients
+    ``coeffs`` with a unit term, killing that term: every b_s is the
+    closed form of ``plane.moser_series``, with one pole, at t = 1, when
+    it is nonzero, so the reduction is consistent and infeasible."""
+    curve = MonomialCurve((p, q))
+    basis = cached_basis(curve)
+    a = AlgRestriction(basis, [coeffs.get(m, 0) for m in plane.milnor_monomials(p, q)])
+    result = moser_reduce(curve, a, a.part(p + q))
+    want = plane.moser_series(p, q, coeffs)
+    assert result.consistent and not result.feasible
+    for s in result.shifts:
+        betas = want.get(plane.monomial_of_weight(p, q, s), [])
+        assert result.coefficients[s] == over_powers_of_one_minus_t(betas), f"b_{s}"
+        assert result.pole_counts[s] == (1 if betas else 0)
+
+
+@pytest.mark.parametrize("p, q", [(5, 7), (7, 9)])
+def test_plane_curve_moser_of_every_label_is_the_milnor_model(p, q):
+    """Every label at 1; (9, 11) and (9, 13) run in CI."""
+    assert_moser_is_the_milnor_model(p, q, dict.fromkeys(plane.milnor_monomials(p, q), 1))
+
+
+def test_plane_curve_moser_of_random_classes_is_the_milnor_model():
+    rng = random.Random(1919)
+    values = [Fraction(0)] * 3 + [Fraction(n, d) for n in (-3, -1, 1, 2, 5) for d in (1, 2, 3)]
+    for p, q in [(2, 9), (3, 4), (3, 5), (3, 7), (4, 5), (4, 7), (5, 6), (5, 7)]:
+        monomials = plane.milnor_monomials(p, q)
+        for _ in range(4):
+            coeffs = {m: rng.choice(values) for m in monomials}
+            coeffs[0, 0] = rng.choice(values[3:])
+            assert_moser_is_the_milnor_model(p, q, coeffs)
 
 
 def test_moser_reduce_zero_kill_is_trivial(curve4567, basis4567):
