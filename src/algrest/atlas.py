@@ -550,6 +550,53 @@ class AtlasReport(NamedTuple):
         return tuple(dict.fromkeys(notes))
 
 
+def render_reports(reports: Sequence[AtlasReport], fmt: str) -> tuple[dict | None, list[str]]:
+    """The ``verify-atlas`` output of the reports in the format ``fmt``, and
+    only that: (payload, []) for "json", else (None, lines) of text."""
+    passed = all(r.passed for r in reports)
+    if fmt == "json":
+        return {
+            "passed": passed,
+            "reports": [
+                {
+                    "semigroup": list(r.semigroup),
+                    "passed": r.passed,
+                    "known": list(r.known_notes),
+                    "distinctness_failures": list(r.distinctness_failures),
+                    "checks": [
+                        {
+                            "row": c.row_id,
+                            "n": c.n,
+                            "env": {k: str(v) for k, v in sorted(c.env.items())},
+                            "passed": c.passed,
+                            "failures": list(c.failures),
+                            "known": list(c.known),
+                        }
+                        for c in r.checks
+                    ],
+                }
+                for r in reports
+            ],
+        }, []
+    lines = []
+    for report in reports:
+        lines.append(f"semigroup {report.semigroup}:")
+        by_row: dict[int, list] = {}
+        for check in report.checks:
+            by_row.setdefault(check.row_id, []).append(check)
+        for row_id, checks in sorted(by_row.items()):
+            bad = [c for c in checks if not c.passed]
+            lines.append(f"  row {row_id}: {'FAIL' if bad else 'ok'} ({len(checks)} samples)")
+            for check in bad:
+                env = ", ".join(f"{k}={v}" for k, v in sorted(check.env.items()))
+                lines.extend(f"    at [{env}]: {msg}" for msg in check.failures)
+        lines.extend(f"  known: {note}" for note in report.known_notes)
+        failures = [f"  distinctness FAIL: {msg}" for msg in report.distinctness_failures]
+        lines.extend(failures or ["  distinctness: ok"])
+    lines.append("all checks passed" if passed else "verification FAILED")
+    return None, lines
+
+
 def verify_atlas(
     atlas: Atlas,
     n: int | None = None,

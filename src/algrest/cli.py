@@ -9,7 +9,7 @@ from typing import Sequence
 
 # modules, not names: each loads on first use (see ``algrest.__init__``), so
 # a command runs only the modules it needs
-from . import atlas, curves, errors, forms, invariants, orbit, parser, poly, symmetry
+from . import atlas, curves, errors, forms, invariants, orbit, parser, symmetry
 
 FORMATS = ("text", "json")
 
@@ -53,7 +53,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
             "dim": basis.dim,
             "top_qdeg": basis.top_qdeg,
             "basis": [
-                {"label": el.label, "qdeg": el.qdeg, "representative": str(el.rep)}
+                {"label": el.label, "qdeg": el.qdeg, "representative": el.text}
                 for el in basis.elements
             ],
         }
@@ -65,46 +65,15 @@ def cmd_basis(args: argparse.Namespace) -> int:
     else:
         head = f"semigroup {curve.lams}  dim {basis.dim}  scanned through qdeg {basis.top_qdeg}"
         lines = [head] + [
-            f"  {el.label:<5} qdeg {el.qdeg:>2}  [{el.rep}]" for el in basis.elements
+            f"  {el.label:<5} qdeg {el.qdeg:>2}  [{el.text}]" for el in basis.elements
         ]
     _emit(args, payload, lines)
     return 0
 
 
 def cmd_action_table(args: argparse.Namespace) -> int:
-    curve = _curve(args)
-    table = symmetry.action_table(curve, args.lift_policy)
-    payload = None
-    lines: list[str] = []
-    if args.format == "json":
-        payload = {
-            "semigroup": list(curve.lams),
-            "policy": table.policy,
-            "shifts": list(table.shifts),
-            "nonsemigroup_shifts": list(table.nonsemigroup),
-            "labels": list(table.labels),
-            "table": {
-                str(s): {label: poly.signed_sum(table.terms(s, label)) for label in table.labels}
-                for s in table.shifts
-            },
-        }
-    elif args.format == "latex":
-        cols = " & ".join(parser.latex_label(label) for label in table.labels)
-        lines = [f" & {cols} \\\\"] if table.labels else []
-        for s in table.shifts:
-            cells = " & ".join(parser.latex_sum(table.terms(s, label)) for label in table.labels)
-            lines.append(f"X_{{{s}}} & {cells} \\\\")
-    else:
-        lines = [
-            f"semigroup {curve.lams}  policy {table.policy}",
-            "shifts: " + (" ".join(str(s) for s in table.shifts) or "none"),
-            "shifts outside the semigroup: "
-            + (" ".join(str(s) for s in table.nonsemigroup) or "none"),
-        ]
-        for s in table.shifts:
-            for label in table.labels:
-                lines.append(f"  L[X_{s}] {label} = {poly.signed_sum(table.terms(s, label))}")
-    _emit(args, payload, lines)
+    table = symmetry.action_table(_curve(args), args.lift_policy)
+    _emit(args, *symmetry.render_table(table, args.format))
     return 0
 
 
@@ -255,55 +224,9 @@ def cmd_verify_atlas(args: argparse.Namespace) -> int:
     unknown = sorted(set(samples or ()) - {row.id for table in tables for row in table.rows})
     if unknown:
         raise errors.InputError(f"samples file: no atlas row {unknown[0]} in the verified tables")
-    reports = []
-    lines: list[str] = []
-    for table in tables:
-        report = atlas.verify_atlas(table, n=args.n, samples=samples, seed=args.seed)
-        reports.append(report)
-        lines.append(f"semigroup {report.semigroup}:")
-        by_row: dict[int, list] = {}
-        for check in report.checks:
-            by_row.setdefault(check.row_id, []).append(check)
-        for row_id in sorted(by_row):
-            checks = by_row[row_id]
-            bad = [c for c in checks if not c.passed]
-            status = "ok" if not bad else "FAIL"
-            lines.append(f"  row {row_id}: {status} ({len(checks)} samples)")
-            for check in bad:
-                env = ", ".join(f"{k}={v}" for k, v in sorted(check.env.items()))
-                for msg in check.failures:
-                    lines.append(f"    at [{env}]: {msg}")
-        for note in report.known_notes:
-            lines.append(f"  known: {note}")
-        failures = [f"  distinctness FAIL: {msg}" for msg in report.distinctness_failures]
-        lines.extend(failures or ["  distinctness: ok"])
-    passed = all(r.passed for r in reports)
-    lines.append("all checks passed" if passed else "verification FAILED")
-    payload = {
-        "passed": passed,
-        "reports": [
-            {
-                "semigroup": list(r.semigroup),
-                "passed": r.passed,
-                "known": list(r.known_notes),
-                "distinctness_failures": list(r.distinctness_failures),
-                "checks": [
-                    {
-                        "row": c.row_id,
-                        "n": c.n,
-                        "env": {k: str(v) for k, v in sorted(c.env.items())},
-                        "passed": c.passed,
-                        "failures": list(c.failures),
-                        "known": list(c.known),
-                    }
-                    for c in r.checks
-                ],
-            }
-            for r in reports
-        ],
-    }
-    _emit(args, payload, lines)
-    return 0 if passed else 1
+    reports = [atlas.verify_atlas(t, n=args.n, samples=samples, seed=args.seed) for t in tables]
+    _emit(args, *atlas.render_reports(reports, args.format))
+    return 0 if all(r.passed for r in reports) else 1
 
 
 def _add_common(sub: argparse.ArgumentParser, latex: bool = False) -> None:

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 from . import forms
 from .errors import InputError, NotClosedError
 from .linalg import rref, zcleared, zdenominated, zechelon, zremainder
-from .poly import Exponent, Frozen, Scalar, _as_fraction, add_into, grlex_key, signed_sum
+from .poly import Exponent, Frozen, Scalar, _as_fraction, add_into, form_str, grlex_key, signed_sum
 
 if TYPE_CHECKING:
     from .linalg import PrefixSolver
@@ -208,7 +208,9 @@ class GradedPiece(Frozen):
     curve-only column of J has class e_J and every other column class 0,
     so that choice is the last curve-only monomial of the non-pivot J here,
     which ``rep_form`` lifts: the representatives and quotient coordinates
-    are those of eliminating every monomial column.
+    are those of eliminating every monomial column.  ``coords_terms`` gives
+    the term map of a combination of them, which ``poly.form_str`` prints
+    without building a form.
 
     The value is (curve, k, d); the other slots follow from it and are
     left out of equality, hash and repr."""
@@ -285,22 +287,30 @@ class GradedPiece(Frozen):
         scale, work = zremainder(self.relations, vec)
         return scale, {j: work[c] for j, c in enumerate(self.rep_cols) if c in work}
 
-    def rep_form(self, j: int) -> forms.DifferentialForm:
-        """The lift x^m dx_J of the j-th representative column, with m the
-        last curve-only exponent of quasi-degree d - lam_J."""
-        J = self.columns[self.rep_cols[j]]
+    def coords_terms(self, den: int, row: Mapping[int, int]) -> dict:
+        """The term map {J: {m: c / den}} (``poly.form_str``) of the form
+        sum_j (row_j / den) x^m dx_J over the nonzero entries c = row_j, J
+        the j-th representative column and m the last curve-only exponent
+        of quasi-degree d - lam_J, padded to the ambient: distinct j have
+        distinct J, so no two terms merge."""
         lams = self.curve.lams
-        m = monomials_of_qdeg(lams, self.d - sum(lams[i] for i in J))[-1]
         pad = (0,) * (self.curve.ambient - len(lams))
-        mono = forms.Polynomial.monomial(m + pad)
-        return forms.DifferentialForm.from_term(self.curve.ambient, J, mono)
+        terms = {}
+        for j, c in row.items():
+            J = self.columns[self.rep_cols[j]]
+            m = monomials_of_qdeg(lams, self.d - sum(lams[i] for i in J))[-1]
+            terms[J] = {m + pad: Fraction(c, den)}
+        return terms
 
     def coords_to_form(self, den: int, row: Mapping[int, int]) -> forms.DifferentialForm:
-        """The form sum_j (row_j / den) ``rep_form(j)``."""
-        form = forms.DifferentialForm.zero(self.k, self.curve.ambient)
-        for j, c in row.items():
-            form = form + self.rep_form(j) * Fraction(c, den)
-        return form
+        """The form of ``coords_terms(den, row)``."""
+        n = self.curve.ambient
+        coeffs = {J: forms.Polynomial._trusted(n, t) for J, t in self.coords_terms(den, row).items()}
+        return forms.DifferentialForm._trusted(self.k, n, coeffs)
+
+    def rep_form(self, j: int) -> forms.DifferentialForm:
+        """The lift x^m dx_J of the j-th representative column."""
+        return self.coords_to_form(1, {j: 1})
 
 
 def restriction_quotient(curve: MonomialCurve, k: int, d: int) -> GradedPiece:
@@ -313,8 +323,10 @@ def restriction_quotient(curve: MonomialCurve, k: int, d: int) -> GradedPiece:
 class BasisElement(NamedTuple):
     """One labeled basis class of closed 2-form restrictions; ``vector`` = (D,
     row) gives its quotient coordinates row / D in ``piece``, row its row in
-    ``closed``.  ``rep``, its representative form, is built from them on
-    each read: only the ``basis`` printers and ``rep_form`` read one."""
+    ``closed``.  ``text`` prints its representative form from the term map
+    of ``GradedPiece.coords_terms``, so printing a basis runs no ``forms``;
+    ``rep``, the form itself, is built on each read, by the LaTeX printer,
+    ``AlgRestriction.rep_form`` and the tests."""
 
     label: str
     qdeg: int
@@ -324,6 +336,10 @@ class BasisElement(NamedTuple):
     @property
     def rep(self) -> forms.DifferentialForm:
         return self.piece.coords_to_form(*self.vector)
+
+    @property
+    def text(self) -> str:
+        return form_str(self.piece.coords_terms(*self.vector))
 
 
 def _degree_labels(d: int, count: int) -> list[str]:

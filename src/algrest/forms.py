@@ -6,7 +6,8 @@ in m variables maps strictly increasing k-tuples of variable indices
 (0-based) to polynomial coefficients.  The operations here are the
 classical exact ones: wedge product, exterior derivative, interior
 product, Lie derivative via Cartan's formula, and pullback along a
-polynomial map germ.
+polynomial map germ.  Polynomials and forms print from their term maps
+through ``poly.polynomial_str`` and ``poly.form_str``.
 
 ``Weights`` fixes the quasi-homogeneous grading: coordinate i carries the
 i-th curve exponent, and every coordinate beyond the curve's ambient block
@@ -20,7 +21,9 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError
-from .poly import Exponent, Frozen, Scalar, _as_fraction, _power, add_into, grlex_key, signed_sum
+from .poly import (
+    Exponent, Frozen, Scalar, _as_fraction, _power, add_into, form_str, grlex_key, polynomial_str
+)
 
 IndexTuple = tuple[int, ...]
 
@@ -180,10 +183,7 @@ class Polynomial:
     # -- printing ---------------------------------------------------------
 
     def __str__(self) -> str:
-        def mono(exps: Exponent) -> str:
-            return "*".join(f"x{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(exps) if e)
-
-        return signed_sum((coeff, mono(exps)) for exps, coeff in self.sorted_terms())
+        return polynomial_str(self.terms)
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
@@ -322,9 +322,6 @@ class DifferentialForm:
     def __hash__(self) -> int:
         return hash((self.degree, self.nvars, frozenset(self.coeffs.items())))
 
-    def sorted_terms(self) -> list[tuple[IndexTuple, Polynomial]]:
-        return sorted(self.coeffs.items(), key=lambda item: item[0])
-
     # -- linear structure ---------------------------------------------------
 
     def _check_compatible(self, other: DifferentialForm) -> None:
@@ -385,18 +382,7 @@ class DifferentialForm:
         }
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for idx, poly in self.sorted_terms():
-            wedge = "^".join(f"dx{i + 1}" for i in idx)
-            if not wedge:
-                parts.append(f"({poly})")
-            elif str(poly) == "1":
-                parts.append(wedge)
-            else:
-                parts.append(f"({poly})*{wedge}")
-        return " + ".join(parts)
+        return form_str({idx: poly.terms for idx, poly in self.coeffs.items()})
 
     def __repr__(self) -> str:
         return f"DifferentialForm({self})"

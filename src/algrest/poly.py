@@ -3,7 +3,9 @@
 All coefficients are ``fractions.Fraction``; nothing in the package ever
 touches floating point.  ``Frozen`` is the base of the immutable classes,
 ``add_into`` the one sparse accumulate, ``_power`` the one
-square-and-multiply and ``signed_sum`` the one printer of sums.
+square-and-multiply and ``signed_sum`` the one printer of sums, on which
+``polynomial_str`` and ``form_str`` print polynomials and forms from their
+plain term maps.
 ``forms.Polynomial``, the multivariate polynomials, and ``qt``, the
 polynomials and rational functions in t, are built on them.
 """
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Mapping, Union
 
 Exponent = tuple[int, ...]
 Scalar = Union[Fraction, int]
@@ -98,6 +100,27 @@ def signed_sum(
         else:
             out += plus + piece
     return out or "0"
+
+
+def polynomial_str(terms: Mapping[Exponent, Fraction]) -> str:
+    """Print the polynomial of a term map {exps: c}, nonzero c only, in
+    descending grlex order: x1^2*x3 for the exponents (2, 0, 1)."""
+    return signed_sum(
+        (terms[e], "*".join(f"x{i + 1}" + (f"^{k}" if k > 1 else "") for i, k in enumerate(e) if k))
+        for e in sorted(terms, key=grlex_key, reverse=True)
+    )
+
+
+def form_str(terms: Mapping[tuple, Mapping]) -> str:
+    """Print the differential form of a term map {J: {exps: c}}, nonempty
+    polynomials only, in increasing J: (p) for J = (), dx_J for p = 1 and
+    (p)*dx_J else, with dx_J as dx1^dx3; "0" when there is no term."""
+    parts = []
+    for idx in sorted(terms):
+        p = polynomial_str(terms[idx])
+        wedge = "^".join(f"dx{i + 1}" for i in idx)
+        parts.append(f"({p})" if not wedge else wedge if p == "1" else f"({p})*{wedge}")
+    return " + ".join(parts) or "0"
 
 
 def add_into(items: dict, key: object, value: object) -> None:

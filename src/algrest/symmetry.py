@@ -12,8 +12,8 @@ closed classes, so the action does not depend on the choice: it is the
 one matrix per shift of ``orbit``.  The policy chooses which fields the
 action table builds, validates and names.  The orbit layer (action
 matrices, admissible shifts, tangent spaces) lives in ``orbit``, which
-the class commands run without this module; ``forms`` and ``qt`` are read
-through their modules.
+the class commands run without this module; ``forms``, ``parser`` (the
+LaTeX of ``render_table``) and ``qt`` are read through their modules.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from . import forms, qt
+from . import forms, parser, qt
 from .curves import (
     LIFT_POLICIES, AlgRestriction, MonomialCurve, RestrictionBasis, cached_basis, project
 )
@@ -32,7 +32,7 @@ from .orbit import (
     ActionMatrix, TangentSpace, _action_matrix, _basis_shifts, _grlex_exponents, _orbit_row,
     _restriction, admissible_shifts, orbit_tangent_space
 )
-from .poly import Exponent, Scalar, _as_fraction
+from .poly import Exponent, Scalar, _as_fraction, signed_sum
 
 
 def nonsemigroup_shifts(curve: MonomialCurve, bound: int) -> list[int]:
@@ -169,6 +169,39 @@ class ActionTable(NamedTuple):
         return AlgRestriction._trusted(
             self.basis, {index[target]: value for value, target in self.terms(s, label)}
         )
+
+
+def render_table(table: ActionTable, fmt: str) -> tuple[dict | None, list[str]]:
+    """The ``action-table`` output of the table in the format ``fmt``, and
+    only that: (payload, []) for "json", else (None, lines) of LaTeX or text."""
+    if fmt == "json":
+        return {
+            "semigroup": list(table.curve.lams),
+            "policy": table.policy,
+            "shifts": list(table.shifts),
+            "nonsemigroup_shifts": list(table.nonsemigroup),
+            "labels": list(table.labels),
+            "table": {
+                str(s): {label: signed_sum(table.terms(s, label)) for label in table.labels}
+                for s in table.shifts
+            },
+        }, []
+    if fmt == "latex":
+        cols = " & ".join(parser.latex_label(label) for label in table.labels)
+        lines = [f" & {cols} \\\\"] if table.labels else []
+        for s in table.shifts:
+            cells = " & ".join(parser.latex_sum(table.terms(s, label)) for label in table.labels)
+            lines.append(f"X_{{{s}}} & {cells} \\\\")
+        return None, lines
+    lines = [
+        f"semigroup {table.curve.lams}  policy {table.policy}",
+        "shifts: " + (" ".join(str(s) for s in table.shifts) or "none"),
+        "shifts outside the semigroup: " + (" ".join(str(s) for s in table.nonsemigroup) or "none"),
+    ]
+    for s in table.shifts:
+        for label in table.labels:
+            lines.append(f"  L[X_{s}] {label} = {signed_sum(table.terms(s, label))}")
+    return None, lines
 
 
 def action_table(curve: MonomialCurve, policy: str = "grlex") -> ActionTable:

@@ -105,8 +105,6 @@ UNRUN: dict[tuple[str, str, str, int], str] = {
         1,
     ): _DUNDER,
     ("forms", "DifferentialForm.__repr__", 'return f"DifferentialForm({self})"', 1): _DUNDER,
-    ("forms", "DifferentialForm.__str__", 'parts.append(f"({poly})")', 1): _DUNDER,
-    ("forms", "DifferentialForm.__str__", 'return "0"', 1): _DUNDER,
     ("forms", "VectorField.__eq__", "if not isinstance(other, VectorField):", 1): _DUNDER,
     ("forms", "VectorField.__eq__", "return NotImplemented", 1): _NOT_IMPLEMENTED,
     ("forms", "VectorField.__eq__", "return self.components == other.components", 1): _DUNDER,

@@ -15,6 +15,7 @@ from algrest.curves import (
     AlgRestriction,
     GradedPiece,
     MonomialCurve,
+    RestrictionBasis,
     cached_basis,
     ideal_graded_basis,
     monomials_of_qdeg,
@@ -28,6 +29,7 @@ from algrest.linalg import RrefResult, kernel_basis, rref, zdenominated
 from algrest.orbit import orbit_tangent_space
 from algrest.parser import parse_form, parse_restriction
 
+import semigroups
 from fraction_path import dense, element_vectors, quotient_coords, zquotient_coords
 from generic_path import curve_images, drop_off_curve, substitute, terms_of
 from tables import (
@@ -395,6 +397,25 @@ def test_basis_representatives_are_closed(curve4567, curve456, curve457):
             der = ext_der(el.rep)
             piece = restriction_quotient(curve, 3, el.qdeg)
             assert all(c == 0 for c in quotient_coords(piece, piece.vectorize(der)))
+
+
+def test_basis_text_is_the_representative_form_printed():
+    """``BasisElement.text`` prints the term map of the representative
+    through ``poly.form_str``, the printer of ``DifferentialForm.__str__``:
+    on every semigroup of genus at most 6, at its ambient and padded by
+    one, the two agree, multi-term and fractional representatives
+    included."""
+    curves = [
+        MonomialCurve(lams, len(lams) + pad)
+        for genus in range(7)
+        for lams in (s.generators() for s in semigroups.by_genus(genus))
+        for pad in (0, 1)
+    ] + [MonomialCurve((3, 7, 8)), MonomialCurve((4, 5, 6), ambient=5)]
+    elements = [el for curve in curves for el in RestrictionBasis(curve).elements]
+    texts = [el.text for el in elements]
+    assert texts == [str(el.rep) for el in elements]
+    assert "(x2)*dx1^dx3 + (x1)*dx2^dx3" in texts
+    assert "(x1*x3)*dx1^dx2 + (-1/2*x1^2)*dx2^dx3" in texts
 
 
 def test_project_round_trip(basis4567):

@@ -113,6 +113,15 @@ def test_lie_derivative_of_a_function_is_its_directional_derivative():
     assert image == DifferentialForm.function(expected)
 
 
+def test_forms_print_zero_zero_forms_and_unit_coefficients():
+    x1, x2 = var(0, 2), var(1, 2)
+    assert str(DifferentialForm.zero(2, 2)) == "0"
+    assert str(DifferentialForm.function(x1 * x1 - x2 * Fraction(1, 2))) == "(x1^2 - 1/2*x2)"
+    assert str(DifferentialForm.function(Polynomial.constant(2, 1))) == "(1)"
+    assert str(dxx(0, 1, 2) * -1) == "(-1)*dx1^dx2"
+    assert str(dx(1, 2) + DifferentialForm.from_term(2, (0,), x2 * 3)) == "(3*x2)*dx1 + dx2"
+
+
 def test_forms_take_rational_scalars_only():
     form = dxx(0, 1) + DifferentialForm.from_term(4, (1, 2), var(3))
     assert form * Fraction(1, 10) == form * 1 * Fraction(1, 10)

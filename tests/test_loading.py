@@ -64,7 +64,9 @@ def test_importing_the_cli_registers_every_submodule_and_runs_few():
 @pytest.mark.parametrize(
     ("argv", "more"),
     [
-        ("basis 4 5 6 7", {"forms"}),
+        ("basis 4 5 6 7", set()),
+        ("basis 4 5 6 --ambient 5 --format json", set()),
+        ("basis 4 5 6 7 --format latex", {"parser", "forms"}),
         ("action-table 4 5 6", {"symmetry", "orbit", "forms"}),
         ("project 4 5 6 7 --form x2*dx1^dx2+x1*dx1^dx3", {"parser", "forms"}),
         (
@@ -79,6 +81,8 @@ def test_importing_the_cli_registers_every_submodule_and_runs_few():
     ],
     ids=[
         "basis",
+        "basis-ambient-json",
+        "basis-latex",
         "action-table",
         "project",
         "pullback",
